@@ -355,6 +355,43 @@ func BenchmarkMicro_ModuleDA(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_StoreMetricsFor times the store's index read Module DA
+// issues once per candidate component: every component of scenario 1's
+// store asked for its metrics.
+func BenchmarkMicro_StoreMetricsFor(b *testing.B) {
+	store := scenarioFor(b, diads.ScenarioSANMisconfig).Input.Store
+	comps := store.Components()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range comps {
+			if len(store.MetricsFor(c)) == 0 {
+				b.Fatalf("no metrics for %s", c)
+			}
+		}
+	}
+}
+
+// BenchmarkMicro_StoreWindowMeans times the batched per-run read Module
+// DA issues per series: every series of scenario 1's store read over the
+// satisfactory runs' evidence windows into one reused buffer.
+func BenchmarkMicro_StoreWindowMeans(b *testing.B) {
+	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
+	store, keys := sc.Input.Store, sc.Input.Store.Keys()
+	windows := diag.ReadWindows(sc.Input.SatRuns())
+	var buf []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			buf = store.WindowMeans(k.Component, k.Metric, windows, buf[:0])
+		}
+	}
+	if len(buf) == 0 {
+		b.Fatal("last series had no samples in any window")
+	}
+}
+
 // BenchmarkMicro_APGDependencyPaths times dependency-path computation for
 // every operator of the Q2 plan.
 func BenchmarkMicro_APGDependencyPaths(b *testing.B) {

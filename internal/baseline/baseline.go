@@ -50,7 +50,7 @@ func (r Report) String() string {
 // of the data is on V2").
 func SANOnly(in *diag.Input) (*Report, error) {
 	rep := &Report{Tool: "SAN-only"}
-	sat, unsat := satUnsatWindows(in)
+	sat, unsat := diag.ReadWindows(in.SatRuns()), diag.ReadWindows(in.UnsatRuns())
 	for _, vol := range in.Cfg.All(topology.KindVolume) {
 		c := string(vol)
 		var best float64
@@ -127,31 +127,10 @@ func DBOnly(in *diag.Input) (*Report, error) {
 	return rep, nil
 }
 
-// satUnsatWindows returns the runs' evidence windows (metrics.ReadWindow)
-// for both labels.
-func satUnsatWindows(in *diag.Input) (sat, unsat []simtime.Interval) {
-	for _, r := range in.SatRuns() {
-		sat = append(sat, metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop)))
-	}
-	for _, r := range in.UnsatRuns() {
-		unsat = append(unsat, metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop)))
-	}
-	return sat, unsat
-}
-
 // windowScore computes a KDE anomaly score from per-window means.
 func windowScore(store *metrics.Store, component string, m metrics.Metric, sat, unsat []simtime.Interval) (float64, bool) {
-	var satVals, unsatVals []float64
-	for _, iv := range sat {
-		if mean, n := store.WindowMean(component, m, iv); n > 0 {
-			satVals = append(satVals, mean)
-		}
-	}
-	for _, iv := range unsat {
-		if mean, n := store.WindowMean(component, m, iv); n > 0 {
-			unsatVals = append(unsatVals, mean)
-		}
-	}
+	satVals := store.WindowMeans(component, m, sat, nil)
+	unsatVals := store.WindowMeans(component, m, unsat, nil)
 	if len(satVals) < 4 || len(unsatVals) == 0 {
 		return 0, false
 	}
@@ -164,16 +143,13 @@ func windowScore(store *metrics.Store, component string, m metrics.Metric, sat, 
 
 // meanOver averages a metric over a set of windows.
 func meanOver(store *metrics.Store, component string, m metrics.Metric, windows []simtime.Interval) float64 {
-	var sum float64
-	var n int
-	for _, iv := range windows {
-		if mean, k := store.WindowMean(component, m, iv); k > 0 {
-			sum += mean
-			n++
-		}
-	}
-	if n == 0 {
+	means := store.WindowMeans(component, m, windows, nil)
+	if len(means) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	for _, mean := range means {
+		sum += mean
+	}
+	return sum / float64(len(means))
 }

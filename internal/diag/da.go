@@ -1,6 +1,8 @@
 package diag
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"diads/internal/apg"
@@ -28,14 +30,24 @@ type DAResult struct {
 	CCS []MetricScore
 }
 
-// ScoreOf returns the anomaly score for a (component, metric) pair.
-func (r *DAResult) ScoreOf(component string, metric metrics.Metric) float64 {
-	for _, s := range r.Scores {
-		if s.Component == component && s.Metric == metric {
-			return s.Score
-		}
+// compareSeries orders scores by component, then metric. A (component,
+// metric) pair is scored at most once, so the order is total and any
+// sorting algorithm yields the same sequence.
+func compareSeries(a, b MetricScore) int {
+	if c := cmp.Compare(a.Component, b.Component); c != 0 {
+		return c
 	}
-	return 0
+	return cmp.Compare(a.Metric, b.Metric)
+}
+
+// ScoreOf returns the anomaly score for a (component, metric) pair, by
+// binary search over the sorted Scores.
+func (r *DAResult) ScoreOf(component string, metric metrics.Metric) float64 {
+	i, ok := slices.BinarySearchFunc(r.Scores, MetricScore{Component: component, Metric: metric}, compareSeries)
+	if !ok {
+		return 0
+	}
+	return r.Scores[i].Score
 }
 
 // Components returns the distinct components present in the CCS, sorted.
@@ -70,14 +82,15 @@ const minSamplesForKDE = 4
 func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) {
 	res := &DAResult{}
 	comps := candidateComponents(g, co)
-	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
+	sat, unsat := ReadWindows(in.satisfactoryRuns()), ReadWindows(in.unsatisfactoryRuns())
 	threshold := in.threshold()
 
+	var satVals, unsatVals []float64 // reused across series; kde copies what it keeps
 	for _, comp := range comps {
 		c := string(comp)
 		for _, m := range in.Store.MetricsFor(c) {
-			satVals := perRunMeans(in.Store, c, m, sat)
-			unsatVals := perRunMeans(in.Store, c, m, unsat)
+			satVals = in.Store.WindowMeans(c, m, sat, satVals[:0])
+			unsatVals = in.Store.WindowMeans(c, m, unsat, unsatVals[:0])
 			if len(satVals) < minSamplesForKDE || len(unsatVals) == 0 {
 				continue
 			}
@@ -92,18 +105,8 @@ func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) 
 			}
 		}
 	}
-	sort.Slice(res.Scores, func(i, j int) bool {
-		if res.Scores[i].Component != res.Scores[j].Component {
-			return res.Scores[i].Component < res.Scores[j].Component
-		}
-		return res.Scores[i].Metric < res.Scores[j].Metric
-	})
-	sort.Slice(res.CCS, func(i, j int) bool {
-		if res.CCS[i].Component != res.CCS[j].Component {
-			return res.CCS[i].Component < res.CCS[j].Component
-		}
-		return res.CCS[i].Metric < res.CCS[j].Metric
-	})
+	slices.SortFunc(res.Scores, compareSeries)
+	slices.SortFunc(res.CCS, compareSeries)
 	return res, nil
 }
 
@@ -129,7 +132,7 @@ func candidateComponents(g *apg.APG, co *COResult) []topology.ID {
 			add(id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out) // IDs are distinct (seen), so the order is unique
 	return out
 }
 
@@ -138,27 +141,23 @@ func candidateComponents(g *apg.APG, co *COResult) []topology.ID {
 // DA's dependency-path pruning. The Table 2 reproduction uses it to
 // report scores for volumes DA legitimately pruned away.
 func ProbeMetricScore(in *Input, component string, metric metrics.Metric) (float64, error) {
-	satVals := perRunMeans(in.Store, component, metric, in.satisfactoryRuns())
-	unsatVals := perRunMeans(in.Store, component, metric, in.unsatisfactoryRuns())
+	satVals := in.Store.WindowMeans(component, metric, ReadWindows(in.satisfactoryRuns()), nil)
+	unsatVals := in.Store.WindowMeans(component, metric, ReadWindows(in.unsatisfactoryRuns()), nil)
 	if len(satVals) < minSamplesForKDE || len(unsatVals) == 0 {
 		return 0, kde.ErrNoSamples
 	}
 	return kde.AnomalyScore(satVals, unsatVals)
 }
 
-// perRunMeans computes one observation per run: the mean of the metric
-// over the run's evidence window (metrics.ReadWindow — the run's span
-// padded by the monitoring interval, so coarse series contribute their
-// nearest samples). Runs whose windows contain no samples are skipped.
-func perRunMeans(store *metrics.Store, component string, metric metrics.Metric, runs []*exec.RunRecord) []float64 {
-	var out []float64
-	for _, r := range runs {
-		win := metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop))
-		mean, n := store.WindowMean(component, metric, win)
-		if n == 0 {
-			continue
-		}
-		out = append(out, mean)
+// ReadWindows returns each run's evidence window (metrics.ReadWindow —
+// the run's span padded by the monitoring interval, so coarse series
+// contribute their nearest samples), in run order. Store.WindowMeans
+// over it yields one observation per run, skipping runs whose windows
+// hold no samples.
+func ReadWindows(runs []*exec.RunRecord) []simtime.Interval {
+	out := make([]simtime.Interval, len(runs))
+	for i, r := range runs {
+		out[i] = metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop))
 	}
 	return out
 }

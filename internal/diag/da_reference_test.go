@@ -1,0 +1,110 @@
+package diag_test
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"diads/internal/diag"
+	"diads/internal/exec"
+	"diads/internal/experiments"
+	"diads/internal/kde"
+	"diads/internal/metrics"
+	"diads/internal/simtime"
+	"diads/internal/topology"
+)
+
+// referenceDAScores re-derives Module DA's score list the slow way, from
+// public per-call readers only: the candidate components off the APG's
+// dependency paths, Store.MetricsFor per component, one Store.WindowMean
+// per (series, run), kde.AnomalyScore per series. It is the reference the
+// batched read path (ordered index + Store.WindowMeans) is held to, so it
+// must not share code with it.
+func referenceDAScores(in *diag.Input, res *diag.Result) []diag.MetricScore {
+	seen := map[topology.ID]bool{}
+	for _, opID := range res.CO.COS {
+		dp := res.APG.DependencyPath(opID)
+		for _, id := range dp.Inner {
+			seen[id] = true
+		}
+		for _, id := range dp.Outer {
+			seen[id] = true
+		}
+	}
+	comps := make([]string, 0, len(seen))
+	for id := range seen {
+		comps = append(comps, string(id))
+	}
+	sort.Strings(comps)
+
+	perRun := func(c string, m metrics.Metric, runs []*exec.RunRecord) []float64 {
+		var out []float64
+		for _, r := range runs {
+			win := metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop))
+			if mean, n := in.Store.WindowMean(c, m, win); n > 0 {
+				out = append(out, mean)
+			}
+		}
+		return out
+	}
+	sat, unsat := in.SatRuns(), in.UnsatRuns()
+	var out []diag.MetricScore
+	for _, c := range comps {
+		for _, m := range in.Store.MetricsFor(c) {
+			satVals, unsatVals := perRun(c, m, sat), perRun(c, m, unsat)
+			if len(satVals) < 4 || len(unsatVals) == 0 {
+				continue
+			}
+			score, err := kde.AnomalyScore(satVals, unsatVals)
+			if err != nil {
+				continue
+			}
+			out = append(out, diag.MetricScore{Component: c, Metric: m, Score: score})
+		}
+	}
+	return out
+}
+
+// TestDAScoresBitIdenticalToPerCallReference diagnoses the nine scenarios
+// and demands that Module DA's Scores — which series were scored, in
+// which order, and every score's bits — equal the per-call reference, and
+// that ScoreOf's binary search finds each of them.
+func TestDAScoresBitIdenticalToPerCallReference(t *testing.T) {
+	scored := 0
+	for id := experiments.S1SANMisconfig; id <= experiments.SRAIDRebuild; id++ {
+		sc, err := experiments.Build(id, 700+int64(id))
+		if err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+		res, err := diag.Diagnose(sc.Input)
+		if err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+		if res.DA == nil { // plan regression: PD short-circuits the drill-down
+			continue
+		}
+		want := referenceDAScores(sc.Input, res)
+		got := res.DA.Scores
+		if len(got) != len(want) {
+			t.Fatalf("scenario %d: DA scored %d series, reference %d", id, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Component != want[i].Component || got[i].Metric != want[i].Metric ||
+				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Errorf("scenario %d score %d: DA %s/%s=%.17g, reference %s/%s=%.17g", id, i,
+					got[i].Component, got[i].Metric, got[i].Score,
+					want[i].Component, want[i].Metric, want[i].Score)
+			}
+			if s := res.DA.ScoreOf(want[i].Component, want[i].Metric); math.Float64bits(s) != math.Float64bits(want[i].Score) {
+				t.Errorf("scenario %d: ScoreOf(%s, %s) = %.17g, want %.17g", id, want[i].Component, want[i].Metric, s, want[i].Score)
+			}
+		}
+		if s := res.DA.ScoreOf("no-such-component", metrics.VolReadIO); s != 0 {
+			t.Errorf("scenario %d: ScoreOf(absent) = %g, want 0", id, s)
+		}
+		scored += len(want)
+	}
+	if scored == 0 {
+		t.Fatal("no scenario produced DA scores; the comparison was vacuous")
+	}
+}

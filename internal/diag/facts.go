@@ -55,7 +55,7 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 // "CPU is a bit higher because runs last longer" from genuine saturation;
 // the level can.
 func addCPULevelFact(fb *symptoms.FactBase, in *Input) {
-	vals := perRunMeans(in.Store, string(in.Server), metrics.SrvCPUUsagePct, in.unsatisfactoryRuns())
+	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, ReadWindows(in.unsatisfactoryRuns()), nil)
 	if len(vals) == 0 {
 		return
 	}

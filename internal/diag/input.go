@@ -74,6 +74,14 @@ type Input struct {
 	// detection through every module it ran. Purely observational: it
 	// never influences module results or report bytes.
 	TraceID string
+
+	// sat and unsat are the label partitions of Runs in time order,
+	// computed once per diagnosis by NewBoard on its own copy of the
+	// Input (the caller's is never written, so one Input may serve
+	// concurrent diagnoses). Module functions called on an Input that
+	// never passed through NewBoard compute them per call. validate
+	// rejects an empty partition, so nil means "not computed". Read-only.
+	sat, unsat []*exec.RunRecord
 }
 
 // threshold returns the configured or default anomaly threshold.
@@ -96,12 +104,18 @@ func (in *Input) UnsatRuns() []*exec.RunRecord { return in.unsatisfactoryRuns() 
 
 // satisfactoryRuns returns the labeled-satisfactory runs in time order.
 func (in *Input) satisfactoryRuns() []*exec.RunRecord {
+	if in.sat != nil {
+		return in.sat
+	}
 	return in.labeled(true)
 }
 
 // unsatisfactoryRuns returns the labeled-unsatisfactory runs in time
 // order.
 func (in *Input) unsatisfactoryRuns() []*exec.RunRecord {
+	if in.unsat != nil {
+		return in.unsat
+	}
 	return in.labeled(false)
 }
 
@@ -182,11 +196,4 @@ func LabelAdaptive(runs []*exec.RunRecord, factor float64) map[string]bool {
 		labels[r.RunID] = float64(r.Duration()) <= median*factor
 	}
 	return labels
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

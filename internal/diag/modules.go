@@ -33,13 +33,17 @@ const PipelineDIADS = "diads"
 const DefaultParallelism = 4
 
 // NewBoard validates the input and returns a blackboard seeded with it,
-// ready for any pipeline over diagnosis inputs.
+// ready for any pipeline over diagnosis inputs. The board carries a copy
+// of the Input with the run history already partitioned by label, so the
+// modules share one filter-and-sort instead of repeating it.
 func NewBoard(in *Input) (*pipeline.Blackboard, error) {
-	if err := in.validate(); err != nil {
+	seeded := *in
+	seeded.sat, seeded.unsat = in.labeled(true), in.labeled(false)
+	if err := seeded.validate(); err != nil {
 		return nil, err
 	}
 	bb := pipeline.NewBlackboard()
-	bb.Put(KeyInput, in)
+	bb.Put(KeyInput, &seeded)
 	return bb, nil
 }
 

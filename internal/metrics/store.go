@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +29,15 @@ type SeriesKey struct {
 // String implements fmt.Stringer.
 func (k SeriesKey) String() string {
 	return fmt.Sprintf("%s/%s", k.Component, k.Metric)
+}
+
+// compare orders keys by component, then metric — the store's index
+// order, and the order Keys, Components and MetricsFor report.
+func (k SeriesKey) compare(o SeriesKey) int {
+	if c := cmp.Compare(k.Component, o.Component); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Metric, o.Metric)
 }
 
 // segmentSize is the number of samples per storage segment. Truncation
@@ -147,6 +158,25 @@ func (ser *series) bounds(iv simtime.Interval) (lo, hi int) {
 	return ser.searchT(iv.Start), ser.searchT(iv.End)
 }
 
+// windowSums returns the number of retained samples inside iv and the
+// sums of their values and squared values, as one prefix-sum
+// subtraction. It is the only place a window aggregate is formed, so
+// every reader (WindowStats, WindowMeans) sees bit-identical sums.
+// Callers must hold at least the read lock.
+func (ser *series) windowSums(iv simtime.Interval) (n int, sum, sum2 float64) {
+	lo, hi := ser.bounds(iv)
+	if hi <= lo {
+		return 0, 0, 0
+	}
+	sum, sum2 = ser.cumAt(hi - 1)
+	if lo > 0 {
+		psum, psum2 := ser.cumAt(lo - 1)
+		sum -= psum
+		sum2 -= psum2
+	}
+	return hi - lo, sum, sum2
+}
+
 // copyRange copies retained samples [lo, hi) (absolute indices) into a
 // fresh slice.
 func (ser *series) copyRange(lo, hi int) []Sample {
@@ -230,10 +260,18 @@ func (ser *series) truncate(before simtime.Time) int {
 // expressed in absolute sample indices so truncation is invisible to
 // readers of the surviving window (see DESIGN.md "Memory model &
 // retention").
+//
+// The series index is maintained, not computed: keys holds every
+// SeriesKey in (component, metric) order, inserted by binary search when
+// Append creates a series. Series are never deleted (Truncate empties
+// them but keeps their cumulative sums), so the index only grows, and
+// Keys, Components and MetricsFor read it without walking or sorting the
+// map.
 type Store struct {
 	mu     sync.RWMutex
 	seg    int // segment capacity for new segments; 0 = segmentSize
 	series map[SeriesKey]*series
+	keys   []SeriesKey // every key of series, sorted by SeriesKey.compare
 }
 
 // NewStore returns an empty monitoring store.
@@ -268,6 +306,8 @@ func (s *Store) Append(component string, metric Metric, sample Sample) error {
 	if ser == nil {
 		ser = &series{}
 		s.series[k] = ser
+		i, _ := slices.BinarySearchFunc(s.keys, k, SeriesKey.compare)
+		s.keys = slices.Insert(s.keys, i, k)
 	}
 	if n := ser.total(); n > ser.dropped && sample.T < ser.at(n-1).T {
 		return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v",
@@ -374,16 +414,9 @@ func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval
 	if ser == nil {
 		return Stats{}
 	}
-	lo, hi := ser.bounds(iv)
-	n := hi - lo
-	if n <= 0 {
+	n, sum, sum2 := ser.windowSums(iv)
+	if n == 0 {
 		return Stats{}
-	}
-	sum, sum2 := ser.cumAt(hi - 1)
-	if lo > 0 {
-		psum, psum2 := ser.cumAt(lo - 1)
-		sum -= psum
-		sum2 -= psum2
 	}
 	mean := sum / float64(n)
 	variance := sum2/float64(n) - mean*mean
@@ -391,6 +424,29 @@ func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval
 		variance = 0
 	}
 	return Stats{N: n, Sum: sum, Mean: mean, Std: math.Sqrt(variance)}
+}
+
+// WindowMeans appends to dst the mean of the series over each window that
+// holds at least one sample, in window order, and returns the extended
+// slice; empty windows are skipped. It is the batched form of WindowMean
+// for callers that read one series over many windows (Module DA's
+// per-run means): one read lock and one series lookup for the whole
+// batch, and each mean is formed by the same prefix-sum subtraction and
+// division WindowStats performs, so the values are bit-identical to
+// per-call WindowMean. Pass dst[:0] to reuse a buffer across series.
+func (s *Store) WindowMeans(component string, metric Metric, windows []simtime.Interval, dst []float64) []float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ser := s.get(component, metric)
+	if ser == nil {
+		return dst
+	}
+	for _, iv := range windows {
+		if n, sum, _ := ser.windowSums(iv); n > 0 {
+			dst = append(dst, sum/float64(n))
+		}
+	}
+	return dst
 }
 
 // Since returns a copy of the samples appended to the series after the
@@ -428,46 +484,46 @@ func (s *Store) Latest(component string, metric Metric) (Sample, bool) {
 	return ser.at(ser.total() - 1), true
 }
 
-// Keys returns every series key in the store, sorted for deterministic
-// iteration.
+// Keys returns every series key in the store, sorted by component then
+// metric. The index is kept in that order, so this is a copy.
 func (s *Store) Keys() []SeriesKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]SeriesKey, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Component != keys[j].Component {
-			return keys[i].Component < keys[j].Component
-		}
-		return keys[i].Metric < keys[j].Metric
-	})
-	return keys
+	return slices.Clone(s.keys)
 }
 
 // Components returns the distinct component IDs present in the store,
-// sorted.
+// sorted: one pass over the ordered index.
 func (s *Store) Components() []string {
-	seen := make(map[string]bool)
-	for _, k := range s.Keys() {
-		seen[k.Component] = true
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []string
+	for i, k := range s.keys {
+		if i == 0 || k.Component != s.keys[i-1].Component {
+			out = append(out, k.Component)
+		}
 	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 
-// MetricsFor returns the metrics recorded for a component, sorted.
+// MetricsFor returns the metrics recorded for a component, sorted. A
+// component's keys are contiguous in the index, so this is a binary
+// search — O(log K) in the number of series — plus a scan of the
+// component's own metrics.
 func (s *Store) MetricsFor(component string) []Metric {
-	var out []Metric
-	for _, k := range s.Keys() {
-		if k.Component == component {
-			out = append(out, k.Metric)
-		}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lo := sort.Search(len(s.keys), func(i int) bool { return s.keys[i].Component >= component })
+	hi := lo
+	for hi < len(s.keys) && s.keys[hi].Component == component {
+		hi++
+	}
+	if hi == lo {
+		return nil
+	}
+	out := make([]Metric, hi-lo)
+	for i, k := range s.keys[lo:hi] {
+		out[i] = k.Metric
 	}
 	return out
 }

@@ -3,6 +3,9 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -137,6 +140,16 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 				}
 				s.Len()
 				s.Latest(comp, VolReadIO)
+				// The ordered index is read while writers insert into it.
+				if ms := s.MetricsFor(comp); len(ms) > 2 {
+					t.Errorf("MetricsFor(%s) = %v under concurrency", comp, ms)
+					return
+				}
+				if ks := s.Keys(); !slices.IsSortedFunc(ks, SeriesKey.compare) {
+					t.Errorf("Keys not sorted under concurrency: %v", ks)
+					return
+				}
+				s.WindowMeans(comp, VolReadIO, []simtime.Interval{iv}, nil)
 			}
 		}(r)
 	}
@@ -168,5 +181,97 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 	// Equal timestamps are allowed (non-decreasing).
 	if err := s.Append("c", VolReadIO, Sample{T: 100, V: 3}); err != nil {
 		t.Fatalf("equal-timestamp append rejected: %v", err)
+	}
+}
+
+// TestSeriesIndexProperty pins the maintained index against a naive
+// map-backed twin: after random interleavings of Append (new and
+// existing series, on components that share prefixes, so "V1" < "V10" <
+// "V2" must come out of string order, not insertion order),
+// SetSegmentSize and Truncate, Keys equals the twin's key set sorted by
+// (component, metric), and Components and MetricsFor equal a filter over
+// it. Truncate empties series without removing them, so their keys stay.
+func TestSeriesIndexProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260929))
+	comps := []string{"V1", "V10", "V100", "V2", "V", "pool-P1", "pool-P10", "srv", ""}
+	mets := []Metric{VolReadIO, VolWriteIO, VolReadTime, VolWriteTime, StTotalIOs, SrvCPUUsagePct}
+
+	check := func(trial, op int, s *Store, twin map[SeriesKey]bool) {
+		t.Helper()
+		want := make([]SeriesKey, 0, len(twin))
+		for k := range twin {
+			want = append(want, k)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Component != want[j].Component {
+				return want[i].Component < want[j].Component
+			}
+			return want[i].Metric < want[j].Metric
+		})
+		if got := s.Keys(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d op %d: Keys = %v, want %v", trial, op, got, want)
+		}
+		wantComps := []string{}
+		for _, k := range want {
+			if len(wantComps) == 0 || wantComps[len(wantComps)-1] != k.Component {
+				wantComps = append(wantComps, k.Component)
+			}
+		}
+		if got := s.Components(); !slices.Equal(got, wantComps) {
+			t.Fatalf("trial %d op %d: Components = %q, want %q", trial, op, got, wantComps)
+		}
+		for _, c := range append([]string{"V1000", "absent"}, comps...) {
+			var wantMs []Metric
+			for _, k := range want {
+				if k.Component == c {
+					wantMs = append(wantMs, k.Metric)
+				}
+			}
+			if got := s.MetricsFor(c); !slices.Equal(got, wantMs) {
+				t.Fatalf("trial %d op %d: MetricsFor(%q) = %v, want %v", trial, op, c, got, wantMs)
+			}
+		}
+	}
+
+	for trial := 0; trial < 25; trial++ {
+		s := NewStore()
+		twin := map[SeriesKey]bool{}
+		check(trial, -1, s, twin)
+		now := simtime.Time(0)
+		for op := 0; op < 200; op++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				s.SetSegmentSize(rng.Intn(8)) // 0 restores the default
+			case r == 1:
+				s.Truncate(simtime.Time(rng.Int63n(int64(now) + 1)))
+			default:
+				k := SeriesKey{Component: comps[rng.Intn(len(comps))], Metric: mets[rng.Intn(len(mets))]}
+				now += simtime.Time(rng.Intn(300))
+				s.MustAppend(k.Component, k.Metric, Sample{T: now, V: rng.Float64()})
+				twin[k] = true
+			}
+			if op%10 == 0 {
+				check(trial, op, s, twin)
+			}
+		}
+		check(trial, 200, s, twin)
+		// Mutating the returned copy must not reach the index.
+		if ks := s.Keys(); len(ks) > 1 {
+			ks[0], ks[len(ks)-1] = ks[len(ks)-1], ks[0]
+			check(trial, 201, s, twin)
+		}
+	}
+}
+
+func TestWindowMeansMissingSeriesKeepsDst(t *testing.T) {
+	s := NewStore()
+	fill(s, "vol-V1", 3, func(i int) float64 { return float64(i) })
+	dst := []float64{7}
+	got := s.WindowMeans("ghost", VolReadIO, []simtime.Interval{simtime.NewInterval(0, 900)}, dst)
+	if !slices.Equal(got, []float64{7}) {
+		t.Fatalf("missing series: WindowMeans = %v, want dst unchanged", got)
+	}
+	if got := s.WindowMeans("vol-V1", VolReadIO, nil, nil); got != nil {
+		t.Fatalf("no windows: WindowMeans = %v, want nil", got)
 	}
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"diads/internal/simtime"
@@ -83,6 +84,11 @@ func TestTruncateCursorsSurvive(t *testing.T) {
 // before and after Truncate. Exactness (not approximate equality) is
 // what lets the fleet run retention under its byte-determinism
 // invariant, so the comparison is == on every float, not a tolerance.
+//
+// The batched reader rides the same trials: on both stores WindowMeans
+// must equal per-call WindowMean bit for bit over windows of every shape
+// (assertWindowMeansBitwise), and above the horizon the truncated store's
+// batch must equal its untruncated twin's.
 func TestTruncateFloatExactProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const trials = 40
@@ -124,6 +130,27 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			}
 		}
 
+		// Batched reads: every window shape, below the horizon included
+		// (there the two stores legitimately differ, so each is checked
+		// against its own per-call reader).
+		windows := randomWindows(rng, n, horizon)
+		if kept := assertWindowMeansBitwise(t, ref, "vol-V1", VolReadIO, windows); kept == 0 || kept == len(windows) {
+			t.Fatalf("trial %d: %d of %d windows non-empty; the mix must cover both", trial, kept, len(windows))
+		}
+		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, windows)
+		var above []simtime.Interval
+		for _, iv := range windows {
+			if iv.Start >= horizon {
+				above = append(above, iv)
+			}
+		}
+		want := ref.WindowMeans("vol-V1", VolReadIO, above, nil)
+		got := cut.WindowMeans("vol-V1", VolReadIO, above, nil)
+		if !sameBits(want, got) {
+			t.Fatalf("trial %d horizon %v: WindowMeans above the horizon diverged after Truncate:\n  ref %v\n  cut %v",
+				trial, horizon, want, got)
+		}
+
 		// Keep appending after truncation and re-check: the carried base
 		// sums must anchor future aggregates too.
 		for i := n; i < n+100; i++ {
@@ -133,10 +160,75 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			cut.MustAppend("vol-V1", VolReadIO, smp)
 		}
 		iv := simtime.NewInterval(horizon, simtime.Time((n+100)*300))
-		want := ref.WindowStats("vol-V1", VolReadIO, iv)
-		got := cut.WindowStats("vol-V1", VolReadIO, iv)
-		if want.N != got.N || want.Sum != got.Sum || want.Mean != got.Mean || want.Std != got.Std {
-			t.Fatalf("trial %d: post-truncation appends diverged:\n  ref %+v\n  cut %+v", trial, want, got)
+		wantSt := ref.WindowStats("vol-V1", VolReadIO, iv)
+		gotSt := cut.WindowStats("vol-V1", VolReadIO, iv)
+		if wantSt.N != gotSt.N || wantSt.Sum != gotSt.Sum || wantSt.Mean != gotSt.Mean || wantSt.Std != gotSt.Std {
+			t.Fatalf("trial %d: post-truncation appends diverged:\n  ref %+v\n  cut %+v", trial, wantSt, gotSt)
+		}
+		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, randomWindows(rng, n+100, horizon))
+	}
+}
+
+// randomWindows draws windows of every shape the batched reader must
+// handle over a series sampled every 300 s at [0, n*300): between two
+// samples (empty), zero-length, with both ends exactly on sample
+// timestamps (Start inclusive, End exclusive), long enough to span
+// several segments, wholly or partly below the truncation horizon, and
+// past the end of the series.
+func randomWindows(rng *rand.Rand, n int, horizon simtime.Time) []simtime.Interval {
+	at := func(i int) simtime.Time { return simtime.Time(i * 300) }
+	var out []simtime.Interval
+	for i := 0; i < 40; i++ {
+		a := rng.Intn(n)
+		switch i % 8 {
+		case 0: // strictly between two samples
+			out = append(out, simtime.NewInterval(at(a)+1, at(a)+299))
+		case 1: // zero-length, on a sample
+			out = append(out, simtime.NewInterval(at(a), at(a)))
+		case 2: // exactly one sample, both ends on timestamps
+			out = append(out, simtime.NewInterval(at(a), at(a+1)))
+		case 3: // boundary-aligned, spanning segments
+			out = append(out, simtime.NewInterval(at(a), at(a+segmentSize+rng.Intn(2*segmentSize))))
+		case 4: // unaligned
+			start := at(a) + simtime.Time(rng.Intn(300))
+			out = append(out, simtime.NewInterval(start, start.Add(simtime.Duration(rng.Intn(n*300)))))
+		case 5: // wholly below the horizon
+			b := rng.Intn(int(horizon)/300 + 1)
+			out = append(out, simtime.NewInterval(at(b/2), at(b)))
+		case 6: // straddling the horizon
+			out = append(out, simtime.NewInterval(
+				horizon.Add(-simtime.Duration(rng.Intn(n*300))),
+				horizon.Add(simtime.Duration(rng.Intn(n*300)))))
+		case 7: // past the end of the series
+			out = append(out, simtime.NewInterval(at(n+a), at(n+2*a)))
 		}
 	}
+	return out
+}
+
+// sameBits reports whether two float slices are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// assertWindowMeansBitwise checks one batched read against per-call
+// WindowMean on the same store: same windows kept, same order, every
+// mean bit-identical, and the values appended after whatever dst held.
+// It returns the number of non-empty windows.
+func assertWindowMeansBitwise(t *testing.T, s *Store, component string, metric Metric, windows []simtime.Interval) int {
+	t.Helper()
+	want := []float64{-1} // dst's prior contents must survive
+	for _, iv := range windows {
+		if mean, n := s.WindowMean(component, metric, iv); n > 0 {
+			want = append(want, mean)
+		}
+	}
+	got := s.WindowMeans(component, metric, windows, []float64{-1})
+	if !sameBits(want, got) {
+		t.Fatalf("WindowMeans diverged from per-call WindowMean over %d windows:\n  per-call %v\n  batched  %v",
+			len(windows), want[1:], got[1:])
+	}
+	return len(got) - 1
 }
