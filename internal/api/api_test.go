@@ -480,27 +480,45 @@ func TestIngestValidation(t *testing.T) {
 	defer hs.Close()
 	client := hs.Client()
 
+	const trailing = "trailing data after batch"
 	cases := []struct {
 		url  string
 		body string
+		want string // in the error, when set
 	}{
-		{"/v1/ingest/samples", `{not json`},
-		{"/v1/ingest/samples", `{"tenant":"t","samples":[]}`},                                                        // missing instance
-		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","samples":[{"metric":"m","t":1,"v":1}]}`},               // missing component
-		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","bogus":1}`},                                            // unknown field
-		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[{"query":"Q2"}]}`},                                 // missing run_id
-		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[{"query":"Q2","run_id":"r","start":5,"stop":1}]}`}, // stop < start
-		{"/v1/ingest/events", `{"tenant":"t","events":[]}`},                                                          // missing instance
+		{"/v1/ingest/samples", `{not json`, ""},
+		{"/v1/ingest/samples", `{"tenant":"t","samples":[]}`, "missing instance"},
+		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","samples":[{"metric":"m","t":1,"v":1}]}`, "sample 0"},
+		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","bogus":1}`, "unknown field"},
+		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[{"query":"Q2"}]}`, "missing run_id"},
+		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[{"query":"Q2","run_id":"r","start":5,"stop":1}]}`, "before start"},
+		{"/v1/ingest/events", `{"tenant":"t","events":[]}`, "missing instance"},
+		// A second concatenated batch used to be dropped behind a 202.
+		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","samples":[]}` + "\n" + `{"tenant":"t","instance":"i","samples":[]}`, trailing},
+		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[]} {"tenant":"t","instance":"i","runs":[]}`, trailing},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[]}{"tenant":"t","instance":"i","events":[]}`, trailing},
+		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","samples":[]}]`, trailing},
 	}
 	for _, c := range cases {
 		resp, err := client.Post(hs.URL+c.url, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatalf("POST %s: %v", c.url, err)
 		}
+		var reply ErrorReply
+		_ = json.NewDecoder(resp.Body).Decode(&reply)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s = %d, want 400", c.url, c.body, resp.StatusCode)
 		}
+		if !strings.Contains(reply.Error, c.want) {
+			t.Errorf("%s %s: error %q, want it to mention %q", c.url, c.body, reply.Error, c.want)
+		}
+	}
+	// Whitespace after the batch is not data.
+	resp, body := postJSON(t, client, hs.URL+"/v1/ingest/samples", json.RawMessage(
+		`{"tenant":"t","instance":"i","samples":[]}`+" \r\n\t"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("batch with trailing whitespace = %d %s, want 202", resp.StatusCode, body)
 	}
 }
 

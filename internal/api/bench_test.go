@@ -1,0 +1,120 @@
+package api
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// The accept path's own rows (ROADMAP 1b): one request through
+// Node.Handler on an in-memory recorder — middleware, body read,
+// decode, validation, enqueue — with no socket and no client. MB/s is
+// body bytes accepted per second; allocs/op is per batch.
+//
+// The intake worker is parked while the clock runs, so ns/op and the
+// process-wide allocation counts are the handler's alone; every
+// benchWindow posts the clock stops and the worker drains the queue.
+// The store accepts a sample no older than its series' last one, so the
+// sample benchmark first posts every series once at a later time: what
+// the drains apply is then refused and the node does not grow. Refusing
+// costs the worker several times what accepting does, so a run's wall
+// time is mostly untimed drain, and a -cpuprofile of it is mostly
+// applySamples: read the handler's subtree, not the percentages.
+
+const benchWindow = 512
+
+// benchSampleBody is a 256-sample batch shaped like a monitoring
+// agent's: 8 components × 4 metrics, full-precision values, times
+// starting at t0.
+func benchSampleBody(b *testing.B, t0 float64) []byte {
+	batch := SampleBatch{Tenant: "acme", Instance: "db-1"}
+	for i := range 256 {
+		batch.Samples = append(batch.Samples, WireSample{
+			Component: fmt.Sprintf("vol-V%d", i%8),
+			Metric:    []string{"readTime", "writeTime", "readIO", "writeIO"}[i/8%4],
+			T:         t0 + float64(300*(i/32)),
+			V:         math.Sqrt(float64(i + 1)),
+		})
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// benchRunBody is a 16-run batch of 8 operators each.
+func benchRunBody(b *testing.B) []byte {
+	batch := RunBatch{Tenant: "acme", Instance: "db-1"}
+	for r := range 16 {
+		start := float64(600 * r)
+		run := WireRun{
+			Query: "Q2", RunID: fmt.Sprintf("run-Q2-%03d", r),
+			Start: start, Stop: start + math.Sqrt(float64(r+2)),
+			PhysIO: 1849.96 + float64(r), CacheHit: 29064.79, SeqScans: 4, IdxScans: 5,
+		}
+		for id := 1; id <= 8; id++ {
+			run.Ops = append(run.Ops, WireOp{
+				ID: id, Type: "IndexScan", Table: "partsupp",
+				Start: start, Stop: start + math.Sqrt(float64(id)), Recorded: math.Sqrt(float64(id)),
+				ActRows: 800, EstRows: 812.5, PhysIO: 231.25 * float64(id), CacheHit: 0.93, IOTime: 1 / float64(id+2),
+			})
+		}
+		batch.Runs = append(batch.Runs, run)
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+func benchAccept(b *testing.B, route string, body []byte, prime []byte) {
+	node := New(Config{Seed: testSeed, QueueDepth: benchWindow})
+	defer node.Shutdown()
+	h := node.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			b.Fatalf("POST %s = %d %s", route, rec.Code, rec.Body)
+		}
+	}
+	if prime != nil {
+		post(prime)
+	}
+	drain := func() {
+		if err := node.Quiesce(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	drain()
+	resume := stallWorker(b, node)
+	queued := 0
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if queued == benchWindow {
+			b.StopTimer()
+			resume()
+			drain()
+			resume, queued = stallWorker(b, node), 0
+			b.StartTimer()
+		}
+		post(body)
+		queued++
+	}
+	resume()
+}
+
+func BenchmarkAcceptSamples(b *testing.B) {
+	benchAccept(b, "/v1/ingest/samples", benchSampleBody(b, 0), benchSampleBody(b, 1e9))
+}
+
+func BenchmarkAcceptRuns(b *testing.B) {
+	benchAccept(b, "/v1/ingest/runs", benchRunBody(b), nil)
+}

@@ -27,9 +27,11 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -200,6 +202,7 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 		rejected: map[string]*telemetry.Counter{
 			reasonBackpressure: rejected(reasonBackpressure),
 			reasonDraining:     rejected(reasonDraining),
+			reasonTooLarge:     rejected(reasonTooLarge),
 		},
 		applyErr: reg.Counter("diads_api_ingest_errors_total",
 			"Ingest batch items the intake worker could not apply.", nil),
@@ -213,6 +216,7 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 const (
 	reasonBackpressure = "backpressure"
 	reasonDraining     = "draining"
+	reasonTooLarge     = "too_large"
 )
 
 // New builds the node and starts its diagnosis pool and intake worker.
@@ -459,8 +463,12 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 		return
 	}
 	// Sort by time so interleaved series in one batch cannot trip the
-	// store's per-series ordering check.
-	sort.SliceStable(b.Samples, func(i, j int) bool { return b.Samples[i].T < b.Samples[j].T })
+	// store's per-series ordering check. Agents post in time order, so
+	// the sort itself is the rare case.
+	byTime := func(x, y WireSample) int { return cmp.Compare(x.T, y.T) }
+	if !slices.IsSortedFunc(b.Samples, byTime) {
+		slices.SortStableFunc(b.Samples, byTime)
+	}
 	high := in.watermark
 	for i := range b.Samples {
 		s := &b.Samples[i]

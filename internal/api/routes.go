@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"diads/internal/fleet"
@@ -107,12 +109,103 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorReply{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody parses the request body strictly (unknown fields are
-// errors — they are almost always a misspelled contract).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+const (
+	// maxIngestBody bounds one ingest body, which is buffered whole (the
+	// example client's largest batch is ≈0.4 MB).
+	maxIngestBody = 16 << 20
+	// maxPooledBody is the largest body buffer the pool keeps, so one
+	// huge batch does not pin its buffer for the life of the node.
+	maxPooledBody = 1 << 20
+)
+
+// ingestBuf is what one ingest request borrows from the pool: the
+// buffer its body is read into and the scanner that reads it.
+type ingestBuf struct {
+	body bytes.Buffer
+	scan scanner
+}
+
+var ingestPool = sync.Pool{New: func() any {
+	return &ingestBuf{scan: scanner{names: make(internTable)}}
+}}
+
+// release returns the buffer to the pool. Nothing decoded from it
+// aliases the body: the scanner and encoding/json both copy strings.
+func (in *ingestBuf) release() {
+	if in.body.Cap() <= maxPooledBody {
+		ingestPool.Put(in)
+	}
+}
+
+// readBody reads the request body whole, up to maxIngestBody. When it
+// cannot, it has answered (413, or 400 for a failed read) and returns
+// nil; otherwise the caller releases what it returns.
+func (n *Node) readBody(w http.ResponseWriter, r *http.Request) *ingestBuf {
+	in := ingestPool.Get().(*ingestBuf)
+	in.body.Reset()
+	_, err := in.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	if err == nil {
+		return in
+	}
+	in.release()
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		n.tel.rejected[reasonTooLarge].Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, "batch larger than %d bytes", maxIngestBody)
+	} else {
+		writeError(w, http.StatusBadRequest, "parsing batch: %v", err)
+	}
+	return nil
+}
+
+var errTrailing = errors.New("trailing data after batch")
+
+// decodeStrict is the authority on what an ingest body may be:
+// encoding/json with unknown fields refused (they are almost always a
+// misspelled contract), and nothing but whitespace after the batch — a
+// second concatenated batch would otherwise be dropped without a trace.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errTrailing
+	}
+	return nil
+}
+
+// decodeSamples and decodeRuns try the scanner and, when it declines,
+// hand the same bytes to decodeStrict.
+func (in *ingestBuf) decodeSamples(b *SampleBatch) error {
+	if in.scan.sampleBatch(in.body.Bytes(), b) {
+		return nil
+	}
+	*b = SampleBatch{}
+	return decodeStrict(in.body.Bytes(), b)
+}
+
+func (in *ingestBuf) decodeRuns(b *RunBatch) error {
+	if in.scan.runBatch(in.body.Bytes(), b) {
+		return nil
+	}
+	*b = RunBatch{}
+	return decodeStrict(in.body.Bytes(), b)
+}
+
+// usable answers 400 and reports false unless the batch decoded and
+// passes its own validation (the error is the reply).
+func usable(w http.ResponseWriter, decodeErr error, b interface{ validate() error }) bool {
+	if decodeErr != nil {
+		writeError(w, http.StatusBadRequest, "parsing batch: %v", decodeErr)
+		return false
+	}
+	if err := b.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
 }
 
 // acceptIngest enqueues a parsed batch, mapping queue states to the
@@ -135,54 +228,44 @@ func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) {
 }
 
 func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
-	var b SampleBatch
-	if err := decodeBody(r, &b); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing batch: %v", err)
+	in := n.readBody(w, r)
+	if in == nil {
 		return
 	}
-	if b.Instance == "" {
-		writeError(w, http.StatusBadRequest, "batch missing instance")
+	defer in.release()
+	b := new(SampleBatch)
+	if !usable(w, in.decodeSamples(b), b) {
 		return
 	}
-	for i := range b.Samples {
-		if err := b.Samples[i].validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "sample %d: %v", i, err)
-			return
-		}
-	}
-	n.acceptIngest(w, intakeJob{samples: &b, traceID: traceIDFrom(r)}, len(b.Samples))
+	n.acceptIngest(w, intakeJob{samples: b, traceID: traceIDFrom(r)}, len(b.Samples))
 }
 
 func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request) {
-	var b RunBatch
-	if err := decodeBody(r, &b); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing batch: %v", err)
+	in := n.readBody(w, r)
+	if in == nil {
 		return
 	}
-	if b.Instance == "" {
-		writeError(w, http.StatusBadRequest, "batch missing instance")
+	defer in.release()
+	b := new(RunBatch)
+	if !usable(w, in.decodeRuns(b), b) {
 		return
 	}
-	for i := range b.Runs {
-		if err := b.Runs[i].validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "run %d: %v", i, err)
-			return
-		}
-	}
-	n.acceptIngest(w, intakeJob{runs: &b, traceID: traceIDFrom(r)}, len(b.Runs))
+	n.acceptIngest(w, intakeJob{runs: b, traceID: traceIDFrom(r)}, len(b.Runs))
 }
 
+// handleIngestEvents stays on encoding/json alone: a tenant-day posts a
+// handful of events against tens of thousands of samples.
 func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request) {
-	var b EventBatch
-	if err := decodeBody(r, &b); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing batch: %v", err)
+	in := n.readBody(w, r)
+	if in == nil {
 		return
 	}
-	if b.Instance == "" {
-		writeError(w, http.StatusBadRequest, "batch missing instance")
+	defer in.release()
+	b := new(EventBatch)
+	if !usable(w, decodeStrict(in.body.Bytes(), b), b) {
 		return
 	}
-	n.acceptIngest(w, intakeJob{events: &b, traceID: traceIDFrom(r)}, len(b.Events))
+	n.acceptIngest(w, intakeJob{events: b, traceID: traceIDFrom(r)}, len(b.Events))
 }
 
 // IncidentView is the query-route rendering of one open incident — the

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"diads/internal/exec"
 	"diads/internal/metrics"
@@ -160,9 +162,44 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 	return rec
 }
 
-// validate rejects runs the monitor cannot use before they reach the
-// ordered intake worker, so bad batches fail at the request with a 400
-// instead of silently corrupting an instance's baseline.
+// The validate methods reject batches the intake worker cannot use
+// before they reach it, so a bad batch fails at the request with a 400
+// (the error is the reply) instead of silently corrupting an instance's
+// baseline.
+
+var errNoInstance = errors.New("batch missing instance")
+
+func (b *SampleBatch) validate() error {
+	if b.Instance == "" {
+		return errNoInstance
+	}
+	for i := range b.Samples {
+		if err := b.Samples[i].validate(); err != nil {
+			return fmt.Errorf("sample %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+func (b *RunBatch) validate() error {
+	if b.Instance == "" {
+		return errNoInstance
+	}
+	for i := range b.Runs {
+		if err := b.Runs[i].validate(); err != nil {
+			return fmt.Errorf("run %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+func (b *EventBatch) validate() error {
+	if b.Instance == "" {
+		return errNoInstance
+	}
+	return nil
+}
+
 func (wr *WireRun) validate() error {
 	if wr.Query == "" {
 		return fmt.Errorf("run missing query")
@@ -207,11 +244,7 @@ func WireRunOf(rec *exec.RunRecord) WireRun {
 		ids = append(ids, id)
 	}
 	// Deterministic op order so serialized batches are byte-stable.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		op := rec.Ops[id]
 		wr.Ops = append(wr.Ops, WireOp{
