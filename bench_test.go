@@ -71,6 +71,29 @@ func benchScenarioDiagnosis(b *testing.B, id diads.ScenarioID) {
 	}
 }
 
+// BenchmarkDiagnoseCold is the `go test -bench` twin of diadsperf's
+// diagnose-batch workload: one op = the nine scenarios diagnosed cold
+// (no APG or SD cache), each checked against its ground-truth cause.
+func BenchmarkDiagnoseCold(b *testing.B) {
+	scs := make([]*diads.Scenario, len(allScenarioIDs))
+	for i, id := range allScenarioIDs {
+		scs[i] = scenarioFor(b, id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range scs {
+			_, correct, err := sc.Diagnose()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !correct {
+				b.Fatalf("scenario %d misdiagnosed", sc.ID)
+			}
+		}
+	}
+}
+
 // BenchmarkTable2_AnomalyScores regenerates Table 2 (prints it once).
 func BenchmarkTable2_AnomalyScores(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -428,6 +451,31 @@ func BenchmarkMicro_SymptomEvaluation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMicro_FactBaseMaxScore times wildcard probes — the innermost
+// call of a symptoms-database evaluation — over a real scenario's facts:
+// a volume's metrics, one segment in the middle, and a whole family.
+func BenchmarkMicro_FactBaseMaxScore(b *testing.B) {
+	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
+	res, err := diads.Diagnose(sc.Input)
+	if err != nil {
+		b.Fatal(err)
+	}
+	patterns := []string{"metric-anomaly:" + string(testbed.VolV1) + ":*", "event:*:" + string(testbed.VolV1), "record-anomaly:*"}
+	if res.Facts.MaxScore(patterns[0]) == 0 {
+		b.Fatalf("no fact matches %s among %d", patterns[0], res.Facts.Len())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range patterns {
+			benchSink += res.Facts.MaxScore(p)
+		}
+	}
+}
+
+// benchSink keeps measured results alive.
+var benchSink float64
 
 // BenchmarkMicro_QueryExecution times one simulated Q2 execution.
 func BenchmarkMicro_QueryExecution(b *testing.B) {

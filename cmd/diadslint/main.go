@@ -6,13 +6,15 @@
 //
 // Usage:
 //
-//	diadslint [-json] [-counts] [packages...]
+//	diadslint [-json] [-counts] [-max-suppressed N] [packages...]
 //
 // Exit status is 1 when any unsuppressed finding remains (including
-// malformed //lint:allow directives), 2 on load/type-check failure.
-// Suppressed findings never fail the run but are always counted;
-// -counts prints the per-analyzer finding/suppression totals so
-// suppression creep stays visible in CI logs.
+// malformed //lint:allow directives) or the suppressed total exceeds
+// -max-suppressed, 2 on load/type-check failure. Suppressed findings
+// never fail the run by themselves but are always counted; -counts prints
+// the per-analyzer finding/suppression totals so suppression creep stays
+// visible in CI logs, and CI passes the committed ceiling as
+// -max-suppressed so the total can only go down.
 package main
 
 import (
@@ -28,8 +30,9 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "print findings and counts as JSON")
 	counts := flag.Bool("counts", false, "print per-analyzer finding/suppression totals")
+	maxSuppressed := flag.Int("max-suppressed", -1, "fail when more findings than this are suppressed (-1: no ceiling)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: diadslint [-json] [-counts] [packages...]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: diadslint [-json] [-counts] [-max-suppressed N] [packages...]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", a.Name, a.Doc)
 		}
@@ -76,7 +79,16 @@ func main() {
 			fmt.Printf("  %-11s findings=%d suppressed=%d\n", name, c.Findings, c.Suppressed)
 		}
 	}
-	if res.Failed() {
+	suppressed := 0
+	for _, c := range res.Counts {
+		suppressed += c.Suppressed
+	}
+	overCeiling := *maxSuppressed >= 0 && suppressed > *maxSuppressed
+	if overCeiling {
+		fmt.Fprintf(os.Stderr, "diadslint: %d findings suppressed, ceiling is %d: fix the finding instead of suppressing it, and lower the ceiling when a suppression is removed\n",
+			suppressed, *maxSuppressed)
+	}
+	if res.Failed() || overCeiling {
 		os.Exit(1)
 	}
 }

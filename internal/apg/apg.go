@@ -9,6 +9,7 @@ package apg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,18 +50,29 @@ func Build(p *plan.Plan, cfg *topology.Config, cat *dbsys.Catalog, server topolo
 		volumeOf: make(map[int]topology.ID),
 		paths:    make(map[int]topology.DependencyPath),
 	}
+	// The fabric search depends only on (server, volume): run it once per
+	// distinct volume and give each leaf its own copy of the result, so
+	// no two operators' paths share a backing array.
+	byVolume := make(map[topology.ID]topology.DependencyPath)
 	for _, leaf := range p.Leaves() {
 		vol, err := cat.VolumeOf(leaf.Table)
 		if err != nil {
 			return nil, fmt.Errorf("apg: leaf O%d: %w", leaf.ID, err)
 		}
 		g.volumeOf[leaf.ID] = vol
-		dp, err := cfg.VolumeDependencyPath(server, vol)
-		if err != nil {
-			return nil, fmt.Errorf("apg: leaf O%d on %s: %w", leaf.ID, vol, err)
+		dp, ok := byVolume[vol]
+		if !ok {
+			dp, err = cfg.VolumeDependencyPath(server, vol)
+			if err != nil {
+				return nil, fmt.Errorf("apg: leaf O%d on %s: %w", leaf.ID, vol, err)
+			}
+			dp.Inner = append(dp.Inner, DBComponent)
+			byVolume[vol] = dp
 		}
-		dp.Inner = append(dp.Inner, DBComponent)
-		g.paths[leaf.ID] = dp
+		g.paths[leaf.ID] = topology.DependencyPath{
+			Inner: slices.Clone(dp.Inner),
+			Outer: slices.Clone(dp.Outer),
+		}
 	}
 	// Interior operators depend on everything their descendants depend
 	// on, plus the server and database instance.

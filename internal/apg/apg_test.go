@@ -1,6 +1,7 @@
 package apg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,5 +140,60 @@ func TestRenderShowsStructure(t *testing.T) {
 		if !strings.Contains(r, want) {
 			t.Fatalf("render missing %q:\n%s", want, r)
 		}
+	}
+}
+
+// TestAPGBuildPathsNotAliased holds Build's one-search-per-volume to the
+// per-leaf reference: every leaf's paths equal a fresh
+// VolumeDependencyPath for its own volume (plus the database component),
+// and no two leaves on one volume share a backing array — appending to
+// one leaf's Inner or Outer never shows through another's.
+func TestAPGBuildPathsNotAliased(t *testing.T) {
+	g, tb := buildAPG(t)
+	leaves := g.Plan.Leaves()
+	want := make(map[int]topology.DependencyPath, len(leaves))
+	for _, leaf := range leaves {
+		dp, err := tb.Cfg.VolumeDependencyPath(testbed.ServerDB, g.VolumeOf(leaf.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.Inner = append(dp.Inner, DBComponent)
+		want[leaf.ID] = dp
+		if got := g.DependencyPath(leaf.ID); !slices.Equal(got.Inner, dp.Inner) || !slices.Equal(got.Outer, dp.Outer) {
+			t.Fatalf("O%d: paths %v, per-leaf reference %v", leaf.ID, got, dp)
+		}
+	}
+	shared := 0
+	for _, a := range leaves {
+		// Scribble over a's paths in place and past their ends.
+		pa := g.DependencyPath(a.ID)
+		for i := range pa.Inner {
+			pa.Inner[i] = "scribbled"
+		}
+		for i := range pa.Outer {
+			pa.Outer[i] = "scribbled"
+		}
+		_ = append(pa.Inner, "scribbled")
+		_ = append(pa.Outer, "scribbled")
+		for _, b := range leaves {
+			if b.ID == a.ID {
+				continue
+			}
+			if g.VolumeOf(b.ID) == g.VolumeOf(a.ID) {
+				shared++
+			}
+			pb := g.DependencyPath(b.ID)
+			for _, s := range [][]topology.ID{pb.Inner, pb.Outer} {
+				if slices.Contains(s, "scribbled") {
+					t.Fatalf("writing O%d's paths showed through O%d's: %v", a.ID, b.ID, s)
+				}
+			}
+		}
+		// Restore a for the next round.
+		copy(pa.Inner, want[a.ID].Inner)
+		copy(pa.Outer, want[a.ID].Outer)
+	}
+	if shared == 0 {
+		t.Fatal("no two leaves share a volume; the aliasing check was vacuous")
 	}
 }

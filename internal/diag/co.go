@@ -56,7 +56,7 @@ func (r *COResult) ScoreOf(id int) float64 {
 // The root operator is excluded: its running time is the plan's total
 // running time t(P), so it carries no additional signal.
 func CorrelatedOperators(in *Input, p *plan.Plan) (*COResult, error) {
-	sat, unsat := runsOnPlan(in.satisfactoryRuns(), p), runsOnPlan(in.unsatisfactoryRuns(), p)
+	sat, unsat := in.runsOnPlan(p)
 	res := &COResult{}
 	threshold := in.threshold()
 	for _, n := range p.Nodes() {
@@ -78,18 +78,6 @@ func CorrelatedOperators(in *Input, p *plan.Plan) (*COResult, error) {
 	}
 	sort.Ints(res.COS)
 	return res, nil
-}
-
-// runsOnPlan filters runs to those executing the given plan.
-func runsOnPlan(runs []*exec.RunRecord, p *plan.Plan) []*exec.RunRecord {
-	sig := p.Signature()
-	var out []*exec.RunRecord
-	for _, r := range runs {
-		if r.PlanSig == sig {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // recordedTimes extracts one operator's recorded running times.

@@ -26,7 +26,7 @@ type CRResult struct {
 // record counts; significant correlations mean the data properties
 // changed between the satisfactory and unsatisfactory runs (Section 4.1).
 func CorrelatedRecordCounts(in *Input, p *plan.Plan, co *COResult) (*CRResult, error) {
-	sat, unsat := runsOnPlan(in.satisfactoryRuns(), p), runsOnPlan(in.unsatisfactoryRuns(), p)
+	sat, unsat := in.runsOnPlan(p)
 	res := &CRResult{TableScores: make(map[string]float64)}
 	threshold := in.threshold()
 	for _, opID := range co.COS {

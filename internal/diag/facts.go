@@ -1,7 +1,7 @@
 package diag
 
 import (
-	"fmt"
+	"strconv"
 
 	"diads/internal/apg"
 	"diads/internal/metrics"
@@ -25,14 +25,14 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 
 	if co != nil {
 		for _, s := range co.Scores {
-			fb.Add(fmt.Sprintf("op-anomaly:O%d", s.ID), s.Score)
+			fb.Add("op-anomaly:O"+strconv.Itoa(s.ID), s.Score)
 		}
 		addCOSStructureFacts(fb, g, co)
 	}
 
 	if da != nil {
 		for _, s := range da.Scores {
-			fb.Add(fmt.Sprintf("metric-anomaly:%s:%s", s.Component, s.Metric), s.Score)
+			fb.Add("metric-anomaly:"+s.Component+":"+string(s.Metric), s.Score)
 			fb.Add("component-anomaly:"+s.Component, s.Score)
 		}
 		addDerivedDAFacts(fb, in, da)
@@ -187,7 +187,7 @@ func addDerivedDAFacts(fb *symptoms.FactBase, in *Input, da *DAResult) {
 // mapping added for a volume of pool P).
 func addEventFacts(fb *symptoms.FactBase, in *Input) {
 	for _, ev := range in.Cfg.Log.All() {
-		fb.AddTimed(fmt.Sprintf("event:%s:%s", ev.Kind, ev.Subject), 1, ev.T)
+		fb.AddTimed("event:"+string(ev.Kind)+":"+string(ev.Subject), 1, ev.T)
 		switch ev.Kind {
 		case topology.EvVolumeCreated:
 			if pool := in.Cfg.PoolOf(ev.Subject); pool != "" {

@@ -41,7 +41,7 @@ type IAResult struct {
 // lock causes and excluded from volume causes, which is how a locking
 // problem with spurious volume symptoms gets separated (scenario 5).
 func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.CauseInstance) (*IAResult, error) {
-	sat, unsat := runsOnPlan(in.satisfactoryRuns(), g.Plan), runsOnPlan(in.unsatisfactoryRuns(), g.Plan)
+	sat, unsat := in.runsOnPlan(g.Plan)
 	res := &IAResult{}
 	extraPlan := meanDuration(unsat) - meanDuration(sat)
 	res.ExtraPlanTime = extraPlan

@@ -18,6 +18,7 @@ import (
 	"diads/internal/kde"
 	"diads/internal/metrics"
 	"diads/internal/opt"
+	"diads/internal/plan"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/topology"
@@ -82,6 +83,13 @@ type Input struct {
 	// never passed through NewBoard compute them per call. validate
 	// rejects an empty partition, so nil means "not computed". Read-only.
 	sat, unsat []*exec.RunRecord
+	// satOnPlan and unsatOnPlan are sat and unsat narrowed to the runs
+	// that executed the plan with signature planSig — the unsatisfactory
+	// runs' dominant plan, which is the common plan Modules CO, CR and IA
+	// analyze whenever the drill-down runs at all. Seeded by NewBoard with
+	// the partitions above; planSig "" means "not computed". Read-only.
+	planSig                string
+	satOnPlan, unsatOnPlan []*exec.RunRecord
 }
 
 // threshold returns the configured or default anomaly threshold.
@@ -127,6 +135,28 @@ func (in *Input) labeled(want bool) []*exec.RunRecord {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+// runsOnPlan returns the satisfactory and unsatisfactory runs that
+// executed plan p, each in time order: the seeded partitions when p is the
+// plan they were seeded for, one filter pass per call otherwise.
+func (in *Input) runsOnPlan(p *plan.Plan) (sat, unsat []*exec.RunRecord) {
+	sig := p.Signature()
+	if in.planSig == sig { // never true un-seeded: a signature is not ""
+		return in.satOnPlan, in.unsatOnPlan
+	}
+	return withPlanSig(in.satisfactoryRuns(), sig), withPlanSig(in.unsatisfactoryRuns(), sig)
+}
+
+// withPlanSig filters runs to those recorded under the plan signature.
+func withPlanSig(runs []*exec.RunRecord, sig string) []*exec.RunRecord {
+	var out []*exec.RunRecord
+	for _, r := range runs {
+		if r.PlanSig == sig {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

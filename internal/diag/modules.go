@@ -3,6 +3,7 @@ package diag
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"diads/internal/apg"
@@ -34,14 +35,18 @@ const DefaultParallelism = 4
 
 // NewBoard validates the input and returns a blackboard seeded with it,
 // ready for any pipeline over diagnosis inputs. The board carries a copy
-// of the Input with the run history already partitioned by label, so the
-// modules share one filter-and-sort instead of repeating it.
+// of the Input with the run history already partitioned by label, and by
+// the plan the drill-down will analyze, so the modules share one
+// filter-and-sort instead of repeating it.
 func NewBoard(in *Input) (*pipeline.Blackboard, error) {
 	seeded := *in
 	seeded.sat, seeded.unsat = in.labeled(true), in.labeled(false)
 	if err := seeded.validate(); err != nil {
 		return nil, err
 	}
+	seeded.planSig = dominantSig(seeded.unsat)
+	seeded.satOnPlan = withPlanSig(seeded.sat, seeded.planSig)
+	seeded.unsatOnPlan = withPlanSig(seeded.unsat, seeded.planSig)
 	bb := pipeline.NewBlackboard()
 	bb.Put(KeyInput, &seeded)
 	return bb, nil
@@ -227,9 +232,8 @@ func sdCacheSpec() *pipeline.CacheSpec {
 			}
 			g := mustDep[*apg.APG](bb, KeyAPG)
 			facts := mustDep[*symptoms.FactBase](bb, KeyFacts)
-			key := fmt.Sprintf("%s|%s/%s@v%d",
-				in.CacheScope, g.Plan.Signature(), facts.Fingerprint(), in.SymDB.Version())
-			return key, true
+			return in.CacheScope + "|" + g.Plan.Signature() + "/" + facts.Fingerprint() +
+				"@v" + strconv.Itoa(in.SymDB.Version()), true
 		},
 		Get: func(bb *pipeline.Blackboard, key string) (any, bool) {
 			in, err := inputOf(bb)

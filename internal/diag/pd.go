@@ -45,11 +45,12 @@ type PDResult struct {
 // have caused the change (Section 4.1).
 func PlanDiffing(in *Input) (*PDResult, error) {
 	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
+	satSig, unsatSig := dominantSig(sat), dominantSig(unsat)
 	res := &PDResult{
-		SatSig:    dominantSig(sat),
-		UnsatSig:  dominantSig(unsat),
-		SatPlan:   planWithSig(sat, dominantSig(sat)),
-		UnsatPlan: planWithSig(unsat, dominantSig(unsat)),
+		SatSig:    satSig,
+		UnsatSig:  unsatSig,
+		SatPlan:   planWithSig(sat, satSig),
+		UnsatPlan: planWithSig(unsat, unsatSig),
 	}
 	if res.SatSig == res.UnsatSig {
 		res.CommonPlan = res.UnsatPlan

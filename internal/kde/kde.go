@@ -14,7 +14,7 @@ package kde
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrNoSamples is returned when an estimator is built from no data.
@@ -34,9 +34,14 @@ func NewEstimator(samples []float64) (*Estimator, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
+	e := fit(slices.Clone(samples))
+	return &e, nil
+}
+
+// fit sorts s in place, keeps it as the estimator's samples, and derives
+// the bandwidth. s must be non-empty.
+func fit(s []float64) Estimator {
+	slices.Sort(s)
 
 	n := float64(len(s))
 	mean := 0.0
@@ -61,7 +66,7 @@ func NewEstimator(samples []float64) (*Estimator, error) {
 	if h <= 0 {
 		h = math.Max(1e-12, 1e-6*math.Abs(mean))
 	}
-	return &Estimator{samples: s, h: h}, nil
+	return Estimator{samples: s, h: h}
 }
 
 // Bandwidth returns the fitted kernel bandwidth.
@@ -115,15 +120,16 @@ func quantileSorted(s []float64, q float64) float64 {
 // AnomalyScore fits a KDE to the satisfactory observations and returns the
 // mean prob(S <= u) over the unsatisfactory observations — the per-object
 // anomaly score Modules CO, DA, and CR threshold. It returns an error if
-// either sample set is empty.
+// either sample set is empty. The estimator lives only for the call, so
+// it is fitted on a stack copy of the satisfactory observations (a few
+// tens per series; larger sets spill to the heap) — the same sort and the
+// same arithmetic as NewEstimator, without its allocations.
 func AnomalyScore(satisfactory, unsatisfactory []float64) (float64, error) {
-	if len(unsatisfactory) == 0 {
+	if len(satisfactory) == 0 || len(unsatisfactory) == 0 {
 		return 0, ErrNoSamples
 	}
-	est, err := NewEstimator(satisfactory)
-	if err != nil {
-		return 0, err
-	}
+	var buf [64]float64
+	est := fit(append(buf[:0], satisfactory...))
 	var sum float64
 	for _, u := range unsatisfactory {
 		sum += est.CDF(u)

@@ -127,50 +127,66 @@ func (ser *series) at(abs int) Sample {
 	return seg.samples[i]
 }
 
-// cumAt returns the absolute cumulative (sum, sum²) through sample abs.
-// abs may be dropped-1 (the carried base) or any retained index.
-func (ser *series) cumAt(abs int) (float64, float64) {
-	if abs < ser.dropped {
-		return ser.baseSum, ser.baseSum2
-	}
-	seg, i := ser.locate(abs)
-	return seg.sum[i], seg.sum2[i]
-}
-
-// searchT returns the absolute index of the first retained sample with
-// T >= t, or total() if there is none.
-func (ser *series) searchT(t simtime.Time) int {
-	si := sort.Search(len(ser.segs), func(i int) bool {
+// seek returns the position of the first retained sample with T >= t as
+// (segment index, in-segment offset), or (len(segs), 0) if there is none.
+func (ser *series) seek(t simtime.Time) (si, j int) {
+	si = sort.Search(len(ser.segs), func(i int) bool {
 		seg := ser.segs[i]
 		return seg.samples[len(seg.samples)-1].T >= t
 	})
 	if si == len(ser.segs) {
-		return ser.total()
+		return si, 0
 	}
 	seg := ser.segs[si]
-	j := sort.Search(len(seg.samples), func(i int) bool { return seg.samples[i].T >= t })
-	return seg.start + j
+	return si, sort.Search(len(seg.samples), func(i int) bool { return seg.samples[i].T >= t })
+}
+
+// abs converts a seek position to an absolute sample index.
+func (ser *series) abs(si, j int) int {
+	if si == len(ser.segs) {
+		return ser.total()
+	}
+	return ser.segs[si].start + j
+}
+
+// cumBefore returns the absolute cumulative (sum, sum²) through the
+// sample just before a seek position: the previous entry of the same
+// segment, the last entry of the previous segment (segments are never
+// empty), or the base carried over from truncation.
+func (ser *series) cumBefore(si, j int) (float64, float64) {
+	if j > 0 {
+		seg := ser.segs[si]
+		return seg.sum[j-1], seg.sum2[j-1]
+	}
+	if si > 0 {
+		seg := ser.segs[si-1]
+		return seg.sum[len(seg.sum)-1], seg.sum2[len(seg.sum2)-1]
+	}
+	return ser.baseSum, ser.baseSum2
 }
 
 // bounds returns the absolute index range [lo, hi) of retained samples
 // inside iv. Callers must hold at least the read lock.
 func (ser *series) bounds(iv simtime.Interval) (lo, hi int) {
-	return ser.searchT(iv.Start), ser.searchT(iv.End)
+	return ser.abs(ser.seek(iv.Start)), ser.abs(ser.seek(iv.End))
 }
 
 // windowSums returns the number of retained samples inside iv and the
 // sums of their values and squared values, as one prefix-sum
 // subtraction. It is the only place a window aggregate is formed, so
-// every reader (WindowStats, WindowMeans) sees bit-identical sums.
-// Callers must hold at least the read lock.
+// every reader (WindowStats, WindowMeans) sees bit-identical sums. The
+// prefix sums are read in place, at the positions the two time searches
+// found. Callers must hold at least the read lock.
 func (ser *series) windowSums(iv simtime.Interval) (n int, sum, sum2 float64) {
-	lo, hi := ser.bounds(iv)
+	ls, lj := ser.seek(iv.Start)
+	hs, hj := ser.seek(iv.End)
+	lo, hi := ser.abs(ls, lj), ser.abs(hs, hj)
 	if hi <= lo {
 		return 0, 0, 0
 	}
-	sum, sum2 = ser.cumAt(hi - 1)
+	sum, sum2 = ser.cumBefore(hs, hj)
 	if lo > 0 {
-		psum, psum2 := ser.cumAt(lo - 1)
+		psum, psum2 := ser.cumBefore(ls, lj)
 		sum -= psum
 		sum2 -= psum2
 	}
@@ -208,10 +224,7 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 // previous sample (or the truncation base). size is the capacity of any
 // new segment; a partially-filled trailing segment keeps its own.
 func (ser *series) append(sample Sample, size int) {
-	cum, cum2 := ser.baseSum, ser.baseSum2
-	if n := ser.total(); n > ser.dropped {
-		cum, cum2 = ser.cumAt(n - 1)
-	}
+	cum, cum2 := ser.cumBefore(len(ser.segs), 0)
 	var seg *segment
 	if n := len(ser.segs); n > 0 && len(ser.segs[n-1].samples) < cap(ser.segs[n-1].samples) {
 		seg = ser.segs[n-1]

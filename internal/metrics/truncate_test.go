@@ -130,6 +130,38 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			}
 		}
 
+		// Segment edges, against running sums kept here rather than in the
+		// store: a window that ends exactly on a segment boundary (its
+		// closing prefix sum is the previous segment's last entry), and
+		// one whose first sample is the first retained one (its opening
+		// prefix sum is, after truncation, the carried base).
+		cum := make([]float64, n+1) // cum[i] = v[0] + ... + v[i-1], summed left to right
+		for i, v := range vals {
+			cum[i+1] = cum[i] + v
+		}
+		first := cut.series[SeriesKey{Component: "vol-V1", Metric: VolReadIO}].dropped
+		edges := [][2]int{{first, first + 1 + rng.Intn(n-first)}}
+		if k := first/segmentSize + 1; k*segmentSize <= n {
+			edges = append(edges, [2]int{first + rng.Intn(k*segmentSize-first), k * segmentSize})
+		}
+		for _, e := range edges {
+			lo, hi := e[0], e[1]
+			iv := simtime.NewInterval(simtime.Time(lo*300), simtime.Time(hi*300))
+			wantSum := cum[hi]
+			if lo > 0 {
+				wantSum -= cum[lo]
+			}
+			for name, st := range map[string]*Store{"ref": ref, "cut": cut} {
+				got := st.WindowStats("vol-V1", VolReadIO, iv)
+				means := st.WindowMeans("vol-V1", VolReadIO, []simtime.Interval{iv}, nil)
+				if got.N != hi-lo || math.Float64bits(got.Sum) != math.Float64bits(wantSum) ||
+					len(means) != 1 || math.Float64bits(means[0]) != math.Float64bits(wantSum/float64(hi-lo)) {
+					t.Fatalf("trial %d %s store, samples [%d,%d) (first retained %d): stats %+v means %v, running-sum reference n=%d sum=%.17g",
+						trial, name, lo, hi, first, got, means, hi-lo, wantSum)
+				}
+			}
+		}
+
 		// Batched reads: every window shape, below the horizon included
 		// (there the two stores legitimately differ, so each is checked
 		// against its own per-call reader).

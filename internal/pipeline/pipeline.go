@@ -182,6 +182,7 @@ func (t *Trace) Append(mt ModuleTrace) { t.Modules = append(t.Modules, mt) }
 type Pipeline struct {
 	name  string
 	mods  []*Module // topological order, registration order among ties
+	deps  [][]int   // deps[i]: positions in mods of mods[i].Deps
 	index map[string]*Module
 }
 
@@ -218,7 +219,17 @@ func New(name string, mods ...*Module) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{name: name, mods: order, index: index}, nil
+	pos := make(map[string]int, len(order))
+	for i, m := range order {
+		pos[m.Name] = i
+	}
+	deps := make([][]int, len(order))
+	for i, m := range order {
+		for _, d := range m.Deps {
+			deps[i] = append(deps[i], pos[d])
+		}
+	}
+	return &Pipeline{name: name, mods: order, deps: deps, index: index}, nil
 }
 
 // toposort is Kahn's algorithm with a stable tie-break: among ready
@@ -387,8 +398,12 @@ type Options struct {
 // Run executes the full pipeline: modules start as soon as their
 // dependencies complete, independent modules run concurrently up to
 // MaxParallel, a module error cancels the rest of the run, and a Halt
-// short-circuits it. The returned Trace is always non-nil and lists
-// every module in topological order.
+// short-circuits it. A module that is the only one ready while nothing is
+// in flight runs on the calling goroutine — there is nothing for it to
+// overlap with — so a chain costs no goroutine hand-offs; the scheduler
+// fans out only when two or more modules are ready together. The
+// returned Trace is always non-nil and lists every module in topological
+// order.
 func (p *Pipeline) Run(ctx context.Context, bb *Blackboard, opts Options) (*Trace, error) {
 	maxPar := opts.MaxParallel
 	if maxPar <= 0 {
@@ -408,82 +423,92 @@ func (p *Pipeline) Run(ctx context.Context, bb *Blackboard, opts Options) (*Trac
 		e   execOut
 	}
 	doneCh := make(chan doneMsg)
-	satisfied := make(map[string]bool, len(p.mods))
-	started := make(map[string]bool, len(p.mods))
+	satisfied := make([]bool, len(p.mods))
+	started := make([]bool, len(p.mods))
 	running := 0
 	var firstErr error
 	haltedBy := ""
 
+	readyBuf := make([]int, 0, len(p.mods))
 	ready := func() []int {
+		out := readyBuf[:0]
 		if firstErr != nil || haltedBy != "" || runCtx.Err() != nil {
-			return nil
+			return out
 		}
-		var out []int
-		for i, m := range p.mods {
-			if started[m.Name] {
+	next:
+		for i := range p.mods {
+			if started[i] {
 				continue
 			}
-			ok := true
-			for _, d := range m.Deps {
+			for _, d := range p.deps[i] {
 				if !satisfied[d] {
-					ok = false
-					break
+					continue next
 				}
 			}
-			if ok {
-				out = append(out, i)
-			}
+			out = append(out, i)
 		}
 		return out
 	}
+	start := func(i int) {
+		started[i] = true
+		if opts.OnStart != nil {
+			opts.OnStart(p.mods[i].Name)
+		}
+	}
+	settle := func(idx int, e execOut) {
+		m := p.mods[idx]
+		mt := &trace.Modules[idx]
+		mt.Wall, mt.Cache = e.wall, e.cache
+		switch {
+		case e.err != nil:
+			mt.Status, mt.Note = StatusFailed, e.err.Error()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("pipeline %s: module %s: %w", p.name, m.Name, e.err)
+				cancel() // propagate: no new modules, in-flight ones see the cancel
+			}
+		case e.cache == CacheHit:
+			mt.Status = StatusCacheHit
+			satisfied[idx] = true
+		default:
+			mt.Status = StatusRan
+			satisfied[idx] = true
+		}
+		observeModule(p.name, m.Name, mt.Status, mt.Wall)
+		if e.halt && e.err == nil && haltedBy == "" {
+			haltedBy = m.Name
+			mt.Note = "short-circuit"
+		}
+	}
 
 	for {
-		for _, i := range ready() {
+		rdy := ready()
+		if running == 0 && len(rdy) == 1 {
+			i := rdy[0]
+			start(i)
+			settle(i, p.exec(runCtx, p.mods[i], bb))
+			continue
+		}
+		for _, i := range rdy {
 			if running >= maxPar {
 				break
 			}
-			m := p.mods[i]
-			started[m.Name] = true
+			start(i)
 			running++
-			if opts.OnStart != nil {
-				opts.OnStart(m.Name)
-			}
-			go func(i int, m *Module) {
-				doneCh <- doneMsg{idx: i, e: p.exec(runCtx, m, bb)}
-			}(i, m)
+			go func(i int) {
+				doneCh <- doneMsg{idx: i, e: p.exec(runCtx, p.mods[i], bb)}
+			}(i)
 		}
 		if running == 0 {
 			break
 		}
 		d := <-doneCh
 		running--
-		m := p.mods[d.idx]
-		mt := &trace.Modules[d.idx]
-		mt.Wall, mt.Cache = d.e.wall, d.e.cache
-		switch {
-		case d.e.err != nil:
-			mt.Status, mt.Note = StatusFailed, d.e.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pipeline %s: module %s: %w", p.name, m.Name, d.e.err)
-				cancel() // propagate: no new modules, in-flight ones see the cancel
-			}
-		case d.e.cache == CacheHit:
-			mt.Status = StatusCacheHit
-			satisfied[m.Name] = true
-		default:
-			mt.Status = StatusRan
-			satisfied[m.Name] = true
-		}
-		observeModule(p.name, m.Name, mt.Status, mt.Wall)
-		if d.e.halt && d.e.err == nil && haltedBy == "" {
-			haltedBy = m.Name
-			mt.Note = "short-circuit"
-		}
+		settle(d.idx, d.e)
 	}
 
 	if haltedBy != "" && firstErr == nil && ctx.Err() == nil {
 		for i, m := range p.mods {
-			if !started[m.Name] {
+			if !started[i] {
 				trace.Modules[i].Status = StatusSkipped
 				trace.Modules[i].Note = "short-circuited by " + haltedBy
 				observeModule(p.name, m.Name, StatusSkipped, 0)

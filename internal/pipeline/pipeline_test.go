@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -432,4 +433,171 @@ func TestRegistry(t *testing.T) {
 	if err := r.Register(dup); err == nil {
 		t.Fatal("duplicate registration should fail")
 	}
+}
+
+// goroutineID parses the current goroutine's ID off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(strings.TrimPrefix(string(buf), "goroutine "))[0]
+}
+
+// TestRunInlineWhenSingleReady pins the scheduling rule: a module that is
+// the only one ready while nothing is in flight runs on the goroutine that
+// called Run, and the scheduler fans out only when two or more are ready.
+// Everything else observable — OnStart order, trace, halt/skip notes,
+// errors, mid-flight cancellation — does not depend on which path ran.
+func TestRunInlineWhenSingleReady(t *testing.T) {
+	var mu sync.Mutex
+	ranOn := map[string]string{}
+	record := func(name string) {
+		mu.Lock()
+		ranOn[name] = goroutineID()
+		mu.Unlock()
+	}
+	mod := func(name string, deps ...string) *Module {
+		return &Module{Name: name, Deps: deps, Run: func(context.Context, *Blackboard) (any, error) {
+			record(name)
+			return name, nil
+		}}
+	}
+
+	t.Run("chain", func(t *testing.T) {
+		caller := goroutineID() // each subtest calls Run from its own goroutine
+		p, err := New("chain", mod("a"), mod("b", "a"), mod("c", "b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		trace, err := p.Run(context.Background(), NewBlackboard(), Options{
+			MaxParallel: 4,
+			OnStart:     func(m string) { order = append(order, m) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			if ranOn[name] != caller {
+				t.Errorf("chain module %s ran on goroutine %s, want the caller's %s", name, ranOn[name], caller)
+			}
+			if mt := trace.Module(name); mt.Status != StatusRan {
+				t.Errorf("chain module %s trace: %+v", name, mt)
+			}
+		}
+		if got := strings.Join(order, ","); got != "a,b,c" {
+			t.Errorf("OnStart order %s, want a,b,c", got)
+		}
+	})
+
+	t.Run("diamond", func(t *testing.T) {
+		caller := goroutineID() // each subtest calls Run from its own goroutine
+		// b and c each wait for the other to start: they finish only if
+		// the scheduler overlaps them. a and d are alone when ready.
+		bStarted, cStarted := make(chan struct{}), make(chan struct{})
+		meet := func(name string, mine, other chan struct{}) *Module {
+			return &Module{Name: name, Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
+				record(name)
+				close(mine)
+				select {
+				case <-other:
+					return name, nil
+				case <-time.After(5 * time.Second):
+					return nil, errors.New("peer never started: the diamond's middle did not overlap")
+				}
+			}}
+		}
+		p, err := New("diamond", mod("a"), meet("b", bStarted, cStarted), meet("c", cStarted, bStarted), mod("d", "b", "c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		if _, err := p.Run(context.Background(), NewBlackboard(), Options{
+			OnStart: func(m string) { order = append(order, m) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ranOn["a"] != caller || ranOn["d"] != caller {
+			t.Errorf("a ran on %s and d on %s, want both on the caller's %s", ranOn["a"], ranOn["d"], caller)
+		}
+		if ranOn["b"] == caller || ranOn["c"] == caller || ranOn["b"] == ranOn["c"] {
+			t.Errorf("b ran on %s and c on %s: want two goroutines, neither the caller's %s", ranOn["b"], ranOn["c"], caller)
+		}
+		if got := strings.Join(order, ","); got != "a,b,c,d" {
+			t.Errorf("OnStart order %s, want a,b,c,d", got)
+		}
+	})
+
+	t.Run("halt", func(t *testing.T) {
+		caller := goroutineID() // each subtest calls Run from its own goroutine
+		p, err := New("halting",
+			&Module{Name: "pd", Run: func(context.Context, *Blackboard) (any, error) {
+				record("pd")
+				return Halt{Out: "changed"}, nil
+			}},
+			mod("co", "pd"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranOn["pd"] != caller {
+			t.Errorf("pd ran on %s, want the caller's %s", ranOn["pd"], caller)
+		}
+		if mt := trace.Module("pd"); mt.Status != StatusRan || mt.Note != "short-circuit" {
+			t.Errorf("pd trace: %+v", mt)
+		}
+		if mt := trace.Module("co"); mt.Status != StatusSkipped || mt.Note != "short-circuited by pd" {
+			t.Errorf("co trace: %+v", mt)
+		}
+	})
+
+	t.Run("error", func(t *testing.T) {
+		boom := errors.New("boom")
+		p, err := New("failing", mod("a"),
+			&Module{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) { return nil, boom }},
+			mod("after", "bad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "pipeline failing: module bad") {
+			t.Fatalf("want boom naming the module, got %v", err)
+		}
+		if mt := trace.Module("bad"); mt.Status != StatusFailed || mt.Note != "boom" {
+			t.Errorf("bad trace: %+v", mt)
+		}
+		if mt := trace.Module("after"); mt.Status != StatusNotRun {
+			t.Errorf("after trace: %+v", mt)
+		}
+	})
+
+	t.Run("cancel mid-flight", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		p, err := New("canceled", mod("a"),
+			&Module{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ *Blackboard) (any, error) {
+				cancel() // the caller gives up while the inline module runs
+				<-runCtx.Done()
+				return nil, runCtx.Err()
+			}},
+			mod("c", "b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := p.Run(ctx, NewBlackboard(), Options{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if mt := trace.Module("a"); mt.Status != StatusRan {
+			t.Errorf("a trace: %+v", mt)
+		}
+		if mt := trace.Module("b"); mt.Status != StatusFailed {
+			t.Errorf("b trace: %+v", mt)
+		}
+		if mt := trace.Module("c"); mt.Status != StatusNotRun {
+			t.Errorf("c trace: %+v", mt)
+		}
+	})
 }

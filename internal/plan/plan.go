@@ -5,10 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
-// Plan is a finalized operator tree with pre-order IDs assigned.
+// Plan is a finalized operator tree with pre-order IDs assigned. A plan
+// is immutable once New returns: nothing may write a node's type, table,
+// index, alias or children afterwards (cardinality estimates are
+// annotations and do not enter the signature). Plans are shared by
+// pointer and must not be copied by value.
 type Plan struct {
 	// Query names the query this plan executes (e.g. "Q2").
 	Query string
@@ -17,6 +23,9 @@ type Plan struct {
 
 	nodes   []*Node     // pre-order
 	parents map[int]int // node ID -> parent ID (0 for root)
+
+	sigOnce sync.Once
+	sig     string // Signature's memo, set under sigOnce
 }
 
 // New finalizes a tree under root into a Plan, assigning pre-order IDs.
@@ -117,12 +126,20 @@ func (p *Plan) Tables() []string {
 
 // Signature returns a stable hash of the plan's structure: operator types,
 // access paths, and tree shape. Two runs used the same plan iff their
-// signatures match — the test Module PD starts with.
+// signatures match — the test Module PD starts with. The hash is computed
+// on first use and remembered: every run record, wire record, plan diff
+// and cache key of a plan asks for it, and the plan cannot change.
 func (p *Plan) Signature() string {
+	p.sigOnce.Do(func() { p.sig = p.signature() })
+	return p.sig
+}
+
+// signature walks the tree and hashes it.
+func (p *Plan) signature() string {
 	var b strings.Builder
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
-		fmt.Fprintf(&b, "%d:%s:%s:%s:%s;", depth, n.Type, n.Table, n.Index, n.Alias)
+		b.WriteString(strconv.Itoa(depth) + ":" + string(n.Type) + ":" + n.Table + ":" + n.Index + ":" + n.Alias + ";")
 		for _, c := range n.Children {
 			walk(c, depth+1)
 		}

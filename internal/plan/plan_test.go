@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"diads/internal/dbsys"
@@ -273,5 +277,75 @@ func TestBlockingBuildClassification(t *testing.T) {
 		if typ.IsBlockingBuild() {
 			t.Errorf("%s should not be blocking-build", typ)
 		}
+	}
+}
+
+// referenceSignature is the signature walk as it was before Signature
+// memoised it, fmt and all: the memo, and the fmt-free walk behind it,
+// must reproduce it byte for byte.
+func referenceSignature(p *Plan) string {
+	var b strings.Builder
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		fmt.Fprintf(&b, "%d:%s:%s:%s:%s;", depth, n.Type, n.Table, n.Index, n.Alias)
+		for _, c := range n.Children {
+			walk(c, depth+1)
+		}
+		for _, s := range n.SubPlans {
+			b.WriteString("sub;")
+			walk(s, depth+1)
+		}
+	}
+	walk(p.Root, 0)
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestPlanSignatureMemo holds the memoised Signature to a fresh reference
+// walk over every plan the optimizer can choose from — each Q2 decision
+// point both ways, both join strategies, and the fixed-shape queries —
+// asked first by concurrent callers (run under -race), then again.
+func TestPlanSignatureMemo(t *testing.T) {
+	plans := []*Plan{BuildQ5(), BuildQ6(), BuildQ14()}
+	def := DefaultQ2Choices()
+	either := func(ix AccessSpec) []AccessSpec { return []AccessSpec{ix, {Type: OpSeqScan}} }
+	for _, pa := range either(def.PartAccess) {
+		for _, ma := range either(def.PartsuppAccess) {
+			for _, sa := range either(def.SubPartsuppAccess) {
+				for _, na := range either(def.SubNationAccess) {
+					for _, su := range either(def.SubSupplierAccess) {
+						for _, j := range []OpType{OpHashJoin, OpNestedLoop} {
+							plans = append(plans, BuildQ2(Q2Choices{
+								PartAccess: pa, PartsuppAccess: ma, SubPartsuppAccess: sa,
+								SubNationAccess: na, SubSupplierAccess: su, MainJoin: j,
+							}))
+						}
+					}
+				}
+			}
+		}
+	}
+	distinct := map[string]bool{}
+	for _, p := range plans {
+		want := referenceSignature(p)
+		distinct[want] = true
+		got := make([]string, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = p.Signature()
+			}()
+		}
+		wg.Wait()
+		for i, sig := range append(got, p.Signature(), p.signature()) {
+			if sig != want {
+				t.Fatalf("%s plan: Signature call %d = %s, reference walk %s\n%s", p.Query, i, sig, want, p.Render())
+			}
+		}
+	}
+	if len(distinct) != len(plans) {
+		t.Fatalf("%d plans produced %d distinct signatures", len(plans), len(distinct))
 	}
 }

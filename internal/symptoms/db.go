@@ -2,6 +2,7 @@ package symptoms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,6 +27,17 @@ const (
 type Condition struct {
 	Weight float64
 	Expr   Expr
+	// text is Expr in the DSL, rendered once when the condition enters a
+	// database (DB.Add, and so Parse); empty on a hand-built condition.
+	text string
+}
+
+// exprText returns the condition's expression in the DSL.
+func (c Condition) exprText() string {
+	if c.text != "" {
+		return c.text
+	}
+	return c.Expr.String()
 }
 
 // Entry is one root-cause entry: its conditions' weights sum to 100.
@@ -53,7 +65,7 @@ func (e Entry) Render() string {
 	}
 	b.WriteString(" {\n")
 	for _, c := range e.Conditions {
-		fmt.Fprintf(&b, "  %g: %s\n", c.Weight, c.Expr)
+		fmt.Fprintf(&b, "  %g: %s\n", c.Weight, c.exprText())
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -118,6 +130,10 @@ func (db *DB) Add(e Entry) error {
 	}
 	if len(e.Conditions) == 0 || sum < 99.5 || sum > 100.5 {
 		return fmt.Errorf("symptoms: entry %q weights sum to %.1f, want 100", e.Kind, sum)
+	}
+	e.Conditions = slices.Clone(e.Conditions) // the caller keeps its own, unwritten
+	for i := range e.Conditions {
+		e.Conditions[i].text = e.Conditions[i].Expr.String()
 	}
 	db.entries = append(db.entries, e)
 	db.version++
@@ -189,7 +205,7 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 			for _, c := range e.Conditions {
 				if c.Expr.Eval(fb, b.Vars) {
 					score += c.Weight
-					trueConds = append(trueConds, c.Expr.String())
+					trueConds = append(trueConds, c.exprText())
 				}
 			}
 			out = append(out, CauseInstance{

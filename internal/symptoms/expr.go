@@ -1,8 +1,9 @@
 package symptoms
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -90,20 +91,23 @@ func joinExprs(es []Expr) string {
 // substitute replaces $-prefixed template variables in a pattern.
 // Variables apply longest-first so a binding for $V cannot mangle an
 // occurrence of $VOL, and ties break lexicographically so the result
-// never depends on map iteration order.
+// never depends on map iteration order. Bindings carry one or two
+// variables, so the keys are ordered on the stack; more spill to the heap
+// and order the same way.
 func substitute(pattern string, bind map[string]string) string {
 	if !strings.Contains(pattern, "$") {
 		return pattern
 	}
-	keys := make([]string, 0, len(bind))
+	var buf [4]string
+	keys := buf[:0]
 	for k := range bind {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) > len(keys[j])
+	slices.SortFunc(keys, func(a, b string) int {
+		if c := cmp.Compare(len(b), len(a)); c != 0 {
+			return c
 		}
-		return keys[i] < keys[j]
+		return cmp.Compare(a, b)
 	})
 	out := pattern
 	for _, k := range keys {

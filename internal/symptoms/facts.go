@@ -14,9 +14,12 @@
 package symptoms
 
 import (
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"diads/internal/simtime"
@@ -32,8 +35,18 @@ type Fact struct {
 }
 
 // FactBase is a set of facts queryable by glob-like patterns.
+//
+// The name index is maintained, not computed: names holds every fact name
+// in sorted order, inserted by binary search when Add or AddTimed creates
+// a fact (facts are never deleted). A wildcard probe reads only the index
+// range that shares the pattern's literal prefix, and All and Fingerprint
+// walk the index instead of sorting the map. Fact bases outlive their
+// diagnosis and are read concurrently (service registry, fleet miner and
+// validator, console); because the index changes only inside a write,
+// concurrent readers are as safe as they are on the map itself.
 type FactBase struct {
 	facts map[string]Fact
+	names []string // every key of facts, sorted
 }
 
 // NewFactBase returns an empty fact base.
@@ -41,19 +54,30 @@ func NewFactBase() *FactBase {
 	return &FactBase{facts: make(map[string]Fact)}
 }
 
+// put stores a fact, indexing its name if it is new.
+func (fb *FactBase) put(f Fact, isNew bool) {
+	fb.facts[f.Name] = f
+	if isNew {
+		i, _ := slices.BinarySearch(fb.names, f.Name)
+		fb.names = slices.Insert(fb.names, i, f.Name)
+	}
+}
+
 // Add records a fact with a score and no timestamp. Re-adding a name
 // keeps the higher score.
 func (fb *FactBase) Add(name string, score float64) {
-	if old, ok := fb.facts[name]; ok && old.Score >= score {
+	old, ok := fb.facts[name]
+	if ok && old.Score >= score {
 		return
 	}
-	fb.facts[name] = Fact{Name: name, Score: score}
+	fb.put(Fact{Name: name, Score: score}, !ok)
 }
 
 // AddTimed records a fact with a score and timestamp. Re-adding keeps the
 // earliest timestamp and the higher score.
 func (fb *FactBase) AddTimed(name string, score float64, t simtime.Time) {
-	if old, ok := fb.facts[name]; ok {
+	old, ok := fb.facts[name]
+	if ok {
 		if old.HasT && old.T < t {
 			t = old.T
 		}
@@ -61,12 +85,45 @@ func (fb *FactBase) AddTimed(name string, score float64, t simtime.Time) {
 			score = old.Score
 		}
 	}
-	fb.facts[name] = Fact{Name: name, Score: score, T: t, HasT: true}
+	fb.put(Fact{Name: name, Score: score, T: t, HasT: true}, !ok)
 }
 
-// Match returns the facts whose names match the pattern. Patterns are
-// colon-separated segments; a segment of "*" matches any single segment,
-// and a trailing "*" segment matches any remaining segments.
+// span returns the index range that can hold a pattern's matches: the
+// names that start with the pattern's literal segments, i.e. everything
+// before its first "*" segment, without the colon that ends them. Leaving
+// that colon out is what keeps the bare name in range — "a:b:*" matches
+// "a:b" itself (a trailing "*" matches zero segments), which sorts before
+// "a:b-x" and so outside the "a:b:" names. The range may also hold names
+// that do not match ("a:b-x", "a:bc"); MatchPattern remains the matcher,
+// the index only spares it the names that cannot match. A pattern that
+// starts with a wildcard spans the whole index; one without a wildcard
+// segment (a '*' inside a longer segment is a literal) can match only its
+// own name.
+func (fb *FactBase) span(pattern string) []string {
+	prefix := pattern
+	for at := 0; at <= len(pattern); {
+		end := strings.IndexByte(pattern[at:], ':')
+		if end < 0 {
+			end = len(pattern)
+		} else {
+			end += at
+		}
+		if pattern[at:end] == "*" {
+			prefix = pattern[:max(at-1, 0)]
+			break
+		}
+		at = end + 1
+	}
+	lo, _ := slices.BinarySearch(fb.names, prefix)
+	rest := fb.names[lo:]
+	n := sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i], prefix) })
+	return rest[:n]
+}
+
+// Match returns the facts whose names match the pattern, sorted by name.
+// Patterns are colon-separated segments; a segment of "*" matches any
+// single segment, and a trailing "*" segment matches any remaining
+// segments.
 func (fb *FactBase) Match(pattern string) []Fact {
 	if literalPattern(pattern) {
 		if f, ok := fb.facts[pattern]; ok {
@@ -75,29 +132,28 @@ func (fb *FactBase) Match(pattern string) []Fact {
 		return nil
 	}
 	var out []Fact
-	//lint:allow mapiter MatchPattern is a pure string matcher and the result is sorted below
-	for name, f := range fb.facts {
+	for _, name := range fb.span(pattern) {
 		if MatchPattern(pattern, name) {
-			out = append(out, f)
+			out = append(out, fb.facts[name])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // MaxScore returns the highest score among matching facts (0 if none).
-// The maximum is order-independent, so the scan needs neither the sorted
-// copy Match builds nor any allocation — this is the innermost call of
-// both symptom evaluation and the miner's background filter.
+// This is the innermost call of both symptom evaluation and the miner's
+// background filter: it allocates nothing and looks up only the facts
+// whose names match.
 func (fb *FactBase) MaxScore(pattern string) float64 {
 	if literalPattern(pattern) {
 		return fb.facts[pattern].Score
 	}
 	var max float64
-	//lint:allow mapiter MatchPattern is a pure string matcher and max is commutative
-	for name, f := range fb.facts {
-		if f.Score > max && MatchPattern(pattern, name) {
-			max = f.Score
+	for _, name := range fb.span(pattern) {
+		if MatchPattern(pattern, name) {
+			if s := fb.facts[name].Score; s > max {
+				max = s
+			}
 		}
 	}
 	return max
@@ -108,9 +164,8 @@ func (fb *FactBase) Exists(pattern string) bool {
 	if literalPattern(pattern) {
 		return fb.facts[pattern].Score > 0
 	}
-	//lint:allow mapiter MatchPattern is a pure string matcher and the constant result is order-free
-	for name, f := range fb.facts {
-		if f.Score > 0 && MatchPattern(pattern, name) {
+	for _, name := range fb.span(pattern) {
+		if MatchPattern(pattern, name) && fb.facts[name].Score > 0 {
 			return true
 		}
 	}
@@ -125,12 +180,11 @@ func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 	}
 	var best simtime.Time
 	found := false
-	//lint:allow mapiter MatchPattern is a pure string matcher and min-over-entries is commutative
-	for name, f := range fb.facts {
-		if !f.HasT || !MatchPattern(pattern, name) {
+	for _, name := range fb.span(pattern) {
+		if !MatchPattern(pattern, name) {
 			continue
 		}
-		if !found || f.T < best {
+		if f := fb.facts[name]; f.HasT && (!found || f.T < best) {
 			best = f.T
 			found = true
 		}
@@ -140,11 +194,10 @@ func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 
 // All returns every fact sorted by name.
 func (fb *FactBase) All() []Fact {
-	out := make([]Fact, 0, len(fb.facts))
-	for _, f := range fb.facts {
-		out = append(out, f)
+	out := make([]Fact, len(fb.names))
+	for i, name := range fb.names {
+		out[i] = fb.facts[name]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -155,13 +208,25 @@ func (fb *FactBase) Len() int { return len(fb.facts) }
 // the same facts (names, scores, timestamps) produce the same string.
 // The concurrent diagnosis service keys cached symptoms-database
 // evaluations by it, so re-diagnosing an identical window skips
-// re-evaluating every entry.
+// re-evaluating every entry, and the fleet orders its healthy corpus by
+// it. Each fact is hashed as "name=score@t;hasT|" with the floats in
+// %.9g form, in name order.
 func (fb *FactBase) Fingerprint() string {
 	h := fnv.New64a()
-	for _, f := range fb.All() {
-		fmt.Fprintf(h, "%s=%.9g@%.9g;%t|", f.Name, f.Score, float64(f.T), f.HasT)
+	var buf []byte
+	for _, name := range fb.names {
+		f := fb.facts[name]
+		buf = append(buf[:0], name...)
+		buf = append(buf, '=')
+		buf = strconv.AppendFloat(buf, f.Score, 'g', 9, 64)
+		buf = append(buf, '@')
+		buf = strconv.AppendFloat(buf, float64(f.T), 'g', 9, 64)
+		buf = append(buf, ';')
+		buf = strconv.AppendBool(buf, f.HasT)
+		buf = append(buf, '|')
+		h.Write(buf)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // String implements fmt.Stringer, listing facts one per line.

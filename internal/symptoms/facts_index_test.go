@@ -1,0 +1,302 @@
+package symptoms
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"diads/internal/simtime"
+)
+
+// refFacts is the fact base as it was before the name index: a bare map,
+// every wildcard reader a scan of the whole map through MatchPattern, All
+// and Fingerprint a sort. The indexed FactBase is held to it, so it must
+// not share code with it (MatchPattern, the matcher both defer to, aside).
+type refFacts map[string]Fact
+
+func (r refFacts) add(name string, score float64) {
+	if old, ok := r[name]; ok && old.Score >= score {
+		return
+	}
+	r[name] = Fact{Name: name, Score: score}
+}
+
+func (r refFacts) addTimed(name string, score float64, t simtime.Time) {
+	if old, ok := r[name]; ok {
+		if old.HasT && old.T < t {
+			t = old.T
+		}
+		if old.Score > score {
+			score = old.Score
+		}
+	}
+	r[name] = Fact{Name: name, Score: score, T: t, HasT: true}
+}
+
+func (r refFacts) match(pattern string) []Fact {
+	var out []Fact
+	for name, f := range r {
+		if MatchPattern(pattern, name) {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+func (r refFacts) maxScore(pattern string) float64 {
+	var max float64
+	for _, f := range r.match(pattern) {
+		if f.Score > max {
+			max = f.Score
+		}
+	}
+	return max
+}
+
+func (r refFacts) exists(pattern string) bool {
+	for _, f := range r.match(pattern) {
+		if f.Score > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (r refFacts) earliestT(pattern string) (simtime.Time, bool) {
+	var best simtime.Time
+	found := false
+	for _, f := range r.match(pattern) {
+		if f.HasT && (!found || f.T < best) {
+			best, found = f.T, true
+		}
+	}
+	return best, found
+}
+
+func (r refFacts) fingerprint() string {
+	h := fnv.New64a()
+	for _, f := range r.match("*") {
+		fmt.Fprintf(h, "%s=%.9g@%.9g;%t|", f.Name, f.Score, float64(f.T), f.HasT)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// checkAgainst compares all five readers (and Len, Fingerprint) of the
+// indexed base with the reference on one pattern.
+func checkAgainst(t *testing.T, fb *FactBase, ref refFacts, pattern string) {
+	t.Helper()
+	want := ref.match(pattern)
+	got := fb.Match(pattern)
+	if len(got) != len(want) {
+		t.Fatalf("Match(%q): %d facts %v, reference %d %v", pattern, len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Match(%q)[%d] = %+v, reference %+v", pattern, i, got[i], want[i])
+		}
+	}
+	if g, w := fb.MaxScore(pattern), ref.maxScore(pattern); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("MaxScore(%q) = %v, reference %v", pattern, g, w)
+	}
+	if g, w := fb.Exists(pattern), ref.exists(pattern); g != w {
+		t.Fatalf("Exists(%q) = %v, reference %v", pattern, g, w)
+	}
+	gt, gok := fb.EarliestT(pattern)
+	wt, wok := ref.earliestT(pattern)
+	if gok != wok || (wok && gt != wt) {
+		t.Fatalf("EarliestT(%q) = %v,%v, reference %v,%v", pattern, gt, gok, wt, wok)
+	}
+}
+
+func checkWhole(t *testing.T, fb *FactBase, ref refFacts) {
+	t.Helper()
+	all, want := fb.All(), ref.match("*")
+	if len(all) != len(want) || fb.Len() != len(want) {
+		t.Fatalf("All: %d facts (Len %d), reference %d", len(all), fb.Len(), len(want))
+	}
+	for i := range want {
+		if all[i] != want[i] {
+			t.Fatalf("All[%d] = %+v, reference %+v", i, all[i], want[i])
+		}
+	}
+	if g, w := fb.Fingerprint(), ref.fingerprint(); g != w {
+		t.Fatalf("Fingerprint = %s, reference %s", g, w)
+	}
+}
+
+// TestFactIndexEdgeCases pins the matcher's corners on the index by name.
+func TestFactIndexEdgeCases(t *testing.T) {
+	fb, ref := NewFactBase(), refFacts{}
+	for i, name := range []string{
+		"a:b", "a:b-x", "a:b:c", "a:b:c:d", "a:bc", "a:b:", "a", "ab:c", "a:*:c", "a:x*:c", "a:xy:c", "", ":", "*", "z:b:c",
+	} {
+		fb.Add(name, float64(i+1)/100)
+		ref.add(name, float64(i+1)/100)
+	}
+	// A trailing "*" matches zero remaining segments: the bare name, which
+	// sorts before "a:b-x" and so outside the "a:b:" names.
+	if got := fb.Match("a:b:*"); len(got) != 4 || got[0].Name != "a:b" || got[1].Name != "a:b:" {
+		t.Fatalf(`Match("a:b:*") = %v, want a:b, a:b:, a:b:c, a:b:c:d`, got)
+	}
+	// A '*' embedded in a longer segment is a literal, not a wildcard.
+	if got := fb.Match("a:x*:c"); len(got) != 1 || got[0].Name != "a:x*:c" {
+		t.Fatalf(`Match("a:x*:c") = %v, want the literal name only`, got)
+	}
+	// A leading "*" scans everything.
+	if got := fb.Match("*:b:c"); len(got) != 2 || got[0].Name != "a:b:c" || got[1].Name != "z:b:c" {
+		t.Fatalf(`Match("*:b:c") = %v, want a:b:c and z:b:c`, got)
+	}
+	for _, pattern := range []string{
+		"a:b:*", "a:b", "a:*", "a:*:c", "a:*:*", "*", "*:b:c", "*:*", "a:x*:c", "a:b*", "a:b:c:*", ":*", "", ":", "a:b::*", "q:*", "a:*:c:*",
+	} {
+		checkAgainst(t, fb, ref, pattern)
+	}
+	checkWhole(t, fb, ref)
+
+	// A write after a read is visible to the next read.
+	fb.AddTimed("a:b:0", 1, 7)
+	ref.addTimed("a:b:0", 1, 7)
+	if got := fb.Match("a:b:*"); len(got) != 5 || got[2].Name != "a:b:0" {
+		t.Fatalf(`after AddTimed, Match("a:b:*") = %v`, got)
+	}
+	if ts, ok := fb.EarliestT("a:*"); !ok || ts != 7 {
+		t.Fatalf(`after AddTimed, EarliestT("a:*") = %v,%v`, ts, ok)
+	}
+	checkWhole(t, fb, ref)
+}
+
+// TestFactIndexProperty drives the indexed fact base and the map-scan
+// reference with the same random adds — interleaved with reads — over a
+// small alphabet of segments (so prefixes, bare names and near-misses
+// collide constantly) and compares every reader on random patterns with
+// the wildcard first, in the middle, last, doubled, or embedded.
+func TestFactIndexProperty(t *testing.T) {
+	segs := []string{"a", "b", "ab", "b-x", "a*", "*b", "", "vol-V1", "vol-V10", "c"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		name := func(wild bool) string {
+			n := 1 + rng.Intn(4)
+			out := ""
+			for i := 0; i < n; i++ {
+				if i > 0 {
+					out += ":"
+				}
+				if wild && rng.Intn(3) == 0 {
+					out += "*"
+				} else {
+					out += segs[rng.Intn(len(segs))]
+				}
+			}
+			return out
+		}
+		fb, ref := NewFactBase(), refFacts{}
+		for step := 0; step < 300; step++ {
+			n, score := name(false), float64(rng.Intn(5))/4
+			if rng.Intn(3) == 0 {
+				ts := simtime.Time(rng.Intn(50))
+				fb.AddTimed(n, score, ts)
+				ref.addTimed(n, score, ts)
+			} else {
+				fb.Add(n, score)
+				ref.add(n, score)
+			}
+			for i := 0; i < 4; i++ {
+				checkAgainst(t, fb, ref, name(true))
+			}
+			if step%25 == 0 {
+				checkWhole(t, fb, ref)
+			}
+		}
+		checkWhole(t, fb, ref)
+	}
+}
+
+// TestFactBaseConcurrentReaders reads one fact base from several
+// goroutines at once, as the registry, miner, validator and console do
+// once a diagnosis has published it. Run under -race: the index must not
+// be built or touched by a read.
+func TestFactBaseConcurrentReaders(t *testing.T) {
+	fb := NewFactBase()
+	for i := 0; i < 200; i++ {
+		fb.AddTimed(fmt.Sprintf("metric-anomaly:vol-V%d:m%d", i%7, i), float64(i%10)/10, simtime.Time(i))
+	}
+	want := fb.Fingerprint()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if fb.MaxScore("metric-anomaly:vol-V3:*") != 0.9 || !fb.Exists("metric-anomaly:*") ||
+					len(fb.Match("*:vol-V1:*")) == 0 || len(fb.All()) != 200 || fb.Fingerprint() != want {
+					t.Error("concurrent readers disagree with the single-threaded answers")
+					return
+				}
+				if ts, ok := fb.EarliestT("metric-anomaly:vol-V2:*"); !ok || ts != 2 {
+					t.Errorf("EarliestT = %v,%v, want 2,true", ts, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFingerprintMatchesFmtForm pins the digest bytes: the strconv walk
+// of the index must hash exactly what the fmt form
+// "%s=%.9g@%.9g;%t|" over sorted facts hashed, because the SD cache keys
+// on it and fleet reports order their healthy corpus by it.
+func TestFingerprintMatchesFmtForm(t *testing.T) {
+	scores := []float64{0, 1, 0.5, 1e-7, 1e21, 123456789.123, 0.1 + 0.2, 1.0 / 3,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308 / 4, math.MaxFloat64, 1e-5, 99999.99995, 1e9, 1e8}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		scores = append(scores, rng.Float64(), rng.ExpFloat64()*1e6, math.Float64frombits(rng.Uint64()&^(0x7ff<<52)))
+	}
+	fb, ref := NewFactBase(), refFacts{}
+	if g, w := fb.Fingerprint(), ref.fingerprint(); g != w {
+		t.Fatalf("empty base: Fingerprint = %s, fmt form %s", g, w)
+	}
+	for i, s := range scores {
+		name := fmt.Sprintf("fact:%d:%s", i%9, "Blocks Read"[:i%11])
+		if i%2 == 0 {
+			ts := simtime.Time(scores[(i*7)%len(scores)])
+			fb.AddTimed(name, s, ts)
+			ref.addTimed(name, s, ts)
+		} else {
+			fb.Add(name, s)
+			ref.add(name, s)
+		}
+		if g, w := fb.Fingerprint(), ref.fingerprint(); g != w {
+			t.Fatalf("after %d facts: Fingerprint = %s, fmt form %s", i+1, g, w)
+		}
+	}
+}
+
+// TestSubstituteOrderAndAllocs: keys apply longest first, ties
+// lexicographically, for any number of bindings — and the common one- and
+// two-variable bindings order their keys without allocating.
+func TestSubstituteOrderAndAllocs(t *testing.T) {
+	bind := map[string]string{"$V": "vol-V1", "$VOL": "whole", "$P": "pool-$V", "$A": "$P", "$POOL": "p", "$Q": "q", "$VO": "vo"}
+	// $POOL, $VOL (4) then $VO (3) then $A, $P, $Q, $V (2): "$P" becomes
+	// "pool-$V" before "$V" applies, and "$A" becomes "$P" before "$P".
+	if got, want := substitute("x:$VOL:$VO:$V:$P:$A:$POOL", bind), "x:whole:vo:vol-V1:pool-vol-V1:pool-vol-V1:p"; got != want {
+		t.Fatalf("substitute = %q, want %q", got, want)
+	}
+	two := map[string]string{"$V": "vol-V1", "$P": "pool-P1"}
+	var sink string
+	allocs := testing.AllocsPerRun(200, func() {
+		sink = substitute("metric-anomaly:$V:*", two)
+	})
+	if sink != "metric-anomaly:vol-V1:*" {
+		t.Fatalf("substitute = %q", sink)
+	}
+	if allocs > 1 { // the substituted string itself
+		t.Fatalf("substitute allocates %.0f times per call, want only the result string", allocs)
+	}
+}
