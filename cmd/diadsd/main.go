@@ -53,7 +53,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -66,8 +65,6 @@ import (
 	"diads/internal/console"
 	"diads/internal/experiments"
 	"diads/internal/fleet"
-	"diads/internal/metrics"
-	"diads/internal/monitor"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -395,82 +392,40 @@ func run(seed int64, workers int, chunkMin float64, reportEvery, runs int, quiet
 	if reportEvery < 1 {
 		return fmt.Errorf("-report-every must be at least 1, got %d", reportEvery)
 	}
-	env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: seed, Runs: runs})
+	logger.Info("workload starting", "queries", "Q2/Q6/Q14")
+
+	chunks := 0
+	spec := experiments.OnlineSpec{Seed: seed, Runs: runs, Workers: workers, SelfObserver: self}
+	res, err := experiments.RunOnline(spec, simtime.Duration(chunkMin)*simtime.Minute, func(t experiments.OnlineTick) error {
+		if !quiet {
+			// Logged at release (metrics cover the window), not at detection.
+			for _, ev := range t.Released {
+				logger.Info("slowdown detected", "query", ev.Query,
+					"kind", string(ev.Kind), "factor", fmt.Sprintf("%.2f", ev.Factor),
+					"at", ev.At.Clock(), "trace", ev.TraceID)
+			}
+			for _, a := range t.Alerts {
+				logger.Info("metric alert", "alert", a.String())
+			}
+		}
+		chunks++
+		switch {
+		case t.Final:
+			fmt.Printf("\n[final %s]\n%s\n", t.Now.Clock(), t.Service.Registry().Render())
+		case chunks%reportEvery == 0:
+			t.Service.Wait() // settle in-flight diagnoses before reporting
+			fmt.Printf("\n[%s]\n%s\n", t.Now.Clock(), t.Service.Registry().Render())
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	tb, mon := env.Testbed, env.Monitor
-	logger.Info("workload starting", "queries", "Q2/Q6/Q14",
-		"fault_onset", env.Onset.Clock())
 
-	watcher := monitor.NewWatcher(tb.Store, monitor.Config{MinRuns: 12, MinFactor: 1.3})
-	watcher.Watch(string(testbed.VolV1), metrics.VolReadTime)
-	watcher.Watch(string(testbed.VolV2), metrics.VolReadTime)
-
-	svc := service.New(service.Env{
-		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-		SymDB: symptoms.Builtin(),
-	}, service.Config{Workers: workers})
-	svc.Self = self
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	svc.Start(ctx)
-
-	chunks := 0
-	gate := &monitor.Gate{}
-	tick := func(now simtime.Time) error {
-		for {
-			select {
-			case ev := <-mon.Events():
-				if !quiet {
-					logger.Info("slowdown detected", "query", ev.Query,
-						"kind", string(ev.Kind), "factor", fmt.Sprintf("%.2f", ev.Factor),
-						"at", ev.At.Clock(), "trace", ev.TraceID)
-				}
-				gate.Add(ev)
-			default:
-				// Diagnose only once the emitted metrics cover the
-				// event's window (the monitor can outrun the pipeline).
-				for _, ev := range gate.Release(now) {
-					err := svc.Submit(ev)
-					switch err {
-					case nil, service.ErrDuplicate:
-					case service.ErrBackpressure:
-						if !quiet {
-							logger.Warn("shed under backpressure", "run", ev.RunID, "trace", ev.TraceID)
-						}
-					default:
-						return err
-					}
-				}
-				for _, a := range watcher.Poll() {
-					if !quiet {
-						logger.Info("metric alert", "alert", a.String())
-					}
-				}
-				chunks++
-				if chunks%reportEvery == 0 {
-					svc.Wait() // settle in-flight diagnoses before reporting
-					fmt.Printf("\n[%s]\n%s\n", now.Clock(), svc.Registry().Render())
-				}
-				return nil
-			}
-		}
-	}
-	if err := tb.SimulateStream(simtime.Duration(chunkMin)*simtime.Minute, tick); err != nil {
-		return err
-	}
-	svc.Wait()
-	svc.Stop()
-
-	fmt.Printf("\n[final %s]\n%s\n", tb.Horizon.End.Clock(), svc.Registry().Render())
-
-	incs := svc.Registry().Incidents()
-	if len(incs) == 0 {
+	if len(res.Incidents) == 0 {
 		return fmt.Errorf("no incidents diagnosed")
 	}
-	top := incs[0]
+	top := res.Incidents[0]
 	fmt.Printf("\ntop incident: %s %s(%s) — impact %.1fs over %d events\n",
 		top.Query, top.Kind, top.Subject, top.EstImpact(), top.Events)
 	if top.Result != nil {

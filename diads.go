@@ -103,9 +103,10 @@ type (
 	SymptomValidation = symptoms.Validation
 
 	// Monitor is the online detection front-end: it ingests completed
-	// runs, maintains incremental per-query baselines, and emits
-	// SlowdownEvents (attach Observe to a testbed engine's
-	// OnRunComplete hook).
+	// runs (attach Observe to a testbed engine's OnRunComplete hook),
+	// maintains incremental per-query baselines, and holds the
+	// SlowdownEvents it detects until Release is called with a metric
+	// watermark that covers their evidence windows.
 	Monitor = monitor.Monitor
 	// MonitorConfig tunes online detection.
 	MonitorConfig = monitor.Config
@@ -116,7 +117,9 @@ type (
 	// component-level alerts.
 	MetricWatcher = monitor.Watcher
 	// EventGate defers slowdown events until the monitoring watermark
-	// covers their evidence window.
+	// covers their evidence window. Every Monitor holds its detections
+	// in one (Monitor.Release); a caller that wants the events delivered
+	// to a gate of its own points Monitor.SetSink at its Add.
 	EventGate = monitor.Gate
 	// Service is the concurrent diagnosis engine: a bounded worker pool
 	// with per-(query, window) dedup, APG/symptoms caches, and a ranked
@@ -244,7 +247,9 @@ func BuildAPG(tb *Testbed, run *RunRecord) (*APG, error) {
 }
 
 // NewMonitor returns an online slowdown monitor. Wire it into a testbed
-// with tb.Engine.OnRunComplete = m.Observe before simulating.
+// with tb.Engine.OnRunComplete = m.Observe before simulating, and at
+// each SimulateStream chunk boundary submit what m.Release(now) returns
+// (Service.SubmitAll).
 func NewMonitor(cfg MonitorConfig) *Monitor { return monitor.New(cfg) }
 
 // NewMetricWatcher returns a watcher tailing the store's series with the
@@ -256,24 +261,18 @@ func NewMetricWatcher(store *metrics.Store, cfg MonitorConfig) *MetricWatcher {
 // ReadWindow pads an activity span by the monitoring interval on both
 // sides — the evidence-window contract every diagnosis metric read
 // honors. A SlowdownEvent carries it precomputed (ReadWindow), the
-// EventGate holds events until the streaming watermark covers it, and
+// Monitor holds events until the streaming watermark covers it, and
 // the Service deduplicates jobs by it.
 func ReadWindow(iv SimInterval) SimInterval { return metrics.ReadWindow(iv) }
 
 // NewService returns a concurrent diagnosis service over the
-// environment. Call Start, Submit monitor events, and read ranked
-// incidents from Registry.
+// environment. Call Start, SubmitAll what the monitor releases, and read
+// ranked incidents from Registry.
 func NewService(env ServiceEnv, cfg ServiceConfig) *Service { return service.New(env, cfg) }
 
 // ServiceEnvFromTestbed assembles the service's diagnosis environment
 // from a testbed, with the built-in symptoms database.
-func ServiceEnvFromTestbed(tb *Testbed) ServiceEnv {
-	return ServiceEnv{
-		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-		SymDB: symptoms.Builtin(),
-	}
-}
+func ServiceEnvFromTestbed(tb *Testbed) ServiceEnv { return fleet.EnvOf(tb, symptoms.Builtin()) }
 
 // RunOnlineScenario streams the multi-query online scenario end to end:
 // monitor, worker-pool service, injected SAN misconfiguration, ranked

@@ -116,16 +116,7 @@ func TestFacadeOnlinePipeline(t *testing.T) {
 	chunks := 0
 	err = tb.SimulateStream(30*60, func(now diads.SimTime) error {
 		chunks++
-		for {
-			select {
-			case ev := <-mon.Events():
-				if err := svc.Submit(ev); err != nil {
-					return err
-				}
-			default:
-				return nil
-			}
-		}
+		return svc.SubmitAll(mon.Release(now))
 	})
 	if err != nil {
 		t.Fatal(err)

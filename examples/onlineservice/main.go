@@ -36,21 +36,10 @@ func main() {
 	defer cancel()
 	svc.Start(ctx)
 
-	gate := &diads.EventGate{}
 	err = tb.SimulateStream(30*60, func(now diads.SimTime) error {
-		for {
-			select {
-			case ev := <-mon.Events():
-				gate.Add(ev) // hold until metrics cover the window
-			default:
-				for _, ev := range gate.Release(now) {
-					if err := svc.Submit(ev); err != nil {
-						fmt.Println("skipped:", err)
-					}
-				}
-				return nil
-			}
-		}
+		// The monitor holds each detection until the emitted metrics
+		// cover its evidence window; now is that watermark.
+		return svc.SubmitAll(mon.Release(now))
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -108,16 +108,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// instance is the per-(tenant, instance) serving state: a Figure 1
-// environment whose store is filled by posted samples, a monitor whose
-// baselines are fed by posted runs, and the watermark gate between
-// them. Only the intake worker touches the mutable parts, so there is
-// no locking here.
+// instance is the per-(tenant, instance) serving state: the instance
+// runtime (ID: the scoped "tenant/instance") over a Figure 1 environment
+// whose store is filled by posted samples and a monitor fed by posted
+// runs, plus what only ingest knows. Only the intake worker touches the
+// mutable parts, so there is no locking here.
 type instance struct {
-	id   string // scoped "tenant/instance"
-	tb   *testbed.Testbed
-	mon  *monitor.Monitor
-	gate *monitor.Gate
+	fleet.Instance
 	// watermark is the instance's ingest watermark: every sample with
 	// T <= watermark has been posted.
 	watermark simtime.Time
@@ -351,11 +348,11 @@ func (n *Node) worker() {
 			n.sweepIdle()
 		case j.runs != nil:
 			n.batchSeq++
-			n.applyRuns(j.runs, j.traceID)
+			n.applyRuns(j.runs)
 			n.sweepIdle()
 		case j.events != nil:
 			n.batchSeq++
-			n.applyEvents(j.events, j.traceID)
+			n.applyEvents(j.events)
 			n.sweepIdle()
 		}
 	}
@@ -366,9 +363,8 @@ func (n *Node) worker() {
 // on the intake worker after every applied batch, so eviction order and
 // timing are a deterministic function of the ingest stream. The pool is
 // settled first (Wait) so no queued diagnosis loses its environment
-// mid-flight; eviction then removes the serving env and the instance's
-// scoped cache entries from the shared service and drops the serving
-// state for the garbage collector.
+// mid-flight; eviction then detaches the instance from the shared
+// service and drops the serving state for the garbage collector.
 func (n *Node) sweepIdle() {
 	h := int64(n.cfg.IdleBatches)
 	if h <= 0 {
@@ -377,7 +373,7 @@ func (n *Node) sweepIdle() {
 	var victims []*instance
 	n.mu.Lock()
 	for _, in := range n.instances {
-		if n.batchSeq-in.lastSeq >= h && in.gate.Pending() == 0 {
+		if n.batchSeq-in.lastSeq >= h && in.Monitor.Pending() == 0 {
 			victims = append(victims, in)
 		}
 	}
@@ -385,12 +381,12 @@ func (n *Node) sweepIdle() {
 	if len(victims) == 0 {
 		return
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	n.svc.Wait()
 	for _, in := range victims {
-		n.svc.RemoveInstance(in.id)
+		in.Detach(n.svc)
 		n.mu.Lock()
-		delete(n.instances, in.id)
+		delete(n.instances, in.ID)
 		n.mu.Unlock()
 		n.tel.evicted.Inc()
 	}
@@ -405,17 +401,15 @@ func (n *Node) InstanceCount() int {
 }
 
 // instanceFor returns (building on first contact) the serving state for
-// the scoped instance. Only the intake worker calls it with build=true;
-// query handlers pass build=false and get nil for unknown instances.
-func (n *Node) instanceFor(tenant, inst string, build bool) (*instance, error) {
+// the scoped instance and restarts its idle clock. Only the intake
+// worker calls it.
+func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
 	id := fleet.ScopedInstance(tenant, inst)
 	n.mu.Lock()
 	in := n.instances[id]
 	n.mu.Unlock()
-	if in != nil || !build {
-		if in != nil && build {
-			in.lastSeq = n.batchSeq // intake worker touching the instance
-		}
+	if in != nil {
+		in.lastSeq = n.batchSeq
 		return in, nil
 	}
 	tb, err := testbed.NewFigure1(testbed.DefaultConfig(n.cfg.Seed))
@@ -423,31 +417,11 @@ func (n *Node) instanceFor(tenant, inst string, build bool) (*instance, error) {
 		return nil, fmt.Errorf("api: building environment for %s: %w", id, err)
 	}
 	in = &instance{
-		id:      id,
-		tb:      tb,
-		mon:     monitor.New(n.cfg.Monitor),
-		gate:    &monitor.Gate{},
-		lastSeq: n.batchSeq,
-		plans:   make(map[string]*plan.Plan),
+		Instance: fleet.Instance{ID: id, Testbed: tb, Monitor: monitor.New(n.cfg.Monitor)},
+		lastSeq:  n.batchSeq,
+		plans:    make(map[string]*plan.Plan),
 	}
-	// Detections gate on the ingest watermark; the sink tags the event
-	// with the scoped instance so dedup, incidents, and learning stay
-	// per-tenant. Synchronous and lossless — the intake worker is the
-	// only caller of Observe, and the gate absorbs any rate.
-	in.mon.SetSink(func(ev monitor.SlowdownEvent) {
-		ev.Instance = in.id
-		in.gate.Add(ev)
-	})
-	n.svc.AddInstance(id, service.Env{
-		Store:  tb.Store,
-		Cfg:    tb.Cfg,
-		Cat:    tb.Cat,
-		Opt:    tb.Opt,
-		Params: tb.Params,
-		Stats:  tb.Stats,
-		Server: testbed.ServerDB,
-		SymDB:  n.cfg.SymDB,
-	})
+	in.Attach(n.svc, n.cfg.SymDB)
 	n.mu.Lock()
 	n.instances[id] = in
 	n.mu.Unlock()
@@ -457,7 +431,7 @@ func (n *Node) instanceFor(tenant, inst string, build bool) (*instance, error) {
 // applySamples lands a sample batch in the instance's store and
 // advances its watermark, releasing any gated detections it covers.
 func (n *Node) applySamples(b *SampleBatch, traceID string) {
-	in, err := n.instanceFor(b.Tenant, b.Instance, true)
+	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
@@ -472,7 +446,7 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 	high := in.watermark
 	for i := range b.Samples {
 		s := &b.Samples[i]
-		err := in.tb.Store.Append(s.Component, metrics.Metric(s.Metric),
+		err := in.Testbed.Store.Append(s.Component, metrics.Metric(s.Metric),
 			metrics.Sample{T: simtime.Time(s.T), V: s.V})
 		if err != nil {
 			n.tel.applyErr.Inc()
@@ -492,23 +466,23 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 	}
 }
 
-// release submits every gated detection the watermark now covers.
-// Duplicates are expected (recurring incidents); pool backpressure
-// sheds the event, counted by the service's own rejected metric — the
-// evidence stays in the store, so a later recurrence re-detects.
+// release submits every held detection the watermark now covers, under
+// the service's one submit policy.
 func (n *Node) release(in *instance, traceID string) {
-	for _, ev := range in.gate.Release(in.watermark) {
+	released := in.Release(in.watermark)
+	for i := range released {
 		n.tel.released.Inc()
 		telemetry.DefaultTracer().Record(telemetry.Span{
-			TraceID: ev.TraceID, Name: "api.ingest.release",
+			TraceID: released[i].TraceID, Name: "api.ingest.release",
 			Start: time.Now(),
 			Attrs: []telemetry.Attr{
-				{Key: "instance", Value: in.id},
+				{Key: "instance", Value: in.ID},
 				{Key: "request", Value: traceID},
 			},
 		})
-		//lint:allow errdiscard backpressure sheds the event by design; Stats.Rejected counts it and re-detection recovers
-		_ = n.svc.Submit(ev)
+	}
+	if err := n.svc.SubmitAll(released); err != nil {
+		n.tel.applyErr.Inc()
 	}
 }
 
@@ -516,8 +490,8 @@ func (n *Node) release(in *instance, traceID string) {
 // run's plan is reconstructed with the instance's own optimizer —
 // deterministic, so node IDs match a client compiled against the same
 // catalog — and cached per query.
-func (n *Node) applyRuns(b *RunBatch, traceID string) {
-	in, err := n.instanceFor(b.Tenant, b.Instance, true)
+func (n *Node) applyRuns(b *RunBatch) {
+	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
@@ -526,28 +500,27 @@ func (n *Node) applyRuns(b *RunBatch, traceID string) {
 		wr := &b.Runs[i]
 		p := in.plans[wr.Query]
 		if p == nil {
-			p, err = in.tb.Opt.PlanQuery(wr.Query, in.tb.Stats, in.tb.Params)
+			p, err = in.Testbed.Opt.PlanQuery(wr.Query, in.Testbed.Stats, in.Testbed.Params)
 			if err != nil {
 				n.tel.applyErr.Inc()
 				continue
 			}
 			in.plans[wr.Query] = p
 		}
-		in.mon.Observe(wr.runRecord(p))
+		in.Monitor.Observe(wr.runRecord(p))
 	}
-	_ = traceID
 }
 
 // applyEvents applies configuration events to the instance's topology
 // and change log. Mutation kinds change the config (so facts like
 // new-volume-in-pool bind during diagnosis); every event is logged.
-func (n *Node) applyEvents(b *EventBatch, traceID string) {
-	in, err := n.instanceFor(b.Tenant, b.Instance, true)
+func (n *Node) applyEvents(b *EventBatch) {
+	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
 	}
-	cfg := in.tb.Cfg
+	cfg := in.Testbed.Cfg
 	for i := range b.Events {
 		e := &b.Events[i]
 		subject := topology.ID(e.Subject)
@@ -585,7 +558,6 @@ func (n *Node) applyEvents(b *EventBatch, traceID string) {
 			Detail:  e.Detail,
 		})
 	}
-	_ = traceID
 }
 
 // nextTraceID mints a request trace ID. Sequential, not random: the

@@ -401,14 +401,14 @@ func TestOutOfOrderBatchSorted(t *testing.T) {
 		if err := node.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
-		in, err := node.instanceFor("t", "i", false)
+		in, err := node.instanceFor("t", "i")
 		if err != nil || in == nil {
 			t.Fatalf("instance not built: %v", err)
 		}
 		stores[n] = make(map[string][]float64)
 		total := 0
-		for _, k := range in.tb.Store.Keys() {
-			for _, s := range in.tb.Store.Series(k.Component, k.Metric) {
+		for _, k := range in.Testbed.Store.Keys() {
+			for _, s := range in.Testbed.Store.Series(k.Component, k.Metric) {
 				stores[n][k.Component] = append(stores[n][k.Component], float64(s.T), s.V)
 				total++
 			}

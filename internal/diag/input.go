@@ -160,14 +160,20 @@ func withPlanSig(runs []*exec.RunRecord, sig string) []*exec.RunRecord {
 	return out
 }
 
+// MinSatisfactory is the fewest satisfactory runs a diagnosis accepts:
+// the baseline every module scores the unsatisfactory runs against. The
+// online monitor shares it, so it never mints an event validate would
+// refuse.
+const MinSatisfactory = 3
+
 // validate checks the input is diagnosable.
 func (in *Input) validate() error {
 	if len(in.Runs) == 0 {
 		return fmt.Errorf("diag: no runs for query %s", in.Query)
 	}
 	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
-	if len(sat) < 3 {
-		return fmt.Errorf("diag: need at least 3 satisfactory runs, have %d", len(sat))
+	if len(sat) < MinSatisfactory {
+		return fmt.Errorf("diag: need at least %d satisfactory runs, have %d", MinSatisfactory, len(sat))
 	}
 	if len(unsat) < 1 {
 		return fmt.Errorf("diag: need at least 1 unsatisfactory run, have %d", len(unsat))

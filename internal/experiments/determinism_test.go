@@ -18,7 +18,7 @@ import (
 // watermark had not covered, so sub-4-minute chunks produced different
 // reports than batch runs.
 func TestOnlineChunkSizeDeterminism(t *testing.T) {
-	base, err := OnlineWithChunk(testSeed, 0) // batch: the whole timeline as one chunk
+	base, err := RunOnline(OnlineSpec{Seed: testSeed}, 0, nil) // batch: the whole timeline as one chunk
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestOnlineChunkSizeDeterminism(t *testing.T) {
 		5 * simtime.Minute,
 		30 * simtime.Minute,
 	} {
-		res, err := OnlineWithChunk(testSeed, chunk)
+		res, err := RunOnline(OnlineSpec{Seed: testSeed}, chunk, nil)
 		if err != nil {
 			t.Fatalf("chunk %v: %v", chunk, err)
 		}
@@ -38,6 +38,36 @@ func TestOnlineChunkSizeDeterminism(t *testing.T) {
 			t.Errorf("chunk %v report differs from batch\n--- batch ---\n%s\n--- chunk %v ---\n%s",
 				chunk, base.Render(), chunk, res.Render())
 		}
+	}
+
+	// A run long enough that one batch chunk raises more detections than
+	// the monitor's old bounded event channel held (64, the rest shed):
+	// batch and 30-minute chunking must submit the same diagnoses. It
+	// also outlasts the history ring, pinning the diagnosability floor —
+	// once the ring holds only degraded runs no further event is minted,
+	// so no diagnosis fails input validation.
+	long := OnlineSpec{Seed: testSeed, Runs: 160}
+	batch, err := RunOnline(long, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := RunOnline(long, 30*simtime.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunked.Render() != batch.Render() {
+		t.Errorf("160 runs: 30-minute chunks differ from batch\n--- batch ---\n%s\n--- chunked ---\n%s",
+			batch.Render(), chunked.Render())
+	}
+	if chunked.Service.Submitted != batch.Service.Submitted || int(batch.Service.Submitted) != batch.Events {
+		t.Errorf("160 runs: submitted %d (batch) vs %d (chunked) of %d events",
+			batch.Service.Submitted, chunked.Service.Submitted, batch.Events)
+	}
+	if batch.Monitor.Undiagnosable == 0 {
+		t.Error("160 runs: the degraded regime never outlasted the history ring; the floor went unexercised")
+	}
+	if batch.Service.Failed != 0 || chunked.Service.Failed != 0 {
+		t.Errorf("160 runs: %d (batch) / %d (chunked) diagnoses failed", batch.Service.Failed, chunked.Service.Failed)
 	}
 }
 
@@ -153,24 +183,16 @@ func TestShortChunkReleaseRespectsReadWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	const chunk = 3 * simtime.Minute
-	gate := &monitor.Gate{}
 	type release struct {
 		ev monitor.SlowdownEvent
 		at simtime.Time // the watermark that released it
 	}
 	var releases []release
 	err = env.Testbed.SimulateStream(chunk, func(now simtime.Time) error {
-		for {
-			select {
-			case ev := <-env.Monitor.Events():
-				gate.Add(ev)
-			default:
-				for _, ev := range gate.Release(now) {
-					releases = append(releases, release{ev: ev, at: now})
-				}
-				return nil
-			}
+		for _, ev := range env.Monitor.Release(now) {
+			releases = append(releases, release{ev: ev, at: now})
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +200,8 @@ func TestShortChunkReleaseRespectsReadWindows(t *testing.T) {
 	if len(releases) == 0 {
 		t.Fatal("scenario emitted no slowdown events")
 	}
-	if gate.Pending() != 0 {
-		t.Errorf("%d events never released; the final chunk's watermark should cover everything", gate.Pending())
+	if n := env.Monitor.Pending(); n != 0 {
+		t.Errorf("%d events never released; the final chunk's watermark should cover everything", n)
 	}
 	raced := false
 	for _, r := range releases {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"diads/internal/fleet"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
 	"diads/internal/service"
@@ -67,80 +68,93 @@ func (r *OnlineResult) Render() string {
 	return b.String()
 }
 
-// Online runs the end-to-end online scenario: Q2 (on the V1 volume), Q6,
-// and Q14 (both on V2) execute on staggered periods; mid-timeline a SAN
-// misconfiguration carves V' from pool P1 and loads it from another
-// host, degrading only Q2. Runs stream through the monitor via the
-// engine's completion hook, events feed the service's worker pool
-// between simulation chunks, and the final registry must rank the
-// misconfiguration on V1 as the top incident.
+// Online runs the end-to-end online scenario through RunOnline in
+// 30-minute chunks: Q2 (on the V1 volume), Q6, and Q14 (both on V2)
+// execute on staggered periods; mid-timeline a SAN misconfiguration
+// carves V' from pool P1 and loads it from another host, degrading only
+// Q2, and the final registry must rank it on V1 as the top incident.
 func Online(seed int64) (*OnlineResult, error) {
-	return OnlineWithChunk(seed, 30*simtime.Minute)
+	return RunOnline(OnlineSpec{Seed: seed}, 30*simtime.Minute, nil)
 }
 
-// OnlineWithChunk is Online with an explicit simulation chunk — the
-// monitoring lag and event-release granularity. A chunk of 0 plays the
-// whole timeline as one batch chunk. The result's Render output is
-// byte-identical for every chunk size: the evidence-window contract
-// (metrics.ReadWindow, the gate's watermark, grid-aligned emission)
-// guarantees a diagnosis never depends on when its event was released.
-func OnlineWithChunk(seed int64, chunk simtime.Duration) (*OnlineResult, error) {
-	env, err := BuildOnline(OnlineSpec{Seed: seed})
+// OnlineTick is what the single-instance driver hands its per-chunk
+// callback: the chunk boundary (a metric watermark), the detections just
+// released and submitted, the metric alerts since the last tick, and the
+// service (to settle the pool, to read the registry). The last tick is
+// Final: the stream has ended and the pool has settled.
+type OnlineTick struct {
+	Now      simtime.Time
+	Final    bool
+	Released []monitor.SlowdownEvent
+	Alerts   []monitor.MetricAlert
+	Service  *service.Service
+}
+
+// RunOnline is the single-instance driver: it builds the spec's
+// instance and streams it in chunks (the monitoring lag and release
+// granularity; 0 plays the whole timeline as one batch chunk), at every
+// boundary releasing and submitting the detections the emitted metrics
+// cover, then calling onTick (nil for none). The result's Render output
+// is byte-identical for every chunk size: the evidence-window contract
+// (metrics.ReadWindow, the monitor's watermark gate, grid-aligned
+// emission) guarantees a diagnosis never depends on when its event was
+// released.
+func RunOnline(spec OnlineSpec, chunk simtime.Duration, onTick func(OnlineTick) error) (*OnlineResult, error) {
+	env, err := BuildOnline(spec)
 	if err != nil {
 		return nil, err
 	}
-	tb, mon, onset := env.Testbed, env.Monitor, env.Onset
+	tb := env.Testbed
+	inst := &fleet.Instance{Testbed: tb, Monitor: env.Monitor}
 
 	watcher := monitor.NewWatcher(tb.Store, monitor.Config{MinRuns: 12, MinFactor: 1.3})
 	watcher.Watch(string(testbed.VolV1), metrics.VolReadTime)
+	watcher.Watch(string(testbed.VolV2), metrics.VolReadTime)
 
-	svc := service.New(service.Env{
-		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-		SymDB: symptoms.Builtin(),
-	}, service.Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	svc.Start(ctx)
+	svc := service.New(fleet.EnvOf(tb, symptoms.Builtin()), service.Config{Workers: spec.Workers})
+	svc.Self = spec.SelfObserver
+	svc.Start(context.Background())
+	defer svc.Stop()
 
-	res := &OnlineResult{Onset: onset}
-	gate := &monitor.Gate{}
-	drain := func(now simtime.Time) error {
-		for {
-			select {
-			case ev := <-mon.Events():
-				res.Events++
-				if !res.Detected {
-					res.Detected = true
-					res.FirstDetection = ev.At
-					res.DetectionLag = ev.At.Sub(onset)
-				}
-				if ev.Query != "Q2" {
-					res.FalsePositives++
-				}
-				gate.Add(ev)
-			default:
-				// Submit only events whose windows the emitted metrics
-				// fully cover, keeping diagnoses deterministic.
-				for _, ev := range gate.Release(now) {
-					if err := svc.Submit(ev); err != nil &&
-						err != service.ErrDuplicate && err != service.ErrBackpressure {
-						return err
-					}
-				}
-				res.Alerts += len(watcher.Poll())
-				return nil
+	res := &OnlineResult{Onset: env.Onset}
+	tick := func(watermark, now simtime.Time, final bool) error {
+		t := OnlineTick{Now: now, Final: final, Service: svc, Released: inst.Release(watermark)}
+		for _, ev := range t.Released {
+			if ev.Query != "Q2" {
+				res.FalsePositives++
 			}
 		}
+		if err := svc.SubmitAll(t.Released); err != nil {
+			return err
+		}
+		if final {
+			svc.Wait()
+		}
+		t.Alerts = watcher.Poll()
+		for _, a := range t.Alerts {
+			if a.Component == string(testbed.VolV1) {
+				res.Alerts++
+			}
+		}
+		if onTick == nil {
+			return nil
+		}
+		return onTick(t)
 	}
-	if err := tb.SimulateStream(chunk, drain); err != nil {
+	err = tb.SimulateStream(chunk, func(now simtime.Time) error { return tick(now, now, false) })
+	if err == nil {
+		err = tick(monitor.EndOfStream, tb.Horizon.End, true)
+	}
+	if err != nil {
 		return nil, err
 	}
-	svc.Wait()
-	svc.Stop()
 
+	if res.Events, res.FirstDetection = inst.Detections(); res.Events > 0 {
+		res.Detected = true
+		res.DetectionLag = res.FirstDetection.Sub(env.Onset)
+	}
 	res.Incidents = svc.Registry().Incidents()
-	res.Monitor = mon.Stats()
+	res.Monitor = env.Monitor.Stats()
 	res.Service = svc.Stats()
 	if len(res.Incidents) > 0 {
 		top := res.Incidents[0]

@@ -5,6 +5,7 @@ import (
 
 	"diads/internal/faults"
 	"diads/internal/monitor"
+	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/testbed"
 	"diads/internal/workload"
@@ -37,6 +38,10 @@ type OnlineSpec struct {
 	// fires within test-scale timelines; segmentation never affects
 	// values.
 	StoreSegment int
+	// Workers sizes the diagnosis pool and SelfObserver receives every
+	// diagnosis's wall time (see FleetSpec); only RunOnline reads them.
+	Workers      int
+	SelfObserver service.SelfObserver
 }
 
 // OnlineEnv is one assembled online-scenario instance: the testbed with

@@ -8,9 +8,9 @@
 // Each shard has its own coordinator goroutine and its own
 // service.Service (worker pool, dedup stripes, impact registry,
 // instance-scoped APG/SD caches): a shard's instances synchronize at
-// chunk boundaries, and at each barrier the shard's coordinator drains
-// its monitors' slowdown events, releases the ones whose evidence read
-// windows the metric watermark covers, and diagnoses them in
+// chunk boundaries, and at each barrier the shard's coordinator
+// releases from each instance runtime (instance.go) the slowdown events
+// whose read windows the metric watermark covers and diagnoses them in
 // evidence-time waves — sorted by read-window end, with the worker pool
 // settled between waves. Shards share nothing on that hot path; they
 // meet only at the symptom-learning exchange, where healthy-corpus and
@@ -49,21 +49,7 @@ import (
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/telemetry"
-	"diads/internal/testbed"
 )
-
-// Instance is one database+SAN deployment the fleet streams: an
-// unsimulated testbed with a monitor attached to its engine's
-// OnRunComplete hook.
-type Instance struct {
-	ID      string
-	Testbed *testbed.Testbed
-	Monitor *monitor.Monitor
-	// Shared marks the instance as attached to the fleet's shared SAN
-	// pool: its incidents on shared components (Config.SharedSubjects)
-	// group with other attached instances' into one fleet incident.
-	Shared bool
-}
 
 // Config tunes the fleet.
 type Config struct {
@@ -161,25 +147,19 @@ func (c Config) withDefaults(n int) Config {
 // time.
 const apgCacheCap = 4096
 
-// instanceState is the fleet's per-instance bookkeeping. The shard
-// coordinator owns events/detected/firstDetection/hibernated (written
-// only between barriers); transfers is written by service workers,
-// hence atomic.
+// instanceState is the fleet's per-instance bookkeeping around the
+// instance runtime, which the shard coordinator drives only while the
+// instance is parked at a barrier; transfers is written by service
+// workers, hence atomic.
 type instanceState struct {
 	Instance
-	gate           *monitor.Gate
-	resume         chan struct{}
-	events         int
-	detected       bool
-	firstDetection simtime.Time
-	hibernated     bool
-	transfers      atomic.Int64
+	resume    chan struct{}
+	transfers atomic.Int64
 }
 
 // Fleet drives the instances. Construct with New, then Run once.
 type Fleet struct {
 	cfg       Config
-	symdb     *symptoms.DB
 	instances []*instanceState
 	byID      map[string]*instanceState
 	shared    map[string]bool
@@ -202,7 +182,6 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 	cfg = cfg.withDefaults(len(instances))
 	f := &Fleet{
 		cfg:    cfg,
-		symdb:  cfg.SymDB,
 		byID:   make(map[string]*instanceState, len(instances)),
 		shared: make(map[string]bool, len(cfg.SharedSubjects)),
 	}
@@ -219,11 +198,7 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 		if f.byID[inst.ID] != nil {
 			return nil, fmt.Errorf("fleet: duplicate instance ID %q", inst.ID)
 		}
-		st := &instanceState{
-			Instance: inst,
-			gate:     &monitor.Gate{},
-			resume:   make(chan struct{}, 1),
-		}
+		st := &instanceState{Instance: inst, resume: make(chan struct{}, 1)}
 		f.instances = append(f.instances, st)
 		f.byID[inst.ID] = st
 	}
@@ -261,9 +236,9 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 			svcCfg.ShardLabel = strconv.Itoa(sh.id)
 		}
 		sh.resident.Store(int64(len(g)))
-		sh.svc = service.New(f.envOf(g[0]), svcCfg)
+		sh.svc = service.New(EnvOf(g[0].Testbed, cfg.SymDB), svcCfg)
 		for _, st := range g {
-			sh.svc.AddInstance(st.ID, f.envOf(st))
+			st.Attach(sh.svc, cfg.SymDB)
 		}
 		sh.svc.OnDiagnosis = sh.onDiagnosis
 		sh.svc.OnHealthy = sh.onHealthy
@@ -315,17 +290,6 @@ func (f *Fleet) registerTelemetryFuncs() {
 			}
 			return float64(n)
 		})
-}
-
-// envOf assembles an instance's diagnosis environment around the
-// fleet-shared symptoms database.
-func (f *Fleet) envOf(st *instanceState) service.Env {
-	tb := st.Testbed
-	return service.Env{
-		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-		SymDB: f.symdb,
-	}
 }
 
 // chunkMsg is one instance's arrival at a chunk boundary (or its
@@ -402,7 +366,8 @@ func (f *Fleet) fail(err error) {
 // satisfactory baseline, pseudo-labeling the latest healthy run as
 // unsatisfactory. It returns nil when the baseline is too short to
 // diagnose or the probe fails; the corpus just grows from other probes
-// and low-confidence diagnoses instead.
+// and low-confidence diagnoses instead. The environment carries no
+// symptoms database: the probe wants the facts, not a diagnosis.
 func quietFacts(ctx context.Context, env service.Env, ev monitor.SlowdownEvent) *symptoms.FactBase {
 	var sat []*exec.RunRecord
 	for _, r := range ev.Runs {
@@ -410,9 +375,9 @@ func quietFacts(ctx context.Context, env service.Env, ev monitor.SlowdownEvent) 
 			sat = append(sat, r)
 		}
 	}
-	// The probe needs 3 satisfactory runs plus the pseudo-unsatisfactory
-	// one, the workflow's floor.
-	if len(sat) < 4 {
+	// The probe needs the workflow's floor of satisfactory runs plus the
+	// pseudo-unsatisfactory one.
+	if len(sat) < diag.MinSatisfactory+1 {
 		return nil
 	}
 	labels := make(map[string]bool, len(sat))
@@ -420,20 +385,7 @@ func quietFacts(ctx context.Context, env service.Env, ev monitor.SlowdownEvent) 
 		labels[r.RunID] = true
 	}
 	labels[sat[len(sat)-1].RunID] = false
-	in := &diag.Input{
-		Query:        ev.Query,
-		Runs:         sat,
-		Satisfactory: labels,
-		Store:        env.Store,
-		Cfg:          env.Cfg,
-		Cat:          env.Cat,
-		Opt:          env.Opt,
-		Params:       env.Params,
-		Stats:        env.Stats,
-		Server:       env.Server,
-		// No SymDB: the probe wants the facts, not a diagnosis.
-	}
-	res, err := diag.DiagnoseContext(ctx, in)
+	res, err := diag.DiagnoseContext(ctx, env.Input(ev.Query, sat, labels))
 	if err != nil || res == nil {
 		return nil
 	}

@@ -106,7 +106,7 @@ func (f *Fleet) report() *Report {
 	for _, st := range f.instances {
 		rep.Instances = append(rep.Instances, InstanceReport{
 			ID: st.ID, Shared: st.Shared,
-			Events: st.events, Detected: st.detected, FirstDetection: st.firstDetection,
+			Events: st.events, Detected: st.events > 0, FirstDetection: st.firstDetection,
 			Incidents: perInstance[st.ID],
 			Transfers: int(st.transfers.Load()),
 		})

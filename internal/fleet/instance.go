@@ -1,0 +1,103 @@
+package fleet
+
+import (
+	"diads/internal/monitor"
+	"diads/internal/service"
+	"diads/internal/simtime"
+	"diads/internal/symptoms"
+	"diads/internal/testbed"
+)
+
+// Instance is one database+SAN deployment and the single owner of its
+// evidence: a testbed (simulated, or filled by HTTP ingest) and the
+// monitor attached to its run stream. Every driver — the single-instance
+// online loop, a fleet shard, the API's intake worker — advances this
+// one runtime, from the one goroutine that drives the instance.
+type Instance struct {
+	ID      string
+	Testbed *testbed.Testbed
+	Monitor *monitor.Monitor
+	// Shared marks the instance as attached to the fleet's shared SAN
+	// pool: its incidents on shared components (Config.SharedSubjects)
+	// group with other attached instances' into one fleet incident.
+	Shared bool
+
+	events         int          // detections released so far
+	firstDetection simtime.Time // earliest offending run among them
+	resident       bool
+}
+
+// EnvOf is the one view of a testbed as a diagnosis environment.
+func EnvOf(tb *testbed.Testbed, symdb *symptoms.DB) service.Env {
+	return service.Env{
+		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
+		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
+		SymDB: symdb,
+	}
+}
+
+// Release returns, in arrival order, the detections whose evidence read
+// windows the watermark covers (every sample at or before it is in the
+// store), tagged with the instance ID so dedup keys, incidents and
+// learning stay per-instance in a shared service, and counts them. A
+// stream that has ended releases its tail at monitor.EndOfStream.
+func (in *Instance) Release(watermark simtime.Time) []monitor.SlowdownEvent {
+	released := in.Monitor.Release(watermark)
+	for i := range released {
+		ev := &released[i]
+		ev.Instance = in.ID
+		if in.events == 0 || ev.At < in.firstDetection {
+			in.firstDetection = ev.At
+		}
+		in.events++
+	}
+	return released
+}
+
+// Detections returns how many detections have been released and the
+// completion time of the earliest offending run among them.
+func (in *Instance) Detections() (n int, first simtime.Time) {
+	return in.events, in.firstDetection
+}
+
+// Retain truncates the instance's metric store, SAN timelines and run
+// history to its evidence low watermark, the oldest time any future
+// diagnosis can read: the monitor's own (history ring and held
+// detections) and, when hasFloor, the earliest ReadWindow.Start among
+// detections the caller took out of Release and has not diagnosed yet.
+// An instance with no monitor history is skipped: a run in progress will
+// enter the ring with a Start in the past, so no horizon is safe yet.
+// Call it only while no diagnosis of the instance is in flight.
+func (in *Instance) Retain(floor simtime.Time, hasFloor bool) {
+	lw, ok := in.Monitor.LowWatermark()
+	if !ok {
+		return
+	}
+	if hasFloor && floor < lw {
+		lw = floor
+	}
+	in.Testbed.Retain(lw)
+}
+
+// Attach registers the instance's environment with the service (a cheap
+// pure view over the testbed) and reports whether it was paged out.
+func (in *Instance) Attach(svc *service.Service, symdb *symptoms.DB) bool {
+	if in.resident {
+		return false
+	}
+	svc.AddInstance(in.ID, EnvOf(in.Testbed, symdb))
+	in.resident = true
+	return true
+}
+
+// Detach pages the instance's environment and scoped cache entries
+// (which recompute to identical values) out of the service and reports
+// whether it was resident. No job of the instance may be queued or running.
+func (in *Instance) Detach(svc *service.Service) bool {
+	if !in.resident {
+		return false
+	}
+	svc.RemoveInstance(in.ID)
+	in.resident = false
+	return true
+}

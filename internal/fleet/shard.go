@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"hash/fnv"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -57,7 +56,7 @@ type shard struct {
 	// the exchange.
 	declaredThrough int64
 	// resident counts the shard's non-hibernated instances. The
-	// coordinator owns the hibernated flags; the counter is atomic only
+	// coordinator owns the resident flags; the counter is atomic only
 	// so the fleet-level telemetry gauge can read it at scrape time.
 	resident atomic.Int64
 
@@ -85,7 +84,7 @@ func (sh *shard) initTelemetry(sharded bool) {
 }
 
 // run is the shard's coordinator: it streams the shard's instances
-// through chunk barriers, releases gated events by watermark, and
+// through chunk barriers, releases held events by watermark, and
 // processes complete learning epochs in evidence-time wave order. It is
 // the per-shard copy of what used to be the fleet-global loop; the only
 // cross-shard interactions are the shared MaxStreams semaphore and the
@@ -145,48 +144,29 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 	}
 
 	alive := n
-	atBarrier := make([]bool, n)
-	justDone := make([]bool, n)
-	finished := make([]bool, n)
 	watermark := make([]simtime.Time, n)
 	for alive > 0 {
-		for i := range justDone {
-			justDone[i] = false
-		}
 		arrived := 0
 		for arrived < alive {
 			msg := <-barrier
 			if msg.done {
 				alive--
-				justDone[msg.idx] = true
-				finished[msg.idx] = true
+				watermark[msg.idx] = monitor.EndOfStream
 				sh.f.fail(msg.err)
 				continue
 			}
-			atBarrier[msg.idx] = true
 			watermark[msg.idx] = msg.now
 			arrived++
 		}
-		// Every shard instance is now parked (or finished): drain the
-		// gates, then advance through whatever learning epochs the
-		// release frontier has completed. Nothing in this shard
-		// simulates while its diagnoses read the metric stores.
+		// Every shard instance is now parked (or finished): release what
+		// the watermarks cover, then advance through whatever learning
+		// epochs the frontier (the slowest live instance) has completed.
+		// Nothing in this shard simulates while its diagnoses read stores.
 		if ctx.Err() == nil {
-			frontier := simtime.Time(math.MaxFloat64)
+			frontier := monitor.EndOfStream
 			for i, st := range sh.instances {
-				w := watermark[i]
-				if justDone[i] {
-					// A finished instance's metrics are fully emitted
-					// (including the partial tail), so everything still
-					// gated can release.
-					w = simtime.Time(math.MaxFloat64)
-				} else if !atBarrier[i] {
-					continue
-				}
-				sh.buffered = append(sh.buffered, sh.collect(st, w)...)
-				if !finished[i] && watermark[i] < frontier {
-					frontier = watermark[i]
-				}
+				sh.buffered = append(sh.buffered, st.Release(watermark[i])...)
+				frontier = min(frontier, watermark[i])
 			}
 			if err := sh.advance(ctx, frontier); err != nil {
 				sh.f.fail(err)
@@ -199,8 +179,7 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 			}
 		}
 		for i, st := range sh.instances {
-			if atBarrier[i] {
-				atBarrier[i] = false
+			if watermark[i] != monitor.EndOfStream {
 				st.resume <- struct{}{}
 			}
 		}
@@ -209,28 +188,14 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 }
 
 // retain runs the retention pass at a barrier: every instance's
-// evidence is truncated to its low watermark, and — past the resident
-// cap — idle instances hibernate out of the shard's service.
-//
-// The low watermark is the oldest evidence time any FUTURE diagnosis of
-// the instance can read, the minimum of three terms:
-//
-//   - Monitor.LowWatermark — events not yet minted snapshot the history
-//     ring, so their read windows start no earlier than the padded
-//     Start of the oldest remembered run;
-//   - Gate.LowWatermark — events minted but still gated carry their
-//     full ReadWindow as future evidence;
-//   - the earliest ReadWindow.Start among the shard's buffered events
-//     for the instance — released, but parked until their learning
-//     epoch completes.
-//
-// An instance with no monitor history yet is skipped outright: a run in
-// progress will enter the ring with a Start in the past, so no horizon
-// is safe before the first observation. Because every diagnosis reads
-// only inside its event's ReadWindow and run snapshots are carried in
-// the events themselves, truncating to this watermark cannot change any
-// result — the retention-parity sweep pins reports byte-identical with
-// retention on and off.
+// evidence is truncated to its low watermark (Instance.Retain), floored
+// by the earliest ReadWindow.Start among the shard's buffered events for
+// the instance — released, but parked until their learning epoch
+// completes — and, past the resident cap, idle instances hibernate out
+// of the shard's service. Every diagnosis reads only inside its event's
+// ReadWindow and run snapshots travel in the events, so neither can
+// change a result: the retention-parity sweep pins reports
+// byte-identical with retention on and off.
 func (sh *shard) retain() {
 	// Earliest buffered evidence per instance, one pass over the buffer.
 	buffered := make(map[string]simtime.Time, len(sh.instances))
@@ -240,67 +205,29 @@ func (sh *shard) retain() {
 		}
 	}
 	for _, st := range sh.instances {
-		lw, ok := st.Monitor.LowWatermark()
-		if !ok {
-			continue
-		}
-		if g, pending := st.gate.LowWatermark(); pending && g < lw {
-			lw = g
-		}
-		if b, ok := buffered[st.ID]; ok && b < lw {
-			lw = b
-		}
-		st.Testbed.Retain(lw)
+		floor, parked := buffered[st.ID]
+		st.Retain(floor, parked)
 	}
-	if cap := sh.f.cfg.ResidentCap; cap > 0 {
-		sh.hibernate(cap, buffered)
+	// Hibernate in fleet construction order: a deterministic order over
+	// deterministic eligibility, so the schedule is a function of the
+	// event stream alone. Eligible instances have no held and no buffered
+	// events — nothing of theirs can be submitted before a future barrier,
+	// whose wave rehydrates them first.
+	cap := sh.f.cfg.ResidentCap
+	if cap <= 0 {
+		return
 	}
-}
-
-// hibernate pages idle instances out of the shard's service until the
-// resident count is back under the cap, in fleet construction order —
-// a deterministic order over deterministic eligibility, so the
-// hibernation schedule (like everything else at a barrier) is a
-// function of the event stream alone. Eligible instances have no gated
-// and no buffered events: nothing of theirs can be submitted before a
-// future barrier, and that barrier's wave rehydrates them first.
-func (sh *shard) hibernate(cap int, buffered map[string]simtime.Time) {
 	for _, st := range sh.instances {
 		if int(sh.resident.Load()) <= cap {
 			return
 		}
-		if st.hibernated || st.gate.Pending() > 0 {
+		if _, parked := buffered[st.ID]; parked || st.Monitor.Pending() > 0 {
 			continue
 		}
-		if _, ok := buffered[st.ID]; ok {
-			continue
+		if st.Detach(sh.svc) {
+			sh.resident.Add(-1)
 		}
-		sh.svc.RemoveInstance(st.ID)
-		st.hibernated = true
-		sh.resident.Add(-1)
 	}
-}
-
-// collect moves an instance's detected slowdowns into its gate (tagging
-// them with the instance ID) and returns the events whose evidence read
-// windows the instance's metric watermark covers.
-func (sh *shard) collect(st *instanceState, w simtime.Time) []monitor.SlowdownEvent {
-	for {
-		select {
-		case ev := <-st.Monitor.Events():
-			ev.Instance = st.ID
-			st.events++
-			if !st.detected || ev.At < st.firstDetection {
-				st.detected = true
-				st.firstDetection = ev.At
-			}
-			st.gate.Add(ev)
-			continue
-		default:
-		}
-		break
-	}
-	return st.gate.Release(w)
 }
 
 // advance processes every learning epoch the frontier has completed, in
@@ -376,13 +303,9 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 		}
 		return released[i].RunID < released[j].RunID
 	})
-	// Rehydrate hibernated instances before anything is submitted: the
-	// environment is a cheap pure view over the testbed, and purged
-	// cache entries recompute to identical values on demand.
+	// Rehydrate hibernated instances before anything is submitted.
 	for _, ev := range released {
-		if st := sh.f.byID[ev.Instance]; st != nil && st.hibernated {
-			sh.svc.AddInstance(st.ID, sh.f.envOf(st))
-			st.hibernated = false
+		if st := sh.f.byID[ev.Instance]; st != nil && st.Attach(sh.svc, sh.f.cfg.SymDB) {
 			sh.resident.Add(1)
 		}
 	}
@@ -393,15 +316,9 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 		}
 		//lint:allow walltime telemetry-only wall timing of the wave; never enters evidence
 		waveStart := time.Now()
-		for _, ev := range released[i:j] {
-			switch err := sh.svc.Submit(ev); err {
-			case nil, service.ErrDuplicate:
-			case service.ErrBackpressure:
-				// Shed events are counted in Stats.Rejected; the fleet's
-				// default queue is sized so this never happens.
-			default:
-				return err
-			}
+		// The fleet's default queue is sized so nothing is ever shed.
+		if err := sh.svc.SubmitAll(released[i:j]); err != nil {
+			return err
 		}
 		sh.svc.Wait()
 		sh.quietProbes(ctx, released[i:j])
@@ -449,7 +366,7 @@ func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) 
 		if st == nil {
 			continue
 		}
-		if fb := quietFacts(ctx, sh.f.envOf(st), ev); fb != nil {
+		if fb := quietFacts(ctx, EnvOf(st.Testbed, nil), ev); fb != nil {
 			sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End, epochLen), fb)
 		}
 	}

@@ -12,8 +12,10 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
+	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/simtime"
@@ -89,7 +91,7 @@ type Config struct {
 	// History is the per-query ring capacity (default 32 runs).
 	History int
 	// MinRuns arms detection only after this many baseline runs
-	// (default 6; at least 3, the diagnosis workflow's floor).
+	// (default 6; at least diag.MinSatisfactory, the workflow's floor).
 	MinRuns int
 	// SigmaK is the sigma multiple a run must exceed (default 3).
 	SigmaK float64
@@ -101,10 +103,6 @@ type Config struct {
 	// PHLambda is the Page-Hinkley detection threshold in cumulative
 	// relative-drift units (default 1.0).
 	PHLambda float64
-	// Buffer is the event channel capacity (default 64). When the
-	// consumer falls behind, further events are counted as dropped
-	// rather than blocking the execution path.
-	Buffer int
 }
 
 func (c Config) withDefaults() Config {
@@ -114,8 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.MinRuns <= 0 {
 		c.MinRuns = 6
 	}
-	if c.MinRuns < 3 {
-		c.MinRuns = 3
+	if c.MinRuns < diag.MinSatisfactory {
+		c.MinRuns = diag.MinSatisfactory
 	}
 	if c.SigmaK <= 0 {
 		c.SigmaK = 3
@@ -128,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PHLambda <= 0 {
 		c.PHLambda = 1.0
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 64
 	}
 	return c
 }
@@ -151,18 +146,21 @@ type queryState struct {
 type Stats struct {
 	Observed int64 // runs ingested
 	Events   int64 // events emitted
-	Dropped  int64 // events lost to a full channel
-	Queries  int   // distinct queries tracked
+	// Undiagnosable counts degraded runs that raised no event: the history
+	// ring no longer held diag.MinSatisfactory satisfactory runs.
+	Undiagnosable int64
+	Queries       int // distinct queries tracked
 }
 
 // Monitor ingests completed runs (attach Observe to
-// exec.Engine.OnRunComplete) and emits SlowdownEvents. All methods are
-// safe for concurrent use.
+// exec.Engine.OnRunComplete) and holds the SlowdownEvents it detects in
+// its own Gate until Release is called with a watermark that covers
+// them. All methods are safe for concurrent use.
 type Monitor struct {
 	cfg    Config
 	mu     sync.Mutex
 	states map[string]*queryState
-	events chan SlowdownEvent
+	gate   Gate
 	sink   func(SlowdownEvent)
 	stats  Stats
 	tel    monitorTelemetry
@@ -173,10 +171,10 @@ type Monitor struct {
 // fleet-wide counters. Telemetry is a side channel — Stats stays the
 // per-monitor source of truth.
 type monitorTelemetry struct {
-	observed    *telemetry.Counter
-	threshold   *telemetry.Counter
-	changePoint *telemetry.Counter
-	dropped     *telemetry.Counter
+	observed      *telemetry.Counter
+	threshold     *telemetry.Counter
+	changePoint   *telemetry.Counter
+	undiagnosable *telemetry.Counter
 }
 
 func newMonitorTelemetry() monitorTelemetry {
@@ -191,39 +189,45 @@ func newMonitorTelemetry() monitorTelemetry {
 			"Completed query runs ingested by run monitors.", nil),
 		threshold:   events(KindThreshold),
 		changePoint: events(KindChangePoint),
-		dropped: reg.Counter("diads_monitor_events_dropped_total",
-			"Slowdown events lost to a full event channel.", nil),
+		undiagnosable: reg.Counter("diads_monitor_undiagnosable_runs_total",
+			"Degraded runs that raised no event: too few satisfactory runs left in the history to diagnose against.", nil),
 	}
 }
 
-// New returns a monitor with the given configuration.
+// New returns a monitor whose sink is its own gate.
 func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
-	return &Monitor{
-		cfg:    cfg,
+	m := &Monitor{
+		cfg:    cfg.withDefaults(),
 		states: make(map[string]*queryState),
-		events: make(chan SlowdownEvent, cfg.Buffer),
 		tel:    newMonitorTelemetry(),
 	}
+	m.sink = m.gate.Add
+	return m
 }
 
-// Events is the stream of detected slowdowns. The channel is never
-// closed; drain it with a select or poll its length.
-func (m *Monitor) Events() <-chan SlowdownEvent { return m.events }
-
-// SetSink replaces the buffered event channel with a synchronous
-// callback: every detected slowdown is delivered to fn from inside
-// Observe, losslessly — nothing is ever counted dropped. The HTTP
-// ingest path uses this (its single ordered intake worker calls
-// Observe, so delivery happens on a controlled goroutine and the
-// caller's gate/submit logic applies its own backpressure). Set it
-// before the first Observe and do not mix with Events(): once a sink
-// is installed the channel stays empty.
+// SetSink points the one delivery path — Observe calls the sink,
+// synchronously and losslessly — at the caller instead of the monitor's
+// own gate. A caller that keeps a Gate of its own passes a closure over
+// its Add and releases from it; the monitor's Release and Pending then
+// stay empty. Set it before the first Observe.
 func (m *Monitor) SetSink(fn func(SlowdownEvent)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sink = fn
 }
+
+// EndOfStream is the watermark of a stream that has ended: every metric
+// it will ever emit is in the store, so whatever is still held releases.
+const EndOfStream = simtime.Time(math.MaxFloat64)
+
+// Release returns, in arrival order, every held detection the watermark
+// covers (Gate.Release); it allocates nothing when none is ready.
+func (m *Monitor) Release(watermark simtime.Time) []SlowdownEvent {
+	return m.gate.Release(watermark)
+}
+
+// Pending returns the number of detections held for a later watermark.
+func (m *Monitor) Pending() int { return m.gate.Pending() }
 
 // Stats returns the lifetime counters.
 func (m *Monitor) Stats() Stats {
@@ -234,38 +238,31 @@ func (m *Monitor) Stats() Stats {
 	return st
 }
 
-// LowWatermark returns the oldest evidence time a FUTURE event from this
-// monitor can reference, and whether any history is remembered at all.
-// Every event snapshots the per-query history ring, and its ReadWindow
-// starts at the earliest remembered run padded by the evidence-window
-// contract — so the padded Start of the oldest remembered run across all
-// queries bounds, from below, every read window the monitor can still
-// mint. Metric samples and run records older than this can never be read
-// by a diagnosis that has not already been released; retention layers
-// truncate against it (combined with Gate.LowWatermark for events
-// already minted but not yet diagnosed).
+// LowWatermark returns the oldest evidence time any diagnosis of this
+// monitor's detections can still read, and whether there is one at all.
+// Events not yet minted snapshot the per-query history ring, so their
+// ReadWindow starts no earlier than the padded Start of the oldest
+// remembered run across all queries; events minted but still held carry
+// their whole ReadWindow (Gate.LowWatermark). Metric samples and run
+// records older than the minimum of the two can never be read by a
+// diagnosis not already released; retention truncates against it.
 func (m *Monitor) LowWatermark() (simtime.Time, bool) {
+	lw, found := m.gate.LowWatermark()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var oldest simtime.Time
-	found := false
 	//lint:allow mapiter min over the per-query oldest runs is commutative
 	for _, st := range m.states {
 		if len(st.hist) == 0 {
 			continue
 		}
+		// Pad through the one evidence-window contract, never hand-derived:
+		// a future event whose Window starts here reads its ReadWindow.
 		start := st.hist[0].rec.Start
-		if !found || start < oldest {
-			oldest, found = start, true
+		if padded := metrics.ReadWindow(simtime.NewInterval(start, start)).Start; !found || padded < lw {
+			lw, found = padded, true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	// Pad through the one evidence-window contract, never hand-derived:
-	// a future event whose Window starts at `oldest` reads
-	// metrics.ReadWindow of that window.
-	return metrics.ReadWindow(simtime.NewInterval(oldest, oldest)).Start, true
+	return lw, found
 }
 
 // Observe ingests one completed run: O(1) baseline update plus, when the
@@ -314,45 +311,51 @@ func (m *Monitor) Observe(rec *exec.RunRecord) {
 		st.hist = st.hist[len(st.hist)-m.cfg.History:]
 	}
 
-	var ev SlowdownEvent
-	sink := m.sink
-	if kind != "" {
-		ev = m.buildEvent(rec, st, kind, dur, mean, sigma)
-		m.stats.Events++
+	if kind == "" {
+		m.mu.Unlock()
+		return
 	}
+	if satisfactory(st.hist) < diag.MinSatisfactory {
+		// A long degraded regime has pushed the baseline runs out of the
+		// ring: the snapshot could not pass diag's input validation, so
+		// the run is remembered and counted but mints nothing.
+		m.stats.Undiagnosable++
+		m.mu.Unlock()
+		m.tel.undiagnosable.Inc()
+		return
+	}
+	ev := m.buildEvent(rec, st, kind, dur, mean, sigma)
+	m.stats.Events++
+	sink := m.sink
 	m.mu.Unlock()
 
-	if kind != "" {
-		switch kind {
-		case KindThreshold:
-			m.tel.threshold.Inc()
-		case KindChangePoint:
-			m.tel.changePoint.Inc()
-		}
-		if sink != nil {
-			sink(ev)
-			return
-		}
-		select {
-		case m.events <- ev:
-		default:
-			m.tel.dropped.Inc()
-			m.mu.Lock()
-			m.stats.Dropped++
-			m.stats.Events--
-			m.mu.Unlock()
+	if kind == KindThreshold {
+		m.tel.threshold.Inc()
+	} else {
+		m.tel.changePoint.Inc()
+	}
+	sink(ev)
+}
+
+// satisfactory counts the satisfactory runs in a history snapshot.
+func satisfactory(hist []histEntry) int {
+	n := 0
+	for _, h := range hist {
+		if h.sat {
+			n++
 		}
 	}
+	return n
 }
 
 // Gate defers slowdown events until the monitoring pipeline's watermark
 // has passed their evidence window. The monitor emits an event the
 // moment the offending run completes, but a run can finish inside a
 // chunk whose metrics are not yet emitted; diagnosing then would read a
-// half-written window and make results timing-dependent. Drivers drain
-// the event channel into the gate and submit only what Release returns
-// for the current watermark (in a chunked simulation, the chunk
-// boundary onChunk reports).
+// half-written window and make results timing-dependent. Every monitor
+// holds its detections in one (Monitor.Release); drivers submit only
+// what Release returns for the current watermark (in a chunked
+// simulation, the chunk boundary onChunk reports).
 type Gate struct {
 	mu      sync.Mutex
 	pending []SlowdownEvent

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/simtime"
@@ -28,16 +29,9 @@ func feed(m *Monitor, query string, n int, dur func(i int) simtime.Duration) {
 	}
 }
 
+// drain releases everything the monitor holds.
 func drain(m *Monitor) []SlowdownEvent {
-	var evs []SlowdownEvent
-	for {
-		select {
-		case ev := <-m.Events():
-			evs = append(evs, ev)
-		default:
-			return evs
-		}
-	}
+	return m.Release(EndOfStream)
 }
 
 func TestSteadyWorkloadRaisesNoEvents(t *testing.T) {
@@ -198,20 +192,77 @@ func TestPerQueryIsolation(t *testing.T) {
 	}
 }
 
-func TestDroppedEventsAreCounted(t *testing.T) {
-	m := New(Config{Buffer: 2})
-	feed(m, "Q2", 20, func(i int) simtime.Duration {
+// TestReleaseLosesNoDetection pins the lossless delivery path: however
+// many detections pile up between two Release calls (the old event
+// channel shed everything past 64), each one comes out exactly once, in
+// arrival order, and a Release with nothing ready allocates nothing.
+func TestReleaseLosesNoDetection(t *testing.T) {
+	m := New(Config{History: 256}) // the baseline runs must stay in the ring
+	if got := m.Release(0); got != nil {
+		t.Fatalf("empty monitor released %v", got)
+	}
+	feed(m, "Q2", 210, func(i int) simtime.Duration {
 		if i < 10 {
 			return 60
 		}
 		return 150
 	})
-	st := m.Stats()
-	if st.Events != 2 {
-		t.Errorf("events = %d, want 2 (buffer capacity)", st.Events)
+	if m.Pending() != 200 {
+		t.Fatalf("pending = %d, want 200", m.Pending())
 	}
-	if st.Dropped != 8 {
-		t.Errorf("dropped = %d, want 8", st.Dropped)
+	if lw, ok := m.LowWatermark(); !ok || lw > 0 {
+		t.Errorf("low watermark = %v, %v; held events still read from the first run on", lw, ok)
+	}
+	if avg := testing.AllocsPerRun(20, func() { m.Release(0) }); avg != 0 {
+		t.Errorf("Release with nothing ready allocates %v times", avg)
+	}
+	evs := drain(m)
+	if len(evs) != 200 || m.Pending() != 0 {
+		t.Fatalf("released %d events, %d still pending; want 200 and 0", len(evs), m.Pending())
+	}
+	for i, ev := range evs {
+		if want := fmt.Sprintf("run-Q2-%03d", i+10); ev.RunID != want {
+			t.Fatalf("event %d is %s, want %s (arrival order)", i, ev.RunID, want)
+		}
+	}
+	if st := m.Stats(); st.Events != 200 || st.Undiagnosable != 0 {
+		t.Errorf("stats = %+v, want 200 events / 0 undiagnosable", st)
+	}
+	if got := drain(m); len(got) != 0 {
+		t.Errorf("second release returned %d events again", len(got))
+	}
+}
+
+// TestNoEventWithoutDiagnosableBaseline pins the floor the monitor shares
+// with diag: once a degraded regime has pushed all but two satisfactory
+// runs out of the history ring, further degraded runs are counted, not
+// minted — a diagnosis of their snapshot would fail input validation.
+func TestNoEventWithoutDiagnosableBaseline(t *testing.T) {
+	m := New(Config{History: 8})
+	feed(m, "Q2", 30, func(i int) simtime.Duration {
+		if i < 10 {
+			return 60
+		}
+		return 150
+	})
+	evs := drain(m)
+	// Ring of 8: degraded run k (1-based) leaves 8-k satisfactory runs.
+	if len(evs) != 8-diag.MinSatisfactory {
+		t.Fatalf("%d events, want %d", len(evs), 8-diag.MinSatisfactory)
+	}
+	for _, ev := range evs {
+		sat := 0
+		for _, good := range ev.Satisfactory {
+			if good {
+				sat++
+			}
+		}
+		if sat < diag.MinSatisfactory {
+			t.Errorf("event %s snapshots %d satisfactory runs", ev.RunID, sat)
+		}
+	}
+	if st := m.Stats(); st.Events != int64(len(evs)) || st.Undiagnosable != 20-int64(len(evs)) {
+		t.Errorf("stats = %+v, want %d events and the other degraded runs undiagnosable", st, len(evs))
 	}
 }
 

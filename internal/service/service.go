@@ -22,6 +22,7 @@ import (
 	"diads/internal/cache"
 	"diads/internal/dbsys"
 	"diads/internal/diag"
+	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
 	"diads/internal/opt"
@@ -58,6 +59,17 @@ type Env struct {
 	SymDB  *symptoms.DB
 	// Threshold overrides the anomaly-score threshold (0 = default).
 	Threshold float64
+}
+
+// Input is the one view of the environment as a diagnosis input over
+// the given labeled runs (caches and trace identity are the caller's).
+func (e Env) Input(query string, runs []*exec.RunRecord, satisfactory map[string]bool) *diag.Input {
+	return &diag.Input{
+		Query: query, Runs: runs, Satisfactory: satisfactory,
+		Store: e.Store, Cfg: e.Cfg, Cat: e.Cat, Opt: e.Opt,
+		Params: e.Params, Stats: e.Stats, Server: e.Server,
+		SymDB: e.SymDB, Threshold: e.Threshold,
+	}
 }
 
 // Config tunes the service.
@@ -571,6 +583,20 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 	}
 }
 
+// SubmitAll submits released detections in order under the one policy
+// every driver shares: a duplicate is a recurrence of a known incident,
+// backpressure sheds the event (counted in Stats.Rejected; the evidence
+// stays in the store, so a later recurrence re-detects), and anything
+// else — the service has stopped — ends the loop and is returned.
+func (s *Service) SubmitAll(evs []monitor.SlowdownEvent) error {
+	for _, ev := range evs {
+		if err := s.Submit(ev); err != nil && err != ErrDuplicate && err != ErrBackpressure {
+			return err
+		}
+	}
+	return nil
+}
+
 // span records a zero-duration marker span on the default tracer.
 func (s *Service) span(traceID, name string, attrs ...telemetry.Attr) {
 	telemetry.DefaultTracer().Record(telemetry.Span{
@@ -615,24 +641,9 @@ func (s *Service) run(ctx context.Context, j job) {
 		s.tel.failed.Inc()
 		return
 	}
-	in := &diag.Input{
-		Query:        j.ev.Query,
-		Runs:         j.ev.Runs,
-		Satisfactory: j.ev.Satisfactory,
-		Store:        env.Store,
-		Cfg:          env.Cfg,
-		Cat:          env.Cat,
-		Opt:          env.Opt,
-		Params:       env.Params,
-		Stats:        env.Stats,
-		Server:       env.Server,
-		SymDB:        env.SymDB,
-		Threshold:    env.Threshold,
-		APGCache:     s.apgs,
-		SDCache:      s.sd,
-		CacheScope:   j.ev.Instance,
-		TraceID:      j.ev.TraceID,
-	}
+	in := env.Input(j.ev.Query, j.ev.Runs, j.ev.Satisfactory)
+	in.APGCache, in.SDCache = s.apgs, s.sd
+	in.CacheScope, in.TraceID = j.ev.Instance, j.ev.TraceID
 	diagSpan := telemetry.DefaultTracer().Start(j.ev.TraceID, "service.diagnose")
 	res, err := diag.DiagnoseContext(ctx, in)
 	if err != nil {

@@ -48,22 +48,15 @@ func slowdownRig(t *testing.T, seed int64) (Env, []monitor.SlowdownEvent) {
 	if err := tb.Simulate(); err != nil {
 		t.Fatal(err)
 	}
-	var evs []monitor.SlowdownEvent
-	for {
-		select {
-		case ev := <-mon.Events():
-			evs = append(evs, ev)
-		default:
-			if len(evs) == 0 {
-				t.Fatal("monitor emitted no events for an injected fault")
-			}
-			return Env{
-				Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-				Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-				SymDB: symptoms.Builtin(),
-			}, evs
-		}
+	evs := mon.Release(tb.Horizon.End)
+	if len(evs) == 0 {
+		t.Fatal("monitor emitted no events for an injected fault")
 	}
+	return Env{
+		Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
+		Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
+		SymDB: symptoms.Builtin(),
+	}, evs
 }
 
 func TestServiceDiagnosesEventsConcurrently(t *testing.T) {

@@ -113,24 +113,15 @@ func (s *SelfMonitor) ObserveDiagnosis(query string, wall time.Duration) {
 
 // Drain returns (and consumes) the self-monitor's pending slowdown
 // events — diadsd's diagnoses of itself — bumping the detected counter.
+// Samples are stored before the run is observed: every window is covered.
 func (s *SelfMonitor) Drain() []monitor.SlowdownEvent {
-	var out []monitor.SlowdownEvent
-	for {
-		select {
-		case ev := <-s.mon.Events():
-			s.detected.Inc()
-			out = append(out, ev)
-		default:
-			return out
-		}
-	}
+	out := s.mon.Release(monitor.EndOfStream)
+	s.detected.Add(int64(len(out)))
+	return out
 }
 
 // Store exposes the self store (the diagnosis wall-time series).
 func (s *SelfMonitor) Store() *metrics.Store { return s.store }
-
-// Monitor exposes the underlying detector.
-func (s *SelfMonitor) Monitor() *monitor.Monitor { return s.mon }
 
 // Stats returns the detector's lifetime counters.
 func (s *SelfMonitor) Stats() monitor.Stats { return s.mon.Stats() }
