@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -57,9 +58,9 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) *http.Respo
 
 // simulateClient runs the online SAN-misconfiguration scenario locally —
 // the "real system" whose monitoring we serialize over the wire.
-func simulateClient(t *testing.T, seed int64, runs int) *experiments.OnlineEnv {
+func simulateClient(t *testing.T, spec experiments.OnlineSpec) *experiments.OnlineEnv {
 	t.Helper()
-	env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: seed, Runs: runs})
+	env, err := experiments.BuildOnline(spec)
 	if err != nil {
 		t.Fatalf("building online env: %v", err)
 	}
@@ -104,7 +105,7 @@ func storeSamples(tb *testbed.Testbed) []WireSample {
 // no simulator on the serving side — retrievable from /v1/incidents,
 // with its trace visible in /traces.
 func TestEndToEndIngestDiagnosis(t *testing.T) {
-	env := simulateClient(t, testSeed, 16)
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
 	tb := env.Testbed
 
 	node := New(Config{Seed: testSeed})
@@ -544,4 +545,90 @@ func TestScopedInstance(t *testing.T) {
 		t.Errorf("SplitScoped nested = %q %q", tenant, inst)
 	}
 	_ = service.ErrBackpressure // the pool semantics ingest mirrors
+}
+
+// TestIngestPlateau is the retention acceptance test on the HTTP door: a
+// healthy tenant posts a week of evidence — more than ten lengths of the
+// monitor's 16-hour ring — hour by hour, and once the ring has filled
+// the tenant's store stops growing: after the second day it never holds
+// more than 1.25 × the second day's peak. diads_store_samples_live moves
+// by exactly what the store holds.
+func TestIngestPlateau(t *testing.T) {
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 336, NoFault: true})
+	tb := env.Testbed
+	runs := tb.Runs
+	samples := storeSamples(tb)
+
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	h := node.Handler()
+	post := func(path string, batch any) {
+		t.Helper()
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	exposed := func() int {
+		t.Helper()
+		expo := telemetry.Default().Exposition()
+		if err := telemetry.ValidateExposition(expo); err != nil {
+			t.Fatal(err)
+		}
+		_, rest, _ := bytes.Cut(expo, []byte("\ndiads_store_samples_live "))
+		line, _, _ := bytes.Cut(rest, []byte("\n"))
+		n, err := strconv.Atoi(string(line))
+		if err != nil {
+			t.Fatalf("diads_store_samples_live = %q: %v", line, err)
+		}
+		return n
+	}
+
+	base, truncated := exposed(), metrics.TruncatedTotal()
+	day2, after, posted := 0, 0, 0
+	end := tb.Horizon.End.Add(metrics.DefaultMonitorInterval)
+	for now := simtime.Time(0); now < end; {
+		now = min(now.Add(simtime.Hour), end)
+		var wire []WireRun
+		for ; len(runs) > 0 && runs[0].Stop <= now; runs = runs[1:] {
+			wire = append(wire, WireRunOf(runs[0]))
+		}
+		post("/v1/ingest/runs", RunBatch{Tenant: "acme", Instance: "db-1", Runs: wire})
+		n := sort.Search(len(samples), func(i int) bool { return samples[i].T > float64(now) })
+		watermark := float64(now)
+		post("/v1/ingest/samples", SampleBatch{Tenant: "acme", Instance: "db-1", Samples: samples[:n], Watermark: &watermark})
+		samples, posted = samples[n:], posted+n
+		if err := node.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+
+		node.mu.Lock()
+		live := node.instances["acme/db-1"].Testbed.Store.Len()
+		node.mu.Unlock()
+		if got := exposed() - base; got != live {
+			t.Fatalf("at %s the store holds %d samples, diads_store_samples_live moved by %d", now.Clock(), live, got)
+		}
+		switch {
+		case now <= simtime.Time(simtime.Day):
+		case now <= simtime.Time(2*simtime.Day):
+			day2 = max(day2, live)
+		default:
+			after = max(after, live)
+		}
+	}
+	t.Logf("posted %d samples; day-2 peak %d live, later peak %d", posted, day2, after)
+	if day2 == 0 || float64(after) > 1.25*float64(day2) {
+		t.Errorf("store peaks at %d samples after day 2, %d during it: no plateau", after, day2)
+	}
+	if posted < 5*after {
+		t.Errorf("posted %d samples against a plateau of %d: the stream is too short to show one", posted, after)
+	}
+	if metrics.TruncatedTotal() == truncated {
+		t.Error("nothing was truncated")
+	}
 }

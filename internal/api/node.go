@@ -177,6 +177,9 @@ type nodeTelemetry struct {
 	applyErr *telemetry.Counter
 	released *telemetry.Counter
 	evicted  *telemetry.Counter
+	// freeze detaches the scrape callbacks from the node (see
+	// telemetry.Registry.CounterFunc); Shutdown calls them.
+	freeze []func()
 }
 
 func newNodeTelemetry(n *Node) nodeTelemetry {
@@ -186,14 +189,16 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 			"Ingest batches shed, by reason.",
 			telemetry.Labels{"reason": reason})
 	}
-	reg.GaugeFunc("diads_api_ingest_queue_depth",
-		"Ingest batches waiting in the intake queue.",
-		nil, func() float64 { return float64(len(n.intake)) })
-	reg.GaugeFunc("diads_api_instances_resident",
-		"Tenant instances currently resident (serving state built, not evicted).",
-		nil, func() float64 { return float64(n.InstanceCount()) })
 	return nodeTelemetry{
 		reg: reg,
+		freeze: []func(){
+			reg.GaugeFunc("diads_api_ingest_queue_depth",
+				"Ingest batches waiting in the intake queue.",
+				nil, func() float64 { return float64(len(n.intake)) }),
+			reg.GaugeFunc("diads_api_instances_resident",
+				"Tenant instances currently resident (serving state built, not evicted).",
+				nil, func() float64 { return float64(n.InstanceCount()) }),
+		},
 		batches: reg.Counter("diads_api_ingest_batches_total",
 			"Ingest batches accepted into the intake queue.", nil),
 		rejected: map[string]*telemetry.Counter{
@@ -284,6 +289,9 @@ func (n *Node) Shutdown() {
 	n.workerWG.Wait()
 	n.svc.Wait()
 	n.svc.Stop()
+	for _, freeze := range n.tel.freeze {
+		freeze()
+	}
 }
 
 // Quiesce blocks until every batch accepted so far has been applied and
@@ -345,6 +353,7 @@ func (n *Node) worker() {
 		case j.samples != nil:
 			n.batchSeq++
 			n.applySamples(j.samples, j.traceID)
+			j.samples.recycle()
 			n.sweepIdle()
 		case j.runs != nil:
 			n.batchSeq++
@@ -467,7 +476,8 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 }
 
 // release submits every held detection the watermark now covers, under
-// the service's one submit policy.
+// the service's one submit policy, then truncates the instance's
+// evidence behind whatever the pool still has to read.
 func (n *Node) release(in *instance, traceID string) {
 	released := in.Release(in.watermark)
 	for i := range released {
@@ -484,6 +494,7 @@ func (n *Node) release(in *instance, traceID string) {
 	if err := n.svc.SubmitAll(released); err != nil {
 		n.tel.applyErr.Inc()
 	}
+	in.Retain(n.svc.Floor(in.ID))
 }
 
 // applyRuns replays a run batch through the instance's monitor. The

@@ -137,6 +137,18 @@ func (in *ingestBuf) release() {
 	}
 }
 
+// sampleBatchPool recycles decoded sample batches, for their Samples
+// arrays: a batch goes back once the intake worker has applied it, or
+// from the handler when it was never queued. Like maxPooledBody, the
+// pool keeps no array longer than the scanner would size up front.
+var sampleBatchPool = sync.Pool{New: func() any { return new(SampleBatch) }}
+
+func (b *SampleBatch) recycle() {
+	if cap(b.Samples) <= maxHint {
+		sampleBatchPool.Put(b)
+	}
+}
+
 // readBody reads the request body whole, up to maxIngestBody. When it
 // cannot, it has answered (413, or 400 for a failed read) and returns
 // nil; otherwise the caller releases what it returns.
@@ -210,8 +222,9 @@ func usable(w http.ResponseWriter, decodeErr error, b interface{ validate() erro
 
 // acceptIngest enqueues a parsed batch, mapping queue states to the
 // backpressure contract: 202 queued, 429 + Retry-After full, 503
-// draining.
-func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) {
+// draining. It reports whether the batch was queued — from then on it
+// is the intake worker's.
+func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) bool {
 	err := n.enqueue(j)
 	switch {
 	case errors.Is(err, errDraining):
@@ -225,6 +238,7 @@ func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) {
 		n.tel.batches.Inc()
 		writeJSON(w, http.StatusAccepted, IngestReply{Accepted: accepted, QueueDepth: len(n.intake)})
 	}
+	return err == nil
 }
 
 func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
@@ -233,11 +247,11 @@ func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer in.release()
-	b := new(SampleBatch)
-	if !usable(w, in.decodeSamples(b), b) {
-		return
+	b := sampleBatchPool.Get().(*SampleBatch)
+	if !usable(w, in.decodeSamples(b), b) ||
+		!n.acceptIngest(w, intakeJob{samples: b, traceID: traceIDFrom(r)}, len(b.Samples)) {
+		b.recycle()
 	}
-	n.acceptIngest(w, intakeJob{samples: b, traceID: traceIDFrom(r)}, len(b.Samples))
 }
 
 func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request) {

@@ -60,9 +60,13 @@ type scanner struct {
 	names internTable
 }
 
-// sampleBatch fills b from body, or declines.
+// sampleBatch fills b from body, or declines. Of what b held only the
+// Samples backing array survives, reused when it is large enough: a
+// recycled batch (sampleBatchPool) decodes like a fresh one.
 func (s *scanner) sampleBatch(body []byte, b *SampleBatch) bool {
 	s.buf, s.pos = body, 0
+	spare := b.Samples[:0]
+	*b = SampleBatch{}
 	ok := s.object(func(key []byte) (bit uint, ok bool) {
 		switch string(key) {
 		case "tenant":
@@ -73,7 +77,10 @@ func (s *scanner) sampleBatch(body []byte, b *SampleBatch) bool {
 			return 1 << 1, ok
 		case "samples":
 			// Non-nil even when empty, as encoding/json leaves it.
-			b.Samples = make([]WireSample, 0, s.hint())
+			if h := s.hint(); spare == nil || cap(spare) < h {
+				spare = make([]WireSample, 0, h)
+			}
+			b.Samples = spare
 			return 1 << 2, s.array(func() bool {
 				b.Samples = append(b.Samples, WireSample{})
 				return s.sample(&b.Samples[len(b.Samples)-1])

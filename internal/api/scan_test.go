@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"diads/internal/experiments"
 	"diads/internal/telemetry"
 )
 
@@ -104,18 +105,19 @@ func sameWire(a, b reflect.Value) bool {
 func newScanner() *scanner { return &scanner{names: make(internTable)} }
 
 // accepted is the differential property for one body, scan being one of
-// the scanner's two entry points; it reports whether scan accepted it.
-func accepted[T any](t *testing.T, sc *scanner, scan func([]byte, *T) bool, body []byte) bool {
+// the scanner's two entry points reading into got; it reports whether
+// scan accepted it.
+func accepted[T any](t *testing.T, sc *scanner, scan func([]byte, *T) bool, body []byte, got *T) bool {
 	t.Helper()
-	var got, want T
-	if !scan(body, &got) {
+	var want T
+	if !scan(body, got) {
 		return false
 	}
 	if err := decodeStrict(body, &want); err != nil {
 		t.Fatalf("scanner accepted a body encoding/json refuses (%v): %q", err, body)
 	}
-	if !sameWire(reflect.ValueOf(got), reflect.ValueOf(want)) {
-		t.Fatalf("scanner and encoding/json disagree on %q:\n scanner %+v\n json    %+v", body, got, want)
+	if !sameWire(reflect.ValueOf(*got), reflect.ValueOf(want)) {
+		t.Fatalf("scanner and encoding/json disagree on %q:\n scanner %+v\n json    %+v", body, *got, want)
 	}
 	if len(sc.names) > internCap {
 		t.Fatalf("intern table holds %d names, cap %d", len(sc.names), internCap)
@@ -123,14 +125,27 @@ func accepted[T any](t *testing.T, sc *scanner, scan func([]byte, *T) bool, body
 	return true
 }
 
+// checkSamples scans into a recycled batch still holding another body's
+// fields, its array long enough for some bodies and not for others:
+// nothing of them may show, and an absent samples key must leave nil.
 func checkSamples(t *testing.T, sc *scanner, body []byte) bool {
 	t.Helper()
-	return accepted(t, sc, sc.sampleBatch, body)
+	stale := 1.5
+	dirty := &SampleBatch{Tenant: "stale", Instance: "stale", Watermark: &stale, Samples: make([]WireSample, 2, 3)}
+	dirty.Samples[0] = WireSample{Component: "stale", Metric: "stale", T: 1, V: 1}
+	if !accepted(t, sc, sc.sampleBatch, body, dirty) {
+		return false
+	}
+	var want SampleBatch
+	if err := decodeStrict(body, &want); err != nil || (dirty.Samples == nil) != (want.Samples == nil) {
+		t.Fatalf("Samples nil = %v, encoding/json leaves nil = %v (%v) on %q", dirty.Samples == nil, want.Samples == nil, err, body)
+	}
+	return true
 }
 
 func checkRuns(t *testing.T, sc *scanner, body []byte) bool {
 	t.Helper()
-	return accepted(t, sc, sc.runBatch, body)
+	return accepted(t, sc, sc.runBatch, body, new(RunBatch))
 }
 
 func FuzzDecodeSampleBatch(f *testing.F) {
@@ -183,7 +198,7 @@ func TestScannerSeedCorpus(t *testing.T) {
 // simulated day the way an agent would and requires the scanner to
 // accept every batch, equal to encoding/json's reading of it.
 func TestScannerTakesSimulatedDay(t *testing.T) {
-	env := simulateClient(t, testSeed, 16)
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
 	sc := newScanner()
 	samples := storeSamples(env.Testbed)
 	for lo := 0; lo < len(samples); lo += 256 {

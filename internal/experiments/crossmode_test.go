@@ -7,12 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"diads/internal/api"
+	"diads/internal/fleet"
 	"diads/internal/metrics"
+	"diads/internal/service"
+	"diads/internal/simtime"
 	"diads/internal/telemetry"
 	"diads/internal/testbed"
 )
@@ -33,73 +38,141 @@ func TestCrossModeEquivalence(t *testing.T) {
 	if !online.Correct {
 		t.Fatalf("online run did not diagnose the fault:\n%s", online.Render())
 	}
-	var want []string
-	for _, inc := range online.Incidents {
-		want = append(want, fmt.Sprintf("%s %s(%s) events=%d impact=%.3f",
-			inc.Query, inc.Kind, inc.Subject, inc.Events, inc.EstImpact()))
-	}
+	want := incidentTuples(online.Incidents)
 
 	rep, _, err := RunFleetSpec(FleetSpec{Seed: testSeed, Instances: 1, Degraded: 1, LearnOff: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, g := range rep.Groups {
-		got = append(got, fmt.Sprintf("%s %s(%s) events=%d impact=%.3f",
-			g.Queries[0], g.Kind, g.Subject, g.Events, g.TotalImpact))
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := groupTuples(rep); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("fleet ranks different incidents than the online driver\n online %v\n fleet  %v", want, got)
 	}
 
-	top := httpIncidents(t, testSeed)[0]
+	top := httpIncidents(t, OnlineSpec{Seed: testSeed}, 0)[0]
 	if o := online.Incidents[0]; top.Query != o.Query || top.Kind != o.Kind ||
 		top.Subject != o.Subject || top.Events != o.Events {
 		t.Errorf("HTTP top incident = %s %s(%s) over %d events, online = %s %s(%s) over %d",
 			top.Query, top.Kind, top.Subject, top.Events, o.Query, o.Kind, o.Subject, o.Events)
 	}
+
+	t.Run("under-retention", crossModeUnderRetention)
 }
 
-// httpIncidents simulates the online scenario with the monitor detached,
-// posts its configuration events, runs and samples to a fresh api.Node in
-// the order the ingest contract requires, and returns the ranked
-// incidents read back over the query route.
-func httpIncidents(t *testing.T, seed int64) []api.IncidentView {
-	t.Helper()
-	env, err := BuildOnline(OnlineSpec{Seed: seed})
+// crossModeUnderRetention is the same property on a stream long enough
+// for retention to fire on the two doors that truncate behind the pool's
+// in-flight floor: three days through the online driver and through
+// HTTP ingest — posted hour by hour with no Quiesce in between, so
+// diagnoses race further ingest and the truncation it sets off — must
+// rank exactly what a one-instance fleet with retention off, which never
+// truncates, ranks.
+func crossModeUnderRetention(t *testing.T) {
+	spec := OnlineSpec{Seed: testSeed, Runs: 144}
+	rep, _, err := RunFleetSpec(FleetSpec{Seed: spec.Seed, Instances: 1, Degraded: 1, Runs: spec.Runs, LearnOff: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := env.Testbed
-	tb.Engine.OnRunComplete = nil // runs travel over the wire instead
-	if err := tb.Simulate(); err != nil {
+	want := groupTuples(rep)
+	if len(want) == 0 {
+		t.Fatal("the never-truncating reference diagnosed nothing")
+	}
+
+	truncated := metrics.TruncatedTotal()
+	online, err := RunOnline(spec, 30*simtime.Minute, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	node := api.New(api.Config{Seed: seed})
-	defer node.Shutdown()
+	if metrics.TruncatedTotal() == truncated {
+		t.Error("the online driver truncated nothing; the check is vacuous")
+	}
+	if got := incidentTuples(online.Incidents); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("online driver under retention ranks differently\n reference %v\n online    %v", want, got)
+	}
+
+	truncated = metrics.TruncatedTotal()
+	var got []string
+	for _, inc := range httpIncidents(t, spec, simtime.Hour) {
+		got = append(got, incidentTuple(inc.Query, inc.Kind, inc.Subject, inc.Events, inc.EstImpact))
+	}
+	if metrics.TruncatedTotal() == truncated {
+		t.Error("HTTP ingest truncated nothing; the check is vacuous")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("HTTP ingest under retention ranks differently\n reference %v\n http      %v", want, got)
+	}
+}
+
+// incidentTuple is what the doors are compared on.
+func incidentTuple(query, kind, subject string, events int, impact float64) string {
+	return fmt.Sprintf("%s %s(%s) events=%d impact=%.3f", query, kind, subject, events, impact)
+}
+
+func incidentTuples(incs []service.Incident) []string {
+	var out []string
+	for _, inc := range incs {
+		out = append(out, incidentTuple(inc.Query, inc.Kind, inc.Subject, inc.Events, inc.EstImpact()))
+	}
+	return out
+}
+
+func groupTuples(rep *fleet.Report) []string {
+	var out []string
+	for _, g := range rep.Groups {
+		out = append(out, incidentTuple(g.Queries[0], g.Kind, g.Subject, g.Events, g.TotalImpact))
+	}
+	return out
+}
+
+// simulateClient simulates the online scenario with the monitor
+// detached: the "real system" whose runs travel over the wire instead.
+func simulateClient(t *testing.T, spec OnlineSpec) *OnlineEnv {
+	t.Helper()
+	env, err := BuildOnline(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Testbed.Engine.OnRunComplete = nil
+	if err := env.Testbed.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// streamHTTP replays a simulated client into the node as acme/db-1 in
+// the order the ingest contract requires: the fault's configuration
+// events, then, step by step, the runs that completed by the boundary
+// and the samples taken up to it, the boundary being the batch's
+// watermark; step 0 is the whole stream at once. Nothing settles between
+// POSTs — diagnoses race further ingest — unless each (nil for none),
+// called after every step, does.
+func streamHTTP(t *testing.T, node *api.Node, env *OnlineEnv, step simtime.Duration, each func(now simtime.Time)) {
+	t.Helper()
 	post := func(path string, batch any) {
 		t.Helper()
 		body, err := json.Marshal(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := httptest.NewRecorder()
-		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("POST %s = %d %s", path, rec.Code, rec.Body)
+		for {
+			rec := httptest.NewRecorder()
+			node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code == http.StatusTooManyRequests {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("POST %s = %d %s", path, rec.Code, rec.Body)
+			}
+			return
 		}
 	}
-
+	tb := env.Testbed
 	at := float64(env.Onset)
 	post("/v1/ingest/events", api.EventBatch{Tenant: "acme", Instance: "db-1", Events: []api.WireEvent{
 		{T: at, Kind: "VolumeCreated", Subject: "vol-Vp", Pool: string(testbed.PoolP1), Name: "V'", SizeGB: 80},
 		{T: at + 60, Kind: "LUNMapped", Subject: "vol-Vp", Server: string(testbed.ServerApp1)},
 	}})
-	runs := make([]api.WireRun, 0, len(tb.Runs))
-	for _, rec := range tb.Runs {
-		runs = append(runs, api.WireRunOf(rec))
-	}
-	post("/v1/ingest/runs", api.RunBatch{Tenant: "acme", Instance: "db-1", Runs: runs})
+	runs := slices.Clone(tb.Runs)
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Stop < runs[j].Stop })
 	var samples []api.WireSample
 	for _, k := range tb.Store.Keys() {
 		for _, s := range tb.Store.Series(k.Component, k.Metric) {
@@ -107,12 +180,41 @@ func httpIncidents(t *testing.T, seed int64) []api.IncidentView {
 		}
 	}
 	sort.SliceStable(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
-	final := float64(tb.Horizon.End.Add(metrics.DefaultMonitorInterval))
-	post("/v1/ingest/samples", api.SampleBatch{Tenant: "acme", Instance: "db-1", Samples: samples, Watermark: &final})
+
+	end := tb.Horizon.End.Add(metrics.DefaultMonitorInterval)
+	if step == 0 {
+		step = simtime.Duration(end)
+	}
+	for now := simtime.Time(0); now < end; {
+		now = min(now.Add(step), end)
+		var wire []api.WireRun
+		for ; len(runs) > 0 && runs[0].Stop <= now; runs = runs[1:] {
+			wire = append(wire, api.WireRunOf(runs[0]))
+		}
+		if len(wire) > 0 {
+			post("/v1/ingest/runs", api.RunBatch{Tenant: "acme", Instance: "db-1", Runs: wire})
+		}
+		n := sort.Search(len(samples), func(i int) bool { return samples[i].T > float64(now) })
+		watermark := float64(now)
+		post("/v1/ingest/samples", api.SampleBatch{Tenant: "acme", Instance: "db-1", Samples: samples[:n], Watermark: &watermark})
+		samples = samples[n:]
+		if each != nil {
+			each(now)
+		}
+	}
+}
+
+// httpIncidents streams the spec's scenario into a fresh api.Node,
+// settles it, and returns the ranked incidents read back over the query
+// route.
+func httpIncidents(t *testing.T, spec OnlineSpec, step simtime.Duration) []api.IncidentView {
+	t.Helper()
+	node := api.New(api.Config{Seed: spec.Seed})
+	defer node.Shutdown()
+	streamHTTP(t, node, simulateClient(t, spec), step, nil)
 	if err := node.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-
 	rec := httptest.NewRecorder()
 	node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/incidents", nil))
 	var list struct {
@@ -132,7 +234,7 @@ func TestDesignListsEveryMetricFamily(t *testing.T) {
 	if _, err := Online(testSeed); err != nil {
 		t.Fatal(err)
 	}
-	httpIncidents(t, testSeed)
+	httpIncidents(t, OnlineSpec{Seed: testSeed}, 0)
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

@@ -136,6 +136,9 @@ func RunOnline(spec OnlineSpec, chunk simtime.Duration, onTick func(OnlineTick) 
 				res.Alerts++
 			}
 		}
+		// Behind the watcher, whose cursors must see a sample before
+		// retention may drop it, and behind the pool's in-flight reads.
+		inst.Retain(svc.Floor(inst.ID))
 		if onTick == nil {
 			return nil
 		}

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"diads/internal/metrics"
+	"diads/internal/simtime"
 	"diads/internal/symptoms"
+	"diads/internal/telemetry"
 	"diads/internal/testbed"
 )
 
@@ -52,5 +55,49 @@ func TestOnlinePipelineEndToEnd(t *testing.T) {
 		if !strings.Contains(res.Render(), want) {
 			t.Errorf("render missing %q:\n%s", want, res.Render())
 		}
+	}
+}
+
+// TestOnlinePlateau is the retention acceptance test on the
+// single-instance driver: a healthy week — more than ten lengths of the
+// monitor's 16-hour ring — streamed in 30-minute chunks stops growing
+// once the ring has filled. The driver's store is its own, so it is
+// observed the way an operator would: diads_store_samples_live, which
+// nothing else moves while the driver runs, never rises by more than
+// 1.25 × the second day's peak after that day.
+func TestOnlinePlateau(t *testing.T) {
+	exposed := func() float64 {
+		for _, fam := range telemetry.Default().Snapshot() {
+			if fam.Name == "diads_store_samples_live" {
+				return fam.Series[0].Value
+			}
+		}
+		t.Fatal("diads_store_samples_live is not registered")
+		return 0
+	}
+	base, truncated := exposed(), metrics.TruncatedTotal()
+	var day2, after, last float64
+	_, err := RunOnline(OnlineSpec{Seed: testSeed, Runs: 336, NoFault: true}, 30*simtime.Minute,
+		func(tick OnlineTick) error {
+			last = exposed() - base
+			switch {
+			case tick.Now <= simtime.Time(simtime.Day):
+			case tick.Now <= simtime.Time(2*simtime.Day):
+				day2 = max(day2, last)
+			default:
+				after = max(after, last)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := last + float64(metrics.TruncatedTotal()-truncated)
+	t.Logf("appended %.0f samples; day-2 peak %.0f live, later peak %.0f", appended, day2, after)
+	if day2 == 0 || after > 1.25*day2 {
+		t.Errorf("store peaks at %.0f samples after day 2, %.0f during it: no plateau", after, day2)
+	}
+	if appended < 5*after {
+		t.Errorf("appended %.0f samples against a plateau of %.0f: the stream is too short to show one", appended, after)
 	}
 }

@@ -1,11 +1,20 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
+	"diads/internal/diag"
+	"diads/internal/fleet"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
+	"diads/internal/service"
 	"diads/internal/simtime"
+	"diads/internal/symptoms"
 )
 
 // TestFleetRetentionParity pins the evidence-horizon contract end to
@@ -73,5 +82,73 @@ func TestFleetRetentionParity(t *testing.T) {
 					want.Render(), c.name, rep.Render())
 			}
 		})
+	}
+}
+
+// TestRetentionBehindPoolKeepsEveryDiagnosis holds retention behind the
+// pool's in-flight floor to the strictest reading of "cannot change a
+// diagnosis": the three-day faulty stream is driven twice through the
+// single-instance driver's loop — release, submit, and on one side
+// Retain(Floor) with the diagnoses it just submitted still running — and
+// every diagnosis, by trace ID, must report the same text and the same
+// anomaly score on every (component, metric), bit for bit. The ranked
+// tuple TestCrossModeEquivalence compares is quantised; this is not.
+func TestRetentionBehindPoolKeepsEveryDiagnosis(t *testing.T) {
+	drive := func(retain bool) map[string]string {
+		env, err := BuildOnline(OnlineSpec{Seed: testSeed, Runs: 144})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := env.Testbed
+		inst := &fleet.Instance{Testbed: tb, Monitor: env.Monitor}
+		svc := service.New(fleet.EnvOf(tb, symptoms.Builtin()), service.Config{})
+		var mu sync.Mutex
+		seen := make(map[string]string)
+		svc.OnDiagnosis = func(ev monitor.SlowdownEvent, res *diag.Result) {
+			var b strings.Builder
+			b.WriteString(res.Render())
+			for _, s := range res.DA.Scores {
+				fmt.Fprintf(&b, "%s/%s %x\n", s.Component, s.Metric, math.Float64bits(s.Score))
+			}
+			mu.Lock()
+			seen[ev.TraceID] = b.String()
+			mu.Unlock()
+		}
+		svc.Start(context.Background())
+		defer svc.Stop()
+		tick := func(watermark simtime.Time) error {
+			if err := svc.SubmitAll(inst.Release(watermark)); err != nil {
+				return err
+			}
+			if retain {
+				inst.Retain(svc.Floor(inst.ID))
+			}
+			return nil
+		}
+		if err := tb.SimulateStream(30*simtime.Minute, tick); err != nil {
+			t.Fatal(err)
+		}
+		if err := tick(monitor.EndOfStream); err != nil {
+			t.Fatal(err)
+		}
+		svc.Wait()
+		if st := svc.Stats(); st.Failed != 0 || st.Rejected != 0 {
+			t.Fatalf("retain=%v: %s", retain, st)
+		}
+		return seen
+	}
+	want := drive(false)
+	truncated := metrics.TruncatedTotal()
+	got := drive(true)
+	if metrics.TruncatedTotal() == truncated {
+		t.Fatal("the retaining side truncated nothing; the check is vacuous")
+	}
+	if len(want) < 20 || len(got) != len(want) {
+		t.Fatalf("%d diagnoses without retention, %d with; want at least 20 and the same number", len(want), len(got))
+	}
+	for id, w := range want {
+		if got[id] != w {
+			t.Errorf("diagnosis %s changed under retention\n--- never truncated ---\n%s\n--- retained ---\n%s", id, w, got[id])
+		}
 	}
 }

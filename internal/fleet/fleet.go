@@ -170,6 +170,10 @@ type Fleet struct {
 	firstErr error
 	cancel   context.CancelFunc
 
+	// freeze detaches the scrape callbacks from the fleet (see
+	// telemetry.Registry.CounterFunc); Run calls them on its way out.
+	freeze []func()
+
 	ran bool
 }
 
@@ -260,36 +264,38 @@ func (f *Fleet) registerTelemetryFuncs() {
 	learnVal := func(read func(l *learner) float64) func() float64 {
 		return func() float64 { return f.ex.read(read) }
 	}
-	reg.GaugeFunc("diads_fleet_candidates",
-		"Mined symptom candidates by lifecycle state.",
-		telemetry.Labels{"state": "pending"},
-		learnVal(func(l *learner) float64 { return float64(len(l.pending)) }))
-	reg.GaugeFunc("diads_fleet_candidates",
-		"Mined symptom candidates by lifecycle state.",
-		telemetry.Labels{"state": "installed"},
-		learnVal(func(l *learner) float64 { return float64(len(l.installed)) }))
-	reg.GaugeFunc("diads_fleet_candidates",
-		"Mined symptom candidates by lifecycle state.",
-		telemetry.Labels{"state": "rejected"},
-		learnVal(func(l *learner) float64 { return float64(len(l.rejectedList)) }))
-	reg.CounterFunc("diads_fleet_incidents_confirmed_total",
-		"Confirmed incidents fed to the symptom miner.",
-		nil, learnVal(func(l *learner) float64 { return float64(l.confirmed) }))
-	reg.CounterFunc("diads_fleet_transfers_total",
-		"Cross-instance symptom transfers (mined entry scored high on a non-author).",
-		nil, learnVal(func(l *learner) float64 { return float64(l.transfers) }))
-	reg.GaugeFunc("diads_fleet_healthy_corpus_size",
-		"Healthy-period fact bases available to the validator.",
-		nil, learnVal(func(l *learner) float64 { return float64(l.validator.HealthyCount()) }))
-	reg.GaugeFunc("diads_fleet_resident_instances",
-		"Instances currently resident (service env registered, not hibernated).",
-		nil, func() float64 {
-			var n int64
-			for _, sh := range f.shards {
-				n += sh.resident.Load()
-			}
-			return float64(n)
-		})
+	f.freeze = []func(){
+		reg.GaugeFunc("diads_fleet_candidates",
+			"Mined symptom candidates by lifecycle state.",
+			telemetry.Labels{"state": "pending"},
+			learnVal(func(l *learner) float64 { return float64(len(l.pending)) })),
+		reg.GaugeFunc("diads_fleet_candidates",
+			"Mined symptom candidates by lifecycle state.",
+			telemetry.Labels{"state": "installed"},
+			learnVal(func(l *learner) float64 { return float64(len(l.installed)) })),
+		reg.GaugeFunc("diads_fleet_candidates",
+			"Mined symptom candidates by lifecycle state.",
+			telemetry.Labels{"state": "rejected"},
+			learnVal(func(l *learner) float64 { return float64(len(l.rejectedList)) })),
+		reg.CounterFunc("diads_fleet_incidents_confirmed_total",
+			"Confirmed incidents fed to the symptom miner.",
+			nil, learnVal(func(l *learner) float64 { return float64(l.confirmed) })),
+		reg.CounterFunc("diads_fleet_transfers_total",
+			"Cross-instance symptom transfers (mined entry scored high on a non-author).",
+			nil, learnVal(func(l *learner) float64 { return float64(l.transfers) })),
+		reg.GaugeFunc("diads_fleet_healthy_corpus_size",
+			"Healthy-period fact bases available to the validator.",
+			nil, learnVal(func(l *learner) float64 { return float64(l.validator.HealthyCount()) })),
+		reg.GaugeFunc("diads_fleet_resident_instances",
+			"Instances currently resident (service env registered, not hibernated).",
+			nil, func() float64 {
+				var n int64
+				for _, sh := range f.shards {
+					n += sh.resident.Load()
+				}
+				return float64(n)
+			}),
+	}
 }
 
 // chunkMsg is one instance's arrival at a chunk boundary (or its
@@ -327,6 +333,9 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		}(sh)
 	}
 	wg.Wait()
+	for _, freeze := range f.freeze {
+		freeze()
+	}
 
 	f.failMu.Lock()
 	err := f.firstErr

@@ -4,10 +4,20 @@
 package fleet_test
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"diads/internal/experiments"
+	"diads/internal/fleet"
+	"diads/internal/metrics"
 	"diads/internal/symptoms"
+	"diads/internal/telemetry"
 	"diads/internal/testbed"
 )
 
@@ -142,5 +152,78 @@ func TestFleetGroupsSharedPoolAcrossSeeds(t *testing.T) {
 					seed, ir.ID, ir.Events, ir.Incidents)
 			}
 		}
+	}
+}
+
+// TestFinishedFleetLeavesTheRegistry pins what the default telemetry
+// registry — which outlives every fleet — keeps of one that has run: the
+// final values of its scrape-time series, and nothing of the fleet. The
+// callbacks used to capture the fleet, its services' queues and caches,
+// and through them every instance's store, until the next fleet replaced
+// them.
+func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
+	const n = 3
+	var collected atomic.Int32
+	run := func() *fleet.Report {
+		insts := make([]fleet.Instance, 0, n)
+		for i := 0; i < n; i++ {
+			env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: testSeed + int64(i), Runs: 12, NoFault: i == n-1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The store is the bulk of an instance and, unlike the
+			// testbed, part of no reference cycle a finalizer would pin.
+			runtime.SetFinalizer(env.Testbed.Store, func(*metrics.Store) { collected.Add(1) })
+			insts = append(insts, fleet.Instance{
+				ID: "inst-" + strconv.Itoa(i), Testbed: env.Testbed, Monitor: env.Monitor, Shared: i < n-1,
+			})
+		}
+		fl, err := fleet.New(fleet.Config{Shards: 2}, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fl.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rep := run()
+	if rep.Stats.Completed == 0 || rep.Learning.Confirmed == 0 {
+		t.Fatalf("the fleet diagnosed nothing: %s", rep.Stats)
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < n && time.Now().Before(deadline); {
+		runtime.GC() // finalizers run on their own goroutine, after the cycle that found them
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Errorf("%d of %d instance stores were collected after the fleet finished", got, n)
+	}
+
+	expo := telemetry.Default().Exposition()
+	if err := telemetry.ValidateExposition(expo); err != nil {
+		t.Fatal(err)
+	}
+	for line, want := range map[string]int{
+		"diads_fleet_incidents_confirmed_total": rep.Learning.Confirmed,
+		"diads_fleet_healthy_corpus_size":       rep.Learning.Healthy,
+		"diads_fleet_resident_instances":        n,
+	} {
+		if !bytes.Contains(expo, []byte(fmt.Sprintf("\n%s %d\n", line, want))) {
+			t.Errorf("the scrape after the run does not report %s %d", line, want)
+		}
+	}
+	var hits int64
+	for _, shard := range []string{"0", "1"} {
+		_, rest, _ := bytes.Cut(expo, []byte(`diads_cache_hits_total{cache="apg",shard="`+shard+`"} `))
+		line, _, _ := bytes.Cut(rest, []byte("\n"))
+		v, err := strconv.ParseInt(string(line), 10, 64)
+		if err != nil {
+			t.Fatalf("shard %s APG hits = %q: %v", shard, line, err)
+		}
+		hits += v
+	}
+	if hits != rep.Stats.APG.Hits {
+		t.Errorf("the scrape after the run reports %d APG cache hits, the report %d", hits, rep.Stats.APG.Hits)
 	}
 }

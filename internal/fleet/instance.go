@@ -24,6 +24,7 @@ type Instance struct {
 
 	events         int          // detections released so far
 	firstDetection simtime.Time // earliest offending run among them
+	retained       simtime.Time // last horizon Retain applied
 	resident       bool
 }
 
@@ -61,13 +62,21 @@ func (in *Instance) Detections() (n int, first simtime.Time) {
 }
 
 // Retain truncates the instance's metric store, SAN timelines and run
-// history to its evidence low watermark, the oldest time any future
-// diagnosis can read: the monitor's own (history ring and held
-// detections) and, when hasFloor, the earliest ReadWindow.Start among
-// detections the caller took out of Release and has not diagnosed yet.
-// An instance with no monitor history is skipped: a run in progress will
+// history to its evidence low watermark, the oldest time any diagnosis
+// can still read: the monitor's own (history ring and held detections)
+// and, when hasFloor, the earliest ReadWindow.Start among detections
+// already out of Release and not yet diagnosed — buffered by the caller,
+// or queued or running in the pool (service.Service.Floor, read after
+// SubmitAll returned).
+//
+// Diagnoses of the instance may be in flight: every read a diagnosis
+// makes lies inside its event's ReadWindow, the floor covers every
+// window submitted so far, only this goroutine submits the instance's
+// events, and a job finishing meanwhile can only raise the floor. An
+// instance with no monitor history is skipped: a run in progress will
 // enter the ring with a Start in the past, so no horizon is safe yet.
-// Call it only while no diagnosis of the instance is in flight.
+// The low watermark moves once per run the ring evicts, not once per
+// call; a horizon that has not advanced returns here.
 func (in *Instance) Retain(floor simtime.Time, hasFloor bool) {
 	lw, ok := in.Monitor.LowWatermark()
 	if !ok {
@@ -76,6 +85,10 @@ func (in *Instance) Retain(floor simtime.Time, hasFloor bool) {
 	if hasFloor && floor < lw {
 		lw = floor
 	}
+	if lw <= in.retained {
+		return
+	}
+	in.retained = lw
 	in.Testbed.Retain(lw)
 }
 

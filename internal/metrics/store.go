@@ -41,11 +41,13 @@ func (k SeriesKey) compare(o SeriesKey) int {
 }
 
 // segmentSize is the number of samples per storage segment. Truncation
-// frees memory a whole segment at a time, so the size trades truncation
-// granularity (one segment of slack per series) against per-segment
-// bookkeeping. At the 5-minute monitoring interval, 256 samples cover
-// about 21 simulated hours.
-const segmentSize = 256
+// frees memory a whole segment at a time, leaving up to one segment of
+// slack per series, so a segment must be small against the horizon
+// retention serves: the monitor's 32-run ring of a 30-minute query is 16
+// simulated hours, and 64 samples at the 5-minute monitoring interval
+// are 5.3 — a third of it. One 24-byte entry per sample keeps the
+// per-segment bookkeeping at one allocation per 64 samples.
+const segmentSize = 64
 
 // Process-wide retention accounting, exposed as callback-backed
 // instruments: per-store registration is infeasible at fleet scale
@@ -73,31 +75,38 @@ func init() {
 // vacuously if retention never fired).
 func TruncatedTotal() int64 { return truncatedTotal.Load() }
 
-// segment is one fixed-size run of a series. Its prefix sums are
-// ABSOLUTE — anchored to the series origin, not the segment start — so
-// window aggregates computed after older segments are dropped subtract
-// exactly the same floating-point values they did before, making
-// truncation bit-invisible to every surviving window query.
-type segment struct {
-	start   int // absolute index of samples[0] within the series
-	samples []Sample
-	sum     []float64 // sum[i] = Σ series samples[:start+i+1].V
-	sum2    []float64 // sum2[i] = Σ series samples[:start+i+1].V²
+// entry is one stored sample beside the prefix sum through it: 24 bytes,
+// so a window bound found by time search and the sum read at it share a
+// cache line. The sum is ABSOLUTE — anchored to the series origin, not
+// the segment start — so window aggregates computed after older segments
+// are dropped subtract exactly the same floating-point values they did
+// before, making truncation bit-invisible to every surviving window
+// query.
+type entry struct {
+	Sample
+	sum float64 // Σ V over the series' samples through this one
 }
 
-// series holds one time series as a list of segments plus running prefix
-// sums of value and squared value, so any window aggregate (mean,
-// variance) is a few binary searches and a subtraction instead of a
-// scan. Appends stay O(1) amortized, which is what lets the online
-// monitor query baselines on every new sample without re-reading
-// history. Truncation drops whole leading segments and carries their
-// final cumulative sums in baseSum/baseSum2, preserving the absolute
-// anchoring.
+// segment is one fixed-capacity run of a series; it is never empty.
+type segment struct {
+	start   int // absolute index of entries[0] within the series
+	entries []entry
+}
+
+// last returns the segment's newest entry.
+func (seg *segment) last() entry { return seg.entries[len(seg.entries)-1] }
+
+// series holds one time series as a list of segments carrying running
+// prefix sums of value, so any window mean is a few binary searches and
+// a subtraction instead of a scan. Appends stay O(1) amortized, which is
+// what lets the online monitor query baselines on every new sample
+// without re-reading history. Truncation drops whole leading segments
+// and carries their final cumulative sum in baseSum, preserving the
+// absolute anchoring.
 type series struct {
-	dropped  int     // absolute index of the first retained sample
-	baseSum  float64 // cumulative sum through sample dropped-1
-	baseSum2 float64 // cumulative sum of squares through sample dropped-1
-	segs     []*segment
+	dropped int     // absolute index of the first retained sample
+	baseSum float64 // cumulative sum through sample dropped-1
+	segs    []segment
 }
 
 // live returns the number of retained samples.
@@ -105,8 +114,8 @@ func (ser *series) live() int {
 	if len(ser.segs) == 0 {
 		return 0
 	}
-	last := ser.segs[len(ser.segs)-1]
-	return last.start + len(last.samples) - ser.dropped
+	last := &ser.segs[len(ser.segs)-1]
+	return last.start + len(last.entries) - ser.dropped
 }
 
 // total returns the absolute sample count, dropped samples included.
@@ -117,28 +126,25 @@ func (ser *series) total() int { return ser.dropped + ser.live() }
 // index abs and its in-segment offset. abs must be in [dropped, total).
 func (ser *series) locate(abs int) (*segment, int) {
 	si := sort.Search(len(ser.segs), func(i int) bool { return ser.segs[i].start > abs })
-	seg := ser.segs[si-1]
+	seg := &ser.segs[si-1]
 	return seg, abs - seg.start
 }
 
 // at returns the retained sample at absolute index abs.
 func (ser *series) at(abs int) Sample {
 	seg, i := ser.locate(abs)
-	return seg.samples[i]
+	return seg.entries[i].Sample
 }
 
 // seek returns the position of the first retained sample with T >= t as
 // (segment index, in-segment offset), or (len(segs), 0) if there is none.
 func (ser *series) seek(t simtime.Time) (si, j int) {
-	si = sort.Search(len(ser.segs), func(i int) bool {
-		seg := ser.segs[i]
-		return seg.samples[len(seg.samples)-1].T >= t
-	})
+	si = sort.Search(len(ser.segs), func(i int) bool { return ser.segs[i].last().T >= t })
 	if si == len(ser.segs) {
 		return si, 0
 	}
-	seg := ser.segs[si]
-	return si, sort.Search(len(seg.samples), func(i int) bool { return seg.samples[i].T >= t })
+	entries := ser.segs[si].entries
+	return si, sort.Search(len(entries), func(i int) bool { return entries[i].T >= t })
 }
 
 // abs converts a seek position to an absolute sample index.
@@ -149,20 +155,18 @@ func (ser *series) abs(si, j int) int {
 	return ser.segs[si].start + j
 }
 
-// cumBefore returns the absolute cumulative (sum, sum²) through the
-// sample just before a seek position: the previous entry of the same
-// segment, the last entry of the previous segment (segments are never
-// empty), or the base carried over from truncation.
-func (ser *series) cumBefore(si, j int) (float64, float64) {
+// cumBefore returns the absolute cumulative sum through the sample just
+// before a seek position: the previous entry of the same segment, the
+// last entry of the previous segment, or the base carried over from
+// truncation.
+func (ser *series) cumBefore(si, j int) float64 {
 	if j > 0 {
-		seg := ser.segs[si]
-		return seg.sum[j-1], seg.sum2[j-1]
+		return ser.segs[si].entries[j-1].sum
 	}
 	if si > 0 {
-		seg := ser.segs[si-1]
-		return seg.sum[len(seg.sum)-1], seg.sum2[len(seg.sum2)-1]
+		return ser.segs[si-1].last().sum
 	}
-	return ser.baseSum, ser.baseSum2
+	return ser.baseSum
 }
 
 // bounds returns the absolute index range [lo, hi) of retained samples
@@ -172,25 +176,23 @@ func (ser *series) bounds(iv simtime.Interval) (lo, hi int) {
 }
 
 // windowSums returns the number of retained samples inside iv and the
-// sums of their values and squared values, as one prefix-sum
-// subtraction. It is the only place a window aggregate is formed, so
-// every reader (WindowStats, WindowMeans) sees bit-identical sums. The
-// prefix sums are read in place, at the positions the two time searches
-// found. Callers must hold at least the read lock.
-func (ser *series) windowSums(iv simtime.Interval) (n int, sum, sum2 float64) {
+// sum of their values, as one prefix-sum subtraction. It is the only
+// place a window aggregate is formed, so every reader (WindowStats,
+// WindowMeans) sees bit-identical sums. The prefix sums are read in
+// place, at the positions the two time searches found. Callers must hold
+// at least the read lock.
+func (ser *series) windowSums(iv simtime.Interval) (n int, sum float64) {
 	ls, lj := ser.seek(iv.Start)
 	hs, hj := ser.seek(iv.End)
 	lo, hi := ser.abs(ls, lj), ser.abs(hs, hj)
 	if hi <= lo {
-		return 0, 0, 0
+		return 0, 0
 	}
-	sum, sum2 = ser.cumBefore(hs, hj)
+	sum = ser.cumBefore(hs, hj)
 	if lo > 0 {
-		psum, psum2 := ser.cumBefore(ls, lj)
-		sum -= psum
-		sum2 -= psum2
+		sum -= ser.cumBefore(ls, lj)
 	}
-	return hi - lo, sum, sum2
+	return hi - lo, sum
 }
 
 // copyRange copies retained samples [lo, hi) (absolute indices) into a
@@ -200,64 +202,51 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 		return nil
 	}
 	out := make([]Sample, 0, hi-lo)
-	for _, seg := range ser.segs {
-		end := seg.start + len(seg.samples)
-		if end <= lo {
+	for i := range ser.segs {
+		seg := &ser.segs[i]
+		if seg.start+len(seg.entries) <= lo {
 			continue
 		}
 		if seg.start >= hi {
 			break
 		}
-		from, to := 0, len(seg.samples)
-		if lo > seg.start {
-			from = lo - seg.start
+		from, to := max(lo-seg.start, 0), min(hi-seg.start, len(seg.entries))
+		for _, e := range seg.entries[from:to] {
+			out = append(out, e.Sample)
 		}
-		if hi < end {
-			to = hi - seg.start
-		}
-		out = append(out, seg.samples[from:to]...)
 	}
 	return out
 }
 
-// append adds one sample with absolute cumulative sums carried from the
-// previous sample (or the truncation base). size is the capacity of any
-// new segment; a partially-filled trailing segment keeps its own.
+// append adds one sample with the absolute cumulative sum carried from
+// the previous sample (or the truncation base). size is the capacity of
+// any new segment; a partially-filled trailing segment keeps its own.
 func (ser *series) append(sample Sample, size int) {
-	cum, cum2 := ser.cumBefore(len(ser.segs), 0)
-	var seg *segment
-	if n := len(ser.segs); n > 0 && len(ser.segs[n-1].samples) < cap(ser.segs[n-1].samples) {
-		seg = ser.segs[n-1]
-	} else {
-		seg = &segment{
-			start:   ser.total(),
-			samples: make([]Sample, 0, size),
-			sum:     make([]float64, 0, size),
-			sum2:    make([]float64, 0, size),
-		}
-		ser.segs = append(ser.segs, seg)
+	cum := ser.cumBefore(len(ser.segs), 0)
+	n := len(ser.segs)
+	if n == 0 || len(ser.segs[n-1].entries) == cap(ser.segs[n-1].entries) {
+		ser.segs = append(ser.segs, segment{start: ser.total(), entries: make([]entry, 0, size)})
+		n++
 	}
-	seg.samples = append(seg.samples, sample)
-	seg.sum = append(seg.sum, cum+sample.V)
-	seg.sum2 = append(seg.sum2, cum2+sample.V*sample.V)
+	seg := &ser.segs[n-1]
+	seg.entries = append(seg.entries, entry{sample, cum + sample.V})
 }
 
 // truncate drops whole leading segments whose samples all lie strictly
-// before the horizon, carrying their final cumulative sums so surviving
+// before the horizon, carrying their final cumulative sum so surviving
 // aggregates are bit-identical. It returns the number of samples
 // dropped.
 func (ser *series) truncate(before simtime.Time) int {
 	n := 0
 	for len(ser.segs) > 0 {
-		seg := ser.segs[0]
-		if seg.samples[len(seg.samples)-1].T >= before {
+		last := ser.segs[0].last()
+		if last.T >= before {
 			break
 		}
-		ser.baseSum = seg.sum[len(seg.sum)-1]
-		ser.baseSum2 = seg.sum2[len(seg.sum2)-1]
-		ser.dropped += len(seg.samples)
-		n += len(seg.samples)
-		ser.segs[0] = nil
+		ser.baseSum = last.sum
+		ser.dropped += len(ser.segs[0].entries)
+		n += len(ser.segs[0].entries)
+		ser.segs[0] = segment{}
 		ser.segs = ser.segs[1:]
 	}
 	return n
@@ -278,22 +267,29 @@ func (ser *series) truncate(before simtime.Time) int {
 // SeriesKey in (component, metric) order, inserted by binary search when
 // Append creates a series. Series are never deleted (Truncate empties
 // them but keeps their cumulative sums), so the index only grows, and
-// Keys, Components and MetricsFor read it without walking or sorting the
-// map.
+// Keys, Components and MetricsFor read it — and Truncate, Len and Dropped
+// walk it — without walking or sorting the map.
 type Store struct {
 	mu     sync.RWMutex
 	seg    int // segment capacity for new segments; 0 = segmentSize
 	series map[SeriesKey]*series
 	keys   []SeriesKey // every key of series, sorted by SeriesKey.compare
+	// expiry is a lower bound on every series' head segment's last T: no
+	// segment can be freed by a horizon at or below it, so such a
+	// Truncate returns without visiting a series. A full pass recomputes
+	// it exactly; in between only an append into an empty series (a new
+	// one, or one truncated away) can start a head below it. A head that
+	// is still filling only moves its last T up.
+	expiry simtime.Time
 }
 
 // NewStore returns an empty monitoring store.
 func NewStore() *Store {
-	return &Store{series: make(map[SeriesKey]*series)}
+	return &Store{series: make(map[SeriesKey]*series), expiry: simtime.Time(math.Inf(1))}
 }
 
 // SetSegmentSize overrides the granularity of segments created by
-// subsequent appends (default 256 samples). Smaller segments tighten
+// subsequent appends (default 64 samples). Smaller segments tighten
 // retention — truncation frees whole segments, leaving at most one
 // segment of slack per series — at the cost of more per-segment
 // bookkeeping. Segmentation never affects values: prefix sums are
@@ -330,6 +326,9 @@ func (s *Store) Append(component string, metric Metric, sample Sample) error {
 	if size == 0 {
 		size = segmentSize
 	}
+	if len(ser.segs) == 0 {
+		s.expiry = min(s.expiry, sample.T)
+	}
 	ser.append(sample, size)
 	liveSamples.Add(1)
 	return nil
@@ -349,6 +348,7 @@ func (s *Store) MustAppend(component string, metric Metric, sample Sample) {
 // bit-identical before and after — the prefix sums stay anchored to the
 // series origin — which is what lets retention run under the fleet's
 // byte-determinism contract. It returns the number of samples dropped.
+// A horizon that can free nothing (at or below expiry) costs O(1).
 //
 // Callers must derive the horizon from the evidence low watermark
 // (monitor warm-up, open-event read windows, undiagnosed run history);
@@ -356,10 +356,17 @@ func (s *Store) MustAppend(component string, metric Metric, sample Sample) {
 func (s *Store) Truncate(before simtime.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if before <= s.expiry {
+		return 0
+	}
 	n := 0
-	//lint:allow mapiter per-series truncation is independent and the integer drop count commutes
-	for _, ser := range s.series {
+	s.expiry = simtime.Time(math.Inf(1))
+	for _, k := range s.keys {
+		ser := s.series[k]
 		n += ser.truncate(before)
+		if len(ser.segs) > 0 {
+			s.expiry = min(s.expiry, ser.segs[0].last().T)
+		}
 	}
 	if n > 0 {
 		liveSamples.Add(int64(-n))
@@ -411,15 +418,12 @@ type Stats struct {
 	N    int
 	Sum  float64
 	Mean float64
-	// Std is the population standard deviation of the window.
-	Std float64
 }
 
-// WindowStats returns count, sum, mean, and standard deviation of the
-// series over iv in O(log n), using the per-series prefix sums. This is
-// the incremental query the online monitor relies on: evaluating a
-// baseline window costs the same whether the store holds a day or a year
-// of samples.
+// WindowStats returns count, sum and mean of the series over iv in
+// O(log n), using the per-series prefix sums. This is the incremental
+// query the online monitor relies on: evaluating a baseline window costs
+// the same whether the store holds a day or a year of samples.
 func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval) Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -427,16 +431,11 @@ func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval
 	if ser == nil {
 		return Stats{}
 	}
-	n, sum, sum2 := ser.windowSums(iv)
+	n, sum := ser.windowSums(iv)
 	if n == 0 {
 		return Stats{}
 	}
-	mean := sum / float64(n)
-	variance := sum2/float64(n) - mean*mean
-	if variance < 0 { // floating-point cancellation
-		variance = 0
-	}
-	return Stats{N: n, Sum: sum, Mean: mean, Std: math.Sqrt(variance)}
+	return Stats{N: n, Sum: sum, Mean: sum / float64(n)}
 }
 
 // WindowMeans appends to dst the mean of the series over each window that
@@ -455,7 +454,7 @@ func (s *Store) WindowMeans(component string, metric Metric, windows []simtime.I
 		return dst
 	}
 	for _, iv := range windows {
-		if n, sum, _ := ser.windowSums(iv); n > 0 {
+		if n, sum := ser.windowSums(iv); n > 0 {
 			dst = append(dst, sum/float64(n))
 		}
 	}
@@ -546,9 +545,8 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	//lint:allow mapiter live() is a pure per-series count and the integer sum commutes
-	for _, ser := range s.series {
-		n += ser.live()
+	for _, k := range s.keys {
+		n += s.series[k].live()
 	}
 	return n
 }
@@ -559,8 +557,8 @@ func (s *Store) Dropped() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, ser := range s.series {
-		n += ser.dropped
+	for _, k := range s.keys {
+		n += s.series[k].dropped
 	}
 	return n
 }

