@@ -326,16 +326,26 @@ func BenchmarkMicro_GaussianScore(b *testing.B) {
 }
 
 // BenchmarkMicro_TestbedSimulation times one full-day testbed simulation
-// (48 query runs plus monitoring emission).
+// (48 query runs plus monitoring emission) in both emission shapes: one
+// batch frame over the whole day, and 30-minute chunks as RunOnline and
+// the fleet stream it.
 func BenchmarkMicro_TestbedSimulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := diads.NewTestbed(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tb.Simulate(); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name  string
+		chunk simtime.Duration
+	}{{"batch", 0}, {"stream", 30 * simtime.Minute}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb, err := diads.NewTestbed(int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tb.SimulateStream(shape.chunk, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

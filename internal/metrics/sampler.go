@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"iter"
+
 	"diads/internal/simtime"
 )
 
@@ -83,12 +85,62 @@ func (sp *Sampler) rand(component string, metric Metric) *simtime.Rand {
 	return r
 }
 
-// jitter applies one series' measurement noise to a sample value.
-func (sp *Sampler) jitter(component string, metric Metric, v float64) float64 {
+// noise returns one series' noise stream, or nil when noise is off.
+// Record and RecordWindowMean resolve it once per call, not once per
+// sample; the stream and its draw order are the same either way.
+func (sp *Sampler) noise(component string, metric Metric) *simtime.Rand {
 	if sp.NoiseSigma <= 0 {
-		return v
+		return nil
 	}
-	return sp.rand(component, metric).Jitter(v, sp.NoiseSigma)
+	return sp.rand(component, metric)
+}
+
+// step returns the monitoring interval.
+func (sp *Sampler) step() simtime.Duration {
+	if sp.Interval <= 0 {
+		return DefaultMonitorInterval
+	}
+	return sp.Interval
+}
+
+// windows yields the monitoring windows over iv with their ordinals:
+// Interval-long windows anchored at iv.Start, the last one cut at iv.End.
+// It is the one definition of the sampling grid Record, RecordWindowMean
+// and Windows share.
+func (sp *Sampler) windows(iv simtime.Interval) iter.Seq2[int, simtime.Interval] {
+	step := sp.step()
+	return func(yield func(int, simtime.Interval) bool) {
+		for i, start := 0, iv.Start; start < iv.End; i, start = i+1, start.Add(step) {
+			end := start.Add(step)
+			if end > iv.End {
+				end = iv.End
+			}
+			if !yield(i, simtime.NewInterval(start, end)) {
+				return
+			}
+		}
+	}
+}
+
+// Windows returns the monitoring windows Record and RecordWindowMean
+// sample over iv, in order: the ordinal RecordWindowMean passes its
+// function indexes this slice, so an emitter can compute per-window
+// values once for several series.
+func (sp *Sampler) Windows(iv simtime.Interval) []simtime.Interval {
+	var out []simtime.Interval
+	for _, w := range sp.windows(iv) {
+		out = append(out, w)
+	}
+	return out
+}
+
+// appendSample records one window's value, jittered by the series' noise
+// stream r (nil: noise off).
+func (sp *Sampler) appendSample(store *Store, component string, metric Metric, r *simtime.Rand, w simtime.Interval, v float64) {
+	if r != nil {
+		v = r.Jitter(v, sp.NoiseSigma)
+	}
+	store.MustAppend(component, metric, Sample{T: w.End, V: v})
 }
 
 // Record samples fn over [iv.Start, iv.End) and appends one sample per
@@ -97,30 +149,24 @@ func (sp *Sampler) jitter(component string, metric Metric, v float64) float64 {
 // sampling grid is anchored at iv.Start: callers emitting a timeline in
 // chunks must pass windows starting on multiples of Interval (the
 // testbed's emission watermark guarantees it), so chunked and batch
-// emission produce identical sample sets.
+// emission produce identical sample sets. Every probe fn sees lies in
+// [iv.Start, iv.End].
 func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simtime.Interval, fn TrueValueFunc) {
-	step := sp.Interval
-	if step <= 0 {
-		step = DefaultMonitorInterval
-	}
 	sub := sp.SubStep
-	if sub <= 0 || sub > step {
+	if step := sp.step(); sub <= 0 || sub > step {
 		sub = step / 10
 	}
-	for start := iv.Start; start < iv.End; start = start.Add(step) {
-		end := start.Add(step)
-		if end > iv.End {
-			end = iv.End
-		}
-		avg := integrateMean(fn, start, end, sub)
-		store.MustAppend(component, metric, Sample{T: end, V: sp.jitter(component, metric, avg)})
+	r := sp.noise(component, metric)
+	for _, w := range sp.windows(iv) {
+		sp.appendSample(store, component, metric, r, w, integrateMean(fn, w.Start, w.End, sub))
 	}
 }
 
-// WindowMeanFunc reports the exact time-average of a metric over an
-// interval; used for rate metrics whose averages are linear in the
-// underlying load segments.
-type WindowMeanFunc func(iv simtime.Interval) float64
+// WindowMeanFunc reports the exact time-average of a metric over w, the
+// i-th monitoring window of the emission interval (Sampler.Windows);
+// used for rate metrics whose averages are linear in the underlying load
+// segments.
+type WindowMeanFunc func(i int, w simtime.Interval) float64
 
 // RecordWindowMean appends one sample per monitoring interval using exact
 // window means instead of numeric integration. This matches how counters
@@ -128,17 +174,9 @@ type WindowMeanFunc func(iv simtime.Interval) float64
 // interval's average by its exact share. The grid-alignment requirement
 // of Record applies here too.
 func (sp *Sampler) RecordWindowMean(store *Store, component string, metric Metric, iv simtime.Interval, fn WindowMeanFunc) {
-	step := sp.Interval
-	if step <= 0 {
-		step = DefaultMonitorInterval
-	}
-	for start := iv.Start; start < iv.End; start = start.Add(step) {
-		end := start.Add(step)
-		if end > iv.End {
-			end = iv.End
-		}
-		avg := fn(simtime.NewInterval(start, end))
-		store.MustAppend(component, metric, Sample{T: end, V: sp.jitter(component, metric, avg)})
+	r := sp.noise(component, metric)
+	for i, w := range sp.windows(iv) {
+		sp.appendSample(store, component, metric, r, w, fn(i, w))
 	}
 }
 

@@ -17,7 +17,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"diads/internal/telemetry"
@@ -183,7 +185,8 @@ type Pipeline struct {
 	name  string
 	mods  []*Module // topological order, registration order among ties
 	deps  [][]int   // deps[i]: positions in mods of mods[i].Deps
-	index map[string]*Module
+	index map[string]int
+	obs   []moduleObs // obs[i]: mods[i]'s telemetry instruments
 }
 
 // New validates the modules (unique names, declared dependencies exist,
@@ -195,7 +198,7 @@ func New(name string, mods ...*Module) (*Pipeline, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("pipeline %s: no modules", name)
 	}
-	index := make(map[string]*Module, len(mods))
+	byName := make(map[string]*Module, len(mods))
 	for _, m := range mods {
 		if m.Name == "" {
 			return nil, fmt.Errorf("pipeline %s: module with empty name", name)
@@ -203,19 +206,19 @@ func New(name string, mods ...*Module) (*Pipeline, error) {
 		if m.Run == nil {
 			return nil, fmt.Errorf("pipeline %s: module %s has no Run", name, m.Name)
 		}
-		if _, dup := index[m.Name]; dup {
+		if _, dup := byName[m.Name]; dup {
 			return nil, fmt.Errorf("pipeline %s: duplicate module %s", name, m.Name)
 		}
-		index[m.Name] = m
+		byName[m.Name] = m
 	}
 	for _, m := range mods {
 		for _, d := range m.Deps {
-			if _, ok := index[d]; !ok {
+			if _, ok := byName[d]; !ok {
 				return nil, fmt.Errorf("pipeline %s: module %s depends on unknown module %s", name, m.Name, d)
 			}
 		}
 	}
-	order, err := toposort(name, mods, index)
+	order, err := toposort(name, mods)
 	if err != nil {
 		return nil, err
 	}
@@ -229,12 +232,12 @@ func New(name string, mods ...*Module) (*Pipeline, error) {
 			deps[i] = append(deps[i], pos[d])
 		}
 	}
-	return &Pipeline{name: name, mods: order, deps: deps, index: index}, nil
+	return &Pipeline{name: name, mods: order, deps: deps, index: pos, obs: make([]moduleObs, len(order))}, nil
 }
 
 // toposort is Kahn's algorithm with a stable tie-break: among ready
 // modules, registration order wins, so scheduling is deterministic.
-func toposort(name string, mods []*Module, index map[string]*Module) ([]*Module, error) {
+func toposort(name string, mods []*Module) ([]*Module, error) {
 	indeg := make(map[string]int, len(mods))
 	for _, m := range mods {
 		indeg[m.Name] = len(m.Deps)
@@ -277,22 +280,45 @@ func (p *Pipeline) ModuleNames() []string {
 	return out
 }
 
+// moduleObs holds one module's telemetry instruments: a wall-time
+// histogram and an outcome counter per status, each resolved from the
+// registry on its first use and reused afterwards, so a diagnosis builds
+// no label maps and does no registry lookup per module. Resolution stays
+// lazy because a series is registered — and scraped — only once it has
+// been observed.
+type moduleObs struct {
+	wall     atomic.Pointer[telemetry.Histogram]
+	outcomes [len(statuses)]atomic.Pointer[telemetry.Counter]
+}
+
+// statuses indexes moduleObs.outcomes.
+var statuses = [...]Status{StatusRan, StatusCacheHit, StatusSkipped, StatusFailed, StatusNotRun}
+
 // observeModule records one module outcome into the process-wide
 // telemetry registry: a wall-time histogram and an outcome counter per
 // (pipeline, module). Recording at the engine means every execution path
 // — batch runs, interactive steps, silo baselines — lands in the same
 // series without per-driver bookkeeping. Pure side channel: nothing in
 // a Trace or a Result reads these instruments back.
-func observeModule(pipeline, module string, status Status, wall time.Duration) {
-	reg := telemetry.Default()
-	labels := telemetry.Labels{"pipeline": pipeline, "module": module}
-	reg.Histogram("diads_module_wall_seconds",
-		"Per-module wall time of diagnosis pipeline runs.", labels, nil).
-		Observe(wall.Seconds())
-	reg.Counter("diads_module_outcomes_total",
-		"Module outcomes (ran, hit, skipped, failed, not-run) per pipeline.",
-		telemetry.Labels{"pipeline": pipeline, "module": module, "status": string(status)}).
-		Inc()
+func (p *Pipeline) observeModule(i int, status Status, wall time.Duration) {
+	o, module := &p.obs[i], p.mods[i].Name
+	h := o.wall.Load()
+	if h == nil {
+		h = telemetry.Default().Histogram("diads_module_wall_seconds",
+			"Per-module wall time of diagnosis pipeline runs.",
+			telemetry.Labels{"pipeline": p.name, "module": module}, nil)
+		o.wall.Store(h)
+	}
+	h.Observe(wall.Seconds())
+	s := slices.Index(statuses[:], status)
+	c := o.outcomes[s].Load()
+	if c == nil {
+		c = telemetry.Default().Counter("diads_module_outcomes_total",
+			"Module outcomes (ran, hit, skipped, failed, not-run) per pipeline.",
+			telemetry.Labels{"pipeline": p.name, "module": module, "status": string(status)})
+		o.outcomes[s].Store(c)
+	}
+	c.Inc()
 }
 
 // execOut is the outcome of executing (or cache-satisfying) one module.
@@ -352,10 +378,11 @@ func (p *Pipeline) exec(ctx context.Context, m *Module, bb *Blackboard) execOut 
 // enforced from the declarations: a module whose inputs are missing
 // fails without running.
 func (p *Pipeline) RunModule(ctx context.Context, name string, bb *Blackboard) (ModuleTrace, error) {
-	m := p.index[name]
-	if m == nil {
+	i, ok := p.index[name]
+	if !ok {
 		return ModuleTrace{}, fmt.Errorf("pipeline %s: unknown module %q", p.name, name)
 	}
+	m := p.mods[i]
 	for _, d := range m.Deps {
 		if !bb.Has(d) {
 			return ModuleTrace{Module: name, Status: StatusNotRun},
@@ -371,7 +398,7 @@ func (p *Pipeline) RunModule(ctx context.Context, name string, bb *Blackboard) (
 	switch {
 	case e.err != nil:
 		mt.Status, mt.Note = StatusFailed, e.err.Error()
-		observeModule(p.name, name, mt.Status, mt.Wall)
+		p.observeModule(i, mt.Status, mt.Wall)
 		return mt, fmt.Errorf("pipeline %s: module %s: %w", p.name, name, e.err)
 	case e.cache == CacheHit:
 		mt.Status = StatusCacheHit
@@ -381,7 +408,7 @@ func (p *Pipeline) RunModule(ctx context.Context, name string, bb *Blackboard) (
 	if e.halt {
 		mt.Note = "short-circuit"
 	}
-	observeModule(p.name, name, mt.Status, mt.Wall)
+	p.observeModule(i, mt.Status, mt.Wall)
 	return mt, nil
 }
 
@@ -473,7 +500,7 @@ func (p *Pipeline) Run(ctx context.Context, bb *Blackboard, opts Options) (*Trac
 			mt.Status = StatusRan
 			satisfied[idx] = true
 		}
-		observeModule(p.name, m.Name, mt.Status, mt.Wall)
+		p.observeModule(idx, mt.Status, mt.Wall)
 		if e.halt && e.err == nil && haltedBy == "" {
 			haltedBy = m.Name
 			mt.Note = "short-circuit"
@@ -507,11 +534,11 @@ func (p *Pipeline) Run(ctx context.Context, bb *Blackboard, opts Options) (*Trac
 	}
 
 	if haltedBy != "" && firstErr == nil && ctx.Err() == nil {
-		for i, m := range p.mods {
+		for i := range p.mods {
 			if !started[i] {
 				trace.Modules[i].Status = StatusSkipped
 				trace.Modules[i].Note = "short-circuited by " + haltedBy
-				observeModule(p.name, m.Name, StatusSkipped, 0)
+				p.observeModule(i, StatusSkipped, 0)
 			}
 		}
 	}

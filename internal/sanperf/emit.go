@@ -1,7 +1,8 @@
 package sanperf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"diads/internal/metrics"
 	"diads/internal/simtime"
@@ -14,326 +15,395 @@ const (
 	sequentialIOKB = 64
 )
 
-// poolAt keys a pool-level memo entry at one sampling instant.
-type poolAt struct {
-	pool topology.ID
-	t    simtime.Time
-}
-
-// poolWin keys a pool-level memo entry for one averaging window.
-type poolWin struct {
-	pool       topology.ID
-	start, end simtime.Time
-}
-
-// activePool is a memoized activeDisksOf result.
-type activePool struct {
-	disks     []topology.ID
-	allFailed bool
-}
-
-// poolRW holds a pool's volume-summed mean IOPS over one window.
-type poolRW struct {
-	read, write float64
-}
-
-// emitMemo caches pool-level intermediates across the series of one
-// EmitMetrics call. Every series samples the same time grid, so without
-// the memo each (pool, instant) utilization is recomputed once per
-// volume series and each pool demand once per disk series. The memoized
-// methods mirror their Model counterparts operation for operation —
-// including float accumulation order — so they replay the exact values
-// the unmemoized queries would produce. The memo lives for one
-// EmitMetrics call on one goroutine (the Sampler contract is already
-// single-goroutine), so no locking.
-type emitMemo struct {
-	m      *Model
-	active map[poolAt]activePool
-	demand map[poolAt]float64 // volumeDemand over the active set
-	util   map[poolAt]float64 // PoolUtilization
-	rw     map[poolWin]poolRW // per-volume MeanOver sums
-}
-
-func newEmitMemo(m *Model) *emitMemo {
-	return &emitMemo{
-		m:      m,
-		active: make(map[poolAt]activePool),
-		demand: make(map[poolAt]float64),
-		util:   make(map[poolAt]float64),
-		rw:     make(map[poolWin]poolRW),
-	}
-}
-
-func (em *emitMemo) activeDisks(pool topology.ID, t simtime.Time) activePool {
-	k := poolAt{pool, t}
-	if a, ok := em.active[k]; ok {
-		return a
-	}
-	disks, allFailed := em.m.activeDisksOf(pool, t)
-	a := activePool{disks, allFailed}
-	em.active[k] = a
-	return a
-}
-
-func (em *emitMemo) volumeDemand(pool topology.ID, t simtime.Time, n float64) float64 {
-	k := poolAt{pool, t}
-	if d, ok := em.demand[k]; ok {
-		return d
-	}
-	d := em.m.volumeDemand(pool, t, n)
-	em.demand[k] = d
-	return d
-}
-
-// poolUtilization mirrors Model.PoolUtilization.
-func (em *emitMemo) poolUtilization(pool topology.ID, t simtime.Time) float64 {
-	k := poolAt{pool, t}
-	if u, ok := em.util[k]; ok {
-		return u
-	}
-	var u float64
-	a := em.activeDisks(pool, t)
-	switch {
-	case len(a.disks) == 0:
-		u = 0
-	case a.allFailed:
-		u = 1
-	default:
-		n := float64(len(a.disks))
-		share := em.volumeDemand(pool, t, n)
-		var sum float64
-		for _, d := range a.disks {
-			sum += share + em.m.diskUtil.At(diskKey(d), t)
-		}
-		u = sum / n
-	}
-	em.util[k] = u
-	return u
-}
-
-// diskUtilization mirrors Model.DiskUtilization.
-func (em *emitMemo) diskUtilization(disk topology.ID, t simtime.Time) float64 {
-	m := em.m
-	pool := m.cfg.Parent(disk)
-	if pool == "" {
-		return 0
-	}
-	if !m.diskActive(disk, t) {
-		return 1
-	}
-	a := em.activeDisks(pool, t)
-	n := float64(len(a.disks))
-	if n == 0 {
-		return 1
-	}
-	return em.volumeDemand(pool, t, n) + m.diskUtil.At(diskKey(disk), t)
-}
-
-// readResponse mirrors Model.ReadResponse.
-func (em *emitMemo) readResponse(vol topology.ID, t simtime.Time, sequential bool) simtime.Duration {
-	m := em.m
-	svc := m.params.RandomReadService
-	if sequential {
-		svc = m.params.SequentialReadService
-	}
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return svc
-	}
-	return simtime.Duration(float64(svc) * m.queueFactor(em.poolUtilization(pool, t)))
-}
-
-// writeResponse mirrors Model.WriteResponse.
-func (em *emitMemo) writeResponse(vol topology.ID, t simtime.Time) simtime.Duration {
-	m := em.m
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return m.params.WriteService
-	}
-	return simtime.Duration(float64(m.params.WriteService) * m.queueFactor(em.poolUtilization(pool, t)))
-}
-
-// poolIOPS sums the pool volumes' mean read and write IOPS over w, each
-// accumulated in volume order exactly as the per-metric loops did.
-func (em *emitMemo) poolIOPS(pool topology.ID, w simtime.Interval) poolRW {
-	k := poolWin{pool, w.Start, w.End}
-	if v, ok := em.rw[k]; ok {
-		return v
-	}
-	var v poolRW
-	m := em.m
-	for _, vol := range m.cfg.VolumesInPool(pool) {
-		v.read += m.reads.MeanOver(volKey(vol), w)
-		v.write += m.writes.MeanOver(volKey(vol), w)
-	}
-	em.rw[k] = v
-	return v
-}
-
-// meanPoolWriteIOPS mirrors Model.MeanPoolWriteIOPS.
-func (em *emitMemo) meanPoolWriteIOPS(vol topology.ID, w simtime.Interval) float64 {
-	pool := em.m.cfg.PoolOf(vol)
-	if pool == "" {
-		return em.m.MeanWriteIOPS(vol, w)
-	}
-	return em.poolIOPS(pool, w).write
-}
-
-// EmitMetrics samples the model's ground-truth behaviour over iv and
-// records the monitoring series a storage management tool would collect:
-// per-volume rates and response times (including the writeIO/writeTime
-// metrics of the paper's Table 2), per-disk physical I/O, and per-pool and
-// per-subsystem aggregates.
+// Emit samples the model's ground-truth behaviour over iv and records the
+// monitoring series a storage management tool would collect: per-volume
+// rates and response times (including the writeIO/writeTime metrics of
+// the paper's Table 2), per-disk physical I/O, per-pool and
+// per-subsystem aggregates, and the FC-port traffic on the routes from
+// server to each volume it is mapped to.
 //
 // Rate metrics (IOPS, bytes) use exact interval averages, so even bursts
 // much shorter than the monitoring interval contribute their share —
 // smeared, exactly as the paper's "noisy data" challenge describes.
 // Response-time metrics are integrated numerically, so sub-interval blips
 // can be missed entirely, another realistic monitoring inaccuracy.
-func (m *Model) EmitMetrics(store *metrics.Store, sp *metrics.Sampler, iv simtime.Interval) {
-	cfg := m.cfg
-	em := newEmitMemo(m)
-	for _, vol := range cfg.All(topology.KindVolume) {
-		vol := vol
-		comp := string(vol)
-		sp.RecordWindowMean(store, comp, metrics.VolReadIO, iv, func(w simtime.Interval) float64 {
-			return m.MeanReadIOPS(vol, w)
-		})
+//
+// The model is evaluated once per constant piece and once per monitoring
+// window (see frame), not once per probe per series; every sample is
+// bit-identical to evaluating the utilization law and Timeline.MeanOver
+// per probe (emit_reference_test.go).
+func (m *Model) Emit(store *metrics.Store, sp *metrics.Sampler, iv simtime.Interval, server topology.ID) {
+	f := m.newFrame(sp.Windows(iv), iv, server)
+	means := func(comp string, metric metrics.Metric, fn func(i int) float64) {
+		sp.RecordWindowMean(store, comp, metric, iv, func(i int, _ simtime.Interval) float64 { return fn(i) })
+	}
+	rr, wr := m.params.RandomReadService, m.params.WriteService
+	for vi := range f.vols {
+		v := &f.vols[vi]
+		comp := string(v.id)
 		// writeIO is reported at the array-site level, as the DS6000's
 		// rank counters do: every write landing on the volume's backing
 		// disks counts, including other volumes of the pool. This is why
 		// the paper's Table 2 shows V1's writeIO anomalous under V'
 		// contention although the database itself writes nothing to V1.
-		sp.RecordWindowMean(store, comp, metrics.VolWriteIO, iv, func(w simtime.Interval) float64 {
-			return em.meanPoolWriteIOPS(vol, w)
-		})
-		sp.RecordWindowMean(store, comp, metrics.StContaminatingWr, iv, func(w simtime.Interval) float64 {
-			return em.meanPoolWriteIOPS(vol, w) - m.MeanWriteIOPS(vol, w)
-		})
+		poolWrite := v.write
+		if v.pool >= 0 {
+			poolWrite = f.pools[v.pool].write
+		}
+		means(comp, metrics.VolReadIO, func(i int) float64 { return v.read[i] })
+		means(comp, metrics.VolWriteIO, func(i int) float64 { return poolWrite[i] })
+		means(comp, metrics.StContaminatingWr, func(i int) float64 { return poolWrite[i] - v.write[i] })
 		sp.Record(store, comp, metrics.VolReadTime, iv, func(t simtime.Time) float64 {
-			return float64(em.readResponse(vol, t, false)) * 1000 // ms
+			return float64(simtime.Duration(float64(rr)*f.poolQF(v.pool, t))) * 1000 // ms
 		})
 		sp.Record(store, comp, metrics.VolWriteTime, iv, func(t simtime.Time) float64 {
-			return float64(em.writeResponse(vol, t)) * 1000 // ms
+			return float64(simtime.Duration(float64(wr)*f.poolQF(v.pool, t))) * 1000 // ms
 		})
-		sp.RecordWindowMean(store, comp, metrics.StBytesRead, iv, func(w simtime.Interval) float64 {
-			seq := m.MeanSeqReadIOPS(vol, w)
-			rnd := m.MeanReadIOPS(vol, w) - seq
+		means(comp, metrics.StBytesRead, func(i int) float64 {
+			seq := v.seq[i]
+			rnd := v.read[i] - seq
 			return seq*sequentialIOKB + rnd*randomIOKB // KB/s
 		})
-		sp.RecordWindowMean(store, comp, metrics.StBytesWritten, iv, func(w simtime.Interval) float64 {
-			return m.MeanWriteIOPS(vol, w) * randomIOKB
-		})
-		sp.RecordWindowMean(store, comp, metrics.StSeqReadRequests, iv, func(w simtime.Interval) float64 {
-			return m.MeanSeqReadIOPS(vol, w)
-		})
-		sp.RecordWindowMean(store, comp, metrics.StTotalIOs, iv, func(w simtime.Interval) float64 {
-			return m.MeanReadIOPS(vol, w) + m.MeanWriteIOPS(vol, w)
-		})
+		means(comp, metrics.StBytesWritten, func(i int) float64 { return v.write[i] * randomIOKB })
+		means(comp, metrics.StSeqReadRequests, func(i int) float64 { return v.seq[i] })
+		means(comp, metrics.StTotalIOs, func(i int) float64 { return v.read[i] + v.write[i] })
 	}
-	for _, disk := range cfg.All(topology.KindDisk) {
-		disk := disk
-		comp := string(disk)
-		pool := cfg.Parent(disk)
-		share := func(w simtime.Interval, read bool) float64 {
-			mid := w.Start.Add(w.Length() / 2)
-			n := float64(len(em.activeDisks(pool, mid).disks))
-			if n == 0 || !m.diskActive(disk, mid) {
-				return 0
-			}
-			rw := em.poolIOPS(pool, w)
-			if read {
-				return rw.read / n
-			}
-			return rw.write / n
-		}
-		sp.RecordWindowMean(store, comp, metrics.StPhysReadOps, iv, func(w simtime.Interval) float64 {
-			return share(w, true)
-		})
-		sp.RecordWindowMean(store, comp, metrics.StPhysWriteOps, iv, func(w simtime.Interval) float64 {
-			return share(w, false)
-		})
+	for di := range f.disks {
+		d := &f.disks[di]
+		comp := string(d.id)
+		means(comp, metrics.StPhysReadOps, func(i int) float64 { return f.share(d, i, true) })
+		means(comp, metrics.StPhysWriteOps, func(i int) float64 { return f.share(d, i, false) })
 		sp.Record(store, comp, metrics.StPhysReadTime, iv, func(t simtime.Time) float64 {
-			return float64(m.params.RandomReadService) * m.queueFactor(em.diskUtilization(disk, t)) * 1000
+			return float64(rr) * f.diskQF(d, t) * 1000
 		})
 		sp.Record(store, comp, metrics.StPhysWriteTime, iv, func(t simtime.Time) float64 {
-			return float64(m.params.WriteService) * m.queueFactor(em.diskUtilization(disk, t)) * 1000
+			return float64(wr) * f.diskQF(d, t) * 1000
 		})
-		sp.RecordWindowMean(store, comp, metrics.StTotalIOs, iv, func(w simtime.Interval) float64 {
-			return share(w, true) + share(w, false)
-		})
+		means(comp, metrics.StTotalIOs, func(i int) float64 { return f.share(d, i, true) + f.share(d, i, false) })
 	}
-	for _, pool := range cfg.All(topology.KindPool) {
-		pool := pool
-		comp := string(pool)
-		sp.RecordWindowMean(store, comp, metrics.StTotalIOs, iv, func(w simtime.Interval) float64 {
-			var sum float64
-			for _, v := range cfg.VolumesInPool(pool) {
-				sum += m.MeanReadIOPS(v, w) + m.MeanWriteIOPS(v, w)
-			}
-			return sum
-		})
+	for pi := range f.pools {
+		p := &f.pools[pi]
+		means(string(p.id), metrics.StTotalIOs, func(i int) float64 { return p.total[i] })
 	}
-	for _, ss := range cfg.All(topology.KindSubsystem) {
-		ss := ss
-		comp := string(ss)
-		sp.RecordWindowMean(store, comp, metrics.StTotalIOs, iv, func(w simtime.Interval) float64 {
+	for _, ss := range m.cfg.All(topology.KindSubsystem) {
+		var pools []*poolFrame
+		for _, pool := range m.cfg.ChildrenOfKind(ss, topology.KindPool) {
+			pools = append(pools, &f.pools[f.poolIndex(pool)])
+		}
+		means(string(ss), metrics.StTotalIOs, func(i int) float64 {
 			var sum float64
-			for _, pool := range cfg.ChildrenOfKind(ss, topology.KindPool) {
-				for _, v := range cfg.VolumesInPool(pool) {
-					sum += m.MeanReadIOPS(v, w) + m.MeanWriteIOPS(v, w)
+			for _, p := range pools {
+				for _, vi := range p.vols {
+					sum += f.vols[vi].read[i] + f.vols[vi].write[i]
 				}
 			}
 			return sum
 		})
 	}
+	for pi := range f.ports {
+		p := &f.ports[pi]
+		comp := string(p.id)
+		means(comp, metrics.NetBytesTransmitted, func(i int) float64 { return p.traffic[i] })
+		means(comp, metrics.NetBytesReceived, func(i int) float64 { return p.traffic[i] })
+		means(comp, metrics.NetPacketsTransmitted, func(i int) float64 { return p.traffic[i] / 2 }) // 2KB frames
+		sp.Record(store, comp, metrics.NetErrorFrames, iv, func(simtime.Time) float64 { return 0 })
+		sp.Record(store, comp, metrics.NetCRCErrors, iv, func(simtime.Time) float64 { return 0 })
+	}
 }
 
-// EmitNetworkMetrics records FC-port traffic series for the ports on the
-// route from server to each volume it is mapped to. Traffic is derived
-// from the volumes' byte rates; error counters stay at zero unless faults
-// add them elsewhere.
-func (m *Model) EmitNetworkMetrics(store *metrics.Store, sp *metrics.Sampler, iv simtime.Interval, server topology.ID) {
+// frame is one Emit call's view of the model: the topology resolved once,
+// the segments that reach into the chunk read once, the pool state
+// evaluated once per constant piece and the rate means once per
+// monitoring window. Nothing in it outlives the call.
+//
+// Reading the segments once gives the same bits as reading them per probe
+// because the model does not change during an emission: Add and Truncate
+// run on the instance's own goroutine — loads as runs execute, Truncate
+// from Retain in onChunk or at fleet barriers — never while Emit runs.
+//
+// Why pieces are exact: every instantaneous quantity of a pool (its
+// in-service disks, its volume demand, its and each disk's utilization)
+// is a function of which of its segments contain t, and that set can
+// change only at a segment's Start or End. Between two consecutive such
+// breakpoints the law therefore yields the same bits at every instant,
+// and evaluating it at the first probe that lands there serves every
+// other probe of that piece.
+type frame struct {
+	m     *Model
+	wins  []simtime.Interval // the sampler's monitoring windows over the chunk
+	vols  []volFrame         // every volume, by ID
+	disks []diskFrame        // every disk, by ID
+	pools []poolFrame        // every pool, by ID
+	ports []portFrame        // FC ports on the server's routes, by ID
+}
+
+type volFrame struct {
+	id               topology.ID
+	pool             int // index into frame.pools; -1 outside any pool
+	load             volLoad
+	read, write, seq []float64 // per-window means
+}
+
+type diskFrame struct {
+	id   topology.ID
+	pool int // index into frame.pools (a disk always sits in a pool)
+	slot int // index among the pool's disks
+}
+
+type poolFrame struct {
+	id   topology.ID
+	load poolLoad
+	vols []int // frame.vols indices, in load.vols order
+	// bounds are the sorted distinct Starts and Ends of every segment in
+	// load: piece k is [bounds[k-1], bounds[k]), open at both extremes.
+	bounds []simtime.Time
+	pieces []piece
+	// diskOn and diskQF hold, piece-major, each disk's service state and
+	// the queue factor of its utilization.
+	diskOn             []bool
+	diskQF             []float64
+	read, write, total []float64 // per-window sums over the pool's volumes
+}
+
+// piece is the pool state on one constant piece, filled on first probe.
+type piece struct {
+	done bool
+	n    float64 // disks in service
+	qf   float64 // queue factor of the pool utilization
+}
+
+type portFrame struct {
+	id      topology.ID
+	vols    []int     // frame.vols indices of the volumes routed through it
+	traffic []float64 // per-window KB/s
+}
+
+func (m *Model) newFrame(wins []simtime.Interval, iv simtime.Interval, server topology.ID) *frame {
 	cfg := m.cfg
-	perPort := make(map[topology.ID][]topology.ID) // port -> volumes routed through it
-	for _, vol := range cfg.All(topology.KindVolume) {
+	f := &frame{m: m, wins: wins}
+	volIDs := cfg.All(topology.KindVolume)
+	diskIDs := cfg.All(topology.KindDisk)
+	poolIDs := cfg.All(topology.KindPool)
+
+	// One lock acquisition per timeline; the segments land in one arena,
+	// key after key, in the order span reads them back.
+	var segs []Segment
+	var ends []int
+	segs, ends = appendInside(m.reads, segs, ends, volIDs, iv)
+	segs, ends = appendInside(m.writes, segs, ends, volIDs, iv)
+	segs, ends = appendInside(m.seqReads, segs, ends, volIDs, iv)
+	segs, ends = appendInside(m.diskUtil, segs, ends, diskIDs, iv)
+	segs, ends = appendInside(m.outage, segs, ends, diskIDs, iv)
+	span := func(j int) []Segment {
+		lo := 0
+		if j > 0 {
+			lo = ends[j-1]
+		}
+		return segs[lo:ends[j]:ends[j]]
+	}
+	nv, nd := len(volIDs), len(diskIDs)
+
+	f.pools = make([]poolFrame, len(poolIDs))
+	for pi, id := range poolIDs {
+		f.pools[pi].id = id
+	}
+	f.vols = make([]volFrame, nv)
+	for vi, id := range volIDs {
+		v := &f.vols[vi]
+		v.id, v.pool = id, f.poolIndex(cfg.PoolOf(id))
+		v.load = volLoad{span(vi), span(nv + vi), span(2*nv + vi)}
+		if v.pool >= 0 {
+			p := &f.pools[v.pool]
+			p.vols = append(p.vols, vi)
+			p.load.vols = append(p.load.vols, v.load)
+		}
+	}
+	f.disks = make([]diskFrame, nd)
+	for di, id := range diskIDs {
+		d := &f.disks[di]
+		d.id, d.pool = id, f.poolIndex(cfg.PoolOf(id))
+		p := &f.pools[d.pool]
+		d.slot = len(p.load.disks)
+		p.load.disks = append(p.load.disks, diskLoad{span(3*nv + di), span(3*nv + nd + di)})
+	}
+	for pi := range f.pools {
+		f.pools[pi].cut()
+	}
+	f.route(server)
+
+	// Per-window means: three per volume, three sums per pool, one
+	// traffic series per port, all in one backing array.
+	w := len(wins)
+	buf := make([]float64, w*(3*nv+3*len(f.pools)+len(f.ports)))
+	next := func() []float64 {
+		s := buf[:w:w]
+		buf = buf[w:]
+		return s
+	}
+	for vi := range f.vols {
+		v := &f.vols[vi]
+		v.read = windowMeans(v.load.reads, wins, next())
+		v.write = windowMeans(v.load.writes, wins, next())
+		v.seq = windowMeans(v.load.seqReads, wins, next())
+	}
+	for pi := range f.pools {
+		p := &f.pools[pi]
+		p.read, p.write, p.total = next(), next(), next()
+		for i := range wins {
+			for _, vi := range p.vols {
+				v := &f.vols[vi]
+				p.read[i] += v.read[i]
+				p.write[i] += v.write[i]
+				p.total[i] += v.read[i] + v.write[i]
+			}
+		}
+	}
+	for pi := range f.ports {
+		p := &f.ports[pi]
+		p.traffic = next()
+		for i := range wins {
+			for _, vi := range p.vols {
+				v := &f.vols[vi]
+				seq := v.seq[i]
+				rnd := v.read[i] - seq
+				p.traffic[i] += seq*sequentialIOKB + rnd*randomIOKB
+				p.traffic[i] += v.write[i] * randomIOKB
+			}
+		}
+	}
+	return f
+}
+
+// poolIndex returns the frame index of a pool, or -1 ("" or unknown).
+func (f *frame) poolIndex(id topology.ID) int {
+	i, ok := slices.BinarySearchFunc(f.pools, id, func(p poolFrame, id topology.ID) int { return cmp.Compare(p.id, id) })
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// cut collects the pool's breakpoints and sizes its pieces.
+func (p *poolFrame) cut() {
+	add := func(segs []Segment) {
+		for _, s := range segs {
+			p.bounds = append(p.bounds, s.Iv.Start, s.Iv.End)
+		}
+	}
+	for _, v := range p.load.vols {
+		add(v.reads)
+		add(v.writes)
+		add(v.seqReads)
+	}
+	for _, d := range p.load.disks {
+		add(d.util)
+		add(d.outage)
+	}
+	slices.Sort(p.bounds)
+	p.bounds = slices.Compact(p.bounds)
+	np := len(p.bounds) + 1
+	p.pieces = make([]piece, np)
+	p.diskOn = make([]bool, np*len(p.load.disks))
+	p.diskQF = make([]float64, np*len(p.load.disks))
+}
+
+// route resolves, once, the FC ports on the fabric route from server to
+// each volume mapped to it, and the volumes each port carries. A route
+// runs from the server to the subsystem hosting the volume and depends on
+// nothing else, so it is searched once per subsystem.
+func (f *frame) route(server topology.ID) {
+	cfg := f.m.cfg
+	type found struct {
+		ss    topology.ID
+		route topology.Route
+		err   error
+	}
+	var routes []found
+	for vi := range f.vols {
+		vol := f.vols[vi].id
 		if !cfg.LUNVisible(vol, server) {
 			continue
 		}
-		route, err := cfg.FabricRoute(server, vol)
+		ss := cfg.Parent(cfg.PoolOf(vol))
+		r := slices.IndexFunc(routes, func(r found) bool { return r.ss == ss })
+		if r < 0 {
+			route, err := cfg.FabricRoute(server, vol)
+			r = len(routes)
+			routes = append(routes, found{ss, route, err})
+		}
+		route, err := routes[r].route, routes[r].err
 		if err != nil {
 			continue
 		}
 		for _, id := range route {
-			if comp, ok := cfg.Get(id); ok && comp.Kind == topology.KindPort {
-				perPort[id] = append(perPort[id], vol)
+			if comp, ok := cfg.Get(id); !ok || comp.Kind != topology.KindPort {
+				continue
 			}
+			j := slices.IndexFunc(f.ports, func(p portFrame) bool { return p.id == id })
+			if j < 0 {
+				j = len(f.ports)
+				f.ports = append(f.ports, portFrame{id: id})
+			}
+			f.ports[j].vols = append(f.ports[j].vols, vi)
 		}
 	}
-	ports := make([]topology.ID, 0, len(perPort))
-	for port := range perPort {
-		ports = append(ports, port)
+	slices.SortFunc(f.ports, func(a, b portFrame) int { return cmp.Compare(a.id, b.id) })
+}
+
+// piece returns the index of the piece holding t, evaluating the pool's
+// state there if no earlier probe has.
+func (f *frame) piece(p *poolFrame, t simtime.Time) int {
+	k, found := slices.BinarySearch(p.bounds, t)
+	if found {
+		k++ // t is a breakpoint: it opens the next piece
 	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	for _, port := range ports {
-		port, vols := port, perPort[port]
-		comp := string(port)
-		traffic := func(w simtime.Interval) float64 {
-			var kb float64
-			for _, v := range vols {
-				seq := m.MeanSeqReadIOPS(v, w)
-				rnd := m.MeanReadIOPS(v, w) - seq
-				kb += seq*sequentialIOKB + rnd*randomIOKB
-				kb += m.MeanWriteIOPS(v, w) * randomIOKB
-			}
-			return kb
-		}
-		sp.RecordWindowMean(store, comp, metrics.NetBytesTransmitted, iv, traffic)
-		sp.RecordWindowMean(store, comp, metrics.NetBytesReceived, iv, traffic)
-		sp.RecordWindowMean(store, comp, metrics.NetPacketsTransmitted, iv, func(w simtime.Interval) float64 {
-			return traffic(w) / 2 // 2KB frames
-		})
-		sp.Record(store, comp, metrics.NetErrorFrames, iv, func(simtime.Time) float64 { return 0 })
-		sp.Record(store, comp, metrics.NetCRCErrors, iv, func(simtime.Time) float64 { return 0 })
+	pc := &p.pieces[k]
+	if pc.done {
+		return k
 	}
+	m := f.m
+	st := m.stateAt(&p.load, t)
+	pc.n = st.n
+	pc.qf = m.queueFactor(st.poolUtilization(&p.load, t))
+	nd := len(p.load.disks)
+	for i := range p.load.disks {
+		d := &p.load.disks[i]
+		p.diskOn[k*nd+i] = d.inService(t)
+		p.diskQF[k*nd+i] = m.queueFactor(st.diskUtilization(d, t))
+	}
+	pc.done = true
+	return k
+}
+
+// poolQF is the queue factor of a pool's utilization at t; 1 outside any
+// pool, where a response is the bare service time (svc*1 is exact).
+func (f *frame) poolQF(pool int, t simtime.Time) float64 {
+	if pool < 0 {
+		return 1
+	}
+	p := &f.pools[pool]
+	return p.pieces[f.piece(p, t)].qf
+}
+
+// diskQF is the queue factor of a disk's utilization at t.
+func (f *frame) diskQF(d *diskFrame, t simtime.Time) float64 {
+	p := &f.pools[d.pool]
+	return p.diskQF[f.piece(p, t)*len(p.load.disks)+d.slot]
+}
+
+// share is a disk's part of its pool's read (or write) IOPS over window
+// i: the pool's volume means split evenly across the disks in service at
+// the window's midpoint, 0 for a disk out of service.
+func (f *frame) share(d *diskFrame, i int, read bool) float64 {
+	p := &f.pools[d.pool]
+	w := f.wins[i]
+	k := f.piece(p, w.Start.Add(w.Length()/2))
+	if !p.diskOn[k*len(p.load.disks)+d.slot] {
+		return 0
+	}
+	n := p.pieces[k].n
+	if read {
+		return p.read[i] / n
+	}
+	return p.write[i] / n
 }

@@ -117,35 +117,6 @@ func (m *Model) Truncate(before simtime.Time) int {
 	return n
 }
 
-// diskActive reports whether the disk is in service at t.
-func (m *Model) diskActive(disk topology.ID, t simtime.Time) bool {
-	return m.outage.At(diskKey(disk), t) == 0
-}
-
-// activeDisks returns the in-service disks of a pool at t. If every disk
-// failed it returns the full set to avoid division by zero; the pool is
-// then fully saturated anyway.
-func (m *Model) activeDisks(pool topology.ID, t simtime.Time) []topology.ID {
-	disks, _ := m.activeDisksOf(pool, t)
-	return disks
-}
-
-// activeDisksOf is activeDisks plus a flag for the every-disk-failed
-// fallback, so callers need not re-probe the outage timeline per disk.
-func (m *Model) activeDisksOf(pool topology.ID, t simtime.Time) ([]topology.ID, bool) {
-	disks := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
-	var active []topology.ID
-	for _, d := range disks {
-		if m.diskActive(d, t) {
-			active = append(active, d)
-		}
-	}
-	if len(active) == 0 {
-		return disks, true
-	}
-	return active, false
-}
-
 // VolumeReadIOPS returns the total read IOPS applied to vol at t.
 func (m *Model) VolumeReadIOPS(vol topology.ID, t simtime.Time) float64 {
 	return m.reads.At(volKey(vol), t)
@@ -156,65 +127,103 @@ func (m *Model) VolumeWriteIOPS(vol topology.ID, t simtime.Time) float64 {
 	return m.writes.At(volKey(vol), t)
 }
 
-// MeanReadIOPS returns the exact time-average read IOPS on vol over iv.
-// Rate metrics are linear in the load segments, so monitoring-interval
-// averages can be computed exactly even for bursts much shorter than the
-// monitoring interval.
-func (m *Model) MeanReadIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.reads.MeanOver(volKey(vol), iv)
+// volLoad is one volume's read, write and sequential-read segments.
+type volLoad struct{ reads, writes, seqReads []Segment }
+
+// diskLoad is one disk's direct-utilization and outage segments.
+type diskLoad struct{ util, outage []Segment }
+
+// inService reports whether the disk is in service at t.
+func (d *diskLoad) inService(t simtime.Time) bool { return sumAt(d.outage, t) == 0 }
+
+// poolLoad is what the utilization law reads of one pool: its volumes'
+// and its disks' segments, each in topology (ID) order. The law is the
+// functions below and nothing else; Model's instantaneous queries feed
+// it the full timelines at one instant, the emission frame feeds it the
+// chunk's segments once per constant piece.
+type poolLoad struct {
+	vols  []volLoad
+	disks []diskLoad
 }
 
-// MeanWriteIOPS returns the exact time-average write IOPS on vol over iv.
-func (m *Model) MeanWriteIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.writes.MeanOver(volKey(vol), iv)
+// poolState is the law's pool-wide terms at one instant.
+type poolState struct {
+	n float64 // disks in service
+	// demand is the per-disk service demand of the pool's volumes when
+	// spread across the n in-service disks, busy seconds per second.
+	demand float64
 }
 
-// MeanSeqReadIOPS returns the exact time-average sequential-read IOPS on
-// vol over iv.
-func (m *Model) MeanSeqReadIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.seqReads.MeanOver(volKey(vol), iv)
-}
-
-// MeanPoolWriteIOPS returns the time-average write IOPS landing on vol's
-// backing disks: the writes of every volume in its pool. This is the
-// array-site ("rank") view a storage controller reports per volume.
-func (m *Model) MeanPoolWriteIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return m.MeanWriteIOPS(vol, iv)
+// loadOf reads the segments of a pool's volumes and disks.
+func (m *Model) loadOf(pool topology.ID) poolLoad {
+	vols := m.cfg.VolumesInPool(pool)
+	disks := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
+	pl := poolLoad{make([]volLoad, len(vols)), make([]diskLoad, len(disks))}
+	for i, v := range vols {
+		pl.vols[i] = volLoad{m.reads.view(volKey(v)), m.writes.view(volKey(v)), m.seqReads.view(volKey(v))}
 	}
-	var sum float64
-	for _, v := range m.cfg.VolumesInPool(pool) {
-		sum += m.writes.MeanOver(volKey(v), iv)
+	for i, d := range disks {
+		pl.disks[i] = m.diskLoadOf(d)
 	}
-	return sum
+	return pl
 }
 
-// volumeSeqFrac returns the sequential fraction of vol's reads at t.
-// r is the volume's read IOPS at t, passed in so callers that already
-// queried the read timeline don't pay for a second lookup.
-func (m *Model) volumeSeqFrac(vol topology.ID, t simtime.Time, r float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	f := m.seqReads.At(volKey(vol), t) / r
-	return math.Min(1, math.Max(0, f))
+func (m *Model) diskLoadOf(d topology.ID) diskLoad {
+	return diskLoad{m.diskUtil.view(diskKey(d)), m.outage.view(diskKey(d))}
 }
 
-// volumeDemand returns the per-disk service demand of the pool's volumes
-// at t when their load spreads across n in-service disks. Every active
-// disk of a pool shares this term; only direct disk load differs per disk.
-func (m *Model) volumeDemand(pool topology.ID, t simtime.Time, n float64) float64 {
-	var demand float64 // busy seconds per second
-	for _, vol := range m.cfg.VolumesInPool(pool) {
-		r := m.reads.At(volKey(vol), t)
-		w := m.writes.At(volKey(vol), t)
-		seq := m.volumeSeqFrac(vol, t, r)
+// stateAt evaluates the pool-wide terms at t.
+func (m *Model) stateAt(pl *poolLoad, t simtime.Time) poolState {
+	var st poolState
+	for i := range pl.disks {
+		if pl.disks[i].inService(t) {
+			st.n++
+		}
+	}
+	if st.n == 0 {
+		return st
+	}
+	for _, v := range pl.vols {
+		r := sumAt(v.reads, t)
+		w := sumAt(v.writes, t)
+		var seq float64 // sequential fraction of the volume's reads
+		if r > 0 {
+			seq = math.Min(1, math.Max(0, sumAt(v.seqReads, t)/r))
+		}
 		readSvc := float64(m.params.RandomReadService)*(1-seq) +
 			float64(m.params.SequentialReadService)*seq
-		demand += (r*readSvc + w*float64(m.params.WriteService)) / n
+		st.demand += (r*readSvc + w*float64(m.params.WriteService)) / st.n
 	}
-	return demand
+	return st
+}
+
+// diskUtilization is one disk's utilization at t: the pool's shared
+// volume demand plus the disk's direct load, or 1 while it is out of
+// service.
+func (st poolState) diskUtilization(d *diskLoad, t simtime.Time) float64 {
+	if !d.inService(t) {
+		return 1
+	}
+	return st.demand + sumAt(d.util, t)
+}
+
+// poolUtilization is the mean utilization across the pool's in-service
+// disks at t: 0 for a pool without disks, and 1 when every disk failed,
+// since each then reads 1.
+func (st poolState) poolUtilization(pl *poolLoad, t simtime.Time) float64 {
+	switch {
+	case len(pl.disks) == 0:
+		return 0
+	case st.n == 0:
+		return 1
+	}
+	var sum float64
+	for i := range pl.disks {
+		if pl.disks[i].inService(t) {
+			sum += st.diskUtilization(&pl.disks[i], t)
+		}
+	}
+	return sum / st.n
 }
 
 // DiskUtilization returns the utilization of one disk at t: the summed
@@ -225,14 +234,9 @@ func (m *Model) DiskUtilization(disk topology.ID, t simtime.Time) float64 {
 	if pool == "" {
 		return 0
 	}
-	if !m.diskActive(disk, t) {
-		return 1
-	}
-	n := float64(len(m.activeDisks(pool, t)))
-	if n == 0 {
-		return 1
-	}
-	return m.volumeDemand(pool, t, n) + m.diskUtil.At(diskKey(disk), t)
+	pl := m.loadOf(pool)
+	d := m.diskLoadOf(disk)
+	return m.stateAt(&pl, t).diskUtilization(&d, t)
 }
 
 // PoolUtilization returns the mean utilization across a pool's in-service
@@ -240,21 +244,8 @@ func (m *Model) DiskUtilization(disk topology.ID, t simtime.Time) float64 {
 // rather than once per disk, so the cost is O(disks + volumes) instead of
 // O(disks × volumes); per-disk results match DiskUtilization exactly.
 func (m *Model) PoolUtilization(pool topology.ID, t simtime.Time) float64 {
-	disks, allFailed := m.activeDisksOf(pool, t)
-	if len(disks) == 0 {
-		return 0
-	}
-	if allFailed {
-		// Every disk reports utilization 1, so the mean is exactly 1.
-		return 1
-	}
-	n := float64(len(disks))
-	share := m.volumeDemand(pool, t, n)
-	var sum float64
-	for _, d := range disks {
-		sum += share + m.diskUtil.At(diskKey(d), t)
-	}
-	return sum / n
+	pl := m.loadOf(pool)
+	return m.stateAt(&pl, t).poolUtilization(&pl, t)
 }
 
 // queueFactor converts utilization into the M/M/1 response multiplier

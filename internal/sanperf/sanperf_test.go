@@ -2,6 +2,7 @@ package sanperf
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diads/internal/metrics"
@@ -208,7 +209,7 @@ func TestEmitMetricsProducesSeries(t *testing.T) {
 	m.AddLoad(Load{Volume: "vol-V1", Iv: iv, ReadIOPS: 100, WriteIOPS: 40, Source: "q"})
 	store := metrics.NewStore()
 	sp := metrics.NewSampler(0, 0)
-	m.EmitMetrics(store, sp, iv)
+	m.Emit(store, sp, iv, "srv-db")
 
 	rio := store.Series("vol-V1", metrics.VolReadIO)
 	if len(rio) != 6 {
@@ -232,6 +233,45 @@ func TestEmitMetricsProducesSeries(t *testing.T) {
 	if len(store.Series("ss-1", metrics.StTotalIOs)) == 0 {
 		t.Fatalf("subsystem metrics missing")
 	}
+}
+
+// TestQueriesDuringAddAndTruncate runs the instantaneous queries on
+// several goroutines while another adds and truncates segments, as
+// diagnosis workers do beside a streaming instance: the law reads the
+// slices Timeline.view returns after the lock is released, which is race
+// free only because Add appends past them and Truncate replaces them.
+func TestQueriesDuringAddAndTruncate(t *testing.T) {
+	m := NewModel(buildSAN(t), DefaultDiskParams())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, at := range []simtime.Time{100, 900, 1700} {
+					m.PoolUtilization("pool-P1", at)
+					m.DiskUtilization("disk-3", at)
+					m.ReadResponse("vol-V1", at, false)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		at := simtime.Time(i)
+		m.AddLoad(Load{Volume: "vol-Vp", Iv: simtime.NewInterval(at, at+50), ReadIOPS: 10, WriteIOPS: 5, SeqFrac: 0.5, Source: "w"})
+		m.FailDisk("disk-3", simtime.NewInterval(at, at+20), "f")
+		if i%25 == 0 {
+			m.Truncate(at - 100)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func time30min() simtime.Duration { return 30 * simtime.Minute }

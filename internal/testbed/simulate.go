@@ -264,15 +264,15 @@ func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 	if iv.Length() <= 0 {
 		return
 	}
-	tb.SAN.EmitMetrics(tb.Store, tb.Sampler, iv)
-	tb.SAN.EmitNetworkMetrics(tb.Store, tb.Sampler, iv, ServerDB)
+	tb.SAN.Emit(tb.Store, tb.Sampler, iv, ServerDB)
 
 	// Server metrics: CPU from the load timeline (exact interval means, as
-	// a real agent's counters would report); memory mostly flat.
+	// a real agent's counters would report); memory mostly flat. Each
+	// timeline key's window means come from one pass over its segments.
+	wins := tb.Sampler.Windows(iv)
+	means := tb.CPULoad.WindowMeans("cpu", wins, nil)
 	tb.Sampler.RecordWindowMean(tb.Store, string(ServerDB), metrics.SrvCPUUsagePct, iv,
-		func(w simtime.Interval) float64 {
-			return 100 * minf(0.08+tb.CPULoad.MeanOver("cpu", w), 1)
-		})
+		func(i int, _ simtime.Interval) float64 { return 100 * minf(0.08+means[i], 1) })
 	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvPhysMemoryPct, iv,
 		func(simtime.Time) float64 { return 62 })
 	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvProcesses, iv,
@@ -280,8 +280,9 @@ func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 
 	// Database metrics: per-run activity rates plus lock-manager state.
 	rec := func(metric metrics.Metric, key string) {
+		means = tb.dbAct.WindowMeans(key, wins, means)
 		tb.Sampler.RecordWindowMean(tb.Store, DBInstance, metric, iv,
-			func(w simtime.Interval) float64 { return tb.dbAct.MeanOver(key, w) })
+			func(i int, _ simtime.Interval) float64 { return means[i] })
 	}
 	rec(metrics.DBBlocksRead, "blocksread")
 	rec(metrics.DBBufferHits, "bufferhits")
