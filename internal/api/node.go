@@ -42,7 +42,6 @@ import (
 	"diads/internal/fleet"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
-	"diads/internal/plan"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -121,8 +120,6 @@ type instance struct {
 	// lastSeq is the intake sequence of the last batch that touched the
 	// instance — the idle-eviction clock.
 	lastSeq int64
-	// plans caches the reconstructed plan per query.
-	plans map[string]*plan.Plan
 }
 
 // intakeJob is one accepted ingest batch awaiting ordered application.
@@ -428,7 +425,6 @@ func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
 	in = &instance{
 		Instance: fleet.Instance{ID: id, Testbed: tb, Monitor: monitor.New(n.cfg.Monitor)},
 		lastSeq:  n.batchSeq,
-		plans:    make(map[string]*plan.Plan),
 	}
 	in.Attach(n.svc, n.cfg.SymDB)
 	n.mu.Lock()
@@ -500,23 +496,21 @@ func (n *Node) release(in *instance, traceID string) {
 // applyRuns replays a run batch through the instance's monitor. The
 // run's plan is reconstructed with the instance's own optimizer —
 // deterministic, so node IDs match a client compiled against the same
-// catalog — and cached per query.
+// catalog — whose memo plans each query once per catalog, parameter and
+// statistics version.
 func (n *Node) applyRuns(b *RunBatch) {
 	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
 	}
+	tb := in.Testbed
 	for i := range b.Runs {
 		wr := &b.Runs[i]
-		p := in.plans[wr.Query]
-		if p == nil {
-			p, err = in.Testbed.Opt.PlanQuery(wr.Query, in.Testbed.Stats, in.Testbed.Params)
-			if err != nil {
-				n.tel.applyErr.Inc()
-				continue
-			}
-			in.plans[wr.Query] = p
+		p, err := tb.Opt.PlanQuery(wr.Query, tb.Stats, tb.Params)
+		if err != nil {
+			n.tel.applyErr.Inc()
+			continue
 		}
 		in.Monitor.Observe(wr.runRecord(p))
 	}

@@ -60,10 +60,21 @@ func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
 	latency := reg.Histogram("diads_api_request_seconds",
 		"Wall time of one API request, by route.",
 		telemetry.Labels{"route": name}, nil)
+	// The outcome counter is resolved once per status code: a registry
+	// lookup builds a label map and a canonical key.
+	var mu sync.Mutex
+	outcomes := make(map[int]*telemetry.Counter)
 	outcome := func(code int) *telemetry.Counter {
-		return reg.Counter("diads_api_requests_total",
-			"API requests, by route and status code.",
-			telemetry.Labels{"route": name, "code": strconv.Itoa(code)})
+		mu.Lock()
+		defer mu.Unlock()
+		c := outcomes[code]
+		if c == nil {
+			c = reg.Counter("diads_api_requests_total",
+				"API requests, by route and status code.",
+				telemetry.Labels{"route": name, "code": strconv.Itoa(code)})
+			outcomes[code] = c
+		}
+		return c
 	}
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

@@ -10,9 +10,18 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"diads/internal/topology"
 )
+
+// versions is the one source of state versions: a Catalog mutation, a
+// Params change or clone, and a stamped Stats value each draw the next
+// number, so a version names one state of one object in the process. The
+// optimizer memoises plans on them (opt.Optimizer.PlanQuery).
+var versions atomic.Uint64
+
+func nextVersion() uint64 { return versions.Add(1) }
 
 // PageSizeKB is the database page size.
 const PageSizeKB = 8
@@ -65,9 +74,10 @@ type Index struct {
 }
 
 // Catalog is the database schema plus actual data properties. It is safe
-// for concurrent use.
+// for concurrent use. Every mutation gives it a new Version.
 type Catalog struct {
 	mu          sync.RWMutex
+	version     uint64
 	tables      map[string]*Table
 	indexes     map[string]*Index
 	tablespaces map[string]*Tablespace
@@ -76,10 +86,46 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
+		version:     nextVersion(),
 		tables:      make(map[string]*Table),
 		indexes:     make(map[string]*Index),
 		tablespaces: make(map[string]*Tablespace),
 	}
+}
+
+// Version names the catalog's current state: it changes on every
+// mutation and no other catalog ever carries it.
+func (c *Catalog) Version() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.version
+}
+
+// Clone returns an independent copy under a fresh version. Module PD
+// replays schema events on a clone, never on the live catalog an
+// instance's driver is planning against.
+func (c *Catalog) Clone() *Catalog {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := &Catalog{
+		version:     nextVersion(),
+		tables:      make(map[string]*Table, len(c.tables)),
+		indexes:     make(map[string]*Index, len(c.indexes)),
+		tablespaces: make(map[string]*Tablespace, len(c.tablespaces)),
+	}
+	for n, t := range c.tables {
+		cp := *t
+		out.tables[n] = &cp
+	}
+	for n, ix := range c.indexes {
+		cp := *ix
+		out.indexes[n] = &cp
+	}
+	for n, ts := range c.tablespaces {
+		cp := *ts
+		out.tablespaces[n] = &cp
+	}
+	return out
 }
 
 // AddTablespace registers a tablespace on a SAN volume.
@@ -87,6 +133,7 @@ func (c *Catalog) AddTablespace(name string, volume topology.ID, mode StorageMod
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tablespaces[name] = &Tablespace{Name: name, Volume: volume, Mode: mode}
+	c.version = nextVersion()
 }
 
 // AddTable registers a table.
@@ -97,6 +144,7 @@ func (c *Catalog) AddTable(name, tablespace string, rows int64, rowWidthB int) e
 		return fmt.Errorf("dbsys: table %q references unknown tablespace %q", name, tablespace)
 	}
 	c.tables[name] = &Table{Name: name, Tablespace: tablespace, Rows: rows, RowWidthB: rowWidthB}
+	c.version = nextVersion()
 	return nil
 }
 
@@ -108,6 +156,7 @@ func (c *Catalog) AddIndex(name, table, column string, correlation float64) erro
 		return fmt.Errorf("dbsys: index %q references unknown table %q", name, table)
 	}
 	c.indexes[name] = &Index{Name: name, Table: table, Column: column, Correlation: correlation}
+	c.version = nextVersion()
 	return nil
 }
 
@@ -172,6 +221,7 @@ func (c *Catalog) DropIndex(name string) bool {
 		return false
 	}
 	ix.Dropped = true
+	c.version = nextVersion()
 	return true
 }
 
@@ -185,6 +235,7 @@ func (c *Catalog) RestoreIndex(name string) bool {
 		return false
 	}
 	ix.Dropped = false
+	c.version = nextVersion()
 	return true
 }
 
@@ -198,6 +249,7 @@ func (c *Catalog) SetRows(table string, rows int64) error {
 		return fmt.Errorf("dbsys: unknown table %q", table)
 	}
 	t.Rows = rows
+	c.version = nextVersion()
 	return nil
 }
 
@@ -210,6 +262,7 @@ func (c *Catalog) ScaleRows(table string, factor float64) error {
 		return fmt.Errorf("dbsys: unknown table %q", table)
 	}
 	t.Rows = int64(float64(t.Rows) * factor)
+	c.version = nextVersion()
 	return nil
 }
 
@@ -255,28 +308,35 @@ func (c *Catalog) Tablespaces() []Tablespace {
 // Snapshot captures the optimizer-visible statistics: per-table row counts
 // as of "ANALYZE time". A data-property change after the snapshot leaves
 // the optimizer estimating from stale numbers, which is how estimated and
-// actual record counts diverge.
+// actual record counts diverge. The snapshot carries a fresh version.
 func (c *Catalog) Snapshot() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s := Stats{Rows: make(map[string]int64, len(c.tables))}
+	s := Stats{Rows: make(map[string]int64, len(c.tables)), version: nextVersion()}
 	for n, t := range c.tables {
 		s.Rows[n] = t.Rows
 	}
 	return s
 }
 
-// Stats is an optimizer-visible statistics snapshot.
+// Stats is an optimizer-visible statistics snapshot. Catalog.Snapshot and
+// Clone stamp it with a version the optimizer memoises plans on, so a
+// stamped value must not be written once it has been planned with: change
+// a Clone instead. A hand-built Stats has version 0 and is never memoised.
 type Stats struct {
-	Rows map[string]int64
+	Rows    map[string]int64
+	version uint64
 }
 
 // RowsOf returns the snapshot cardinality for a table (0 if absent).
 func (s Stats) RowsOf(table string) int64 { return s.Rows[table] }
 
-// Clone returns a deep copy of the snapshot.
+// Version names the snapshot (0: hand-built, unversioned).
+func (s Stats) Version() uint64 { return s.version }
+
+// Clone returns a deep copy of the snapshot under a fresh version.
 func (s Stats) Clone() Stats {
-	out := Stats{Rows: make(map[string]int64, len(s.Rows))}
+	out := Stats{Rows: make(map[string]int64, len(s.Rows)), version: nextVersion()}
 	for k, v := range s.Rows {
 		out.Rows[k] = v
 	}

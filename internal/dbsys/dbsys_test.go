@@ -215,3 +215,72 @@ func TestTablePages(t *testing.T) {
 		t.Fatalf("empty table should still have 1 page, got %d", p)
 	}
 }
+
+// TestVersionsNameStates pins the versioning contract the optimizer's
+// memo keys on: every mutation of a catalog or parameter set gives it a
+// version no object has carried before, a refused mutation keeps the
+// version, a clone starts under its own and diverges independently, and
+// every stamped statistics snapshot is distinct while a hand-built one is
+// unversioned.
+func TestVersionsNameStates(t *testing.T) {
+	c := newTestCatalog(t)
+	p := DefaultParams()
+	seen := map[uint64]bool{c.Version(): true, p.Version(): true}
+	fresh := func(what string, v uint64) {
+		t.Helper()
+		if v == 0 || seen[v] {
+			t.Fatalf("%s: version %d is not new", what, v)
+		}
+		seen[v] = true
+	}
+	for _, m := range []struct {
+		what string
+		do   func() bool
+	}{
+		{"AddTablespace", func() bool { c.AddTablespace("ts_x", "vol-V3", DatabaseManaged); return true }},
+		{"AddTable", func() bool { return c.AddTable("x", "ts_x", 10, 100) == nil }},
+		{"AddIndex", func() bool { return c.AddIndex("x_idx", "x", "k", 1) == nil }},
+		{"DropIndex", func() bool { return c.DropIndex("x_idx") }},
+		{"RestoreIndex", func() bool { return c.RestoreIndex("x_idx") }},
+		{"SetRows", func() bool { return c.SetRows("x", 20) == nil }},
+		{"ScaleRows", func() bool { return c.ScaleRows("x", 2) == nil }},
+	} {
+		if !m.do() {
+			t.Fatalf("%s failed", m.what)
+		}
+		fresh(m.what, c.Version())
+	}
+	v := c.Version()
+	if c.DropIndex("no_such_index") || c.SetRows("missing", 1) == nil || c.AddTable("y", "nope", 1, 1) == nil || c.Version() != v {
+		t.Fatalf("a refused mutation moved the version %d -> %d", v, c.Version())
+	}
+
+	clone := c.Clone()
+	fresh("Clone", clone.Version())
+	clone.DropIndex(IdxPartsuppPart)
+	fresh("clone's DropIndex", clone.Version())
+	if c.Version() != v {
+		t.Fatal("mutating a clone moved the original's version")
+	}
+	if _, ok := c.IndexOn(TPartsupp, "ps_partkey"); !ok {
+		t.Fatal("a clone's drop reached the original")
+	}
+	if ix, _ := clone.Index("x_idx"); ix == nil || clone.MustTable("x").Rows != 40 {
+		t.Fatal("the clone lost state")
+	}
+
+	p.Set(ParamWorkMemKB, 1)
+	fresh("Params.Set", p.Version())
+	pc := p.Clone()
+	fresh("Params.Clone", pc.Version())
+	pc.Set(ParamWorkMemKB, 2)
+	fresh("clone's Set", pc.Version())
+
+	s1, s2 := c.Snapshot(), c.Snapshot()
+	fresh("Snapshot", s1.Version())
+	fresh("second Snapshot", s2.Version())
+	fresh("Stats.Clone", s1.Clone().Version())
+	if (Stats{Rows: s1.Rows}).Version() != 0 {
+		t.Fatal("a hand-built Stats carries a version")
+	}
+}

@@ -25,15 +25,17 @@ const (
 // Params is the database configuration: a set of named numeric parameters
 // (booleans are 0/1). The optimizer's plan choice is sensitive to several
 // of them, which is what lets Module PD attribute plan changes to
-// parameter changes. Params is safe for concurrent use.
+// parameter changes. Params is safe for concurrent use. Every Set gives
+// it a new Version.
 type Params struct {
-	mu     sync.RWMutex
-	values map[string]float64
+	mu      sync.RWMutex
+	version uint64
+	values  map[string]float64
 }
 
 // DefaultParams returns PostgreSQL-like defaults.
 func DefaultParams() *Params {
-	return &Params{values: map[string]float64{
+	return &Params{version: nextVersion(), values: map[string]float64{
 		ParamWorkMemKB:          4096,
 		ParamRandomPageCost:     4.0,
 		ParamSeqPageCost:        1.0,
@@ -65,7 +67,16 @@ func (p *Params) Set(name string, v float64) float64 {
 	defer p.mu.Unlock()
 	old := p.values[name]
 	p.values[name] = v
+	p.version = nextVersion()
 	return old
+}
+
+// Version names the parameters' current state: it changes on every Set,
+// and a Clone starts under its own.
+func (p *Params) Version() uint64 {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.version
 }
 
 // Clone returns an independent copy; Module PD replays candidate changes
@@ -74,7 +85,7 @@ func (p *Params) Set(name string, v float64) float64 {
 func (p *Params) Clone() *Params {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp := &Params{values: make(map[string]float64, len(p.values))}
+	cp := &Params{version: nextVersion(), values: make(map[string]float64, len(p.values))}
 	for k, v := range p.values {
 		cp.values[k] = v
 	}

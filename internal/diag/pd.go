@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"diads/internal/exec"
+	"diads/internal/opt"
 	"diads/internal/plan"
 	"diads/internal/topology"
 )
@@ -110,28 +111,28 @@ func planWithSig(runs []*exec.RunRecord, sig string) *plan.Plan {
 }
 
 // replayIndexEvent tests whether an index drop/creation explains the plan
-// change by toggling the index and re-running the optimizer.
+// change by toggling the index and re-running the optimizer. It replays on
+// a clone of the catalog through its own optimizer: the live catalog keeps
+// serving the instance's driver and sibling diagnoses, untouched, and
+// both plans come from one consistent copy of it.
 func replayIndexEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	idx := string(ev.Subject)
 	cause := PlanChangeCause{Event: ev}
 
-	toggleBack := func() {}
+	cat := in.Cat.Clone()
+	o := opt.New(cat)
+	after, errA := o.PlanQuery(in.Query, in.Stats, in.Params)
+	var toggled bool
 	if ev.Kind == topology.EvIndexDropped {
-		if !in.Cat.RestoreIndex(idx) {
-			cause.Detail = fmt.Sprintf("unknown index %q", idx)
-			return cause
-		}
-		toggleBack = func() { in.Cat.DropIndex(idx) }
+		toggled = cat.RestoreIndex(idx)
 	} else {
-		if !in.Cat.DropIndex(idx) {
-			cause.Detail = fmt.Sprintf("unknown index %q", idx)
-			return cause
-		}
-		toggleBack = func() { in.Cat.RestoreIndex(idx) }
+		toggled = cat.DropIndex(idx)
 	}
-	before, errB := in.Opt.PlanQuery(in.Query, in.Stats, in.Params)
-	toggleBack()
-	after, errA := in.Opt.PlanQuery(in.Query, in.Stats, in.Params)
+	if !toggled {
+		cause.Detail = fmt.Sprintf("unknown index %q", idx)
+		return cause
+	}
+	before, errB := o.PlanQuery(in.Query, in.Stats, in.Params)
 	if errB != nil || errA != nil {
 		cause.Detail = "optimizer replay failed"
 		return cause
@@ -146,7 +147,9 @@ func replayIndexEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCau
 }
 
 // replayParamEvent tests whether a parameter change explains the plan
-// change by re-planning under the old and new values.
+// change by re-planning under the old and new values, on parameter clones
+// through an optimizer of its own, so the replay neither reads nor evicts
+// the instance optimizer's memo.
 func replayParamEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	cause := PlanChangeCause{Event: ev}
 	name := string(ev.Subject)
@@ -161,8 +164,9 @@ func replayParamEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCau
 	pOld.Set(name, oldV)
 	pNew := in.Params.Clone()
 	pNew.Set(name, newV)
-	before, errB := in.Opt.PlanQuery(in.Query, in.Stats, pOld)
-	after, errA := in.Opt.PlanQuery(in.Query, in.Stats, pNew)
+	o := opt.New(in.Cat)
+	before, errB := o.PlanQuery(in.Query, in.Stats, pOld)
+	after, errA := o.PlanQuery(in.Query, in.Stats, pNew)
 	if errB != nil || errA != nil {
 		cause.Detail = "optimizer replay failed"
 		return cause

@@ -57,6 +57,9 @@ type Sampler struct {
 	Seed int64
 
 	rands map[SeriesKey]*simtime.Rand
+	// run collects one Record/RecordWindowMean call's samples for
+	// Store.AppendRun; reused across calls.
+	run []Sample
 }
 
 // NewSampler returns a sampler with the production defaults: 5-minute
@@ -134,13 +137,22 @@ func (sp *Sampler) Windows(iv simtime.Interval) []simtime.Interval {
 	return out
 }
 
-// appendSample records one window's value, jittered by the series' noise
-// stream r (nil: noise off).
-func (sp *Sampler) appendSample(store *Store, component string, metric Metric, r *simtime.Rand, w simtime.Interval, v float64) {
+// sample is one window's value, jittered by the series' noise stream r
+// (nil: noise off), timestamped at the window end.
+func (sp *Sampler) sample(r *simtime.Rand, w simtime.Interval, v float64) Sample {
 	if r != nil {
 		v = r.Jitter(v, sp.NoiseSigma)
 	}
-	store.MustAppend(component, metric, Sample{T: w.End, V: v})
+	return Sample{T: w.End, V: v}
+}
+
+// flush appends the collected run to the series; out-of-order emission is
+// a simulator bug, so it panics like MustAppend.
+func (sp *Sampler) flush(store *Store, component string, metric Metric) {
+	if err := store.AppendRun(component, metric, sp.run); err != nil {
+		panic(err)
+	}
+	sp.run = sp.run[:0]
 }
 
 // Record samples fn over [iv.Start, iv.End) and appends one sample per
@@ -158,8 +170,9 @@ func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simt
 	}
 	r := sp.noise(component, metric)
 	for _, w := range sp.windows(iv) {
-		sp.appendSample(store, component, metric, r, w, integrateMean(fn, w.Start, w.End, sub))
+		sp.run = append(sp.run, sp.sample(r, w, integrateMean(fn, w.Start, w.End, sub)))
 	}
+	sp.flush(store, component, metric)
 }
 
 // WindowMeanFunc reports the exact time-average of a metric over w, the
@@ -176,8 +189,9 @@ type WindowMeanFunc func(i int, w simtime.Interval) float64
 func (sp *Sampler) RecordWindowMean(store *Store, component string, metric Metric, iv simtime.Interval, fn WindowMeanFunc) {
 	r := sp.noise(component, metric)
 	for i, w := range sp.windows(iv) {
-		sp.appendSample(store, component, metric, r, w, fn(i, w))
+		sp.run = append(sp.run, sp.sample(r, w, fn(i, w)))
 	}
+	sp.flush(store, component, metric)
 }
 
 // integrateMean averages fn over [start, end) with the given step using the

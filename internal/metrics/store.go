@@ -306,31 +306,53 @@ func (s *Store) SetSegmentSize(n int) {
 }
 
 // Append records one sample for (component, metric). It returns an error if
-// the sample is out of time order for its series.
+// the sample is out of time order for its series. It is AppendRun's
+// one-sample case.
 func (s *Store) Append(component string, metric Metric, sample Sample) error {
+	return s.AppendRun(component, metric, []Sample{sample})
+}
+
+// AppendRun records a run of samples for one series under one lock, one
+// series lookup and one live-sample count update. The run must be in
+// non-decreasing time order and start at or after the series' newest
+// sample; otherwise AppendRun returns an error and appends nothing.
+func (s *Store) AppendRun(component string, metric Metric, samples []Sample) error {
+	if len(samples) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := SeriesKey{Component: component, Metric: metric}
 	ser := s.series[k]
+	last := simtime.Time(math.Inf(-1))
+	if ser != nil {
+		if n := ser.total(); n > ser.dropped {
+			last = ser.at(n - 1).T
+		}
+	}
+	for _, sample := range samples {
+		if sample.T < last {
+			return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, last)
+		}
+		last = sample.T
+	}
 	if ser == nil {
 		ser = &series{}
 		s.series[k] = ser
 		i, _ := slices.BinarySearchFunc(s.keys, k, SeriesKey.compare)
 		s.keys = slices.Insert(s.keys, i, k)
 	}
-	if n := ser.total(); n > ser.dropped && sample.T < ser.at(n-1).T {
-		return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v",
-			k, sample.T, ser.at(n-1).T)
-	}
 	size := s.seg
 	if size == 0 {
 		size = segmentSize
 	}
 	if len(ser.segs) == 0 {
-		s.expiry = min(s.expiry, sample.T)
+		s.expiry = min(s.expiry, samples[0].T)
 	}
-	ser.append(sample, size)
-	liveSamples.Add(1)
+	for _, sample := range samples {
+		ser.append(sample, size)
+	}
+	liveSamples.Add(int64(len(samples)))
 	return nil
 }
 

@@ -189,12 +189,17 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 }
 
 // TestSeriesIndexProperty pins the maintained index against a naive
-// map-backed twin: after random interleavings of Append (new and
+// map-backed twin: after random interleavings of AppendRun (new and
 // existing series, on components that share prefixes, so "V1" < "V10" <
 // "V2" must come out of string order, not insertion order),
 // SetSegmentSize and Truncate, Keys equals the twin's key set sorted by
 // (component, metric), and Components and MetricsFor equal a filter over
 // it. Truncate empties series without removing them, so their keys stay.
+//
+// The same interleavings hold AppendRun to per-sample Append on a second
+// store: every series reads back identically, and a run with a sample out
+// of time order — within the run, or against the series' newest sample —
+// is refused whole, leaving the store (and its index) untouched.
 func TestSeriesIndexProperty(t *testing.T) {
 	for _, seg := range testSegmentSizes {
 		t.Run(fmt.Sprintf("segment=%d", seg), func(t *testing.T) { seriesIndexProperty(t, seg) })
@@ -206,12 +211,23 @@ func seriesIndexProperty(t *testing.T, seg int) {
 	comps := []string{"V1", "V10", "V100", "V2", "V", "pool-P1", "pool-P10", "srv", ""}
 	mets := []Metric{VolReadIO, VolWriteIO, VolReadTime, VolWriteTime, StTotalIOs, SrvCPUUsagePct}
 
-	appended := 0 // into the current trial's store
+	appended := 0  // into the current trial's store
+	refused := 0   // out-of-order runs, over all trials
+	var per *Store // the trial's per-sample Append twin
 	check := func(trial, op int, s *Store, twin map[SeriesKey]bool) {
 		t.Helper()
 		// Len and Dropped walk the same index.
 		if live, dropped := s.Len(), s.Dropped(); live+dropped != appended {
 			t.Fatalf("trial %d op %d: Len %d + Dropped %d, %d appended", trial, op, live, dropped, appended)
+		}
+		if s.Len() != per.Len() || s.Dropped() != per.Dropped() {
+			t.Fatalf("trial %d op %d: AppendRun store Len %d Dropped %d, per-sample Append twin %d %d",
+				trial, op, s.Len(), s.Dropped(), per.Len(), per.Dropped())
+		}
+		for k := range twin {
+			if got, want := s.Series(k.Component, k.Metric), per.Series(k.Component, k.Metric); !slices.Equal(got, want) {
+				t.Fatalf("trial %d op %d: %s = %v by AppendRun, %v by per-sample Append", trial, op, k, got, want)
+			}
 		}
 		want := make([]SeriesKey, 0, len(twin))
 		for k := range twin {
@@ -251,6 +267,8 @@ func seriesIndexProperty(t *testing.T, seg int) {
 	for trial := 0; trial < 25; trial++ {
 		s := NewStore()
 		s.SetSegmentSize(seg)
+		per = NewStore()
+		per.SetSegmentSize(seg)
 		twin := map[SeriesKey]bool{}
 		appended = 0
 		check(trial, -1, s, twin)
@@ -258,15 +276,44 @@ func seriesIndexProperty(t *testing.T, seg int) {
 		for op := 0; op < 200; op++ {
 			switch r := rng.Intn(20); {
 			case r == 0:
-				s.SetSegmentSize(rng.Intn(8)) // 0 restores the default
+				size := rng.Intn(8) // 0 restores the default
+				s.SetSegmentSize(size)
+				per.SetSegmentSize(size)
 			case r == 1:
-				s.Truncate(simtime.Time(rng.Int63n(int64(now) + 1)))
+				h := simtime.Time(rng.Int63n(int64(now) + 1))
+				s.Truncate(h)
+				per.Truncate(h)
 			default:
 				k := SeriesKey{Component: comps[rng.Intn(len(comps))], Metric: mets[rng.Intn(len(mets))]}
-				now += simtime.Time(rng.Intn(300))
-				s.MustAppend(k.Component, k.Metric, Sample{T: now, V: rng.Float64()})
+				run := make([]Sample, 1+rng.Intn(3*segmentSize/2))
+				for i := range run {
+					now += simtime.Time(rng.Intn(300))
+					run[i] = Sample{T: now, V: rng.Float64()}
+				}
+				if rng.Intn(4) == 0 { // one sample steps back in time
+					run[rng.Intn(len(run))].T -= simtime.Time(1 + rng.Intn(600))
+				}
+				inOrder := true
+				last, ok := per.Latest(k.Component, k.Metric)
+				for i, smp := range run {
+					if (i > 0 || ok) && smp.T < last.T {
+						inOrder = false
+					}
+					last = smp
+				}
+				err := s.AppendRun(k.Component, k.Metric, run)
+				if inOrder != (err == nil) {
+					t.Fatalf("trial %d op %d: AppendRun of %d samples, in order %v: err %v", trial, op, len(run), inOrder, err)
+				}
+				if err != nil {
+					refused++
+					break
+				}
+				for _, smp := range run {
+					per.MustAppend(k.Component, k.Metric, smp)
+				}
 				twin[k] = true
-				appended++
+				appended += len(run)
 			}
 			if op%10 == 0 {
 				check(trial, op, s, twin)
@@ -278,6 +325,9 @@ func seriesIndexProperty(t *testing.T, seg int) {
 			ks[0], ks[len(ks)-1] = ks[len(ks)-1], ks[0]
 			check(trial, 201, s, twin)
 		}
+	}
+	if refused == 0 {
+		t.Fatal("no out-of-order run was drawn")
 	}
 }
 

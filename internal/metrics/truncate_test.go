@@ -92,14 +92,40 @@ func TestTruncateCursorsSurvive(t *testing.T) {
 // must equal per-call WindowMean bit for bit over windows of every shape
 // (assertWindowMeansBitwise), and above the horizon the truncated store's
 // batch must equal its untruncated twin's.
+//
+// So does the batched writer: a third store, filled by AppendRun in runs
+// of random length that cross segment boundaries — each preceded, at
+// random, by an out-of-order attempt that must be refused without a
+// trace — and truncated like cut, must read back exactly like cut.
 func TestTruncateFloatExactProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const trials = 40
+	appendRuns := func(s *Store, smps []Sample) {
+		t.Helper()
+		for len(smps) > 0 {
+			run := smps[:min(len(smps), 1+rng.Intn(2*segmentSize))]
+			smps = smps[len(run):]
+			if len(run) > 1 && rng.Intn(3) == 0 {
+				bad := slices.Clone(run)
+				i := 1 + rng.Intn(len(bad)-1)
+				bad[i-1], bad[i] = bad[i], bad[i-1]
+				before := s.Len()
+				if err := s.AppendRun("vol-V1", VolReadIO, bad); err == nil || s.Len() != before {
+					t.Fatalf("out-of-order run: err %v, store %d -> %d samples", err, before, s.Len())
+				}
+			}
+			if err := s.AppendRun("vol-V1", VolReadIO, run); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for trial := 0; trial < trials; trial++ {
 		n := 50 + rng.Intn(4*segmentSize)
-		ref := NewStore() // never truncated
-		cut := NewStore() // truncated mid-stream, possibly repeatedly
+		ref := NewStore()  // never truncated
+		cut := NewStore()  // truncated mid-stream, possibly repeatedly
+		runs := NewStore() // cut, filled by AppendRun
 		vals := make([]float64, n)
+		smps := make([]Sample, n)
 		for i := range vals {
 			// Mix magnitudes so cancellation would be visible if the
 			// prefix-sum anchoring were wrong.
@@ -109,9 +135,12 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			smp := Sample{T: simtime.Time(i * 300), V: v}
 			ref.MustAppend("vol-V1", VolReadIO, smp)
 			cut.MustAppend("vol-V1", VolReadIO, smp)
+			smps[i] = smp
 		}
+		appendRuns(runs, smps)
 		horizon := simtime.Time(rng.Intn(n) * 300)
 		cut.Truncate(horizon)
+		runs.Truncate(horizon)
 
 		// Probe random windows that start at or above the horizon,
 		// including degenerate and over-long ones.
@@ -131,6 +160,13 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 				t.Fatalf("trial %d window %v: WindowMean diverged: ref %.17g/%d cut %.17g/%d",
 					trial, iv, wm, wn, gm, gn)
 			}
+			if rs := runs.WindowStats("vol-V1", VolReadIO, iv); rs != got {
+				t.Fatalf("trial %d window %v: AppendRun store %+v, per-sample Append %+v", trial, iv, rs, got)
+			}
+		}
+		if a, b := runs.Series("vol-V1", VolReadIO), cut.Series("vol-V1", VolReadIO); !slices.Equal(a, b) || runs.Dropped() != cut.Dropped() {
+			t.Fatalf("trial %d: AppendRun store holds %d samples (dropped %d), per-sample Append %d (dropped %d)",
+				trial, len(a), runs.Dropped(), len(b), cut.Dropped())
 		}
 
 		// Segment edges, against running sums kept here rather than in the
@@ -154,7 +190,7 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			if lo > 0 {
 				wantSum -= cum[lo]
 			}
-			for name, st := range map[string]*Store{"ref": ref, "cut": cut} {
+			for name, st := range map[string]*Store{"ref": ref, "cut": cut, "runs": runs} {
 				got := st.WindowStats("vol-V1", VolReadIO, iv)
 				means := st.WindowMeans("vol-V1", VolReadIO, []simtime.Interval{iv}, nil)
 				if got.N != hi-lo || math.Float64bits(got.Sum) != math.Float64bits(wantSum) ||
@@ -185,20 +221,29 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 			t.Fatalf("trial %d horizon %v: WindowMeans above the horizon diverged after Truncate:\n  ref %v\n  cut %v",
 				trial, horizon, want, got)
 		}
+		if rm := runs.WindowMeans("vol-V1", VolReadIO, windows, nil); !sameBits(rm, cut.WindowMeans("vol-V1", VolReadIO, windows, nil)) {
+			t.Fatalf("trial %d: WindowMeans of the AppendRun store diverged from per-sample Append's", trial)
+		}
 
 		// Keep appending after truncation and re-check: the carried base
 		// sums must anchor future aggregates too.
+		smps = smps[:0]
 		for i := n; i < n+100; i++ {
 			v := math.Exp(rng.Float64()*8) * rng.Float64()
 			smp := Sample{T: simtime.Time(i * 300), V: v}
 			ref.MustAppend("vol-V1", VolReadIO, smp)
 			cut.MustAppend("vol-V1", VolReadIO, smp)
+			smps = append(smps, smp)
 		}
+		appendRuns(runs, smps)
 		iv := simtime.NewInterval(horizon, simtime.Time((n+100)*300))
 		wantSt := ref.WindowStats("vol-V1", VolReadIO, iv)
 		gotSt := cut.WindowStats("vol-V1", VolReadIO, iv)
 		if wantSt.N != gotSt.N || wantSt.Sum != gotSt.Sum || wantSt.Mean != gotSt.Mean {
 			t.Fatalf("trial %d: post-truncation appends diverged:\n  ref %+v\n  cut %+v", trial, wantSt, gotSt)
+		}
+		if rs := runs.WindowStats("vol-V1", VolReadIO, iv); rs != gotSt {
+			t.Fatalf("trial %d: post-truncation AppendRun diverged: %+v, per-sample Append %+v", trial, rs, gotSt)
 		}
 		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, randomWindows(rng, n+100, horizon))
 	}

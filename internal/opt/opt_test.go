@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"testing"
 
 	"diads/internal/dbsys"
@@ -147,5 +148,87 @@ func TestStaleStatsStillPickIndexPlan(t *testing.T) {
 	after, _ := o.PlanQuery("Q2", stats, params) // same stale snapshot
 	if before.Signature() != after.Signature() {
 		t.Fatalf("stale statistics must keep the plan unchanged")
+	}
+}
+
+// TestMemoMatchesFreshPlanning walks the optimizer's inputs through every
+// mutation kind — index drop and restore, Params.Set, a statistics
+// re-snapshot, SetRows and ScaleRows — and after each holds the memoised
+// plan to one planned from scratch (unversioned statistics bypass the
+// memo): same structure, same estimates to the bit. A repeated call under
+// an unchanged state must return the memoised plan itself. The walk flips
+// every Q2 decision point plan.TestPlanSignatureMemo enumerates, each both
+// ways.
+func TestMemoMatchesFreshPlanning(t *testing.T) {
+	o, stats, params := setup(t)
+	cat := o.Cat
+	toggle := func(ix string) []func() {
+		return []func(){func() { cat.DropIndex(ix) }, func() { cat.RestoreIndex(ix) }}
+	}
+	set := func(name string, v float64) func() { return func() { params.Set(name, v) } }
+	steps := []func(){func() {}}
+	for _, ix := range []string{dbsys.IdxPartType, dbsys.IdxPartsuppPart, dbsys.IdxNationKey, dbsys.IdxSupplierKey} {
+		steps = append(steps, toggle(ix)...)
+	}
+	steps = append(steps,
+		set(dbsys.ParamEnableHashJoin, 0), set(dbsys.ParamEnableHashJoin, 1),
+		set(dbsys.ParamRandomPageCost, 40), set(dbsys.ParamRandomPageCost, 100), set(dbsys.ParamRandomPageCost, 4),
+		set(dbsys.ParamEnableIndexScan, 0), set(dbsys.ParamEnableIndexScan, 1),
+		func() { cat.DropIndex(dbsys.IdxPartsuppPart) }, set(dbsys.ParamEnableNestLoop, 0), func() { cat.RestoreIndex(dbsys.IdxPartsuppPart) },
+		func() { _ = cat.ScaleRows(dbsys.TPartsupp, 40) },
+		func() { stats = cat.Snapshot() },
+		func() { _ = cat.SetRows(dbsys.TPart, 50) },
+		func() { stats = cat.Snapshot() },
+		func() { _ = cat.SetRows(dbsys.TPart, 2_000_000) },
+		func() { stats = stats.Clone() },
+	)
+	// Decision point -> chosen operator types seen.
+	seen := map[string]map[plan.OpType]bool{}
+	note := func(point string, t plan.OpType) {
+		if seen[point] == nil {
+			seen[point] = map[plan.OpType]bool{}
+		}
+		seen[point][t] = true
+	}
+	for i, step := range steps {
+		step()
+		for _, q := range []string{"Q2", "Q5", "Q6", "Q14"} {
+			memo, err := o.PlanQuery(q, stats, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := o.PlanQuery(q, stats, params); again != memo {
+				t.Fatalf("step %d %s: an unchanged state re-planned", i, q)
+			}
+			fresh, err := New(cat).PlanQuery(q, dbsys.Stats{Rows: stats.Rows}, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo == fresh || memo.Render() != fresh.Render() || memo.Signature() != fresh.Signature() {
+				t.Fatalf("step %d %s: memoised plan\n%s\nfresh plan\n%s", i, q, memo.Render(), fresh.Render())
+			}
+			for j, n := range memo.Nodes() {
+				if math.Float64bits(n.EstRows) != math.Float64bits(fresh.Nodes()[j].EstRows) {
+					t.Fatalf("step %d %s O%d: memoised estimate %v, fresh %v", i, q, n.ID, n.EstRows, fresh.Nodes()[j].EstRows)
+				}
+			}
+			if q != "Q2" {
+				continue
+			}
+			for _, l := range memo.Leaves() {
+				if l.Table != dbsys.TRegion && (l.Table != dbsys.TNation || l.Alias != "") && (l.Table != dbsys.TSupplier || l.Alias != "") {
+					note(l.Table+"/"+l.Alias, l.Type)
+				}
+			}
+			note("main-join", memo.Root.Children[0].Children[0].Type)
+		}
+	}
+	if len(seen) != 6 {
+		t.Fatalf("decision points seen: %v", seen)
+	}
+	for point, types := range seen {
+		if len(types) != 2 {
+			t.Errorf("decision point %s took only %v", point, types)
+		}
 	}
 }

@@ -10,17 +10,33 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"diads/internal/dbsys"
 	"diads/internal/plan"
 )
 
 // Optimizer chooses execution plans from catalog statistics and
-// configuration parameters, PostgreSQL-style.
+// configuration parameters, PostgreSQL-style. It is safe for concurrent
+// use.
 type Optimizer struct {
 	// Cat supplies index availability; statistics come from the snapshot
 	// passed to each call so that PD can replay historical states.
 	Cat *dbsys.Catalog
+
+	mu   sync.Mutex
+	memo map[string]memoized // by query
+}
+
+// stateKey names the state a plan was chosen under: a plan is a function
+// of the catalog, the parameters and the statistics, and each version
+// names one state of one object.
+type stateKey struct{ cat, params, stats uint64 }
+
+// memoized is the last plan PlanQuery chose for a query.
+type memoized struct {
+	key  stateKey
+	plan *plan.Plan
 }
 
 // New returns an optimizer over the given catalog.
@@ -29,7 +45,43 @@ func New(cat *dbsys.Catalog) *Optimizer { return &Optimizer{Cat: cat} }
 // PlanQuery chooses the cheapest plan for the named query under the given
 // statistics snapshot and parameters. Supported queries: Q2 (with access
 // path and join strategy enumeration), Q5, Q6, Q14 (fixed shapes).
+//
+// Plans are memoised on (query, catalog, params and stats versions), at
+// most one per query: a periodic query re-plans only after a catalog,
+// parameter or statistics change, and a change replaces the entry. The
+// returned plan is shared by every caller asking under the same state and
+// must not be modified (plans are immutable once built). Unversioned
+// (hand-built) statistics bypass the memo.
 func (o *Optimizer) PlanQuery(query string, stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
+	key := stateKey{o.Cat.Version(), params.Version(), stats.Version()}
+	if key.stats == 0 {
+		return o.plan(query, stats, params)
+	}
+	o.mu.Lock()
+	m, ok := o.memo[query]
+	o.mu.Unlock()
+	if ok && m.key == key {
+		return m.plan, nil
+	}
+	p, err := o.plan(query, stats, params)
+	if err != nil {
+		return nil, err
+	}
+	// A mutation that raced the planning leaves the plan unmemoised: it
+	// may mix two states.
+	if o.Cat.Version() == key.cat && params.Version() == key.params {
+		o.mu.Lock()
+		if o.memo == nil {
+			o.memo = make(map[string]memoized)
+		}
+		o.memo[query] = memoized{key, p}
+		o.mu.Unlock()
+	}
+	return p, nil
+}
+
+// plan chooses the plan without consulting the memo.
+func (o *Optimizer) plan(query string, stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
 	switch query {
 	case "Q2":
 		return o.planQ2(stats, params), nil

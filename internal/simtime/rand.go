@@ -11,9 +11,12 @@ import (
 // of existing ones.
 type Rand struct {
 	rng *rand.Rand
+	src lazySource
 }
 
 // NewRand returns a Rand seeded from seed and a stable component label.
+// Its stream is rand.New(rand.NewSource(s)) for the mixed seed s, bit for
+// bit; seeding costs only the register words the draws reach.
 func NewRand(seed int64, label string) *Rand {
 	h := uint64(seed)
 	for _, c := range label {
@@ -21,7 +24,10 @@ func NewRand(seed int64, label string) *Rand {
 		h ^= uint64(c)
 		h *= 1099511628211
 	}
-	return &Rand{rng: rand.New(rand.NewSource(int64(h)))}
+	r := &Rand{}
+	r.src.Seed(int64(h))
+	r.rng = rand.New(&r.src)
+	return r
 }
 
 // Float64 returns a uniform sample in [0, 1).

@@ -149,7 +149,9 @@ func (a *Analyzer) ChangeParam(name string, value float64) (Prediction, error) {
 	}
 	changed := a.Params.Clone()
 	changed.Set(name, value)
-	after, err := a.Opt.PlanQuery(a.Baseline.Query, a.Stats, changed)
+	// Hypothetical state plans through an optimizer of its own, so the
+	// question leaves the live optimizer's memo alone.
+	after, err := opt.New(a.Cat).PlanQuery(a.Baseline.Query, a.Stats, changed)
 	if err != nil {
 		return Prediction{}, err
 	}
