@@ -448,10 +448,26 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 	if !slices.IsSortedFunc(b.Samples, byTime) {
 		slices.SortStableFunc(b.Samples, byTime)
 	}
-	high := in.watermark
-	for i := range b.Samples {
-		s := &b.Samples[i]
-		err := in.Testbed.Store.Append(s.Component, metrics.Metric(s.Metric),
+	high := n.appendSamples(in.Testbed.Store, b.Samples, in.watermark)
+	if b.Watermark != nil && simtime.Time(*b.Watermark) > high {
+		high = simtime.Time(*b.Watermark)
+	}
+	if high > in.watermark {
+		in.watermark = high
+		n.ingested.Store(true)
+		n.release(in, traceID)
+	}
+}
+
+// appendSamples writes samples to store in one batch, each accepted or
+// refused on its own, and returns the latest accepted time or high if
+// that is later.
+func (n *Node) appendSamples(store *metrics.Store, samples []WireSample, high simtime.Time) simtime.Time {
+	wr := store.Batch()
+	defer wr.Close()
+	for i := range samples {
+		s := &samples[i]
+		err := wr.Append(s.Component, metrics.Metric(s.Metric),
 			metrics.Sample{T: simtime.Time(s.T), V: s.V})
 		if err != nil {
 			n.tel.applyErr.Inc()
@@ -461,14 +477,7 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 			high = simtime.Time(s.T)
 		}
 	}
-	if b.Watermark != nil && simtime.Time(*b.Watermark) > high {
-		high = simtime.Time(*b.Watermark)
-	}
-	if high > in.watermark {
-		in.watermark = high
-		n.ingested.Store(true)
-		n.release(in, traceID)
-	}
+	return high
 }
 
 // release submits every held detection the watermark now covers, under

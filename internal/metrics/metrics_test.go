@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,6 +237,63 @@ func TestSamplerNoiseIsOrderAndChunkInvariant(t *testing.T) {
 }
 
 func time30() simtime.Duration { return 30 * simtime.Minute }
+
+// TestSamplerHoldWritesOnRelease holds a sampler's writes across series
+// and stores, and requires the stores to end exactly as an unheld
+// twin's: queued runs land at Release, or when a run
+// for another store arrives, and a slot that moves between stores writes
+// each store's own series.
+func TestSamplerHoldWritesOnRelease(t *testing.T) {
+	fn := func(tt simtime.Time) float64 { return 5 + float64(tt)/1000 }
+	iv := func(i int) simtime.Interval {
+		return simtime.NewInterval(simtime.Time(i*300), simtime.Time((i+1)*300))
+	}
+	held, heldOther := NewStore(), NewStore()
+	free, freeOther := NewStore(), NewStore()
+	hs, fs := NewSampler(0.1, 4), NewSampler(0.1, 4)
+	both := func(store, twin *Store, c string, i int) {
+		hs.Record(store, c, VolReadTime, iv(i), fn)
+		fs.Record(twin, c, VolReadTime, iv(i), fn)
+	}
+	hs.Hold()
+	both(held, free, "a", 0)
+	both(held, free, "b", 0)
+	if n := held.Len(); n != 0 {
+		t.Fatalf("a Hold wrote %d samples before Release", n)
+	}
+	both(heldOther, freeOther, "a", 0) // another store: writes held's queue
+	if n := held.Len(); n != 2 {
+		t.Fatalf("switching stores left %d of 2 samples written", n)
+	}
+	both(held, free, "a", 1) // back again: writes heldOther's queue
+	both(held, free, "b", 1)
+	if n, m := held.Len(), heldOther.Len(); n != 2 || m != 1 {
+		t.Fatalf("before Release: %d and %d samples, want 2 and 1", n, m)
+	}
+	hs.Release()
+	for _, st := range []struct{ got, want *Store }{{held, free}, {heldOther, freeOther}} {
+		if g, w := st.got.Keys(), st.want.Keys(); !slices.Equal(g, w) {
+			t.Fatalf("keys %v, unheld twin %v", g, w)
+		}
+		for _, k := range st.want.Keys() {
+			if g, w := st.got.Series(k.Component, k.Metric), st.want.Series(k.Component, k.Metric); !slices.Equal(g, w) {
+				t.Fatalf("%s: %v, unheld twin %v", k, g, w)
+			}
+		}
+	}
+}
+
+// TestSeriesKeyString pins the noise-stream label to the formatting it
+// replaced, byte for byte, including invalid UTF-8.
+func TestSeriesKeyString(t *testing.T) {
+	for _, k := range []SeriesKey{
+		{"vol-V1", VolReadTime}, {"", ""}, {"a/b", "c/d"}, {"port-\xff\x00", "%s %d"}, {"卷", SrvCPUUsagePct},
+	} {
+		if got, want := k.String(), fmt.Sprintf("%s/%s", k.Component, k.Metric); got != want {
+			t.Fatalf("SeriesKey%+v.String() = %q, want %q", k, got, want)
+		}
+	}
+}
 
 func TestSamplerPartialTrailingInterval(t *testing.T) {
 	s := NewStore()

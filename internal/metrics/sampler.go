@@ -40,6 +40,11 @@ type TrueValueFunc func(t simtime.Time) float64
 // the timeline in chunks of any size — or adding new series — produces
 // byte-identical samples to a single batch emission. Samplers are not
 // safe for concurrent use.
+//
+// Each series resolves once to a slot holding its noise stream and its
+// store series, so a Record call costs one map lookup. Between Hold and
+// Release the calls queue their runs, and Release writes them all in one
+// store pass (a long Hold writes every maxQueued samples).
 type Sampler struct {
 	// Interval is the monitoring interval (default 5 minutes). The
 	// evidence-window contract (ReadWindow) pads reads by
@@ -56,10 +61,29 @@ type Sampler struct {
 	// Seed derives the per-series noise streams.
 	Seed int64
 
-	rands map[SeriesKey]*simtime.Rand
-	// run collects one Record/RecordWindowMean call's samples for
-	// Store.AppendRun; reused across calls.
-	run []Sample
+	slots map[SeriesKey]*slot
+	// run holds the queued runs' samples back to back; queue[i] ends at
+	// queue[i].end. Both are reused across writes.
+	run   []Sample
+	queue []queuedRun
+	store *Store // the store the queue is for
+	held  bool   // a Hold is open
+}
+
+// slot is one series as the sampler writes it: its noise stream, and its
+// store series together with the store it was resolved against. A series
+// is never deleted from a store, so the pointer stays valid for as long
+// as the store is the same one.
+type slot struct {
+	key   SeriesKey
+	noise *simtime.Rand // created on first use with noise on
+	store *Store
+	ser   *series
+}
+
+type queuedRun struct {
+	slot *slot
+	end  int
 }
 
 // NewSampler returns a sampler with the production defaults: 5-minute
@@ -74,28 +98,31 @@ func NewSampler(noiseSigma float64, seed int64) *Sampler {
 	}
 }
 
-// rand returns the noise stream for one series, creating it on first use.
-func (sp *Sampler) rand(component string, metric Metric) *simtime.Rand {
+// slot returns one series' slot, creating it on first use.
+func (sp *Sampler) slot(component string, metric Metric) *slot {
 	k := SeriesKey{Component: component, Metric: metric}
-	if r, ok := sp.rands[k]; ok {
-		return r
+	if sl, ok := sp.slots[k]; ok {
+		return sl
 	}
-	if sp.rands == nil {
-		sp.rands = make(map[SeriesKey]*simtime.Rand)
+	if sp.slots == nil {
+		sp.slots = make(map[SeriesKey]*slot)
 	}
-	r := simtime.NewRand(sp.Seed, "sampler/"+k.String())
-	sp.rands[k] = r
-	return r
+	sl := &slot{key: k}
+	sp.slots[k] = sl
+	return sl
 }
 
-// noise returns one series' noise stream, or nil when noise is off.
-// Record and RecordWindowMean resolve it once per call, not once per
-// sample; the stream and its draw order are the same either way.
-func (sp *Sampler) noise(component string, metric Metric) *simtime.Rand {
+// noise returns a slot's noise stream, or nil when noise is off. Record
+// and RecordWindowMean resolve it once per call, not once per sample;
+// the stream and its draw order are the same either way.
+func (sp *Sampler) noise(sl *slot) *simtime.Rand {
 	if sp.NoiseSigma <= 0 {
 		return nil
 	}
-	return sp.rand(component, metric)
+	if sl.noise == nil {
+		sl.noise = simtime.NewRand(sp.Seed, "sampler/"+sl.key.String())
+	}
+	return sl.noise
 }
 
 // step returns the monitoring interval.
@@ -146,13 +173,70 @@ func (sp *Sampler) sample(r *simtime.Rand, w simtime.Interval, v float64) Sample
 	return Sample{T: w.End, V: v}
 }
 
-// flush appends the collected run to the series; out-of-order emission is
-// a simulator bug, so it panics like MustAppend.
-func (sp *Sampler) flush(store *Store, component string, metric Metric) {
-	if err := store.AppendRun(component, metric, sp.run); err != nil {
-		panic(err)
+// Hold queues the runs of later Record and RecordWindowMean calls until
+// Release, or until maxQueued samples wait. Holds do not nest.
+func (sp *Sampler) Hold() { sp.held = true }
+
+// Release closes the Hold and writes the queued runs.
+func (sp *Sampler) Release() {
+	sp.held = false
+	sp.flush()
+}
+
+// begin returns the slot of a series about to be recorded into store,
+// first writing any runs queued for another store.
+func (sp *Sampler) begin(store *Store, component string, metric Metric) *slot {
+	if store != sp.store {
+		sp.flush()
+		sp.store = store
 	}
-	sp.run = sp.run[:0]
+	return sp.slot(component, metric)
+}
+
+// maxQueued bounds the samples a Hold queues before it writes them
+// early: a streaming chunk of every series of an instance queues a few
+// hundred and lands in one write, while a whole-horizon batch emission
+// writes every few thousand instead of buffering the horizon.
+const maxQueued = 2048
+
+// end queues the samples collected for sl since the previous run, and
+// writes the queue at once unless a Hold is open and has room.
+func (sp *Sampler) end(sl *slot) {
+	sp.queue = append(sp.queue, queuedRun{sl, len(sp.run)})
+	if !sp.held || len(sp.run) >= maxQueued {
+		sp.flush()
+	}
+}
+
+// flush writes the queued runs under one store lock, each checked for
+// order before any of it is written. Out-of-order emission is a
+// simulator bug, so a refused run panics like MustAppend — after the
+// rest are written and the lock is released.
+func (sp *Sampler) flush() {
+	if len(sp.queue) == 0 {
+		return
+	}
+	store := sp.store
+	var refused error
+	store.mu.Lock()
+	start := 0
+	for _, q := range sp.queue {
+		sl := q.slot
+		if sl.store != store || sl.ser == nil {
+			sl.store, sl.ser = store, store.series[sl.key]
+		}
+		ser, err := store.appendRun(sl.key, sl.ser, sp.run[start:q.end])
+		sl.ser = ser
+		if err != nil && refused == nil {
+			refused = err
+		}
+		start = q.end
+	}
+	store.unlock()
+	sp.run, sp.queue, sp.store = sp.run[:0], sp.queue[:0], nil
+	if refused != nil {
+		panic(refused)
+	}
 }
 
 // Record samples fn over [iv.Start, iv.End) and appends one sample per
@@ -168,11 +252,12 @@ func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simt
 	if step := sp.step(); sub <= 0 || sub > step {
 		sub = step / 10
 	}
-	r := sp.noise(component, metric)
+	sl := sp.begin(store, component, metric)
+	r := sp.noise(sl)
 	for _, w := range sp.windows(iv) {
 		sp.run = append(sp.run, sp.sample(r, w, integrateMean(fn, w.Start, w.End, sub)))
 	}
-	sp.flush(store, component, metric)
+	sp.end(sl)
 }
 
 // WindowMeanFunc reports the exact time-average of a metric over w, the
@@ -187,11 +272,12 @@ type WindowMeanFunc func(i int, w simtime.Interval) float64
 // interval's average by its exact share. The grid-alignment requirement
 // of Record applies here too.
 func (sp *Sampler) RecordWindowMean(store *Store, component string, metric Metric, iv simtime.Interval, fn WindowMeanFunc) {
-	r := sp.noise(component, metric)
+	sl := sp.begin(store, component, metric)
+	r := sp.noise(sl)
 	for i, w := range sp.windows(iv) {
 		sp.run = append(sp.run, sp.sample(r, w, fn(i, w)))
 	}
-	sp.flush(store, component, metric)
+	sp.end(sl)
 }
 
 // integrateMean averages fn over [start, end) with the given step using the

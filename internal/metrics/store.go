@@ -28,7 +28,7 @@ type SeriesKey struct {
 
 // String implements fmt.Stringer.
 func (k SeriesKey) String() string {
-	return fmt.Sprintf("%s/%s", k.Component, k.Metric)
+	return k.Component + "/" + string(k.Metric)
 }
 
 // compare orders keys by component, then metric — the store's index
@@ -281,6 +281,9 @@ type Store struct {
 	// one, or one truncated away) can start a head below it. A head that
 	// is still filling only moves its last T up.
 	expiry simtime.Time
+	// unpublished counts samples appended under the held write lock and
+	// not yet added to liveSamples (see unlock).
+	unpublished int
 }
 
 // NewStore returns an empty monitoring store.
@@ -317,22 +320,62 @@ func (s *Store) Append(component string, metric Metric, sample Sample) error {
 // non-decreasing time order and start at or after the series' newest
 // sample; otherwise AppendRun returns an error and appends nothing.
 func (s *Store) AppendRun(component string, metric Metric, samples []Sample) error {
-	if len(samples) == 0 {
-		return nil
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	k := SeriesKey{Component: component, Metric: metric}
-	ser := s.series[k]
+	_, err := s.appendRun(k, s.series[k], samples)
+	return err
+}
+
+// Batch is the store locked for a run of appends: one lock and one
+// live-sample count update however many samples it writes. Each Append
+// is accepted or refused on its own, exactly as Store.Append would.
+// Close it promptly, and call no other store method while it is open.
+type Batch struct{ s *Store }
+
+// Batch locks the store for writing until the batch is closed.
+func (s *Store) Batch() Batch {
+	s.mu.Lock()
+	return Batch{s}
+}
+
+// Append is Store.Append inside a batch.
+func (b Batch) Append(component string, metric Metric, sample Sample) error {
+	k := SeriesKey{Component: component, Metric: metric}
+	_, err := b.s.appendRun(k, b.s.series[k], []Sample{sample})
+	return err
+}
+
+// Close counts the batch's samples live and unlocks the store.
+func (b Batch) Close() { b.s.unlock() }
+
+// unlock adds the samples appended under the lock to the live count,
+// once, and releases it.
+func (s *Store) unlock() {
+	if s.unpublished != 0 {
+		liveSamples.Add(int64(s.unpublished))
+		s.unpublished = 0
+	}
+	s.mu.Unlock()
+}
+
+// appendRun appends a run to the series k, where ser is what the caller
+// found for k (nil: no series yet). The whole run is checked against the
+// series' newest sample before any of it is written, and a new series is
+// created only once its first run passes, so a refused run leaves no
+// trace. It returns the series (nil if none exists). Callers hold the
+// write lock.
+func (s *Store) appendRun(k SeriesKey, ser *series, samples []Sample) (*series, error) {
+	if len(samples) == 0 {
+		return ser, nil
+	}
 	last := simtime.Time(math.Inf(-1))
-	if ser != nil {
-		if n := ser.total(); n > ser.dropped {
-			last = ser.at(n - 1).T
-		}
+	if ser != nil && len(ser.segs) > 0 {
+		last = ser.segs[len(ser.segs)-1].last().T
 	}
 	for _, sample := range samples {
 		if sample.T < last {
-			return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, last)
+			return ser, fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, last)
 		}
 		last = sample.T
 	}
@@ -352,8 +395,8 @@ func (s *Store) AppendRun(component string, metric Metric, samples []Sample) err
 	for _, sample := range samples {
 		ser.append(sample, size)
 	}
-	liveSamples.Add(int64(len(samples)))
-	return nil
+	s.unpublished += len(samples)
+	return ser, nil
 }
 
 // MustAppend is Append for simulator-internal callers where out-of-order

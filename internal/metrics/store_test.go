@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -196,10 +197,12 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 // (component, metric), and Components and MetricsFor equal a filter over
 // it. Truncate empties series without removing them, so their keys stay.
 //
-// The same interleavings hold AppendRun to per-sample Append on a second
-// store: every series reads back identically, and a run with a sample out
-// of time order — within the run, or against the series' newest sample —
-// is refused whole, leaving the store (and its index) untouched.
+// The same interleavings hold AppendRun to per-sample appends through
+// Store.Batch on a second store: every series reads back identically,
+// and a run with a sample out of time order — within the run, or against
+// the series' newest sample — is refused whole, leaving the store (and
+// its index) untouched. Chunks queued through one Sampler, each with one
+// run stepping back in time, refuse that run alone and write the rest.
 func TestSeriesIndexProperty(t *testing.T) {
 	for _, seg := range testSegmentSizes {
 		t.Run(fmt.Sprintf("segment=%d", seg), func(t *testing.T) { seriesIndexProperty(t, seg) })
@@ -264,15 +267,62 @@ func seriesIndexProperty(t *testing.T, seg int) {
 		}
 	}
 
+	// draw returns a random key and an in-order run for it, or, if back,
+	// one of at least two samples whose last steps back before its first,
+	// so it is refused whatever the series holds.
+	var now simtime.Time
+	draw := func(back bool) (SeriesKey, []Sample) {
+		k := SeriesKey{Component: comps[rng.Intn(len(comps))], Metric: mets[rng.Intn(len(mets))]}
+		n := 1 + rng.Intn(3*segmentSize/2)
+		if back {
+			n = max(n, 2)
+		}
+		run := make([]Sample, n)
+		for i := range run {
+			now += simtime.Time(rng.Intn(300))
+			run[i] = Sample{T: now, V: rng.Float64()}
+		}
+		if back {
+			run[n-1].T = run[0].T - simtime.Time(1+rng.Intn(600))
+		}
+		return k, run
+	}
+	// expect reports whether the run may follow the series as the twin
+	// holds it and, if so, appends it to the twin.
+	var twin map[SeriesKey]bool
+	expect := func(k SeriesKey, run []Sample) bool {
+		last, ok := per.Latest(k.Component, k.Metric)
+		for i, smp := range run {
+			if (i > 0 || ok) && smp.T < last.T {
+				return false
+			}
+			last = smp
+		}
+		b := per.Batch()
+		for _, smp := range run {
+			if err := b.Append(k.Component, k.Metric, smp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+		twin[k] = true
+		appended += len(run)
+		return true
+	}
+	// One sampler across every trial's store: its slots must re-resolve
+	// when the store changes and stay valid across Truncate.
+	sp := NewSampler(0, 0)
+	refusedQueued, refusedTail := 0, 0
+
 	for trial := 0; trial < 25; trial++ {
 		s := NewStore()
 		s.SetSegmentSize(seg)
 		per = NewStore()
 		per.SetSegmentSize(seg)
-		twin := map[SeriesKey]bool{}
+		twin = map[SeriesKey]bool{}
 		appended = 0
 		check(trial, -1, s, twin)
-		now := simtime.Time(0)
+		now = 0
 		for op := 0; op < 200; op++ {
 			switch r := rng.Intn(20); {
 			case r == 0:
@@ -283,37 +333,49 @@ func seriesIndexProperty(t *testing.T, seg int) {
 				h := simtime.Time(rng.Int63n(int64(now) + 1))
 				s.Truncate(h)
 				per.Truncate(h)
+			case r == 2:
+				// A chunk through the sampler's queue, as an emission
+				// writes it: a few runs under one Hold, one of them
+				// stepping back in time within itself. Release writes the
+				// rest and panics; check holds the store to the twin.
+				n := 2 + rng.Intn(4)
+				bad := rng.Intn(n)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("trial %d op %d: a queued run stepped back in time but Release did not panic", trial, op)
+						}
+					}()
+					sp.Hold()
+					for i := range n {
+						k, run := draw(i == bad)
+						if expect(k, run) == (i == bad) {
+							t.Fatalf("trial %d op %d: drawn run %d in order: %v", trial, op, i, i != bad)
+						}
+						sl := sp.begin(s, k.Component, k.Metric)
+						sp.run = append(sp.run, run...)
+						sp.end(sl)
+					}
+					sp.Release()
+				}()
+				refusedQueued++
+				check(trial, op, s, twin)
 			default:
-				k := SeriesKey{Component: comps[rng.Intn(len(comps))], Metric: mets[rng.Intn(len(mets))]}
-				run := make([]Sample, 1+rng.Intn(3*segmentSize/2))
-				for i := range run {
-					now += simtime.Time(rng.Intn(300))
-					run[i] = Sample{T: now, V: rng.Float64()}
-				}
+				k, run := draw(false)
 				if rng.Intn(4) == 0 { // one sample steps back in time
 					run[rng.Intn(len(run))].T -= simtime.Time(1 + rng.Intn(600))
 				}
-				inOrder := true
-				last, ok := per.Latest(k.Component, k.Metric)
-				for i, smp := range run {
-					if (i > 0 || ok) && smp.T < last.T {
-						inOrder = false
-					}
-					last = smp
-				}
+				inOrder := expect(k, run)
 				err := s.AppendRun(k.Component, k.Metric, run)
 				if inOrder != (err == nil) {
 					t.Fatalf("trial %d op %d: AppendRun of %d samples, in order %v: err %v", trial, op, len(run), inOrder, err)
 				}
 				if err != nil {
 					refused++
-					break
+					if slices.IsSortedFunc(run, func(a, b Sample) int { return cmp.Compare(a.T, b.T) }) {
+						refusedTail++ // in order itself, behind the series' newest sample
+					}
 				}
-				for _, smp := range run {
-					per.MustAppend(k.Component, k.Metric, smp)
-				}
-				twin[k] = true
-				appended += len(run)
 			}
 			if op%10 == 0 {
 				check(trial, op, s, twin)
@@ -326,8 +388,9 @@ func seriesIndexProperty(t *testing.T, seg int) {
 			check(trial, 201, s, twin)
 		}
 	}
-	if refused == 0 {
-		t.Fatal("no out-of-order run was drawn")
+	if refused == 0 || refusedTail == 0 || refusedQueued == 0 {
+		t.Fatalf("out-of-order runs drawn: %d alone (%d against the series' newest sample), %d queued",
+			refused, refusedTail, refusedQueued)
 	}
 }
 

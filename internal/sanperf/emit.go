@@ -1,7 +1,6 @@
 package sanperf
 
 import (
-	"cmp"
 	"slices"
 
 	"diads/internal/metrics"
@@ -85,15 +84,12 @@ func (m *Model) Emit(store *metrics.Store, sp *metrics.Sampler, iv simtime.Inter
 		p := &f.pools[pi]
 		means(string(p.id), metrics.StTotalIOs, func(i int) float64 { return p.total[i] })
 	}
-	for _, ss := range m.cfg.All(topology.KindSubsystem) {
-		var pools []*poolFrame
-		for _, pool := range m.cfg.ChildrenOfKind(ss, topology.KindPool) {
-			pools = append(pools, &f.pools[f.poolIndex(pool)])
-		}
+	for si, ss := range f.lay.subsystems {
+		pools := f.lay.subPools[si]
 		means(string(ss), metrics.StTotalIOs, func(i int) float64 {
 			var sum float64
-			for _, p := range pools {
-				for _, vi := range p.vols {
+			for _, pi := range pools {
+				for _, vi := range f.pools[pi].vols {
 					sum += f.vols[vi].read[i] + f.vols[vi].write[i]
 				}
 			}
@@ -111,10 +107,10 @@ func (m *Model) Emit(store *metrics.Store, sp *metrics.Sampler, iv simtime.Inter
 	}
 }
 
-// frame is one Emit call's view of the model: the topology resolved once,
-// the segments that reach into the chunk read once, the pool state
-// evaluated once per constant piece and the rate means once per
-// monitoring window. Nothing in it outlives the call.
+// frame is one Emit call's view of the model: the topology as the
+// layout of its version holds it, the segments that reach into the chunk
+// read once, the pool state evaluated once per constant piece and the
+// rate means once per monitoring window. Nothing in it outlives the call.
 //
 // Reading the segments once gives the same bits as reading them per probe
 // because the model does not change during an emission: Add and Truncate
@@ -130,6 +126,7 @@ func (m *Model) Emit(store *metrics.Store, sp *metrics.Sampler, iv simtime.Inter
 // other probe of that piece.
 type frame struct {
 	m     *Model
+	lay   *layout
 	wins  []simtime.Interval // the sampler's monitoring windows over the chunk
 	vols  []volFrame         // every volume, by ID
 	disks []diskFrame        // every disk, by ID
@@ -153,7 +150,7 @@ type diskFrame struct {
 type poolFrame struct {
 	id   topology.ID
 	load poolLoad
-	vols []int // frame.vols indices, in load.vols order
+	vols []int // frame.vols indices, in load.vols order (the layout's; read-only)
 	// bounds are the sorted distinct Starts and Ends of every segment in
 	// load: piece k is [bounds[k-1], bounds[k]), open at both extremes.
 	bounds []simtime.Time
@@ -173,27 +170,23 @@ type piece struct {
 }
 
 type portFrame struct {
-	id      topology.ID
-	vols    []int     // frame.vols indices of the volumes routed through it
-	traffic []float64 // per-window KB/s
+	routePort           // the layout's; read-only
+	traffic   []float64 // per-window KB/s
 }
 
 func (m *Model) newFrame(wins []simtime.Interval, iv simtime.Interval, server topology.ID) *frame {
-	cfg := m.cfg
-	f := &frame{m: m, wins: wins}
-	volIDs := cfg.All(topology.KindVolume)
-	diskIDs := cfg.All(topology.KindDisk)
-	poolIDs := cfg.All(topology.KindPool)
+	l := m.layout()
+	f := &frame{m: m, lay: l, wins: wins}
 
 	// One lock acquisition per timeline; the segments land in one arena,
 	// key after key, in the order span reads them back.
 	var segs []Segment
 	var ends []int
-	segs, ends = appendInside(m.reads, segs, ends, volIDs, iv)
-	segs, ends = appendInside(m.writes, segs, ends, volIDs, iv)
-	segs, ends = appendInside(m.seqReads, segs, ends, volIDs, iv)
-	segs, ends = appendInside(m.diskUtil, segs, ends, diskIDs, iv)
-	segs, ends = appendInside(m.outage, segs, ends, diskIDs, iv)
+	segs, ends = appendInside(m.reads, segs, ends, l.vols, iv)
+	segs, ends = appendInside(m.writes, segs, ends, l.vols, iv)
+	segs, ends = appendInside(m.seqReads, segs, ends, l.vols, iv)
+	segs, ends = appendInside(m.diskUtil, segs, ends, l.disks, iv)
+	segs, ends = appendInside(m.outage, segs, ends, l.disks, iv)
 	span := func(j int) []Segment {
 		lo := 0
 		if j > 0 {
@@ -201,35 +194,35 @@ func (m *Model) newFrame(wins []simtime.Interval, iv simtime.Interval, server to
 		}
 		return segs[lo:ends[j]:ends[j]]
 	}
-	nv, nd := len(volIDs), len(diskIDs)
+	nv, nd := len(l.vols), len(l.disks)
 
-	f.pools = make([]poolFrame, len(poolIDs))
-	for pi, id := range poolIDs {
-		f.pools[pi].id = id
-	}
 	f.vols = make([]volFrame, nv)
-	for vi, id := range volIDs {
-		v := &f.vols[vi]
-		v.id, v.pool = id, f.poolIndex(cfg.PoolOf(id))
-		v.load = volLoad{span(vi), span(nv + vi), span(2*nv + vi)}
-		if v.pool >= 0 {
-			p := &f.pools[v.pool]
-			p.vols = append(p.vols, vi)
-			p.load.vols = append(p.load.vols, v.load)
-		}
+	for vi, id := range l.vols {
+		f.vols[vi] = volFrame{id: id, pool: l.volPool[vi],
+			load: volLoad{span(vi), span(nv + vi), span(2*nv + vi)}}
 	}
 	f.disks = make([]diskFrame, nd)
-	for di, id := range diskIDs {
-		d := &f.disks[di]
-		d.id, d.pool = id, f.poolIndex(cfg.PoolOf(id))
-		p := &f.pools[d.pool]
-		d.slot = len(p.load.disks)
-		p.load.disks = append(p.load.disks, diskLoad{span(3*nv + di), span(3*nv + nd + di)})
+	for di, id := range l.disks {
+		f.disks[di] = diskFrame{id: id, pool: l.diskPool[di], slot: l.diskSlot[di]}
 	}
-	for pi := range f.pools {
-		f.pools[pi].cut()
+	f.pools = make([]poolFrame, len(l.pools))
+	for pi, id := range l.pools {
+		p := &f.pools[pi]
+		p.id, p.vols = id, l.poolVols[pi]
+		p.load = poolLoad{make([]volLoad, len(p.vols)), make([]diskLoad, len(l.poolDisks[pi]))}
+		for i, vi := range p.vols {
+			p.load.vols[i] = f.vols[vi].load
+		}
+		for i, di := range l.poolDisks[pi] {
+			p.load.disks[i] = diskLoad{span(3*nv + di), span(3*nv + nd + di)}
+		}
+		p.cut()
 	}
-	f.route(server)
+	rs := m.routes(l, server).ports
+	f.ports = make([]portFrame, len(rs))
+	for i, r := range rs {
+		f.ports[i] = portFrame{routePort: r}
+	}
 
 	// Per-window means: three per volume, three sums per pool, one
 	// traffic series per port, all in one backing array.
@@ -274,15 +267,6 @@ func (m *Model) newFrame(wins []simtime.Interval, iv simtime.Interval, server to
 	return f
 }
 
-// poolIndex returns the frame index of a pool, or -1 ("" or unknown).
-func (f *frame) poolIndex(id topology.ID) int {
-	i, ok := slices.BinarySearchFunc(f.pools, id, func(p poolFrame, id topology.ID) int { return cmp.Compare(p.id, id) })
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // cut collects the pool's breakpoints and sizes its pieces.
 func (p *poolFrame) cut() {
 	add := func(segs []Segment) {
@@ -305,49 +289,6 @@ func (p *poolFrame) cut() {
 	p.pieces = make([]piece, np)
 	p.diskOn = make([]bool, np*len(p.load.disks))
 	p.diskQF = make([]float64, np*len(p.load.disks))
-}
-
-// route resolves, once, the FC ports on the fabric route from server to
-// each volume mapped to it, and the volumes each port carries. A route
-// runs from the server to the subsystem hosting the volume and depends on
-// nothing else, so it is searched once per subsystem.
-func (f *frame) route(server topology.ID) {
-	cfg := f.m.cfg
-	type found struct {
-		ss    topology.ID
-		route topology.Route
-		err   error
-	}
-	var routes []found
-	for vi := range f.vols {
-		vol := f.vols[vi].id
-		if !cfg.LUNVisible(vol, server) {
-			continue
-		}
-		ss := cfg.Parent(cfg.PoolOf(vol))
-		r := slices.IndexFunc(routes, func(r found) bool { return r.ss == ss })
-		if r < 0 {
-			route, err := cfg.FabricRoute(server, vol)
-			r = len(routes)
-			routes = append(routes, found{ss, route, err})
-		}
-		route, err := routes[r].route, routes[r].err
-		if err != nil {
-			continue
-		}
-		for _, id := range route {
-			if comp, ok := cfg.Get(id); !ok || comp.Kind != topology.KindPort {
-				continue
-			}
-			j := slices.IndexFunc(f.ports, func(p portFrame) bool { return p.id == id })
-			if j < 0 {
-				j = len(f.ports)
-				f.ports = append(f.ports, portFrame{id: id})
-			}
-			f.ports[j].vols = append(f.ports[j].vols, vi)
-		}
-	}
-	slices.SortFunc(f.ports, func(a, b portFrame) int { return cmp.Compare(a.id, b.id) })
 }
 
 // piece returns the index of the piece holding t, evaluating the pool's

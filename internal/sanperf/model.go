@@ -3,6 +3,7 @@ package sanperf
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"diads/internal/simtime"
 	"diads/internal/topology"
@@ -56,6 +57,12 @@ type Model struct {
 	seqReads *Timeline // key: volKey(vol) — sequential read IOPS
 	diskUtil *Timeline // key: diskKey(disk) — extra utilization fraction
 	outage   *Timeline // key: diskKey(disk) — 1 while disk out of service
+
+	// lay and rts cache the topology per configuration version (see
+	// layout); each is published whole, so readers on other goroutines
+	// never see one half-built.
+	lay atomic.Pointer[layout]
+	rts atomic.Pointer[routes]
 }
 
 // NewModel returns a performance model over the given SAN configuration.
@@ -154,19 +161,31 @@ type poolState struct {
 	demand float64
 }
 
-// loadOf reads the segments of a pool's volumes and disks.
-func (m *Model) loadOf(pool topology.ID) poolLoad {
-	vols := m.cfg.VolumesInPool(pool)
-	disks := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
-	pl := poolLoad{make([]volLoad, len(vols)), make([]diskLoad, len(disks))}
-	for i, v := range vols {
-		pl.vols[i] = volLoad{m.reads.view(volKey(v)), m.writes.view(volKey(v)), m.seqReads.view(volKey(v))}
+// loadOf appends to pl the segments of a pool's volumes and disks and
+// returns it; an unknown pool has neither.
+func (m *Model) loadOf(pool topology.ID, pl poolLoad) poolLoad {
+	l := m.layout()
+	pi := l.poolIndex(pool)
+	if pi < 0 {
+		return pl
 	}
-	for i, d := range disks {
-		pl.disks[i] = m.diskLoadOf(d)
+	for _, vi := range l.poolVols[pi] {
+		v := volKey(l.vols[vi])
+		pl.vols = append(pl.vols, volLoad{m.reads.view(v), m.writes.view(v), m.seqReads.view(v)})
+	}
+	for _, di := range l.poolDisks[pi] {
+		pl.disks = append(pl.disks, m.diskLoadOf(l.disks[di]))
 	}
 	return pl
 }
+
+// Point queries read a pool into buffers on their own stack: the
+// paper's pools hold a few volumes and up to a dozen disks, and a larger
+// pool spills to the heap.
+const (
+	stackVols  = 8
+	stackDisks = 16
+)
 
 func (m *Model) diskLoadOf(d topology.ID) diskLoad {
 	return diskLoad{m.diskUtil.view(diskKey(d)), m.outage.view(diskKey(d))}
@@ -234,7 +253,9 @@ func (m *Model) DiskUtilization(disk topology.ID, t simtime.Time) float64 {
 	if pool == "" {
 		return 0
 	}
-	pl := m.loadOf(pool)
+	var vols [stackVols]volLoad
+	var disks [stackDisks]diskLoad
+	pl := m.loadOf(pool, poolLoad{vols[:0], disks[:0]})
 	d := m.diskLoadOf(disk)
 	return m.stateAt(&pl, t).diskUtilization(&d, t)
 }
@@ -244,7 +265,9 @@ func (m *Model) DiskUtilization(disk topology.ID, t simtime.Time) float64 {
 // rather than once per disk, so the cost is O(disks + volumes) instead of
 // O(disks × volumes); per-disk results match DiskUtilization exactly.
 func (m *Model) PoolUtilization(pool topology.ID, t simtime.Time) float64 {
-	pl := m.loadOf(pool)
+	var vols [stackVols]volLoad
+	var disks [stackDisks]diskLoad
+	pl := m.loadOf(pool, poolLoad{vols[:0], disks[:0]})
 	return m.stateAt(&pl, t).poolUtilization(&pl, t)
 }
 

@@ -9,23 +9,32 @@ import "math/rand"
 // to draw a few dozen numbers per chunk; lazySource computes a register
 // word only when a draw first reads it, jumping the sequence straight to
 // that word's three steps (x_k = A^k · x_0 mod M).
+//
+// It keeps the outputs it has drawn, not the register: draw n is
+// y[n] = y[n-rngLen] + y[n-rngTap], where a y at or before 0 is a seeded
+// register word, so only the last rngLen outputs are ever read again.
+// They start in an inline buffer sized for a typical series' stream; a
+// stream that outgrows it moves to a full rngLen-word buffer once.
 type lazySource struct {
-	tap, feed int
-	x0        uint64 // the normalized seed: the Lehmer sequence's x_0
-	// drawn counts draws up to rngLen. Draw n (1-based) reads its feed
-	// word unseeded while n <= rngLen and its tap word while n <= rngTap:
-	// each index is fed once per rngLen draws, and the tap reads the word
-	// fed rngTap draws earlier.
-	drawn int
-	vec   [rngLen]uint64
+	x0 uint64 // the normalized seed: the Lehmer sequence's x_0
+	n  int    // draws since seeding
+	// y holds the outputs drawn so far in draw order until rngLen of
+	// them exist, then as a ring: output k sits at y[(k-1) % rngLen].
+	y   []uint64
+	pos int // where the next output goes: n % rngLen
+	buf [rngInline]uint64
 }
 
 const (
 	rngLen  = 607
 	rngTap  = 273
 	rngMask = 1<<63 - 1
-	lehmerM = 1<<31 - 1 // the seeding sequence's modulus
-	lehmerA = 48271     // and multiplier
+	// rngInline is the inline output buffer, in words. A monitoring
+	// series draws about one word per 5-minute sample; the simulated
+	// fleet's series draw 64 to 127 words but for a few.
+	rngInline = 128
+	lehmerM   = 1<<31 - 1 // the seeding sequence's modulus
+	lehmerA   = 48271     // and multiplier
 	// lehmerWarm is how many steps seeding discards before word 0.
 	lehmerWarm = 20
 )
@@ -90,28 +99,50 @@ func (s *lazySource) Seed(seed int64) {
 		seed = 89482311
 	}
 	s.x0 = uint64(seed)
-	s.tap, s.feed, s.drawn = 0, rngLen-rngTap, 0
+	s.n, s.pos = 0, 0
+	if s.y == nil {
+		s.y = s.buf[:0]
+	}
+	s.y = s.y[:0]
 }
+
+// seeded is register word i as seeding leaves it.
+func (s *lazySource) seeded(i int) uint64 { return lehmerWord(s.x0, i) ^ rngCooked[i] }
 
 // Uint64 returns the next 64 bits of the stream.
 func (s *lazySource) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
+	s.n++
+	n := s.n
+	// The feed term y[n-rngLen] is the register word math/rand's feed
+	// index reaches on draw n, until the outputs wrap round to it.
+	var feed uint64
+	if n <= rngLen {
+		feed = s.seeded((2*rngLen - rngTap - n) % rngLen)
+	} else {
+		feed = s.y[s.pos]
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	if s.drawn < rngLen {
-		s.drawn++
-		s.vec[s.feed] = lehmerWord(s.x0, s.feed) ^ rngCooked[s.feed]
-		if s.drawn <= rngTap {
-			s.vec[s.tap] = lehmerWord(s.x0, s.tap) ^ rngCooked[s.tap]
+	var tap uint64
+	if n <= rngTap {
+		tap = s.seeded(rngLen - n)
+	} else {
+		j := s.pos - rngTap
+		if j < 0 {
+			j += rngLen
 		}
+		tap = s.y[j]
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	x := feed + tap
+	if n <= rngLen {
+		if len(s.y) == cap(s.y) {
+			s.y = append(make([]uint64, 0, rngLen), s.y...)
+		}
+		s.y = append(s.y, x)
+	} else {
+		s.y[s.pos] = x
+	}
+	if s.pos++; s.pos == rngLen {
+		s.pos = 0
+	}
 	return x
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestLazySourceMatchesMathRand holds the lazily seeded source to
@@ -70,6 +71,25 @@ func TestNewRandStream(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewRandAllocs bounds one monitoring series' noise stream — the
+// seed plus 80 normals — to two allocations, the Rand and math/rand's
+// wrapper around it: the outputs it keeps fit its inline buffer, and the
+// buffer stays well under the 4.9 KB of a full 607-word register.
+func TestNewRandAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(200, func() {
+		r := NewRand(1, "sampler/vol-V1/readTime")
+		for range 80 {
+			r.NormFloat64()
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("NewRand plus 80 normals: %v allocs, want <= 2", allocs)
+	}
+	if size := unsafe.Sizeof(Rand{}); size > 2048 {
+		t.Fatalf("Rand is %d bytes, want <= 2048", size)
 	}
 }
 

@@ -259,11 +259,14 @@ func (tb *Testbed) RunsFor(query string) []*exec.RunRecord {
 // emitMetrics runs the monitoring pipeline over one window. Streaming
 // simulation calls it once per chunk with consecutive windows; batch
 // simulation once with the full horizon. Windows must not overlap, since
-// the store rejects out-of-order samples.
+// the store rejects out-of-order samples. The whole window's series land
+// in the store in one write.
 func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 	if iv.Length() <= 0 {
 		return
 	}
+	tb.Sampler.Hold()
+	defer tb.Sampler.Release()
 	tb.SAN.Emit(tb.Store, tb.Sampler, iv, ServerDB)
 
 	// Server metrics: CPU from the load timeline (exact interval means, as

@@ -38,6 +38,8 @@ type Config struct {
 	zones []Zone
 	// lunMap maps volume → servers permitted to access it.
 	lunMap map[ID][]ID
+	// version counts mutations of everything above (see Version).
+	version uint64
 	// Log is the configuration change log and system event stream.
 	Log EventLog
 }
@@ -62,12 +64,21 @@ func (c *Config) add(comp *Component) error {
 		return fmt.Errorf("topology: duplicate component ID %q", comp.ID)
 	}
 	c.components[comp.ID] = comp
+	c.version++
 	return nil
 }
+
+// Version identifies the configuration's current state: every mutation
+// of its components, containment, cabling, zoning or LUN mapping bumps
+// it, and nothing else does. Callers that derive data from the
+// configuration (sanperf's emission layout) key it on the version and
+// rebuild when it moves. The change log is not part of the state.
+func (c *Config) Version() uint64 { return c.version }
 
 // attach records containment of child under parent.
 func (c *Config) attach(parent, child ID) {
 	c.parent[child] = parent
+	c.version++
 	c.children[parent] = append(c.children[parent], child)
 	sort.Slice(c.children[parent], func(i, j int) bool {
 		return c.children[parent][i] < c.children[parent][j]
@@ -177,6 +188,7 @@ func (c *Config) Cable(a, b ID) error {
 	}
 	c.fabric[a] = append(c.fabric[a], b)
 	c.fabric[b] = append(c.fabric[b], a)
+	c.version++
 	return nil
 }
 
@@ -189,6 +201,7 @@ func (c *Config) AddZone(name string, ports ...ID) error {
 		}
 	}
 	c.zones = append(c.zones, Zone{Name: name, Members: append([]ID(nil), ports...)})
+	c.version++
 	return nil
 }
 
@@ -197,6 +210,7 @@ func (c *Config) RemoveZone(name string) bool {
 	for i, z := range c.zones {
 		if z.Name == name {
 			c.zones = append(c.zones[:i], c.zones[i+1:]...)
+			c.version++
 			return true
 		}
 	}
@@ -208,6 +222,7 @@ func (c *Config) MapLUN(volume, server ID) error {
 	c.mustExist(volume, KindVolume)
 	c.mustExist(server, KindServer)
 	c.lunMap[volume] = append(c.lunMap[volume], server)
+	c.version++
 	return nil
 }
 
