@@ -88,8 +88,8 @@ func BenchmarkFleet_Throughput(b *testing.B) {
 		// Track the live-heap high-water mark while the fleets run: the
 		// number the retention layer exists to bound. A sampler records
 		// HeapAlloc maxima (10ms resolution is plenty — fleet heap grows
-		// over seconds); the peak lands in BENCH_fleet.json as
-		// peak-heap-bytes via benchjson's extra-metric passthrough.
+		// over seconds); the peak is reported as the peak-heap-bytes
+		// metric beside ns/op.
 		var peak atomic.Uint64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

@@ -5,7 +5,6 @@
 package diads_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -198,30 +197,6 @@ func BenchmarkBaseline_Comparison(b *testing.B) {
 		if !res.DIADSCorrect {
 			b.Fatal("DIADS misdiagnosed the comparison scenario")
 		}
-	}
-}
-
-// BenchmarkPipeline_Sequential and _Concurrent compare the module-DAG
-// engine's two execution modes on every scenario: sequential runs one
-// module at a time (the old step-list workflow's schedule), concurrent
-// lets independent modules (DA ∥ CR) overlap. Reports are byte-identical
-// between the two (see experiments.TestEngineParityAcrossScenarios);
-// only the wall time differs.
-func BenchmarkPipeline_Sequential(b *testing.B) { benchPipelineEngine(b, 1) }
-func BenchmarkPipeline_Concurrent(b *testing.B) { benchPipelineEngine(b, diag.DefaultParallelism) }
-
-func benchPipelineEngine(b *testing.B, maxParallel int) {
-	for _, id := range allScenarioIDs {
-		b.Run(fmt.Sprintf("scenario%d", id), func(b *testing.B) {
-			sc := scenarioFor(b, id)
-			cfg := diads.DiagnoseConfig{MaxParallel: maxParallel}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := diads.DiagnoseWith(context.Background(), sc.Input, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -30,17 +30,13 @@
 package diads
 
 import (
-	"context"
-
 	"diads/internal/apg"
 	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/experiments"
 	"diads/internal/fleet"
-	"diads/internal/metrics"
 	"diads/internal/monitor"
 	"diads/internal/pipeline"
-	"diads/internal/pipelines"
 	"diads/internal/placement"
 	"diads/internal/service"
 	"diads/internal/simtime"
@@ -58,25 +54,17 @@ type (
 	Result = diag.Result
 	// Workflow runs modules one at a time (the interactive mode).
 	Workflow = diag.Workflow
-	// DiagnoseConfig tunes the module-DAG engine (parallelism, hooks).
-	DiagnoseConfig = diag.RunConfig
 	// Trace is a pipeline run's per-module execution record: wall time,
 	// cache hit/miss, and skip/short-circuit decisions.
 	Trace = pipeline.Trace
 	// ModuleTrace is one module's entry in a Trace.
 	ModuleTrace = pipeline.ModuleTrace
-	// PipelineRegistry catalogs the registered diagnosis strategies.
-	PipelineRegistry = pipeline.Registry
-	// Blackboard is the shared result space a pipeline run writes to.
-	Blackboard = pipeline.Blackboard
 	// APG is the Annotated Plan Graph.
 	APG = apg.APG
 	// RunRecord is the monitoring record of one query run.
 	RunRecord = exec.RunRecord
 	// Testbed is the simulated database+SAN environment.
 	Testbed = testbed.Testbed
-	// TestbedConfig tunes testbed construction.
-	TestbedConfig = testbed.Config
 	// SymptomsDB is the root-cause knowledge base.
 	SymptomsDB = symptoms.DB
 	// CauseInstance is one evaluated root-cause hypothesis.
@@ -113,9 +101,6 @@ type (
 	// SlowdownEvent is one detected degradation, self-contained enough
 	// to diagnose.
 	SlowdownEvent = monitor.SlowdownEvent
-	// MetricWatcher tails monitoring series incrementally and raises
-	// component-level alerts.
-	MetricWatcher = monitor.Watcher
 	// EventGate defers slowdown events until the monitoring watermark
 	// covers their evidence window. Every Monitor holds its detections
 	// in one (Monitor.Release); a caller that wants the events delivered
@@ -134,42 +119,10 @@ type (
 	// OnlineResult is the outcome of the end-to-end online scenario.
 	OnlineResult = experiments.OnlineResult
 
-	// Fleet streams many instances concurrently through per-shard
-	// diagnosis services with cross-instance incident grouping and
-	// epoch-sealed symptom learning; reports are byte-identical across
-	// shard counts.
-	Fleet = fleet.Fleet
-	// FleetConfig tunes a fleet (shared symptoms DB, chunking,
-	// concurrency, shard count, learning loop).
-	FleetConfig = fleet.Config
-	// FleetInstance is one database+SAN deployment a fleet streams.
-	FleetInstance = fleet.Instance
-	// FleetReport is a fleet run's outcome: grouped incidents,
-	// per-instance summaries, learning stats.
-	FleetReport = fleet.Report
-	// GroupedIncident is one fleet-level problem, possibly correlated
-	// across instances through shared SAN infrastructure.
-	GroupedIncident = fleet.GroupedIncident
-	// FleetLearnStats summarizes the cross-instance symptom-learning
-	// loop: confirmed/held-out incidents, the healthy corpus, and the
-	// installed/pending/rejected candidate lifecycle.
-	FleetLearnStats = fleet.LearnStats
-	// FleetLearnConfig tunes the learning loop, including the
-	// validation thresholds and the review policy.
-	FleetLearnConfig = fleet.LearnConfig
-	// FleetReviewPolicy selects how validated candidates are adopted:
-	// auto-accept-on-validation or an operator ack.
-	FleetReviewPolicy = fleet.ReviewPolicy
-	// FleetResult is the outcome of the fleet scenario with its
-	// learning-off baseline.
-	FleetResult = experiments.FleetResult
-
 	// SimTime is a simulation timestamp in seconds since the epoch.
 	SimTime = simtime.Time
 	// SimDuration is a span of simulated time in seconds.
 	SimDuration = simtime.Duration
-	// SimInterval is a half-open span of simulated time.
-	SimInterval = simtime.Interval
 )
 
 // Scenario identifiers: the paper's five Table 1 settings plus the
@@ -186,23 +139,11 @@ const (
 	ScenarioRAIDRebuild      = experiments.SRAIDRebuild
 )
 
-// Review policies for the fleet learning loop's adoption gate.
-const (
-	ReviewAutoAccept = fleet.ReviewAutoAccept
-	ReviewOperator   = fleet.ReviewOperator
-)
-
 // NewTestbed builds the paper's Figure 1 environment with default
 // configuration: the TPC-H database on volumes V1/V2 behind an FC fabric,
 // Q2 scheduled every 30 minutes.
 func NewTestbed(seed int64) (*Testbed, error) {
 	return testbed.NewFigure1(testbed.DefaultConfig(seed))
-}
-
-// NewTestbedWithConfig builds the Figure 1 environment with custom
-// configuration.
-func NewTestbedWithConfig(conf TestbedConfig) (*Testbed, error) {
-	return testbed.NewFigure1(conf)
 }
 
 // BuildScenario constructs, simulates, and labels one of the canonical
@@ -212,32 +153,15 @@ func BuildScenario(id ScenarioID, seed int64) (*Scenario, error) {
 }
 
 // Diagnose runs the full batch workflow of Figure 2 through the module
-// DAG engine (independent modules, such as DA and CR, run concurrently;
-// the Result carries the per-module Trace).
+// engine, one module at a time in the workflow's order; the Result
+// carries the per-module Trace.
 func Diagnose(in *Input) (*Result, error) {
 	return diag.Diagnose(in)
-}
-
-// DiagnoseWith is Diagnose with engine configuration — e.g.
-// MaxParallel: 1 forces sequential module execution, which produces a
-// byte-identical report.
-func DiagnoseWith(ctx context.Context, in *Input, cfg DiagnoseConfig) (*Result, error) {
-	return diag.DiagnoseWith(ctx, in, cfg)
 }
 
 // NewWorkflow prepares an interactive workflow over the input.
 func NewWorkflow(in *Input) (*Workflow, error) {
 	return diag.NewWorkflow(in)
-}
-
-// Pipelines returns the registry of diagnosis strategies: "diads" (the
-// full Figure 2 DAG) plus the "san-only" and "db-only" silo baselines.
-func Pipelines() *PipelineRegistry { return pipelines.Registry() }
-
-// RunPipeline executes a registered diagnosis strategy by name over the
-// input, returning the blackboard of module outputs and the run's trace.
-func RunPipeline(ctx context.Context, name string, in *Input) (*Blackboard, *Trace, error) {
-	return pipelines.Run(ctx, name, in)
 }
 
 // BuildAPG constructs the Annotated Plan Graph for a run's plan in the
@@ -252,19 +176,6 @@ func BuildAPG(tb *Testbed, run *RunRecord) (*APG, error) {
 // (Service.SubmitAll).
 func NewMonitor(cfg MonitorConfig) *Monitor { return monitor.New(cfg) }
 
-// NewMetricWatcher returns a watcher tailing the store's series with the
-// monitor's detection settings.
-func NewMetricWatcher(store *metrics.Store, cfg MonitorConfig) *MetricWatcher {
-	return monitor.NewWatcher(store, cfg)
-}
-
-// ReadWindow pads an activity span by the monitoring interval on both
-// sides — the evidence-window contract every diagnosis metric read
-// honors. A SlowdownEvent carries it precomputed (ReadWindow), the
-// Monitor holds events until the streaming watermark covers it, and
-// the Service deduplicates jobs by it.
-func ReadWindow(iv SimInterval) SimInterval { return metrics.ReadWindow(iv) }
-
 // NewService returns a concurrent diagnosis service over the
 // environment. Call Start, SubmitAll what the monitor releases, and read
 // ranked incidents from Registry.
@@ -278,20 +189,6 @@ func ServiceEnvFromTestbed(tb *Testbed) ServiceEnv { return fleet.EnvOf(tb, symp
 // monitor, worker-pool service, injected SAN misconfiguration, ranked
 // incidents.
 func RunOnlineScenario(seed int64) (*OnlineResult, error) { return experiments.Online(seed) }
-
-// RunFleetScenario streams the fleet scenario end to end: 8 staggered
-// instances diagnosed by one shared service while a misconfigured
-// shared SAN pool degrades 6 of them, grouped into one correlated
-// fleet incident, with the cross-instance symptom-learning loop
-// measured against a learning-off baseline of the same seed.
-func RunFleetScenario(seed int64) (*FleetResult, error) { return experiments.Fleet(seed) }
-
-// NewFleet assembles a fleet over instances built with NewTestbed (or
-// the testbed config of your choice) and monitors attached to each
-// engine's OnRunComplete hook. Run streams them to completion.
-func NewFleet(cfg FleetConfig, instances []FleetInstance) (*Fleet, error) {
-	return fleet.New(cfg, instances)
-}
 
 // BuiltinSymptomsDB returns the in-house symptoms database for query
 // slowdowns.

@@ -244,7 +244,8 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 		t.Error("no module stats after diagnoses")
 	}
 
-	// The exposition stays valid and carries the api families.
+	// The exposition stays valid and carries the api families beside
+	// those of the layers behind them.
 	expo := telemetry.Default().Exposition()
 	if err := telemetry.ValidateExposition(expo); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
@@ -255,6 +256,9 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 		"diads_api_ingest_batches_total",
 		"diads_api_ingest_queue_depth",
 		"diads_api_events_released_total",
+		"diads_monitor_",
+		"diads_service_",
+		"diads_module_",
 	} {
 		if !bytes.Contains(expo, []byte(fam)) {
 			t.Errorf("exposition missing %s", fam)

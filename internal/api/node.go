@@ -166,7 +166,7 @@ type Node struct {
 }
 
 // nodeTelemetry is the api layer's instrument set on the default
-// registry — the diads_api_* families the CI smoke validates.
+// registry — the diads_api_* families TestEndToEndIngestDiagnosis checks.
 type nodeTelemetry struct {
 	reg      *telemetry.Registry
 	batches  *telemetry.Counter

@@ -25,16 +25,11 @@ const (
 	KeyIA    = "ia"
 )
 
-// PipelineDIADS is the registry name of the paper's Figure 2 workflow.
+// PipelineDIADS is the name of the paper's Figure 2 workflow.
 const PipelineDIADS = "diads"
 
-// DefaultParallelism is the engine's module-level concurrency for batch
-// diagnoses: wide enough for every independent pair in today's DAG
-// (DA ∥ CR) with room for modules to come.
-const DefaultParallelism = 4
-
 // NewBoard validates the input and returns a blackboard seeded with it,
-// ready for any pipeline over diagnosis inputs. The board carries a copy
+// ready for the diagnosis pipeline. The board carries a copy
 // of the Input with the run history already partitioned by label, and by
 // the plan the drill-down will analyze, so the modules share one
 // filter-and-sort instead of repeating it.
@@ -61,7 +56,7 @@ func inputOf(bb *pipeline.Blackboard) (*Input, error) {
 	return in, nil
 }
 
-// mustDep reads a dependency's output; the scheduler guarantees presence
+// mustDep reads a dependency's output; the engine guarantees presence
 // through the dependency declarations, so absence is a programming error.
 func mustDep[T any](bb *pipeline.Blackboard, key string) T {
 	v, ok := pipeline.Get[T](bb, key)
@@ -78,9 +73,9 @@ func mustDep[T any](bb *pipeline.Blackboard, key string) T {
 //
 // Module PD short-circuits the drill-down when the plan changed
 // (plan-change analysis is then the whole diagnosis); DA and CR are
-// independent given CO and run concurrently; the APG build and the
-// symptoms-database evaluation are cache-satisfiable through scheduler
-// middleware when the input carries caches. The pipeline is stateless
+// independent given CO; the APG build and the symptoms-database
+// evaluation are cache-satisfiable through engine middleware when the
+// input carries caches. The pipeline is stateless
 // and shared: all per-run state lives on the blackboard.
 func DiadsPipeline() *pipeline.Pipeline { return diadsPipeline() }
 

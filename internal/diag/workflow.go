@@ -37,35 +37,19 @@ func (r *Result) TopCause() (ImpactItem, bool) {
 	return ImpactItem{}, false
 }
 
-// RunConfig tunes how the engine executes the DAG.
+// RunConfig carries the engine's test hook.
 type RunConfig struct {
-	// MaxParallel caps concurrently-executing modules. 0 means
-	// DefaultParallelism; 1 or any negative value forces sequential
-	// execution (the modes are byte-identical in their Results —
-	// modules are pure functions of the blackboard).
-	MaxParallel int
-	// OnModuleStart, when non-nil, observes each module launch (tests
-	// use it to cancel deterministically mid-pipeline).
+	// OnModuleStart, when non-nil, observes each module as its turn
+	// comes (tests use it to cancel deterministically mid-pipeline).
 	OnModuleStart func(module string)
-}
-
-func (c RunConfig) options() pipeline.Options {
-	maxPar := c.MaxParallel
-	switch {
-	case maxPar == 0:
-		maxPar = DefaultParallelism
-	case maxPar < 0:
-		maxPar = 1 // "no parallelism", never the engine's unbounded mode
-	}
-	return pipeline.Options{MaxParallel: maxPar, OnStart: c.OnModuleStart}
 }
 
 // Workflow runs the diagnosis modules, either batch (Run) or one module
 // at a time — the paper's interactive mode, where the administrator can
 // inspect and edit each module's result (e.g. prune the COS) before the
-// next module consumes it. Both modes execute through the module-DAG
-// engine: batch runs schedule independent modules (DA ∥ CR)
-// concurrently, interactive steps enforce ordering from the DAG's
+// next module consumes it. Both modes execute through the module
+// engine: batch runs step through the DAG's topological order on the
+// caller's goroutine, interactive steps enforce ordering from the DAG's
 // dependency declarations.
 type Workflow struct {
 	In  *Input
@@ -86,14 +70,14 @@ func NewWorkflow(in *Input) (*Workflow, error) {
 
 // Run executes the full batch workflow of Figure 2: PD first; if the plan
 // changed, plan-change analysis is the diagnosis. Otherwise CO runs
-// against the common plan, DA and CR run concurrently, SD maps symptoms
-// to causes, and IA scores their impact.
+// against the common plan, DA and CR analyze its operators, SD maps
+// symptoms to causes, and IA scores their impact.
 func (w *Workflow) Run() (*Result, error) {
 	return w.RunContext(context.Background())
 }
 
-// RunContext is Run with cancellation: the engine stops scheduling
-// modules once the context is canceled, so a worker goroutine servicing
+// RunContext is Run with cancellation: the engine starts no further
+// module once the context is canceled, so a worker goroutine servicing
 // a diagnosis job can be shut down mid-workflow. Workflows share no
 // mutable state — each run operates on its own blackboard, and the Input
 // is only read — so RunContext is safe to invoke from many goroutines
@@ -110,7 +94,7 @@ func (w *Workflow) RunWith(ctx context.Context, cfg RunConfig) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	trace, err := DiadsPipeline().Run(ctx, bb, cfg.options())
+	trace, err := DiadsPipeline().Run(ctx, bb, pipeline.Options{OnStart: cfg.OnModuleStart})
 	if err != nil {
 		return nil, err
 	}
@@ -219,8 +203,7 @@ func DiagnoseContext(ctx context.Context, in *Input) (*Result, error) {
 	return DiagnoseWith(ctx, in, RunConfig{})
 }
 
-// DiagnoseWith is DiagnoseContext with engine configuration —
-// benchmarks use it to compare sequential and concurrent execution.
+// DiagnoseWith is DiagnoseContext with the engine's test hook.
 func DiagnoseWith(ctx context.Context, in *Input, cfg RunConfig) (*Result, error) {
 	w, err := NewWorkflow(in)
 	if err != nil {

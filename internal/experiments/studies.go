@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"diads/internal/baseline"
 	"diads/internal/diag"
-	"diads/internal/pipeline"
-	"diads/internal/pipelines"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/testbed"
@@ -153,12 +150,10 @@ func Baselines(seed int64) (*BaselinesResult, error) {
 		out.DIADSCorrect = top.Cause.Kind == symptoms.CauseSANMisconfig &&
 			top.Cause.Subject == string(testbed.VolV1)
 	}
-	// The silo tools run through the same pipeline registry and engine
-	// as the full workflow — they are strategies, not special cases.
-	if out.SANOnly, err = runSilo(baseline.PipelineSANOnly, sc.Input); err != nil {
+	if out.SANOnly, err = baseline.SANOnly(sc.Input); err != nil {
 		return nil, err
 	}
-	if out.DBOnly, err = runSilo(baseline.PipelineDBOnly, sc.Input); err != nil {
+	if out.DBOnly, err = baseline.DBOnly(sc.Input); err != nil {
 		return nil, err
 	}
 	for _, f := range out.SANOnly.Findings {
@@ -172,20 +167,6 @@ func Baselines(seed int64) (*BaselinesResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// runSilo executes a silo baseline through the pipeline registry and
-// extracts its report from the blackboard.
-func runSilo(name string, in *diag.Input) (*baseline.Report, error) {
-	bb, _, err := pipelines.Run(context.Background(), name, in)
-	if err != nil {
-		return nil, err
-	}
-	rep, ok := pipeline.Get[*baseline.Report](bb, baseline.KeyReport)
-	if !ok {
-		return nil, fmt.Errorf("experiments: pipeline %s produced no report", name)
-	}
-	return rep, nil
 }
 
 // Render formats the comparison.

@@ -9,10 +9,10 @@ import (
 // MetricNameAnalyzer checks telemetry registrations: every
 // counter/gauge/histogram family registered against a
 // telemetry.Registry must use a statically-known diads_* snake_case
-// name. A fmt.Sprintf-built family name is invisible to promcheck and
-// to anyone grepping the exposition for the namespace, and a name
-// outside diads_* breaks the repo-wide convention the /metrics surface
-// documents. Dimensions belong in labels, not in the family name.
+// name. A fmt.Sprintf-built family name is invisible to the tests'
+// family-prefix checks and to anyone grepping the exposition, and a
+// name outside diads_* breaks the repo-wide convention the /metrics
+// surface documents. Dimensions belong in labels, not the family name.
 var MetricNameAnalyzer = &Analyzer{
 	Name:    "metricname",
 	Doc:     "telemetry registration with a non-literal or non-diads_* family name",

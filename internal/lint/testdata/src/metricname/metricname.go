@@ -7,7 +7,7 @@ import (
 	"diads/internal/telemetry"
 )
 
-// sprintfName builds a family name at runtime: promcheck and the
+// sprintfName builds a family name at runtime: prefix checks and the
 // exposition docs can no longer enumerate the namespace.
 func sprintfName(reg *telemetry.Registry, shard int) *telemetry.Counter {
 	return reg.Counter(fmt.Sprintf("diads_shard_%d_ops_total", shard), "ops", nil) // want metricname

@@ -1,17 +1,12 @@
-// Package pipeline is the declarative module-DAG engine the diagnosis
-// workflows run on. A pipeline is a set of named modules with explicit
-// dependency declarations; the scheduler topologically orders them and
-// runs independent modules concurrently, with context cancellation and
-// error propagation at module granularity. Modules communicate through a
-// blackboard of named outputs, caching is scheduler-level middleware
-// (a module with a CacheSpec can be satisfied without running), and
-// every run produces a Trace recording per-module wall time, cache
-// hits, and skip/short-circuit decisions.
-//
-// The engine is strategy-agnostic: the paper's six-module workflow, its
-// plan-change short circuit, and the silo baseline tools all register as
-// pipelines over the same blackboard (see internal/pipelines), so new
-// diagnosis strategies are a registration, not a rewrite.
+// Package pipeline is the module engine the paper's Figure 2 workflow
+// runs on. A pipeline is a set of named modules with explicit dependency
+// declarations; New orders them topologically and Run executes them one
+// at a time in that order on the caller's goroutine, with context
+// cancellation and error propagation at module granularity. Modules
+// communicate through a blackboard of named outputs, caching is engine
+// middleware (a module with a CacheSpec can be satisfied without
+// running), and every run produces a Trace recording per-module wall
+// time, cache hits, and skip/short-circuit decisions.
 package pipeline
 
 import (
@@ -27,7 +22,7 @@ import (
 
 // Blackboard is the shared result space of one pipeline run: each
 // module's output is stored under the module's name. It is safe for
-// concurrent use by the scheduler's worker goroutines.
+// concurrent use.
 type Blackboard struct {
 	mu   sync.RWMutex
 	vals map[string]any
@@ -80,14 +75,12 @@ func Get[T any](b *Blackboard, name string) (T, bool) {
 // whole diagnosis and the drill-down modules never run.
 type Halt struct{ Out any }
 
-// CacheSpec is the scheduler-level caching middleware: before running a
-// module the engine derives a key from the blackboard, consults the
-// cache, and on a hit installs the cached value as the module's output
-// without running it; on a miss the freshly-computed output is stored
-// back. The trace records the outcome per module. When a cached module
-// halts, the engine stores (and later recognizes) the Halt wrapper
-// itself, so Put/Get bridges on such modules must pass any-typed values
-// through unmodified.
+// CacheSpec is the engine's caching middleware: before running a module
+// the engine derives a key from the blackboard, consults the cache, and
+// on a hit installs the cached value as the module's output without
+// running it; on a miss the freshly-computed output is stored back. The
+// trace records the outcome per module. A cache hit never halts, so a
+// module with a CacheSpec must not return Halt.
 type CacheSpec struct {
 	// Key derives the cache key from the blackboard. ok=false disables
 	// caching for this run (e.g. no cache configured on the input).
@@ -108,7 +101,7 @@ type Module struct {
 	// Run computes the module's output from the blackboard. Return
 	// Halt{Out: v} to short-circuit the rest of the pipeline.
 	Run func(ctx context.Context, bb *Blackboard) (any, error)
-	// Cache, when non-nil, lets the scheduler satisfy the module from a
+	// Cache, when non-nil, lets the engine satisfy the module from a
 	// cache instead of running it.
 	Cache *CacheSpec
 }
@@ -126,7 +119,7 @@ const (
 	// StatusFailed: the module returned an error.
 	StatusFailed Status = "failed"
 	// StatusNotRun: the run ended (error or cancellation) before the
-	// module was scheduled.
+	// module's turn.
 	StatusNotRun Status = "not-run"
 )
 
@@ -184,7 +177,6 @@ func (t *Trace) Append(mt ModuleTrace) { t.Modules = append(t.Modules, mt) }
 type Pipeline struct {
 	name  string
 	mods  []*Module // topological order, registration order among ties
-	deps  [][]int   // deps[i]: positions in mods of mods[i].Deps
 	index map[string]int
 	obs   []moduleObs // obs[i]: mods[i]'s telemetry instruments
 }
@@ -226,17 +218,11 @@ func New(name string, mods ...*Module) (*Pipeline, error) {
 	for i, m := range order {
 		pos[m.Name] = i
 	}
-	deps := make([][]int, len(order))
-	for i, m := range order {
-		for _, d := range m.Deps {
-			deps[i] = append(deps[i], pos[d])
-		}
-	}
-	return &Pipeline{name: name, mods: order, deps: deps, index: pos, obs: make([]moduleObs, len(order))}, nil
+	return &Pipeline{name: name, mods: order, index: pos, obs: make([]moduleObs, len(order))}, nil
 }
 
 // toposort is Kahn's algorithm with a stable tie-break: among ready
-// modules, registration order wins, so scheduling is deterministic.
+// modules, registration order wins, so the run order is deterministic.
 func toposort(name string, mods []*Module) ([]*Module, error) {
 	indeg := make(map[string]int, len(mods))
 	for _, m := range mods {
@@ -268,7 +254,7 @@ func toposort(name string, mods []*Module) ([]*Module, error) {
 	return order, nil
 }
 
-// Name returns the pipeline's registry name.
+// Name returns the pipeline's name.
 func (p *Pipeline) Name() string { return p.name }
 
 // ModuleNames returns the module names in topological order.
@@ -296,9 +282,9 @@ var statuses = [...]Status{StatusRan, StatusCacheHit, StatusSkipped, StatusFaile
 
 // observeModule records one module outcome into the process-wide
 // telemetry registry: a wall-time histogram and an outcome counter per
-// (pipeline, module). Recording at the engine means every execution path
-// — batch runs, interactive steps, silo baselines — lands in the same
-// series without per-driver bookkeeping. Pure side channel: nothing in
+// (pipeline, module). Recording at the engine means both execution paths
+// — batch runs and interactive steps — land in the same series without
+// per-driver bookkeeping. Pure side channel: nothing in
 // a Trace or a Result reads these instruments back.
 func (p *Pipeline) observeModule(i int, status Status, wall time.Duration) {
 	o, module := &p.obs[i], p.mods[i].Name
@@ -330,8 +316,6 @@ type execOut struct {
 }
 
 // exec runs one module: cache probe, run, cache fill, blackboard commit.
-// A halting module's output is cached as the Halt wrapper, so a later
-// cache hit short-circuits exactly as the original run did.
 func (p *Pipeline) exec(ctx context.Context, m *Module, bb *Blackboard) execOut {
 	t0 := time.Now()
 	o := execOut{}
@@ -339,9 +323,6 @@ func (p *Pipeline) exec(ctx context.Context, m *Module, bb *Blackboard) execOut 
 	if m.Cache != nil {
 		if k, ok := m.Cache.Key(bb); ok {
 			if v, hit := m.Cache.Get(bb, k); hit {
-				if h, ok := v.(Halt); ok {
-					v, o.halt = h.Out, true
-				}
 				bb.Put(m.Name, v)
 				o.cache = CacheHit
 				o.wall = time.Since(t0)
@@ -352,24 +333,39 @@ func (p *Pipeline) exec(ctx context.Context, m *Module, bb *Blackboard) execOut 
 		}
 	}
 	out, err := m.Run(ctx, bb)
-	if h, ok := out.(Halt); ok {
-		out, o.halt = h.Out, true
-	}
 	if err != nil {
 		o.err = err
 		o.wall = time.Since(t0)
 		return o
 	}
+	if h, ok := out.(Halt); ok {
+		out, o.halt = h.Out, true
+	}
 	bb.Put(m.Name, out)
 	if o.cache == CacheMiss {
-		if o.halt {
-			m.Cache.Put(bb, key, Halt{Out: out})
-		} else {
-			m.Cache.Put(bb, key, out)
-		}
+		m.Cache.Put(bb, key, out)
 	}
 	o.wall = time.Since(t0)
 	return o
+}
+
+// record turns one module's exec outcome into its trace entry and
+// telemetry; a module error comes back wrapped with the module's name.
+func (p *Pipeline) record(i int, e execOut) (ModuleTrace, error) {
+	mt := ModuleTrace{Module: p.mods[i].Name, Status: StatusRan, Wall: e.wall, Cache: e.cache}
+	var err error
+	switch {
+	case e.err != nil:
+		mt.Status, mt.Note = StatusFailed, e.err.Error()
+		err = fmt.Errorf("pipeline %s: module %s: %w", p.name, mt.Module, e.err)
+	case e.cache == CacheHit:
+		mt.Status = StatusCacheHit
+	}
+	if e.halt {
+		mt.Note = "short-circuit"
+	}
+	p.observeModule(i, mt.Status, mt.Wall)
+	return mt, err
 }
 
 // RunModule executes a single module against the blackboard — the
@@ -393,161 +389,51 @@ func (p *Pipeline) RunModule(ctx context.Context, name string, bb *Blackboard) (
 		return ModuleTrace{Module: name, Status: StatusNotRun},
 			fmt.Errorf("pipeline %s: canceled before module %s: %w", p.name, name, err)
 	}
-	e := p.exec(ctx, m, bb)
-	mt := ModuleTrace{Module: name, Wall: e.wall, Cache: e.cache}
-	switch {
-	case e.err != nil:
-		mt.Status, mt.Note = StatusFailed, e.err.Error()
-		p.observeModule(i, mt.Status, mt.Wall)
-		return mt, fmt.Errorf("pipeline %s: module %s: %w", p.name, name, e.err)
-	case e.cache == CacheHit:
-		mt.Status = StatusCacheHit
-	default:
-		mt.Status = StatusRan
-	}
-	if e.halt {
-		mt.Note = "short-circuit"
-	}
-	p.observeModule(i, mt.Status, mt.Wall)
-	return mt, nil
+	return p.record(i, p.exec(ctx, m, bb))
 }
 
 // Options tune one pipeline run.
 type Options struct {
-	// MaxParallel caps concurrently-executing modules. <=0 means
-	// unbounded (DAG width is the effective bound); 1 is sequential.
-	MaxParallel int
-	// OnStart, when non-nil, observes each module launch in scheduling
-	// order (tests use it to cancel mid-flight deterministically).
+	// OnStart, when non-nil, observes each module as its turn comes
+	// (tests use it to cancel mid-run deterministically).
 	OnStart func(module string)
 }
 
-// Run executes the full pipeline: modules start as soon as their
-// dependencies complete, independent modules run concurrently up to
-// MaxParallel, a module error cancels the rest of the run, and a Halt
-// short-circuits it. A module that is the only one ready while nothing is
-// in flight runs on the calling goroutine — there is nothing for it to
-// overlap with — so a chain costs no goroutine hand-offs; the scheduler
-// fans out only when two or more modules are ready together. The
-// returned Trace is always non-nil and lists every module in topological
-// order.
+// Run executes the full pipeline on the calling goroutine, one module at
+// a time in topological order. A module error or a canceled context ends
+// the run, leaving the remaining modules not-run; a Halt short-circuits
+// it, marking them skipped. The returned Trace is always non-nil and
+// lists every module in topological order.
 func (p *Pipeline) Run(ctx context.Context, bb *Blackboard, opts Options) (*Trace, error) {
-	maxPar := opts.MaxParallel
-	if maxPar <= 0 {
-		maxPar = len(p.mods)
-	}
 	t0 := time.Now()
 	trace := &Trace{Pipeline: p.name, Modules: make([]ModuleTrace, len(p.mods))}
 	for i, m := range p.mods {
 		trace.Modules[i] = ModuleTrace{Module: m.Name, Status: StatusNotRun}
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type doneMsg struct {
-		idx int
-		e   execOut
-	}
-	doneCh := make(chan doneMsg)
-	satisfied := make([]bool, len(p.mods))
-	started := make([]bool, len(p.mods))
-	running := 0
-	var firstErr error
-	haltedBy := ""
-
-	readyBuf := make([]int, 0, len(p.mods))
-	ready := func() []int {
-		out := readyBuf[:0]
-		if firstErr != nil || haltedBy != "" || runCtx.Err() != nil {
-			return out
-		}
-	next:
-		for i := range p.mods {
-			if started[i] {
-				continue
-			}
-			for _, d := range p.deps[i] {
-				if !satisfied[d] {
-					continue next
-				}
-			}
-			out = append(out, i)
-		}
-		return out
-	}
-	start := func(i int) {
-		started[i] = true
-		if opts.OnStart != nil {
-			opts.OnStart(p.mods[i].Name)
-		}
-	}
-	settle := func(idx int, e execOut) {
-		m := p.mods[idx]
-		mt := &trace.Modules[idx]
-		mt.Wall, mt.Cache = e.wall, e.cache
-		switch {
-		case e.err != nil:
-			mt.Status, mt.Note = StatusFailed, e.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pipeline %s: module %s: %w", p.name, m.Name, e.err)
-				cancel() // propagate: no new modules, in-flight ones see the cancel
-			}
-		case e.cache == CacheHit:
-			mt.Status = StatusCacheHit
-			satisfied[idx] = true
-		default:
-			mt.Status = StatusRan
-			satisfied[idx] = true
-		}
-		p.observeModule(idx, mt.Status, mt.Wall)
-		if e.halt && e.err == nil && haltedBy == "" {
-			haltedBy = m.Name
-			mt.Note = "short-circuit"
-		}
-	}
-
-	for {
-		rdy := ready()
-		if running == 0 && len(rdy) == 1 {
-			i := rdy[0]
-			start(i)
-			settle(i, p.exec(runCtx, p.mods[i], bb))
-			continue
-		}
-		for _, i := range rdy {
-			if running >= maxPar {
-				break
-			}
-			start(i)
-			running++
-			go func(i int) {
-				doneCh <- doneMsg{idx: i, e: p.exec(runCtx, p.mods[i], bb)}
-			}(i)
-		}
-		if running == 0 {
+	var err error
+	for i, m := range p.mods {
+		if ctx.Err() != nil {
 			break
 		}
-		d := <-doneCh
-		running--
-		settle(d.idx, d.e)
-	}
-
-	if haltedBy != "" && firstErr == nil && ctx.Err() == nil {
-		for i := range p.mods {
-			if !started[i] {
-				trace.Modules[i].Status = StatusSkipped
-				trace.Modules[i].Note = "short-circuited by " + haltedBy
-				p.observeModule(i, StatusSkipped, 0)
+		if opts.OnStart != nil {
+			opts.OnStart(m.Name)
+		}
+		e := p.exec(ctx, m, bb)
+		if trace.Modules[i], err = p.record(i, e); err != nil {
+			break
+		}
+		if e.halt {
+			for j := i + 1; j < len(p.mods); j++ {
+				trace.Modules[j].Status = StatusSkipped
+				trace.Modules[j].Note = "short-circuited by " + m.Name
+				p.observeModule(j, StatusSkipped, 0)
 			}
+			break
 		}
 	}
 	trace.Total = time.Since(t0)
-	if firstErr != nil {
-		return trace, firstErr
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("pipeline %s: canceled: %w", p.name, ctx.Err())
 	}
-	if err := ctx.Err(); err != nil {
-		return trace, fmt.Errorf("pipeline %s: canceled: %w", p.name, err)
-	}
-	return trace, nil
+	return trace, err
 }

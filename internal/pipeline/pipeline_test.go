@@ -3,12 +3,9 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // constModule returns a module that records its output under its name.
@@ -91,75 +88,40 @@ func TestRunExecutesDAGAndTraces(t *testing.T) {
 	}
 }
 
-// TestIndependentModulesRunConcurrently proves DA-style parallelism: two
-// modules that both wait for the other to start can only complete if the
-// scheduler runs them at the same time.
-func TestIndependentModulesRunConcurrently(t *testing.T) {
-	bStarted := make(chan struct{})
-	cStarted := make(chan struct{})
-	meet := func(mine, other chan struct{}) (any, error) {
-		close(mine)
-		select {
-		case <-other:
-			return "met", nil
-		case <-time.After(5 * time.Second):
-			return nil, errors.New("peer never started: modules did not run concurrently")
-		}
-	}
-	p, err := New("parallel",
-		constModule("a", nil, 1),
-		&Module{Name: "b", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
-			return meet(bStarted, cStarted)
-		}},
-		&Module{Name: "c", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
-			return meet(cStarted, bStarted)
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background(), NewBlackboard(), Options{MaxParallel: 4}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCancellationMidPipeline cancels the context while two independent
-// modules (the DA ∥ CR shape) are in flight; the run must return the
-// context error and the trace must show the downstream module never ran.
+// TestCancellationMidPipeline cancels the context while da (the first
+// of the DA, CR pair in topological order) runs; the run must return the
+// context error, and the modules after da must never run.
 func TestCancellationMidPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var mu sync.Mutex
-	inFlight := 0
-	block := func(runCtx context.Context, bb *Blackboard) (any, error) {
-		mu.Lock()
-		inFlight++
-		if inFlight == 2 {
-			cancel() // both DA and CR are now mid-flight
-		}
-		mu.Unlock()
-		<-runCtx.Done()
-		return nil, runCtx.Err()
-	}
 	p, err := New("cancelable",
 		constModule("co", nil, 1),
-		&Module{Name: "da", Deps: []string{"co"}, Run: block},
-		&Module{Name: "cr", Deps: []string{"co"}, Run: block},
+		&Module{Name: "da", Deps: []string{"co"}, Run: func(runCtx context.Context, bb *Blackboard) (any, error) {
+			cancel()
+			<-runCtx.Done()
+			return nil, runCtx.Err()
+		}},
+		constModule("cr", []string{"co"}, 3),
 		constModule("sd", []string{"da", "cr"}, 4),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := p.Run(ctx, NewBlackboard(), Options{MaxParallel: 4})
+	trace, err := p.Run(ctx, NewBlackboard(), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if mt := trace.Module("sd"); mt.Status != StatusNotRun {
-		t.Fatalf("sd should never run after cancellation, got %s", mt.Status)
-	}
 	if mt := trace.Module("co"); mt.Status != StatusRan {
 		t.Fatalf("co ran before the cancel, got %s", mt.Status)
+	}
+	if mt := trace.Module("da"); mt.Status != StatusFailed {
+		t.Fatalf("da returned the cancellation, got %s", mt.Status)
+	}
+	for _, name := range []string{"cr", "sd"} {
+		if mt := trace.Module(name); mt.Status != StatusNotRun {
+			t.Fatalf("%s should never run after cancellation, got %s", name, mt.Status)
+		}
 	}
 }
 
@@ -181,40 +143,40 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 	}
 }
 
+// TestModuleErrorCancelsSiblingsAndPropagates fails the first of two
+// independent modules: the run returns the module's error, and neither
+// its sibling nor the module downstream of both runs.
 func TestModuleErrorCancelsSiblingsAndPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	siblingCanceled := false
+	slowRan := false
 	p, err := New("failing",
 		constModule("a", nil, 1),
 		&Module{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
 			return nil, boom
 		}},
-		&Module{Name: "slow", Deps: []string{"a"}, Run: func(ctx context.Context, bb *Blackboard) (any, error) {
-			select {
-			case <-ctx.Done():
-				siblingCanceled = true
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return "done", nil
-			}
+		&Module{Name: "slow", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
+			slowRan = true
+			return "done", nil
 		}},
 		constModule("after", []string{"bad", "slow"}, 2),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := p.Run(context.Background(), NewBlackboard(), Options{MaxParallel: 4})
+	trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "module bad") {
 		t.Fatalf("error should name the failing module: %v", err)
 	}
-	if !siblingCanceled {
-		t.Fatal("in-flight sibling should see the cancellation")
+	if slowRan {
+		t.Fatal("the failing module's sibling should not run")
 	}
-	if mt := trace.Module("after"); mt.Status != StatusNotRun {
-		t.Fatalf("downstream of failure should not run, got %s", mt.Status)
+	for _, name := range []string{"slow", "after"} {
+		if mt := trace.Module(name); mt.Status != StatusNotRun {
+			t.Fatalf("%s should not run after the failure, got %s", name, mt.Status)
+		}
 	}
 }
 
@@ -292,48 +254,6 @@ func TestCacheMiddlewareHitAndMiss(t *testing.T) {
 	}
 }
 
-// TestCachedHaltStillShortCircuits checks that a halting module's
-// outcome survives the cache: a later run satisfied from the cache must
-// short-circuit exactly as the original run did.
-func TestCachedHaltStillShortCircuits(t *testing.T) {
-	store := map[string]any{}
-	p, err := New("cached-halt",
-		&Module{
-			Name: "pd",
-			Run: func(context.Context, *Blackboard) (any, error) {
-				return Halt{Out: "plan changed"}, nil
-			},
-			Cache: &CacheSpec{
-				Key: func(bb *Blackboard) (string, bool) { return "sig", true },
-				Get: func(bb *Blackboard, key string) (any, bool) { v, ok := store[key]; return v, ok },
-				Put: func(bb *Blackboard, key string, v any) { store[key] = v },
-			},
-		},
-		constModule("co", []string{"pd"}, 2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background(), NewBlackboard(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	bb2 := NewBlackboard()
-	trace, err := p.Run(context.Background(), bb2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt := trace.Module("pd"); mt.Status != StatusCacheHit {
-		t.Fatalf("pd should be cache-satisfied, got %+v", mt)
-	}
-	if v, _ := Get[string](bb2, "pd"); v != "plan changed" {
-		t.Fatalf("cache hit should install the unwrapped output, got %q", v)
-	}
-	if mt := trace.Module("co"); mt.Status != StatusSkipped {
-		t.Fatalf("cached halt must still short-circuit downstream, got %+v", mt)
-	}
-}
-
 // TestInteractiveStepWithEditHook drives the DAG one module at a time
 // and edits an intermediate output between steps — the OverrideCOS-style
 // hook — verifying dependency enforcement replaces precondition checks.
@@ -376,65 +296,6 @@ func TestInteractiveStepWithEditHook(t *testing.T) {
 	}
 }
 
-func TestSequentialOptionNeverOverlaps(t *testing.T) {
-	var mu sync.Mutex
-	inFlight, maxInFlight := 0, 0
-	mod := func(name string, deps []string) *Module {
-		return &Module{Name: name, Deps: deps, Run: func(context.Context, *Blackboard) (any, error) {
-			mu.Lock()
-			inFlight++
-			if inFlight > maxInFlight {
-				maxInFlight = inFlight
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			inFlight--
-			mu.Unlock()
-			return name, nil
-		}}
-	}
-	p, err := New("seq", mod("a", nil), mod("b", []string{"a"}), mod("c", []string{"a"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background(), NewBlackboard(), Options{MaxParallel: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if maxInFlight != 1 {
-		t.Fatalf("sequential engine overlapped modules: max in flight %d", maxInFlight)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	for _, name := range []string{"diads", "san-only"} {
-		p, err := New(name, constModule("m", nil, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Register(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fmt.Sprint(r.Names()); got != "[diads san-only]" {
-		t.Fatalf("names: %s", got)
-	}
-	if _, ok := r.Get("diads"); !ok {
-		t.Fatal("diads should be registered")
-	}
-	if _, ok := r.Get("ghost"); ok {
-		t.Fatal("ghost should not resolve")
-	}
-	dup, err := New("diads", constModule("m", nil, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(dup); err == nil {
-		t.Fatal("duplicate registration should fail")
-	}
-}
-
 // goroutineID parses the current goroutine's ID off its stack header.
 func goroutineID() string {
 	buf := make([]byte, 64)
@@ -442,96 +303,60 @@ func goroutineID() string {
 	return strings.Fields(strings.TrimPrefix(string(buf), "goroutine "))[0]
 }
 
-// TestRunInlineWhenSingleReady pins the scheduling rule: a module that is
-// the only one ready while nothing is in flight runs on the goroutine that
-// called Run, and the scheduler fans out only when two or more are ready.
-// Everything else observable — OnStart order, trace, halt/skip notes,
-// errors, mid-flight cancellation — does not depend on which path ran.
+// TestRunInlineWhenSingleReady pins the engine's one-goroutine contract:
+// every module of a chain and of a diamond runs on the goroutine that
+// called Run, in topological order. Halts, errors and cancellation
+// mid-run are reported the same way on either shape.
 func TestRunInlineWhenSingleReady(t *testing.T) {
-	var mu sync.Mutex
 	ranOn := map[string]string{}
-	record := func(name string) {
-		mu.Lock()
-		ranOn[name] = goroutineID()
-		mu.Unlock()
-	}
 	mod := func(name string, deps ...string) *Module {
 		return &Module{Name: name, Deps: deps, Run: func(context.Context, *Blackboard) (any, error) {
-			record(name)
+			ranOn[name] = goroutineID()
 			return name, nil
 		}}
 	}
 
-	t.Run("chain", func(t *testing.T) {
-		caller := goroutineID() // each subtest calls Run from its own goroutine
-		p, err := New("chain", mod("a"), mod("b", "a"), mod("c", "b"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []string
-		trace, err := p.Run(context.Background(), NewBlackboard(), Options{
-			MaxParallel: 4,
-			OnStart:     func(m string) { order = append(order, m) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"a", "b", "c"} {
-			if ranOn[name] != caller {
-				t.Errorf("chain module %s ran on goroutine %s, want the caller's %s", name, ranOn[name], caller)
+	for _, tc := range []struct {
+		name string
+		mods []*Module
+		want string
+	}{
+		{"chain", []*Module{mod("a"), mod("b", "a"), mod("c", "b")}, "a,b,c"},
+		// Registered out of order: b and c are independent given a.
+		{"diamond", []*Module{mod("d", "b", "c"), mod("b", "a"), mod("c", "a"), mod("a")}, "a,b,c,d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caller := goroutineID() // each subtest calls Run from its own goroutine
+			p, err := New(tc.name, tc.mods...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if mt := trace.Module(name); mt.Status != StatusRan {
-				t.Errorf("chain module %s trace: %+v", name, mt)
+			var order []string
+			trace, err := p.Run(context.Background(), NewBlackboard(), Options{
+				OnStart: func(m string) { order = append(order, m) },
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := strings.Join(order, ","); got != "a,b,c" {
-			t.Errorf("OnStart order %s, want a,b,c", got)
-		}
-	})
-
-	t.Run("diamond", func(t *testing.T) {
-		caller := goroutineID() // each subtest calls Run from its own goroutine
-		// b and c each wait for the other to start: they finish only if
-		// the scheduler overlaps them. a and d are alone when ready.
-		bStarted, cStarted := make(chan struct{}), make(chan struct{})
-		meet := func(name string, mine, other chan struct{}) *Module {
-			return &Module{Name: name, Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
-				record(name)
-				close(mine)
-				select {
-				case <-other:
-					return name, nil
-				case <-time.After(5 * time.Second):
-					return nil, errors.New("peer never started: the diamond's middle did not overlap")
+			if got := strings.Join(order, ","); got != tc.want {
+				t.Errorf("OnStart order %s, want %s", got, tc.want)
+			}
+			for _, name := range p.ModuleNames() {
+				if ranOn[name] != caller {
+					t.Errorf("module %s ran on goroutine %s, want the caller's %s", name, ranOn[name], caller)
 				}
-			}}
-		}
-		p, err := New("diamond", mod("a"), meet("b", bStarted, cStarted), meet("c", cStarted, bStarted), mod("d", "b", "c"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []string
-		if _, err := p.Run(context.Background(), NewBlackboard(), Options{
-			OnStart: func(m string) { order = append(order, m) },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if ranOn["a"] != caller || ranOn["d"] != caller {
-			t.Errorf("a ran on %s and d on %s, want both on the caller's %s", ranOn["a"], ranOn["d"], caller)
-		}
-		if ranOn["b"] == caller || ranOn["c"] == caller || ranOn["b"] == ranOn["c"] {
-			t.Errorf("b ran on %s and c on %s: want two goroutines, neither the caller's %s", ranOn["b"], ranOn["c"], caller)
-		}
-		if got := strings.Join(order, ","); got != "a,b,c,d" {
-			t.Errorf("OnStart order %s, want a,b,c,d", got)
-		}
-	})
+				if mt := trace.Module(name); mt.Status != StatusRan {
+					t.Errorf("module %s trace: %+v", name, mt)
+				}
+			}
+		})
+	}
 
 	t.Run("halt", func(t *testing.T) {
 		caller := goroutineID() // each subtest calls Run from its own goroutine
 		p, err := New("halting",
 			&Module{Name: "pd", Run: func(context.Context, *Blackboard) (any, error) {
-				record("pd")
+				ranOn["pd"] = goroutineID()
 				return Halt{Out: "changed"}, nil
 			}},
 			mod("co", "pd"))
@@ -578,7 +403,7 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 		defer cancel()
 		p, err := New("canceled", mod("a"),
 			&Module{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ *Blackboard) (any, error) {
-				cancel() // the caller gives up while the inline module runs
+				cancel() // the caller gives up while b runs
 				<-runCtx.Done()
 				return nil, runCtx.Err()
 			}},

@@ -725,7 +725,7 @@ func (s *Service) spanModules(traceID string, t *pipeline.Trace) {
 type ModuleStat struct {
 	Module    string
 	Runs      int64 // times the module executed
-	CacheHits int64 // times the scheduler satisfied it from a cache
+	CacheHits int64 // times the engine satisfied it from a cache
 	Skipped   int64 // times a short circuit skipped it (plan changes)
 	Wall      time.Duration
 }

@@ -104,8 +104,8 @@ func escapeLabel(s string) string {
 // sample lines parse (name, optional label block, float value, optional
 // timestamp), every sample belongs to a family whose # TYPE was declared
 // first, and histogram families only emit _bucket/_sum/_count suffixes
-// with _bucket carrying an le label. The CI smoke job runs it against a
-// live daemon's /metrics.
+// with _bucket carrying an le label. cmd/diadsd's TestTelemetryScrape
+// runs it against a live daemon's /metrics.
 func ValidateExposition(data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("exposition: empty body")
