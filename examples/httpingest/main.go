@@ -30,7 +30,6 @@ import (
 	"diads/internal/metrics"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
-	"diads/internal/testbed"
 )
 
 func main() {
@@ -54,16 +53,11 @@ func main() {
 	}
 	fmt.Printf("simulated client workload: %d runs, fault onset %s\n", len(tb.Runs), env.Onset.Clock())
 
-	// 1. Configuration events: the misconfiguration as a storage
-	// management stack would report it (parameters mirror the fault).
-	at := float64(env.Onset)
-	events := []api.WireEvent{
-		{T: at, Kind: "VolumeCreated", Subject: "vol-Vp", Detail: "volume V' created in pool-P1",
-			Pool: string(testbed.PoolP1), Name: "V'", SizeGB: 80},
-		{T: at + 30, Kind: "ZoneCreated", Subject: "vol-Vp", Detail: "zoning for host srv-app1"},
-		{T: at + 60, Kind: "LUNMapped", Subject: "vol-Vp", Detail: "LUN mapped to host srv-app1",
-			Server: string(testbed.ServerApp1)},
-		{T: at + 120, Kind: "WorkloadStarted", Subject: "vol-Vp", Detail: "external workload started on V'"},
+	// 1. Configuration events: the client's change log, the
+	// misconfiguration as a storage management stack would report it.
+	var events []api.WireEvent
+	for _, e := range tb.Cfg.Log.All() {
+		events = append(events, api.WireEventOf(e))
 	}
 	post(*addr+"/v1/ingest/events", api.EventBatch{Tenant: *tenant, Instance: *instance, Events: events})
 	fmt.Printf("posted %d configuration events\n", len(events))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -71,19 +72,14 @@ func simulateClient(t *testing.T, spec experiments.OnlineSpec) *experiments.Onli
 	return env
 }
 
-// faultEvents is the wire form of the SAN misconfiguration's
-// configuration events: what a real storage-management stack would post
-// when an operator carves V' from the victim pool.
-func faultEvents(onset simtime.Time) []WireEvent {
-	at := float64(onset)
-	return []WireEvent{
-		{T: at, Kind: "VolumeCreated", Subject: "vol-Vp", Detail: "volume V' created in pool-P1",
-			Pool: string(testbed.PoolP1), Name: "V'", SizeGB: 80},
-		{T: at + 30, Kind: "ZoneCreated", Subject: "vol-Vp", Detail: "zoning for host srv-app1"},
-		{T: at + 60, Kind: "LUNMapped", Subject: "vol-Vp", Detail: "LUN mapped to host srv-app1",
-			Server: string(testbed.ServerApp1)},
-		{T: at + 120, Kind: "WorkloadStarted", Subject: "vol-Vp", Detail: "external workload started on V'"},
+// logEvents is the wire form of the client's change log: what a real
+// storage-management stack and database would post.
+func logEvents(tb *testbed.Testbed) []WireEvent {
+	var out []WireEvent
+	for _, e := range tb.Cfg.Log.All() {
+		out = append(out, WireEventOf(e))
 	}
+	return out
 }
 
 // storeSamples serializes every series of the client store, globally
@@ -124,7 +120,7 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 	// 1. Configuration events (the misconfiguration as a real
 	// storage-management stack would report it).
 	resp, body := postJSON(t, client, hs.URL+"/v1/ingest/events", EventBatch{
-		Tenant: "acme", Instance: "db-1", Events: faultEvents(env.Onset),
+		Tenant: "acme", Instance: "db-1", Events: logEvents(tb),
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("events: %d %s", resp.StatusCode, body)
@@ -503,6 +499,17 @@ func TestIngestValidation(t *testing.T) {
 		{"/v1/ingest/runs", `{"tenant":"t","instance":"i","runs":[]} {"tenant":"t","instance":"i","runs":[]}`, trailing},
 		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[]}{"tenant":"t","instance":"i","events":[]}`, trailing},
 		{"/v1/ingest/samples", `{"tenant":"t","instance":"i","samples":[]}]`, trailing},
+		// Mutation payloads that cannot apply.
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"VolumeCreated","subject":"v","pool":"pool-P1","size_gb":8}]}`, "event 0: VolumeCreated in pool pool-P1 needs a name"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"WorkloadStarted"},{"kind":"VolumeCreated","subject":"v","pool":"pool-P1","name":"V","size_gb":-1}]}`, "event 1: VolumeCreated"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"DMLBatch","factor":2}]}`, "DMLBatch needs a table subject"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"DMLBatch","subject":"partsupp"}]}`, "finite positive factor"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"DMLBatch","subject":"partsupp","factor":-0.5}]}`, "finite positive factor"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"ParamChanged","value":3}]}`, "ParamChanged needs a known parameter subject"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"ParamChanged","subject":"no_such_param","value":3}]}`, "ParamChanged needs a known parameter subject"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"ParamChanged","subject":"work_mem","value":1e999}]}`, "parsing batch"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"IndexDropped"}]}`, "IndexDropped needs an index subject"},
+		{"/v1/ingest/events", `{"tenant":"t","instance":"i","events":[{"kind":"IndexCreated","detail":"x"}]}`, "IndexCreated needs an index subject"},
 	}
 	for _, c := range cases {
 		resp, err := client.Post(hs.URL+c.url, "application/json", strings.NewReader(c.body))
@@ -519,6 +526,31 @@ func TestIngestValidation(t *testing.T) {
 			t.Errorf("%s %s: error %q, want it to mention %q", c.url, c.body, reply.Error, c.want)
 		}
 	}
+	// JSON cannot spell a non-finite number; the Go door can.
+	for _, we := range []WireEvent{
+		{Kind: "ParamChanged", Subject: "work_mem", Value: math.NaN()},
+		{Kind: "ParamChanged", Subject: "work_mem", Value: math.Inf(-1)},
+		{Kind: "DMLBatch", Subject: "partsupp", Factor: math.Inf(1)},
+		{Kind: "DMLBatch", Subject: "partsupp", Factor: math.NaN()},
+	} {
+		if err := (&EventBatch{Instance: "i", Events: []WireEvent{we}}).validate(); err == nil {
+			t.Errorf("%s %v/%v validated", we.Kind, we.Value, we.Factor)
+		}
+	}
+	// Unknown and payload-less kinds are accepted and logged, and so is
+	// every event shape the benchmark fixture posts.
+	for _, body := range []string{
+		`{"tenant":"t","instance":"i","events":[{"t":1,"kind":"SomethingNew","subject":"x"},{"t":2,"kind":"VolumeCreated","subject":"v"},{"t":3,"kind":"StatsUpdated"}]}`,
+		`{"tenant":"t","instance":"i","events":[{"t":14700,"kind":"VolumeCreated","subject":"vol-Vp","detail":"volume V' created in pool-P1","pool":"pool-P1","name":"V'","size_gb":80},` +
+			`{"t":14730,"kind":"ZoneCreated","subject":"vol-Vp","detail":"zoning for host srv-app1"},` +
+			`{"t":14760,"kind":"LUNMapped","subject":"vol-Vp","detail":"LUN mapped to host srv-app1","server":"srv-app1"},` +
+			`{"t":14820,"kind":"WorkloadStarted","subject":"vol-Vp","detail":"external workload started on V'"}]}`,
+	} {
+		if resp, reply := postJSON(t, client, hs.URL+"/v1/ingest/events", json.RawMessage(body)); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s = %d %s, want 202", body, resp.StatusCode, reply)
+		}
+	}
+
 	// Whitespace after the batch is not data.
 	resp, body := postJSON(t, client, hs.URL+"/v1/ingest/samples", json.RawMessage(
 		`{"tenant":"t","instance":"i","samples":[]}`+" \r\n\t"))

@@ -9,7 +9,8 @@
 //     monitor exactly like simulator output; samples land in the
 //     instance's metrics store and advance its ingest watermark, which
 //     releases gated detections into the shared diagnosis pool; events
-//     mutate the instance's topology and land in the change log.
+//     apply to the instance's topology, catalog, parameters and
+//     statistics and land in the change log.
 //   - query: GET /v1/incidents, /v1/incidents/{id}, /v1/candidates,
 //     and /v1/modules render the same snapshots the console panels
 //     use — the ranked incident registry, the symptom-learning
@@ -525,52 +526,28 @@ func (n *Node) applyRuns(b *RunBatch) {
 	}
 }
 
-// applyEvents applies configuration events to the instance's topology
-// and change log. Mutation kinds change the config (so facts like
-// new-volume-in-pool bind during diagnosis); every event is logged.
+// applyEvents applies each posted change to the instance through
+// testbed.Apply; a change that cannot apply is counted, not logged. A new
+// statistics snapshot re-registers the instance's diagnosis environment,
+// which holds the snapshot it was registered with, so diagnoses and
+// applyRuns plan under the same statistics (jobs in flight keep theirs).
 func (n *Node) applyEvents(b *EventBatch) {
 	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
 	}
-	cfg := in.Testbed.Cfg
+	restat := false
 	for i := range b.Events {
-		e := &b.Events[i]
-		subject := topology.ID(e.Subject)
-		switch topology.EventKind(e.Kind) {
-		case topology.EvVolumeCreated:
-			if err := cfg.AddVolume(subject, topology.ID(e.Pool), e.Name, e.SizeGB); err != nil {
-				n.tel.applyErr.Inc()
-				continue
-			}
-		case topology.EvZoneCreated:
-			if len(e.Ports) > 0 {
-				ports := make([]topology.ID, len(e.Ports))
-				for i, p := range e.Ports {
-					ports[i] = topology.ID(p)
-				}
-				if err := cfg.AddZone(e.Name, ports...); err != nil {
-					n.tel.applyErr.Inc()
-					continue
-				}
-			}
-		case topology.EvZoneDeleted:
-			cfg.RemoveZone(e.Name)
-		case topology.EvLUNMapped:
-			if e.Server != "" {
-				if err := cfg.MapLUN(subject, topology.ID(e.Server)); err != nil {
-					n.tel.applyErr.Inc()
-					continue
-				}
-			}
+		ev := b.Events[i].event()
+		if err := in.Testbed.Apply(ev); err != nil {
+			n.tel.applyErr.Inc()
+			continue
 		}
-		cfg.Log.Record(topology.Event{
-			T:       simtime.Time(e.T),
-			Kind:    topology.EventKind(e.Kind),
-			Subject: subject,
-			Detail:  e.Detail,
-		})
+		restat = restat || ev.Kind == topology.EvStatsUpdated
+	}
+	if restat {
+		n.svc.AddInstance(in.ID, fleet.EnvOf(in.Testbed, n.cfg.SymDB))
 	}
 }
 

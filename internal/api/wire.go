@@ -3,8 +3,10 @@ package api
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
+	"diads/internal/dbsys"
 	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/plan"
@@ -85,24 +87,23 @@ type RunBatch struct {
 	Runs     []WireRun `json:"runs"`
 }
 
-// WireEvent is one configuration change or system event. Kind names a
-// topology.EventKind; the mutation kinds (VolumeCreated, ZoneCreated,
-// LUNMapped, ZoneDeleted) also apply their change to the instance's
-// topology so diagnosis sees the post-change configuration, and every
-// kind lands in the change log Module SD reads.
+// WireEvent is one change-log entry, the wire form of topology.Event,
+// which documents each kind's payload. The instance applies it through
+// testbed.Apply, so diagnosis sees the post-change state and the change
+// log Modules PD and SD read.
 type WireEvent struct {
-	T       float64 `json:"t"`
-	Kind    string  `json:"kind"`
-	Subject string  `json:"subject"`
-	Detail  string  `json:"detail,omitempty"`
-	// Mutation parameters, by kind: VolumeCreated reads Pool, Name,
-	// SizeGB; ZoneCreated reads Name and Ports; LUNMapped reads Server
-	// (the volume is Subject); ZoneDeleted reads Name.
-	Pool   string   `json:"pool,omitempty"`
-	Name   string   `json:"name,omitempty"`
-	SizeGB int      `json:"size_gb,omitempty"`
-	Ports  []string `json:"ports,omitempty"`
-	Server string   `json:"server,omitempty"`
+	T       float64  `json:"t"`
+	Kind    string   `json:"kind"`
+	Subject string   `json:"subject"`
+	Detail  string   `json:"detail,omitempty"`
+	Pool    string   `json:"pool,omitempty"`
+	Name    string   `json:"name,omitempty"`
+	SizeGB  int      `json:"size_gb,omitempty"`
+	Ports   []string `json:"ports,omitempty"`
+	Server  string   `json:"server,omitempty"`
+	Factor  float64  `json:"factor,omitempty"`
+	Old     float64  `json:"old,omitempty"`
+	Value   float64  `json:"value,omitempty"`
 }
 
 // EventBatch is the body of POST /v1/ingest/events.
@@ -169,6 +170,9 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 
 var errNoInstance = errors.New("batch missing instance")
 
+// paramNames are the parameters a posted ParamChanged may set.
+var paramNames = dbsys.DefaultParams().Names()
+
 func (b *SampleBatch) validate() error {
 	if b.Instance == "" {
 		return errNoInstance
@@ -196,6 +200,35 @@ func (b *RunBatch) validate() error {
 func (b *EventBatch) validate() error {
 	if b.Instance == "" {
 		return errNoInstance
+	}
+	for i := range b.Events {
+		if err := b.Events[i].validate(); err != nil {
+			return fmt.Errorf("event %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// validate refuses a mutation payload that cannot apply. Unknown kinds
+// and kinds without a payload pass: they are logged as they are.
+func (we *WireEvent) validate() error {
+	switch topology.EventKind(we.Kind) {
+	case topology.EvVolumeCreated:
+		if we.Pool != "" && (we.Name == "" || we.SizeGB <= 0) {
+			return fmt.Errorf("VolumeCreated in pool %s needs a name and a positive size_gb", we.Pool)
+		}
+	case topology.EvDMLBatch:
+		if we.Subject == "" || !(we.Factor > 0) || math.IsInf(we.Factor, 1) {
+			return fmt.Errorf("DMLBatch needs a table subject and a finite positive factor")
+		}
+	case topology.EvParamChanged:
+		if !slices.Contains(paramNames, we.Subject) || math.IsNaN(we.Value) || math.IsInf(we.Value, 0) {
+			return fmt.Errorf("ParamChanged needs a known parameter subject and a finite value")
+		}
+	case topology.EvIndexDropped, topology.EvIndexCreated:
+		if we.Subject == "" {
+			return fmt.Errorf("%s needs an index subject", we.Kind)
+		}
 	}
 	return nil
 }
@@ -265,14 +298,29 @@ func WireRunOf(rec *exec.RunRecord) WireRun {
 	return wr
 }
 
-// WireEventOf converts a logged topology event to wire form. Mutation
-// parameters are not recoverable from the log entry; callers replaying
-// mutations fill them in.
+// WireEventOf converts a logged change to wire form, payload and all;
+// event is its inverse.
 func WireEventOf(e topology.Event) WireEvent {
-	return WireEvent{
-		T:       float64(e.T),
-		Kind:    string(e.Kind),
-		Subject: string(e.Subject),
-		Detail:  e.Detail,
+	we := WireEvent{
+		T: float64(e.T), Kind: string(e.Kind), Subject: string(e.Subject), Detail: e.Detail,
+		Pool: string(e.Pool), Name: e.Name, SizeGB: e.SizeGB, Server: string(e.Server),
+		Factor: e.Factor, Old: e.Old, Value: e.Value,
 	}
+	for _, p := range e.Ports {
+		we.Ports = append(we.Ports, string(p))
+	}
+	return we
+}
+
+// event converts a posted change to the form testbed.Apply takes.
+func (we *WireEvent) event() topology.Event {
+	e := topology.Event{
+		T: simtime.Time(we.T), Kind: topology.EventKind(we.Kind), Subject: topology.ID(we.Subject), Detail: we.Detail,
+		Pool: topology.ID(we.Pool), Name: we.Name, SizeGB: we.SizeGB, Server: topology.ID(we.Server),
+		Factor: we.Factor, Old: we.Old, Value: we.Value,
+	}
+	for _, p := range we.Ports {
+		e.Ports = append(e.Ports, topology.ID(p))
+	}
+	return e
 }

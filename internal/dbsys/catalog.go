@@ -8,6 +8,7 @@ package dbsys
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -253,7 +254,8 @@ func (c *Catalog) SetRows(table string, rows int64) error {
 	return nil
 }
 
-// ScaleRows multiplies a table's actual cardinality by factor.
+// ScaleRows multiplies a table's actual cardinality by factor. A factor
+// that would leave the count negative, NaN or past int64 is refused.
 func (c *Catalog) ScaleRows(table string, factor float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,7 +263,11 @@ func (c *Catalog) ScaleRows(table string, factor float64) error {
 	if !ok {
 		return fmt.Errorf("dbsys: unknown table %q", table)
 	}
-	t.Rows = int64(float64(t.Rows) * factor)
+	rows := float64(t.Rows) * factor
+	if !(rows >= 0 && rows < math.MaxInt64) {
+		return fmt.Errorf("dbsys: scaling %s's %d rows by %g leaves no row count", table, t.Rows, factor)
+	}
+	t.Rows = int64(rows)
 	c.version = nextVersion()
 	return nil
 }

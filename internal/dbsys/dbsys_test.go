@@ -72,6 +72,14 @@ func TestSnapshotIsolation(t *testing.T) {
 	if c.MustTable(TPartsupp).Rows != 2*before {
 		t.Fatalf("actual rows should double")
 	}
+	for _, f := range []float64{-1, math.NaN(), 1e300} {
+		if c.ScaleRows(TPartsupp, f) == nil {
+			t.Fatalf("ScaleRows by %g accepted: %d rows", f, c.MustTable(TPartsupp).Rows)
+		}
+	}
+	if c.MustTable(TPartsupp).Rows != 2*before {
+		t.Fatalf("a refused ScaleRows changed the rows")
+	}
 	clone := snap.Clone()
 	clone.Rows[TPartsupp] = 7
 	if snap.RowsOf(TPartsupp) == 7 {

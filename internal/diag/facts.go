@@ -1,6 +1,9 @@
 package diag
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"strconv"
 
 	"diads/internal/apg"
@@ -39,15 +42,22 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 	}
 
 	if cr != nil {
-		//lint:allow mapiter FactBase.Add is a keyed max-merge, commutative across entries
-		for table, score := range cr.TableScores {
-			fb.Add("record-anomaly:"+table, score)
+		for _, table := range sortedKeys(cr.TableScores) {
+			fb.Add("record-anomaly:"+table, cr.TableScores[table])
 		}
 	}
 
 	addEventFacts(fb, in)
 	addCPULevelFact(fb, in)
 	return fb
+}
+
+// sortedKeys returns m's keys in order: facts are added in one order
+// whatever the map's.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := slices.AppendSeq(make([]K, 0, len(m)), maps.Keys(m))
+	slices.Sort(keys)
+	return keys
 }
 
 // addCPULevelFact records the absolute CPU utilization level during the
@@ -96,9 +106,8 @@ func addCOSStructureFacts(fb *symptoms.FactBase, g *apg.APG, co *COResult) {
 		}
 	}
 	fb.Add("cos-leaf-frac-any", anyFrac)
-	//lint:allow mapiter FactBase.Add is a keyed max-merge, commutative across entries
-	for pool, frac := range poolFrac {
-		fb.Add("cos-leaf-frac-pool:"+string(pool), frac)
+	for _, pool := range sortedKeys(poolFrac) {
+		fb.Add("cos-leaf-frac-pool:"+string(pool), poolFrac[pool])
 	}
 
 	// Per-table: the highest anomaly score among the table's leaves.
@@ -139,8 +148,7 @@ func addDerivedDAFacts(fb *symptoms.FactBase, in *Input, da *DAResult) {
 			volLoad[topology.ID(s.Component)] = s.Score
 		}
 	}
-	//lint:allow mapiter SharingVolumes is a pure topology query and the per-volume facts are keyed by vol
-	for vol := range volLoad {
+	for _, vol := range sortedKeys(volLoad) {
 		var max float64
 		for _, sib := range in.Cfg.SharingVolumes(vol) {
 			if sc, ok := volLoad[sib]; ok && sc > max {

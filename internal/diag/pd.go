@@ -2,7 +2,6 @@ package diag
 
 import (
 	"fmt"
-	"strings"
 
 	"diads/internal/exec"
 	"diads/internal/opt"
@@ -152,14 +151,7 @@ func replayIndexEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCau
 // the instance optimizer's memo.
 func replayParamEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	cause := PlanChangeCause{Event: ev}
-	name := string(ev.Subject)
-	var oldV, newV float64
-	// Detail format: "name: old -> new" (written by the testbed).
-	detail := strings.TrimPrefix(ev.Detail, name+": ")
-	if _, err := fmt.Sscanf(detail, "%g -> %g", &oldV, &newV); err != nil {
-		cause.Detail = fmt.Sprintf("cannot parse parameter change %q", ev.Detail)
-		return cause
-	}
+	name, oldV, newV := string(ev.Subject), ev.Old, ev.Value
 	pOld := in.Params.Clone()
 	pOld.Set(name, oldV)
 	pNew := in.Params.Clone()

@@ -19,7 +19,6 @@ import (
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/telemetry"
-	"diads/internal/testbed"
 )
 
 // TestCrossModeEquivalence pins that the same evidence yields the same
@@ -138,8 +137,7 @@ func simulateClient(t *testing.T, spec OnlineSpec) *OnlineEnv {
 }
 
 // streamHTTP replays a simulated client into the node as acme/db-1 in
-// the order the ingest contract requires: the fault's configuration
-// events, then, step by step, the runs that completed by the boundary
+// the order the ingest contract requires: the client's change log, then, step by step, the runs that completed by the boundary
 // and the samples taken up to it, the boundary being the batch's
 // watermark; step 0 is the whole stream at once. Nothing settles between
 // POSTs — diagnoses race further ingest — unless each (nil for none),
@@ -166,11 +164,11 @@ func streamHTTP(t *testing.T, node *api.Node, env *OnlineEnv, step simtime.Durat
 		}
 	}
 	tb := env.Testbed
-	at := float64(env.Onset)
-	post("/v1/ingest/events", api.EventBatch{Tenant: "acme", Instance: "db-1", Events: []api.WireEvent{
-		{T: at, Kind: "VolumeCreated", Subject: "vol-Vp", Pool: string(testbed.PoolP1), Name: "V'", SizeGB: 80},
-		{T: at + 60, Kind: "LUNMapped", Subject: "vol-Vp", Server: string(testbed.ServerApp1)},
-	}})
+	var events []api.WireEvent
+	for _, e := range tb.Cfg.Log.All() {
+		events = append(events, api.WireEventOf(e))
+	}
+	post("/v1/ingest/events", api.EventBatch{Tenant: "acme", Instance: "db-1", Events: events})
 	runs := slices.Clone(tb.Runs)
 	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Stop < runs[j].Stop })
 	var samples []api.WireSample

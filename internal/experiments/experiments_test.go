@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"diads/internal/dbsys"
+	"diads/internal/selfheal"
 	"diads/internal/symptoms"
+	"diads/internal/topology"
 )
 
 const testSeed = 400
@@ -294,6 +297,28 @@ func TestSelfHealRecovers(t *testing.T) {
 	}
 	if !res.Recovered {
 		t.Errorf("healed runs should recover: %s", res.Verdict)
+	}
+}
+
+// TestSelfHealLogsRemedyWhenApplied pins the self-heal study's change
+// log: the remedy's IndexCreated carries the time it is applied, after
+// the IndexDropped it repairs, not the epoch.
+func TestSelfHealLogsRemedyWhenApplied(t *testing.T) {
+	remedy, err := selfheal.Plan(symptoms.CauseInstance{Kind: symptoms.CausePlanRegression, Subject: dbsys.IdxPartsuppPart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healed, post, err := heal(testSeed, dbsys.IdxPartsuppPart, remedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := healed.Cfg.Log.All()
+	if len(log) != 2 || log[0].Kind != topology.EvIndexDropped || log[1].Kind != topology.EvIndexCreated {
+		t.Fatalf("healed log %+v, want the drop then the recreation", log)
+	}
+	if log[1].T <= log[0].T || log[1].T != post {
+		t.Errorf("IndexCreated at %s, IndexDropped at %s: the remedy is applied at %s",
+			log[1].T.Clock(), log[0].T.Clock(), post.Clock())
 	}
 }
 

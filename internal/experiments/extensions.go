@@ -133,24 +133,12 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 	out.HealthyMean = meanDuration(sat)
 	out.BrokenMean = meanDuration(unsat)
 
-	// Continuation environment: same seed and faults, plus the remedy
-	// applied after the fault; the healed runs must recover.
-	healed, err := newScenarioTestbed(seed)
+	healed, post, err := heal(seed, subject, remedy)
 	if err != nil {
-		return nil, err
-	}
-	if err := faults.Inject(healed, &faults.IndexDrop{At: faultOnset(), Index: subject}); err != nil {
-		return nil, err
-	}
-	if err := healed.Simulate(); err != nil {
-		return nil, err
-	}
-	if err := remedy.Apply(healed); err != nil {
 		return nil, err
 	}
 	// Re-run the query three times in the healed environment.
 	var healedDur []float64
-	post := scheduleHorizon().Add(10 * simtime.Minute)
 	for i := 0; i < 3; i++ {
 		p, err := healed.Opt.PlanQuery("Q2", healed.Stats, healed.Params)
 		if err != nil {
@@ -170,6 +158,23 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 	out.HealedMean = sum / float64(len(healedDur))
 	out.Recovered, out.Verdict = selfheal.Verify(out.HealthyMean, out.HealedMean, 0.35)
 	return out, nil
+}
+
+// heal builds the continuation environment: same seed and fault,
+// simulated, then the remedy applied at post, where the healed runs start.
+func heal(seed int64, subject string, remedy *selfheal.Remedy) (*testbed.Testbed, simtime.Time, error) {
+	post := scheduleHorizon().Add(10 * simtime.Minute)
+	healed, err := newScenarioTestbed(seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := faults.Inject(healed, &faults.IndexDrop{At: faultOnset(), Index: subject}); err != nil {
+		return nil, 0, err
+	}
+	if err := healed.Simulate(); err != nil {
+		return nil, 0, err
+	}
+	return healed, post, remedy.Apply(healed, post)
 }
 
 // Render formats the study.

@@ -3,8 +3,9 @@
 // inject SAN misconfigurations, volume and server contention, RAID
 // rebuilds, disk failures, changes in data properties, table-locking
 // problems, and plan-changing schema/configuration events. Faults are
-// applied to a testbed before Simulate and record the configuration
-// events a real environment would log.
+// applied to a testbed before Simulate. Their configuration changes are
+// change-log events applied through testbed.Apply: the SAN ones at
+// injection, the database ones scheduled into the testbed's Changes.
 package faults
 
 import (
@@ -57,26 +58,24 @@ func (f *SANMisconfiguration) GroundTruth() (string, string) {
 	return symptoms.CauseSANMisconfig, "" // subject resolved per victim volume
 }
 
-// Apply implements Fault.
+// Apply implements Fault. The changes apply at injection, not at their
+// logged times: V' must be emitted from where it always has been.
 func (f *SANMisconfiguration) Apply(tb *testbed.Testbed) error {
-	if err := tb.Cfg.AddVolume(f.NewVolume, f.Pool, "V'", 80); err != nil {
-		return fmt.Errorf("faults: creating %s: %w", f.NewVolume, err)
+	err := applyAll(tb,
+		topology.Event{T: f.At, Kind: topology.EvVolumeCreated, Subject: f.NewVolume,
+			Detail: fmt.Sprintf("volume V' created in %s", f.Pool), Pool: f.Pool, Name: "V'", SizeGB: 80},
+		topology.Event{T: f.At.Add(30 * simtime.Second), Kind: topology.EvZoneCreated, Subject: f.NewVolume,
+			Detail: fmt.Sprintf("zoning for host %s", f.Host)},
+		topology.Event{T: f.At.Add(simtime.Minute), Kind: topology.EvLUNMapped, Subject: f.NewVolume,
+			Detail: fmt.Sprintf("LUN mapped to host %s", f.Host), Server: f.Host},
+		topology.Event{T: f.At.Add(2 * simtime.Minute), Kind: topology.EvWorkloadStarted, Subject: f.NewVolume,
+			Detail: "external workload started on V'"})
+	if err != nil {
+		return err
 	}
-	if err := tb.Cfg.MapLUN(f.NewVolume, f.Host); err != nil {
-		return fmt.Errorf("faults: mapping %s: %w", f.NewVolume, err)
-	}
-	log := &tb.Cfg.Log
-	log.Record(topology.Event{T: f.At, Kind: topology.EvVolumeCreated, Subject: f.NewVolume,
-		Detail: fmt.Sprintf("volume V' created in %s", f.Pool)})
-	log.Record(topology.Event{T: f.At.Add(30 * simtime.Second), Kind: topology.EvZoneCreated, Subject: f.NewVolume,
-		Detail: fmt.Sprintf("zoning for host %s", f.Host)})
-	log.Record(topology.Event{T: f.At.Add(time1m()), Kind: topology.EvLUNMapped, Subject: f.NewVolume,
-		Detail: fmt.Sprintf("LUN mapped to host %s", f.Host)})
-	log.Record(topology.Event{T: f.At.Add(2 * time1m()), Kind: topology.EvWorkloadStarted, Subject: f.NewVolume,
-		Detail: "external workload started on V'"})
 	tb.SAN.AddLoad(sanperf.Load{
 		Volume:    f.NewVolume,
-		Iv:        simtime.NewInterval(f.At.Add(2*time1m()), f.Until),
+		Iv:        simtime.NewInterval(f.At.Add(2*simtime.Minute), f.Until),
 		ReadIOPS:  f.ReadIOPS,
 		WriteIOPS: f.WriteIOPS,
 		SeqFrac:   0.1,
@@ -84,8 +83,6 @@ func (f *SANMisconfiguration) Apply(tb *testbed.Testbed) error {
 	})
 	return nil
 }
-
-func time1m() simtime.Duration { return simtime.Minute }
 
 // ExternalVolumeLoad reproduces scenario 2's external workloads: extra
 // I/O against an existing volume, optionally bursty, with no
@@ -124,11 +121,10 @@ func (f *ExternalVolumeLoad) Apply(tb *testbed.Testbed) error {
 	for _, seg := range el.Segments() {
 		tb.SAN.AddLoad(seg)
 	}
-	tb.Cfg.Log.Record(topology.Event{
+	return tb.Apply(topology.Event{
 		T: f.Window.Start, Kind: topology.EvWorkloadStarted, Subject: f.Volume,
 		Detail: fmt.Sprintf("external workload %s", f.LoadName),
 	})
-	return nil
 }
 
 // DataPropertyChange reproduces scenario 3: a bulk DML shifts a table's
@@ -149,7 +145,10 @@ func (f *DataPropertyChange) GroundTruth() (string, string) {
 
 // Apply implements Fault.
 func (f *DataPropertyChange) Apply(tb *testbed.Testbed) error {
-	tb.DMLs = append(tb.DMLs, workload.DMLBatch{T: f.At, Table: f.Table, Factor: f.Factor})
+	tb.Changes = append(tb.Changes, topology.Event{
+		T: f.At, Kind: topology.EvDMLBatch, Subject: topology.ID(f.Table), Factor: f.Factor,
+		Detail: fmt.Sprintf("bulk DML scaled %s cardinality by %.2fx", f.Table, f.Factor),
+	})
 	return nil
 }
 
@@ -206,11 +205,11 @@ func (f *RAIDRebuild) Apply(tb *testbed.Testbed) error {
 	for _, d := range disks {
 		tb.SAN.AddDiskUtilization(d, f.Window, f.Intensity, "raid-rebuild")
 	}
-	tb.Cfg.Log.Record(topology.Event{T: f.Window.Start, Kind: topology.EvRAIDRebuildStart,
-		Subject: f.Pool, Detail: "RAID rebuild started"})
-	tb.Cfg.Log.Record(topology.Event{T: f.Window.End, Kind: topology.EvRAIDRebuildDone,
-		Subject: f.Pool, Detail: "RAID rebuild completed"})
-	return nil
+	return applyAll(tb,
+		topology.Event{T: f.Window.Start, Kind: topology.EvRAIDRebuildStart,
+			Subject: f.Pool, Detail: "RAID rebuild started"},
+		topology.Event{T: f.Window.End, Kind: topology.EvRAIDRebuildDone,
+			Subject: f.Pool, Detail: "RAID rebuild completed"})
 }
 
 // DiskFailure takes a disk out of service; the survivors absorb its load
@@ -243,11 +242,11 @@ func (f *DiskFailure) Apply(tb *testbed.Testbed) error {
 		}
 		tb.SAN.AddDiskUtilization(d, f.Window, f.RebuildIntensity, "rebuild-after-failure")
 	}
-	tb.Cfg.Log.Record(topology.Event{T: f.Window.Start, Kind: topology.EvDiskFailed,
-		Subject: f.Disk, Detail: "disk failed"})
-	tb.Cfg.Log.Record(topology.Event{T: f.Window.Start.Add(time1m()), Kind: topology.EvRAIDRebuildStart,
-		Subject: pool, Detail: "rebuild after disk failure"})
-	return nil
+	return applyAll(tb,
+		topology.Event{T: f.Window.Start, Kind: topology.EvDiskFailed,
+			Subject: f.Disk, Detail: "disk failed"},
+		topology.Event{T: f.Window.Start.Add(simtime.Minute), Kind: topology.EvRAIDRebuildStart,
+			Subject: pool, Detail: "rebuild after disk failure"})
 }
 
 // CPUSaturation loads the database server's CPU.
@@ -288,7 +287,10 @@ func (f *IndexDrop) GroundTruth() (string, string) {
 
 // Apply implements Fault.
 func (f *IndexDrop) Apply(tb *testbed.Testbed) error {
-	tb.IndexDrops = append(tb.IndexDrops, workload.ScheduledIndexDrop{T: f.At, Index: f.Index})
+	tb.Changes = append(tb.Changes, topology.Event{
+		T: f.At, Kind: topology.EvIndexDropped, Subject: topology.ID(f.Index),
+		Detail: "index dropped by maintenance script",
+	})
 	return nil
 }
 
@@ -309,9 +311,19 @@ func (f *ParamChange) GroundTruth() (string, string) {
 
 // Apply implements Fault.
 func (f *ParamChange) Apply(tb *testbed.Testbed) error {
-	tb.ParamChanges = append(tb.ParamChanges, workload.ScheduledParamChange{
-		T: f.At, Param: f.Param, Value: f.Value,
+	tb.Changes = append(tb.Changes, topology.Event{
+		T: f.At, Kind: topology.EvParamChanged, Subject: topology.ID(f.Param), Value: f.Value,
 	})
+	return nil
+}
+
+// applyAll applies changes in order, stopping at the first that fails.
+func applyAll(tb *testbed.Testbed, evs ...topology.Event) error {
+	for _, ev := range evs {
+		if err := tb.Apply(ev); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
 	"diads/internal/dbsys"
@@ -42,13 +43,20 @@ func TestSANMisconfigurationCreatesVolumeAndEvents(t *testing.T) {
 	if !tb.Cfg.LUNVisible("vol-Vp", testbed.ServerApp1) {
 		t.Fatalf("V' not mapped")
 	}
-	for _, kind := range []topology.EventKind{
-		topology.EvVolumeCreated, topology.EvZoneCreated,
-		topology.EvLUNMapped, topology.EvWorkloadStarted,
-	} {
-		if len(tb.Cfg.Log.OfKind(kind)) != 1 {
-			t.Errorf("missing %s event", kind)
-		}
+	// Applied at injection, each change logged with its payload.
+	want := []topology.Event{
+		{T: 1000, Kind: topology.EvVolumeCreated, Subject: "vol-Vp", Detail: "volume V' created in pool-P1",
+			Pool: testbed.PoolP1, Name: "V'", SizeGB: 80},
+		{T: 1030, Kind: topology.EvZoneCreated, Subject: "vol-Vp", Detail: "zoning for host srv-app1"},
+		{T: 1060, Kind: topology.EvLUNMapped, Subject: "vol-Vp", Detail: "LUN mapped to host srv-app1",
+			Server: testbed.ServerApp1},
+		{T: 1120, Kind: topology.EvWorkloadStarted, Subject: "vol-Vp", Detail: "external workload started on V'"},
+	}
+	if got := tb.Cfg.Log.All(); !reflect.DeepEqual(got, want) {
+		t.Errorf("change log:\n got %+v\nwant %+v", got, want)
+	}
+	if len(tb.Changes) != 0 {
+		t.Errorf("SAN changes must not be scheduled: %+v", tb.Changes)
 	}
 	if got := tb.SAN.VolumeReadIOPS("vol-Vp", 2000); got != 300 {
 		t.Fatalf("V' load not applied: %v", got)
@@ -87,8 +95,13 @@ func TestDataPropertyChangeSchedulesDML(t *testing.T) {
 	if err := Inject(tb, f); err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.DMLs) != 1 || tb.DMLs[0].Factor != 1.5 {
-		t.Fatalf("DML not scheduled: %+v", tb.DMLs)
+	want := []topology.Event{{T: 500, Kind: topology.EvDMLBatch, Subject: dbsys.TPartsupp, Factor: 1.5,
+		Detail: "bulk DML scaled partsupp cardinality by 1.50x"}}
+	if !reflect.DeepEqual(tb.Changes, want) {
+		t.Fatalf("DML not scheduled: %+v", tb.Changes)
+	}
+	if tb.Cfg.Log.Len() != 0 {
+		t.Fatalf("a scheduled change must not log before it applies")
 	}
 }
 
@@ -162,8 +175,27 @@ func TestCPUSaturationAndScheduledChanges(t *testing.T) {
 	if got := tb.CPULoad.At("cpu", 50); got != 0.7 {
 		t.Fatalf("cpu load: %v", got)
 	}
-	if len(tb.IndexDrops) != 1 || len(tb.ParamChanges) != 1 {
-		t.Fatalf("scheduled changes missing")
+	want := []topology.Event{
+		{T: 50, Kind: topology.EvIndexDropped, Subject: dbsys.IdxPartsuppPart, Detail: "index dropped by maintenance script"},
+		{T: 60, Kind: topology.EvParamChanged, Subject: dbsys.ParamRandomPageCost, Value: 40},
+	}
+	if !reflect.DeepEqual(tb.Changes, want) {
+		t.Fatalf("scheduled changes: %+v", tb.Changes)
+	}
+	if err := tb.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	// Applied in Simulate: the parameter's Old and Detail come from the
+	// value it replaced.
+	want[1].Old, want[1].Detail = 4, "random_page_cost: 4 -> 40"
+	if got := tb.Cfg.Log.All(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("change log:\n got %+v\nwant %+v", got, want)
+	}
+	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); ok {
+		t.Errorf("index still present after its drop applied")
+	}
+	if got := tb.Params.Get(dbsys.ParamRandomPageCost); got != 40 {
+		t.Errorf("random_page_cost = %v after its change applied", got)
 	}
 }
 

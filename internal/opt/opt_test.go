@@ -135,6 +135,21 @@ func TestUnknownQueryRejected(t *testing.T) {
 	}
 }
 
+// TestNoFiniteCostIsAnError: parameters under which every Q2 candidate
+// costs +Inf or NaN leave no plan to choose, and PlanQuery says so
+// instead of returning nothing.
+func TestNoFiniteCostIsAnError(t *testing.T) {
+	o, stats, params := setup(t)
+	params.Set(dbsys.ParamCPUTupleCost, 1e308)
+	if p, err := o.PlanQuery("Q2", stats, params); err == nil {
+		t.Fatalf("cpu_tuple_cost 1e308 planned:\n%s", p.Render())
+	}
+	params.Set(dbsys.ParamSeqPageCost, -1e308)
+	if _, err := o.PlanQuery("Q2", stats, params); err == nil {
+		t.Fatal("NaN costs planned")
+	}
+}
+
 func TestStaleStatsStillPickIndexPlan(t *testing.T) {
 	// A data-property change (partsupp doubles) without re-ANALYZE leaves
 	// the optimizer choosing from the old snapshot: the plan must stay

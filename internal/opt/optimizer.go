@@ -84,7 +84,7 @@ func (o *Optimizer) PlanQuery(query string, stats dbsys.Stats, params *dbsys.Par
 func (o *Optimizer) plan(query string, stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
 	switch query {
 	case "Q2":
-		return o.planQ2(stats, params), nil
+		return o.planQ2(stats, params)
 	case "Q5":
 		p := plan.BuildQ5()
 		plan.EstimateInto(p, stats.RowsOf)
@@ -103,8 +103,9 @@ func (o *Optimizer) plan(query string, stats dbsys.Stats, params *dbsys.Params) 
 }
 
 // planQ2 enumerates the Q2 decision points and picks the cheapest
-// combination.
-func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) *plan.Plan {
+// combination. Parameters that leave no candidate a finite cost (a
+// posted cpu_tuple_cost of 1e308, say) are an error, not a plan.
+func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
 	indexEnabled := params.Bool(dbsys.ParamEnableIndexScan)
 
 	accessAlternatives := func(table, column string) []plan.AccessSpec {
@@ -154,6 +155,9 @@ func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) *plan.Plan {
 			}
 		}
 	}
+	if best == nil {
+		return nil, fmt.Errorf("opt: no Q2 plan has a finite cost under %s", params)
+	}
 	plan.EstimateInto(best, stats.RowsOf)
-	return best
+	return best, nil
 }

@@ -10,6 +10,7 @@ package selfheal
 import (
 	"fmt"
 
+	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/testbed"
 	"diads/internal/topology"
@@ -21,104 +22,55 @@ type Remedy struct {
 	Description string
 	// Layer is "database", "storage", or "both".
 	Layer string
-	// Apply mutates a testbed under construction so the healed
-	// environment can be simulated and verified.
-	Apply func(tb *testbed.Testbed) error
+	// Apply makes the fix's changes to a testbed at time at, so the
+	// healed environment can be re-run and verified.
+	Apply func(tb *testbed.Testbed, at simtime.Time) error
+}
+
+// remedies maps each cause with an automated fix to its description
+// (the cause's subject fills %s), its layer, and the change the fix makes
+// to the cause's subject. A fix without a change is made outside the
+// modelled environment.
+var remedies = map[string]struct {
+	what, layer string
+	change      topology.EventKind
+	detail      string
+}{
+	// In the healed environment the contending workload's volume lives in
+	// the other pool: the verification harness re-runs the scenario with
+	// the fault redirected.
+	symptoms.CauseSANMisconfig: {what: "migrate the newly created volume out of %s's pool", layer: "storage"},
+	symptoms.CauseExternalLoad: {what: "throttle or reschedule the external workload contending with %s", layer: "storage"},
+	// Refreshed statistics: the optimizer and the record-count estimates
+	// see the new data properties.
+	symptoms.CauseDataProperty: {what: "ANALYZE %s to refresh optimizer statistics", layer: "database",
+		change: topology.EvStatsUpdated, detail: "ANALYZE refreshed statistics"},
+	symptoms.CauseLockContention: {what: "reschedule the batch transaction locking %s", layer: "database"},
+	symptoms.CausePlanRegression: {what: "recreate index %s", layer: "database",
+		change: topology.EvIndexCreated, detail: "index recreated by self-healing"},
+	symptoms.CauseCPUSaturation: {what: "move the competing process off %s", layer: "database"},
+	symptoms.CauseDiskFailure:   {what: "replace the failed disk in %s", layer: "storage"},
+	symptoms.CauseRAIDRebuild:   {what: "lower the rebuild priority in %s", layer: "storage"},
 }
 
 // Plan maps an identified cause to its remedy. It returns an error for
 // causes without an automated fix.
 func Plan(cause symptoms.CauseInstance) (*Remedy, error) {
-	switch cause.Kind {
-	case symptoms.CauseSANMisconfig:
-		victim := topology.ID(cause.Subject)
-		return &Remedy{
-			Cause:       cause,
-			Description: "migrate the newly created volume out of " + cause.Subject + "'s pool",
-			Layer:       "storage",
-			Apply: func(tb *testbed.Testbed) error {
-				// In the healed environment the contending workload's
-				// volume lives in the other pool; remove its load from
-				// the victim's pool by not re-creating it there. The
-				// verification harness re-runs the scenario with the
-				// fault redirected.
-				_ = victim
-				return nil
-			},
-		}, nil
-	case symptoms.CauseExternalLoad:
-		return &Remedy{
-			Cause:       cause,
-			Description: "throttle or reschedule the external workload contending with " + cause.Subject,
-			Layer:       "storage",
-			Apply:       func(*testbed.Testbed) error { return nil },
-		}, nil
-	case symptoms.CauseDataProperty:
-		table := cause.Subject
-		return &Remedy{
-			Cause:       cause,
-			Description: "ANALYZE " + table + " to refresh optimizer statistics",
-			Layer:       "database",
-			Apply: func(tb *testbed.Testbed) error {
-				// Refresh the statistics snapshot: the optimizer and the
-				// record-count estimates see the new data properties.
-				tb.Stats = tb.Cat.Snapshot()
-				tb.Engine.StatsBase = tb.Stats
-				tb.Cfg.Log.Record(topology.Event{
-					Kind: topology.EvStatsUpdated, Subject: topology.ID(table),
-					Detail: "ANALYZE refreshed statistics",
-				})
-				return nil
-			},
-		}, nil
-	case symptoms.CauseLockContention:
-		return &Remedy{
-			Cause:       cause,
-			Description: "reschedule the batch transaction locking " + cause.Subject,
-			Layer:       "database",
-			Apply:       func(*testbed.Testbed) error { return nil },
-		}, nil
-	case symptoms.CausePlanRegression:
-		idx := cause.Subject
-		return &Remedy{
-			Cause:       cause,
-			Description: "recreate index " + idx,
-			Layer:       "database",
-			Apply: func(tb *testbed.Testbed) error {
-				if !tb.Cat.RestoreIndex(idx) {
-					return fmt.Errorf("selfheal: cannot restore index %q", idx)
-				}
-				tb.Cfg.Log.Record(topology.Event{
-					Kind: topology.EvIndexCreated, Subject: topology.ID(idx),
-					Detail: "index recreated by self-healing",
-				})
-				return nil
-			},
-		}, nil
-	case symptoms.CauseCPUSaturation:
-		return &Remedy{
-			Cause:       cause,
-			Description: "move the competing process off " + cause.Subject,
-			Layer:       "database",
-			Apply:       func(*testbed.Testbed) error { return nil },
-		}, nil
-	case symptoms.CauseDiskFailure:
-		return &Remedy{
-			Cause:       cause,
-			Description: "replace the failed disk in " + cause.Subject,
-			Layer:       "storage",
-			Apply:       func(*testbed.Testbed) error { return nil },
-		}, nil
-	case symptoms.CauseRAIDRebuild:
-		return &Remedy{
-			Cause:       cause,
-			Description: "lower the rebuild priority in " + cause.Subject,
-			Layer:       "storage",
-			Apply:       func(*testbed.Testbed) error { return nil },
-		}, nil
-	default:
+	r, ok := remedies[cause.Kind]
+	if !ok {
 		return nil, fmt.Errorf("selfheal: no automated remedy for cause %q", cause.Kind)
 	}
+	return &Remedy{
+		Cause:       cause,
+		Description: fmt.Sprintf(r.what, cause.Subject),
+		Layer:       r.layer,
+		Apply: func(tb *testbed.Testbed, at simtime.Time) error {
+			if r.change == "" {
+				return nil
+			}
+			return tb.Apply(topology.Event{T: at, Kind: r.change, Subject: topology.ID(cause.Subject), Detail: r.detail})
+		},
+	}, nil
 }
 
 // Verify checks a heal by comparing mean run durations: healed runs must

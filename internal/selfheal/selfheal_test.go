@@ -51,18 +51,18 @@ func TestPlanRegressionRemedyRestoresIndex(t *testing.T) {
 	if !strings.Contains(r.Description, "recreate") {
 		t.Fatalf("remedy description: %s", r.Description)
 	}
-	if err := r.Apply(tb); err != nil {
+	if err := r.Apply(tb, 7200); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
 		t.Fatalf("index should be restored")
 	}
-	if evs := tb.Cfg.Log.OfKind("IndexCreated"); len(evs) != 1 {
-		t.Fatalf("heal should log the index recreation")
+	if evs := tb.Cfg.Log.OfKind("IndexCreated"); len(evs) != 1 || evs[0].T != 7200 {
+		t.Fatalf("heal should log the index recreation at the time it is applied: %+v", evs)
 	}
 	// Applying against a missing index fails loudly.
 	r2, _ := Plan(cause(symptoms.CausePlanRegression, "no_such_index"))
-	if err := r2.Apply(tb); err == nil {
+	if err := r2.Apply(tb, 7200); err == nil {
 		t.Fatalf("restoring an unknown index should fail")
 	}
 }
@@ -80,7 +80,7 @@ func TestDataPropertyRemedyRefreshesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(tb); err != nil {
+	if err := r.Apply(tb, 7200); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Stats.RowsOf(dbsys.TPartsupp) != 2*staleRows {

@@ -407,8 +407,9 @@ func (s *Service) HasInstance(id string) bool {
 	return ok
 }
 
-// envFor resolves the environment an event diagnoses against.
-func (s *Service) envFor(instance string) (Env, bool) {
+// EnvFor resolves the environment an event of the instance diagnoses
+// against ("" is the default environment).
+func (s *Service) EnvFor(instance string) (Env, bool) {
 	if instance == "" {
 		return s.env, true
 	}
@@ -665,7 +666,7 @@ func (s *Service) run(ctx context.Context, j job) {
 		Start: j.enqueued, Duration: wait,
 	})
 
-	env, ok := s.envFor(j.ev.Instance)
+	env, ok := s.EnvFor(j.ev.Instance)
 	if !ok {
 		s.failed.Add(1)
 		s.tel.failed.Inc()

@@ -8,7 +8,6 @@ import (
 	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/simtime"
-	"diads/internal/topology"
 )
 
 // cpuPerRun is the CPU utilization a running query adds on the DB server.
@@ -32,8 +31,8 @@ type timelineEvent struct {
 }
 
 // Simulate plays the testbed's timeline: external loads are applied to
-// the SAN model, then query runs, DML batches, index drops, and parameter
-// changes execute in chronological order; finally the monitoring pipeline
+// the SAN model, then query runs and the scheduled Changes execute in
+// chronological order; finally the monitoring pipeline
 // samples every component's behaviour into the metric store. Simulate may
 // only be called once per testbed.
 func (tb *Testbed) Simulate() error {
@@ -137,50 +136,14 @@ func (tb *Testbed) timeline() []timelineEvent {
 	var events []timelineEvent
 	runSeq := 0
 	for _, qs := range tb.Schedules {
-		qs := qs
 		for _, t := range qs.Times() {
-			t := t
 			events = append(events, timelineEvent{t: t, prio: 1, run: func() error {
 				return tb.runQuery(qs.Query, t, &runSeq)
 			}})
 		}
 	}
-	for _, d := range tb.DMLs {
-		d := d
-		events = append(events, timelineEvent{t: d.T, prio: 0, run: func() error {
-			if err := tb.Cat.ScaleRows(d.Table, d.Factor); err != nil {
-				return err
-			}
-			tb.Cfg.Log.Record(topology.Event{
-				T: d.T, Kind: topology.EvDMLBatch, Subject: topology.ID(d.Table),
-				Detail: fmt.Sprintf("bulk DML scaled %s cardinality by %.2fx", d.Table, d.Factor),
-			})
-			return nil
-		}})
-	}
-	for _, ix := range tb.IndexDrops {
-		ix := ix
-		events = append(events, timelineEvent{t: ix.T, prio: 0, run: func() error {
-			if !tb.Cat.DropIndex(ix.Index) {
-				return fmt.Errorf("testbed: drop of unknown index %q", ix.Index)
-			}
-			tb.Cfg.Log.Record(topology.Event{
-				T: ix.T, Kind: topology.EvIndexDropped, Subject: topology.ID(ix.Index),
-				Detail: "index dropped by maintenance script",
-			})
-			return nil
-		}})
-	}
-	for _, pc := range tb.ParamChanges {
-		pc := pc
-		events = append(events, timelineEvent{t: pc.T, prio: 0, run: func() error {
-			old := tb.Params.Set(pc.Param, pc.Value)
-			tb.Cfg.Log.Record(topology.Event{
-				T: pc.T, Kind: topology.EvParamChanged, Subject: topology.ID(pc.Param),
-				Detail: fmt.Sprintf("%s: %g -> %g", pc.Param, old, pc.Value),
-			})
-			return nil
-		}})
+	for _, ev := range tb.Changes {
+		events = append(events, timelineEvent{t: ev.T, prio: 0, run: func() error { return tb.Apply(ev) }})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].t != events[j].t {

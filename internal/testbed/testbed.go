@@ -83,11 +83,9 @@ type Testbed struct {
 	Schedules []workload.QuerySchedule
 	// Loads lists external SAN workloads.
 	Loads []workload.ExternalLoad
-	// DMLs, IndexDrops, and ParamChanges are applied chronologically
-	// during Simulate, interleaved with query runs.
-	DMLs         []workload.DMLBatch
-	IndexDrops   []workload.ScheduledIndexDrop
-	ParamChanges []workload.ScheduledParamChange
+	// Changes are applied (see Apply) at their times during Simulate,
+	// before any query run starting at the same time.
+	Changes []topology.Event
 
 	// Runs is the run history after Simulate.
 	Runs []*exec.RunRecord

@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"reflect"
 	"testing"
 
 	"diads/internal/dbsys"
 	"diads/internal/metrics"
 	"diads/internal/sanperf"
 	"diads/internal/simtime"
+	"diads/internal/topology"
 	"diads/internal/workload"
 )
 
@@ -148,7 +150,8 @@ func TestDeterministicSimulation(t *testing.T) {
 func TestScheduledIndexDropChangesPlanMidway(t *testing.T) {
 	tb := newShortTestbed(t, 5, 6)
 	dropAt := simtime.Time(10*simtime.Minute) + simtime.Time(3*30*simtime.Minute) - simtime.Time(5*simtime.Minute)
-	tb.IndexDrops = []workload.ScheduledIndexDrop{{T: dropAt, Index: dbsys.IdxPartsuppPart}}
+	drop := topology.Event{T: dropAt, Kind: topology.EvIndexDropped, Subject: dbsys.IdxPartsuppPart, Detail: "dropped"}
+	tb.Changes = []topology.Event{drop}
 	if err := tb.Simulate(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +161,9 @@ func TestScheduledIndexDropChangesPlanMidway(t *testing.T) {
 	if sigBefore == sigAfter {
 		t.Fatalf("plan should change after the index drop")
 	}
-	// The change log records the drop.
-	if evs := tb.Cfg.Log.OfKind("IndexDropped"); len(evs) != 1 {
-		t.Fatalf("IndexDropped event missing: %v", evs)
+	// The change log records the drop as scheduled.
+	if evs := tb.Cfg.Log.All(); !reflect.DeepEqual(evs, []topology.Event{drop}) {
+		t.Fatalf("change log %+v, want the drop alone", evs)
 	}
 	// Runs after the drop are slower (seq scans of partsupp).
 	if runs[len(runs)-1].Duration() < runs[0].Duration()*2 {
@@ -172,7 +175,8 @@ func TestScheduledIndexDropChangesPlanMidway(t *testing.T) {
 func TestScheduledDMLChangesRecordCounts(t *testing.T) {
 	tb := newShortTestbed(t, 6, 6)
 	changeAt := simtime.Time(10*simtime.Minute) + simtime.Time(3*30*simtime.Minute) - simtime.Time(5*simtime.Minute)
-	tb.DMLs = []workload.DMLBatch{{T: changeAt, Table: dbsys.TPartsupp, Factor: 1.6}}
+	dml := topology.Event{T: changeAt, Kind: topology.EvDMLBatch, Subject: dbsys.TPartsupp, Factor: 1.6}
+	tb.Changes = []topology.Event{dml}
 	if err := tb.Simulate(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +188,8 @@ func TestScheduledDMLChangesRecordCounts(t *testing.T) {
 	if before.PlanSig != after.PlanSig {
 		t.Fatalf("plan must not change on a data-property change (stale stats)")
 	}
-	if evs := tb.Cfg.Log.OfKind("DMLBatch"); len(evs) != 1 {
-		t.Fatalf("DMLBatch event missing")
+	if evs := tb.Cfg.Log.All(); !reflect.DeepEqual(evs, []topology.Event{dml}) {
+		t.Fatalf("change log %+v, want the DML alone", evs)
 	}
 }
 
@@ -206,5 +210,77 @@ func TestExternalLoadSlowsOverlappingRuns(t *testing.T) {
 	late := float64(runs[6].Duration()+runs[7].Duration()) / 2
 	if late/early < 1.5 {
 		t.Fatalf("contended runs should slow: early=%.1fs late=%.1fs", early, late)
+	}
+}
+
+// TestApply pins the one door every state change goes through: each
+// mutating kind changes what it names and logs the event with its
+// payload, a payload-less kind only logs, and a change that cannot
+// apply errors and logs nothing.
+func TestApply(t *testing.T) {
+	tb, err := NewFigure1(DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tb.Cat.Snapshot().RowsOf(dbsys.TPartsupp)
+	staleStats := tb.Stats
+	for _, ev := range []topology.Event{
+		{T: 1, Kind: topology.EvVolumeCreated, Subject: "vol-X", Pool: PoolP2, Name: "X", SizeGB: 10},
+		{T: 2, Kind: topology.EvZoneCreated, Name: "z-x", Ports: []topology.ID{"hba-app2-1-p0", "ss-1-p0"}},
+		{T: 3, Kind: topology.EvLUNMapped, Subject: "vol-X", Server: ServerApp2},
+		{T: 4, Kind: topology.EvZoneDeleted, Name: "z-app1"},
+		{T: 5, Kind: topology.EvIndexDropped, Subject: dbsys.IdxPartsuppPart},
+		{T: 6, Kind: topology.EvParamChanged, Subject: dbsys.ParamWorkMemKB, Value: 8192},
+		{T: 7, Kind: topology.EvDMLBatch, Subject: dbsys.TPartsupp, Factor: 2},
+		{T: 8, Kind: topology.EvStatsUpdated, Subject: dbsys.TPartsupp},
+		{T: 9, Kind: topology.EvIndexCreated, Subject: dbsys.IdxPartsuppPart},
+		{T: 10, Kind: topology.EvZoneCreated, Subject: "vol-X"}, // no ports: log-only
+		{T: 11, Kind: topology.EvWorkloadStarted, Subject: "vol-X"},
+	} {
+		if err := tb.Apply(ev); err != nil {
+			t.Fatalf("%s: %v", ev.Kind, err)
+		}
+	}
+	if c, ok := tb.Cfg.Get("vol-X"); !ok || tb.Cfg.PoolOf("vol-X") != PoolP2 || c.Name != "X" {
+		t.Errorf("vol-X not carved from P2")
+	}
+	if !tb.Cfg.LUNVisible("vol-X", ServerApp2) || !tb.Cfg.Zoned("hba-app2-1-p0", "ss-1-p0") || tb.Cfg.Zoned("hba-app1-1-p0", "ss-1-p1") {
+		t.Errorf("zoning or LUN mapping not applied")
+	}
+	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
+		t.Errorf("index not restored")
+	}
+	if got := tb.Cat.Snapshot().RowsOf(dbsys.TPartsupp); got != 2*rows {
+		t.Errorf("partsupp rows %d, want %d", got, 2*rows)
+	}
+	if tb.Stats.RowsOf(dbsys.TPartsupp) != 2*rows || tb.Engine.StatsBase.RowsOf(dbsys.TPartsupp) != 2*rows ||
+		staleStats.RowsOf(dbsys.TPartsupp) != rows {
+		t.Errorf("StatsUpdated must re-snapshot Stats and the engine's base, leaving the old snapshot alone")
+	}
+	log := tb.Cfg.Log.All()
+	if len(log) != 11 {
+		t.Fatalf("logged %d events, want 11", len(log))
+	}
+	if p := log[5]; p.Old != 4096 || p.Value != 8192 || p.Detail != "work_mem: 4096 -> 8192" {
+		t.Errorf("ParamChanged logged as %+v", p)
+	}
+
+	for _, bad := range []topology.Event{
+		{Kind: topology.EvVolumeCreated, Subject: "vol-X", Pool: PoolP2, Name: "dup", SizeGB: 1},
+		{Kind: topology.EvVolumeCreated, Subject: "vol-Y", Pool: "no-pool", Name: "Y", SizeGB: 1},
+		{Kind: topology.EvZoneCreated, Name: "z", Ports: []topology.ID{"no-port"}},
+		{Kind: topology.EvZoneDeleted, Name: "no-zone"},
+		{Kind: topology.EvLUNMapped, Subject: "no-volume", Server: ServerDB},
+		{Kind: topology.EvLUNMapped, Subject: "vol-X", Server: "no-server"},
+		{Kind: topology.EvIndexDropped, Subject: "no-index"},
+		{Kind: topology.EvIndexCreated, Subject: "no-index"},
+		{Kind: topology.EvDMLBatch, Subject: "no-table", Factor: 2},
+	} {
+		if err := tb.Apply(bad); err == nil {
+			t.Errorf("%s %+v applied", bad.Kind, bad)
+		}
+	}
+	if n := tb.Cfg.Log.Len(); n != 11 {
+		t.Errorf("failed changes were logged: %d events", n)
 	}
 }

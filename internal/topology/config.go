@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -85,18 +86,31 @@ func (c *Config) attach(parent, child ID) {
 	})
 }
 
-// mustExist panics if id is unknown; used by builder methods whose callers
-// construct topologies programmatically, where a dangling reference is a
-// programming error.
-func (c *Config) mustExist(id ID, want Kind) *Component {
+// expect returns an error unless id names a component of kind want.
+// Mutators check their references with it: a change posted over the
+// ingest API may name anything.
+func (c *Config) expect(id ID, want Kind) error {
 	comp, ok := c.components[id]
 	if !ok {
-		panic(fmt.Sprintf("topology: unknown component %q", id))
+		return fmt.Errorf("topology: unknown component %q", id)
 	}
 	if comp.Kind != want {
-		panic(fmt.Sprintf("topology: %q is a %s, want %s", id, comp.Kind, want))
+		return fmt.Errorf("topology: %q is a %s, want %s", id, comp.Kind, want)
 	}
-	return comp
+	return nil
+}
+
+// addChild registers comp inside parent, which must be a component of
+// kind want.
+func (c *Config) addChild(parent ID, want Kind, comp *Component) error {
+	if err := c.expect(parent, want); err != nil {
+		return err
+	}
+	if err := c.add(comp); err != nil {
+		return err
+	}
+	c.attach(parent, comp.ID)
+	return nil
 }
 
 // AddServer registers a server.
@@ -106,12 +120,7 @@ func (c *Config) AddServer(id ID, name string, attrs map[string]string) error {
 
 // AddHBA registers a host bus adapter on a server.
 func (c *Config) AddHBA(id ID, server ID, name string) error {
-	c.mustExist(server, KindServer)
-	if err := c.add(&Component{ID: id, Kind: KindHBA, Name: name}); err != nil {
-		return err
-	}
-	c.attach(server, id)
-	return nil
+	return c.addChild(server, KindServer, &Component{ID: id, Kind: KindHBA, Name: name})
 }
 
 // AddSwitch registers an FC switch. Role is recorded as an attribute
@@ -147,35 +156,20 @@ func (c *Config) AddPort(id ID, owner ID, name string) error {
 
 // AddPool registers a storage pool inside a subsystem.
 func (c *Config) AddPool(id ID, subsystem ID, name, raid string) error {
-	c.mustExist(subsystem, KindSubsystem)
-	if err := c.add(&Component{ID: id, Kind: KindPool, Name: name,
-		Attrs: map[string]string{"raid": raid}}); err != nil {
-		return err
-	}
-	c.attach(subsystem, id)
-	return nil
+	return c.addChild(subsystem, KindSubsystem, &Component{ID: id, Kind: KindPool, Name: name,
+		Attrs: map[string]string{"raid": raid}})
 }
 
 // AddDisk registers a physical disk inside a pool.
 func (c *Config) AddDisk(id ID, pool ID, name string) error {
-	c.mustExist(pool, KindPool)
-	if err := c.add(&Component{ID: id, Kind: KindDisk, Name: name}); err != nil {
-		return err
-	}
-	c.attach(pool, id)
-	return nil
+	return c.addChild(pool, KindPool, &Component{ID: id, Kind: KindDisk, Name: name})
 }
 
 // AddVolume carves a storage volume out of a pool. Its data stripes across
 // every disk of the pool.
 func (c *Config) AddVolume(id ID, pool ID, name string, sizeGB int) error {
-	c.mustExist(pool, KindPool)
-	if err := c.add(&Component{ID: id, Kind: KindVolume, Name: name,
-		Attrs: map[string]string{"sizeGB": fmt.Sprint(sizeGB)}}); err != nil {
-		return err
-	}
-	c.attach(pool, id)
-	return nil
+	return c.addChild(pool, KindPool, &Component{ID: id, Kind: KindVolume, Name: name,
+		Attrs: map[string]string{"sizeGB": fmt.Sprint(sizeGB)}})
 }
 
 // Cable records an undirected fabric link between two ports.
@@ -219,8 +213,9 @@ func (c *Config) RemoveZone(name string) bool {
 
 // MapLUN grants a server access to a volume (LUN mapping/masking).
 func (c *Config) MapLUN(volume, server ID) error {
-	c.mustExist(volume, KindVolume)
-	c.mustExist(server, KindServer)
+	if err := cmp.Or(c.expect(volume, KindVolume), c.expect(server, KindServer)); err != nil {
+		return err
+	}
 	c.lunMap[volume] = append(c.lunMap[volume], server)
 	c.version++
 	return nil

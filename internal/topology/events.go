@@ -37,12 +37,28 @@ const (
 	EvDMLBatch     EventKind = "DMLBatch"
 )
 
-// Event is one timestamped configuration change or system event.
+// Event is one timestamped configuration change or system event. The
+// payload fields say what changed, in a form any environment can apply
+// again (testbed.Apply reads them); a kind without a payload is
+// log-only.
 type Event struct {
 	T       simtime.Time
 	Kind    EventKind
-	Subject ID     // the component (or database object id) concerned
+	Subject ID     // the component, index, parameter or table concerned
 	Detail  string // human-readable specifics
+
+	// SAN payload: VolumeCreated carves Subject from Pool as Name of
+	// SizeGB; ZoneCreated zones Ports as Name; ZoneDeleted removes zone
+	// Name; LUNMapped maps volume Subject to Server.
+	Pool   ID
+	Name   string
+	SizeGB int
+	Ports  []ID
+	Server ID
+	// Database payload: DMLBatch scales table Subject's rows by Factor;
+	// ParamChanged sets parameter Subject from Old to Value.
+	Factor     float64
+	Old, Value float64
 }
 
 // String implements fmt.Stringer.
@@ -58,7 +74,8 @@ type EventLog struct {
 }
 
 // Record appends an event. Events may be recorded out of order; queries
-// sort lazily.
+// sort lazily. Environments record through testbed.Apply, which makes
+// the change first.
 func (l *EventLog) Record(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

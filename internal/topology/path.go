@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -19,8 +20,9 @@ type Route []ID
 // any two of its ports), to a subsystem port that shares a zone with the
 // originating HBA port.
 func (c *Config) FabricRoute(server, volume ID) (Route, error) {
-	c.mustExist(server, KindServer)
-	c.mustExist(volume, KindVolume)
+	if err := cmp.Or(c.expect(server, KindServer), c.expect(volume, KindVolume)); err != nil {
+		return nil, err
+	}
 	if !c.LUNVisible(volume, server) {
 		return nil, fmt.Errorf("topology: volume %q not LUN-mapped to server %q", volume, server)
 	}

@@ -1,7 +1,7 @@
 // Package workload describes the activity applied to the testbed: the
 // periodic report-generation queries whose slowdown DIADS diagnoses,
-// external application workloads hitting SAN volumes (steady or bursty),
-// and DML batches that change data properties.
+// and external application workloads hitting SAN volumes (steady or
+// bursty).
 package workload
 
 import (
@@ -79,28 +79,4 @@ func (el ExternalLoad) MeanIOPS() float64 {
 		return total * el.DutyCycle
 	}
 	return total
-}
-
-// DMLBatch is a bulk data modification that changes a table's data
-// properties at a point in time (scenario 3's "SQL DML causes a subtle
-// change in data properties").
-type DMLBatch struct {
-	T      simtime.Time
-	Table  string
-	Factor float64 // multiplier on the table's cardinality
-}
-
-// ScheduledIndexDrop removes an index at a point in time (a Module PD
-// plan-change cause).
-type ScheduledIndexDrop struct {
-	T     simtime.Time
-	Index string
-}
-
-// ScheduledParamChange alters a configuration parameter at a point in
-// time (another Module PD plan-change cause).
-type ScheduledParamChange struct {
-	T     simtime.Time
-	Param string
-	Value float64
 }
