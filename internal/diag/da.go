@@ -3,7 +3,6 @@ package diag
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"diads/internal/apg"
 	"diads/internal/exec"
@@ -51,16 +50,14 @@ func (r *DAResult) ScoreOf(component string, metric metrics.Metric) float64 {
 }
 
 // Components returns the distinct components present in the CCS, sorted.
+// The CCS is sorted by component, so equal components are adjacent.
 func (r *DAResult) Components() []string {
-	seen := map[string]bool{}
-	for _, s := range r.CCS {
-		seen[s.Component] = true
+	var out []string
+	for i, s := range r.CCS {
+		if i == 0 || s.Component != r.CCS[i-1].Component {
+			out = append(out, s.Component)
+		}
 	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -17,39 +17,50 @@ import (
 // evaluates the symptoms database against. Fact names follow the
 // conventions the built-in database references (see symptoms.Builtin).
 func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult, cr *CRResult) *symptoms.FactBase {
-	fb := symptoms.NewFactBase()
-
+	// Size the builder for the most calls the code below can make.
+	events := in.Cfg.Log.All()
+	n := 3 + 2*len(events)
+	if co != nil {
+		n += len(co.Scores) + 2*len(g.Volumes()) + 1 + len(g.Tables()) + 1
+	}
+	if da != nil {
+		n += 3 * len(da.Scores)
+	}
+	if cr != nil {
+		n += len(cr.TableScores)
+	}
+	fb := symptoms.NewFactBuilder(n)
 	if pd != nil && pd.Changed {
-		fb.Add("plan-changed", 1)
+		fb.Add(1, "plan-changed")
 	}
 	if unsat := in.unsatisfactoryRuns(); len(unsat) > 0 {
-		fb.AddTimed("first-unsat-run", 1, unsat[0].Start)
+		fb.AddTimed(1, unsat[0].Start, "first-unsat-run")
 	}
 
 	if co != nil {
 		for _, s := range co.Scores {
-			fb.Add("op-anomaly:O"+strconv.Itoa(s.ID), s.Score)
+			fb.Add(s.Score, "op-anomaly:O", strconv.Itoa(s.ID))
 		}
 		addCOSStructureFacts(fb, g, co)
 	}
 
 	if da != nil {
 		for _, s := range da.Scores {
-			fb.Add("metric-anomaly:"+s.Component+":"+string(s.Metric), s.Score)
-			fb.Add("component-anomaly:"+s.Component, s.Score)
+			fb.Add(s.Score, "metric-anomaly:", s.Component, ":", string(s.Metric))
+			fb.Add(s.Score, "component-anomaly:", s.Component)
 		}
 		addDerivedDAFacts(fb, in, da)
 	}
 
 	if cr != nil {
 		for _, table := range sortedKeys(cr.TableScores) {
-			fb.Add("record-anomaly:"+table, cr.TableScores[table])
+			fb.Add(cr.TableScores[table], "record-anomaly:", table)
 		}
 	}
 
-	addEventFacts(fb, in)
+	addEventFacts(fb, in, events)
 	addCPULevelFact(fb, in)
-	return fb
+	return fb.Build()
 }
 
 // sortedKeys returns m's keys in order: facts are added in one order
@@ -64,7 +75,7 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // unsatisfactory runs (0..1). Anomaly scores alone cannot distinguish
 // "CPU is a bit higher because runs last longer" from genuine saturation;
 // the level can.
-func addCPULevelFact(fb *symptoms.FactBase, in *Input) {
+func addCPULevelFact(fb *symptoms.FactBuilder, in *Input) {
 	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, ReadWindows(in.unsatisfactoryRuns()), nil)
 	if len(vals) == 0 {
 		return
@@ -73,118 +84,107 @@ func addCPULevelFact(fb *symptoms.FactBase, in *Input) {
 	for _, v := range vals {
 		sum += v
 	}
-	fb.Add("cpu-level:"+string(in.Server), sum/float64(len(vals))/100)
+	fb.Add(sum/float64(len(vals))/100, "cpu-level:", string(in.Server))
 }
 
 // addCOSStructureFacts derives the structural COS facts: per-volume and
 // per-pool leaf fractions, per-table leaf maxima, and the interior share.
-func addCOSStructureFacts(fb *symptoms.FactBase, g *apg.APG, co *COResult) {
-	p := g.Plan
+func addCOSStructureFacts(fb *symptoms.FactBuilder, g *apg.APG, co *COResult) {
 	// Per-volume: what fraction of the volume's leaf operators are in
 	// the COS? (The paper's "only one out of 7 leaf operators using V2".)
+	// A pool's fact is its volumes' highest non-zero fraction, which
+	// adding it once per volume yields (re-adding keeps the higher score).
 	var anyFrac float64
-	poolFrac := map[topology.ID]float64{}
 	for _, vol := range g.Volumes() {
-		leaves := g.LeavesOnVolume(vol)
-		if len(leaves) == 0 {
-			continue
-		}
-		inCOS := 0
-		for _, id := range leaves {
-			if co.InCOS(id) {
-				inCOS++
+		leaves, inCOS := 0, 0
+		for _, leaf := range g.Leaves() {
+			if leaf.Volume == vol {
+				leaves++
+				if co.InCOS(leaf.ID) {
+					inCOS++
+				}
 			}
 		}
-		frac := float64(inCOS) / float64(len(leaves))
-		fb.Add("cos-leaf-frac:"+string(vol), frac)
+		frac := float64(inCOS) / float64(leaves)
+		fb.Add(frac, "cos-leaf-frac:", string(vol))
 		if frac > anyFrac {
 			anyFrac = frac
 		}
-		pool := g.Cfg.PoolOf(vol)
-		if frac > poolFrac[pool] {
-			poolFrac[pool] = frac
+		if frac > 0 {
+			fb.Add(frac, "cos-leaf-frac-pool:", string(g.Cfg.PoolOf(vol)))
 		}
 	}
-	fb.Add("cos-leaf-frac-any", anyFrac)
-	for _, pool := range sortedKeys(poolFrac) {
-		fb.Add("cos-leaf-frac-pool:"+string(pool), poolFrac[pool])
-	}
+	fb.Add(anyFrac, "cos-leaf-frac-any")
 
 	// Per-table: the highest anomaly score among the table's leaves.
-	for _, table := range p.Tables() {
+	for _, table := range g.Tables() {
 		var max float64
-		for _, leaf := range p.LeavesOnTable(table) {
+		for _, leaf := range g.Leaves() {
+			if leaf.Table != table {
+				continue
+			}
 			if s := co.ScoreOf(leaf.ID); s > max {
 				max = s
 			}
 		}
-		fb.Add("cos-table:"+table, max)
+		fb.Add(max, "cos-table:", table)
 	}
 
 	// Interior share of the COS (a CPU-pressure hint).
 	if len(co.COS) > 0 {
 		interior := 0
 		for _, id := range co.COS {
-			if n, ok := p.Node(id); ok && !n.IsLeaf() {
+			if n, ok := g.Plan.Node(id); ok && !n.IsLeaf() {
 				interior++
 			}
 		}
-		fb.Add("cos-interior-frac", float64(interior)/float64(len(co.COS)))
+		fb.Add(float64(interior)/float64(len(co.COS)), "cos-interior-frac")
 	}
 }
 
 // addDerivedDAFacts lifts component-level DA scores into the aggregate
 // facts the symptoms database references.
-func addDerivedDAFacts(fb *symptoms.FactBase, in *Input, da *DAResult) {
-	// Per-volume: the strongest total-I/O anomaly among the *other*
-	// volumes of its pool. External contention shows up here; a database
-	// whose own I/O grew does not.
-	volLoad := map[topology.ID]float64{}
-	for _, s := range da.Scores {
-		if s.Metric != metrics.StTotalIOs {
-			continue
-		}
-		if comp, ok := in.Cfg.Get(topology.ID(s.Component)); ok && comp.Kind == topology.KindVolume {
-			volLoad[topology.ID(s.Component)] = s.Score
-		}
-	}
-	for _, vol := range sortedKeys(volLoad) {
-		var max float64
-		for _, sib := range in.Cfg.SharingVolumes(vol) {
-			if sc, ok := volLoad[sib]; ok && sc > max {
-				max = sc
-			}
-		}
-		fb.Add("other-volume-load-increase:"+string(vol), max)
-	}
-
+func addDerivedDAFacts(fb *symptoms.FactBuilder, in *Input, da *DAResult) {
 	for _, s := range da.Scores {
 		comp, ok := in.Cfg.Get(topology.ID(s.Component))
 		if !ok {
 			// Database pseudo-component.
 			switch {
 			case s.Component == apg.DBComponent && s.Metric == metrics.DBLockWaitTime:
-				fb.Add("lock-anomaly:db", s.Score)
+				fb.Add(s.Score, "lock-anomaly:db")
 			case s.Component == apg.DBComponent && s.Metric == metrics.DBLocksHeld:
-				fb.Add("locks-held-high", s.Score)
+				fb.Add(s.Score, "locks-held-high")
 			case s.Component == apg.DBComponent && s.Metric == metrics.DBBlocksRead:
-				fb.Add("buffer-miss-anomaly", s.Score)
+				fb.Add(s.Score, "buffer-miss-anomaly")
 			}
 			continue
 		}
 		switch comp.Kind {
+		case topology.KindVolume:
+			// The strongest total-I/O anomaly among the *other* volumes
+			// of its pool. External contention shows up here; a database
+			// whose own I/O grew does not.
+			if s.Metric == metrics.StTotalIOs {
+				var max float64
+				for _, sib := range in.Cfg.SharingVolumes(topology.ID(s.Component)) {
+					if sc := da.ScoreOf(string(sib), metrics.StTotalIOs); sc > max {
+						max = sc
+					}
+				}
+				fb.Add(max, "other-volume-load-increase:", s.Component)
+			}
 		case topology.KindPool:
 			if s.Metric == metrics.StTotalIOs {
-				fb.Add("pool-load-increase:"+s.Component, s.Score)
+				fb.Add(s.Score, "pool-load-increase:", s.Component)
 			}
 		case topology.KindDisk:
 			pool := in.Cfg.PoolOf(topology.ID(s.Component))
 			if pool != "" {
-				fb.Add("disk-anomaly-in-pool:"+string(pool), s.Score)
+				fb.Add(s.Score, "disk-anomaly-in-pool:", string(pool))
 			}
 		case topology.KindServer:
 			if s.Metric == metrics.SrvCPUUsagePct {
-				fb.Add("cpu-anomaly:"+s.Component, s.Score)
+				fb.Add(s.Score, "cpu-anomaly:", s.Component)
 			}
 		}
 	}
@@ -193,26 +193,26 @@ func addDerivedDAFacts(fb *symptoms.FactBase, in *Input, da *DAResult) {
 // addEventFacts records configuration and system events as timed facts,
 // plus the derived pool-level facts (a volume created in pool P, a LUN
 // mapping added for a volume of pool P).
-func addEventFacts(fb *symptoms.FactBase, in *Input) {
-	for _, ev := range in.Cfg.Log.All() {
-		fb.AddTimed("event:"+string(ev.Kind)+":"+string(ev.Subject), 1, ev.T)
+func addEventFacts(fb *symptoms.FactBuilder, in *Input, events []topology.Event) {
+	for _, ev := range events {
+		fb.AddTimed(1, ev.T, "event:", string(ev.Kind), ":", string(ev.Subject))
 		switch ev.Kind {
 		case topology.EvVolumeCreated:
 			if pool := in.Cfg.PoolOf(ev.Subject); pool != "" {
-				fb.AddTimed("new-volume-in-pool:"+string(pool), 1, ev.T)
+				fb.AddTimed(1, ev.T, "new-volume-in-pool:", string(pool))
 			}
 		case topology.EvLUNMapped, topology.EvZoneCreated:
 			if pool := in.Cfg.PoolOf(ev.Subject); pool != "" {
-				fb.AddTimed("new-mapping-in-pool:"+string(pool), 1, ev.T)
+				fb.AddTimed(1, ev.T, "new-mapping-in-pool:", string(pool))
 			}
 		case topology.EvRAIDRebuildStart:
-			fb.AddTimed("raid-rebuild:"+string(ev.Subject), 1, ev.T)
+			fb.AddTimed(1, ev.T, "raid-rebuild:", string(ev.Subject))
 		case topology.EvDiskFailed:
 			if pool := in.Cfg.PoolOf(ev.Subject); pool != "" {
-				fb.AddTimed("disk-failed-in-pool:"+string(pool), 1, ev.T)
+				fb.AddTimed(1, ev.T, "disk-failed-in-pool:", string(pool))
 			}
 		case topology.EvDMLBatch:
-			fb.AddTimed("dml-event:"+string(ev.Subject), 1, ev.T)
+			fb.AddTimed(1, ev.T, "dml-event:", string(ev.Subject))
 		}
 	}
 }
@@ -251,7 +251,7 @@ func Bindings(in *Input, g *apg.APG) []symptoms.Binding {
 			addVolume(neighbour)
 		}
 	}
-	for _, table := range g.Plan.Tables() {
+	for _, table := range g.Tables() {
 		out = append(out, symptoms.Binding{
 			Scope:   symptoms.ScopeTable,
 			Subject: table,

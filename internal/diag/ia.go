@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"slices"
 	"sort"
 
 	"diads/internal/apg"
@@ -97,26 +98,22 @@ func operatorsFor(in *Input, g *apg.APG, co *COResult, cause symptoms.CauseInsta
 		vol := topology.ID(cause.Subject)
 		// The cause's subject volume affects the leaves reading any
 		// volume sharing its disks (including itself).
-		affected := map[topology.ID]bool{vol: true}
-		for _, s := range in.Cfg.SharingVolumes(vol) {
-			affected[s] = true
-		}
-		for _, leaf := range g.Plan.Leaves() {
-			if affected[g.VolumeOf(leaf.ID)] && co.InCOS(leaf.ID) {
+		sharing := in.Cfg.SharingVolumes(vol)
+		for _, leaf := range g.Leaves() {
+			if (leaf.Volume == vol || slices.Contains(sharing, leaf.Volume)) && co.InCOS(leaf.ID) {
 				out = append(out, leaf.ID)
 			}
 		}
 	case symptoms.CauseRAIDRebuild, symptoms.CauseDiskFailure:
 		pool := topology.ID(cause.Subject)
-		for _, leaf := range g.Plan.Leaves() {
-			if in.Cfg.PoolOf(g.VolumeOf(leaf.ID)) == pool && co.InCOS(leaf.ID) {
+		for _, leaf := range g.Leaves() {
+			if in.Cfg.PoolOf(leaf.Volume) == pool && co.InCOS(leaf.ID) {
 				out = append(out, leaf.ID)
 			}
 		}
 	case symptoms.CauseDataProperty, symptoms.CauseLockContention:
-		table := cause.Subject
-		for _, leaf := range g.Plan.LeavesOnTable(table) {
-			if co.InCOS(leaf.ID) {
+		for _, leaf := range g.Leaves() {
+			if leaf.Table == cause.Subject && co.InCOS(leaf.ID) {
 				out = append(out, leaf.ID)
 			}
 		}
@@ -124,7 +121,7 @@ func operatorsFor(in *Input, g *apg.APG, co *COResult, cause symptoms.CauseInsta
 		out = append(out, co.COS...)
 	default:
 		// Unknown causes claim the leaves in the COS.
-		for _, leaf := range g.Plan.Leaves() {
+		for _, leaf := range g.Leaves() {
 			if co.InCOS(leaf.ID) {
 				out = append(out, leaf.ID)
 			}

@@ -36,70 +36,164 @@ type Fact struct {
 
 // FactBase is a set of facts queryable by glob-like patterns.
 //
-// The name index is maintained, not computed: names holds every fact name
-// in sorted order, inserted by binary search when Add or AddTimed creates
-// a fact (facts are never deleted). A wildcard probe reads only the index
-// range that shares the pattern's literal prefix, and All and Fingerprint
-// walk the index instead of sorting the map. Fact bases outlive their
-// diagnosis and are read concurrently (service registry, fleet miner and
-// validator, console); because the index changes only inside a write,
-// concurrent readers are as safe as they are on the map itself.
+// It is one slice of facts sorted by name, with no two facts sharing a
+// name. A literal lookup is a binary search; a wildcard probe reads only
+// the range of names that share the pattern's literal prefix, and All and
+// Fingerprint walk the slice in order. Fact bases outlive their diagnosis
+// and are read concurrently (service registry, fleet miner and validator,
+// console); a read changes nothing, so concurrent readers are safe once
+// the last write is done.
 type FactBase struct {
-	facts map[string]Fact
-	names []string // every key of facts, sorted
+	facts []Fact
 }
 
 // NewFactBase returns an empty fact base.
-func NewFactBase() *FactBase {
-	return &FactBase{facts: make(map[string]Fact)}
+func NewFactBase() *FactBase { return &FactBase{} }
+
+// FactBuilder builds a fact base from a sequence of Add and AddTimed
+// calls in one pass. It writes every name into one buffer and keeps the
+// calls in order; Build sorts them, folds each name's calls exactly as the
+// sequential calls on a FactBase would, and copies the surviving facts
+// and their names into storage of exactly their size, which is all the
+// built base keeps.
+type FactBuilder struct {
+	names strings.Builder
+	calls []Fact // in call order; HasT marks AddTimed
 }
 
-// put stores a fact, indexing its name if it is new.
-func (fb *FactBase) put(f Fact, isNew bool) {
-	fb.facts[f.Name] = f
-	if isNew {
-		i, _ := slices.BinarySearch(fb.names, f.Name)
-		fb.names = slices.Insert(fb.names, i, f.Name)
+// avgFactName is the mean fact-name length in bytes, rounded up, over the
+// nine batch scenarios ("metric-anomaly:vol-V1:Total IOs" is 31).
+const avgFactName = 32
+
+// NewFactBuilder returns a builder sized for about n calls.
+func NewFactBuilder(n int) *FactBuilder {
+	b := &FactBuilder{calls: make([]Fact, 0, n)}
+	b.names.Grow(n * avgFactName)
+	return b
+}
+
+// Add records Add(name, score), the name being the concatenation of
+// parts.
+func (b *FactBuilder) Add(score float64, parts ...string) {
+	b.record(Fact{Score: score}, parts)
+}
+
+// AddTimed records AddTimed(name, score, t), the name being the
+// concatenation of parts.
+func (b *FactBuilder) AddTimed(score float64, t simtime.Time, parts ...string) {
+	b.record(Fact{Score: score, T: t, HasT: true}, parts)
+}
+
+func (b *FactBuilder) record(f Fact, parts []string) {
+	from := b.names.Len()
+	for _, p := range parts {
+		b.names.WriteString(p)
 	}
+	// A strings.Builder never rewrites what it has written, so the name
+	// stays valid even if the buffer is later outgrown.
+	f.Name = b.names.String()[from:]
+	b.calls = append(b.calls, f)
+}
+
+// Build returns the fact base the recorded calls build. The builder must
+// not be used afterwards.
+func (b *FactBuilder) Build() *FactBase {
+	calls := b.calls
+	// A stable sort keeps each name's calls in call order, so folding a
+	// run of one name applies them as the sequential calls would.
+	slices.SortStableFunc(calls, func(a, b Fact) int { return strings.Compare(a.Name, b.Name) })
+	folded, size := calls[:0], 0
+	for _, f := range calls {
+		if n := len(folded); n > 0 && folded[n-1].Name == f.Name {
+			folded[n-1] = fold(folded[n-1], true, f)
+			continue
+		}
+		folded = append(folded, fold(Fact{}, false, f))
+		size += len(f.Name)
+	}
+	var kept strings.Builder
+	kept.Grow(size)
+	for _, f := range folded {
+		kept.WriteString(f.Name)
+	}
+	facts := make([]Fact, len(folded))
+	all, at := kept.String(), 0
+	for i, f := range folded {
+		f.Name = all[at : at+len(f.Name)]
+		at += len(f.Name)
+		facts[i] = f
+	}
+	return &FactBase{facts: facts}
+}
+
+// fold applies one call, Add(f.Name, f.Score) or, when f.HasT is set,
+// AddTimed(f.Name, f.Score, f.T), to the fact old already stored under
+// the name, if exists: Add keeps the higher score and records no
+// timestamp; AddTimed keeps the earliest timestamp and the higher score.
+// FactBase's methods and FactBuilder both fold through it.
+func fold(old Fact, exists bool, f Fact) Fact {
+	if !f.HasT {
+		if exists && old.Score >= f.Score {
+			return old
+		}
+		return Fact{Name: f.Name, Score: f.Score}
+	}
+	if exists {
+		if old.HasT && old.T < f.T {
+			f.T = old.T
+		}
+		if old.Score > f.Score {
+			f.Score = old.Score
+		}
+	}
+	return f
+}
+
+// add applies one call, as fold describes, in place.
+func (fb *FactBase) add(f Fact) {
+	i, ok := fb.find(f.Name)
+	if ok {
+		fb.facts[i] = fold(fb.facts[i], true, f)
+		return
+	}
+	fb.facts = slices.Insert(fb.facts, i, fold(Fact{}, false, f))
+}
+
+// find returns the index of the fact named name, or where it would go.
+func (fb *FactBase) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(fb.facts, name, func(f Fact, name string) int { return strings.Compare(f.Name, name) })
 }
 
 // Add records a fact with a score and no timestamp. Re-adding a name
 // keeps the higher score.
 func (fb *FactBase) Add(name string, score float64) {
-	old, ok := fb.facts[name]
-	if ok && old.Score >= score {
-		return
-	}
-	fb.put(Fact{Name: name, Score: score}, !ok)
+	fb.add(Fact{Name: name, Score: score})
 }
 
 // AddTimed records a fact with a score and timestamp. Re-adding keeps the
 // earliest timestamp and the higher score.
 func (fb *FactBase) AddTimed(name string, score float64, t simtime.Time) {
-	old, ok := fb.facts[name]
-	if ok {
-		if old.HasT && old.T < t {
-			t = old.T
-		}
-		if old.Score > score {
-			score = old.Score
-		}
-	}
-	fb.put(Fact{Name: name, Score: score, T: t, HasT: true}, !ok)
+	fb.add(Fact{Name: name, Score: score, T: t, HasT: true})
 }
 
-// span returns the index range that can hold a pattern's matches: the
-// names that start with the pattern's literal segments, i.e. everything
-// before its first "*" segment, without the colon that ends them. Leaving
-// that colon out is what keeps the bare name in range — "a:b:*" matches
-// "a:b" itself (a trailing "*" matches zero segments), which sorts before
-// "a:b-x" and so outside the "a:b:" names. The range may also hold names
-// that do not match ("a:b-x", "a:bc"); MatchPattern remains the matcher,
-// the index only spares it the names that cannot match. A pattern that
-// starts with a wildcard spans the whole index; one without a wildcard
-// segment (a '*' inside a longer segment is a literal) can match only its
-// own name.
-func (fb *FactBase) span(pattern string) []string {
+// lookup returns the fact named name, if there is one.
+func (fb *FactBase) lookup(name string) (Fact, bool) {
+	if i, ok := fb.find(name); ok {
+		return fb.facts[i], true
+	}
+	return Fact{}, false
+}
+
+// span returns the facts that can match a pattern: those whose names
+// start with the pattern's literal segments, i.e. everything before its
+// first "*" segment, without the colon that ends them. Leaving that colon
+// out is what keeps the bare name in range — "a:b:*" matches "a:b" itself
+// (a trailing "*" matches zero segments), which sorts before "a:b-x" and
+// so outside the "a:b:" names. The range may also hold names that do not
+// match ("a:b-x", "a:bc"); MatchPattern remains the matcher, the range
+// only spares it the names that cannot match. A pattern that starts with
+// a wildcard spans every fact.
+func (fb *FactBase) span(pattern string) []Fact {
 	prefix := pattern
 	for at := 0; at <= len(pattern); {
 		end := strings.IndexByte(pattern[at:], ':')
@@ -114,9 +208,9 @@ func (fb *FactBase) span(pattern string) []string {
 		}
 		at = end + 1
 	}
-	lo, _ := slices.BinarySearch(fb.names, prefix)
-	rest := fb.names[lo:]
-	n := sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i], prefix) })
+	lo, _ := fb.find(prefix)
+	rest := fb.facts[lo:]
+	n := sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i].Name, prefix) })
 	return rest[:n]
 }
 
@@ -126,15 +220,15 @@ func (fb *FactBase) span(pattern string) []string {
 // segments.
 func (fb *FactBase) Match(pattern string) []Fact {
 	if literalPattern(pattern) {
-		if f, ok := fb.facts[pattern]; ok {
+		if f, ok := fb.lookup(pattern); ok {
 			return []Fact{f}
 		}
 		return nil
 	}
 	var out []Fact
-	for _, name := range fb.span(pattern) {
-		if MatchPattern(pattern, name) {
-			out = append(out, fb.facts[name])
+	for _, f := range fb.span(pattern) {
+		if MatchPattern(pattern, f.Name) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -142,18 +236,17 @@ func (fb *FactBase) Match(pattern string) []Fact {
 
 // MaxScore returns the highest score among matching facts (0 if none).
 // This is the innermost call of both symptom evaluation and the miner's
-// background filter: it allocates nothing and looks up only the facts
-// whose names match.
+// background filter: it allocates nothing and looks only at the facts in
+// the pattern's span.
 func (fb *FactBase) MaxScore(pattern string) float64 {
 	if literalPattern(pattern) {
-		return fb.facts[pattern].Score
+		f, _ := fb.lookup(pattern)
+		return f.Score
 	}
 	var max float64
-	for _, name := range fb.span(pattern) {
-		if MatchPattern(pattern, name) {
-			if s := fb.facts[name].Score; s > max {
-				max = s
-			}
+	for _, f := range fb.span(pattern) {
+		if f.Score > max && MatchPattern(pattern, f.Name) {
+			max = f.Score
 		}
 	}
 	return max
@@ -162,10 +255,11 @@ func (fb *FactBase) MaxScore(pattern string) float64 {
 // Exists reports whether any fact matches the pattern with score > 0.
 func (fb *FactBase) Exists(pattern string) bool {
 	if literalPattern(pattern) {
-		return fb.facts[pattern].Score > 0
+		f, _ := fb.lookup(pattern)
+		return f.Score > 0
 	}
-	for _, name := range fb.span(pattern) {
-		if MatchPattern(pattern, name) && fb.facts[name].Score > 0 {
+	for _, f := range fb.span(pattern) {
+		if f.Score > 0 && MatchPattern(pattern, f.Name) {
 			return true
 		}
 	}
@@ -175,16 +269,13 @@ func (fb *FactBase) Exists(pattern string) bool {
 // EarliestT returns the earliest timestamp among matching timed facts.
 func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 	if literalPattern(pattern) {
-		f, ok := fb.facts[pattern]
+		f, ok := fb.lookup(pattern)
 		return f.T, ok && f.HasT
 	}
 	var best simtime.Time
 	found := false
-	for _, name := range fb.span(pattern) {
-		if !MatchPattern(pattern, name) {
-			continue
-		}
-		if f := fb.facts[name]; f.HasT && (!found || f.T < best) {
+	for _, f := range fb.span(pattern) {
+		if f.HasT && (!found || f.T < best) && MatchPattern(pattern, f.Name) {
 			best = f.T
 			found = true
 		}
@@ -193,13 +284,7 @@ func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 }
 
 // All returns every fact sorted by name.
-func (fb *FactBase) All() []Fact {
-	out := make([]Fact, len(fb.names))
-	for i, name := range fb.names {
-		out[i] = fb.facts[name]
-	}
-	return out
-}
+func (fb *FactBase) All() []Fact { return slices.Clone(fb.facts) }
 
 // Len returns the number of facts.
 func (fb *FactBase) Len() int { return len(fb.facts) }
@@ -214,9 +299,8 @@ func (fb *FactBase) Len() int { return len(fb.facts) }
 func (fb *FactBase) Fingerprint() string {
 	h := fnv.New64a()
 	var buf []byte
-	for _, name := range fb.names {
-		f := fb.facts[name]
-		buf = append(buf[:0], name...)
+	for _, f := range fb.facts {
+		buf = append(buf[:0], f.Name...)
 		buf = append(buf, '=')
 		buf = strconv.AppendFloat(buf, f.Score, 'g', 9, 64)
 		buf = append(buf, '@')
@@ -244,7 +328,7 @@ func (fb *FactBase) String() string {
 
 // literalPattern reports whether a pattern has no wildcard segment, in
 // which case matching degenerates to string equality and fact lookup is
-// a direct map access. (A '*' embedded in a longer segment is a literal
+// one binary search. (A '*' embedded in a longer segment is a literal
 // character, not a wildcard, so the only false negatives here are
 // patterns with a literal-'*' segment — they just take the general path.)
 func literalPattern(pattern string) bool {

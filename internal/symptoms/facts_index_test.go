@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -170,11 +171,15 @@ func TestFactIndexEdgeCases(t *testing.T) {
 	checkWhole(t, fb, ref)
 }
 
-// TestFactIndexProperty drives the indexed fact base and the map-scan
-// reference with the same random adds — interleaved with reads — over a
-// small alphabet of segments (so prefixes, bare names and near-misses
-// collide constantly) and compares every reader on random patterns with
-// the wildcard first, in the middle, last, doubled, or embedded.
+// TestFactIndexProperty drives the fact base and the map-scan reference
+// with the same random adds — interleaved with reads — over a small
+// alphabet of segments (so prefixes, bare names and near-misses collide
+// constantly) and compares every reader on random patterns with the
+// wildcard first, in the middle, last, doubled, or embedded. Every name
+// is re-added often, timed after untimed and untimed after timed. A base
+// built in bulk from the same calls by a FactBuilder, as diag.BuildFacts
+// builds one, must answer every reader as the sequentially built base
+// does.
 func TestFactIndexProperty(t *testing.T) {
 	segs := []string{"a", "b", "ab", "b-x", "a*", "*b", "", "vol-V1", "vol-V10", "c"}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -195,15 +200,21 @@ func TestFactIndexProperty(t *testing.T) {
 			return out
 		}
 		fb, ref := NewFactBase(), refFacts{}
+		var calls []Fact // in call order: HasT marks AddTimed
 		for step := 0; step < 300; step++ {
 			n, score := name(false), float64(rng.Intn(5))/4
+			if len(calls) > 0 && rng.Intn(3) == 0 {
+				n = calls[rng.Intn(len(calls))].Name // a repeat, of either kind
+			}
 			if rng.Intn(3) == 0 {
 				ts := simtime.Time(rng.Intn(50))
 				fb.AddTimed(n, score, ts)
 				ref.addTimed(n, score, ts)
+				calls = append(calls, Fact{Name: n, Score: score, T: ts, HasT: true})
 			} else {
 				fb.Add(n, score)
 				ref.add(n, score)
+				calls = append(calls, Fact{Name: n, Score: score})
 			}
 			for i := 0; i < 4; i++ {
 				checkAgainst(t, fb, ref, name(true))
@@ -213,6 +224,39 @@ func TestFactIndexProperty(t *testing.T) {
 			}
 		}
 		checkWhole(t, fb, ref)
+
+		// The same calls through a FactBuilder sized too small (so its
+		// name buffer is outgrown), each name written in two parts.
+		b := NewFactBuilder(len(calls) / 8)
+		for _, c := range calls {
+			cut := rng.Intn(len(c.Name) + 1)
+			if c.HasT {
+				b.AddTimed(c.Score, c.T, c.Name[:cut], c.Name[cut:])
+			} else {
+				b.Add(c.Score, c.Name[:cut], c.Name[cut:])
+			}
+		}
+		bulk := b.Build()
+		checkWhole(t, bulk, ref)
+		if g, w := bulk.Fingerprint(), fb.Fingerprint(); g != w {
+			t.Fatalf("seed %d: bulk Fingerprint %s, sequential %s", seed, g, w)
+		}
+		for _, f := range fb.All() {
+			parts := strings.Split(f.Name, ":")
+			last := len(parts) - 1
+			for _, pattern := range []string{
+				"*:" + strings.Join(parts[1:], ":"),                   // wildcard first
+				strings.Join(parts[:last], ":") + ":*:" + parts[last], // wildcard middle
+				strings.Join(parts[:last], ":") + ":*",                // wildcard last
+				f.Name,
+			} {
+				checkAgainst(t, bulk, ref, pattern)
+				checkAgainst(t, fb, ref, pattern)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			checkAgainst(t, bulk, ref, name(true))
+		}
 	}
 }
 

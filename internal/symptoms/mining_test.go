@@ -3,6 +3,7 @@ package symptoms
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // incidentFacts builds a fact base resembling a V1-contention incident.
@@ -246,5 +247,38 @@ func TestMinerSeparatesClasses(t *testing.T) {
 	}
 	if strings.Contains(cands[1].Render(), "vol-V1") {
 		t.Fatalf("class-b candidate should not carry class-a facts")
+	}
+}
+
+// TestMinedEntryDoesNotPinFactNames: a FactBuilder slices every fact
+// name out of one string, so a mined entry whose patterns were those
+// slices would keep a whole diagnosis's names alive for as long as the
+// entry stays installed. Its patterns must be copies.
+func TestMinedEntryDoesNotPinFactNames(t *testing.T) {
+	var m Miner
+	for i := 0; i < 3; i++ {
+		b := NewFactBuilder(2)
+		b.Add(0.95, "metric-anomaly:", "vol-V1", ":writeTime")
+		b.Add(1, "cos-leaf-frac:", "vol-V1")
+		m.AddIncident(Incident{Facts: b.Build(), CauseKind: "mystery-contention"})
+	}
+	cands := m.Propose(3)
+	if len(cands) != 1 || len(cands[0].Conditions) != 2 {
+		t.Fatalf("want one candidate with two conditions, got %+v", cands)
+	}
+	for _, c := range cands[0].Conditions {
+		ge, ok := c.Expr.(geExpr)
+		if !ok || (ge.pattern != "metric-anomaly:vol-V1:writeTime" && ge.pattern != "cos-leaf-frac:vol-V1") {
+			t.Fatalf("condition %s is not ge over a fact name", c.Expr)
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(ge.pattern)))
+		for _, inc := range m.incidents {
+			for _, f := range inc.Facts.All() {
+				lo := uintptr(unsafe.Pointer(unsafe.StringData(f.Name)))
+				if p >= lo && p < lo+uintptr(len(f.Name)) {
+					t.Fatalf("mined pattern %q points into an incident's fact name %q", ge.pattern, f.Name)
+				}
+			}
+		}
 	}
 }

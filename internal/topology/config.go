@@ -3,6 +3,7 @@ package topology
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -259,22 +260,29 @@ func (c *Config) MustGet(id ID) *Component {
 // Parent returns the container of id ("" if none).
 func (c *Config) Parent(id ID) ID { return c.parent[id] }
 
-// Children returns the components contained in id, sorted by ID.
-func (c *Config) Children(id ID) []ID {
-	out := make([]ID, len(c.children[id]))
-	copy(out, c.children[id])
-	return out
-}
-
 // ChildrenOfKind returns id's children of the given kind, sorted by ID.
 func (c *Config) ChildrenOfKind(id ID, kind Kind) []ID {
-	var out []ID
+	n := 0
 	for _, ch := range c.children[id] {
 		if c.components[ch].Kind == kind {
-			out = append(out, ch)
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return c.appendChildrenOfKind(make([]ID, 0, n), id, kind)
+}
+
+// appendChildrenOfKind appends id's children of the given kind to dst, in
+// ID order.
+func (c *Config) appendChildrenOfKind(dst []ID, id ID, kind Kind) []ID {
+	for _, ch := range c.children[id] {
+		if c.components[ch].Kind == kind {
+			dst = append(dst, ch)
+		}
+	}
+	return dst
 }
 
 // All returns every component of the given kind, sorted by ID.
@@ -320,11 +328,9 @@ func (c *Config) VolumesInPool(pool ID) []ID {
 // (i.e. the rest of its pool), the core of the paper's outer dependency
 // path example.
 func (c *Config) SharingVolumes(volume ID) []ID {
-	var out []ID
-	for _, v := range c.VolumesInPool(c.PoolOf(volume)) {
-		if v != volume {
-			out = append(out, v)
-		}
+	out := slices.DeleteFunc(c.VolumesInPool(c.PoolOf(volume)), func(v ID) bool { return v == volume })
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -92,17 +92,6 @@ func (l *EventLog) All() []Event {
 	return out
 }
 
-// Window returns events with timestamps in iv, in time order.
-func (l *EventLog) Window(iv simtime.Interval) []Event {
-	var out []Event
-	for _, e := range l.All() {
-		if iv.Contains(e.T) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // OfKind returns events of the given kind, in time order.
 func (l *EventLog) OfKind(kind EventKind) []Event {
 	var out []Event
