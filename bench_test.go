@@ -32,7 +32,7 @@ const benchSeed = 4242
 // construction dominates otherwise.
 var benchScenarios = map[diads.ScenarioID]*diads.Scenario{}
 
-func scenarioFor(b *testing.B, id diads.ScenarioID) *diads.Scenario {
+func scenarioFor(b testing.TB, id diads.ScenarioID) *diads.Scenario {
 	b.Helper()
 	if sc, ok := benchScenarios[id]; ok {
 		return sc

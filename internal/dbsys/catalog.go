@@ -9,6 +9,7 @@ package dbsys
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,6 +174,18 @@ func (c *Catalog) Table(name string) (*Table, bool) {
 	return &cp, true
 }
 
+// RowWidth returns the named table's row width in bytes, without the
+// copy Table makes.
+func (c *Catalog) RowWidth(name string) (int, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	t, ok := c.tables[name]
+	if !ok {
+		return 0, false
+	}
+	return t.RowWidthB, true
+}
+
 // MustTable returns the named table or panics.
 func (c *Catalog) MustTable(name string) *Table {
 	t, ok := c.Table(name)
@@ -194,15 +207,28 @@ func (c *Catalog) Index(name string) (*Index, bool) {
 	return &cp, true
 }
 
+// IndexCorrelation returns the named index's correlation, without the
+// copy Index makes.
+func (c *Catalog) IndexCorrelation(name string) (float64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ix, ok := c.indexes[name]
+	if !ok {
+		return 0, false
+	}
+	return ix.Correlation, true
+}
+
 // IndexOn returns a usable (non-dropped) index on table.column, if any.
 func (c *Catalog) IndexOn(table, column string) (*Index, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.indexes))
+	var buf [16]string // a catalog has a dozen indexes
+	names := buf[:0]
 	for n := range c.indexes {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		ix := c.indexes[n]
 		if ix.Table == table && ix.Column == column && !ix.Dropped {

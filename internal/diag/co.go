@@ -57,14 +57,17 @@ func (r *COResult) ScoreOf(id int) float64 {
 // running time t(P), so it carries no additional signal.
 func CorrelatedOperators(in *Input, p *plan.Plan) (*COResult, error) {
 	sat, unsat := in.runsOnPlan(p)
-	res := &COResult{}
+	res := &COResult{Scores: make([]OperatorScore, 0, len(p.Nodes())-1)}
 	threshold := in.threshold()
+	// Reused across operators; kde copies what it keeps.
+	satTimes := make([]float64, 0, len(sat))
+	unsatTimes := make([]float64, 0, len(unsat))
 	for _, n := range p.Nodes() {
 		if n.ID == p.Root.ID {
 			continue
 		}
-		satTimes := recordedTimes(sat, n.ID)
-		unsatTimes := recordedTimes(unsat, n.ID)
+		satTimes = recordedTimes(satTimes[:0], sat, n.ID)
+		unsatTimes = recordedTimes(unsatTimes[:0], unsat, n.ID)
 		score, err := kde.AnomalyScore(satTimes, unsatTimes)
 		if err != nil {
 			return nil, err
@@ -72,21 +75,39 @@ func CorrelatedOperators(in *Input, p *plan.Plan) (*COResult, error) {
 		res.Scores = append(res.Scores, OperatorScore{
 			ID: n.ID, Type: n.Type, Table: n.Table, Score: score,
 		})
-		if score > threshold {
-			res.COS = append(res.COS, n.ID)
-		}
 	}
-	sort.Ints(res.COS)
+	res.COS = above(res.Scores, threshold)
 	return res, nil
 }
 
-// recordedTimes extracts one operator's recorded running times.
-func recordedTimes(runs []*exec.RunRecord, opID int) []float64 {
-	out := make([]float64, 0, len(runs))
-	for _, r := range runs {
-		if op := r.Op(opID); op != nil {
-			out = append(out, float64(op.Recorded))
+// above returns the IDs of the operators scoring above the threshold,
+// sorted, in a slice of exactly their number (nil for none).
+func above(scores []OperatorScore, threshold float64) []int {
+	n := 0
+	for _, s := range scores {
+		if s.Score > threshold {
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, 0, n)
+	for _, s := range scores {
+		if s.Score > threshold {
+			ids = append(ids, s.ID)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// recordedTimes appends one operator's recorded running times to dst.
+func recordedTimes(dst []float64, runs []*exec.RunRecord, opID int) []float64 {
+	for _, r := range runs {
+		if op := r.Op(opID); op != nil {
+			dst = append(dst, float64(op.Recorded))
+		}
+	}
+	return dst
 }

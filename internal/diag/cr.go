@@ -1,8 +1,6 @@
 package diag
 
 import (
-	"sort"
-
 	"diads/internal/exec"
 	"diads/internal/kde"
 	"diads/internal/plan"
@@ -27,15 +25,17 @@ type CRResult struct {
 // changed between the satisfactory and unsatisfactory runs (Section 4.1).
 func CorrelatedRecordCounts(in *Input, p *plan.Plan, co *COResult) (*CRResult, error) {
 	sat, unsat := in.runsOnPlan(p)
-	res := &CRResult{TableScores: make(map[string]float64)}
+	res := &CRResult{Scores: make([]OperatorScore, 0, len(co.COS)), TableScores: make(map[string]float64)}
 	threshold := in.threshold()
+	// Reused across operators; kde copies what it keeps.
+	var satCounts, unsatCounts []float64
 	for _, opID := range co.COS {
 		node, ok := p.Node(opID)
 		if !ok {
 			continue
 		}
-		satCounts := actualRowCounts(sat, opID)
-		unsatCounts := actualRowCounts(unsat, opID)
+		satCounts = actualRowCounts(satCounts[:0], sat, opID)
+		unsatCounts = actualRowCounts(unsatCounts[:0], unsat, opID)
 		score, err := kde.AnomalyScore(satCounts, unsatCounts)
 		if err != nil {
 			continue
@@ -43,24 +43,21 @@ func CorrelatedRecordCounts(in *Input, p *plan.Plan, co *COResult) (*CRResult, e
 		res.Scores = append(res.Scores, OperatorScore{
 			ID: opID, Type: node.Type, Table: node.Table, Score: score,
 		})
-		if score > threshold {
-			res.CRS = append(res.CRS, opID)
-		}
 		if node.IsLeaf() && score > res.TableScores[node.Table] {
 			res.TableScores[node.Table] = score
 		}
 	}
-	sort.Ints(res.CRS)
+	res.CRS = above(res.Scores, threshold)
 	return res, nil
 }
 
-// actualRowCounts extracts one operator's actual record counts per run.
-func actualRowCounts(runs []*exec.RunRecord, opID int) []float64 {
-	out := make([]float64, 0, len(runs))
+// actualRowCounts appends one operator's actual record counts per run to
+// dst.
+func actualRowCounts(dst []float64, runs []*exec.RunRecord, opID int) []float64 {
 	for _, r := range runs {
 		if op := r.Op(opID); op != nil {
-			out = append(out, op.ActRows)
+			dst = append(dst, op.ActRows)
 		}
 	}
-	return out
+	return dst
 }

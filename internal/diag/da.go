@@ -82,10 +82,22 @@ func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) 
 	sat, unsat := ReadWindows(in.satisfactoryRuns()), ReadWindows(in.unsatisfactoryRuns())
 	threshold := in.threshold()
 
-	var satVals, unsatVals []float64 // reused across series; kde copies what it keeps
+	// Reused across series (at most one mean per window); kde copies what
+	// it keeps.
+	satVals, unsatVals := make([]float64, 0, len(sat)), make([]float64, 0, len(unsat))
+	var ms []metrics.Metric // reused across components
+	n := 0
+	for _, comp := range comps {
+		ms = in.Store.AppendMetricsFor(ms[:0], string(comp))
+		n += len(ms)
+	}
+	if n > 0 {
+		res.Scores = make([]MetricScore, 0, n) // at most one score per series
+	}
 	for _, comp := range comps {
 		c := string(comp)
-		for _, m := range in.Store.MetricsFor(c) {
+		ms = in.Store.AppendMetricsFor(ms[:0], c)
+		for _, m := range ms {
 			satVals = in.Store.WindowMeans(c, m, sat, satVals[:0])
 			unsatVals = in.Store.WindowMeans(c, m, unsat, unsatVals[:0])
 			if len(satVals) < minSamplesForKDE || len(unsatVals) == 0 {
@@ -95,15 +107,25 @@ func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) 
 			if err != nil {
 				continue
 			}
-			ms := MetricScore{Component: c, Metric: m, Score: score}
-			res.Scores = append(res.Scores, ms)
-			if score > threshold {
-				res.CCS = append(res.CCS, ms)
-			}
+			res.Scores = append(res.Scores, MetricScore{Component: c, Metric: m, Score: score})
 		}
 	}
 	slices.SortFunc(res.Scores, compareSeries)
-	slices.SortFunc(res.CCS, compareSeries)
+	// The CCS is the sorted scores above the threshold, exactly sized.
+	n = 0
+	for _, s := range res.Scores {
+		if s.Score > threshold {
+			n++
+		}
+	}
+	if n > 0 {
+		res.CCS = make([]MetricScore, 0, n)
+		for _, s := range res.Scores {
+			if s.Score > threshold {
+				res.CCS = append(res.CCS, s)
+			}
+		}
+	}
 	return res, nil
 }
 
@@ -112,25 +134,19 @@ func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) 
 // sharing disks), and — because outer-path volumes matter precisely when
 // disks are shared — every volume of the pools those paths traverse.
 func candidateComponents(g *apg.APG, co *COResult) []topology.ID {
-	seen := map[topology.ID]bool{}
-	var out []topology.ID
-	add := func(id topology.ID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+	n := 0
 	for _, opID := range co.COS {
 		dp := g.DependencyPath(opID)
-		for _, id := range dp.Inner {
-			add(id)
-		}
-		for _, id := range dp.Outer {
-			add(id)
-		}
+		n += len(dp.Inner) + len(dp.Outer)
 	}
-	slices.Sort(out) // IDs are distinct (seen), so the order is unique
-	return out
+	out := make([]topology.ID, 0, n)
+	for _, opID := range co.COS {
+		dp := g.DependencyPath(opID)
+		out = append(out, dp.Inner...)
+		out = append(out, dp.Outer...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ProbeMetricScore computes the anomaly score for one (component,

@@ -222,22 +222,22 @@ func addEventFacts(fb *symptoms.FactBuilder, in *Input, events []topology.Event)
 // their disk-sharing neighbours), every pool those volumes belong to,
 // every base table of the plan, and the database server.
 func Bindings(in *Input, g *apg.APG) []symptoms.Binding {
-	var out []symptoms.Binding
-	seenVol := map[topology.ID]bool{}
-	seenPool := map[topology.ID]bool{}
+	out := make([]symptoms.Binding, 0, 2*len(g.Volumes())+len(g.Tables())+2)
+	var volBuf, poolBuf [16]topology.ID    // a plan reaches a few of each
+	vols, pools := volBuf[:0], poolBuf[:0] // bound so far
 	addVolume := func(vol topology.ID) {
-		if seenVol[vol] {
+		if slices.Contains(vols, vol) {
 			return
 		}
-		seenVol[vol] = true
+		vols = append(vols, vol)
 		pool := in.Cfg.PoolOf(vol)
 		out = append(out, symptoms.Binding{
 			Scope:   symptoms.ScopeVolume,
 			Subject: string(vol),
 			Vars:    map[string]string{"$V": string(vol), "$P": string(pool)},
 		})
-		if pool != "" && !seenPool[pool] {
-			seenPool[pool] = true
+		if pool != "" && !slices.Contains(pools, pool) {
+			pools = append(pools, pool)
 			out = append(out, symptoms.Binding{
 				Scope:   symptoms.ScopePool,
 				Subject: string(pool),
@@ -266,7 +266,6 @@ func Bindings(in *Input, g *apg.APG) []symptoms.Binding {
 	out = append(out, symptoms.Binding{
 		Scope:   symptoms.ScopeGlobal,
 		Subject: in.Query,
-		Vars:    map[string]string{},
 	})
 	return out
 }

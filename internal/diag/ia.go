@@ -53,6 +53,15 @@ func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.Cause
 	own := ownTimeDeltas(g.Plan, sat, unsat)
 	lockDelta := lockWaitDeltas(g.Plan, sat, unsat)
 
+	n := 0
+	for _, cause := range causes {
+		if cause.Category != symptoms.Low {
+			n++
+		}
+	}
+	if n > 0 {
+		res.Items = make([]ImpactItem, 0, n)
+	}
 	for _, cause := range causes {
 		if cause.Category == symptoms.Low {
 			continue
@@ -62,12 +71,12 @@ func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.Cause
 		for _, id := range ops {
 			switch cause.Kind {
 			case symptoms.CauseLockContention:
-				extra += lockDelta[id]
+				extra += opDelta(lockDelta, id)
 			case symptoms.CauseSANMisconfig, symptoms.CauseExternalLoad,
 				symptoms.CauseRAIDRebuild, symptoms.CauseDiskFailure:
-				extra += own[id] - lockDelta[id]
+				extra += opDelta(own, id) - opDelta(lockDelta, id)
 			default:
-				extra += own[id]
+				extra += opDelta(own, id)
 			}
 		}
 		score := 100 * extra / float64(extraPlan)
@@ -131,10 +140,19 @@ func operatorsFor(in *Input, g *apg.APG, co *COResult, cause symptoms.CauseInsta
 	return out
 }
 
-// ownTimeDeltas computes, per operator, the change in mean own
+// opDelta reads an operator's entry of a per-operator delta slice: 0 for
+// an ID the plan does not have (an edited COS may name one).
+func opDelta(deltas []float64, id int) float64 {
+	if id < 0 || id >= len(deltas) {
+		return 0
+	}
+	return deltas[id]
+}
+
+// ownTimeDeltas computes, per operator ID, the change in mean own
 // (exclusive) running time between satisfactory and unsatisfactory runs.
-func ownTimeDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) map[int]float64 {
-	out := make(map[int]float64, p.NumOperators())
+func ownTimeDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) []float64 {
+	out := make([]float64, p.NumOperators()+1)
 	for _, n := range p.Nodes() {
 		out[n.ID] = meanOwn(unsat, p, n.ID) - meanOwn(sat, p, n.ID)
 	}
@@ -173,8 +191,9 @@ func meanOwn(runs []*exec.RunRecord, p *plan.Plan, id int) float64 {
 	return sum / float64(len(runs))
 }
 
-// lockWaitDeltas computes per-operator change in mean lock-wait time.
-func lockWaitDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) map[int]float64 {
+// lockWaitDeltas computes, per operator ID, the change in mean lock-wait
+// time.
+func lockWaitDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) []float64 {
 	mean := func(runs []*exec.RunRecord, id int) float64 {
 		if len(runs) == 0 {
 			return 0
@@ -187,7 +206,7 @@ func lockWaitDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) map[int]float64 
 		}
 		return sum / float64(len(runs))
 	}
-	out := make(map[int]float64, p.NumOperators())
+	out := make([]float64, p.NumOperators()+1)
 	for _, n := range p.Nodes() {
 		out[n.ID] = mean(unsat, n.ID) - mean(sat, n.ID)
 	}

@@ -8,7 +8,9 @@
 package diag
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"diads/internal/apg"
@@ -115,7 +117,8 @@ func (in *Input) satisfactoryRuns() []*exec.RunRecord {
 	if in.sat != nil {
 		return in.sat
 	}
-	return in.labeled(true)
+	sat, _ := in.partition()
+	return sat
 }
 
 // unsatisfactoryRuns returns the labeled-unsatisfactory runs in time
@@ -124,18 +127,40 @@ func (in *Input) unsatisfactoryRuns() []*exec.RunRecord {
 	if in.unsat != nil {
 		return in.unsat
 	}
-	return in.labeled(false)
+	_, unsat := in.partition()
+	return unsat
 }
 
-func (in *Input) labeled(want bool) []*exec.RunRecord {
-	var out []*exec.RunRecord
+// partition splits the labeled runs into the satisfactory and the
+// unsatisfactory ones, each in time order (runs starting together keep
+// their order in Runs). Both are carved from one array of exactly their
+// size.
+func (in *Input) partition() (sat, unsat []*exec.RunRecord) {
+	nSat, nUnsat := 0, 0
 	for _, r := range in.Runs {
-		if sat, ok := in.Satisfactory[r.RunID]; ok && sat == want {
-			out = append(out, r)
+		if s, ok := in.Satisfactory[r.RunID]; ok {
+			if s {
+				nSat++
+			} else {
+				nUnsat++
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	all := make([]*exec.RunRecord, nSat+nUnsat)
+	sat, unsat = all[:0:nSat], all[nSat:nSat]
+	for _, r := range in.Runs {
+		if s, ok := in.Satisfactory[r.RunID]; ok {
+			if s {
+				sat = append(sat, r)
+			} else {
+				unsat = append(unsat, r)
+			}
+		}
+	}
+	byStart := func(a, b *exec.RunRecord) int { return cmp.Compare(a.Start, b.Start) }
+	slices.SortStableFunc(sat, byStart)
+	slices.SortStableFunc(unsat, byStart)
+	return sat, unsat
 }
 
 // runsOnPlan returns the satisfactory and unsatisfactory runs that
@@ -149,9 +174,22 @@ func (in *Input) runsOnPlan(p *plan.Plan) (sat, unsat []*exec.RunRecord) {
 	return withPlanSig(in.satisfactoryRuns(), sig), withPlanSig(in.unsatisfactoryRuns(), sig)
 }
 
-// withPlanSig filters runs to those recorded under the plan signature.
+// withPlanSig filters runs to those recorded under the plan signature:
+// runs itself when every run was, else an exactly sized copy.
 func withPlanSig(runs []*exec.RunRecord, sig string) []*exec.RunRecord {
-	var out []*exec.RunRecord
+	n := 0
+	for _, r := range runs {
+		if r.PlanSig == sig {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	if n == len(runs) {
+		return runs
+	}
+	out := make([]*exec.RunRecord, 0, n)
 	for _, r := range runs {
 		if r.PlanSig == sig {
 			out = append(out, r)

@@ -35,7 +35,7 @@ const PipelineDIADS = "diads"
 // filter-and-sort instead of repeating it.
 func NewBoard(in *Input) (*pipeline.Blackboard, error) {
 	seeded := *in
-	seeded.sat, seeded.unsat = in.labeled(true), in.labeled(false)
+	seeded.sat, seeded.unsat = in.partition()
 	if err := seeded.validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package diag
 
 import (
 	"fmt"
+	"slices"
 
 	"diads/internal/exec"
 	"diads/internal/opt"
@@ -77,20 +78,28 @@ func PlanDiffing(in *Input) (*PDResult, error) {
 	return res, nil
 }
 
-// dominantSig returns the plan signature used by the majority of runs
-// (ties broken toward the latest run).
+// dominantSig returns the plan signature used by the most runs, ties
+// broken toward the signature that appears first. A history holds one
+// or two signatures, so they are counted on the stack.
 func dominantSig(runs []*exec.RunRecord) string {
-	if len(runs) == 0 {
-		return ""
+	type sigCount struct {
+		sig string
+		n   int
 	}
-	counts := make(map[string]int)
+	var buf [4]sigCount
+	counts := buf[:0] // in order of first appearance
 	for _, r := range runs {
-		counts[r.PlanSig]++
+		i := slices.IndexFunc(counts, func(c sigCount) bool { return c.sig == r.PlanSig })
+		if i < 0 {
+			counts = append(counts, sigCount{sig: r.PlanSig})
+			i = len(counts) - 1
+		}
+		counts[i].n++
 	}
-	best, bestN := runs[len(runs)-1].PlanSig, 0
-	for _, r := range runs {
-		if c := counts[r.PlanSig]; c > bestN || (c == bestN && r.PlanSig == best) {
-			best, bestN = r.PlanSig, c
+	best, bestN := "", 0
+	for _, c := range counts {
+		if c.n > bestN {
+			best, bestN = c.sig, c.n
 		}
 	}
 	return best

@@ -94,6 +94,12 @@ func (w *Workflow) RunWith(ctx context.Context, cfg RunConfig) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	return w.run(ctx, bb, cfg)
+}
+
+// run executes the batch workflow on bb, a blackboard fresh from
+// NewBoard.
+func (w *Workflow) run(ctx context.Context, bb *pipeline.Blackboard, cfg RunConfig) (*Result, error) {
 	trace, err := DiadsPipeline().Run(ctx, bb, pipeline.Options{OnStart: cfg.OnModuleStart})
 	if err != nil {
 		return nil, err
@@ -203,13 +209,14 @@ func DiagnoseContext(ctx context.Context, in *Input) (*Result, error) {
 	return DiagnoseWith(ctx, in, RunConfig{})
 }
 
-// DiagnoseWith is DiagnoseContext with the engine's test hook.
+// DiagnoseWith is DiagnoseContext with the engine's test hook. It seeds
+// one blackboard and runs the workflow on it.
 func DiagnoseWith(ctx context.Context, in *Input, cfg RunConfig) (*Result, error) {
 	w, err := NewWorkflow(in)
 	if err != nil {
 		return nil, err
 	}
-	return w.RunWith(ctx, cfg)
+	return w.run(ctx, w.bb, cfg)
 }
 
 // ToIncident converts a diagnosis into a confirmed incident for the

@@ -588,6 +588,12 @@ func (s *Store) Components() []string {
 // search — O(log K) in the number of series — plus a scan of the
 // component's own metrics.
 func (s *Store) MetricsFor(component string) []Metric {
+	return s.AppendMetricsFor(nil, component)
+}
+
+// AppendMetricsFor appends the metrics recorded for a component, sorted,
+// to dst.
+func (s *Store) AppendMetricsFor(dst []Metric, component string) []Metric {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo := sort.Search(len(s.keys), func(i int) bool { return s.keys[i].Component >= component })
@@ -595,14 +601,11 @@ func (s *Store) MetricsFor(component string) []Metric {
 	for hi < len(s.keys) && s.keys[hi].Component == component {
 		hi++
 	}
-	if hi == lo {
-		return nil
+	dst = slices.Grow(dst, hi-lo)
+	for _, k := range s.keys[lo:hi] {
+		dst = append(dst, k.Metric)
 	}
-	out := make([]Metric, hi-lo)
-	for i, k := range s.keys[lo:hi] {
-		out[i] = k.Metric
-	}
-	return out
+	return dst
 }
 
 // Len returns the total number of retained samples across all series.

@@ -107,24 +107,35 @@ func (o *Optimizer) plan(query string, stats dbsys.Stats, params *dbsys.Params) 
 // posted cpu_tuple_cost of 1e308, say) are an error, not a plan.
 func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
 	indexEnabled := params.Bool(dbsys.ParamEnableIndexScan)
-
-	accessAlternatives := func(table, column string) []plan.AccessSpec {
-		alts := []plan.AccessSpec{{Type: plan.OpSeqScan}}
+	seqScan := plan.AccessSpec{Type: plan.OpSeqScan}
+	// access is the preferred read of table: the index scan on column
+	// when such an index is available and allowed, else a sequential scan.
+	access := func(table, column string) plan.AccessSpec {
 		if indexEnabled {
 			if ix, ok := o.Cat.IndexOn(table, column); ok {
-				alts = append([]plan.AccessSpec{{Type: plan.OpIndexScan, Index: ix.Name}}, alts...)
+				return plan.AccessSpec{Type: plan.OpIndexScan, Index: ix.Name}
 			}
 		}
-		return alts
+		return seqScan
+	}
+	// The alternatives for an enumerated table: its index scan, if any,
+	// then the sequential scan.
+	alternatives := func(dst []plan.AccessSpec, preferred plan.AccessSpec) []plan.AccessSpec {
+		if preferred != seqScan {
+			dst = append(dst, preferred)
+		}
+		return append(dst, seqScan)
 	}
 
-	partAlts := accessAlternatives(dbsys.TPart, "p_type")
-	psAlts := accessAlternatives(dbsys.TPartsupp, "ps_partkey")
+	var partBuf, psBuf [2]plan.AccessSpec
+	partAlts := alternatives(partBuf[:0], access(dbsys.TPart, "p_type"))
+	psAlts := alternatives(psBuf[:0], access(dbsys.TPartsupp, "ps_partkey"))
 	// Tiny-table lookups are not worth enumerating: use the index when
 	// it is available and allowed, else a sequential scan.
-	nationAccess := accessAlternatives(dbsys.TNation, "n_nationkey")[0]
-	supplierAccess := accessAlternatives(dbsys.TSupplier, "s_suppkey")[0]
-	joins := []plan.OpType{}
+	nationAccess := access(dbsys.TNation, "n_nationkey")
+	supplierAccess := access(dbsys.TSupplier, "s_suppkey")
+	var joinBuf [2]plan.OpType
+	joins := joinBuf[:0]
 	if params.Bool(dbsys.ParamEnableHashJoin) {
 		joins = append(joins, plan.OpHashJoin)
 	}
@@ -132,32 +143,38 @@ func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan,
 		joins = append(joins, plan.OpNestedLoop)
 	}
 
-	var best *plan.Plan
+	// Each candidate is built into one scratch tree and priced there;
+	// only the winner is built to keep.
+	pr := o.pricer(stats, params)
+	var scratch plan.Q2Scratch
+	var best plan.Q2Choices
+	found := false
 	bestCost := math.Inf(1)
 	for _, pa := range partAlts {
 		for _, ma := range psAlts {
 			for _, sa := range psAlts {
 				for _, j := range joins {
-					cand := plan.BuildQ2(plan.Q2Choices{
+					ch := plan.Q2Choices{
 						PartAccess:        pa,
 						PartsuppAccess:    ma,
 						SubPartsuppAccess: sa,
 						SubNationAccess:   nationAccess,
 						SubSupplierAccess: supplierAccess,
 						MainJoin:          j,
-					})
-					cost := o.CostPlan(cand, stats, params)
+					}
+					cost := pr.price(scratch.Build(ch))
 					if cost < bestCost {
 						bestCost = cost
-						best = cand
+						best, found = ch, true
 					}
 				}
 			}
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, fmt.Errorf("opt: no Q2 plan has a finite cost under %s", params)
 	}
-	plan.EstimateInto(best, stats.RowsOf)
-	return best, nil
+	p := plan.BuildQ2(best)
+	plan.EstimateInto(p, stats.RowsOf)
+	return p, nil
 }

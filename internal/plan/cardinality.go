@@ -4,17 +4,18 @@ import "math"
 
 // Cardinalities holds per-operator row counts and execution counts for one
 // query run, computed either from optimizer statistics (estimates) or from
-// actual table cardinalities (actuals).
+// actual table cardinalities (actuals). Each slice is indexed by operator
+// ID (IDs are dense pre-order numbers from 1; index 0 is unused).
 type Cardinalities struct {
 	// RowsPerExec is the operator's output rows per execution.
-	RowsPerExec map[int]float64
+	RowsPerExec []float64
 	// Loops is how many times the operator executes per query run.
 	// Operators inside a correlated subplan run once per row of the
 	// attachment operator's outer input.
-	Loops map[int]float64
+	Loops []float64
 	// Total is RowsPerExec * Loops — the record count the paper's
 	// per-operator monitoring reports.
-	Total map[int]float64
+	Total []float64
 }
 
 // TotalRows returns the operator's total output rows for the run.
@@ -37,83 +38,101 @@ func (c Cardinalities) TotalRows(id int) float64 { return c.Total[id] }
 // an operator executes once per execution of the operator itself, with the
 // per-row lookup already captured by the leaf's AbsRows.
 func Cardinality(p *Plan, rowsOf func(table string) int64, absScale func(table string) float64) Cardinalities {
-	c := Cardinalities{
-		RowsPerExec: make(map[int]float64, len(p.nodes)),
-		Loops:       make(map[int]float64, len(p.nodes)),
-		Total:       make(map[int]float64, len(p.nodes)),
-	}
+	var c Cardinalities
+	CardinalityInto(&c, p, rowsOf, absScale)
+	return c
+}
 
-	var rows func(n *Node) float64
-	rows = func(n *Node) float64 {
-		var out float64
-		switch {
-		case n.IsLeaf():
-			if n.AbsRows > 0 {
-				out = n.AbsRows * absScale(n.Table)
-			} else {
-				out = float64(rowsOf(n.Table)) * n.Sel
-			}
-		case n.Type == OpAggregate:
-			for _, ch := range n.Children {
-				rows(ch)
-			}
-			out = 1
-		case n.Type == OpLimit:
-			child := rows(n.Children[0])
-			out = math.Min(float64(n.LimitN), child)
-			if n.LimitN <= 0 {
-				out = child
-			}
-		case n.Type == OpHashJoin || n.Type == OpMergeJoin || n.Type == OpNestedLoop:
-			outer := rows(n.Children[0])
-			for _, ch := range n.Children[1:] {
-				rows(ch)
-			}
-			out = n.EffectiveFanout() * outer
-		default: // Sort, Hash, Materialize pass through.
-			out = rows(n.Children[0])
-		}
-		// Subplans contribute no rows to their owner; walk for coverage.
-		for _, s := range n.SubPlans {
-			rows(s)
-		}
-		if out < 0 {
-			out = 0
-		}
-		c.RowsPerExec[n.ID] = out
-		return out
+// CardinalityInto is Cardinality writing into c, whose slices it reuses
+// when they have room for p's operators.
+func CardinalityInto(c *Cardinalities, p *Plan, rowsOf func(table string) int64, absScale func(table string) float64) {
+	n := len(p.nodes) + 1
+	if cap(c.Total) < n || cap(c.Loops) < n || cap(c.RowsPerExec) < n {
+		all := make([]float64, 3*n)
+		c.RowsPerExec, c.Loops, c.Total = all[:n:n], all[n:2*n:2*n], all[2*n:]
 	}
-	rows(p.Root)
-
-	var loops func(n *Node, l float64)
-	loops = func(n *Node, l float64) {
-		c.Loops[n.ID] = l
-		for _, ch := range n.Children {
-			loops(ch, l)
-		}
-		for _, s := range n.SubPlans {
-			subLoops := l
-			if len(n.Children) > 0 {
-				subLoops = l * math.Max(1, c.RowsPerExec[n.Children[0].ID])
-			}
-			loops(s, subLoops)
-		}
-	}
-	loops(p.Root, 1)
-
+	c.RowsPerExec, c.Loops, c.Total = c.RowsPerExec[:n], c.Loops[:n], c.Total[:n]
+	w := cardWalk{c: c, rowsOf: rowsOf, absScale: absScale}
+	w.rows(p.Root)
+	w.loops(p.Root, 1)
 	for id, r := range c.RowsPerExec {
 		c.Total[id] = r * c.Loops[id]
 	}
-	return c
+}
+
+// cardWalk is one Cardinality computation's walks over the tree.
+type cardWalk struct {
+	c        *Cardinalities
+	rowsOf   func(table string) int64
+	absScale func(table string) float64
+}
+
+// rows fills RowsPerExec for n's subtree and returns n's.
+func (w *cardWalk) rows(n *Node) float64 {
+	var out float64
+	switch {
+	case n.IsLeaf():
+		if n.AbsRows > 0 {
+			out = n.AbsRows * w.absScale(n.Table)
+		} else {
+			out = float64(w.rowsOf(n.Table)) * n.Sel
+		}
+	case n.Type == OpAggregate:
+		for _, ch := range n.Children {
+			w.rows(ch)
+		}
+		out = 1
+	case n.Type == OpLimit:
+		child := w.rows(n.Children[0])
+		out = math.Min(float64(n.LimitN), child)
+		if n.LimitN <= 0 {
+			out = child
+		}
+	case n.Type == OpHashJoin || n.Type == OpMergeJoin || n.Type == OpNestedLoop:
+		outer := w.rows(n.Children[0])
+		for _, ch := range n.Children[1:] {
+			w.rows(ch)
+		}
+		out = n.EffectiveFanout() * outer
+	default: // Sort, Hash, Materialize pass through.
+		out = w.rows(n.Children[0])
+	}
+	// Subplans contribute no rows to their owner; walk for coverage.
+	for _, s := range n.SubPlans {
+		w.rows(s)
+	}
+	if out < 0 {
+		out = 0
+	}
+	w.c.RowsPerExec[n.ID] = out
+	return out
+}
+
+// loops fills Loops for n's subtree, n executing l times per run.
+func (w *cardWalk) loops(n *Node, l float64) {
+	w.c.Loops[n.ID] = l
+	for _, ch := range n.Children {
+		w.loops(ch, l)
+	}
+	for _, s := range n.SubPlans {
+		subLoops := l
+		if len(n.Children) > 0 {
+			subLoops = l * math.Max(1, w.c.RowsPerExec[n.Children[0].ID])
+		}
+		w.loops(s, subLoops)
+	}
 }
 
 // EstimateInto computes estimate cardinalities with rowsOf and stores them
 // on the plan's nodes (EstRows = total estimated rows), returning the
 // cardinalities.
 func EstimateInto(p *Plan, rowsOf func(table string) int64) Cardinalities {
-	c := Cardinality(p, rowsOf, func(string) float64 { return 1 })
+	c := Cardinality(p, rowsOf, UnitScale)
 	for _, n := range p.Nodes() {
 		n.EstRows = c.Total[n.ID]
 	}
 	return c
 }
+
+// UnitScale is the AbsRows growth ratio of an estimate: 1 for every table.
+func UnitScale(string) float64 { return 1 }

@@ -21,8 +21,8 @@ type Plan struct {
 	// Root is the top operator.
 	Root *Node
 
-	nodes   []*Node     // pre-order
-	parents map[int]int // node ID -> parent ID (0 for root)
+	nodes   []*Node // pre-order
+	parents []int   // by node ID: the parent's ID (0 for the root; index 0 unused)
 
 	sigOnce sync.Once
 	sig     string // Signature's memo, set under sigOnce
@@ -32,23 +32,44 @@ type Plan struct {
 // At each node, regular children are numbered before attached subplans,
 // which matches how EXPLAIN lists subplans after the node's inputs.
 func New(query string, root *Node) *Plan {
-	p := &Plan{Query: query, Root: root, parents: make(map[int]int)}
-	var walk func(n *Node, parent int)
-	var next int
-	walk = func(n *Node, parent int) {
-		next++
-		n.ID = next
-		p.nodes = append(p.nodes, n)
-		p.parents[n.ID] = parent
-		for _, c := range n.Children {
-			walk(c, n.ID)
-		}
-		for _, s := range n.SubPlans {
-			walk(s, n.ID)
-		}
-	}
-	walk(root, 0)
+	n := treeSize(root)
+	p := &Plan{nodes: make([]*Node, 0, n), parents: make([]int, 0, n+1)}
+	p.finalize(query, root)
 	return p
+}
+
+// finalize makes p the plan of the tree under root, numbering it into
+// p's node and parent lists, whose storage it reuses.
+func (p *Plan) finalize(query string, root *Node) {
+	p.Query, p.Root = query, root
+	p.nodes = p.nodes[:0]
+	p.parents = append(p.parents[:0], 0)
+	p.number(root, 0)
+}
+
+// number assigns n and its subtree their pre-order IDs.
+func (p *Plan) number(n *Node, parent int) {
+	p.nodes = append(p.nodes, n)
+	p.parents = append(p.parents, parent)
+	n.ID = len(p.nodes)
+	for _, c := range n.Children {
+		p.number(c, n.ID)
+	}
+	for _, s := range n.SubPlans {
+		p.number(s, n.ID)
+	}
+}
+
+// treeSize counts the operators under n, n included.
+func treeSize(n *Node) int {
+	size := 1
+	for _, c := range n.Children {
+		size += treeSize(c)
+	}
+	for _, s := range n.SubPlans {
+		size += treeSize(s)
+	}
+	return size
 }
 
 // Nodes returns the operators in pre-order (O1 first).
@@ -86,14 +107,19 @@ func (p *Plan) Leaves() []*Node {
 }
 
 // ParentID returns the parent operator's ID (0 for the root).
-func (p *Plan) ParentID(id int) int { return p.parents[id] }
+func (p *Plan) ParentID(id int) int {
+	if id < 1 || id >= len(p.parents) {
+		return 0
+	}
+	return p.parents[id]
+}
 
 // Ancestors returns the chain of ancestor IDs from id's parent up to the
 // root, in bottom-up order. Subplan operators chain through the operator
 // their subplan attaches to.
 func (p *Plan) Ancestors(id int) []int {
 	var out []int
-	for cur := p.parents[id]; cur != 0; cur = p.parents[cur] {
+	for cur := p.ParentID(id); cur != 0; cur = p.parents[cur] {
 		out = append(out, cur)
 	}
 	return out
@@ -136,20 +162,23 @@ func (p *Plan) Signature() string {
 
 // signature walks the tree and hashes it.
 func (p *Plan) signature() string {
-	var b strings.Builder
+	b := make([]byte, 0, 64*len(p.nodes))
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
-		b.WriteString(strconv.Itoa(depth) + ":" + string(n.Type) + ":" + n.Table + ":" + n.Index + ":" + n.Alias + ";")
+		b = strconv.AppendInt(b, int64(depth), 10)
+		for _, s := range [...]string{":", string(n.Type), ":", n.Table, ":", n.Index, ":", n.Alias, ";"} {
+			b = append(b, s...)
+		}
 		for _, c := range n.Children {
 			walk(c, depth+1)
 		}
 		for _, s := range n.SubPlans {
-			b.WriteString("sub;")
+			b = append(b, "sub;"...)
 			walk(s, depth+1)
 		}
 	}
 	walk(p.Root, 0)
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }
 

@@ -56,131 +56,190 @@ const (
 // operators O1..O25 with leaves {O4, O8, O10, O13, O15, O19, O22, O23,
 // O25}, where O8 and O22 read partsupp (volume V1) and the other seven
 // leaves read V2 tables.
+//
+// The nodes and child lists are carved from two arrays of exactly their
+// size, found by building the tree once in scratch storage first.
 func BuildQ2(ch Q2Choices) *Plan {
-	partsuppMain := leafFor(ch.PartsuppAccess, dbsys.TPartsupp, "", q2PartsuppSel, 0)
+	var s Q2Scratch
+	n := s.Build(ch).NumOperators()
+	a := arena{nodes: make([]Node, n), lists: make([]*Node, n-1)}
+	return New("Q2", q2Tree(ch, &a))
+}
+
+// Q2Scratch builds Q2 plans in storage it reuses from one build to the
+// next, for an optimizer pricing candidates it will mostly discard. A
+// plan it returns is the same tree BuildQ2 returns for the choices, and
+// is valid only until the next Build: it must not be retained.
+type Q2Scratch struct {
+	nodes   [q2Nodes]Node
+	lists   [q2Nodes]*Node
+	order   [q2Nodes]*Node
+	parents [q2Nodes + 1]int
+	plan    Plan
+}
+
+// Build returns the Q2 plan for the choices, in the scratch's storage.
+func (s *Q2Scratch) Build(ch Q2Choices) *Plan {
+	a := arena{nodes: s.nodes[:], lists: s.lists[:]}
+	s.plan = Plan{nodes: s.order[:0], parents: s.parents[:0]}
+	s.plan.finalize("Q2", q2Tree(ch, &a))
+	return &s.plan
+}
+
+// q2Nodes bounds the operators of any Q2 shape (25 by default, 26 with a
+// sequential scan under the main merge join).
+const q2Nodes = 32
+
+// arena hands out a tree's nodes and child lists from storage sized for
+// the tree.
+type arena struct {
+	nodes        []Node
+	lists        []*Node
+	used, listed int
+}
+
+// node returns a node holding n.
+func (a *arena) node(n Node) *Node {
+	p := &a.nodes[a.used]
+	*p = n
+	a.used++
+	return p
+}
+
+// list returns a child list holding ns.
+func (a *arena) list(ns ...*Node) []*Node {
+	l := a.lists[a.listed : a.listed+len(ns) : a.listed+len(ns)]
+	copy(l, ns)
+	a.listed += len(ns)
+	return l
+}
+
+// q2Tree builds the Q2 operator tree for the choices out of a: the one
+// description of Q2's shape, for BuildQ2 and Q2Scratch alike.
+func q2Tree(ch Q2Choices, a *arena) *Node {
+	partsuppMain := leafFor(a, ch.PartsuppAccess, dbsys.TPartsupp, "", q2PartsuppSel, 0)
 	// A merge join needs its outer input ordered: an index scan delivers
 	// order, a seq scan needs an explicit sort.
 	var mergeOuter *Node
 	if ch.PartsuppAccess.Type == OpIndexScan {
 		mergeOuter = partsuppMain
 	} else {
-		mergeOuter = &Node{Type: OpSort, Children: []*Node{partsuppMain}}
+		mergeOuter = a.node(Node{Type: OpSort, Children: a.list(partsuppMain)})
 	}
 
-	mainInner := &Node{ // supplier-nation-region side of O6
+	mainInner := a.node(Node{ // supplier-nation-region side of O6
 		Type: OpHash,
-		Children: []*Node{{
+		Children: a.list(a.node(Node{
 			Type:   OpHashJoin,
 			Fanout: 1,
-			Children: []*Node{
-				{Type: OpSeqScan, Table: dbsys.TNation, Sel: 1},
-				{Type: OpHash, Children: []*Node{
-					{Type: OpSeqScan, Table: dbsys.TRegion, Sel: q2RegionSel},
-				}},
-			},
-		}},
-	}
+			Children: a.list(
+				a.node(Node{Type: OpSeqScan, Table: dbsys.TNation, Sel: 1}),
+				a.node(Node{Type: OpHash, Children: a.list(
+					a.node(Node{Type: OpSeqScan, Table: dbsys.TRegion, Sel: q2RegionSel}),
+				)}),
+			),
+		})),
+	})
 
-	joinSupp := &Node{ // O7: partsupp x supplier
+	joinSupp := a.node(Node{ // O7: partsupp x supplier
 		Type:   OpMergeJoin,
 		Fanout: 1,
-		Children: []*Node{
+		Children: a.list(
 			mergeOuter,
-			{Type: OpSort, Children: []*Node{
-				{Type: OpSeqScan, Table: dbsys.TSupplier, Sel: 1},
-			}},
-		},
-	}
+			a.node(Node{Type: OpSort, Children: a.list(
+				a.node(Node{Type: OpSeqScan, Table: dbsys.TSupplier, Sel: 1}),
+			)}),
+		),
+	})
 
-	joinRegion := &Node{ // O6: (partsupp x supplier) x (nation x region)
+	joinRegion := a.node(Node{ // O6: (partsupp x supplier) x (nation x region)
 		Type:     OpHashJoin,
 		Fanout:   q2SupplierFrac,
-		Children: []*Node{joinSupp, mainInner},
-	}
+		Children: a.list(joinSupp, mainInner),
+	})
 
-	subPartsupp := leafFor(ch.SubPartsuppAccess, dbsys.TPartsupp, "ps2", 0, q2SubFanout)
+	subPartsupp := leafFor(a, ch.SubPartsuppAccess, dbsys.TPartsupp, "ps2", 0, q2SubFanout)
 	// O21: the partsupp index delivers partkey order, but the merge join
 	// with supplier needs suppkey order, so a sort is always required.
-	subMergeOuter := &Node{Type: OpSort, Children: []*Node{subPartsupp}}
+	subMergeOuter := a.node(Node{Type: OpSort, Children: a.list(subPartsupp)})
 
-	subplan := &Node{ // O16: min(ps_supplycost) for the current part
+	subplan := a.node(Node{ // O16: min(ps_supplycost) for the current part
 		Type: OpAggregate,
-		Children: []*Node{{
+		Children: a.list(a.node(Node{
 			Type:   OpNestedLoop, // O17: x region (materialized)
 			Fanout: q2RegionSel,
-			Children: []*Node{
-				{
+			Children: a.list(
+				a.node(Node{
 					Type:   OpNestedLoop, // O18: x nation
 					Fanout: 1,
-					Children: []*Node{
-						subNation(ch.SubNationAccess),
-						{
+					Children: a.list(
+						subNation(a, ch.SubNationAccess),
+						a.node(Node{
 							Type:   OpMergeJoin, // O20: ps2 x s2
 							Fanout: 1,
-							Children: []*Node{
+							Children: a.list(
 								subMergeOuter, // O21: Sort over O22
-								subSupplier(ch.SubSupplierAccess),
-							},
-						},
-					},
-				},
-				{Type: OpMaterialize, Children: []*Node{ // O24
-					{Type: OpSeqScan, Table: dbsys.TRegion, Alias: "r2", Sel: 1},
-				}},
-			},
-		}},
-	}
+								subSupplier(a, ch.SubSupplierAccess),
+							),
+						}),
+					),
+				}),
+				a.node(Node{Type: OpMaterialize, Children: a.list( // O24
+					a.node(Node{Type: OpSeqScan, Table: dbsys.TRegion, Alias: "r2", Sel: 1}),
+				)}),
+			),
+		})),
+	})
 
-	part := leafFor(ch.PartAccess, dbsys.TPart, "", q2PartSel, 0)
+	part := leafFor(a, ch.PartAccess, dbsys.TPart, "", q2PartSel, 0)
 
 	var mainJoin *Node
 	if ch.MainJoin == OpNestedLoop {
-		mainJoin = &Node{
+		mainJoin = a.node(Node{
 			Type:     OpNestedLoop,
 			Fanout:   1,
-			Children: []*Node{part, joinRegion},
-			SubPlans: []*Node{subplan},
-		}
+			Children: a.list(part, joinRegion),
+			SubPlans: a.list(subplan),
+		})
 	} else {
-		mainJoin = &Node{ // O3
+		mainJoin = a.node(Node{ // O3
 			Type:   OpHashJoin,
 			Fanout: 1,
-			Children: []*Node{
+			Children: a.list(
 				part, // O4
-				{Type: OpHash, Children: []*Node{joinRegion}}, // O5
-			},
-			SubPlans: []*Node{subplan},
-		}
+				a.node(Node{Type: OpHash, Children: a.list(joinRegion)}), // O5
+			),
+			SubPlans: a.list(subplan),
+		})
 	}
 
-	root := &Node{
+	return a.node(Node{
 		Type:   OpLimit,
 		LimitN: 100,
-		Children: []*Node{{
+		Children: a.list(a.node(Node{
 			Type:     OpSort,
-			Children: []*Node{mainJoin},
-		}},
-	}
-	return New("Q2", root)
+			Children: a.list(mainJoin),
+		})),
+	})
 }
 
 // leafFor builds a scan node from an access spec. Exactly one of sel or
 // absRows should be non-zero.
-func leafFor(spec AccessSpec, table, alias string, sel, absRows float64) *Node {
-	n := &Node{Type: spec.Type, Table: table, Alias: alias, Sel: sel, AbsRows: absRows}
+func leafFor(a *arena, spec AccessSpec, table, alias string, sel, absRows float64) *Node {
+	n := Node{Type: spec.Type, Table: table, Alias: alias, Sel: sel, AbsRows: absRows}
 	if spec.Type == OpIndexScan {
 		n.Index = spec.Index
 	}
-	return n
+	return a.node(n)
 }
 
 // subNation builds the subplan's per-loop nation lookup (O19 by default).
-func subNation(spec AccessSpec) *Node {
-	return leafFor(spec, dbsys.TNation, "n2", 0, 25)
+func subNation(a *arena, spec AccessSpec) *Node {
+	return leafFor(a, spec, dbsys.TNation, "n2", 0, 25)
 }
 
 // subSupplier builds the subplan's per-loop supplier lookup (O23 by
 // default).
-func subSupplier(spec AccessSpec) *Node {
-	return leafFor(spec, dbsys.TSupplier, "s2", 0, q2SubFanout)
+func subSupplier(a *arena, spec AccessSpec) *Node {
+	return leafFor(a, spec, dbsys.TSupplier, "s2", 0, q2SubFanout)
 }

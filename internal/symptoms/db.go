@@ -193,19 +193,36 @@ type Binding struct {
 // Evaluate scores every entry against the fact base for each binding of
 // its scope, returning cause instances sorted by confidence (descending),
 // with ties broken by kind then subject for determinism.
+//
+// Every substituted pattern is written into one buffer and read as a
+// substring of it. The instances' TrueConditions are carved from one
+// slice of exactly their total length, so a retained result keeps
+// nothing else of the evaluation.
 func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
-	var out []CauseInstance
+	pairs, conds := 0, 0
+	for _, e := range db.entries {
+		for _, b := range bindings {
+			if b.Scope == e.Scope {
+				pairs++
+				conds += len(e.Conditions)
+			}
+		}
+	}
+	var buf strings.Builder
+	buf.Grow(conds * avgFactName) // a substituted pattern is about a fact name long
+	out := make([]CauseInstance, 0, pairs)
+	held := make([]string, 0, conds) // the true conditions, instance after instance
 	for _, e := range db.entries {
 		for _, b := range bindings {
 			if b.Scope != e.Scope {
 				continue
 			}
 			var score float64
-			var trueConds []string
+			first := len(held)
 			for _, c := range e.Conditions {
-				if c.Expr.Eval(fb, b.Vars) {
+				if c.Expr.eval(fb, b.Vars, &buf) {
 					score += c.Weight
-					trueConds = append(trueConds, c.exprText())
+					held = append(held, c.exprText())
 				}
 			}
 			out = append(out, CauseInstance{
@@ -214,9 +231,21 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 				Confidence:     score,
 				Category:       Categorize(score),
 				Fix:            e.Fix,
-				TrueConditions: trueConds,
+				TrueConditions: held[first:], // its count; re-pointed below
 			})
 		}
+	}
+	// held has room for every condition; keep an exactly sized copy.
+	kept := make([]string, len(held))
+	copy(kept, held)
+	at := 0
+	for i := range out {
+		n := len(out[i].TrueConditions)
+		out[i].TrueConditions = nil
+		if n > 0 {
+			out[i].TrueConditions = kept[at : at+n : at+n]
+		}
+		at += n
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {

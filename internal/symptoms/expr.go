@@ -13,13 +13,17 @@ import (
 type Expr interface {
 	Eval(fb *FactBase, bind map[string]string) bool
 	String() string
+	// eval is Eval substituting each pattern into buf, or, with a nil
+	// buf, into a string of its own.
+	eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool
 }
 
 // existsExpr: exists(pattern) — some matching fact has score > 0.
 type existsExpr struct{ pattern string }
 
-func (e existsExpr) Eval(fb *FactBase, bind map[string]string) bool {
-	return fb.Exists(substitute(e.pattern, bind))
+func (e existsExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e existsExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+	return fb.Exists(substituteIn(buf, e.pattern, bind))
 }
 func (e existsExpr) String() string { return fmt.Sprintf("exists(%s)", e.pattern) }
 
@@ -29,25 +33,28 @@ type geExpr struct {
 	c       float64
 }
 
-func (e geExpr) Eval(fb *FactBase, bind map[string]string) bool {
-	return fb.MaxScore(substitute(e.pattern, bind)) >= e.c
+func (e geExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e geExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+	return fb.MaxScore(substituteIn(buf, e.pattern, bind)) >= e.c
 }
 func (e geExpr) String() string { return fmt.Sprintf("ge(%s, %g)", e.pattern, e.c) }
 
 // notExpr: not(expr).
 type notExpr struct{ inner Expr }
 
-func (e notExpr) Eval(fb *FactBase, bind map[string]string) bool {
-	return !e.inner.Eval(fb, bind)
+func (e notExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e notExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+	return !e.inner.eval(fb, bind, buf)
 }
 func (e notExpr) String() string { return fmt.Sprintf("not(%s)", e.inner) }
 
 // andExpr: and(e1, e2, ...).
 type andExpr struct{ args []Expr }
 
-func (e andExpr) Eval(fb *FactBase, bind map[string]string) bool {
+func (e andExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e andExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
 	for _, a := range e.args {
-		if !a.Eval(fb, bind) {
+		if !a.eval(fb, bind, buf) {
 			return false
 		}
 	}
@@ -58,9 +65,10 @@ func (e andExpr) String() string { return "and(" + joinExprs(e.args) + ")" }
 // orExpr: or(e1, e2, ...).
 type orExpr struct{ args []Expr }
 
-func (e orExpr) Eval(fb *FactBase, bind map[string]string) bool {
+func (e orExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e orExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
 	for _, a := range e.args {
-		if a.Eval(fb, bind) {
+		if a.eval(fb, bind, buf) {
 			return true
 		}
 	}
@@ -73,9 +81,10 @@ func (e orExpr) String() string { return "or(" + joinExprs(e.args) + ")" }
 // the paper's "complex symptoms with temporal properties".
 type beforeExpr struct{ p1, p2 string }
 
-func (e beforeExpr) Eval(fb *FactBase, bind map[string]string) bool {
-	t1, ok1 := fb.EarliestT(substitute(e.p1, bind))
-	t2, ok2 := fb.EarliestT(substitute(e.p2, bind))
+func (e beforeExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
+func (e beforeExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+	t1, ok1 := fb.EarliestT(substituteIn(buf, e.p1, bind))
+	t2, ok2 := fb.EarliestT(substituteIn(buf, e.p2, bind))
 	return ok1 && ok2 && t1 < t2
 }
 func (e beforeExpr) String() string { return fmt.Sprintf("before(%s, %s)", e.p1, e.p2) }
@@ -91,15 +100,44 @@ func joinExprs(es []Expr) string {
 // substitute replaces $-prefixed template variables in a pattern.
 // Variables apply longest-first so a binding for $V cannot mangle an
 // occurrence of $VOL, and ties break lexicographically so the result
-// never depends on map iteration order. Bindings carry one or two
-// variables, so the keys are ordered on the stack; more spill to the heap
-// and order the same way.
+// never depends on map iteration order. Each variable applies to the
+// text the ones before it left, so a value may itself name a shorter
+// variable ($P bound to "pool-$V"). The result has a buffer of its own,
+// sized for one occurrence of each variable.
 func substitute(pattern string, bind map[string]string) string {
 	if !strings.Contains(pattern, "$") {
 		return pattern
 	}
-	var buf [4]string
-	keys := buf[:0]
+	var buf strings.Builder
+	n := len(pattern)
+	for _, v := range bind {
+		n += len(v)
+	}
+	buf.Grow(n)
+	return appendSubstitute(&buf, pattern, bind)
+}
+
+// substituteIn is substitute writing into buf, or substitute itself for
+// a nil buf.
+func substituteIn(buf *strings.Builder, pattern string, bind map[string]string) string {
+	if buf == nil {
+		return substitute(pattern, bind)
+	}
+	return appendSubstitute(buf, pattern, bind)
+}
+
+// appendSubstitute is the append form of substitute: each variable that
+// occurs appends the text with it replaced to buf, and the result is the
+// last text appended — a substring of buf, which a later write leaves as
+// it is — or the pattern itself when no variable occurs. Bindings carry
+// one or two variables, so the keys are ordered on the stack; more spill
+// to the heap and order the same way.
+func appendSubstitute(buf *strings.Builder, pattern string, bind map[string]string) string {
+	if !strings.Contains(pattern, "$") {
+		return pattern
+	}
+	var kbuf [4]string
+	keys := kbuf[:0]
 	for k := range bind {
 		keys = append(keys, k)
 	}
@@ -111,7 +149,23 @@ func substitute(pattern string, bind map[string]string) string {
 	})
 	out := pattern
 	for _, k := range keys {
-		out = strings.ReplaceAll(out, k, bind[k])
+		if k == "" { // strings.ReplaceAll's rule for an empty key
+			out = strings.ReplaceAll(out, k, bind[k])
+			continue
+		}
+		i := strings.Index(out, k)
+		if i < 0 {
+			continue
+		}
+		v, start := bind[k], buf.Len()
+		for i >= 0 {
+			buf.WriteString(out[:i])
+			buf.WriteString(v)
+			out = out[i+len(k):]
+			i = strings.Index(out, k)
+		}
+		buf.WriteString(out)
+		out = buf.String()[start:]
 	}
 	return out
 }
