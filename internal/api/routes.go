@@ -60,22 +60,33 @@ func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
 	latency := reg.Histogram("diads_api_request_seconds",
 		"Wall time of one API request, by route.",
 		telemetry.Labels{"route": name}, nil)
-	// The outcome counter is resolved once per status code: a registry
-	// lookup builds a label map and a canonical key.
+	// The outcome counter and the span's code attribute are resolved once
+	// per status code: a registry lookup builds a label map and a
+	// canonical key, and the attribute a string and a slice. Spans share
+	// the attribute slice; nothing writes to it.
+	type outcomeOf struct {
+		counter *telemetry.Counter
+		attrs   []telemetry.Attr
+	}
 	var mu sync.Mutex
-	outcomes := make(map[int]*telemetry.Counter)
-	outcome := func(code int) *telemetry.Counter {
+	outcomes := make(map[int]outcomeOf)
+	outcome := func(code int) outcomeOf {
 		mu.Lock()
 		defer mu.Unlock()
-		c := outcomes[code]
-		if c == nil {
-			c = reg.Counter("diads_api_requests_total",
-				"API requests, by route and status code.",
-				telemetry.Labels{"route": name, "code": strconv.Itoa(code)})
-			outcomes[code] = c
+		o, ok := outcomes[code]
+		if !ok {
+			c := strconv.Itoa(code)
+			o = outcomeOf{
+				counter: reg.Counter("diads_api_requests_total",
+					"API requests, by route and status code.",
+					telemetry.Labels{"route": name, "code": c}),
+				attrs: []telemetry.Attr{{Key: "code", Value: c}},
+			}
+			outcomes[code] = o
 		}
-		return c
+		return o
 	}
+	spanName := "api." + name
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		traceID := r.Header.Get("X-Diads-Trace")
@@ -86,11 +97,12 @@ func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
 		h(sw, r.WithContext(withTraceID(r.Context(), traceID)))
 		wall := time.Since(start)
 		latency.Observe(wall.Seconds())
-		outcome(sw.code).Inc()
+		o := outcome(sw.code)
+		o.counter.Inc()
 		telemetry.DefaultTracer().Record(telemetry.Span{
-			TraceID: traceID, Name: "api." + name,
+			TraceID: traceID, Name: spanName,
 			Start: start, Duration: wall,
-			Attrs: []telemetry.Attr{{Key: "code", Value: strconv.Itoa(sw.code)}},
+			Attrs: o.attrs,
 		})
 	})
 	return http.TimeoutHandler(inner, n.cfg.Timeout, `{"error":"request timed out"}`)

@@ -244,9 +244,11 @@ func (ex *exchange) foldLocked(epoch int64) {
 	}
 	//lint:allow walltime telemetry-only wall timing of the learn fold; never enters evidence
 	start := time.Now()
-	sort.Slice(healthy, func(i, j int) bool {
-		return healthy[i].Fingerprint() < healthy[j].Fingerprint()
-	})
+	fps := make(map[*symptoms.FactBase]string, len(healthy))
+	for _, fb := range healthy {
+		fps[fb] = fb.Fingerprint() // once per base, not twice per comparison
+	}
+	sort.Slice(healthy, func(i, j int) bool { return fps[healthy[i]] < fps[healthy[j]] })
 	for _, fb := range healthy {
 		ex.learn.addHealthy(fb)
 	}

@@ -167,6 +167,11 @@ type learner struct {
 	confirmed, heldOut int
 	transfers          int
 	transferredTo      map[string]bool
+
+	// stale marks new evidence since the last step: an incident routed
+	// to the miner or the hold-out set, or a base that grew the healthy
+	// corpus. Without it a step has nothing to do (see step).
+	stale bool
 }
 
 func newLearner(cfg LearnConfig, symdb *symptoms.DB) *learner {
@@ -201,6 +206,7 @@ func newLearner(cfg LearnConfig, symdb *symptoms.DB) *learner {
 func (l *learner) addHealthy(fb *symptoms.FactBase) {
 	if l.validator.AddHealthy(fb) {
 		l.miner.AddBackground(fb)
+		l.stale = true
 	}
 }
 
@@ -223,6 +229,7 @@ func (l *learner) observe(incs []service.Incident) {
 			continue
 		}
 		l.fed[id] = true
+		l.stale = true
 		l.kindSeen[inc.Kind]++
 		mined := symptoms.Incident{
 			Facts: inc.Result.Facts, CauseKind: inc.Kind, Subject: inc.Subject,
@@ -244,7 +251,17 @@ func (l *learner) observe(incs []service.Incident) {
 
 // step advances the lifecycle: refresh proposals, validate every
 // pending candidate, and pass survivors through the review gate.
+//
+// A step with no new evidence returns at once, and skipping it is
+// exact: proposals and verdicts are pure functions of the miner's and
+// validator's contents, and the only candidates a step leaves pending
+// are deferred ones and validated ones awaiting an operator's ack,
+// which a second step would leave exactly as they are.
 func (l *learner) step() {
+	if !l.stale {
+		return
+	}
+	l.stale = false
 	for _, cand := range l.miner.Propose(l.cfg.MinIncidents) {
 		kind := cand.CauseKind
 		if l.preinstalled[kind] || l.authors[kind] != nil || l.rejected[kind] {

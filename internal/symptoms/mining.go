@@ -2,7 +2,8 @@ package symptoms
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -39,19 +40,61 @@ func IsMined(kind string) bool { return strings.HasSuffix(kind, MinedSuffix) }
 // cause kind a mined entry corroborates.
 func BaseKind(kind string) string { return strings.TrimSuffix(kind, MinedSuffix) }
 
-// Miner accumulates incidents and proposes codebook entries.
+// Miner accumulates incidents and proposes codebook entries. It folds
+// each incident and healthy base once, as it is added, so a proposal
+// costs what the discriminative facts cost, not what the history does.
 type Miner struct {
-	incidents []Incident
-	// Background holds fact bases from healthy periods, used to filter
-	// out facts that are always present.
-	background []*FactBase
+	// classes maps a cause kind to its class.
+	classes map[string]*minedClass
+	// background holds the names present in any healthy period, sorted:
+	// facts that are always present carry no diagnostic signal.
+	background []string
+	// exprs memoizes each name's ge(name, 0.8) condition; nil marks a
+	// name the condition DSL cannot express.
+	exprs map[string]Expr
 }
 
-// AddIncident records a confirmed incident.
-func (m *Miner) AddIncident(inc Incident) { m.incidents = append(m.incidents, inc) }
+// minedClass is one cause kind's incidents, folded: how many there are
+// and the names present in every one of them, sorted.
+type minedClass struct {
+	size   int
+	common []string
+}
 
-// AddBackground records a healthy-period fact base.
-func (m *Miner) AddBackground(fb *FactBase) { m.background = append(m.background, fb) }
+// AddIncident records a confirmed incident. A class's first incident
+// seeds its common names; each later one drops the names it lacks.
+func (m *Miner) AddIncident(inc Incident) {
+	c := m.classes[inc.CauseKind]
+	if c == nil {
+		if m.classes == nil {
+			m.classes = make(map[string]*minedClass)
+		}
+		c = &minedClass{}
+		m.classes[strings.Clone(inc.CauseKind)] = c
+		for _, f := range inc.Facts.facts {
+			if f.Score >= minedScoreThreshold {
+				c.common = append(c.common, strings.Clone(f.Name))
+			}
+		}
+	} else {
+		c.common = slices.DeleteFunc(c.common, func(name string) bool {
+			f, _ := inc.Facts.lookup(name)
+			return !(f.Score >= minedScoreThreshold) // a NaN score is absent too
+		})
+	}
+	c.size++
+}
+
+// AddBackground records a healthy-period fact base's present names.
+func (m *Miner) AddBackground(fb *FactBase) {
+	for _, f := range fb.facts {
+		if f.Score >= minedScoreThreshold {
+			if i, found := slices.BinarySearch(m.background, f.Name); !found {
+				m.background = slices.Insert(m.background, i, strings.Clone(f.Name))
+			}
+		}
+	}
+}
 
 // CandidateEntry is a proposed codebook entry awaiting validation and
 // review.
@@ -108,92 +151,65 @@ const minedScoreThreshold = 0.8
 // (score >= 0.8) in every incident of the class but in no background
 // period become the conditions of a candidate entry.
 func (m *Miner) Propose(minIncidents int) []CandidateEntry {
-	byKind := make(map[string][]Incident)
-	for _, inc := range m.incidents {
-		byKind[inc.CauseKind] = append(byKind[inc.CauseKind], inc)
-	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-
 	var out []CandidateEntry
-	for _, kind := range kinds {
-		class := byKind[kind]
-		if len(class) < minIncidents {
-			continue
-		}
-		common := m.commonFacts(class)
-		discriminative := m.filterBackground(common)
-		if len(discriminative) == 0 {
+	for _, kind := range slices.Sorted(maps.Keys(m.classes)) {
+		class := m.classes[kind]
+		if class.size < minIncidents {
 			continue
 		}
 		cand := CandidateEntry{
 			CauseKind: kind + MinedSuffix,
-			Support:   len(class),
-			Incidents: len(class),
+			Support:   class.size,
+			Incidents: class.size,
 		}
 		// Fact names are data, not code: one with a DSL delimiter in it
 		// must not panic the caller mid-proposal. Unparseable names are
 		// skipped and counted; weights normalize over what survives.
-		var exprs []Expr
-		for _, name := range discriminative {
-			expr, err := ParseExpr(fmt.Sprintf("ge(%s, %g)", name, minedScoreThreshold))
-			if err != nil {
-				cand.Skipped++
+		for _, name := range class.common {
+			if m.inBackground(name) {
 				continue
 			}
-			exprs = append(exprs, expr)
+			if expr := m.condition(name); expr != nil {
+				cand.Conditions = append(cand.Conditions, Condition{Expr: expr})
+			} else {
+				cand.Skipped++
+			}
 		}
-		if len(exprs) == 0 {
+		if len(cand.Conditions) == 0 {
 			continue
 		}
-		weight := 100.0 / float64(len(exprs))
-		for _, expr := range exprs {
-			cand.Conditions = append(cand.Conditions, Condition{Weight: weight, Expr: expr})
+		weight := 100.0 / float64(len(cand.Conditions))
+		for i := range cand.Conditions {
+			cand.Conditions[i].Weight = weight
 		}
 		out = append(out, cand)
 	}
 	return out
 }
 
-// commonFacts returns fact names present in every incident of the class,
-// sorted.
-func (m *Miner) commonFacts(class []Incident) []string {
-	counts := make(map[string]int)
-	for _, inc := range class {
-		for _, f := range inc.Facts.All() {
-			if f.Score >= minedScoreThreshold {
-				counts[f.Name]++
-			}
-		}
+// inBackground reports whether a name is present in any healthy period.
+// The name is a pattern, as FactBase.MaxScore reads it: one with a "*"
+// matches every background name it globs.
+func (m *Miner) inBackground(name string) bool {
+	if _, found := slices.BinarySearch(m.background, name); found || literalPattern(name) {
+		return found
 	}
-	var out []string
-	for name, n := range counts {
-		if n == len(class) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.ContainsFunc(m.background, func(bg string) bool { return MatchPattern(name, bg) })
 }
 
-// filterBackground drops facts that also appear in any healthy period —
-// they carry no diagnostic signal.
-func (m *Miner) filterBackground(names []string) []string {
-	var out []string
-	for _, name := range names {
-		inBackground := false
-		for _, fb := range m.background {
-			if fb.MaxScore(name) >= minedScoreThreshold {
-				inBackground = true
-				break
-			}
+// condition returns the name's ge(name, 0.8) condition, or nil when the
+// name does not survive the condition DSL, parsing each name once.
+func (m *Miner) condition(name string) Expr {
+	expr, ok := m.exprs[name]
+	if !ok {
+		var err error
+		if expr, err = ParseExpr(fmt.Sprintf("ge(%s, %g)", name, minedScoreThreshold)); err != nil {
+			expr = nil
 		}
-		if !inBackground {
-			out = append(out, name)
+		if m.exprs == nil {
+			m.exprs = make(map[string]Expr)
 		}
+		m.exprs[name] = expr
 	}
-	return out
+	return expr
 }

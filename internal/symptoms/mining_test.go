@@ -256,11 +256,13 @@ func TestMinerSeparatesClasses(t *testing.T) {
 // entry stays installed. Its patterns must be copies.
 func TestMinedEntryDoesNotPinFactNames(t *testing.T) {
 	var m Miner
+	var bases []*FactBase
 	for i := 0; i < 3; i++ {
 		b := NewFactBuilder(2)
 		b.Add(0.95, "metric-anomaly:", "vol-V1", ":writeTime")
 		b.Add(1, "cos-leaf-frac:", "vol-V1")
-		m.AddIncident(Incident{Facts: b.Build(), CauseKind: "mystery-contention"})
+		bases = append(bases, b.Build())
+		m.AddIncident(Incident{Facts: bases[i], CauseKind: "mystery-contention"})
 	}
 	cands := m.Propose(3)
 	if len(cands) != 1 || len(cands[0].Conditions) != 2 {
@@ -272,8 +274,8 @@ func TestMinedEntryDoesNotPinFactNames(t *testing.T) {
 			t.Fatalf("condition %s is not ge over a fact name", c.Expr)
 		}
 		p := uintptr(unsafe.Pointer(unsafe.StringData(ge.pattern)))
-		for _, inc := range m.incidents {
-			for _, f := range inc.Facts.All() {
+		for _, fb := range bases {
+			for _, f := range fb.All() {
 				lo := uintptr(unsafe.Pointer(unsafe.StringData(f.Name)))
 				if p >= lo && p < lo+uintptr(len(f.Name)) {
 					t.Fatalf("mined pattern %q points into an incident's fact name %q", ge.pattern, f.Name)

@@ -2,7 +2,7 @@ package symptoms
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -80,12 +80,19 @@ type Validator struct {
 	// candidate's class required before validation (default 1).
 	MinHoldout int
 
-	// healthy is the corpus, deduplicated by fingerprint so the same
-	// quiet period captured twice carries no extra weight.
-	healthy map[string]*FactBase
+	// healthy is the corpus sorted by fingerprint, so every replay walks
+	// it deterministically, and deduplicated by it so the same quiet
+	// period captured twice carries no extra weight.
+	healthy []healthyBase
 	// holdout maps a base (unmined) cause kind to its held-out
 	// confirmed incidents.
 	holdout map[string][]Incident
+}
+
+// healthyBase is one corpus member and its fingerprint.
+type healthyBase struct {
+	fp string
+	fb *FactBase
 }
 
 // AddHealthy records a healthy-period fact base, reporting whether it
@@ -94,14 +101,14 @@ func (v *Validator) AddHealthy(fb *FactBase) bool {
 	if fb == nil {
 		return false
 	}
-	if v.healthy == nil {
-		v.healthy = make(map[string]*FactBase)
-	}
 	fp := fb.Fingerprint()
-	if _, ok := v.healthy[fp]; ok {
+	i, found := slices.BinarySearchFunc(v.healthy, fp, func(h healthyBase, fp string) int {
+		return strings.Compare(h.fp, fp)
+	})
+	if found {
 		return false
 	}
-	v.healthy[fp] = fb
+	v.healthy = slices.Insert(v.healthy, i, healthyBase{fp, fb})
 	return true
 }
 
@@ -132,21 +139,6 @@ func (v *Validator) minHoldout() int {
 		return v.MinHoldout
 	}
 	return 1
-}
-
-// bases returns the corpus in fingerprint order, so every replay walks
-// it deterministically.
-func (v *Validator) bases() []*FactBase {
-	fps := make([]string, 0, len(v.healthy))
-	for fp := range v.healthy {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	out := make([]*FactBase, len(fps))
-	for i, fp := range fps {
-		out[i] = v.healthy[fp]
-	}
-	return out
 }
 
 // scoreOn evaluates the candidate's conditions against a fact base
@@ -194,12 +186,12 @@ func (v *Validator) Validate(c CandidateEntry) Validation {
 	// Healthy replay: the entry must never reach High, and no single
 	// condition may hold — a condition true during normal operation is
 	// background, not a symptom.
-	for _, fb := range v.bases() {
-		if Categorize(scoreOn(c.Conditions, fb)) == High {
+	for _, h := range v.healthy {
+		if Categorize(scoreOn(c.Conditions, h.fb)) == High {
 			out.FalsePositives++
 		}
 		for i, cond := range c.Conditions {
-			if cond.Expr.Eval(fb, nil) {
+			if cond.Expr.Eval(h.fb, nil) {
 				out.Conditions[i].HealthyHits++
 			}
 		}
