@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"diads/internal/experiments"
 	"diads/internal/fleet"
@@ -321,6 +324,130 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestSlowBodyTimesOut pins the request deadline on the one wait a
+// handler has, the body: a body still arriving at Timeout is answered
+// 503 within Timeout plus slack, counted under code="503", and never
+// enqueued, however long the client goes on sending.
+func TestSlowBodyTimesOut(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	node := New(Config{Seed: testSeed, Timeout: timeout})
+	defer node.Shutdown()
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+
+	timedOut := node.tel.reg.Counter("diads_api_requests_total",
+		"API requests, by route and status code.",
+		telemetry.Labels{"route": "ingest_samples", "code": "503"})
+	before, batches := timedOut.Value(), node.tel.batches.Value()
+
+	// One byte every 20 ms: the whole body would take 840 ms.
+	body := []byte(`{"tenant":"t","instance":"i","samples":[]}`)
+	pr, pw := io.Pipe()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := range body {
+			if _, err := pw.Write(body[i : i+1]); err != nil {
+				return
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		pw.Close()
+	}()
+	start := time.Now()
+	resp, err := hs.Client().Post(hs.URL+"/v1/ingest/samples", "application/json", pr)
+	elapsed := time.Since(start)
+	pr.CloseWithError(io.ErrClosedPipe) // stops the sender
+	<-sent
+	if err != nil {
+		t.Fatalf("slow POST: %v", err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	if slack := 400 * time.Millisecond; elapsed > timeout+slack {
+		t.Errorf("slow body answered after %v, want within %v", elapsed, timeout+slack)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(reply), "request timed out") {
+		t.Errorf("slow body = %d %s, want 503 request timed out", resp.StatusCode, reply)
+	}
+	if !resp.Close {
+		t.Error("connection left open behind an unread body")
+	}
+	if got := timedOut.Value() - before; got != 1 {
+		t.Errorf(`requests_total{route="ingest_samples",code="503"} moved by %d, want 1`, got)
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.tel.batches.Value() - batches; got != 0 || node.InstanceCount() != 0 {
+		t.Errorf("timed-out body enqueued %d batches, %d instances resident", got, node.InstanceCount())
+	}
+}
+
+// TestIngestTraceID: a request's X-Diads-Trace names its own span, and
+// the release span of every detection its samples release carries it
+// as the request attribute.
+func TestIngestTraceID(t *testing.T) {
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
+	tb := env.Testbed
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	h := node.Handler()
+	post := func(route string, v any, traceID string) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body))
+		if traceID != "" {
+			req.Header.Set("X-Diads-Trace", traceID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d %s", route, rec.Code, rec.Body)
+		}
+	}
+	post("/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: logEvents(tb)}, "")
+	runs := make([]WireRun, 0, len(tb.Runs))
+	for _, rec := range tb.Runs {
+		runs = append(runs, WireRunOf(rec))
+	}
+	post("/v1/ingest/runs", RunBatch{Tenant: "acme", Instance: "db-1", Runs: runs}, "")
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	tracer := telemetry.DefaultTracer()
+	before := tracer.Total()
+	final := float64(env.Horizon.Add(2 * metrics.DefaultMonitorInterval))
+	post("/v1/ingest/samples", SampleBatch{Tenant: "acme", Instance: "db-1",
+		Samples: storeSamples(tb), Watermark: &final}, "t-1")
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tracer.Recent(0)
+	if recorded := int(tracer.Total() - before); recorded <= len(spans) {
+		spans = spans[len(spans)-recorded:] // this test's spans alone
+	} else {
+		t.Fatalf("%d spans recorded, the tracer keeps %d", recorded, len(spans))
+	}
+	var request, released int
+	for _, sp := range spans {
+		switch {
+		case sp.Name == "api.ingest_samples" && sp.TraceID == "t-1":
+			request++
+		case sp.Name == "api.ingest.release" && slices.Contains(sp.Attrs, telemetry.Attr{Key: "request", Value: "t-1"}):
+			released++
+		}
+	}
+	if request != 1 || released == 0 {
+		t.Errorf("trace t-1: %d api.ingest_samples spans (want 1), %d api.ingest.release spans (want > 0)", request, released)
+	}
+}
+
 // TestShutdownUnderLoad drains the node while a client floods it: every
 // in-flight batch either lands or is refused with 429/503, Shutdown
 // returns, and afterwards ingest is firmly 503 and the node not ready.
@@ -434,7 +561,7 @@ func TestIdleEvictionBoundsInstances(t *testing.T) {
 	}
 	n := node
 	n.mu.Lock()
-	_, resident := n.instances["tenant-0/db"]
+	_, resident := n.instances[keyOf("tenant-0", "db")]
 	n.mu.Unlock()
 	if !resident {
 		t.Error("returning tenant-0 was not rebuilt")
@@ -580,6 +707,20 @@ func TestScopedInstance(t *testing.T) {
 	if tenant != "acme" || inst != "db/replica-1" {
 		t.Errorf("SplitScoped nested = %q %q", tenant, inst)
 	}
+	// The node's instance key names the same instance exactly when the
+	// scoped ID does, however the pair spells it.
+	pairs := [][2]string{
+		{"acme", "db-1"}, {"", "acme/db-1"}, {"acme/db", "1"}, {"acme", "db/1"},
+		{"", "acme/db/1"}, {"", "db-1"}, {"", "/db-1"}, {"/", "db-1"}, {"acme/", "db-1"},
+	}
+	for _, a := range pairs {
+		for _, b := range pairs {
+			sameID := fleet.ScopedInstance(a[0], a[1]) == fleet.ScopedInstance(b[0], b[1])
+			if sameKey := keyOf(a[0], a[1]) == keyOf(b[0], b[1]); sameKey != sameID {
+				t.Errorf("%q and %q: same key %v, same scoped ID %v", a, b, sameKey, sameID)
+			}
+		}
+	}
 	_ = service.ErrBackpressure // the pool semantics ingest mirrors
 }
 
@@ -644,7 +785,7 @@ func TestIngestPlateau(t *testing.T) {
 		}
 
 		node.mu.Lock()
-		live := node.instances["acme/db-1"].Testbed.Store.Len()
+		live := node.instances[keyOf("acme", "db-1")].Testbed.Store.Len()
 		node.mu.Unlock()
 		if got := exposed() - base; got != live {
 			t.Fatalf("at %s the store holds %d samples, diads_store_samples_live moved by %d", now.Clock(), live, got)

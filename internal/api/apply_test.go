@@ -10,7 +10,6 @@ import (
 
 	"diads/internal/dbsys"
 	"diads/internal/faults"
-	"diads/internal/fleet"
 	"diads/internal/simtime"
 	"diads/internal/testbed"
 	"diads/internal/topology"
@@ -71,7 +70,7 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			node.mu.Lock()
-			got := node.instances["acme/db-1"].Testbed
+			got := node.instances[keyOf("acme", "db-1")].Testbed
 			node.mu.Unlock()
 			sameState(t, sim, got)
 		})
@@ -94,7 +93,7 @@ func TestStatsUpdatedReachesDiagnoses(t *testing.T) {
 	}
 	post()
 	node.mu.Lock()
-	tb := node.instances["acme/db-1"].Testbed
+	tb := node.instances[keyOf("acme", "db-1")].Testbed
 	node.mu.Unlock()
 	before := tb.Stats.RowsOf(dbsys.TPartsupp)
 	post(WireEvent{T: 10, Kind: "DMLBatch", Subject: dbsys.TPartsupp, Factor: 2},
@@ -182,7 +181,7 @@ func FuzzDecodeEventBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		node.mu.Lock()
-		in := node.instances[fleet.ScopedInstance(b.Tenant, b.Instance)]
+		in := node.instances[keyOf(b.Tenant, b.Instance)]
 		node.mu.Unlock()
 		logged, failed := in.Testbed.Cfg.Log.Len(), int(node.tel.applyErr.Value()-errs)
 		if logged+failed != len(b.Events) {

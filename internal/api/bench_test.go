@@ -30,7 +30,7 @@ const benchWindow = 512
 // benchSampleBody is a 256-sample batch shaped like a monitoring
 // agent's: 8 components × 4 metrics, full-precision values, times
 // starting at t0.
-func benchSampleBody(b *testing.B, t0 float64) []byte {
+func benchSampleBody(b testing.TB, t0 float64) []byte {
 	batch := SampleBatch{Tenant: "acme", Instance: "db-1"}
 	for i := range 256 {
 		batch.Samples = append(batch.Samples, WireSample{
@@ -47,13 +47,14 @@ func benchSampleBody(b *testing.B, t0 float64) []byte {
 	return body
 }
 
-// benchRunBody is a 16-run batch of 8 operators each.
-func benchRunBody(b *testing.B) []byte {
+// benchRunBody is a 16-run batch of 8 operators each, the runs 600 s
+// apart from t0.
+func benchRunBody(b testing.TB, t0 float64) []byte {
 	batch := RunBatch{Tenant: "acme", Instance: "db-1"}
 	for r := range 16 {
-		start := float64(600 * r)
+		start := t0 + float64(600*r)
 		run := WireRun{
-			Query: "Q2", RunID: fmt.Sprintf("run-Q2-%03d", r),
+			Query: "Q2", RunID: fmt.Sprintf("run-Q2-%03d", int(start)/600),
 			Start: start, Stop: start + math.Sqrt(float64(r+2)),
 			PhysIO: 1849.96 + float64(r), CacheHit: 29064.79, SeqScans: 4, IdxScans: 5,
 		}
@@ -116,5 +117,5 @@ func BenchmarkAcceptSamples(b *testing.B) {
 }
 
 func BenchmarkAcceptRuns(b *testing.B) {
-	benchAccept(b, "/v1/ingest/runs", benchRunBody(b), nil)
+	benchAccept(b, "/v1/ingest/runs", benchRunBody(b, 0), nil)
 }

@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,8 @@ type Config struct {
 	// QueueDepth bounds the ingest intake queue (default 64, the
 	// diagnosis pool's own default).
 	QueueDepth int
-	// Timeout bounds each request's handling time (default 10s).
+	// Timeout bounds each request: its body must arrive and its reply
+	// be sent within Timeout of its start (default 10s).
 	Timeout time.Duration
 	// RetryAfter is the Retry-After hint on 429 responses, in seconds
 	// (default 1).
@@ -146,7 +148,7 @@ type Node struct {
 	learner *fleet.Learner
 
 	mu        sync.Mutex
-	instances map[string]*instance
+	instances map[instanceKey]*instance
 
 	intake chan intakeJob
 	// batchSeq counts applied ingest batches; worker-owned, the
@@ -225,7 +227,7 @@ func New(cfg Config) *Node {
 	n := &Node{
 		cfg:       cfg,
 		learner:   fleet.NewLearner(cfg.Learn, cfg.SymDB),
-		instances: make(map[string]*instance),
+		instances: make(map[instanceKey]*instance),
 		intake:    make(chan intakeJob, cfg.QueueDepth),
 	}
 	n.tel = newNodeTelemetry(n)
@@ -393,7 +395,7 @@ func (n *Node) sweepIdle() {
 	for _, in := range victims {
 		in.Detach(n.svc)
 		n.mu.Lock()
-		delete(n.instances, in.ID)
+		delete(n.instances, keyOfID(in.ID))
 		n.mu.Unlock()
 		n.tel.evicted.Inc()
 	}
@@ -407,18 +409,44 @@ func (n *Node) InstanceCount() int {
 	return len(n.instances)
 }
 
+// instanceKey identifies a resident instance by its scoped ID's two
+// halves, so a posted (tenant, instance) pair finds its instance
+// without building the ID.
+type instanceKey struct{ tenant, instance string }
+
+// keyOf returns the key of fleet.ScopedInstance(tenant, inst). A tenant
+// that is empty or holds the separator can name the same ID as another
+// pair, so only then is the ID built and split.
+func keyOf(tenant, inst string) instanceKey {
+	if tenant != "" && strings.IndexByte(tenant, '/') < 0 {
+		return instanceKey{tenant, inst}
+	}
+	return keyOfID(fleet.ScopedInstance(tenant, inst))
+}
+
+// keyOfID splits a scoped ID at its first separator. An ID with none,
+// or with one in front, is the instance part alone: ScopedInstance
+// gives it only to an empty tenant.
+func keyOfID(id string) instanceKey {
+	if i := strings.IndexByte(id, '/'); i > 0 {
+		return instanceKey{id[:i], id[i+1:]}
+	}
+	return instanceKey{"", id}
+}
+
 // instanceFor returns (building on first contact) the serving state for
 // the scoped instance and restarts its idle clock. Only the intake
 // worker calls it.
 func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
-	id := fleet.ScopedInstance(tenant, inst)
+	key := keyOf(tenant, inst)
 	n.mu.Lock()
-	in := n.instances[id]
+	in := n.instances[key]
 	n.mu.Unlock()
 	if in != nil {
 		in.lastSeq = n.batchSeq
 		return in, nil
 	}
+	id := fleet.ScopedInstance(tenant, inst)
 	tb, err := testbed.NewFigure1(testbed.DefaultConfig(n.cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("api: building environment for %s: %w", id, err)
@@ -429,7 +457,7 @@ func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
 	}
 	in.Attach(n.svc, n.cfg.SymDB)
 	n.mu.Lock()
-	n.instances[id] = in
+	n.instances[key] = in
 	n.mu.Unlock()
 	return in, nil
 }

@@ -2,12 +2,12 @@ package api
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -20,16 +20,19 @@ import (
 )
 
 // Handler builds the /v1/ route tree, every route wrapped in the
-// timeout/metrics/tracing middleware. Mount it under "/v1/" (Mount does
+// deadline/metrics/tracing middleware. Mount it under "/v1/" (Mount does
 // this against a telemetry server) or drive it directly in tests.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern, name string, h http.HandlerFunc) {
+	ingest := func(pattern, name string, h tracedHandler) {
 		mux.Handle(pattern, n.wrap(name, h))
 	}
-	route("POST /v1/ingest/samples", "ingest_samples", n.handleIngestSamples)
-	route("POST /v1/ingest/runs", "ingest_runs", n.handleIngestRuns)
-	route("POST /v1/ingest/events", "ingest_events", n.handleIngestEvents)
+	route := func(pattern, name string, h http.HandlerFunc) {
+		ingest(pattern, name, func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) })
+	}
+	ingest("POST /v1/ingest/samples", "ingest_samples", n.handleIngestSamples)
+	ingest("POST /v1/ingest/runs", "ingest_runs", n.handleIngestRuns)
+	ingest("POST /v1/ingest/events", "ingest_events", n.handleIngestEvents)
 	route("GET /v1/incidents", "incidents", n.handleIncidents)
 	route("GET /v1/incidents/{id}", "incident", n.handleIncident)
 	route("GET /v1/candidates", "candidates", n.handleCandidates)
@@ -39,7 +42,12 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
+// tracedHandler is a route handler that is handed the request's trace
+// ID, which ingest threads through to the diagnosis trace.
+type tracedHandler func(w http.ResponseWriter, r *http.Request, traceID string)
+
 // statusWriter captures the response code for the outcome metric.
+// Unwrap lets http.ResponseController reach the connection beneath.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -50,12 +58,14 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// wrap applies the middleware stack: a per-request timeout (503 on
-// expiry), per-route latency and outcome counters on the default
-// registry, and a request trace ID recorded as a span and handed to
-// the handler via the request context — ingest threads it through to
-// the diagnosis trace, so /traces tells one story from POST to module.
-func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// wrap applies the middleware stack: read and write deadlines of
+// Timeout on the request's connection, per-route latency and outcome
+// counters on the default registry, and a request trace ID recorded as
+// a span and handed to the handler — ingest threads it through to the
+// diagnosis trace, so /traces tells one story from POST to module.
+func (n *Node) wrap(name string, h tracedHandler) http.Handler {
 	reg := n.tel.reg
 	latency := reg.Histogram("diads_api_request_seconds",
 		"Wall time of one API request, by route.",
@@ -87,14 +97,25 @@ func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
 		return o
 	}
 	spanName := "api." + name
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		// The deadlines bound the request on the connection's own
+		// goroutine: a body still arriving at start+Timeout fails its
+		// read (readBody answers 503), a reply still unsent fails its
+		// write. net/http clears both before the connection's next
+		// request. A writer with no connection beneath it (a test
+		// recorder) answers ErrNotSupported and runs without them.
+		rc := http.NewResponseController(w)
+		deadline := start.Add(n.cfg.Timeout)
+		if rc.SetReadDeadline(deadline) == nil {
+			_ = rc.SetWriteDeadline(deadline)
+		}
 		traceID := r.Header.Get("X-Diads-Trace")
 		if traceID == "" {
 			traceID = n.nextTraceID()
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r.WithContext(withTraceID(r.Context(), traceID)))
+		h(sw, r, traceID)
 		wall := time.Since(start)
 		latency.Observe(wall.Seconds())
 		o := outcome(sw.code)
@@ -105,20 +126,6 @@ func (n *Node) wrap(name string, h http.HandlerFunc) http.Handler {
 			Attrs: o.attrs,
 		})
 	})
-	return http.TimeoutHandler(inner, n.cfg.Timeout, `{"error":"request timed out"}`)
-}
-
-type traceKey struct{}
-
-func withTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
-}
-
-func traceIDFrom(r *http.Request) string {
-	if v, ok := r.Context().Value(traceKey{}).(string); ok {
-		return v
-	}
-	return ""
 }
 
 // writeJSON writes v with the given status.
@@ -173,8 +180,9 @@ func (b *SampleBatch) recycle() {
 }
 
 // readBody reads the request body whole, up to maxIngestBody. When it
-// cannot, it has answered (413, or 400 for a failed read) and returns
-// nil; otherwise the caller releases what it returns.
+// cannot, it has answered (413; 503 for a body that missed the request
+// deadline; 400 for another failed read) and returns nil; otherwise the
+// caller releases what it returns.
 func (n *Node) readBody(w http.ResponseWriter, r *http.Request) *ingestBuf {
 	in := ingestPool.Get().(*ingestBuf)
 	in.body.Reset()
@@ -184,10 +192,17 @@ func (n *Node) readBody(w http.ResponseWriter, r *http.Request) *ingestBuf {
 	}
 	in.release()
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.As(err, &tooLarge):
 		n.tel.rejected[reasonTooLarge].Inc()
 		writeError(w, http.StatusRequestEntityTooLarge, "batch larger than %d bytes", maxIngestBody)
-	} else {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		// The write deadline passed with the read one, so the reply gets
+		// a window of its own. net/http then closes the connection: the
+		// rest of the body was never read.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(n.cfg.Timeout))
+		writeError(w, http.StatusServiceUnavailable, "request timed out")
+	default:
 		writeError(w, http.StatusBadRequest, "parsing batch: %v", err)
 	}
 	return nil
@@ -246,8 +261,9 @@ func usable(w http.ResponseWriter, decodeErr error, b interface{ validate() erro
 // acceptIngest enqueues a parsed batch, mapping queue states to the
 // backpressure contract: 202 queued, 429 + Retry-After full, 503
 // draining. It reports whether the batch was queued — from then on it
-// is the intake worker's.
-func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) bool {
+// is the intake worker's. The body in has been decoded and is spent;
+// the 202 reply is built in its buffer.
+func (n *Node) acceptIngest(w http.ResponseWriter, in *ingestBuf, j intakeJob, accepted int) bool {
 	err := n.enqueue(j)
 	switch {
 	case errors.Is(err, errDraining):
@@ -259,12 +275,27 @@ func (n *Node) acceptIngest(w http.ResponseWriter, j intakeJob, accepted int) bo
 		writeError(w, http.StatusTooManyRequests, "intake queue full; retry after %ds", n.cfg.RetryAfter)
 	default:
 		n.tel.batches.Inc()
-		writeJSON(w, http.StatusAccepted, IngestReply{Accepted: accepted, QueueDepth: len(n.intake)})
+		in.body.Reset()
+		writeAccepted(w, in.body.AvailableBuffer(), accepted, len(n.intake))
 	}
 	return err == nil
 }
 
-func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
+// writeAccepted writes the 202 reply byte for byte as writeJSON would
+// write IngestReply, appending it to buf: every accepted batch gets one,
+// and encoding/json would box the reply and build an encoder for it.
+func writeAccepted(w http.ResponseWriter, buf []byte, accepted, queueDepth int) {
+	buf = append(buf, `{"accepted":`...)
+	buf = strconv.AppendInt(buf, int64(accepted), 10)
+	buf = append(buf, `,"queue_depth":`...)
+	buf = strconv.AppendInt(buf, int64(queueDepth), 10)
+	buf = append(buf, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = w.Write(buf)
+}
+
+func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request, traceID string) {
 	in := n.readBody(w, r)
 	if in == nil {
 		return
@@ -272,12 +303,12 @@ func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
 	defer in.release()
 	b := sampleBatchPool.Get().(*SampleBatch)
 	if !usable(w, in.decodeSamples(b), b) ||
-		!n.acceptIngest(w, intakeJob{samples: b, traceID: traceIDFrom(r)}, len(b.Samples)) {
+		!n.acceptIngest(w, in, intakeJob{samples: b, traceID: traceID}, len(b.Samples)) {
 		b.recycle()
 	}
 }
 
-func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request, traceID string) {
 	in := n.readBody(w, r)
 	if in == nil {
 		return
@@ -287,12 +318,12 @@ func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request) {
 	if !usable(w, in.decodeRuns(b), b) {
 		return
 	}
-	n.acceptIngest(w, intakeJob{runs: b, traceID: traceIDFrom(r)}, len(b.Runs))
+	n.acceptIngest(w, in, intakeJob{runs: b, traceID: traceID}, len(b.Runs))
 }
 
 // handleIngestEvents stays on encoding/json alone: a tenant-day posts a
 // handful of events against tens of thousands of samples.
-func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request, traceID string) {
 	in := n.readBody(w, r)
 	if in == nil {
 		return
@@ -302,7 +333,7 @@ func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request) {
 	if !usable(w, decodeStrict(in.body.Bytes(), b), b) {
 		return
 	}
-	n.acceptIngest(w, intakeJob{events: b, traceID: traceIDFrom(r)}, len(b.Events))
+	n.acceptIngest(w, in, intakeJob{events: b, traceID: traceID}, len(b.Events))
 }
 
 // IncidentView is the query-route rendering of one open incident — the

@@ -326,6 +326,23 @@ func TestIngestHandlerParity(t *testing.T) {
 	}
 }
 
+// TestAcceptedReplyBytes: the 202 body is byte for byte what writeJSON
+// writes for IngestReply, trailing newline and header included.
+func TestAcceptedReplyBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 4096, math.MaxInt} {
+		for _, depth := range []int{0, 1, 9, 10, 4096, math.MaxInt} {
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			writeAccepted(got, nil, n, depth)
+			writeJSON(want, http.StatusAccepted, IngestReply{Accepted: n, QueueDepth: depth})
+			if got.Code != want.Code || got.Body.String() != want.Body.String() ||
+				!reflect.DeepEqual(got.Header(), want.Header()) {
+				t.Errorf("accepted %d, depth %d: %d %q %v, want %d %q %v", n, depth,
+					got.Code, got.Body, got.Header(), want.Code, want.Body, want.Header())
+			}
+		}
+	}
+}
+
 // batch is what the reference needs of the three wire batches.
 type batch interface {
 	validate() error

@@ -128,7 +128,7 @@ type ErrorReply struct {
 }
 
 // runRecord converts a posted run to the monitor's record form, wiring
-// the given reconstructed plan in.
+// the given reconstructed plan in. The operators share one allocation.
 func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 	rec := &exec.RunRecord{
 		Query:    wr.Query,
@@ -144,8 +144,9 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 		SeqScans: wr.SeqScans,
 		IdxScans: wr.IdxScans,
 	}
-	for _, op := range wr.Ops {
-		rec.Ops[op.ID] = &exec.OpRun{
+	ops := make([]exec.OpRun, len(wr.Ops))
+	for i, op := range wr.Ops {
+		ops[i] = exec.OpRun{
 			ID:       op.ID,
 			Type:     plan.OpType(op.Type),
 			Table:    op.Table,
@@ -159,6 +160,7 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 			IOTime:   simtime.Duration(op.IOTime),
 			LockWait: simtime.Duration(op.LockWait),
 		}
+		rec.Ops[op.ID] = &ops[i]
 	}
 	return rec
 }
