@@ -400,6 +400,29 @@ func BenchmarkMicro_StoreWindowMeans(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_StoreWindowStats times the same reads one window per
+// call (the path of diadsperf's metrics.window_stats_ns probe): each call
+// seeks both window ends and replays their sums from the nearest
+// checkpoints, where WindowMeans steps a cursor from the last window.
+func BenchmarkMicro_StoreWindowStats(b *testing.B) {
+	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
+	store, keys := sc.Input.Store, sc.Input.Store.Keys()
+	windows := diag.ReadWindows(sc.Input.SatRuns())
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			for _, iv := range windows {
+				n += store.WindowStats(k.Component, k.Metric, iv).N
+			}
+		}
+	}
+	if n == 0 {
+		b.Fatal("no series had samples in any window")
+	}
+}
+
 // BenchmarkMicro_APGDependencyPaths times dependency-path computation for
 // every operator of the Q2 plan.
 func BenchmarkMicro_APGDependencyPaths(b *testing.B) {

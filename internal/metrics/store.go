@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -45,9 +46,14 @@ func (k SeriesKey) compare(o SeriesKey) int {
 // slack per series, so a segment must be small against the horizon
 // retention serves: the monitor's 32-run ring of a 30-minute query is 16
 // simulated hours, and 64 samples at the 5-minute monitoring interval
-// are 5.3 — a third of it. One 24-byte entry per sample keeps the
-// per-segment bookkeeping at one allocation per 64 samples.
+// are 5.3 — a third of it. Each segment costs one allocation, its
+// sample array.
 const segmentSize = 64
+
+// checkpoints is the number of prefix sums a segment carries inline: one
+// before every stride-th sample, the stride the least power of two that
+// needs no more (8 for a 64-slot segment).
+const checkpoints = 8
 
 // Process-wide retention accounting, exposed as callback-backed
 // instruments: per-store registration is infeasible at fleet scale
@@ -75,37 +81,47 @@ func init() {
 // vacuously if retention never fired).
 func TruncatedTotal() int64 { return truncatedTotal.Load() }
 
-// entry is one stored sample beside the prefix sum through it: 24 bytes,
-// so a window bound found by time search and the sum read at it share a
-// cache line. The sum is ABSOLUTE — anchored to the series origin, not
-// the segment start — so window aggregates computed after older segments
-// are dropped subtract exactly the same floating-point values they did
-// before, making truncation bit-invisible to every surviving window
-// query.
-type entry struct {
-	Sample
-	sum float64 // Σ V over the series' samples through this one
-}
-
-// segment is one fixed-capacity run of a series; it is never empty.
+// segment is one fixed-capacity run of a series, 16 bytes a sample; it
+// is never empty. Its checkpoints are ABSOLUTE prefix sums — anchored to
+// the series origin, not the segment start — each the running sum
+// append held just before the sample it marks, so a sum replayed from
+// one adds the same values in the same order append did and has the
+// same bits. Window aggregates computed after older segments are
+// dropped thus subtract exactly the same floating-point values they did
+// before, making truncation bit-invisible to every surviving window.
 type segment struct {
-	start   int // absolute index of entries[0] within the series
-	entries []entry
+	start   int // absolute index of samples[0] within the series
+	samples []Sample
+	ck      [checkpoints]float64 // ck[c]: Σ V of the series before samples[c<<shift()]
 }
 
-// last returns the segment's newest entry.
-func (seg *segment) last() entry { return seg.entries[len(seg.entries)-1] }
+// last returns the segment's newest sample.
+func (seg *segment) last() Sample { return seg.samples[len(seg.samples)-1] }
 
-// series holds one time series as a list of segments carrying running
-// prefix sums of value, so any window mean is a few binary searches and
-// a subtraction instead of a scan. Appends stay O(1) amortized, which is
-// what lets the online monitor query baselines on every new sample
-// without re-reading history. Truncation drops whole leading segments
-// and carries their final cumulative sum in baseSum, preserving the
-// absolute anchoring.
+// shift is log2 of the segment's checkpoint stride, from its capacity.
+func (seg *segment) shift() int { return bits.Len(uint(cap(seg.samples)-1) / checkpoints) }
+
+// cumBefore returns the absolute prefix sum before samples[j]: the
+// nearest checkpoint at or below j plus at most stride-1 additions.
+func (seg *segment) cumBefore(j int) float64 {
+	sh := seg.shift()
+	sum := seg.ck[j>>sh]
+	for _, smp := range seg.samples[j>>sh<<sh : j] {
+		sum += smp.V
+	}
+	return sum
+}
+
+// series holds one time series as a list of segments carrying prefix-sum
+// checkpoints, so any window mean is a few binary searches, two short
+// replays and a subtraction instead of a scan. Appends stay O(1)
+// amortized, which is what lets the online monitor query baselines on
+// every new sample without re-reading history. Truncation drops whole
+// leading segments; the survivors' checkpoints keep the absolute
+// anchoring, and tail carries the running sum past them all.
 type series struct {
 	dropped int     // absolute index of the first retained sample
-	baseSum float64 // cumulative sum through sample dropped-1
+	tail    float64 // Σ V over every sample appended, dropped ones included
 	segs    []segment
 }
 
@@ -115,7 +131,7 @@ func (ser *series) live() int {
 		return 0
 	}
 	last := &ser.segs[len(ser.segs)-1]
-	return last.start + len(last.entries) - ser.dropped
+	return last.start + len(last.samples) - ser.dropped
 }
 
 // total returns the absolute sample count, dropped samples included.
@@ -133,7 +149,7 @@ func (ser *series) locate(abs int) (*segment, int) {
 // at returns the retained sample at absolute index abs.
 func (ser *series) at(abs int) Sample {
 	seg, i := ser.locate(abs)
-	return seg.entries[i].Sample
+	return seg.samples[i]
 }
 
 // seek returns the position of the first retained sample with T >= t as
@@ -143,8 +159,8 @@ func (ser *series) seek(t simtime.Time) (si, j int) {
 	if si == len(ser.segs) {
 		return si, 0
 	}
-	entries := ser.segs[si].entries
-	return si, sort.Search(len(entries), func(i int) bool { return entries[i].T >= t })
+	samples := ser.segs[si].samples
+	return si, sort.Search(len(samples), func(i int) bool { return samples[i].T >= t })
 }
 
 // abs converts a seek position to an absolute sample index.
@@ -155,44 +171,66 @@ func (ser *series) abs(si, j int) int {
 	return ser.segs[si].start + j
 }
 
-// cumBefore returns the absolute cumulative sum through the sample just
-// before a seek position: the previous entry of the same segment, the
-// last entry of the previous segment, or the base carried over from
-// truncation.
-func (ser *series) cumBefore(si, j int) float64 {
-	if j > 0 {
-		return ser.segs[si].entries[j-1].sum
-	}
-	if si > 0 {
-		return ser.segs[si-1].last().sum
-	}
-	return ser.baseSum
-}
-
 // bounds returns the absolute index range [lo, hi) of retained samples
 // inside iv. Callers must hold at least the read lock.
 func (ser *series) bounds(iv simtime.Interval) (lo, hi int) {
 	return ser.abs(ser.seek(iv.Start)), ser.abs(ser.seek(iv.End))
 }
 
-// windowSums returns the number of retained samples inside iv and the
-// sum of their values, as one prefix-sum subtraction. It is the only
-// place a window aggregate is formed, so every reader (WindowStats,
-// WindowMeans) sees bit-identical sums. The prefix sums are read in
-// place, at the positions the two time searches found. Callers must hold
-// at least the read lock.
-func (ser *series) windowSums(iv simtime.Interval) (n int, sum float64) {
-	ls, lj := ser.seek(iv.Start)
-	hs, hj := ser.seek(iv.End)
-	lo, hi := ser.abs(ls, lj), ser.abs(hs, hj)
-	if hi <= lo {
+// cursor is a seek position (segment si, offset j) with the absolute
+// prefix sum before it, last moved to time t. The zero cursor is
+// unplaced.
+type cursor struct {
+	si, j  int
+	sum    float64
+	t      simtime.Time
+	placed bool
+}
+
+// moveTo places the cursor at the first retained sample with T >= t.
+// Moving forward by at most one segment steps sample by sample, adding
+// each value stepped over to the sum — the additions append made, in its
+// order, across segment boundaries too; anything else seeks and replays
+// from a checkpoint. Both give the same bits.
+func (c *cursor) moveTo(ser *series, t simtime.Time) {
+	si, j, sum := c.si, c.j, c.sum
+	if !c.placed || t < c.t || si+1 < len(ser.segs) && ser.segs[si+1].last().T < t {
+		si, j = ser.seek(t)
+		sum = ser.tail
+		if si < len(ser.segs) {
+			sum = ser.segs[si].cumBefore(j)
+		}
+	} else {
+		for ; si < len(ser.segs); si, j = si+1, 0 {
+			samples := ser.segs[si].samples
+			for ; j < len(samples) && samples[j].T < t; j++ {
+				sum += samples[j].V
+			}
+			if j < len(samples) {
+				break
+			}
+		}
+	}
+	c.si, c.j, c.sum, c.t, c.placed = si, j, sum, t, true
+}
+
+// windowSums moves lo and hi to a window's ends and returns the number
+// of retained samples inside it and the sum of their values, as one
+// prefix-sum subtraction. It is the only place a window aggregate is
+// formed, so every reader (WindowStats, WindowMeans) sees bit-identical
+// sums. Callers must hold at least the read lock.
+func (ser *series) windowSums(iv simtime.Interval, lo, hi *cursor) (n int, sum float64) {
+	lo.moveTo(ser, iv.Start)
+	hi.moveTo(ser, iv.End)
+	l, h := ser.abs(lo.si, lo.j), ser.abs(hi.si, hi.j)
+	if h <= l {
 		return 0, 0
 	}
-	sum = ser.cumBefore(hs, hj)
-	if lo > 0 {
-		sum -= ser.cumBefore(ls, lj)
+	sum = hi.sum
+	if l > 0 {
+		sum -= lo.sum
 	}
-	return hi - lo, sum
+	return h - l, sum
 }
 
 // copyRange copies retained samples [lo, hi) (absolute indices) into a
@@ -204,48 +242,43 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 	out := make([]Sample, 0, hi-lo)
 	for i := range ser.segs {
 		seg := &ser.segs[i]
-		if seg.start+len(seg.entries) <= lo {
+		if seg.start+len(seg.samples) <= lo {
 			continue
 		}
 		if seg.start >= hi {
 			break
 		}
-		from, to := max(lo-seg.start, 0), min(hi-seg.start, len(seg.entries))
-		for _, e := range seg.entries[from:to] {
-			out = append(out, e.Sample)
-		}
+		out = append(out, seg.samples[max(lo-seg.start, 0):min(hi-seg.start, len(seg.samples))]...)
 	}
 	return out
 }
 
-// append adds one sample with the absolute cumulative sum carried from
-// the previous sample (or the truncation base). size is the capacity of
-// any new segment; a partially-filled trailing segment keeps its own.
+// append adds one sample to the running sum, checkpointing the sum
+// before it when it opens a stride. size is the capacity of any new
+// segment; a partially-filled trailing segment keeps its own.
 func (ser *series) append(sample Sample, size int) {
-	cum := ser.cumBefore(len(ser.segs), 0)
 	n := len(ser.segs)
-	if n == 0 || len(ser.segs[n-1].entries) == cap(ser.segs[n-1].entries) {
-		ser.segs = append(ser.segs, segment{start: ser.total(), entries: make([]entry, 0, size)})
+	if n == 0 || len(ser.segs[n-1].samples) == cap(ser.segs[n-1].samples) {
+		ser.segs = append(ser.segs, segment{start: ser.total(), samples: make([]Sample, 0, size)})
 		n++
 	}
 	seg := &ser.segs[n-1]
-	seg.entries = append(seg.entries, entry{sample, cum + sample.V})
+	if j, sh := len(seg.samples), seg.shift(); j&(1<<sh-1) == 0 {
+		seg.ck[j>>sh] = ser.tail
+	}
+	seg.samples = append(seg.samples, sample)
+	ser.tail += sample.V
 }
 
 // truncate drops whole leading segments whose samples all lie strictly
-// before the horizon, carrying their final cumulative sum so surviving
-// aggregates are bit-identical. It returns the number of samples
+// before the horizon; the survivors' absolute checkpoints keep every
+// surviving aggregate bit-identical. It returns the number of samples
 // dropped.
 func (ser *series) truncate(before simtime.Time) int {
 	n := 0
-	for len(ser.segs) > 0 {
-		last := ser.segs[0].last()
-		if last.T >= before {
-			break
-		}
-		ser.baseSum = last.sum
-		ser.dropped += len(ser.segs[0].entries)
-		n += len(ser.segs[0].entries)
+	for len(ser.segs) > 0 && ser.segs[0].last().T < before {
+		ser.dropped += len(ser.segs[0].samples)
+		n += len(ser.segs[0].samples)
 		ser.segs[0] = segment{}
 		ser.segs = ser.segs[1:]
 	}
@@ -472,7 +505,7 @@ func (s *Store) Window(component string, metric Metric, iv simtime.Interval) []S
 
 // WindowMean returns the mean value of the series over iv and the number of
 // samples it covers. With zero samples the mean is 0. It runs in O(log n)
-// via the prefix sums, independent of the window's length.
+// via the prefix-sum checkpoints, independent of the window's length.
 func (s *Store) WindowMean(component string, metric Metric, iv simtime.Interval) (mean float64, n int) {
 	st := s.WindowStats(component, metric, iv)
 	return st.Mean, st.N
@@ -486,9 +519,10 @@ type Stats struct {
 }
 
 // WindowStats returns count, sum and mean of the series over iv in
-// O(log n), using the per-series prefix sums. This is the incremental
-// query the online monitor relies on: evaluating a baseline window costs
-// the same whether the store holds a day or a year of samples.
+// O(log n), using the per-series prefix-sum checkpoints. This is the
+// incremental query the online monitor relies on: evaluating a baseline
+// window costs the same whether the store holds a day or a year of
+// samples.
 func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval) Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -496,7 +530,7 @@ func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval
 	if ser == nil {
 		return Stats{}
 	}
-	n, sum := ser.windowSums(iv)
+	n, sum := ser.windowSums(iv, &cursor{}, &cursor{})
 	if n == 0 {
 		return Stats{}
 	}
@@ -508,9 +542,12 @@ func (s *Store) WindowStats(component string, metric Metric, iv simtime.Interval
 // slice; empty windows are skipped. It is the batched form of WindowMean
 // for callers that read one series over many windows (Module DA's
 // per-run means): one read lock and one series lookup for the whole
-// batch, and each mean is formed by the same prefix-sum subtraction and
-// division WindowStats performs, so the values are bit-identical to
-// per-call WindowMean. Pass dst[:0] to reuse a buffer across series.
+// batch, and a cursor per window end carried across the batch, so
+// windows in time order step forward over the samples between them
+// instead of seeking. Each mean is formed by the same prefix-sum
+// subtraction and division WindowStats performs, from the same bits, so
+// the values are bit-identical to per-call WindowMean. Pass dst[:0] to
+// reuse a buffer across series.
 func (s *Store) WindowMeans(component string, metric Metric, windows []simtime.Interval, dst []float64) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -518,8 +555,9 @@ func (s *Store) WindowMeans(component string, metric Metric, windows []simtime.I
 	if ser == nil {
 		return dst
 	}
+	var lo, hi cursor
 	for _, iv := range windows {
-		if n, sum := ser.windowSums(iv); n > 0 {
+		if n, sum := ser.windowSums(iv, &lo, &hi); n > 0 {
 			dst = append(dst, sum/float64(n))
 		}
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
@@ -97,13 +98,28 @@ func TestTruncateCursorsSurvive(t *testing.T) {
 // of random length that cross segment boundaries — each preceded, at
 // random, by an out-of-order attempt that must be refused without a
 // trace — and truncated like cut, must read back exactly like cut.
+//
+// WindowMeans carries a cursor per window end across its batch, so the
+// random windows (mostly re-seeks) are read again in the orders that
+// make it step: sorted by start, and in Module DA's shape (orderedReads).
+// Every trial runs at segment sizes from 1 — each sample its own
+// segment, so every step crosses a boundary — to larger than the series.
 func TestTruncateFloatExactProperty(t *testing.T) {
+	for _, size := range []int{1, 3, 7, segmentSize, 100, 1000} {
+		t.Run("seg="+strconv.Itoa(size), func(t *testing.T) { truncateFloatExactTrials(t, size) })
+	}
+}
+
+func truncateFloatExactTrials(t *testing.T, size int) {
 	rng := rand.New(rand.NewSource(20260808))
+	// Window orders draw from their own stream, so the trials' series,
+	// horizons and probes are the same at every segment size.
+	order := rand.New(rand.NewSource(20261017))
 	const trials = 40
 	appendRuns := func(s *Store, smps []Sample) {
 		t.Helper()
 		for len(smps) > 0 {
-			run := smps[:min(len(smps), 1+rng.Intn(2*segmentSize))]
+			run := smps[:min(len(smps), 1+rng.Intn(2*size))]
 			smps = smps[len(run):]
 			if len(run) > 1 && rng.Intn(3) == 0 {
 				bad := slices.Clone(run)
@@ -124,6 +140,9 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 		ref := NewStore()  // never truncated
 		cut := NewStore()  // truncated mid-stream, possibly repeatedly
 		runs := NewStore() // cut, filled by AppendRun
+		for _, st := range []*Store{ref, cut, runs} {
+			st.SetSegmentSize(size)
+		}
 		vals := make([]float64, n)
 		smps := make([]Sample, n)
 		for i := range vals {
@@ -171,17 +190,18 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 
 		// Segment edges, against running sums kept here rather than in the
 		// store: a window that ends exactly on a segment boundary (its
-		// closing prefix sum is the previous segment's last entry), and
-		// one whose first sample is the first retained one (its opening
-		// prefix sum is, after truncation, the carried base).
+		// closing prefix sum is the next segment's first checkpoint, or
+		// the tail), and one whose first sample is the first retained one
+		// (its opening prefix sum is, after truncation, the head
+		// segment's first checkpoint).
 		cum := make([]float64, n+1) // cum[i] = v[0] + ... + v[i-1], summed left to right
 		for i, v := range vals {
 			cum[i+1] = cum[i] + v
 		}
 		first := cut.series[SeriesKey{Component: "vol-V1", Metric: VolReadIO}].dropped
 		edges := [][2]int{{first, first + 1 + rng.Intn(n-first)}}
-		if k := first/segmentSize + 1; k*segmentSize <= n {
-			edges = append(edges, [2]int{first + rng.Intn(k*segmentSize-first), k * segmentSize})
+		if k := first/size + 1; k*size <= n {
+			edges = append(edges, [2]int{first + rng.Intn(k*size-first), k * size})
 		}
 		for _, e := range edges {
 			lo, hi := e[0], e[1]
@@ -224,9 +244,10 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 		if rm := runs.WindowMeans("vol-V1", VolReadIO, windows, nil); !sameBits(rm, cut.WindowMeans("vol-V1", VolReadIO, windows, nil)) {
 			t.Fatalf("trial %d: WindowMeans of the AppendRun store diverged from per-sample Append's", trial)
 		}
+		orderedReads(t, order, ref, cut, runs, windows, n, horizon)
 
-		// Keep appending after truncation and re-check: the carried base
-		// sums must anchor future aggregates too.
+		// Keep appending after truncation and re-check: the tail sum
+		// must anchor future aggregates too.
 		smps = smps[:0]
 		for i := n; i < n+100; i++ {
 			v := math.Exp(rng.Float64()*8) * rng.Float64()
@@ -284,6 +305,58 @@ func randomWindows(rng *rand.Rand, n int, horizon simtime.Time) []simtime.Interv
 		}
 	}
 	return out
+}
+
+// orderedReads reads the series in the orders WindowMeans' cursors step
+// through rather than seek: the random windows sorted by start (ends
+// then move both ways), and Module DA's shape — ReadWindow-padded runs
+// in time order, overlapping, with a short run after a long one pulling
+// the end back and an occasional gap of more than a segment. Each batch
+// must equal per-call WindowStats on its own store bit for bit, above
+// the horizon the truncated stores' batch must equal the untruncated
+// twin's, and the AppendRun store must read exactly like cut.
+func orderedReads(t *testing.T, rng *rand.Rand, ref, cut, runs *Store, random []simtime.Interval, n int, horizon simtime.Time) {
+	t.Helper()
+	sorted := slices.Clone(random)
+	slices.SortStableFunc(sorted, func(a, b simtime.Interval) int { return cmp.Compare(a.Start, b.Start) })
+	var da []simtime.Interval
+	for start := simtime.Time(rng.Intn(600)); len(da) < 40; {
+		dur := simtime.Duration(rng.Intn(n * 30))
+		da = append(da, ReadWindow(simtime.NewInterval(start, start.Add(dur))))
+		step := simtime.Duration(rng.Intn(n * 15))
+		if rng.Intn(8) == 0 {
+			step *= 8
+		}
+		start = start.Add(step)
+	}
+	shrinks := 0
+	for i := 1; i < len(da); i++ {
+		if da[i].End < da[i-1].End {
+			shrinks++
+		}
+	}
+	if shrinks == 0 {
+		t.Fatalf("no DA window end moves backwards: %v", da)
+	}
+	for _, c := range []struct {
+		name    string
+		windows []simtime.Interval
+	}{{"DA-shaped", da}, {"sorted by start", sorted}} {
+		name, windows := c.name, c.windows
+		for _, st := range []*Store{ref, cut, runs} {
+			assertWindowMeansBitwise(t, st, "vol-V1", VolReadIO, windows)
+		}
+		above := slices.DeleteFunc(slices.Clone(windows), func(iv simtime.Interval) bool { return iv.Start < horizon })
+		want := ref.WindowMeans("vol-V1", VolReadIO, above, nil)
+		for _, st := range []*Store{cut, runs} {
+			if got := st.WindowMeans("vol-V1", VolReadIO, above, nil); !sameBits(want, got) {
+				t.Fatalf("%s windows above horizon %v: truncated store diverged from its untruncated twin:\n  ref %v\n  cut %v", name, horizon, want, got)
+			}
+		}
+		if a, b := runs.WindowMeans("vol-V1", VolReadIO, windows, nil), cut.WindowMeans("vol-V1", VolReadIO, windows, nil); !sameBits(a, b) {
+			t.Fatalf("%s windows: AppendRun store %v, per-sample Append %v", name, a, b)
+		}
+	}
 }
 
 // sameBits reports whether two float slices are bit-for-bit equal.
@@ -401,9 +474,12 @@ func TestTruncateBoundFollowsLateSeries(t *testing.T) {
 
 // TestLiveBytesPerSample pins the layout's cost: a series of 292 samples
 // (a day at the 5-minute interval plus the read-window padding — what
-// one ingest tenant-day holds per series) must cost at most 28 live
-// bytes per sample, index and slack included. Three parallel arrays in
-// 256-slot segments cost 57.
+// one ingest tenant-day holds per series) must cost at most 22 live
+// bytes per sample, index and slack included: 16 for the sample, the
+// rest 96-byte segment headers with their inline checkpoints, empty
+// slots in the last segment and in the segment list, and the index.
+// Three parallel arrays in 256-slot segments cost 57; 24-byte entries
+// carrying the prefix sum cost 27.7.
 func TestLiveBytesPerSample(t *testing.T) {
 	const nSeries, perSeries = 200, 292
 	comps := make([]string, nSeries)
@@ -428,7 +504,7 @@ func TestLiveBytesPerSample(t *testing.T) {
 	perSample := float64(after-before) / float64(s.Len())
 	runtime.KeepAlive(s)
 	t.Logf("%.1f live bytes per sample", perSample)
-	if perSample > 28 {
-		t.Fatalf("%.1f live bytes per sample, want at most 28", perSample)
+	if perSample > 22 {
+		t.Fatalf("%.1f live bytes per sample, want at most 22", perSample)
 	}
 }
