@@ -13,15 +13,15 @@ import (
 // most 10 % headroom. A change that needs more allocations raises the
 // ceiling in the open, with its reason; one that needs fewer lowers it.
 var coldDiagnosisAllocs = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     185,
-	diads.ScenarioTwoPools:         170,
-	diads.ScenarioDataProperty:     176,
-	diads.ScenarioConcurrentFaults: 192,
-	diads.ScenarioLockingNoise:     170,
-	diads.ScenarioPlanRegression:   165,
-	diads.ScenarioCPUSaturation:    165,
-	diads.ScenarioDiskFailure:      178,
-	diads.ScenarioRAIDRebuild:      174,
+	diads.ScenarioSANMisconfig:     178,
+	diads.ScenarioTwoPools:         162,
+	diads.ScenarioDataProperty:     168,
+	diads.ScenarioConcurrentFaults: 184,
+	diads.ScenarioLockingNoise:     162,
+	diads.ScenarioPlanRegression:   160,
+	diads.ScenarioCPUSaturation:    157,
+	diads.ScenarioDiskFailure:      170,
+	diads.ScenarioRAIDRebuild:      167,
 }
 
 // TestColdDiagnosisAllocs holds every scenario's cold diagnosis (no APG

@@ -159,7 +159,7 @@ func WorkflowScreen(w *diag.Workflow) string {
 }
 
 // TimingPanel renders the workflow-timing panel: one row per module of
-// the diagnosis DAG with its status, measured wall time, and cache
+// the diagnosis pipeline with its status, measured wall time, and cache
 // outcome. The online service records a trace per incident; the panel is
 // the screen an operator reads to see where a diagnosis spent its time
 // and what the caches absorbed. (Wall times are measured, so this panel

@@ -3,6 +3,9 @@ package diag
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -108,6 +111,43 @@ func TestSchedulerLevelCaches(t *testing.T) {
 	}
 }
 
+// TestSDCacheKeyedOnSymDBVersion installs an entry into the shared
+// symptoms database between two diagnoses sharing an SD cache: the
+// version bump must make the second SD miss, and its causes must be the
+// ones an uncached diagnosis finds, new entry included.
+func TestSDCacheKeyedOnSymDBVersion(t *testing.T) {
+	tb := runScenario1(t, 23, 12)
+	in := inputFor(tb)
+	in.SDCache = cache.New[string, []symptoms.CauseInstance](4)
+	if _, err := Diagnose(in); err != nil {
+		t.Fatal(err)
+	}
+	const kind = "installed-between-diagnoses"
+	if err := in.SymDB.Add(symptoms.Entry{Kind: kind, Scope: symptoms.ScopeGlobal,
+		Conditions: []symptoms.Condition{{Weight: 100, Expr: symptoms.MustParseExpr("ge(ambient:cpu, 0.8)")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Diagnose(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt := second.Trace.Module(KeySD); mt.Status != pipeline.StatusRan || mt.Cache != pipeline.CacheMiss {
+		t.Fatalf("SD after the database changed should miss, got %+v", mt)
+	}
+	in.SDCache = nil
+	uncached, err := Diagnose(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second.Causes, uncached.Causes) {
+		t.Fatalf("causes after the miss differ from an uncached diagnosis:\n%v\n%v", second.Causes, uncached.Causes)
+	}
+	if !slices.ContainsFunc(second.Causes, func(c symptoms.CauseInstance) bool { return c.Kind == kind }) {
+		t.Fatalf("causes miss the installed entry %s: %v", kind, second.Causes)
+	}
+}
+
 // TestDiagnosisCancellationMidPipeline cancels the context as CR's turn
 // comes; the run must surface context.Canceled.
 func TestDiagnosisCancellationMidPipeline(t *testing.T) {
@@ -116,12 +156,10 @@ func TestDiagnosisCancellationMidPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	_, err := DiagnoseWith(ctx, in, RunConfig{
-		OnModuleStart: func(m string) {
-			if m == KeyCR { // DA ran first (topological order)
-				once.Do(cancel)
-			}
-		},
+	_, err := diagnose(ctx, in, func(m string) {
+		if m == KeyCR { // DA ran first (the workflow's order)
+			once.Do(cancel)
+		}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -171,5 +209,59 @@ func TestInteractiveStepsRecordTrace(t *testing.T) {
 	// The edit hook reached DA: only the two V1 leaves were analyzed.
 	if got := len(w.Res.CO.COS); got != 2 {
 		t.Fatalf("DA saw COS of size %d, want the pruned 2", got)
+	}
+}
+
+// TestInteractiveOrdering checks the interactive mode's dependency
+// checks: a module run before its inputs fails without running, a retry
+// once they exist succeeds and replaces the failed step's trace entry,
+// and a plan change leaves no APG for the drill-down.
+func TestInteractiveOrdering(t *testing.T) {
+	w, err := NewWorkflow(inputFor(runScenario1(t, 28, 12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunPD(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunDA(); err == nil || !strings.Contains(err.Error(), "requires module co") {
+		t.Fatalf("DA before CO should fail on the missing co, got %v", err)
+	}
+	if w.Res.DA != nil {
+		t.Fatal("DA wrote a result although its dependency was missing")
+	}
+	if mt := w.Trace().Module(KeyDA); mt == nil || mt.Status != pipeline.StatusNotRun {
+		t.Fatalf("failed DA step trace: %+v", mt)
+	}
+	if err := w.RunCO(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunDA(); err != nil {
+		t.Fatalf("DA after CO: %v", err)
+	}
+	var names []string
+	for _, mt := range w.Trace().Modules {
+		names = append(names, mt.Module)
+	}
+	// pd+apg, the failed then retried da, co: one entry per module.
+	if got := strings.Join(names, ","); got != "pd,apg,da,co" {
+		t.Fatalf("step trace modules = %s, want pd,apg,da,co", got)
+	}
+	if mt := w.Trace().Module(KeyDA); mt.Status != pipeline.StatusRan {
+		t.Fatalf("retried DA step trace: %+v", mt)
+	}
+
+	changed, err := NewWorkflow(inputFor(planRegressionRig(t, 22, 12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := changed.RunPD(); err != nil {
+		t.Fatal(err)
+	}
+	if !changed.Res.PD.Changed {
+		t.Fatal("scenario should change the plan")
+	}
+	if err := changed.RunCO(); err == nil || !strings.Contains(err.Error(), "requires module apg") {
+		t.Fatalf("CO after a plan change should fail on the missing apg, got %v", err)
 	}
 }

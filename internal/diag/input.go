@@ -79,16 +79,16 @@ type Input struct {
 	TraceID string
 
 	// sat and unsat are the label partitions of Runs in time order,
-	// computed once per diagnosis by NewBoard on its own copy of the
+	// computed once per diagnosis by Seed on its own copy of the
 	// Input (the caller's is never written, so one Input may serve
 	// concurrent diagnoses). Module functions called on an Input that
-	// never passed through NewBoard compute them per call. validate
+	// never passed through Seed compute them per call. validate
 	// rejects an empty partition, so nil means "not computed". Read-only.
 	sat, unsat []*exec.RunRecord
 	// satOnPlan and unsatOnPlan are sat and unsat narrowed to the runs
 	// that executed the plan with signature planSig — the unsatisfactory
 	// runs' dominant plan, which is the common plan Modules CO, CR and IA
-	// analyze whenever the drill-down runs at all. Seeded by NewBoard with
+	// analyze whenever the drill-down runs at all. Set by Seed with
 	// the partitions above; planSig "" means "not computed". Read-only.
 	planSig                string
 	satOnPlan, unsatOnPlan []*exec.RunRecord

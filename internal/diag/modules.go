@@ -2,19 +2,16 @@ package diag
 
 import (
 	"context"
-	"fmt"
 	"strconv"
-	"sync"
 
 	"diads/internal/apg"
+	"diads/internal/cache"
 	"diads/internal/pipeline"
 	"diads/internal/symptoms"
 )
 
-// Blackboard keys: the module names of the DIADS pipeline, each keying
-// that module's output. KeyInput holds the *Input the driver seeds.
+// Module names of the DIADS pipeline, as traces and telemetry label them.
 const (
-	KeyInput = "input"
 	KeyPD    = "pd"
 	KeyAPG   = "apg"
 	KeyCO    = "co"
@@ -28,12 +25,11 @@ const (
 // PipelineDIADS is the name of the paper's Figure 2 workflow.
 const PipelineDIADS = "diads"
 
-// NewBoard validates the input and returns a blackboard seeded with it,
-// ready for the diagnosis pipeline. The board carries a copy
-// of the Input with the run history already partitioned by label, and by
-// the plan the drill-down will analyze, so the modules share one
-// filter-and-sort instead of repeating it.
-func NewBoard(in *Input) (*pipeline.Blackboard, error) {
+// Seed validates the input and returns the copy of it a diagnosis reads:
+// the run history already partitioned by label, and by the plan the
+// drill-down will analyze, so the modules share one filter-and-sort
+// instead of repeating it. The caller's Input is never written.
+func Seed(in *Input) (*Input, error) {
 	seeded := *in
 	seeded.sat, seeded.unsat = in.partition()
 	if err := seeded.validate(); err != nil {
@@ -42,31 +38,42 @@ func NewBoard(in *Input) (*pipeline.Blackboard, error) {
 	seeded.planSig = dominantSig(seeded.unsat)
 	seeded.satOnPlan = withPlanSig(seeded.sat, seeded.planSig)
 	seeded.unsatOnPlan = withPlanSig(seeded.unsat, seeded.planSig)
-	bb := pipeline.NewBlackboard()
-	bb.Put(KeyInput, &seeded)
-	return bb, nil
+	return &seeded, nil
 }
 
-// inputOf reads the seeded input back off the blackboard.
-func inputOf(bb *pipeline.Blackboard) (*Input, error) {
-	in, ok := pipeline.Get[*Input](bb, KeyInput)
-	if !ok {
-		return nil, fmt.Errorf("diag: blackboard has no %q (seed it with NewBoard)", KeyInput)
+// state is one diagnosis's state: the seeded input every module reads,
+// and the Result each module writes its output into. It never leaves the
+// goroutine running the diagnosis.
+type state struct {
+	in *Input
+	*Result
+}
+
+// has reports whether a module's output is in the Result — the
+// interactive mode's dependency check. SD leaves Causes nil without a
+// symptoms database, so it counts as run with the fact base: RunSD runs
+// the two together, and SD cannot fail.
+func (s *state) has(module string) bool {
+	switch module {
+	case KeyPD:
+		return s.PD != nil
+	case KeyAPG:
+		return s.APG != nil
+	case KeyCO:
+		return s.CO != nil
+	case KeyDA:
+		return s.DA != nil
+	case KeyCR:
+		return s.CR != nil
+	case KeyFacts, KeySD:
+		return s.Facts != nil
 	}
-	return in, nil
+	return s.IA != nil
 }
 
-// mustDep reads a dependency's output; the engine guarantees presence
-// through the dependency declarations, so absence is a programming error.
-func mustDep[T any](bb *pipeline.Blackboard, key string) T {
-	v, ok := pipeline.Get[T](bb, key)
-	if !ok {
-		panic(fmt.Sprintf("diag: module output %q missing despite dependency declaration", key))
-	}
-	return v
-}
+type module = pipeline.Module[*state]
 
-// DiadsPipeline returns the paper's Figure 2 workflow as a module DAG:
+// diadsPipeline is the paper's Figure 2 workflow, in dependency order:
 //
 //	pd ──► apg ──► co ──► da ──┬─► facts ──► sd ──► ia
 //	                    └─► cr ──┘
@@ -74,221 +81,126 @@ func mustDep[T any](bb *pipeline.Blackboard, key string) T {
 // Module PD short-circuits the drill-down when the plan changed
 // (plan-change analysis is then the whole diagnosis); DA and CR are
 // independent given CO; the APG build and the symptoms-database
-// evaluation are cache-satisfiable through engine middleware when the
-// input carries caches. The pipeline is stateless
-// and shared: all per-run state lives on the blackboard.
-func DiadsPipeline() *pipeline.Pipeline { return diadsPipeline() }
+// evaluation consult the input's caches when it carries them. Deps are
+// the interactive mode's ordering checks.
+var diadsPipeline = pipeline.New(PipelineDIADS,
+	module{Name: KeyPD, Run: runPD},
+	module{Name: KeyAPG, Deps: []string{KeyPD}, Run: runAPG},
+	module{Name: KeyCO, Deps: []string{KeyAPG}, Run: runCO},
+	module{Name: KeyDA, Deps: []string{KeyAPG, KeyCO}, Run: runDA},
+	module{Name: KeyCR, Deps: []string{KeyAPG, KeyCO}, Run: runCR},
+	module{Name: KeyFacts, Deps: []string{KeyPD, KeyAPG, KeyCO, KeyDA, KeyCR}, Run: runFacts},
+	module{Name: KeySD, Deps: []string{KeyAPG, KeyFacts}, Run: runSD},
+	module{Name: KeyIA, Deps: []string{KeyAPG, KeyCO, KeySD}, Run: runIA},
+)
 
-var diadsPipeline = sync.OnceValue(func() *pipeline.Pipeline {
-	p, err := pipeline.New(PipelineDIADS,
-		&pipeline.Module{Name: KeyPD, Run: runPD},
-		&pipeline.Module{Name: KeyAPG, Deps: []string{KeyPD}, Run: runAPG, Cache: apgCacheSpec()},
-		&pipeline.Module{Name: KeyCO, Deps: []string{KeyAPG}, Run: runCO},
-		&pipeline.Module{Name: KeyDA, Deps: []string{KeyAPG, KeyCO}, Run: runDA},
-		&pipeline.Module{Name: KeyCR, Deps: []string{KeyAPG, KeyCO}, Run: runCR},
-		&pipeline.Module{Name: KeyFacts, Deps: []string{KeyPD, KeyAPG, KeyCO, KeyDA, KeyCR}, Run: runFacts},
-		&pipeline.Module{Name: KeySD, Deps: []string{KeyAPG, KeyFacts}, Run: runSD, Cache: sdCacheSpec()},
-		&pipeline.Module{Name: KeyIA, Deps: []string{KeyAPG, KeyCO, KeySD}, Run: runIA},
-	)
-	if err != nil {
-		panic(err)
+// cached returns c's value under key(), or build's result stored back
+// under it, with the outcome the trace records; a nil cache only builds.
+func cached[V any](c *cache.LRU[string, V], key func() string, build func() (V, error)) (V, pipeline.CacheOutcome, error) {
+	if c == nil {
+		v, err := build()
+		return v, pipeline.CacheNone, err
 	}
-	return p
-})
+	k := key()
+	if v, ok := c.Get(k); ok {
+		return v, pipeline.CacheHit, nil
+	}
+	v, err := build()
+	if err == nil {
+		c.Put(k, v)
+	}
+	return v, pipeline.CacheMiss, err
+}
 
 // runPD executes Module PD. A changed plan halts the pipeline: the
 // drill-down modules are meaningless without a common plan.
-func runPD(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
+func runPD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	pd, err := PlanDiffing(s.in)
 	if err != nil {
-		return nil, err
+		return false, pipeline.CacheNone, err
 	}
-	pd, err := PlanDiffing(in)
-	if err != nil {
-		return nil, err
-	}
-	if pd.Changed {
-		return pipeline.Halt{Out: pd}, nil
-	}
-	return pd, nil
+	s.PD = pd
+	return pd.Changed, pipeline.CacheNone, nil
 }
 
-// runAPG builds the Annotated Plan Graph of the common plan.
-func runAPG(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+// runAPG builds the Annotated Plan Graph of the common plan, through the
+// APG cache by (cache scope, plan signature) when the input carries one
+// (the online service shares one across workers; the scope keeps fleet
+// instances' topologies apart).
+func runAPG(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	p := s.PD.CommonPlan
+	g, outcome, err := cached(s.in.APGCache,
+		func() string { return s.in.CacheScope + "|" + p.Signature() },
+		func() (*apg.APG, error) { return apg.Build(p, s.in.Cfg, s.in.Cat, s.in.Server) })
+	if err == nil {
+		s.APG = g
 	}
-	pd := mustDep[*PDResult](bb, KeyPD)
-	return apg.Build(pd.CommonPlan, in.Cfg, in.Cat, in.Server)
-}
-
-// apgCacheSpec caches built APGs by (cache scope, plan signature) when
-// the input carries an APG cache (the online service shares one across
-// workers; the scope keeps fleet instances' topologies apart).
-func apgCacheSpec() *pipeline.CacheSpec {
-	return &pipeline.CacheSpec{
-		Key: func(bb *pipeline.Blackboard) (string, bool) {
-			in, err := inputOf(bb)
-			if err != nil || in.APGCache == nil {
-				return "", false
-			}
-			return in.CacheScope + "|" + mustDep[*PDResult](bb, KeyPD).CommonPlan.Signature(), true
-		},
-		Get: func(bb *pipeline.Blackboard, key string) (any, bool) {
-			in, err := inputOf(bb)
-			if err != nil {
-				return nil, false
-			}
-			g, ok := in.APGCache.Get(key)
-			if !ok {
-				return nil, false
-			}
-			return g, true
-		},
-		Put: func(bb *pipeline.Blackboard, key string, v any) {
-			in, err := inputOf(bb)
-			if err != nil {
-				return
-			}
-			in.APGCache.Put(key, v.(*apg.APG))
-		},
-	}
+	return false, outcome, err
 }
 
 // runCO executes Module CO over the common plan.
-func runCO(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+func runCO(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	co, err := CorrelatedOperators(s.in, s.APG.Plan)
+	if err == nil {
+		s.CO = co
 	}
-	return CorrelatedOperators(in, mustDep[*apg.APG](bb, KeyAPG).Plan)
+	return false, pipeline.CacheNone, err
 }
 
 // runDA executes Module DA; independent of Module CR given CO.
-func runDA(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+func runDA(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	da, err := DependencyAnalysis(s.in, s.APG, s.CO)
+	if err == nil {
+		s.DA = da
 	}
-	return DependencyAnalysis(in, mustDep[*apg.APG](bb, KeyAPG), mustDep[*COResult](bb, KeyCO))
+	return false, pipeline.CacheNone, err
 }
 
 // runCR executes Module CR; independent of Module DA given CO.
-func runCR(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+func runCR(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	cr, err := CorrelatedRecordCounts(s.in, s.APG.Plan, s.CO)
+	if err == nil {
+		s.CR = cr
 	}
-	return CorrelatedRecordCounts(in, mustDep[*apg.APG](bb, KeyAPG).Plan, mustDep[*COResult](bb, KeyCO))
+	return false, pipeline.CacheNone, err
 }
 
 // runFacts assembles the fact base all downstream reasoning reads.
-func runFacts(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFacts(in,
-		mustDep[*apg.APG](bb, KeyAPG),
-		mustDep[*PDResult](bb, KeyPD),
-		mustDep[*COResult](bb, KeyCO),
-		mustDep[*DAResult](bb, KeyDA),
-		mustDep[*CRResult](bb, KeyCR)), nil
+func runFacts(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	s.Facts = BuildFacts(s.in, s.APG, s.PD, s.CO, s.DA, s.CR)
+	return false, pipeline.CacheNone, nil
 }
 
-// runSD evaluates the symptoms database. Without one the diagnosis still
-// carries the facts — the paper notes DIADS usefully narrows the search
-// space even when the database is missing or incomplete.
-func runSD(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+// runSD evaluates the symptoms database, through the SD cache when the
+// input carries one. Without a database the diagnosis still carries the
+// facts — the paper notes DIADS usefully narrows the search space even
+// when the database is missing or incomplete.
+//
+// The cache key is (cache scope, plan signature, fact-base fingerprint,
+// SymDB version). The version term makes installing a mined entry into a
+// live shared database invalidate prior evaluations instead of hiding the
+// new entry behind stale cache hits.
+func runSD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	db := s.in.SymDB
+	if db == nil {
+		s.Causes = nil
+		return false, pipeline.CacheNone, nil
 	}
-	if in.SymDB == nil {
-		return []symptoms.CauseInstance(nil), nil
-	}
-	g := mustDep[*apg.APG](bb, KeyAPG)
-	facts := mustDep[*symptoms.FactBase](bb, KeyFacts)
-	return in.SymDB.Evaluate(facts, Bindings(in, g)), nil
-}
-
-// sdCacheSpec caches symptoms-database evaluations by (cache scope, plan
-// signature, fact-base fingerprint, SymDB version) when the input
-// carries an SD cache. The version term makes installing a mined entry
-// into a live shared database invalidate prior evaluations instead of
-// hiding the new entry behind stale cache hits.
-func sdCacheSpec() *pipeline.CacheSpec {
-	return &pipeline.CacheSpec{
-		Key: func(bb *pipeline.Blackboard) (string, bool) {
-			in, err := inputOf(bb)
-			if err != nil || in.SDCache == nil || in.SymDB == nil {
-				return "", false
-			}
-			g := mustDep[*apg.APG](bb, KeyAPG)
-			facts := mustDep[*symptoms.FactBase](bb, KeyFacts)
-			return in.CacheScope + "|" + g.Plan.Signature() + "/" + facts.Fingerprint() +
-				"@v" + strconv.Itoa(in.SymDB.Version()), true
+	causes, outcome, err := cached(s.in.SDCache,
+		func() string {
+			return s.in.CacheScope + "|" + s.APG.Plan.Signature() + "/" + s.Facts.Fingerprint() +
+				"@v" + strconv.Itoa(db.Version())
 		},
-		Get: func(bb *pipeline.Blackboard, key string) (any, bool) {
-			in, err := inputOf(bb)
-			if err != nil {
-				return nil, false
-			}
-			causes, ok := in.SDCache.Get(key)
-			if !ok {
-				return nil, false
-			}
-			return causes, true
-		},
-		Put: func(bb *pipeline.Blackboard, key string, v any) {
-			in, err := inputOf(bb)
-			if err != nil {
-				return
-			}
-			in.SDCache.Put(key, v.([]symptoms.CauseInstance))
-		},
-	}
+		func() ([]symptoms.CauseInstance, error) { return db.Evaluate(s.Facts, Bindings(s.in, s.APG)), nil })
+	s.Causes = causes
+	return false, outcome, err
 }
 
 // runIA executes Module IA over the medium- and high-confidence causes.
-func runIA(ctx context.Context, bb *pipeline.Blackboard) (any, error) {
-	in, err := inputOf(bb)
-	if err != nil {
-		return nil, err
+func runIA(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+	ia, err := ImpactAnalysis(s.in, s.APG, s.CO, s.Causes)
+	if err == nil {
+		s.IA = ia
 	}
-	return ImpactAnalysis(in,
-		mustDep[*apg.APG](bb, KeyAPG),
-		mustDep[*COResult](bb, KeyCO),
-		mustDep[[]symptoms.CauseInstance](bb, KeySD))
-}
-
-// fillResult copies whatever module outputs exist on the blackboard into
-// the Result — partial boards (interactive steps, plan-change halts)
-// fill only what ran.
-func fillResult(res *Result, bb *pipeline.Blackboard) {
-	if v, ok := pipeline.Get[*PDResult](bb, KeyPD); ok {
-		res.PD = v
-	}
-	if v, ok := pipeline.Get[*apg.APG](bb, KeyAPG); ok {
-		res.APG = v
-	}
-	if v, ok := pipeline.Get[*COResult](bb, KeyCO); ok {
-		res.CO = v
-	}
-	if v, ok := pipeline.Get[*DAResult](bb, KeyDA); ok {
-		res.DA = v
-	}
-	if v, ok := pipeline.Get[*CRResult](bb, KeyCR); ok {
-		res.CR = v
-	}
-	if v, ok := pipeline.Get[*symptoms.FactBase](bb, KeyFacts); ok {
-		res.Facts = v
-	}
-	if v, ok := pipeline.Get[[]symptoms.CauseInstance](bb, KeySD); ok {
-		res.Causes = v
-	}
-	if v, ok := pipeline.Get[*IAResult](bb, KeyIA); ok {
-		res.IA = v
-	}
+	return false, pipeline.CacheNone, err
 }

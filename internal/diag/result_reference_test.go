@@ -16,7 +16,6 @@ import (
 	"diads/internal/exec"
 	"diads/internal/experiments"
 	"diads/internal/kde"
-	"diads/internal/pipeline"
 	"diads/internal/plan"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -441,7 +440,7 @@ func TestResultBitIdenticalToLongWayReference(t *testing.T) {
 
 // TestSeededPartitionsMatchPerCall: CO and CR called directly on an
 // un-seeded Input (per-call filtering) agree with the pipeline run, whose
-// board carries the partitions — and a plan other than the seeded one
+// seeded input carries the partitions — and a plan other than the seeded one
 // falls back to filtering rather than reusing them.
 func TestSeededPartitionsMatchPerCall(t *testing.T) {
 	sc, err := experiments.Build(experiments.S1SANMisconfig, 701)
@@ -466,13 +465,9 @@ func TestSeededPartitionsMatchPerCall(t *testing.T) {
 	// A different plan shares no runs with the history: CO has nothing to
 	// fit and must say so, not score the seeded plan's runs.
 	other := plan.BuildQ6()
-	bb, err := diag.NewBoard(sc.Input)
+	seeded, err := diag.Seed(sc.Input)
 	if err != nil {
 		t.Fatal(err)
-	}
-	seeded, ok := pipeline.Get[*diag.Input](bb, diag.KeyInput)
-	if !ok {
-		t.Fatal("board has no input")
 	}
 	if _, err := diag.CorrelatedOperators(seeded, other); err == nil {
 		t.Fatal("CO on a plan no run executed should fail for lack of samples")

@@ -37,87 +37,63 @@ func (r *Result) TopCause() (ImpactItem, bool) {
 	return ImpactItem{}, false
 }
 
-// RunConfig carries the engine's test hook.
-type RunConfig struct {
-	// OnModuleStart, when non-nil, observes each module as its turn
-	// comes (tests use it to cancel deterministically mid-pipeline).
-	OnModuleStart func(module string)
-}
-
 // Workflow runs the diagnosis modules, either batch (Run) or one module
 // at a time — the paper's interactive mode, where the administrator can
 // inspect and edit each module's result (e.g. prune the COS) before the
-// next module consumes it. Both modes execute through the module
-// engine: batch runs step through the DAG's topological order on the
-// caller's goroutine, interactive steps enforce ordering from the DAG's
-// dependency declarations.
+// next module consumes it. Both modes write each module's output
+// straight into Res: batch runs walk the modules in the workflow's order
+// on the caller's goroutine, interactive steps check each module's
+// declared dependencies against what Res already holds.
 type Workflow struct {
 	In  *Input
 	Res *Result
 
-	bb    *pipeline.Blackboard
+	st    state // st.Result is Res
 	steps []pipeline.ModuleTrace
 }
 
 // NewWorkflow validates the input and prepares a workflow.
 func NewWorkflow(in *Input) (*Workflow, error) {
-	bb, err := NewBoard(in)
+	seeded, err := Seed(in)
 	if err != nil {
 		return nil, err
 	}
-	return &Workflow{In: in, Res: &Result{Query: in.Query}, bb: bb}, nil
+	res := &Result{Query: in.Query}
+	return &Workflow{In: in, Res: res, st: state{in: seeded, Result: res}}, nil
 }
 
 // Run executes the full batch workflow of Figure 2: PD first; if the plan
 // changed, plan-change analysis is the diagnosis. Otherwise CO runs
 // against the common plan, DA and CR analyze its operators, SD maps
-// symptoms to causes, and IA scores their impact.
+// symptoms to causes, and IA scores their impact. The batch run starts
+// from a freshly seeded input and re-runs earlier interactive steps.
 func (w *Workflow) Run() (*Result, error) {
-	return w.RunContext(context.Background())
-}
-
-// RunContext is Run with cancellation: the engine starts no further
-// module once the context is canceled, so a worker goroutine servicing
-// a diagnosis job can be shut down mid-workflow. Workflows share no
-// mutable state — each run operates on its own blackboard, and the Input
-// is only read — so RunContext is safe to invoke from many goroutines
-// over the same Input.
-func (w *Workflow) RunContext(ctx context.Context) (*Result, error) {
-	return w.RunWith(ctx, RunConfig{})
-}
-
-// RunWith is RunContext with engine configuration. The batch run always
-// starts from a fresh blackboard: earlier interactive steps are re-run,
-// exactly as the step-list workflow re-ran them.
-func (w *Workflow) RunWith(ctx context.Context, cfg RunConfig) (*Result, error) {
-	bb, err := NewBoard(w.In)
+	seeded, err := Seed(w.In)
 	if err != nil {
 		return nil, err
 	}
-	return w.run(ctx, bb, cfg)
+	w.st.in = seeded
+	return w.st.run(context.Background(), nil)
 }
 
-// run executes the batch workflow on bb, a blackboard fresh from
-// NewBoard.
-func (w *Workflow) run(ctx context.Context, bb *pipeline.Blackboard, cfg RunConfig) (*Result, error) {
-	trace, err := DiadsPipeline().Run(ctx, bb, pipeline.Options{OnStart: cfg.OnModuleStart})
+// run executes every module on s in the workflow's order and stamps the
+// run's trace onto the Result. The engine starts no further module once
+// ctx is canceled.
+func (s *state) run(ctx context.Context, onStart func(module string)) (*Result, error) {
+	trace, err := diadsPipeline.Run(ctx, s, onStart)
 	if err != nil {
 		return nil, err
 	}
-	trace.TraceID = w.In.TraceID
-	w.bb = bb
-	fillResult(w.Res, bb)
-	w.Res.Trace = trace
-	return w.Res, nil
+	trace.TraceID = s.in.TraceID
+	s.Trace = trace
+	return s.Result, nil
 }
 
-// step executes one DAG module against the workflow's blackboard,
-// recording its trace and folding its output into the Result. Dependency
-// declarations enforce module ordering — running DA before CO fails with
-// the missing dependency, replacing the hand-rolled nil checks of the
-// step-list workflow.
+// step executes one module into the workflow's Result and records its
+// trace. The module's declared dependencies enforce ordering — running
+// DA before CO fails with the missing dependency.
 func (w *Workflow) step(name string) error {
-	mt, err := DiadsPipeline().RunModule(context.Background(), name, w.bb)
+	mt, err := diadsPipeline.RunModule(context.Background(), name, &w.st, w.st.has)
 	// One entry per module: a retried step (e.g. after an out-of-order
 	// attempt failed on its dependencies) replaces its earlier record.
 	replaced := false
@@ -130,11 +106,7 @@ func (w *Workflow) step(name string) error {
 	if !replaced {
 		w.steps = append(w.steps, mt)
 	}
-	if err != nil {
-		return err
-	}
-	fillResult(w.Res, w.bb)
-	return nil
+	return err
 }
 
 // Trace returns the interactive steps executed so far as a trace (batch
@@ -204,19 +176,21 @@ func Diagnose(in *Input) (*Result, error) {
 // DiagnoseContext is the re-entrant entry point the online service's
 // worker goroutines use: one call per job, cancelable at module
 // granularity, with any caches configured on the Input shared safely
-// across calls.
+// across calls. Diagnoses share no mutable state — each runs on its own
+// seeded copy of the Input and writes its own Result — so one Input may
+// serve many goroutines.
 func DiagnoseContext(ctx context.Context, in *Input) (*Result, error) {
-	return DiagnoseWith(ctx, in, RunConfig{})
+	return diagnose(ctx, in, nil)
 }
 
-// DiagnoseWith is DiagnoseContext with the engine's test hook. It seeds
-// one blackboard and runs the workflow on it.
-func DiagnoseWith(ctx context.Context, in *Input, cfg RunConfig) (*Result, error) {
+// diagnose is DiagnoseContext with a hook observing each module as its
+// turn comes (tests use it to cancel deterministically mid-pipeline).
+func diagnose(ctx context.Context, in *Input, onStart func(module string)) (*Result, error) {
 	w, err := NewWorkflow(in)
 	if err != nil {
 		return nil, err
 	}
-	return w.run(ctx, w.bb, cfg)
+	return w.st.run(ctx, onStart)
 }
 
 // ToIncident converts a diagnosis into a confirmed incident for the

@@ -8,77 +8,47 @@ import (
 	"testing"
 )
 
-// constModule returns a module that records its output under its name.
-func constModule(name string, deps []string, v any) *Module {
-	return &Module{
+// state is the tests' per-run state: each module's output under its name.
+type state map[string]any
+
+// has reports whether a module's output is in s — RunModule's predicate.
+func (s state) has(module string) bool { _, ok := s[module]; return ok }
+
+// constModule returns a module that records v as its output.
+func constModule(name string, deps []string, v any) Module[state] {
+	return Module[state]{
 		Name: name,
 		Deps: deps,
-		Run: func(ctx context.Context, bb *Blackboard) (any, error) {
-			return v, nil
+		Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+			s[name] = v
+			return false, CacheNone, nil
 		},
 	}
 }
 
-func TestTopologicalOrderIsDeterministic(t *testing.T) {
-	// Diamond: a -> {b, c} -> d, registered out of order.
-	p, err := New("diamond",
-		constModule("d", []string{"b", "c"}, 4),
-		constModule("b", []string{"a"}, 2),
-		constModule("c", []string{"a"}, 3),
-		constModule("a", nil, 1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Join(p.ModuleNames(), ",")
-	// Registration order breaks ties: b before c (both ready after a).
-	if got != "a,b,c,d" {
-		t.Fatalf("topological order: got %s", got)
-	}
-}
-
-func TestValidationRejectsBadDAGs(t *testing.T) {
-	if _, err := New("cycle",
-		&Module{Name: "a", Deps: []string{"b"}, Run: func(context.Context, *Blackboard) (any, error) { return nil, nil }},
-		&Module{Name: "b", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) { return nil, nil }},
-	); err == nil {
-		t.Fatal("cycle should be rejected")
-	}
-	if _, err := New("dangling",
-		&Module{Name: "a", Deps: []string{"ghost"}, Run: func(context.Context, *Blackboard) (any, error) { return nil, nil }},
-	); err == nil {
-		t.Fatal("unknown dependency should be rejected")
-	}
-	if _, err := New("dup",
-		constModule("a", nil, 1), constModule("a", nil, 2),
-	); err == nil {
-		t.Fatal("duplicate module should be rejected")
-	}
-	if _, err := New("empty"); err == nil {
-		t.Fatal("empty pipeline should be rejected")
-	}
-}
-
 func TestRunExecutesDAGAndTraces(t *testing.T) {
-	p, err := New("sum",
+	p := New("sum",
 		constModule("a", nil, 1),
 		constModule("b", []string{"a"}, 2),
-		&Module{Name: "c", Deps: []string{"a", "b"}, Run: func(ctx context.Context, bb *Blackboard) (any, error) {
-			a, _ := Get[int](bb, "a")
-			b, _ := Get[int](bb, "b")
-			return a + b, nil
+		Module[state]{Name: "c", Deps: []string{"a", "b"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+			s["c"] = s["a"].(int) + s["b"].(int)
+			return false, CacheMiss, nil
+		}},
+		Module[state]{Name: "d", Deps: []string{"c"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+			s["d"] = s["c"]
+			return false, CacheHit, nil
 		}},
 	)
+	s := state{}
+	trace, err := p.Run(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := NewBlackboard()
-	trace, err := p.Run(context.Background(), bb, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if s["c"] != 3 || s["d"] != 3 {
+		t.Fatalf("c, d = %v, %v, want 3, 3", s["c"], s["d"])
 	}
-	if sum, _ := Get[int](bb, "c"); sum != 3 {
-		t.Fatalf("c = %d, want 3", sum)
+	if trace.Pipeline != "sum" || len(trace.Modules) != 4 {
+		t.Fatalf("trace: %+v", trace)
 	}
 	for _, name := range []string{"a", "b", "c"} {
 		mt := trace.Module(name)
@@ -86,29 +56,33 @@ func TestRunExecutesDAGAndTraces(t *testing.T) {
 			t.Fatalf("module %s trace: %+v", name, mt)
 		}
 	}
+	// The trace carries each module's own cache report; a hit is its status.
+	if mt := trace.Module("c"); mt.Cache != CacheMiss {
+		t.Fatalf("c trace: %+v", mt)
+	}
+	if mt := trace.Module("d"); mt.Status != StatusCacheHit || mt.Cache != CacheHit {
+		t.Fatalf("d trace: %+v", mt)
+	}
 }
 
 // TestCancellationMidPipeline cancels the context while da (the first
-// of the DA, CR pair in topological order) runs; the run must return the
-// context error, and the modules after da must never run.
+// of the DA, CR pair in the pipeline's order) runs; the run must return
+// the context error, and the modules after da must never run.
 func TestCancellationMidPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	p, err := New("cancelable",
+	p := New("cancelable",
 		constModule("co", nil, 1),
-		&Module{Name: "da", Deps: []string{"co"}, Run: func(runCtx context.Context, bb *Blackboard) (any, error) {
+		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(runCtx context.Context, _ state) (bool, CacheOutcome, error) {
 			cancel()
 			<-runCtx.Done()
-			return nil, runCtx.Err()
+			return false, CacheNone, runCtx.Err()
 		}},
 		constModule("cr", []string{"co"}, 3),
 		constModule("sd", []string{"da", "cr"}, 4),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := p.Run(ctx, NewBlackboard(), Options{})
+	trace, err := p.Run(ctx, state{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -130,11 +104,8 @@ func TestCancellationMidPipeline(t *testing.T) {
 func TestPreCanceledContextRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := New("noop", constModule("a", nil, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := p.Run(ctx, NewBlackboard(), Options{})
+	p := New("noop", constModule("a", nil, 1))
+	trace, err := p.Run(ctx, state{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -149,21 +120,18 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 func TestModuleErrorCancelsSiblingsAndPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	slowRan := false
-	p, err := New("failing",
+	p := New("failing",
 		constModule("a", nil, 1),
-		&Module{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
-			return nil, boom
+		Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
+			return false, CacheNone, boom
 		}},
-		&Module{Name: "slow", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) {
+		Module[state]{Name: "slow", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
 			slowRan = true
-			return "done", nil
+			return false, CacheNone, nil
 		}},
 		constModule("after", []string{"bad", "slow"}, 2),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
+	trace, err := p.Run(context.Background(), state{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -181,23 +149,24 @@ func TestModuleErrorCancelsSiblingsAndPropagates(t *testing.T) {
 }
 
 func TestHaltShortCircuitsDownstream(t *testing.T) {
-	p, err := New("shortcircuit",
-		&Module{Name: "pd", Run: func(context.Context, *Blackboard) (any, error) {
-			return Halt{Out: "plan changed"}, nil
+	p := New("shortcircuit",
+		Module[state]{Name: "pd", Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+			s["pd"] = "plan changed"
+			return true, CacheNone, nil
 		}},
 		constModule("co", []string{"pd"}, 2),
 		constModule("ia", []string{"co"}, 3),
 	)
+	s := state{}
+	trace, err := p.Run(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := NewBlackboard()
-	trace, err := p.Run(context.Background(), bb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := Get[string](bb, "pd"); v != "plan changed" {
+	if v := s["pd"]; v != "plan changed" {
 		t.Fatalf("halting module's output should be recorded, got %q", v)
+	}
+	if s.has("co") || s.has("ia") {
+		t.Fatalf("modules after the halt ran: %v", s)
 	}
 	if mt := trace.Module("pd"); mt.Status != StatusRan || mt.Note != "short-circuit" {
 		t.Fatalf("pd trace: %+v", mt)
@@ -210,89 +179,43 @@ func TestHaltShortCircuitsDownstream(t *testing.T) {
 	}
 }
 
-func TestCacheMiddlewareHitAndMiss(t *testing.T) {
-	store := map[string]any{}
-	runs := 0
-	m := &Module{
-		Name: "apg",
-		Run: func(context.Context, *Blackboard) (any, error) {
-			runs++
-			return "built", nil
-		},
-		Cache: &CacheSpec{
-			Key: func(bb *Blackboard) (string, bool) { return "plan-sig", true },
-			Get: func(bb *Blackboard, key string) (any, bool) { v, ok := store[key]; return v, ok },
-			Put: func(bb *Blackboard, key string, v any) { store[key] = v },
-		},
-	}
-	p, err := New("cached", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	trace1, err := p.Run(context.Background(), NewBlackboard(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt := trace1.Module("apg"); mt.Status != StatusRan || mt.Cache != CacheMiss {
-		t.Fatalf("first run should miss: %+v", mt)
-	}
-
-	bb2 := NewBlackboard()
-	trace2, err := p.Run(context.Background(), bb2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt := trace2.Module("apg"); mt.Status != StatusCacheHit || mt.Cache != CacheHit {
-		t.Fatalf("second run should hit: %+v", mt)
-	}
-	if v, _ := Get[string](bb2, "apg"); v != "built" {
-		t.Fatalf("cache hit should install the output, got %q", v)
-	}
-	if runs != 1 {
-		t.Fatalf("module ran %d times, want 1", runs)
-	}
-}
-
-// TestInteractiveStepWithEditHook drives the DAG one module at a time
-// and edits an intermediate output between steps — the OverrideCOS-style
-// hook — verifying dependency enforcement replaces precondition checks.
+// TestInteractiveStepWithEditHook drives the pipeline one module at a
+// time and edits an intermediate output between steps — the
+// OverrideCOS-style hook — verifying the dependency declarations enforce
+// the order.
 func TestInteractiveStepWithEditHook(t *testing.T) {
-	p, err := New("interactive",
+	p := New("interactive",
 		constModule("co", nil, []int{1, 2, 3}),
-		&Module{Name: "da", Deps: []string{"co"}, Run: func(ctx context.Context, bb *Blackboard) (any, error) {
-			cos, _ := Get[[]int](bb, "co")
-			return len(cos), nil
+		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+			s["da"] = len(s["co"].([]int))
+			return false, CacheNone, nil
 		}},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb := NewBlackboard()
+	s := state{}
 
 	// Out-of-order execution fails from the dependency declaration.
-	if _, err := p.RunModule(context.Background(), "da", bb); err == nil ||
+	if _, err := p.RunModule(context.Background(), "da", s, s.has); err == nil ||
 		!strings.Contains(err.Error(), "requires module co") {
 		t.Fatalf("da before co should fail with the dependency, got %v", err)
 	}
-	if _, err := p.RunModule(context.Background(), "nope", bb); err == nil {
+	if _, err := p.RunModule(context.Background(), "nope", s, s.has); err == nil {
 		t.Fatal("unknown module should fail")
 	}
 
-	if _, err := p.RunModule(context.Background(), "co", bb); err != nil {
+	if _, err := p.RunModule(context.Background(), "co", s, s.has); err != nil {
 		t.Fatal(err)
 	}
 	// The administrator prunes the intermediate result before the next step.
-	bb.Put("co", []int{9})
-	mt, err := p.RunModule(context.Background(), "da", bb)
+	s["co"] = []int{9}
+	mt, err := p.RunModule(context.Background(), "da", s, s.has)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mt.Status != StatusRan {
 		t.Fatalf("da trace: %+v", mt)
 	}
-	if n, _ := Get[int](bb, "da"); n != 1 {
-		t.Fatalf("da should see the edited COS, got %d", n)
+	if n := s["da"]; n != 1 {
+		t.Fatalf("da should see the edited COS, got %v", n)
 	}
 }
 
@@ -305,48 +228,43 @@ func goroutineID() string {
 
 // TestRunInlineWhenSingleReady pins the engine's one-goroutine contract:
 // every module of a chain and of a diamond runs on the goroutine that
-// called Run, in topological order. Halts, errors and cancellation
+// called Run, in registration order. Halts, errors and cancellation
 // mid-run are reported the same way on either shape.
 func TestRunInlineWhenSingleReady(t *testing.T) {
 	ranOn := map[string]string{}
-	mod := func(name string, deps ...string) *Module {
-		return &Module{Name: name, Deps: deps, Run: func(context.Context, *Blackboard) (any, error) {
+	mod := func(name string, deps ...string) Module[state] {
+		return Module[state]{Name: name, Deps: deps, Run: func(context.Context, state) (bool, CacheOutcome, error) {
 			ranOn[name] = goroutineID()
-			return name, nil
+			return false, CacheNone, nil
 		}}
 	}
 
 	for _, tc := range []struct {
 		name string
-		mods []*Module
+		mods []Module[state]
 		want string
 	}{
-		{"chain", []*Module{mod("a"), mod("b", "a"), mod("c", "b")}, "a,b,c"},
-		// Registered out of order: b and c are independent given a.
-		{"diamond", []*Module{mod("d", "b", "c"), mod("b", "a"), mod("c", "a"), mod("a")}, "a,b,c,d"},
+		{"chain", []Module[state]{mod("a"), mod("b", "a"), mod("c", "b")}, "a,b,c"},
+		// b and c are independent given a.
+		{"diamond", []Module[state]{mod("a"), mod("b", "a"), mod("c", "a"), mod("d", "b", "c")}, "a,b,c,d"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			caller := goroutineID() // each subtest calls Run from its own goroutine
-			p, err := New(tc.name, tc.mods...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := New(tc.name, tc.mods...)
 			var order []string
-			trace, err := p.Run(context.Background(), NewBlackboard(), Options{
-				OnStart: func(m string) { order = append(order, m) },
-			})
+			trace, err := p.Run(context.Background(), state{}, func(m string) { order = append(order, m) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := strings.Join(order, ","); got != tc.want {
-				t.Errorf("OnStart order %s, want %s", got, tc.want)
+				t.Errorf("onStart order %s, want %s", got, tc.want)
 			}
-			for _, name := range p.ModuleNames() {
-				if ranOn[name] != caller {
-					t.Errorf("module %s ran on goroutine %s, want the caller's %s", name, ranOn[name], caller)
+			for _, m := range tc.mods {
+				if ranOn[m.Name] != caller {
+					t.Errorf("module %s ran on goroutine %s, want the caller's %s", m.Name, ranOn[m.Name], caller)
 				}
-				if mt := trace.Module(name); mt.Status != StatusRan {
-					t.Errorf("module %s trace: %+v", name, mt)
+				if mt := trace.Module(m.Name); mt.Status != StatusRan {
+					t.Errorf("module %s trace: %+v", m.Name, mt)
 				}
 			}
 		})
@@ -354,16 +272,13 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 
 	t.Run("halt", func(t *testing.T) {
 		caller := goroutineID() // each subtest calls Run from its own goroutine
-		p, err := New("halting",
-			&Module{Name: "pd", Run: func(context.Context, *Blackboard) (any, error) {
+		p := New("halting",
+			Module[state]{Name: "pd", Run: func(context.Context, state) (bool, CacheOutcome, error) {
 				ranOn["pd"] = goroutineID()
-				return Halt{Out: "changed"}, nil
+				return true, CacheNone, nil
 			}},
 			mod("co", "pd"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
+		trace, err := p.Run(context.Background(), state{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,13 +295,12 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 
 	t.Run("error", func(t *testing.T) {
 		boom := errors.New("boom")
-		p, err := New("failing", mod("a"),
-			&Module{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, *Blackboard) (any, error) { return nil, boom }},
+		p := New("failing", mod("a"),
+			Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
+				return false, CacheNone, boom
+			}},
 			mod("after", "bad"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := p.Run(context.Background(), NewBlackboard(), Options{})
+		trace, err := p.Run(context.Background(), state{}, nil)
 		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "pipeline failing: module bad") {
 			t.Fatalf("want boom naming the module, got %v", err)
 		}
@@ -401,17 +315,14 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 	t.Run("cancel mid-flight", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		p, err := New("canceled", mod("a"),
-			&Module{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ *Blackboard) (any, error) {
+		p := New("canceled", mod("a"),
+			Module[state]{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ state) (bool, CacheOutcome, error) {
 				cancel() // the caller gives up while b runs
 				<-runCtx.Done()
-				return nil, runCtx.Err()
+				return false, CacheNone, runCtx.Err()
 			}},
 			mod("c", "b"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := p.Run(ctx, NewBlackboard(), Options{})
+		trace, err := p.Run(ctx, state{}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
