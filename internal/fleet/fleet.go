@@ -6,7 +6,7 @@
 // A Fleet streams N independent testbed instances concurrently, each on
 // its own seed and timeline, partitioned into shards by instance hash.
 // Each shard has its own coordinator goroutine and its own
-// service.Service (worker pool, dedup stripes, impact registry,
+// service.Service (worker pool, dedup set, impact registry,
 // instance-scoped APG/SD caches): a shard's instances synchronize at
 // chunk boundaries, and at each barrier the shard's coordinator
 // releases from each instance runtime (instance.go) the slowdown events

@@ -30,7 +30,7 @@ func shardOf(id string, shards int) int {
 
 // shard is one slice of the fleet: a subset of instances, their own
 // coordinator goroutine, and their own diagnosis service (worker pool,
-// dedup stripes, impact registry, APG/SD caches). Shards share nothing
+// dedup set, impact registry, APG/SD caches). Shards share nothing
 // on the hot path; they meet only at the learning exchange's epoch
 // seals and the end-of-run report merge.
 type shard struct {

@@ -250,17 +250,20 @@ func (m *Monitor) LowWatermark() (simtime.Time, bool) {
 	lw, found := m.gate.LowWatermark()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	//lint:allow mapiter min over the per-query oldest runs is commutative
+	oldest := EndOfStream
 	for _, st := range m.states {
-		if len(st.hist) == 0 {
-			continue
+		if len(st.hist) > 0 {
+			oldest = min(oldest, st.hist[0].rec.Start)
 		}
-		// Pad through the one evidence-window contract, never hand-derived:
-		// a future event whose Window starts here reads its ReadWindow.
-		start := st.hist[0].rec.Start
-		if padded := metrics.ReadWindow(simtime.NewInterval(start, start)).Start; !found || padded < lw {
-			lw, found = padded, true
-		}
+	}
+	if oldest == EndOfStream {
+		return lw, found
+	}
+	// Pad through the one evidence-window contract, never hand-derived: a
+	// future event whose Window starts here reads its ReadWindow. The pad
+	// is monotone, so padding the minimum is the minimum of the pads.
+	if padded := metrics.ReadWindow(simtime.NewInterval(oldest, oldest)).Start; !found || padded < lw {
+		lw, found = padded, true
 	}
 	return lw, found
 }

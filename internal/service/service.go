@@ -1,18 +1,17 @@
 // Package service turns the monitor's SlowdownEvents into diagnoses at
 // fleet scale: a bounded worker pool drains a job queue with
-// backpressure, in-flight jobs are deduplicated per (query, window),
-// built Annotated Plan Graphs and symptoms-database evaluations are
-// LRU-cached so repeated diagnoses of the same plan are near-free, and
-// completed diagnoses feed a results registry that ranks open incidents
-// by estimated impact (Module IA's score weighted by the slowdown each
-// incident explains).
+// backpressure, queued or running jobs are deduplicated per (instance,
+// query, window) under one admission mutex, built Annotated Plan Graphs
+// and symptoms-database evaluations are LRU-cached so repeated
+// diagnoses of the same plan are near-free, and completed diagnoses feed
+// a results registry that ranks open incidents by estimated impact
+// (Module IA's score weighted by the slowdown each incident explains).
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,36 +120,6 @@ type jobKey struct {
 	instance string
 	query    string
 	window   simtime.Interval // the event's evidence read window
-}
-
-// pendingStripes fans the dedup set out over independently locked
-// stripes, so concurrent Submits for different keys stop serializing on
-// one service-wide mutex (the contention the inst=8 bench exposed).
-const pendingStripes = 16
-
-type pendingStripe struct {
-	mu sync.Mutex
-	m  map[jobKey]bool
-}
-
-// stripe hashes the key (FNV-1a, inline so the hot path allocates
-// nothing) onto its dedup stripe.
-func (k jobKey) stripe() int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.instance); i++ {
-		h = (h ^ uint64(k.instance[i])) * prime64
-	}
-	h = (h ^ 0xff) * prime64 // separator: ("a","bc") != ("ab","c")
-	for i := 0; i < len(k.query); i++ {
-		h = (h ^ uint64(k.query[i])) * prime64
-	}
-	h = (h ^ math.Float64bits(float64(k.window.Start))) * prime64
-	h = (h ^ math.Float64bits(float64(k.window.End))) * prime64
-	return int(h % pendingStripes)
 }
 
 type job struct {
@@ -263,20 +232,15 @@ type Service struct {
 	Self SelfObserver
 
 	jobs chan job
-	quit chan struct{} // closed by Stop; retires the ctx watcher
-	// sendMu serializes enqueues against Stop's close of the jobs
-	// channel: Submit sends under the read lock, Stop closes under the
-	// write lock after flipping stopped, so no send can hit a closed
-	// channel. Reads share the lock, so Submits never contend with each
-	// other here.
-	sendMu  sync.RWMutex
-	stopped atomic.Bool
-	// pending is the striped queued-or-running dedup set; inflight
-	// counts its members so Wait does not have to sweep the stripes.
-	pending  [pendingStripes]pendingStripe
-	inflight atomic.Int64
-	idleMu   sync.Mutex
-	idle     sync.Cond // signaled under idleMu when inflight drains to 0
+	// mu guards admission: the queued-or-running dedup set, the stopped
+	// flag and every send on jobs, so Stop's close cannot race a send.
+	// The set holds at most Queue + Workers keys.
+	mu      sync.Mutex
+	pending map[jobKey]bool
+	stopped bool
+	idle    sync.Cond // on mu; broadcast when pending empties
+	// unwatch retires Start's context callback (context.AfterFunc).
+	unwatch func() bool
 
 	apgs    *cache.LRU[string, *apg.APG]
 	sd      *cache.LRU[string, []symptoms.CauseInstance]
@@ -304,7 +268,7 @@ func New(env Env, cfg Config) *Service {
 		cfg:      cfg,
 		env:      env,
 		jobs:     make(chan job, cfg.Queue),
-		quit:     make(chan struct{}),
+		pending:  make(map[jobKey]bool),
 		apgs:     cache.New[string, *apg.APG](cfg.APGCacheSize),
 		sd:       cache.New[string, []symptoms.CauseInstance](cfg.SDCacheSize),
 		results:  cache.New[jobKey, *diag.Result](cfg.ResultCacheSize),
@@ -312,10 +276,7 @@ func New(env Env, cfg Config) *Service {
 		modstats: make(map[string]*ModuleStat),
 		tel:      newServiceTelemetry(),
 	}
-	for i := range s.pending {
-		s.pending[i].m = make(map[jobKey]bool)
-	}
-	s.idle.L = &s.idleMu
+	s.idle.L = &s.mu
 	s.registerFuncs()
 	return s
 }
@@ -399,14 +360,6 @@ func (s *Service) RemoveInstance(id string) {
 	s.results.RemoveIf(func(k jobKey) bool { return k.instance == id })
 }
 
-// HasInstance reports whether a per-instance environment is registered.
-func (s *Service) HasInstance(id string) bool {
-	s.envmu.RLock()
-	defer s.envmu.RUnlock()
-	_, ok := s.envs[id]
-	return ok
-}
-
 // EnvFor resolves the environment an event of the instance diagnoses
 // against ("" is the default environment).
 func (s *Service) EnvFor(instance string) (Env, bool) {
@@ -446,149 +399,113 @@ func (s *Service) Start(ctx context.Context) {
 		s.wg.Add(1)
 		go s.worker(ctx)
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.stopped.Store(true)
-			s.drainPending()
-		case <-s.quit:
-		}
-	}()
+	s.unwatch = context.AfterFunc(ctx, s.halt)
 }
 
 // Stop closes the queue and waits for in-flight diagnoses to finish.
 // Submit returns ErrStopped afterwards. Jobs still queued when the
 // workers exit (possible when the start context was canceled) are
-// abandoned and removed from the pending set so Wait cannot block on
-// them.
+// abandoned.
 func (s *Service) Stop() {
-	if !s.stopped.Swap(true) {
-		close(s.quit)
-		// The write lock excludes every in-flight Submit send; any
-		// Submit arriving after sees stopped and never reaches the
-		// channel, so the close below cannot race a send.
-		s.sendMu.Lock()
+	s.mu.Lock()
+	if !s.stopped {
 		close(s.jobs)
-		s.sendMu.Unlock()
 	}
+	s.stopped = true
+	s.mu.Unlock()
 	s.wg.Wait()
-	s.drainPending()
+	s.halt()
+	if s.unwatch != nil {
+		s.unwatch()
+	}
 	for _, freeze := range s.freeze {
 		freeze()
 	}
 }
 
-// drainPending abandons every queued-or-running reservation: stripes are
-// cleared and the inflight count settled so Wait cannot block on work
-// nothing will ever run. Workers racing a drain are harmless — finish's
-// membership check makes the decrement exactly-once per key.
-func (s *Service) drainPending() {
-	for i := range s.pending {
-		st := &s.pending[i]
-		st.mu.Lock()
-		n := len(st.m)
-		clear(st.m)
-		st.mu.Unlock()
-		if n > 0 && s.inflight.Add(int64(-n)) <= 0 {
-			s.idleMu.Lock()
-			s.idle.Broadcast()
-			s.idleMu.Unlock()
-		}
-	}
+// halt is the one shutdown path of the pending set: it refuses further
+// Submits and abandons every queued-or-running reservation, so Wait
+// cannot block on work nothing will ever run. A worker still finishing
+// an abandoned job deletes a key that is already gone.
+func (s *Service) halt() {
+	s.mu.Lock()
+	s.stopped = true
+	clear(s.pending)
+	s.idle.Broadcast()
+	s.mu.Unlock()
 }
 
-// finish releases a key's queued-or-running reservation. The membership
-// check keeps the inflight decrement exactly-once when a worker's
-// deferred finish races drainPending.
+// finish releases a key's queued-or-running reservation.
 func (s *Service) finish(key jobKey) {
-	st := &s.pending[key.stripe()]
-	st.mu.Lock()
-	was := st.m[key]
-	delete(st.m, key)
-	st.mu.Unlock()
-	if !was {
-		return
-	}
-	if s.inflight.Add(-1) == 0 {
-		s.idleMu.Lock()
+	s.mu.Lock()
+	delete(s.pending, key)
+	if len(s.pending) == 0 {
 		s.idle.Broadcast()
-		s.idleMu.Unlock()
 	}
+	s.mu.Unlock()
 }
 
 // Wait blocks until every currently queued job has been diagnosed. It is
 // a quiescence barrier for drivers that interleave submission and
 // reporting; new Submits remain allowed.
 func (s *Service) Wait() {
-	s.idleMu.Lock()
-	defer s.idleMu.Unlock()
-	for s.inflight.Load() > 0 {
+	s.mu.Lock()
+	for len(s.pending) > 0 {
 		s.idle.Wait()
 	}
+	s.mu.Unlock()
 }
 
 // Submit enqueues a diagnosis job for the event. It never blocks: a full
 // queue returns ErrBackpressure, an already-pending or already-diagnosed
 // (query, window) returns ErrDuplicate (bumping the incident's
-// recurrence when a cached result exists). The hot path takes only the
-// key's dedup stripe and a shared read lock — no service-wide mutex.
+// recurrence when a cached result exists). The stopped check, the
+// pending check, the result-cache lookup and the send share one critical
+// section. Because run caches a result before it releases the key, a key
+// missing from pending finds its completed run's result.
 func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 	s.submitted.Add(1)
 	s.tel.submitted.Inc()
 	key := jobKey{instance: ev.Instance, query: ev.Query, window: ev.ReadWindow}
 
-	if s.stopped.Load() {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
 		return ErrStopped
 	}
-	// Reserve the key first, then consult the result cache. The
-	// reservation makes concurrent same-key Submits mutually exclusive,
-	// and because run() caches the result before releasing its
-	// reservation, a reservation acquired here after a completed run is
-	// guaranteed to see that run's cached result below.
-	st := &s.pending[key.stripe()]
-	st.mu.Lock()
-	if st.m[key] {
-		st.mu.Unlock()
-		s.deduped.Add(1)
-		s.tel.deduped.Inc()
-		s.span(ev.TraceID, "service.submit", attr("outcome", "deduped-pending"))
+	if s.pending[key] {
+		s.mu.Unlock()
+		s.dedup(ev, "deduped-pending")
 		return ErrDuplicate
 	}
-	st.m[key] = true
-	s.inflight.Add(1)
-	st.mu.Unlock()
-
 	if res, ok := s.results.Get(key); ok {
-		s.finish(key)
-		s.deduped.Add(1)
-		s.tel.deduped.Inc()
-		s.span(ev.TraceID, "service.submit", attr("outcome", "deduped-cached"))
+		s.mu.Unlock()
+		s.dedup(ev, "deduped-cached")
 		s.reg.Record(ev, res) // recurrence of a known incident
 		return ErrDuplicate
 	}
-
-	// Send under the read lock so the enqueue cannot race Stop's close:
-	// Stop flips stopped before taking the write lock, so once we hold
-	// the read lock a false stopped check proves the channel is open.
-	s.sendMu.RLock()
-	if s.stopped.Load() {
-		s.sendMu.RUnlock()
-		s.finish(key)
-		return ErrStopped
-	}
 	select {
 	case s.jobs <- job{key: key, ev: ev, enqueued: time.Now()}:
-		s.sendMu.RUnlock()
+		// The worker's finish takes mu, so it cannot run before the key
+		// is marked.
+		s.pending[key] = true
+		s.mu.Unlock()
 		s.span(ev.TraceID, "service.submit", attr("outcome", "enqueued"))
 		return nil
 	default:
-		s.sendMu.RUnlock()
-		s.finish(key)
+		s.mu.Unlock()
 		s.rejected.Add(1)
 		s.tel.rejected.Inc()
 		s.span(ev.TraceID, "service.submit", attr("outcome", "rejected"))
 		return ErrBackpressure
 	}
+}
+
+// dedup counts and traces a Submit suppressed as a duplicate.
+func (s *Service) dedup(ev monitor.SlowdownEvent, outcome string) {
+	s.deduped.Add(1)
+	s.tel.deduped.Inc()
+	s.span(ev.TraceID, "service.submit", attr("outcome", outcome))
 }
 
 // Floor returns the earliest evidence a queued or running diagnosis of
@@ -601,16 +518,13 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 func (s *Service) Floor(instance string) (simtime.Time, bool) {
 	var floor simtime.Time
 	found := false
-	for i := range s.pending {
-		st := &s.pending[i]
-		st.mu.Lock()
-		for k := range st.m {
-			if k.instance == instance && (!found || k.window.Start < floor) {
-				floor, found = k.window.Start, true
-			}
+	s.mu.Lock()
+	for k := range s.pending {
+		if k.instance == instance && (!found || k.window.Start < floor) {
+			floor, found = k.window.Start, true
 		}
-		st.mu.Unlock()
 	}
+	s.mu.Unlock()
 	return floor, found
 }
 
@@ -655,7 +569,8 @@ func (s *Service) worker(ctx context.Context) {
 
 // run executes one diagnosis job. The deferred finish releases the
 // dedup reservation only after every code path below — in particular
-// after results.Put — so Submit's reserve-then-lookup ordering holds.
+// after results.Put — so a Submit that misses the key in pending finds
+// its cached result.
 func (s *Service) run(ctx context.Context, j job) {
 	defer s.finish(j.key)
 

@@ -618,3 +618,117 @@ func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	floor("inst-b", 0, false, "finished")
 	svc.Stop()
 }
+
+// TestAdmissionUnderContention pins the admission contract with several
+// goroutines re-submitting overlapping real events while another reads
+// Floor and Wait: every distinct (instance, query, window) is diagnosed
+// exactly once — a re-submission finds the job pending or its result
+// cached, never neither — and every Submit lands in exactly one counter.
+// Run it under -race.
+func TestAdmissionUnderContention(t *testing.T) {
+	env, base := slowdownRig(t, 49)
+	type key struct {
+		instance, query string
+		window          simtime.Interval
+	}
+	var mu sync.Mutex
+	diagnosed := map[key]int{}
+	undiagnosed := func(ev monitor.SlowdownEvent) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}] == 0
+	}
+	svc := New(env, Config{Workers: 2, Queue: 4})
+	svc.OnDiagnosis = func(ev monitor.SlowdownEvent, _ *diag.Result) {
+		mu.Lock()
+		diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}]++
+		mu.Unlock()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+
+	earliest := base[0].ReadWindow.Start
+	for _, ev := range base {
+		earliest = min(earliest, ev.ReadWindow.Start)
+	}
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if floor, ok := svc.Floor(""); ok && floor < earliest {
+				t.Errorf("floor %v below every submitted window", floor)
+			}
+			svc.Wait()
+		}
+	}()
+
+	// Each round shifts every window to a fresh key. Submitters keep
+	// re-submitting the round's undiagnosed keys until all have settled,
+	// so re-submissions race each job's completion; backpressure sheds
+	// some passes, and a later pass admits them.
+	var evs []monitor.SlowdownEvent
+	for round := 0; round < 8; round++ {
+		batch := make([]monitor.SlowdownEvent, len(base))
+		for i, ev := range base {
+			ev.ReadWindow.End = ev.ReadWindow.End.Add(simtime.Duration(round)) // distinct keys
+			batch[i] = ev
+		}
+		evs = append(evs, batch...)
+		want := int64(len(evs))
+		settled := func() bool {
+			st := svc.Stats()
+			return st.Completed+st.Failed >= want
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for !settled() {
+					for i := range batch {
+						ev := batch[(i+g)%len(batch)]
+						if !undiagnosed(ev) {
+							continue
+						}
+						if err := svc.Submit(ev); err == ErrStopped {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	svc.Wait()
+	// Every key is now cached: a last pass is all recurrences.
+	for _, ev := range evs {
+		if err := svc.Submit(ev); err != ErrDuplicate {
+			t.Errorf("re-submit of a diagnosed window = %v", err)
+		}
+	}
+	close(stop)
+	<-watched
+	svc.Stop()
+
+	for _, ev := range evs {
+		if n := diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}]; n != 1 {
+			t.Errorf("%s window %v diagnosed %d times, want once", ev.Query, ev.ReadWindow, n)
+		}
+	}
+	st := svc.Stats()
+	if st.Completed != int64(len(evs)) || st.Failed != 0 {
+		t.Errorf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(evs))
+	}
+	if st.Submitted != st.Completed+st.Deduped+st.Rejected+st.Failed {
+		t.Errorf("submitted=%d != completed %d + deduped %d + rejected %d + failed %d",
+			st.Submitted, st.Completed, st.Deduped, st.Rejected, st.Failed)
+	}
+}
