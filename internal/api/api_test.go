@@ -277,11 +277,10 @@ func TestIngestBackpressure(t *testing.T) {
 
 	before := node.tel.rejected[reasonBackpressure].Value()
 
-	// Stall the worker on a block job, then fill the queue.
-	block := make(chan struct{})
-	if err := node.enqueue(intakeJob{block: block}); err != nil {
-		t.Fatalf("enqueue block: %v", err)
-	}
+	// Stall the worker on a block job, then fill the queue. The flood
+	// waits until the worker has taken the block job off the queue, or
+	// the job would hold one of the QueueDepth slots itself.
+	resume := stallWorker(t, node)
 	batch := SampleBatch{Tenant: "t", Instance: "i", Samples: []WireSample{
 		{Component: "c", Metric: "m", T: 1, V: 1},
 	}}
@@ -315,7 +314,7 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Errorf("rejection counter did not move: %v -> %v", before, after)
 	}
 
-	close(block)
+	resume()
 	if err := node.Quiesce(); err != nil {
 		t.Fatalf("quiesce after unblock: %v", err)
 	}

@@ -46,8 +46,8 @@ func (k SeriesKey) compare(o SeriesKey) int {
 // slack per series, so a segment must be small against the horizon
 // retention serves: the monitor's 32-run ring of a 30-minute query is 16
 // simulated hours, and 64 samples at the 5-minute monitoring interval
-// are 5.3 — a third of it. Each segment costs one allocation, its
-// sample array.
+// are 5.3 — a third of it. Each segment costs one allocation, its value
+// array, and one more if its samples leave the time grid it opened on.
 const segmentSize = 64
 
 // checkpoints is the number of prefix sums a segment carries inline: one
@@ -81,33 +81,183 @@ func init() {
 // vacuously if retention never fired).
 func TruncatedTotal() int64 { return truncatedTotal.Load() }
 
-// segment is one fixed-capacity run of a series, 16 bytes a sample; it
-// is never empty. Its checkpoints are ABSOLUTE prefix sums — anchored to
-// the series origin, not the segment start — each the running sum
-// append held just before the sample it marks, so a sum replayed from
-// one adds the same values in the same order append did and has the
-// same bits. Window aggregates computed after older segments are
-// dropped thus subtract exactly the same floating-point values they did
-// before, making truncation bit-invisible to every surviving window.
+// segment is one fixed-capacity run of a series; it is never empty. A
+// series sampled on a fixed interval stores only its values, 8 bytes a
+// sample: sample j's time is gridTime(t0, dt, j), and append keeps a
+// sample on that grid only when the expression reproduces its T bit for
+// bit. The first sample that leaves the grid moves the whole segment off
+// it (leaveGrid): the value array is reallocated at twice the capacity
+// and the times go in its upper half, 16 bytes a sample, with dt set
+// negative to mark it — no grid steps backwards. Readers branch on that
+// once per segment. Keeping the times inside the value array, not in a
+// field of their own, holds the header at 112 bytes, so a series'
+// 8-segment list is one 896-byte size class.
+//
+// Its checkpoints are ABSOLUTE prefix sums — anchored to the series
+// origin, not the segment start — each the running sum append held just
+// before the sample it marks, so a sum replayed from one adds the same
+// values in the same order append did and has the same bits. Window
+// aggregates computed after older segments are dropped thus subtract
+// exactly the same floating-point values they did before, making
+// truncation bit-invisible to every surviving window.
 type segment struct {
-	start   int // absolute index of samples[0] within the series
-	samples []Sample
-	ck      [checkpoints]float64 // ck[c]: Σ V of the series before samples[c<<shift()]
+	start  int                  // absolute index of vals[0] within the series
+	t0, dt simtime.Time         // the grid: sample j at gridTime(t0, dt, j); dt < 0 once off it
+	vals   []float64            // off the grid, sample j's time is vals[:cap][cap/2+j]
+	ck     [checkpoints]float64 // ck[c]: Σ V of the series before vals[c<<shift()]
 }
 
-// last returns the segment's newest sample.
-func (seg *segment) last() Sample { return seg.samples[len(seg.samples)-1] }
+// gridTime is the time of sample j on a grid from t0 in steps of dt. The
+// product is converted before the addition so no platform fuses the two
+// into one rounding: append and every reader must form the same bits.
+func gridTime(t0, dt simtime.Time, j int) simtime.Time {
+	return t0 + simtime.Time(float64(j)*float64(dt))
+}
+
+// sameTime reports whether two times have the same bits (-0 is not 0).
+func sameTime(a, b simtime.Time) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// offGrid reports whether the segment keeps its times.
+func (seg *segment) offGrid() bool { return seg.dt < 0 }
+
+// size returns the segment's capacity in samples.
+func (seg *segment) size() int {
+	if seg.offGrid() {
+		return cap(seg.vals) / 2
+	}
+	return cap(seg.vals)
+}
 
 // shift is log2 of the segment's checkpoint stride, from its capacity.
-func (seg *segment) shift() int { return bits.Len(uint(cap(seg.samples)-1) / checkpoints) }
+func (seg *segment) shift() int { return bits.Len(uint(seg.size()-1) / checkpoints) }
 
-// cumBefore returns the absolute prefix sum before samples[j]: the
-// nearest checkpoint at or below j plus at most stride-1 additions.
+// times returns an off-grid segment's times, parallel to vals.
+func (seg *segment) times() []float64 {
+	c := cap(seg.vals) / 2
+	return seg.vals[c : c+len(seg.vals)]
+}
+
+// time returns the time of sample j.
+func (seg *segment) time(j int) simtime.Time {
+	if seg.offGrid() {
+		return simtime.Time(seg.times()[j])
+	}
+	return gridTime(seg.t0, seg.dt, j)
+}
+
+// lastT returns the time of the segment's newest sample.
+func (seg *segment) lastT() simtime.Time { return seg.time(len(seg.vals) - 1) }
+
+// onGrid reports whether sample j's time t lies on the grid, bit for
+// bit. Samples 0 and 1 fix the grid (startGrid).
+func (seg *segment) onGrid(j int, t simtime.Time) bool {
+	if j < 2 {
+		return seg.startGrid(j, t)
+	}
+	return sameTime(gridTime(seg.t0, seg.dt, j), t)
+}
+
+// startGrid fixes the grid from sample j < 2 at time t: sample 0 sets
+// t0, sample 1 sets dt — which must not be NaN, and must leave sample 0
+// where it was, which a non-finite step does not. It reports whether t
+// lies on the grid it fixed.
+func (seg *segment) startGrid(j int, t simtime.Time) bool {
+	t0, dt := t, simtime.Time(0)
+	if j == 1 {
+		t0, dt = seg.t0, t-seg.t0
+		if !(dt >= 0) || !sameTime(gridTime(t0, dt, 0), t0) {
+			return false
+		}
+	}
+	if !sameTime(gridTime(t0, dt, j), t) {
+		return false
+	}
+	seg.t0, seg.dt = t0, dt
+	return true
+}
+
+// leaveGrid moves the segment off its grid: the values are copied into
+// an array of twice the capacity, and the times so far, which the grid
+// reproduced exactly, are written into its upper half.
+func (seg *segment) leaveGrid() {
+	c, n := cap(seg.vals), len(seg.vals)
+	buf := make([]float64, 2*c)
+	copy(buf, seg.vals)
+	for j := range n {
+		buf[c+j] = float64(gridTime(seg.t0, seg.dt, j))
+	}
+	seg.vals, seg.dt = buf[:n], -1
+}
+
+// irregular reports whether the segment's times fit no one grid. The
+// segment after such a one opens off the grid: a series whose agent
+// jitters, or posts in bursts with gaps between, would otherwise pay
+// every segment's first break with a second allocation.
+func (seg *segment) irregular() bool {
+	if !seg.offGrid() {
+		return false
+	}
+	var g segment
+	for j, t := range seg.times() {
+		if !g.onGrid(j, simtime.Time(t)) {
+			return true
+		}
+	}
+	return false
+}
+
+// search returns the in-segment offset of the first sample with T >= t,
+// or len(vals) if there is none. On the grid that is arithmetic: the
+// quotient (t-t0)/dt lands within a sample or two of the answer, and the
+// grid times themselves — non-decreasing in j — settle it exactly.
+func (seg *segment) search(t simtime.Time) int {
+	n := len(seg.vals)
+	if seg.offGrid() {
+		ts := seg.times()
+		return sort.Search(n, func(i int) bool { return simtime.Time(ts[i]) >= t })
+	}
+	t0, dt := seg.t0, seg.dt
+	j := 0
+	// A zero step divides to ±Inf or NaN; both clamp.
+	if q := float64((t - t0) / dt); q >= float64(n) {
+		j = n
+	} else if q > 0 {
+		j = int(math.Ceil(q))
+	}
+	for j > 0 && gridTime(t0, dt, j-1) >= t {
+		j--
+	}
+	for j < n && !(gridTime(t0, dt, j) >= t) {
+		j++
+	}
+	return j
+}
+
+// appendSamples appends samples [a, b) of the segment to dst.
+func (seg *segment) appendSamples(dst []Sample, a, b int) []Sample {
+	if seg.offGrid() {
+		ts := seg.times()
+		for j, v := range seg.vals[a:b] {
+			dst = append(dst, Sample{T: simtime.Time(ts[a+j]), V: v})
+		}
+		return dst
+	}
+	t0, dt := seg.t0, seg.dt
+	for j, v := range seg.vals[a:b] {
+		dst = append(dst, Sample{T: gridTime(t0, dt, a+j), V: v})
+	}
+	return dst
+}
+
+// cumBefore returns the absolute prefix sum before vals[j]: the nearest
+// checkpoint at or below j plus at most stride-1 additions.
 func (seg *segment) cumBefore(j int) float64 {
 	sh := seg.shift()
 	sum := seg.ck[j>>sh]
-	for _, smp := range seg.samples[j>>sh<<sh : j] {
-		sum += smp.V
+	for _, v := range seg.vals[j>>sh<<sh : j] {
+		sum += v
 	}
 	return sum
 }
@@ -131,7 +281,7 @@ func (ser *series) live() int {
 		return 0
 	}
 	last := &ser.segs[len(ser.segs)-1]
-	return last.start + len(last.samples) - ser.dropped
+	return last.start + len(last.vals) - ser.dropped
 }
 
 // total returns the absolute sample count, dropped samples included.
@@ -149,18 +299,17 @@ func (ser *series) locate(abs int) (*segment, int) {
 // at returns the retained sample at absolute index abs.
 func (ser *series) at(abs int) Sample {
 	seg, i := ser.locate(abs)
-	return seg.samples[i]
+	return Sample{T: seg.time(i), V: seg.vals[i]}
 }
 
 // seek returns the position of the first retained sample with T >= t as
 // (segment index, in-segment offset), or (len(segs), 0) if there is none.
 func (ser *series) seek(t simtime.Time) (si, j int) {
-	si = sort.Search(len(ser.segs), func(i int) bool { return ser.segs[i].last().T >= t })
+	si = sort.Search(len(ser.segs), func(i int) bool { return ser.segs[i].lastT() >= t })
 	if si == len(ser.segs) {
 		return si, 0
 	}
-	samples := ser.segs[si].samples
-	return si, sort.Search(len(samples), func(i int) bool { return samples[i].T >= t })
+	return si, ser.segs[si].search(t)
 }
 
 // abs converts a seek position to an absolute sample index.
@@ -194,7 +343,7 @@ type cursor struct {
 // from a checkpoint. Both give the same bits.
 func (c *cursor) moveTo(ser *series, t simtime.Time) {
 	si, j, sum := c.si, c.j, c.sum
-	if !c.placed || t < c.t || si+1 < len(ser.segs) && ser.segs[si+1].last().T < t {
+	if !c.placed || t < c.t || si+1 < len(ser.segs) && ser.segs[si+1].lastT() < t {
 		si, j = ser.seek(t)
 		sum = ser.tail
 		if si < len(ser.segs) {
@@ -202,11 +351,20 @@ func (c *cursor) moveTo(ser *series, t simtime.Time) {
 		}
 	} else {
 		for ; si < len(ser.segs); si, j = si+1, 0 {
-			samples := ser.segs[si].samples
-			for ; j < len(samples) && samples[j].T < t; j++ {
-				sum += samples[j].V
+			seg := &ser.segs[si]
+			vals := seg.vals
+			if !seg.offGrid() {
+				t0, dt := seg.t0, seg.dt
+				for ; j < len(vals) && gridTime(t0, dt, j) < t; j++ {
+					sum += vals[j]
+				}
+			} else {
+				ts := seg.times()
+				for ; j < len(vals) && simtime.Time(ts[j]) < t; j++ {
+					sum += vals[j]
+				}
 			}
-			if j < len(samples) {
+			if j < len(vals) {
 				break
 			}
 		}
@@ -242,31 +400,48 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 	out := make([]Sample, 0, hi-lo)
 	for i := range ser.segs {
 		seg := &ser.segs[i]
-		if seg.start+len(seg.samples) <= lo {
+		if seg.start+len(seg.vals) <= lo {
 			continue
 		}
 		if seg.start >= hi {
 			break
 		}
-		out = append(out, seg.samples[max(lo-seg.start, 0):min(hi-seg.start, len(seg.samples))]...)
+		out = seg.appendSamples(out, max(lo-seg.start, 0), min(hi-seg.start, len(seg.vals)))
 	}
 	return out
 }
 
 // append adds one sample to the running sum, checkpointing the sum
 // before it when it opens a stride. size is the capacity of any new
-// segment; a partially-filled trailing segment keeps its own.
+// segment; a partially-filled trailing segment keeps its own. A sample
+// off its segment's grid moves the segment off it for good, and a new
+// segment opens off the grid when the times before it fit no one grid.
 func (ser *series) append(sample Sample, size int) {
 	n := len(ser.segs)
-	if n == 0 || len(ser.segs[n-1].samples) == cap(ser.segs[n-1].samples) {
-		ser.segs = append(ser.segs, segment{start: ser.total(), samples: make([]Sample, 0, size)})
+	if n == 0 || len(ser.segs[n-1].vals) == ser.segs[n-1].size() {
+		next := segment{start: ser.total()}
+		if n > 0 && ser.segs[n-1].irregular() {
+			next.vals, next.dt = make([]float64, 0, 2*size), -1
+		} else {
+			next.vals = make([]float64, 0, size)
+		}
+		ser.segs = append(ser.segs, next)
 		n++
 	}
 	seg := &ser.segs[n-1]
-	if j, sh := len(seg.samples), seg.shift(); j&(1<<sh-1) == 0 {
+	j := len(seg.vals)
+	// Sample j >= 2 on the grid, the common case, is tested inline:
+	// onGrid is too large to inline.
+	if !seg.offGrid() && !(j >= 2 && sameTime(gridTime(seg.t0, seg.dt, j), sample.T)) && !seg.onGrid(j, sample.T) {
+		seg.leaveGrid()
+	}
+	if sh := seg.shift(); j&(1<<sh-1) == 0 {
 		seg.ck[j>>sh] = ser.tail
 	}
-	seg.samples = append(seg.samples, sample)
+	seg.vals = append(seg.vals, sample.V)
+	if seg.offGrid() {
+		seg.times()[j] = float64(sample.T)
+	}
 	ser.tail += sample.V
 }
 
@@ -276,9 +451,9 @@ func (ser *series) append(sample Sample, size int) {
 // dropped.
 func (ser *series) truncate(before simtime.Time) int {
 	n := 0
-	for len(ser.segs) > 0 && ser.segs[0].last().T < before {
-		ser.dropped += len(ser.segs[0].samples)
-		n += len(ser.segs[0].samples)
+	for len(ser.segs) > 0 && ser.segs[0].lastT() < before {
+		ser.dropped += len(ser.segs[0].vals)
+		n += len(ser.segs[0].vals)
 		ser.segs[0] = segment{}
 		ser.segs = ser.segs[1:]
 	}
@@ -404,7 +579,7 @@ func (s *Store) appendRun(k SeriesKey, ser *series, samples []Sample) (*series, 
 	}
 	last := simtime.Time(math.Inf(-1))
 	if ser != nil && len(ser.segs) > 0 {
-		last = ser.segs[len(ser.segs)-1].last().T
+		last = ser.segs[len(ser.segs)-1].lastT()
 	}
 	for _, sample := range samples {
 		if sample.T < last {
@@ -463,7 +638,7 @@ func (s *Store) Truncate(before simtime.Time) int {
 		ser := s.series[k]
 		n += ser.truncate(before)
 		if len(ser.segs) > 0 {
-			s.expiry = min(s.expiry, ser.segs[0].last().T)
+			s.expiry = min(s.expiry, ser.segs[0].lastT())
 		}
 	}
 	if n > 0 {

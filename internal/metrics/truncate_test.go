@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -104,10 +104,77 @@ func TestTruncateCursorsSurvive(t *testing.T) {
 // make it step: sorted by start, and in Module DA's shape (orderedReads).
 // Every trial runs at segment sizes from 1 — each sample its own
 // segment, so every step crosses a boundary — to larger than the series.
+//
+// Each trial's series takes one of timePatterns' timestamp shapes, so
+// samples leave the store's time grid at every position in a segment.
+// Besides the stores agreeing with each other, every store must read
+// back the test's own samples and running sums bit for bit
+// (assertReadsBack): Series, Latest, Since, WindowStats and WindowMeans.
 func TestTruncateFloatExactProperty(t *testing.T) {
 	for _, size := range []int{1, 3, 7, segmentSize, 100, 1000} {
 		t.Run("seg="+strconv.Itoa(size), func(t *testing.T) { truncateFloatExactTrials(t, size) })
 	}
+}
+
+// timePatterns are the timestamp shapes a property trial's series takes:
+// the rig's 300 s grid; the fleet's cut final window (22 980 s on a grid
+// from 19 500 s, the grid resumed from there), here recurring every 12th
+// sample; the ingest benchmark's posts (8 samples 300 s apart, then a
+// 7 900 s jump); repeated T; a 0.1 s step, summed, which a grid from a
+// later sample's time reproduces only for a while; and uniform jitter.
+// next returns sample i's time given sample i-1's; step is the nominal
+// spacing windows past the series' end continue at.
+var timePatterns = []struct {
+	name string
+	step simtime.Duration
+	next func(rng *rand.Rand, i int, prev simtime.Time) simtime.Time
+}{
+	{"grid", 300, func(_ *rand.Rand, i int, _ simtime.Time) simtime.Time {
+		return simtime.Time(300 * i)
+	}},
+	{"cut final window", 300, func(_ *rand.Rand, i int, _ simtime.Time) simtime.Time {
+		return simtime.Time(19_500 + 300*i - 120*(i/12))
+	}},
+	{"post gaps", 1250, func(_ *rand.Rand, i int, _ simtime.Time) simtime.Time {
+		return simtime.Time(10_000*(i/8) + 300*(i%8))
+	}},
+	{"repeated T", 150, func(rng *rand.Rand, i int, prev simtime.Time) simtime.Time {
+		return prev + simtime.Time(300*rng.Intn(2))
+	}},
+	{"0.1 s step", 0.1, func(_ *rand.Rand, i int, prev simtime.Time) simtime.Time {
+		if i == 0 {
+			return 0
+		}
+		return prev + 0.1
+	}},
+	{"jitter", 300, func(rng *rand.Rand, i int, _ simtime.Time) simtime.Time {
+		return simtime.Time(300*i) + simtime.Time(200*rng.Float64()-100)
+	}},
+}
+
+// timeline is one trial's timestamps: at(i) is sample i's time, and past
+// the last one the series goes on at the pattern's nominal step.
+type timeline struct {
+	ts   []simtime.Time
+	step simtime.Duration
+}
+
+// newTimeline draws n timestamps of pattern p.
+func newTimeline(rng *rand.Rand, p, n int) timeline {
+	tl := timeline{ts: make([]simtime.Time, n), step: timePatterns[p].step}
+	prev := simtime.Time(0)
+	for i := range tl.ts {
+		prev = timePatterns[p].next(rng, i, prev)
+		tl.ts[i] = prev
+	}
+	return tl
+}
+
+func (tl timeline) at(i int) simtime.Time {
+	if i < len(tl.ts) {
+		return tl.ts[i]
+	}
+	return tl.ts[len(tl.ts)-1].Add(simtime.Duration(i-len(tl.ts)+1) * tl.step)
 }
 
 func truncateFloatExactTrials(t *testing.T, size int) {
@@ -122,12 +189,15 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 			run := smps[:min(len(smps), 1+rng.Intn(2*size))]
 			smps = smps[len(run):]
 			if len(run) > 1 && rng.Intn(3) == 0 {
-				bad := slices.Clone(run)
-				i := 1 + rng.Intn(len(bad)-1)
-				bad[i-1], bad[i] = bad[i], bad[i-1]
-				before := s.Len()
-				if err := s.AppendRun("vol-V1", VolReadIO, bad); err == nil || s.Len() != before {
-					t.Fatalf("out-of-order run: err %v, store %d -> %d samples", err, before, s.Len())
+				i := 1 + rng.Intn(len(run)-1)
+				// Swapping two samples of one time leaves the run in order.
+				if run[i-1].T != run[i].T {
+					bad := slices.Clone(run)
+					bad[i-1], bad[i] = bad[i], bad[i-1]
+					before := s.Len()
+					if err := s.AppendRun("vol-V1", VolReadIO, bad); err == nil || s.Len() != before {
+						t.Fatalf("out-of-order run: err %v, store %d -> %d samples", err, before, s.Len())
+					}
 				}
 			}
 			if err := s.AppendRun("vol-V1", VolReadIO, run); err != nil {
@@ -136,7 +206,10 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 		}
 	}
 	for trial := 0; trial < trials; trial++ {
+		pattern := trial % len(timePatterns)
 		n := 50 + rng.Intn(4*segmentSize)
+		// The trial's n samples, then the 100 appended after truncation.
+		tl := newTimeline(rng, pattern, n+100)
 		ref := NewStore()  // never truncated
 		cut := NewStore()  // truncated mid-stream, possibly repeatedly
 		runs := NewStore() // cut, filled by AppendRun
@@ -151,27 +224,30 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 			vals[i] = math.Exp(rng.Float64()*8) * rng.Float64()
 		}
 		for i, v := range vals {
-			smp := Sample{T: simtime.Time(i * 300), V: v}
+			smp := Sample{T: tl.at(i), V: v}
 			ref.MustAppend("vol-V1", VolReadIO, smp)
 			cut.MustAppend("vol-V1", VolReadIO, smp)
 			smps[i] = smp
 		}
 		appendRuns(runs, smps)
-		horizon := simtime.Time(rng.Intn(n) * 300)
+		hIdx := rng.Intn(n)
+		horizon := tl.at(hIdx)
 		cut.Truncate(horizon)
 		runs.Truncate(horizon)
 
 		// Probe random windows that start at or above the horizon,
 		// including degenerate and over-long ones.
+		var probes []simtime.Interval
 		for probe := 0; probe < 30; probe++ {
-			start := horizon.Add(simtime.Duration(rng.Intn(n) * 150))
-			end := start.Add(simtime.Duration(rng.Intn(n) * 300))
+			start := horizon.Add(simtime.Duration(rng.Intn(n)) * tl.step / 2)
+			end := start.Add(simtime.Duration(rng.Intn(n)) * tl.step)
 			iv := simtime.NewInterval(start, end)
+			probes = append(probes, iv)
 			want := ref.WindowStats("vol-V1", VolReadIO, iv)
 			got := cut.WindowStats("vol-V1", VolReadIO, iv)
 			if want.N != got.N || want.Sum != got.Sum || want.Mean != got.Mean {
-				t.Fatalf("trial %d horizon %v window %v: stats diverged after Truncate:\n  ref %+v\n  cut %+v",
-					trial, horizon, iv, want, got)
+				t.Fatalf("trial %d (%s) horizon %v window %v: stats diverged after Truncate:\n  ref %+v\n  cut %+v",
+					trial, timePatterns[pattern].name, horizon, iv, want, got)
 			}
 			wm, wn := ref.WindowMean("vol-V1", VolReadIO, iv)
 			gm, gn := cut.WindowMean("vol-V1", VolReadIO, iv)
@@ -188,43 +264,27 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 				trial, len(a), runs.Dropped(), len(b), cut.Dropped())
 		}
 
-		// Segment edges, against running sums kept here rather than in the
-		// store: a window that ends exactly on a segment boundary (its
-		// closing prefix sum is the next segment's first checkpoint, or
-		// the tail), and one whose first sample is the first retained one
-		// (its opening prefix sum is, after truncation, the head
-		// segment's first checkpoint).
-		cum := make([]float64, n+1) // cum[i] = v[0] + ... + v[i-1], summed left to right
-		for i, v := range vals {
-			cum[i+1] = cum[i] + v
-		}
-		first := cut.series[SeriesKey{Component: "vol-V1", Metric: VolReadIO}].dropped
+		// Segment edges: a window from the first retained sample (its
+		// opening prefix sum is, after truncation, the head segment's
+		// first checkpoint), and one that ends exactly where a segment
+		// of the truncated store begins (its closing prefix sum is that
+		// segment's first checkpoint), any retained one, read off the
+		// store.
+		first := cut.Dropped()
 		edges := [][2]int{{first, first + 1 + rng.Intn(n-first)}}
-		if k := first/size + 1; k*size <= n {
-			edges = append(edges, [2]int{first + rng.Intn(k*size-first), k * size})
+		if segs := cut.series[SeriesKey{Component: "vol-V1", Metric: VolReadIO}].segs; len(segs) > 1 {
+			b := segs[1+rng.Intn(len(segs)-1)].start
+			edges = append(edges, [2]int{first + rng.Intn(b-first), b})
 		}
+		var edgeWindows []simtime.Interval
 		for _, e := range edges {
-			lo, hi := e[0], e[1]
-			iv := simtime.NewInterval(simtime.Time(lo*300), simtime.Time(hi*300))
-			wantSum := cum[hi]
-			if lo > 0 {
-				wantSum -= cum[lo]
-			}
-			for name, st := range map[string]*Store{"ref": ref, "cut": cut, "runs": runs} {
-				got := st.WindowStats("vol-V1", VolReadIO, iv)
-				means := st.WindowMeans("vol-V1", VolReadIO, []simtime.Interval{iv}, nil)
-				if got.N != hi-lo || math.Float64bits(got.Sum) != math.Float64bits(wantSum) ||
-					len(means) != 1 || math.Float64bits(means[0]) != math.Float64bits(wantSum/float64(hi-lo)) {
-					t.Fatalf("trial %d %s store, samples [%d,%d) (first retained %d): stats %+v means %v, running-sum reference n=%d sum=%.17g",
-						trial, name, lo, hi, first, got, means, hi-lo, wantSum)
-				}
-			}
+			edgeWindows = append(edgeWindows, simtime.NewInterval(tl.at(e[0]), tl.at(e[1])))
 		}
 
 		// Batched reads: every window shape, below the horizon included
 		// (there the two stores legitimately differ, so each is checked
 		// against its own per-call reader).
-		windows := randomWindows(rng, n, horizon)
+		windows := randomWindows(rng, tl, n, hIdx)
 		if kept := assertWindowMeansBitwise(t, ref, "vol-V1", VolReadIO, windows); kept == 0 || kept == len(windows) {
 			t.Fatalf("trial %d: %d of %d windows non-empty; the mix must cover both", trial, kept, len(windows))
 		}
@@ -244,20 +304,24 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 		if rm := runs.WindowMeans("vol-V1", VolReadIO, windows, nil); !sameBits(rm, cut.WindowMeans("vol-V1", VolReadIO, windows, nil)) {
 			t.Fatalf("trial %d: WindowMeans of the AppendRun store diverged from per-sample Append's", trial)
 		}
-		orderedReads(t, order, ref, cut, runs, windows, n, horizon)
+		orderedReads(t, order, ref, cut, runs, windows, tl, n, horizon)
+		reads := slices.Concat(probes, edgeWindows, windows)
+		for _, st := range []*Store{ref, cut, runs} {
+			assertReadsBack(t, st, "vol-V1", VolReadIO, smps, reads)
+		}
 
 		// Keep appending after truncation and re-check: the tail sum
 		// must anchor future aggregates too.
-		smps = smps[:0]
+		smps = smps[:n:n]
 		for i := n; i < n+100; i++ {
 			v := math.Exp(rng.Float64()*8) * rng.Float64()
-			smp := Sample{T: simtime.Time(i * 300), V: v}
+			smp := Sample{T: tl.at(i), V: v}
 			ref.MustAppend("vol-V1", VolReadIO, smp)
 			cut.MustAppend("vol-V1", VolReadIO, smp)
 			smps = append(smps, smp)
 		}
-		appendRuns(runs, smps)
-		iv := simtime.NewInterval(horizon, simtime.Time((n+100)*300))
+		appendRuns(runs, smps[n:])
+		iv := simtime.NewInterval(horizon, tl.at(n+100))
 		wantSt := ref.WindowStats("vol-V1", VolReadIO, iv)
 		gotSt := cut.WindowStats("vol-V1", VolReadIO, iv)
 		if wantSt.N != gotSt.N || wantSt.Sum != gotSt.Sum || wantSt.Mean != gotSt.Mean {
@@ -266,42 +330,46 @@ func truncateFloatExactTrials(t *testing.T, size int) {
 		if rs := runs.WindowStats("vol-V1", VolReadIO, iv); rs != gotSt {
 			t.Fatalf("trial %d: post-truncation AppendRun diverged: %+v, per-sample Append %+v", trial, rs, gotSt)
 		}
-		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, randomWindows(rng, n+100, horizon))
+		later := randomWindows(rng, tl, n+100, hIdx)
+		assertWindowMeansBitwise(t, cut, "vol-V1", VolReadIO, later)
+		for _, st := range []*Store{ref, cut, runs} {
+			assertReadsBack(t, st, "vol-V1", VolReadIO, smps, append(later, iv))
+		}
 	}
 }
 
 // randomWindows draws windows of every shape the batched reader must
-// handle over a series sampled every 300 s at [0, n*300): between two
-// samples (empty), zero-length, with both ends exactly on sample
-// timestamps (Start inclusive, End exclusive), long enough to span
-// several segments, wholly or partly below the truncation horizon, and
-// past the end of the series.
-func randomWindows(rng *rand.Rand, n int, horizon simtime.Time) []simtime.Interval {
-	at := func(i int) simtime.Time { return simtime.Time(i * 300) }
+// handle over the first n samples of tl: between two samples (empty),
+// zero-length, with both ends exactly on sample timestamps (Start
+// inclusive, End exclusive), long enough to span several segments,
+// wholly or partly below the truncation horizon (sample hIdx's time),
+// and past the end of the series.
+func randomWindows(rng *rand.Rand, tl timeline, n, hIdx int) []simtime.Interval {
+	horizon := tl.at(hIdx)
+	span := func() simtime.Duration { return simtime.Duration(rng.Intn(n)) * tl.step }
 	var out []simtime.Interval
 	for i := 0; i < 40; i++ {
 		a := rng.Intn(n)
 		switch i % 8 {
 		case 0: // strictly between two samples
-			out = append(out, simtime.NewInterval(at(a)+1, at(a)+299))
+			gap := tl.at(a + 1).Sub(tl.at(a))
+			out = append(out, simtime.NewInterval(tl.at(a).Add(gap/4), tl.at(a).Add(3*gap/4)))
 		case 1: // zero-length, on a sample
-			out = append(out, simtime.NewInterval(at(a), at(a)))
+			out = append(out, simtime.NewInterval(tl.at(a), tl.at(a)))
 		case 2: // exactly one sample, both ends on timestamps
-			out = append(out, simtime.NewInterval(at(a), at(a+1)))
+			out = append(out, simtime.NewInterval(tl.at(a), tl.at(a+1)))
 		case 3: // boundary-aligned, spanning segments
-			out = append(out, simtime.NewInterval(at(a), at(a+segmentSize+rng.Intn(2*segmentSize))))
+			out = append(out, simtime.NewInterval(tl.at(a), tl.at(a+segmentSize+rng.Intn(2*segmentSize))))
 		case 4: // unaligned
-			start := at(a) + simtime.Time(rng.Intn(300))
-			out = append(out, simtime.NewInterval(start, start.Add(simtime.Duration(rng.Intn(n*300)))))
+			start := tl.at(a).Add(simtime.Duration(rng.Float64()) * tl.step)
+			out = append(out, simtime.NewInterval(start, start.Add(span())))
 		case 5: // wholly below the horizon
-			b := rng.Intn(int(horizon)/300 + 1)
-			out = append(out, simtime.NewInterval(at(b/2), at(b)))
+			b := rng.Intn(hIdx + 1)
+			out = append(out, simtime.NewInterval(tl.at(b/2), tl.at(b)))
 		case 6: // straddling the horizon
-			out = append(out, simtime.NewInterval(
-				horizon.Add(-simtime.Duration(rng.Intn(n*300))),
-				horizon.Add(simtime.Duration(rng.Intn(n*300)))))
+			out = append(out, simtime.NewInterval(horizon.Add(-span()), horizon.Add(span())))
 		case 7: // past the end of the series
-			out = append(out, simtime.NewInterval(at(n+a), at(n+2*a)))
+			out = append(out, simtime.NewInterval(tl.at(n+a), tl.at(n+2*a)))
 		}
 	}
 	return out
@@ -315,15 +383,17 @@ func randomWindows(rng *rand.Rand, n int, horizon simtime.Time) []simtime.Interv
 // must equal per-call WindowStats on its own store bit for bit, above
 // the horizon the truncated stores' batch must equal the untruncated
 // twin's, and the AppendRun store must read exactly like cut.
-func orderedReads(t *testing.T, rng *rand.Rand, ref, cut, runs *Store, random []simtime.Interval, n int, horizon simtime.Time) {
+func orderedReads(t *testing.T, rng *rand.Rand, ref, cut, runs *Store, random []simtime.Interval, tl timeline, n int, horizon simtime.Time) {
 	t.Helper()
 	sorted := slices.Clone(random)
 	slices.SortStableFunc(sorted, func(a, b simtime.Interval) int { return cmp.Compare(a.Start, b.Start) })
+	// DA's runs, in units of the series' step rather than the 300 s grid.
+	scale := tl.step / 300
 	var da []simtime.Interval
-	for start := simtime.Time(rng.Intn(600)); len(da) < 40; {
-		dur := simtime.Duration(rng.Intn(n * 30))
+	for start := tl.at(0).Add(simtime.Duration(rng.Intn(600)) * scale); len(da) < 40; {
+		dur := simtime.Duration(rng.Intn(n*30)) * scale
 		da = append(da, ReadWindow(simtime.NewInterval(start, start.Add(dur))))
-		step := simtime.Duration(rng.Intn(n * 15))
+		step := simtime.Duration(rng.Intn(n*15)) * scale
 		if rng.Intn(8) == 0 {
 			step *= 8
 		}
@@ -384,6 +454,68 @@ func assertWindowMeansBitwise(t *testing.T, s *Store, component string, metric M
 			len(windows), want[1:], got[1:])
 	}
 	return len(got) - 1
+}
+
+// assertReadsBack checks a store's series against the samples appended
+// to it, in order (smps), and running sums over them formed here, bit
+// for bit: Series, Latest and Since return the retained suffix — the
+// samples from Dropped on, all of which the store must hold — and
+// WindowStats and WindowMeans over windows count and sum exactly the
+// retained samples inside each, their sum the running sum before the
+// window's end minus the one before its start. The store must hold this
+// one series.
+func assertReadsBack(t *testing.T, s *Store, component string, metric Metric, smps []Sample, windows []simtime.Interval) {
+	t.Helper()
+	dropped := s.Dropped()
+	live := smps[dropped:]
+	if got := s.Series(component, metric); !sameSamples(got, live) {
+		t.Fatalf("Series holds %d samples, want the %d appended from %d on:\n  got  %v\n  want %v", len(got), len(live), dropped, got, live)
+	}
+	if got, ok := s.Latest(component, metric); ok != (len(live) > 0) || ok && !sameSamples([]Sample{got}, live[len(live)-1:]) {
+		t.Fatalf("Latest = %v/%v with %d samples retained", got, ok, len(live))
+	}
+	for _, c := range []int{0, dropped - 1, dropped, (dropped + len(smps)) / 2, len(smps) - 1, len(smps)} {
+		wantNext := len(smps)
+		if len(smps) == 0 {
+			wantNext = c // no series: the cursor stays
+		}
+		got, next := s.Since(component, metric, c)
+		if want := smps[min(max(c, dropped), len(smps)):]; !sameSamples(got, want) || next != wantNext {
+			t.Fatalf("Since(%d) = %d samples, cursor %d; want %d, cursor %d", c, len(got), next, len(want), wantNext)
+		}
+	}
+	cum := make([]float64, len(smps)+1)
+	for i, smp := range smps {
+		cum[i+1] = cum[i] + smp.V
+	}
+	firstAt := func(t simtime.Time) int {
+		return max(sort.Search(len(smps), func(i int) bool { return smps[i].T >= t }), dropped)
+	}
+	var means []float64
+	for _, iv := range windows {
+		var want Stats
+		if lo, hi := firstAt(iv.Start), firstAt(iv.End); hi > lo {
+			want.N, want.Sum = hi-lo, cum[hi]
+			if lo > 0 {
+				want.Sum -= cum[lo]
+			}
+			want.Mean = want.Sum / float64(want.N)
+			means = append(means, want.Mean)
+		}
+		if got := s.WindowStats(component, metric, iv); got.N != want.N || !sameBits([]float64{got.Sum, got.Mean}, []float64{want.Sum, want.Mean}) {
+			t.Fatalf("WindowStats over %v = %+v, running sums over the appended samples give %+v", iv, got, want)
+		}
+	}
+	if got := s.WindowMeans(component, metric, windows, nil); !sameBits(got, means) {
+		t.Fatalf("WindowMeans over %d windows = %v, running sums give %v", len(windows), got, means)
+	}
+}
+
+// sameSamples reports whether two sample slices are bit-for-bit equal.
+func sameSamples(a, b []Sample) bool {
+	return slices.EqualFunc(a, b, func(x, y Sample) bool {
+		return sameTime(x.T, y.T) && math.Float64bits(x.V) == math.Float64bits(y.V)
+	})
 }
 
 // TestTruncateNoopVisitsNoSeries pins the O(1) fast path: a horizon that
@@ -469,42 +601,5 @@ func TestTruncateBoundFollowsLateSeries(t *testing.T) {
 			t.Fatalf("trial %d: fast store holds %d (dropped %d), full-walk twin %d (dropped %d)",
 				trial, fast.Len(), fast.Dropped(), slow.Len(), slow.Dropped())
 		}
-	}
-}
-
-// TestLiveBytesPerSample pins the layout's cost: a series of 292 samples
-// (a day at the 5-minute interval plus the read-window padding — what
-// one ingest tenant-day holds per series) must cost at most 22 live
-// bytes per sample, index and slack included: 16 for the sample, the
-// rest 96-byte segment headers with their inline checkpoints, empty
-// slots in the last segment and in the segment list, and the index.
-// Three parallel arrays in 256-slot segments cost 57; 24-byte entries
-// carrying the prefix sum cost 27.7.
-func TestLiveBytesPerSample(t *testing.T) {
-	const nSeries, perSeries = 200, 292
-	comps := make([]string, nSeries)
-	for i := range comps {
-		comps[i] = "vol-" + strconv.Itoa(i)
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	s := NewStore()
-	for i := 0; i < perSeries; i++ {
-		for _, c := range comps {
-			s.MustAppend(c, VolReadIO, Sample{T: simtime.Time(i * 300), V: float64(i)})
-		}
-	}
-	after := heap()
-	perSample := float64(after-before) / float64(s.Len())
-	runtime.KeepAlive(s)
-	t.Logf("%.1f live bytes per sample", perSample)
-	if perSample > 22 {
-		t.Fatalf("%.1f live bytes per sample, want at most 22", perSample)
 	}
 }
