@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,7 +23,7 @@ func main() {
 	only := flag.String("only", "", "run a single experiment (default: all)")
 	flag.Parse()
 
-	if err := run(*seed, *only); err != nil {
+	if err := run(os.Stdout, *seed, *only); err != nil {
 		fmt.Fprintln(os.Stderr, "diadsbench:", err)
 		os.Exit(1)
 	}
@@ -33,7 +34,7 @@ type experiment struct {
 	run  func(seed int64) (interface{ Render() string }, error)
 }
 
-func run(seed int64, only string) error {
+func run(w io.Writer, seed int64, only string) error {
 	all := []experiment{
 		{"table1", func(s int64) (interface{ Render() string }, error) { return experiments.Table1(s) }},
 		{"table2", func(s int64) (interface{ Render() string }, error) { return experiments.Table2(s) }},
@@ -60,7 +61,7 @@ func run(seed int64, only string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("==== %s ====\n%s\n%s\n", e.name, res.Render(), strings.Repeat("=", 72))
+		fmt.Fprintf(w, "==== %s ====\n%s\n%s\n", e.name, res.Render(), strings.Repeat("=", 72))
 		ran++
 	}
 	if ran == 0 {

@@ -1,7 +1,9 @@
 // Command faultinject demonstrates the fault injector: it builds the
 // Figure 1 testbed, injects the selected fault, simulates the timeline,
-// and prints the run history with the fault's visible effect — the tool
-// the paper's footnote 1 describes for testing and verifying DIADS.
+// and prints the fault's answer — each root cause a correct diagnosis
+// may name, as kind(subject) — then the run history with the fault's
+// visible effect: the tool the paper's footnote 1 describes for testing
+// and verifying DIADS.
 //
 // Usage:
 //
@@ -88,8 +90,7 @@ func run(name string, seed int64) error {
 		return err
 	}
 
-	kind, _ := f.GroundTruth()
-	fmt.Printf("injected fault: %s (ground-truth cause kind: %s)\n\n", f.Name(), kind)
+	fmt.Printf("injected fault: %s (answer: %v)\n\n", f.Name(), f.Answer(tb))
 	fmt.Printf("%-14s %-12s %-10s %-10s\n", "Run", "Start", "Duration", "Plan")
 	for _, r := range tb.RunsFor("Q2") {
 		fmt.Printf("%-14s %-12s %-10s %-10s\n", r.RunID, r.Start.Clock(), r.Duration(), r.PlanSig[:8])

@@ -21,7 +21,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("no cause")
 	}
-	if top.Cause.Kind != "san-misconfig-contention" {
+	if !sc.Correct(res) {
 		t.Fatalf("quickstart should find the misconfiguration, got %v", top.Cause)
 	}
 	if top.Cause.Fix == "" {

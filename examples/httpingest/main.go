@@ -29,7 +29,6 @@ import (
 	"diads/internal/experiments"
 	"diads/internal/metrics"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 )
 
 func main() {
@@ -96,6 +95,7 @@ func main() {
 	fmt.Printf("posted %d samples, watermark %s\n", len(samples), simtime.Time(final).Clock())
 
 	// Poll until the server-side diagnosis surfaces the incident.
+	answer := env.Fault.Answer(tb)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var list struct {
@@ -103,7 +103,7 @@ func main() {
 		}
 		get(*addr+"/v1/incidents?tenant="+*tenant, &list)
 		for _, inc := range list.Incidents {
-			if inc.Kind != symptoms.CauseSANMisconfig {
+			if !experiments.Named(inc.Kind, inc.Subject, answer) {
 				continue
 			}
 			fmt.Printf("\ndiagnosed from posted evidence alone:\n")
@@ -114,7 +114,7 @@ func main() {
 			return
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("no %s incident within 30s; got %+v", symptoms.CauseSANMisconfig, list.Incidents)
+			log.Fatalf("no incident names one of %v within 30s; got %+v", answer, list.Incidents)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}

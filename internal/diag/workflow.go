@@ -37,6 +37,46 @@ func (r *Result) TopCause() (ImpactItem, bool) {
 	return ImpactItem{}, false
 }
 
+// RootCause returns the cause the diagnosis names — the one the registry
+// files an incident under and a fault's answer is checked against — or
+// false if it names none. A plan change names plan-regression on the
+// first change PD says explains it ("plan" if none), at full confidence
+// and impact; otherwise it is IA's first item, or SD's first cause above
+// low confidence. Mined entries (symptoms.MinedSuffix) never name it:
+// they corroborate, pending expert adoption, and their subject is the
+// query, not a component.
+func (r *Result) RootCause() (ImpactItem, bool) {
+	if r == nil || r.PD == nil {
+		return ImpactItem{}, false
+	}
+	if r.PD.Changed {
+		subj := "plan"
+		for _, c := range r.PD.Causes {
+			if c.Explains {
+				subj = string(c.Event.Subject)
+				break
+			}
+		}
+		return ImpactItem{Score: 100, Cause: symptoms.CauseInstance{
+			Kind: symptoms.CausePlanRegression, Subject: subj,
+			Confidence: 100, Category: symptoms.High,
+		}}, true
+	}
+	if r.IA != nil {
+		for _, item := range r.IA.Items {
+			if !symptoms.IsMined(item.Cause.Kind) {
+				return item, true
+			}
+		}
+	}
+	for _, c := range r.Causes {
+		if c.Category != symptoms.Low && !symptoms.IsMined(c.Kind) {
+			return ImpactItem{Cause: c}, true
+		}
+	}
+	return ImpactItem{}, false
+}
+
 // Workflow runs the diagnosis modules, either batch (Run) or one module
 // at a time — the paper's interactive mode, where the administrator can
 // inspect and edit each module's result (e.g. prune the COS) before the

@@ -6,7 +6,6 @@ import (
 
 	"diads/internal/diag"
 	"diads/internal/symptoms"
-	"diads/internal/testbed"
 )
 
 // AblationResult measures what each workflow stage contributes on the
@@ -17,8 +16,8 @@ type AblationResult struct {
 	// FullHighCauses is the number of high-confidence causes with the
 	// complete workflow (ideally 1: the true cause).
 	FullHighCauses int
-	// TopIsCorrect reports whether the full workflow's top cause matches
-	// the ground truth.
+	// TopIsCorrect reports whether the full workflow's diagnosis is
+	// correct (Scenario.Correct).
 	TopIsCorrect bool
 	// NoDAHighMetrics counts component metrics that look anomalous
 	// without dependency-path pruning (every monitored component scored).
@@ -47,10 +46,7 @@ func Ablations(seed int64) (*AblationResult, error) {
 			out.FullHighCauses++
 		}
 	}
-	if top, ok := res.TopCause(); ok {
-		out.TopIsCorrect = top.Cause.Kind == symptoms.CauseSANMisconfig &&
-			top.Cause.Subject == string(testbed.VolV1)
-	}
+	out.TopIsCorrect = sc.Correct(res)
 	out.WithDAHighMetrics = len(res.DA.CCS)
 
 	// Without DA's dependency-path restriction: score every component in

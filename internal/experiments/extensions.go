@@ -103,30 +103,18 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !res.PD.Changed {
+	top, ok := res.RootCause()
+	if !ok || top.Cause.Kind != symptoms.CausePlanRegression {
 		return nil, fmt.Errorf("experiments: plan regression not detected")
 	}
-	var subject string
-	for _, c := range res.PD.Causes {
-		if c.Explains {
-			subject = string(c.Event.Subject)
-		}
-	}
-	if subject == "" {
-		return nil, fmt.Errorf("experiments: plan change not attributed")
-	}
-	// PD short-circuits before Module SD, so build the cause instance the
-	// attribution implies.
-	remedy, err := selfheal.Plan(symptoms.CauseInstance{
-		Kind: symptoms.CausePlanRegression, Subject: subject,
-		Confidence: 100, Category: symptoms.High,
-	})
+	subject := top.Cause.Subject
+	remedy, err := selfheal.Plan(top.Cause)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &SelfHealResult{
-		Cause:  "plan-regression(" + subject + ")",
+		Cause:  top.Cause.Kind + "(" + subject + ")",
 		Remedy: remedy.Description,
 	}
 	sat, unsat := sc.Input.SatRuns(), sc.Input.UnsatRuns()

@@ -54,8 +54,8 @@ type FleetResult struct {
 	// detected (first event minus their own onset), in instance order.
 	Lags []simtime.Duration
 	// Correct reports whether the top-ranked fleet incident is the
-	// shared-pool misconfiguration on V1 spanning every degraded
-	// instance and only those.
+	// shared-pool group, names a cause in the injected fault's answer,
+	// and spans every degraded instance and only those.
 	Correct bool
 }
 
@@ -92,12 +92,13 @@ func FleetN(seed int64, instances, degraded int, baseline bool) (*FleetResult, e
 			res.Lags = append(res.Lags, ir.FirstDetection.Sub(onsets[i]))
 		}
 	}
-	if g := rep.SharedGroup(); g != nil && len(rep.Groups) > 0 {
-		top := &rep.Groups[0]
-		res.Correct = top == rep.SharedGroup() &&
-			g.Kind == symptoms.CauseSANMisconfig &&
-			g.Subject == string(testbed.VolV1) &&
-			len(g.Parts) == degraded
+	if g := rep.SharedGroup(); g != nil && g == &rep.Groups[0] {
+		// Instance 0's build: every degraded instance has its fault.
+		env, err := BuildOnline(OnlineSpec{Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		res.Correct = Named(g.Kind, g.Subject, env.Fault.Answer(env.Testbed)) && len(g.Parts) == degraded
 	}
 	return res, nil
 }

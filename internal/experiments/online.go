@@ -33,8 +33,8 @@ type OnlineResult struct {
 	FalsePositives int
 	// Incidents is the final ranked registry.
 	Incidents []service.Incident
-	// Correct reports whether the top incident matches the injected
-	// fault (SAN misconfiguration on V1, victim query Q2).
+	// Correct reports whether the top incident names a cause in the
+	// injected fault's answer.
 	Correct bool
 	// Monitor and Service are the pipeline's lifetime counters.
 	Monitor monitor.Stats
@@ -159,11 +159,9 @@ func RunOnline(spec OnlineSpec, chunk simtime.Duration, onTick func(OnlineTick) 
 	res.Incidents = svc.Registry().Incidents()
 	res.Monitor = env.Monitor.Stats()
 	res.Service = svc.Stats()
-	if len(res.Incidents) > 0 {
+	if len(res.Incidents) > 0 && env.Fault != nil {
 		top := res.Incidents[0]
-		res.Correct = top.Query == "Q2" &&
-			top.Kind == symptoms.CauseSANMisconfig &&
-			top.Subject == string(testbed.VolV1)
+		res.Correct = Named(top.Kind, top.Subject, env.Fault.Answer(tb))
 	}
 	return res, nil
 }

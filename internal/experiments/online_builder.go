@@ -50,8 +50,9 @@ type OnlineSpec struct {
 type OnlineEnv struct {
 	Testbed *testbed.Testbed
 	Monitor *monitor.Monitor
-	// Onset is when the SAN misconfiguration strikes (meaningful only
-	// when the fault is injected); Horizon is the end of the schedule.
+	// Fault is the injected SAN misconfiguration (nil under NoFault),
+	// Onset when it strikes, Horizon the end of the schedule.
+	Fault   faults.Fault
 	Onset   simtime.Time
 	Horizon simtime.Time
 }
@@ -83,16 +84,14 @@ func BuildOnline(spec OnlineSpec) (*OnlineEnv, error) {
 	for i := range tb.Loads {
 		tb.Loads[i].Window = simtime.NewInterval(0, horizon)
 	}
+	env := &OnlineEnv{Testbed: tb, Onset: onset, Horizon: horizon}
 	if !spec.NoFault {
-		if err := faults.Inject(tb, &faults.SANMisconfiguration{
-			At: onset, Until: horizon, Pool: testbed.PoolP1,
-			NewVolume: "vol-Vp", Host: testbed.ServerApp1,
-			ReadIOPS: 450, WriteIOPS: 120,
-		}); err != nil {
+		env.Fault = sanMisconfig(onset, horizon)
+		if err := faults.Inject(tb, env.Fault); err != nil {
 			return nil, err
 		}
 	}
-	mon := monitor.New(spec.Monitor)
-	tb.Engine.OnRunComplete = mon.Observe
-	return &OnlineEnv{Testbed: tb, Monitor: mon, Onset: onset, Horizon: horizon}, nil
+	env.Monitor = monitor.New(spec.Monitor)
+	tb.Engine.OnRunComplete = env.Monitor.Observe
+	return env, nil
 }

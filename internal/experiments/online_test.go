@@ -6,9 +6,7 @@ import (
 
 	"diads/internal/metrics"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 	"diads/internal/telemetry"
-	"diads/internal/testbed"
 )
 
 func TestOnlinePipelineEndToEnd(t *testing.T) {
@@ -44,9 +42,8 @@ func TestOnlinePipelineEndToEnd(t *testing.T) {
 	}
 	top := res.Incidents[0]
 	if !res.Correct {
-		t.Errorf("top incident = %s %s(%s), want Q2 %s(%s)",
-			top.Query, top.Kind, top.Subject,
-			symptoms.CauseSANMisconfig, testbed.VolV1)
+		t.Errorf("top incident = %s %s(%s), not in the injected fault's answer",
+			top.Query, top.Kind, top.Subject)
 	}
 	if res.Alerts == 0 {
 		t.Error("metric watcher saw no degradation on the victim volume")

@@ -147,9 +147,8 @@ func Baselines(seed int64) (*BaselinesResult, error) {
 	out := &BaselinesResult{}
 	if top, ok := res.TopCause(); ok {
 		out.DIADSCause = top.Cause.String()
-		out.DIADSCorrect = top.Cause.Kind == symptoms.CauseSANMisconfig &&
-			top.Cause.Subject == string(testbed.VolV1)
 	}
+	out.DIADSCorrect = sc.Correct(res)
 	if out.SANOnly, err = baseline.SANOnly(sc.Input); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"diads/internal/faults"
 	"diads/internal/metrics"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 	"diads/internal/testbed"
 )
 
@@ -116,13 +115,8 @@ func Table2(seed int64) (*Table2Result, error) {
 		return nil, err
 	}
 
-	variant, err := Build(S1SANMisconfig, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Recreate the variant testbed with the extra V2-side burst: a fresh
-	// build is needed because a testbed simulates once.
-	variant, err = buildScenario1WithV2Burst(seed)
+	// The variant needs a fresh build: a testbed simulates once.
+	variant, err := buildScenario1WithV2Burst(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -176,36 +170,16 @@ func buildScenario1WithV2Burst(seed int64) (*Scenario, error) {
 		return nil, err
 	}
 	onset, horizon := faultOnset(), scheduleHorizon()
-	err = faults.Inject(tb,
-		&faults.SANMisconfiguration{
-			At: onset, Until: horizon, Pool: testbed.PoolP1,
-			NewVolume: "vol-Vp", Host: testbed.ServerApp1,
-			ReadIOPS: 450, WriteIOPS: 120,
-		},
-		&faults.ExternalVolumeLoad{
-			LoadName: "wl-v2-burst", Volume: testbed.VolV4,
-			Window:   simtime.NewInterval(onset, horizon),
-			ReadIOPS: 260, WriteIOPS: 160, DutyCycle: 0.35, Period: 10 * simtime.Minute,
-		},
-	)
+	sc := &Scenario{ID: S1SANMisconfig, Title: "scenario 1 + bursty V2 load", Testbed: tb}
+	err = sc.simulate([]faults.Fault{sanMisconfig(onset, horizon)}, []faults.Fault{&faults.ExternalVolumeLoad{
+		LoadName: "wl-v2-burst", Volume: testbed.VolV4,
+		Window:   simtime.NewInterval(onset, horizon),
+		ReadIOPS: 260, WriteIOPS: 160, DutyCycle: 0.35, Period: 10 * simtime.Minute,
+	}})
 	if err != nil {
 		return nil, err
 	}
-	if err := tb.Simulate(); err != nil {
-		return nil, err
-	}
-	runs := tb.RunsFor("Q2")
-	return &Scenario{
-		ID: S1SANMisconfig, Title: "scenario 1 + bursty V2 load",
-		Testbed:      tb,
-		ExpectedKind: symptoms.CauseSANMisconfig, ExpectedSubject: string(testbed.VolV1),
-		Input: &diag.Input{
-			Query: "Q2", Runs: runs, Satisfactory: diag.LabelAdaptive(runs, 1.6),
-			Store: tb.Store, Cfg: tb.Cfg, Cat: tb.Cat, Opt: tb.Opt,
-			Params: tb.Params, Stats: tb.Stats, Server: testbed.ServerDB,
-			SymDB: symptoms.Builtin(),
-		},
-	}, nil
+	return sc, nil
 }
 
 // Render formats the table like the paper's Table 2.

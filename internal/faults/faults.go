@@ -10,6 +10,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 
 	"diads/internal/dbsys"
 	"diads/internal/sanperf"
@@ -20,13 +21,37 @@ import (
 	"diads/internal/workload"
 )
 
-// Fault is one injectable problem. GroundTruth names the root cause a
-// correct diagnosis should identify, as a symptoms-database cause kind
-// plus subject.
+// Fault is one injectable problem. Answer resolves, against the testbed
+// the fault was applied to, the causes a correct diagnosis may name for
+// it: any one of them is right.
 type Fault interface {
 	Name() string
 	Apply(tb *testbed.Testbed) error
-	GroundTruth() (kind, subject string)
+	Answer(tb *testbed.Testbed) []Cause
+}
+
+// Cause is a root cause in the symptoms database's vocabulary: a cause
+// kind (symptoms.Cause*) and the component, table, index or parameter
+// it names. A diagnosis's root cause and the registry's incidents use
+// the same words.
+type Cause struct {
+	Kind, Subject string
+}
+
+// String renders the cause the way reports do: kind(subject).
+func (c Cause) String() string { return c.Kind + "(" + c.Subject + ")" }
+
+// poolVolumes names kind on each volume of the database's tablespaces
+// that lives in pool: the victims a SAN fault in that pool slows down.
+func poolVolumes(tb *testbed.Testbed, kind string, pool topology.ID) []Cause {
+	var out []Cause
+	for _, ts := range tb.Cat.Tablespaces() {
+		c := Cause{kind, string(ts.Volume)}
+		if tb.Cfg.PoolOf(ts.Volume) == pool && !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // SANMisconfiguration reproduces scenario 1: a new volume V' is carved
@@ -51,11 +76,10 @@ type SANMisconfiguration struct {
 // Name implements Fault.
 func (f *SANMisconfiguration) Name() string { return "san-misconfiguration" }
 
-// GroundTruth implements Fault: the root cause is the misconfiguration's
-// contention on the volume sharing the pool — the diagnosis subject is
-// the victim volume, resolved at Apply time.
-func (f *SANMisconfiguration) GroundTruth() (string, string) {
-	return symptoms.CauseSANMisconfig, "" // subject resolved per victim volume
+// Answer implements Fault: the misconfiguration on each of the
+// database's volumes that shares the pool with V'.
+func (f *SANMisconfiguration) Answer(tb *testbed.Testbed) []Cause {
+	return poolVolumes(tb, symptoms.CauseSANMisconfig, f.Pool)
 }
 
 // Apply implements Fault. The changes apply at injection, not at their
@@ -101,9 +125,10 @@ type ExternalVolumeLoad struct {
 // Name implements Fault.
 func (f *ExternalVolumeLoad) Name() string { return "external-volume-load" }
 
-// GroundTruth implements Fault.
-func (f *ExternalVolumeLoad) GroundTruth() (string, string) {
-	return symptoms.CauseExternalLoad, string(f.Volume)
+// Answer implements Fault: the load on each of the database's volumes
+// that shares a pool with the loaded one, not the loaded volume itself.
+func (f *ExternalVolumeLoad) Answer(tb *testbed.Testbed) []Cause {
+	return poolVolumes(tb, symptoms.CauseExternalLoad, tb.Cfg.PoolOf(f.Volume))
 }
 
 // Apply implements Fault.
@@ -138,9 +163,9 @@ type DataPropertyChange struct {
 // Name implements Fault.
 func (f *DataPropertyChange) Name() string { return "data-property-change" }
 
-// GroundTruth implements Fault.
-func (f *DataPropertyChange) GroundTruth() (string, string) {
-	return symptoms.CauseDataProperty, f.Table
+// Answer implements Fault.
+func (f *DataPropertyChange) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CauseDataProperty, f.Table}}
 }
 
 // Apply implements Fault.
@@ -163,9 +188,9 @@ type TableLockContention struct {
 // Name implements Fault.
 func (f *TableLockContention) Name() string { return "table-lock-contention" }
 
-// GroundTruth implements Fault.
-func (f *TableLockContention) GroundTruth() (string, string) {
-	return symptoms.CauseLockContention, f.Table
+// Answer implements Fault.
+func (f *TableLockContention) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CauseLockContention, f.Table}}
 }
 
 // Apply implements Fault.
@@ -191,9 +216,9 @@ type RAIDRebuild struct {
 // Name implements Fault.
 func (f *RAIDRebuild) Name() string { return "raid-rebuild" }
 
-// GroundTruth implements Fault.
-func (f *RAIDRebuild) GroundTruth() (string, string) {
-	return symptoms.CauseRAIDRebuild, string(f.Pool)
+// Answer implements Fault.
+func (f *RAIDRebuild) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CauseRAIDRebuild, string(f.Pool)}}
 }
 
 // Apply implements Fault.
@@ -224,9 +249,9 @@ type DiskFailure struct {
 // Name implements Fault.
 func (f *DiskFailure) Name() string { return "disk-failure" }
 
-// GroundTruth implements Fault.
-func (f *DiskFailure) GroundTruth() (string, string) {
-	return symptoms.CauseDiskFailure, "" // subject is the pool, resolved at Apply
+// Answer implements Fault: the failure names the disk's pool.
+func (f *DiskFailure) Answer(tb *testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CauseDiskFailure, string(tb.Cfg.PoolOf(f.Disk))}}
 }
 
 // Apply implements Fault.
@@ -259,9 +284,9 @@ type CPUSaturation struct {
 // Name implements Fault.
 func (f *CPUSaturation) Name() string { return "cpu-saturation" }
 
-// GroundTruth implements Fault.
-func (f *CPUSaturation) GroundTruth() (string, string) {
-	return symptoms.CauseCPUSaturation, string(f.Server)
+// Answer implements Fault.
+func (f *CPUSaturation) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CauseCPUSaturation, string(f.Server)}}
 }
 
 // Apply implements Fault.
@@ -280,9 +305,9 @@ type IndexDrop struct {
 // Name implements Fault.
 func (f *IndexDrop) Name() string { return "index-drop" }
 
-// GroundTruth implements Fault.
-func (f *IndexDrop) GroundTruth() (string, string) {
-	return symptoms.CausePlanRegression, f.Index
+// Answer implements Fault.
+func (f *IndexDrop) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CausePlanRegression, f.Index}}
 }
 
 // Apply implements Fault.
@@ -304,9 +329,9 @@ type ParamChange struct {
 // Name implements Fault.
 func (f *ParamChange) Name() string { return "param-change" }
 
-// GroundTruth implements Fault.
-func (f *ParamChange) GroundTruth() (string, string) {
-	return symptoms.CausePlanRegression, f.Param
+// Answer implements Fault.
+func (f *ParamChange) Answer(*testbed.Testbed) []Cause {
+	return []Cause{{symptoms.CausePlanRegression, f.Param}}
 }
 
 // Apply implements Fault.

@@ -6,6 +6,7 @@ import (
 
 	"diads/internal/dbsys"
 	"diads/internal/simtime"
+	"diads/internal/symptoms"
 	"diads/internal/testbed"
 	"diads/internal/topology"
 	"diads/internal/workload"
@@ -83,9 +84,9 @@ func TestExternalVolumeLoadBursts(t *testing.T) {
 	if got := tb.SAN.VolumeReadIOPS(testbed.VolV4, 150); got != 0 {
 		t.Fatalf("burst off-phase: %v", got)
 	}
-	kind, subject := f.GroundTruth()
-	if kind == "" || subject != string(testbed.VolV4) {
-		t.Fatalf("ground truth: %s %s", kind, subject)
+	// The answer names the database's volume sharing V4's pool, not V4.
+	if got, want := f.Answer(tb), []Cause{{symptoms.CauseExternalLoad, string(testbed.VolV2)}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer = %v, want %v", got, want)
 	}
 }
 
@@ -199,19 +200,42 @@ func TestCPUSaturationAndScheduledChanges(t *testing.T) {
 	}
 }
 
-func TestGroundTruthsNamedForAllFaults(t *testing.T) {
-	fs := []Fault{
-		&SANMisconfiguration{}, &ExternalVolumeLoad{}, &DataPropertyChange{},
-		&TableLockContention{}, &RAIDRebuild{}, &DiskFailure{},
-		&CPUSaturation{}, &IndexDrop{}, &ParamChange{},
-	}
-	for _, f := range fs {
-		kind, _ := f.GroundTruth()
-		if kind == "" {
-			t.Errorf("%s has no ground-truth kind", f.Name())
+// TestAnswersNamedForAllFaults pins each family's answer on the Figure 1
+// testbed, applied: the words a correct diagnosis uses, with SAN faults
+// naming the database's victim volumes and a disk failure its pool.
+func TestAnswersNamedForAllFaults(t *testing.T) {
+	iv := simtime.NewInterval(100, 1000)
+	for _, tc := range []struct {
+		f    Fault
+		want []Cause
+	}{
+		{&SANMisconfiguration{At: 100, Until: 1000, Pool: testbed.PoolP1, NewVolume: "vol-Vp", Host: testbed.ServerApp1},
+			[]Cause{{symptoms.CauseSANMisconfig, string(testbed.VolV1)}}},
+		{&ExternalVolumeLoad{Volume: testbed.VolV3, Window: iv},
+			[]Cause{{symptoms.CauseExternalLoad, string(testbed.VolV1)}}},
+		{&ExternalVolumeLoad{Volume: testbed.VolV4, Window: iv},
+			[]Cause{{symptoms.CauseExternalLoad, string(testbed.VolV2)}}},
+		{&DataPropertyChange{At: 100, Table: dbsys.TPartsupp, Factor: 1.5},
+			[]Cause{{symptoms.CauseDataProperty, dbsys.TPartsupp}}},
+		{&TableLockContention{Table: dbsys.TPartsupp, Holds: []simtime.Interval{iv}},
+			[]Cause{{symptoms.CauseLockContention, dbsys.TPartsupp}}},
+		{&RAIDRebuild{Pool: testbed.PoolP1, Window: iv},
+			[]Cause{{symptoms.CauseRAIDRebuild, string(testbed.PoolP1)}}},
+		{&DiskFailure{Disk: "disk-3", Window: iv},
+			[]Cause{{symptoms.CauseDiskFailure, string(testbed.PoolP1)}}},
+		{&CPUSaturation{Server: testbed.ServerDB, Window: iv, Load: 0.5},
+			[]Cause{{symptoms.CauseCPUSaturation, string(testbed.ServerDB)}}},
+		{&IndexDrop{At: 100, Index: dbsys.IdxPartsuppPart},
+			[]Cause{{symptoms.CausePlanRegression, dbsys.IdxPartsuppPart}}},
+		{&ParamChange{At: 100, Param: dbsys.ParamRandomPageCost, Value: 40},
+			[]Cause{{symptoms.CausePlanRegression, dbsys.ParamRandomPageCost}}},
+	} {
+		tb := newTB(t, 1)
+		if err := Inject(tb, tc.f); err != nil {
+			t.Fatal(err)
 		}
-		if f.Name() == "" {
-			t.Errorf("%T has no name", f)
+		if got := tc.f.Answer(tb); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: answer = %v, want %v", tc.f.Name(), got, tc.want)
 		}
 	}
 }

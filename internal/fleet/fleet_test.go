@@ -16,9 +16,7 @@ import (
 	"diads/internal/experiments"
 	"diads/internal/fleet"
 	"diads/internal/metrics"
-	"diads/internal/symptoms"
 	"diads/internal/telemetry"
-	"diads/internal/testbed"
 )
 
 const testSeed = 400
@@ -133,9 +131,12 @@ func TestFleetGroupsSharedPoolAcrossSeeds(t *testing.T) {
 		if len(rep.Groups) == 0 || !rep.Groups[0].Shared {
 			t.Errorf("seed %d: shared incident not ranked first", seed)
 		}
-		if g.Kind != symptoms.CauseSANMisconfig || g.Subject != string(testbed.VolV1) {
-			t.Errorf("seed %d: group = %s(%s), want %s(%s)",
-				seed, g.Kind, g.Subject, symptoms.CauseSANMisconfig, testbed.VolV1)
+		env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: seed, Runs: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answer := env.Fault.Answer(env.Testbed); !experiments.Named(g.Kind, g.Subject, answer) {
+			t.Errorf("seed %d: group = %s(%s), want one of %v", seed, g.Kind, g.Subject, answer)
 		}
 		if len(g.Parts) != 3 {
 			t.Errorf("seed %d: group spans %d instances, want the 3 degraded ones",

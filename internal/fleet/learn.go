@@ -215,7 +215,7 @@ func (l *learner) addHealthy(fb *symptoms.FactBase) {
 // kind is withheld for the validator's hold-out replay.
 func (l *learner) observe(incs []service.Incident) {
 	for _, inc := range incs {
-		if inc.Kind == service.PlanChangeKind || symptoms.IsMined(inc.Kind) {
+		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
 			continue
 		}
 		if inc.Confidence < confirmConfidence || inc.Events < l.cfg.ConfirmEvents {

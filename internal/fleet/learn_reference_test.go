@@ -280,7 +280,7 @@ func (l *refLearner) addHealthy(fb *symptoms.FactBase) {
 
 func (l *refLearner) observe(incs []service.Incident) {
 	for _, inc := range incs {
-		if inc.Kind == service.PlanChangeKind || symptoms.IsMined(inc.Kind) {
+		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
 			continue
 		}
 		if inc.Confidence < confirmConfidence || inc.Events < l.cfg.ConfirmEvents {
@@ -533,7 +533,7 @@ func TestLearnerMatchesLongWayReference(t *testing.T) {
 							Result:     &diag.Result{Facts: refFacts(rng, 0.3, signatures[k]...)},
 						}
 						if rng.Intn(10) == 0 {
-							inc.Kind = service.PlanChangeKind
+							inc.Kind = symptoms.CausePlanRegression
 						}
 						seen = append(seen, inc)
 						incs = append(incs, inc)

@@ -384,7 +384,7 @@ func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
 	}
 	cfg := sh.f.cfg.Learn
 	for _, inc := range sh.svc.Registry().Incidents() {
-		if inc.Kind == service.PlanChangeKind || symptoms.IsMined(inc.Kind) {
+		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
 			continue
 		}
 		if inc.Confidence < confirmConfidence || inc.Events < cfg.ConfirmEvents {

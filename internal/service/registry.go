@@ -10,12 +10,7 @@ import (
 	"diads/internal/monitor"
 	"diads/internal/pipeline"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 )
-
-// PlanChangeKind is the synthetic cause kind of incidents whose diagnosis
-// found a plan change (Module PD short-circuits before Module SD runs).
-const PlanChangeKind = "plan-change"
 
 // Incident is one open problem: a root cause aggregated across every
 // diagnosis that identified it for a query.
@@ -24,8 +19,9 @@ type Incident struct {
 	// in single-instance deployments.
 	Instance string
 	Query    string
-	// Kind and Subject name the root cause (PlanChangeKind for plan
-	// regressions, otherwise a symptoms-database cause kind).
+	// Kind and Subject name the root cause, diag.Result.RootCause, in the
+	// symptoms database's vocabulary: a plan change files under
+	// symptoms.CausePlanRegression and the change that explains it.
 	Kind    string
 	Subject string
 	// Confidence is the latest diagnosis's confidence (percent).
@@ -52,13 +48,9 @@ type Incident struct {
 
 // EstImpact is the incident's ranking key: the cumulative slowdown
 // seconds the cause explains (Module IA's share of each event's extra
-// running time).
+// running time; all of it for a plan change).
 func (inc *Incident) EstImpact() float64 {
-	share := inc.ImpactPct / 100
-	if inc.Kind == PlanChangeKind {
-		share = 1 // the plan change explains the whole regression
-	}
-	return share * inc.TotalExtra.Seconds()
+	return inc.ImpactPct / 100 * inc.TotalExtra.Seconds()
 }
 
 // incidentKey groups diagnoses into incidents.
@@ -78,16 +70,14 @@ func NewRegistry() *Registry {
 	return &Registry{open: make(map[incidentKey]*Incident)}
 }
 
-// Record folds one diagnosis into the registry: the top-ranked cause (or
-// the plan change) becomes or updates an incident.
+// Record folds one diagnosis into the registry: its root cause becomes or
+// updates an incident.
 func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
-	if res == nil || res.PD == nil {
-		return
-	}
-	kind, subject, confidence, impact := topCauseOf(res)
-	if kind == "" {
+	top, ok := res.RootCause()
+	if !ok {
 		return // nothing above low confidence; not an incident
 	}
+	kind, subject := top.Cause.Kind, top.Cause.Subject
 	extra := ev.Duration - ev.Baseline
 	if extra < 0 {
 		extra = 0
@@ -114,47 +104,13 @@ func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
 	// finish out of order, and incident state must stay deterministic
 	// per seed.
 	if ev.At >= inc.LastSeen {
-		inc.Confidence = confidence
-		inc.ImpactPct = impact
+		inc.Confidence = top.Cause.Confidence
+		inc.ImpactPct = top.Score
 		inc.LastSeen = ev.At
 		inc.Window = ev.Window
 		inc.Result = res
 		inc.Trace = res.Trace
 	}
-}
-
-// topCauseOf extracts the leading root cause of a diagnosis. Mined
-// symptoms-database entries (kinds with symptoms.MinedSuffix) never name
-// an incident: they are corroborating evidence pending expert adoption,
-// and their global-scope subject is the query, not a component — filing
-// under them would both misname the subject and fork a second incident
-// for a cause the expert-authored entry already tracks.
-func topCauseOf(res *diag.Result) (kind, subject string, confidence, impact float64) {
-	if res.PD.Changed {
-		subj := "plan"
-		for _, c := range res.PD.Causes {
-			if c.Explains {
-				subj = string(c.Event.Subject)
-				break
-			}
-		}
-		return PlanChangeKind, subj, 100, 100
-	}
-	if res.IA != nil {
-		for _, item := range res.IA.Items {
-			if symptoms.IsMined(item.Cause.Kind) {
-				continue
-			}
-			return item.Cause.Kind, item.Cause.Subject, item.Cause.Confidence, item.Score
-		}
-	}
-	// Fall back to the raw SD ranking when IA produced no items.
-	for _, c := range res.Causes {
-		if c.Category != symptoms.Low && !symptoms.IsMined(c.Kind) {
-			return c.Kind, c.Subject, c.Confidence, 0
-		}
-	}
-	return "", "", 0, 0
 }
 
 // Incidents returns the open incidents ranked by estimated impact

@@ -614,7 +614,7 @@ func (s *Service) run(ctx context.Context, j job) {
 		s.OnDiagnosis(j.ev, res)
 	}
 	if s.OnHealthy != nil && res.Facts != nil {
-		if kind, _, _, _ := topCauseOf(res); kind == "" {
+		if _, ok := res.RootCause(); !ok {
 			s.OnHealthy(j.ev, res.Facts)
 		}
 	}
