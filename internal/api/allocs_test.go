@@ -29,7 +29,7 @@ func TestIngestBatchAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"/v1/ingest/samples", benchSampleBody, 34},
-		{"/v1/ingest/runs", benchRunBody, 232},
+		{"/v1/ingest/runs", benchRunBody, 207},
 	} {
 		node := New(Config{Seed: testSeed})
 		h := node.Handler()

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -128,7 +129,8 @@ type ErrorReply struct {
 }
 
 // runRecord converts a posted run to the monitor's record form, wiring
-// the given reconstructed plan in. The operators share one allocation.
+// the given reconstructed plan in. The operators share one allocation,
+// sorted by ID; of a repeated ID the last posted wins.
 func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 	rec := &exec.RunRecord{
 		Query:    wr.Query,
@@ -137,7 +139,6 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 		Plan:     p,
 		Start:    simtime.Time(wr.Start),
 		Stop:     simtime.Time(wr.Stop),
-		Ops:      make(map[int]*exec.OpRun, len(wr.Ops)),
 		PhysIO:   wr.PhysIO,
 		CacheHit: wr.CacheHit,
 		LockWait: simtime.Duration(wr.LockWait),
@@ -160,7 +161,13 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 			IOTime:   simtime.Duration(op.IOTime),
 			LockWait: simtime.Duration(op.LockWait),
 		}
-		rec.Ops[op.ID] = &ops[i]
+	}
+	slices.SortStableFunc(ops, func(a, b exec.OpRun) int { return cmp.Compare(a.ID, b.ID) })
+	rec.Ops = ops[:0]
+	for i := range ops {
+		if i+1 == len(ops) || ops[i+1].ID != ops[i].ID {
+			rec.Ops = append(rec.Ops, ops[i])
+		}
 	}
 	return rec
 }
@@ -274,14 +281,8 @@ func WireRunOf(rec *exec.RunRecord) WireRun {
 		SeqScans: rec.SeqScans,
 		IdxScans: rec.IdxScans,
 	}
-	ids := make([]int, 0, len(rec.Ops))
-	for id := range rec.Ops {
-		ids = append(ids, id)
-	}
-	// Deterministic op order so serialized batches are byte-stable.
-	slices.Sort(ids)
-	for _, id := range ids {
-		op := rec.Ops[id]
+	for i := range rec.Ops {
+		op := &rec.Ops[i]
 		wr.Ops = append(wr.Ops, WireOp{
 			ID:       op.ID,
 			Type:     string(op.Type),

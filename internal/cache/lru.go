@@ -1,7 +1,8 @@
 // Package cache provides a small, thread-safe LRU used by the concurrent
 // diagnosis service to make repeated diagnoses of the same plan
 // near-free: built Annotated Plan Graphs, symptoms-database evaluations,
-// and whole diagnosis results are all keyed and reused through it.
+// and the causes completed jobs named are all keyed and reused through
+// it.
 package cache
 
 import (

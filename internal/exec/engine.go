@@ -17,6 +17,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -102,7 +103,7 @@ type RunRecord struct {
 	Plan     *plan.Plan
 	Start    simtime.Time
 	Stop     simtime.Time
-	Ops      map[int]*OpRun
+	Ops      []OpRun // one per ID, ascending; an engine run's Ops[i].ID == i+1
 	PhysIO   float64
 	CacheHit float64
 	LockWait simtime.Duration
@@ -126,23 +127,18 @@ func (r *RunRecord) Window() simtime.Interval { return simtime.NewInterval(r.Sta
 // trimming its slice.
 func (r *RunRecord) EndsBefore(horizon simtime.Time) bool { return r.Stop < horizon }
 
-// Op returns the OpRun for the given operator ID.
-func (r *RunRecord) Op(id int) *OpRun { return r.Ops[id] }
-
-// opsByID returns the run's operators in ascending ID order. Ops is a
-// map, and both the float accumulations and the fed-back SAN load
-// segments must visit operators in a run-independent order.
-func (r *RunRecord) opsByID() []*OpRun {
-	ids := make([]int, 0, len(r.Ops))
-	for id := range r.Ops {
-		ids = append(ids, id)
+// Op returns the OpRun for the given operator ID, or nil if the run has
+// none. Dense IDs index directly; a posted run's IDs may have gaps, so
+// Op falls back to a binary search.
+func (r *RunRecord) Op(id int) *OpRun {
+	if i := id - 1; i >= 0 && i < len(r.Ops) && r.Ops[i].ID == id {
+		return &r.Ops[i]
 	}
-	sort.Ints(ids)
-	ops := make([]*OpRun, len(ids))
-	for i, id := range ids {
-		ops[i] = r.Ops[id]
+	i, ok := sort.Find(len(r.Ops), func(i int) int { return cmp.Compare(id, r.Ops[i].ID) })
+	if !ok {
+		return nil
 	}
-	return ops
+	return &r.Ops[i]
 }
 
 // Run executes p starting at start and returns its monitoring record.
@@ -158,13 +154,15 @@ func (e *Engine) Run(p *plan.Plan, start simtime.Time, runID string) (*RunRecord
 		PlanSig: p.Signature(),
 		Plan:    p,
 		Start:   start,
-		Ops:     make(map[int]*OpRun, len(p.Nodes())),
+		Ops:     make([]OpRun, len(p.Nodes())),
 	}
 
 	cursor := start
 	var walk func(n *plan.Node) simtime.Duration
 	walk = func(n *plan.Node) simtime.Duration {
-		op := &OpRun{
+		// Plan IDs are dense pre-order 1..n.
+		op := &rec.Ops[n.ID-1]
+		*op = OpRun{
 			ID:      n.ID,
 			Type:    n.Type,
 			Table:   n.Table,
@@ -172,7 +170,6 @@ func (e *Engine) Run(p *plan.Plan, start simtime.Time, runID string) (*RunRecord
 			ActRows: actual.Total[n.ID],
 			EstRows: n.EstRows,
 		}
-		rec.Ops[n.ID] = op
 
 		var childTotal simtime.Duration
 		for _, ch := range n.Children {
@@ -198,7 +195,8 @@ func (e *Engine) Run(p *plan.Plan, start simtime.Time, runID string) (*RunRecord
 	total := walk(p.Root)
 	rec.Stop = start.Add(total)
 
-	for _, op := range rec.opsByID() {
+	for i := range rec.Ops {
+		op := &rec.Ops[i]
 		rec.PhysIO += op.PhysIO
 		rec.CacheHit += op.CacheHit
 		rec.LockWait += op.LockWait
@@ -366,7 +364,8 @@ func (e *Engine) indexScanTime(n *plan.Node, cards plan.Cardinalities, t simtime
 // feedBackLoad converts the run's leaf I/O into SAN load segments so the
 // monitoring series show the query's own activity on its volumes.
 func (e *Engine) feedBackLoad(rec *RunRecord) {
-	for _, op := range rec.opsByID() {
+	for i := range rec.Ops {
+		op := &rec.Ops[i]
 		if op.PhysIO <= 0 || op.Table == "" {
 			continue
 		}

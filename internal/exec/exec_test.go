@@ -233,9 +233,9 @@ func TestDeterminism(t *testing.T) {
 	if ra.Duration() != rb.Duration() {
 		t.Fatalf("same seed must reproduce identical runs: %v vs %v", ra.Duration(), rb.Duration())
 	}
-	for id := range ra.Ops {
-		if ra.Op(id).Recorded != rb.Op(id).Recorded {
-			t.Fatalf("O%d differs across identical runs", id)
+	for _, op := range ra.Ops {
+		if other := rb.Op(op.ID); other == nil || other.Recorded != op.Recorded {
+			t.Fatalf("O%d differs across identical runs", op.ID)
 		}
 	}
 }

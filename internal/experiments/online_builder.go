@@ -13,10 +13,11 @@ import (
 
 // OnlineSpec parameterizes the shared online-scenario assembly: the
 // Figure 1 testbed under the three-query workload (Q2 on the V1 volume;
-// Q6 and Q14 on V2) with the SAN misconfiguration injected mid-timeline
-// and a monitor wired to the engine's completion hook. experiments.Online,
-// cmd/diadsd, and the fleet builder all construct their instances from
-// it, so the wiring cannot drift between them again.
+// Q6 and Q14 on V2) with a fault, by default the SAN misconfiguration,
+// injected mid-timeline and a monitor wired to the engine's completion
+// hook. experiments.Online, cmd/diadsd, and the fleet builder all
+// construct their instances from it, so the wiring cannot drift between
+// them again.
 type OnlineSpec struct {
 	// Seed drives all of the instance's randomness.
 	Seed int64
@@ -27,9 +28,11 @@ type OnlineSpec struct {
 	// instances' workloads with it, the way independent production
 	// databases never run their batch windows in phase.
 	Offset simtime.Duration
-	// NoFault skips the SAN misconfiguration: the instance runs healthy.
-	// The fleet uses it for instances not attached to the degraded
-	// shared pool.
+	// Fault builds the injected fault from its onset and the end of the
+	// schedule (nil: the SAN misconfiguration).
+	Fault func(onset, horizon simtime.Time) faults.Fault
+	// NoFault skips the fault: the instance runs healthy. The fleet uses
+	// it for instances not attached to the degraded shared pool.
 	NoFault bool
 	// Monitor tunes online detection (zero value = defaults).
 	Monitor monitor.Config
@@ -50,8 +53,8 @@ type OnlineSpec struct {
 type OnlineEnv struct {
 	Testbed *testbed.Testbed
 	Monitor *monitor.Monitor
-	// Fault is the injected SAN misconfiguration (nil under NoFault),
-	// Onset when it strikes, Horizon the end of the schedule.
+	// Fault is the injected fault (nil under NoFault), Onset when it
+	// strikes, Horizon the end of the schedule.
 	Fault   faults.Fault
 	Onset   simtime.Time
 	Horizon simtime.Time
@@ -87,6 +90,9 @@ func BuildOnline(spec OnlineSpec) (*OnlineEnv, error) {
 	env := &OnlineEnv{Testbed: tb, Onset: onset, Horizon: horizon}
 	if !spec.NoFault {
 		env.Fault = sanMisconfig(onset, horizon)
+		if spec.Fault != nil {
+			env.Fault = spec.Fault(onset, horizon)
+		}
 		if err := faults.Inject(tb, env.Fault); err != nil {
 			return nil, err
 		}

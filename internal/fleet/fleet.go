@@ -126,6 +126,8 @@ func (c Config) withDefaults(n int) Config {
 	if c.Service.Queue <= 0 {
 		c.Service.Queue = 1024
 	}
+	// An entry is the cause one completed job named, a few strings and
+	// numbers, not the job's Result.
 	if c.Service.ResultCacheSize <= 0 {
 		c.Service.ResultCacheSize = 4096
 	}

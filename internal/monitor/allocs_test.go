@@ -47,3 +47,43 @@ func TestMonitorObserveAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations per Observe of a satisfactory run, budget %d", got, observeAllocs)
 	}
 }
+
+// gateReleaseAllocs is the allocation budget of one detection through
+// the gate — Add, then a Release that frees it — the count measured when
+// it was set plus at most 10 % headroom: the released slice.
+const gateReleaseAllocs = 1
+
+// TestGateReleaseAllocs holds one detection's pass through the
+// watermark gate to its allocation budget. Three detections whose
+// windows the watermark never reaches stay pending throughout, so every
+// Release partitions the queue rather than emptying it. The race
+// detector adds allocations, so the test is built only without it; CI
+// runs it in the allocation-budget step.
+func TestGateReleaseAllocs(t *testing.T) {
+	const detections = 200
+	var g Gate
+	far := simtime.Time(1e9)
+	for i := range 3 {
+		g.Add(SlowdownEvent{RunID: "held", ReadWindow: simtime.NewInterval(far, far.Add(simtime.Duration(i+1)))})
+	}
+	evs := make([]SlowdownEvent, detections+1) // AllocsPerRun adds a warm-up call
+	for i := range evs {
+		end := simtime.Time(simtime.Duration(i+1) * 30 * simtime.Minute)
+		evs[i] = SlowdownEvent{Query: "Q2", RunID: "ready", ReadWindow: simtime.NewInterval(end.Add(-simtime.Hour), end)}
+	}
+	i := 0
+	got := testing.AllocsPerRun(detections, func() {
+		g.Add(evs[i])
+		if out := g.Release(evs[i].ReadWindow.End); len(out) != 1 || out[0].RunID != "ready" {
+			t.Fatalf("release %d freed %d detections, want the one ready", i, len(out))
+		}
+		i++
+	})
+	t.Logf("%.0f allocations per detection through the gate", got)
+	if n := g.Pending(); n != 3 {
+		t.Fatalf("%d detections pending, want the 3 held", n)
+	}
+	if got > gateReleaseAllocs {
+		t.Errorf("%.0f allocations per detection through the gate, budget %d", got, gateReleaseAllocs)
+	}
+}

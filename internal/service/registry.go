@@ -70,14 +70,40 @@ func NewRegistry() *Registry {
 	return &Registry{open: make(map[incidentKey]*Incident)}
 }
 
+// cause is what the service keeps of a diagnosis's root cause once the
+// diagnosis is filed: its identity and figures, and no pointer into the
+// Result. The zero cause names nothing.
+type cause struct {
+	kind, subject      string
+	confidence, impact float64
+}
+
+// rootCause is the compact form of res.RootCause.
+func rootCause(res *diag.Result) cause {
+	top, ok := res.RootCause()
+	if !ok {
+		return cause{}
+	}
+	return cause{
+		kind: top.Cause.Kind, subject: top.Cause.Subject,
+		confidence: top.Cause.Confidence, impact: top.Score,
+	}
+}
+
 // Record folds one diagnosis into the registry: its root cause becomes or
 // updates an incident.
 func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
-	top, ok := res.RootCause()
-	if !ok {
+	r.record(ev, rootCause(res), res)
+}
+
+// record files c for ev. res is the diagnosis that named c and becomes
+// the incident's latest; a recurrence served from the service's
+// completed-job cache passes nil, counting the event and leaving Result
+// and Trace at the incident's latest diagnosis.
+func (r *Registry) record(ev monitor.SlowdownEvent, c cause, res *diag.Result) {
+	if c.kind == "" {
 		return // nothing above low confidence; not an incident
 	}
-	kind, subject := top.Cause.Kind, top.Cause.Subject
 	extra := ev.Duration - ev.Baseline
 	if extra < 0 {
 		extra = 0
@@ -85,11 +111,11 @@ func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := incidentKey{instance: ev.Instance, query: ev.Query, kind: kind, subject: subject}
+	k := incidentKey{instance: ev.Instance, query: ev.Query, kind: c.kind, subject: c.subject}
 	inc := r.open[k]
 	if inc == nil {
 		inc = &Incident{
-			Instance: ev.Instance, Query: ev.Query, Kind: kind, Subject: subject,
+			Instance: ev.Instance, Query: ev.Query, Kind: c.kind, Subject: c.subject,
 			FirstSeen: ev.At,
 		}
 		r.open[k] = inc
@@ -104,12 +130,14 @@ func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
 	// finish out of order, and incident state must stay deterministic
 	// per seed.
 	if ev.At >= inc.LastSeen {
-		inc.Confidence = top.Cause.Confidence
-		inc.ImpactPct = top.Score
+		inc.Confidence = c.confidence
+		inc.ImpactPct = c.impact
 		inc.LastSeen = ev.At
 		inc.Window = ev.Window
-		inc.Result = res
-		inc.Trace = res.Trace
+		if res != nil {
+			inc.Result = res
+			inc.Trace = res.Trace
+		}
 	}
 }
 

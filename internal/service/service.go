@@ -82,8 +82,11 @@ type Config struct {
 	APGCacheSize int
 	// SDCacheSize bounds the symptoms-evaluation cache (default 128).
 	SDCacheSize int
-	// ResultCacheSize bounds the completed-diagnosis cache that absorbs
-	// re-submissions of an already-diagnosed (query, window) (default 128).
+	// ResultCacheSize bounds the completed-job cache that absorbs
+	// re-submissions of an already-diagnosed (query, window) (default
+	// 128 entries). An entry is the cause the diagnosis named, a few
+	// strings and numbers, not the diagnosis itself: the registry keeps
+	// the only full Result, the latest of each incident.
 	ResultCacheSize int
 	// ShardLabel, when non-empty, labels this service's scrape-time
 	// callback metrics (queue depth, cache counters) with {"shard": v}.
@@ -244,7 +247,7 @@ type Service struct {
 
 	apgs    *cache.LRU[string, *apg.APG]
 	sd      *cache.LRU[string, []symptoms.CauseInstance]
-	results *cache.LRU[jobKey, *diag.Result]
+	results *cache.LRU[jobKey, cause] // completed jobs: the cause each named
 	reg     *Registry
 
 	modmu    sync.Mutex
@@ -271,7 +274,7 @@ func New(env Env, cfg Config) *Service {
 		pending:  make(map[jobKey]bool),
 		apgs:     cache.New[string, *apg.APG](cfg.APGCacheSize),
 		sd:       cache.New[string, []symptoms.CauseInstance](cfg.SDCacheSize),
-		results:  cache.New[jobKey, *diag.Result](cfg.ResultCacheSize),
+		results:  cache.New[jobKey, cause](cfg.ResultCacheSize),
 		reg:      NewRegistry(),
 		modstats: make(map[string]*ModuleStat),
 		tel:      newServiceTelemetry(),
@@ -459,10 +462,10 @@ func (s *Service) Wait() {
 // Submit enqueues a diagnosis job for the event. It never blocks: a full
 // queue returns ErrBackpressure, an already-pending or already-diagnosed
 // (query, window) returns ErrDuplicate (bumping the incident's
-// recurrence when a cached result exists). The stopped check, the
-// pending check, the result-cache lookup and the send share one critical
-// section. Because run caches a result before it releases the key, a key
-// missing from pending finds its completed run's result.
+// recurrence when the completed job named a cause). The stopped check,
+// the pending check, the result-cache lookup and the send share one
+// critical section. Because run caches its cause before it releases the
+// key, a key missing from pending finds its completed run's cause.
 func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 	s.submitted.Add(1)
 	s.tel.submitted.Inc()
@@ -478,10 +481,10 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 		s.dedup(ev, "deduped-pending")
 		return ErrDuplicate
 	}
-	if res, ok := s.results.Get(key); ok {
+	if c, ok := s.results.Get(key); ok {
 		s.mu.Unlock()
 		s.dedup(ev, "deduped-cached")
-		s.reg.Record(ev, res) // recurrence of a known incident
+		s.reg.record(ev, c, nil) // recurrence of a known incident
 		return ErrDuplicate
 	}
 	select {
@@ -570,7 +573,7 @@ func (s *Service) worker(ctx context.Context) {
 // run executes one diagnosis job. The deferred finish releases the
 // dedup reservation only after every code path below — in particular
 // after results.Put — so a Submit that misses the key in pending finds
-// its cached result.
+// its cached cause.
 func (s *Service) run(ctx context.Context, j job) {
 	defer s.finish(j.key)
 
@@ -603,8 +606,9 @@ func (s *Service) run(ctx context.Context, j job) {
 	s.tel.diagWall.Observe(wall.Seconds())
 	s.spanModules(j.ev.TraceID, res.Trace)
 	s.recordTrace(res.Trace)
-	s.results.Put(j.key, res)
-	s.reg.Record(j.ev, res)
+	c := rootCause(res)
+	s.results.Put(j.key, c)
+	s.reg.record(j.ev, c, res)
 	s.completed.Add(1)
 	s.tel.completed.Inc()
 	if s.Self != nil {
@@ -613,10 +617,8 @@ func (s *Service) run(ctx context.Context, j job) {
 	if s.OnDiagnosis != nil {
 		s.OnDiagnosis(j.ev, res)
 	}
-	if s.OnHealthy != nil && res.Facts != nil {
-		if _, ok := res.RootCause(); !ok {
-			s.OnHealthy(j.ev, res.Facts)
-		}
+	if s.OnHealthy != nil && res.Facts != nil && c.kind == "" {
+		s.OnHealthy(j.ev, res.Facts)
 	}
 }
 

@@ -2,11 +2,13 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"diads/internal/diag"
 	"diads/internal/faults"
@@ -216,6 +218,114 @@ func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 	}
 	if incs[0].Events != 2 {
 		t.Errorf("events = %d, want 2 (diagnosis + cached recurrence)", incs[0].Events)
+	}
+}
+
+// TestServiceKeepsOnlyIncidentResults pins what a serving node retains
+// of its diagnoses: the registry's latest Result per incident, and no
+// other. The test holds each Result only through a weak pointer, so after
+// a collection a Result is alive only if the service still references it.
+func TestServiceKeepsOnlyIncidentResults(t *testing.T) {
+	env, evs, _ := slowdownRig(t, 42)
+	svc := New(env, Config{Workers: 2})
+	var mu sync.Mutex
+	var held []weak.Pointer[diag.Result]
+	svc.OnDiagnosis = func(_ monitor.SlowdownEvent, res *diag.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		held = append(held, weak.Make(res))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	if err := svc.SubmitAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait()
+	svc.Stop()
+	if len(held) != len(evs) {
+		t.Fatalf("diagnosed %d of %d events", len(held), len(evs))
+	}
+
+	incs := svc.Registry().Incidents()
+	latest := make(map[weak.Pointer[diag.Result]]bool, len(incs))
+	for _, inc := range incs {
+		latest[weak.Make(inc.Result)] = true
+	}
+	incs = nil // the copies' Result fields must not pin the diagnoses
+	runtime.GC()
+	alive, stale := 0, 0
+	for _, w := range held {
+		if w.Value() != nil {
+			alive++
+			if !latest[w] {
+				stale++
+			}
+		}
+	}
+	if alive != len(latest) || stale != 0 {
+		t.Errorf("%d of %d diagnoses reachable (%d no incident's latest), want %d: one per incident",
+			alive, len(held), stale, len(latest))
+	}
+	runtime.KeepAlive(svc)
+}
+
+// TestCachedRecurrenceKeepsLatestResult pins a re-submission served from
+// the completed-job cache: it counts the event and moves the incident's
+// latest figures, but the incident's Result and Trace stay its latest
+// diagnosis. A cached job whose diagnosis named no cause files nothing.
+func TestCachedRecurrenceKeepsLatestResult(t *testing.T) {
+	env, evs, _ := slowdownRig(t, 45)
+	diagnose := func(env Env) *Service {
+		svc := New(env, Config{Workers: 2})
+		svc.Start(context.Background())
+		t.Cleanup(svc.Stop)
+		if err := svc.SubmitAll(evs); err != nil {
+			t.Fatal(err)
+		}
+		svc.Wait()
+		return svc
+	}
+
+	svc := diagnose(env)
+	incs := svc.Registry().Incidents()
+	if len(incs) != 1 {
+		t.Fatalf("%d incidents, want 1", len(incs))
+	}
+	before := incs[0]
+	// The earliest window recurs, later than anything seen so far.
+	again := evs[0]
+	again.At = before.LastSeen.Add(simtime.Minute)
+	again.Window = simtime.NewInterval(again.At, again.At.Add(simtime.Minute))
+	if err := svc.Submit(again); err != ErrDuplicate {
+		t.Fatalf("cached re-submit = %v, want ErrDuplicate", err)
+	}
+	after := svc.Registry().Incidents()[0]
+	if after.Events != before.Events+1 {
+		t.Errorf("events = %d, want %d", after.Events, before.Events+1)
+	}
+	if extra := again.Duration - again.Baseline; after.TotalExtra != before.TotalExtra+extra {
+		t.Errorf("total extra = %v, want %v", after.TotalExtra, before.TotalExtra+extra)
+	}
+	if after.LastSeen != again.At || after.Window != again.Window {
+		t.Errorf("latest = %v %v, want the recurrence's %v %v", after.LastSeen, after.Window, again.At, again.Window)
+	}
+	if after.Result != before.Result || after.Trace != before.Trace {
+		t.Error("a cached recurrence replaced the incident's latest diagnosis")
+	}
+	if st := svc.Stats(); st.Completed != int64(len(evs)) || st.Results.Hits != 1 {
+		t.Errorf("completed=%d result hits=%d, want %d/1", st.Completed, st.Results.Hits, len(evs))
+	}
+
+	// With an empty database no diagnosis names a cause.
+	empty := env
+	empty.SymDB = symptoms.NewDB()
+	svc = diagnose(empty)
+	if err := svc.Submit(evs[0]); err != ErrDuplicate {
+		t.Fatalf("cached re-submit of a causeless job = %v, want ErrDuplicate", err)
+	}
+	if n := svc.Registry().Len(); n != 0 {
+		t.Errorf("%d incidents filed from causeless diagnoses", n)
 	}
 }
 
