@@ -3,6 +3,7 @@
 package diads_test
 
 import (
+	"runtime"
 	"testing"
 
 	"diads"
@@ -13,15 +14,29 @@ import (
 // most 10 % headroom. A change that needs more allocations raises the
 // ceiling in the open, with its reason; one that needs fewer lowers it.
 var coldDiagnosisAllocs = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     178,
-	diads.ScenarioTwoPools:         162,
-	diads.ScenarioDataProperty:     168,
-	diads.ScenarioConcurrentFaults: 184,
-	diads.ScenarioLockingNoise:     162,
+	diads.ScenarioSANMisconfig:     132,
+	diads.ScenarioTwoPools:         118,
+	diads.ScenarioDataProperty:     124,
+	diads.ScenarioConcurrentFaults: 138,
+	diads.ScenarioLockingNoise:     118,
 	diads.ScenarioPlanRegression:   160,
-	diads.ScenarioCPUSaturation:    157,
-	diads.ScenarioDiskFailure:      170,
-	diads.ScenarioRAIDRebuild:      167,
+	diads.ScenarioCPUSaturation:    113,
+	diads.ScenarioDiskFailure:      126,
+	diads.ScenarioRAIDRebuild:      123,
+}
+
+// coldDiagnosisBytes is the byte budget of the same diagnoses, set the
+// same way: the bytes measured per diagnosis plus at most 10 %.
+var coldDiagnosisBytes = map[diads.ScenarioID]float64{
+	diads.ScenarioSANMisconfig:     51310,
+	diads.ScenarioTwoPools:         47726,
+	diads.ScenarioDataProperty:     46213,
+	diads.ScenarioConcurrentFaults: 53367,
+	diads.ScenarioLockingNoise:     46644,
+	diads.ScenarioPlanRegression:   60041,
+	diads.ScenarioCPUSaturation:    44198,
+	diads.ScenarioDiskFailure:      47234,
+	diads.ScenarioRAIDRebuild:      46538,
 }
 
 // TestColdDiagnosisAllocs holds every scenario's cold diagnosis (no APG
@@ -40,6 +55,39 @@ func TestColdDiagnosisAllocs(t *testing.T) {
 		t.Logf("scenario %d: %.0f allocations per diagnosis", id, got)
 		if limit := coldDiagnosisAllocs[id]; got > limit {
 			t.Errorf("scenario %d: %.0f allocations per cold diagnosis, budget %.0f", id, got, limit)
+		}
+	}
+}
+
+// TestColdDiagnosisBytes holds every scenario's cold diagnosis to its
+// byte budget: the heap bytes allocated (runtime.MemStats.TotalAlloc)
+// over 20 diagnoses, per diagnosis. A first diagnosis fills the scratch
+// pools and a collection settles the heap before the count starts, so
+// the count rarely sees a collection. It runs on one P: a sync.Pool
+// keeps a returned object on the P that returned it, so a goroutine
+// that migrates between Ps misses it now and then, and the count would
+// read the scheduler as much as the diagnosis.
+func TestColdDiagnosisBytes(t *testing.T) {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, id := range allScenarioIDs {
+		sc := scenarioFor(t, id)
+		if _, _, err := sc.Diagnose(); err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := sc.Diagnose(); err != nil {
+				t.Fatalf("scenario %d: %v", id, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("scenario %d: %.0f bytes per diagnosis", id, got)
+		if limit := coldDiagnosisBytes[id]; got > limit {
+			t.Errorf("scenario %d: %.0f bytes per cold diagnosis, budget %.0f", id, got, limit)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package diads_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"diads"
@@ -149,4 +150,54 @@ func TestFacadePipelineRegistry(t *testing.T) {
 	if res.Trace == nil || res.Trace.Module("da") == nil {
 		t.Fatalf("facade diagnosis should carry the workflow trace, got %+v", res.Trace)
 	}
+}
+
+// TestConcurrentColdDiagnosisParity diagnoses the nine scenarios cold on
+// four goroutines at once, each goroutine all nine in its own order, as
+// the diagnosis service's workers do: they share the fact builder's and
+// the modules' recycled scratch. Every fact base and report must equal
+// the sequential run's. Run it under -race.
+func TestConcurrentColdDiagnosisParity(t *testing.T) {
+	type answer struct{ facts, report string }
+	diagnose := func(sc *diads.Scenario) (answer, error) {
+		res, _, err := sc.Diagnose()
+		if err != nil {
+			return answer{}, err
+		}
+		a := answer{report: res.Render()}
+		if res.Facts != nil { // a plan change stops before the fact base
+			a.facts = res.Facts.Fingerprint()
+		}
+		return a, nil
+	}
+	scs := make([]*diads.Scenario, len(allScenarioIDs))
+	want := make([]answer, len(scs))
+	for i, id := range allScenarioIDs {
+		scs[i] = scenarioFor(t, id)
+		var err error
+		if want[i], err = diagnose(scs[i]); err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range scs {
+				i := (k + 2*w) % len(scs)
+				got, err := diagnose(scs[i])
+				if err != nil {
+					t.Errorf("worker %d, scenario %d: %v", w, scs[i].ID, err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("worker %d, scenario %d: fact base %s and report\n%s\nsequentially %s and\n%s",
+						w, scs[i].ID, got.facts, got.report, want[i].facts, want[i].report)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

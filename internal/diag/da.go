@@ -3,6 +3,7 @@ package diag
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"diads/internal/apg"
 	"diads/internal/exec"
@@ -78,32 +79,30 @@ const minSamplesForKDE = 4
 // the analysis.
 func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) {
 	res := &DAResult{}
-	comps := candidateComponents(g, co)
-	sat, unsat := ReadWindows(in.satisfactoryRuns()), ReadWindows(in.unsatisfactoryRuns())
+	sc := daScratches.Get().(*daScratch)
+	defer daScratches.Put(sc)
+	sc.comps = appendCandidateComponents(sc.comps[:0], g, co)
+	sat, unsat := in.windows()
 	threshold := in.threshold()
 
-	// Reused across series (at most one mean per window); kde copies what
-	// it keeps.
-	satVals, unsatVals := make([]float64, 0, len(sat)), make([]float64, 0, len(unsat))
-	var ms []metrics.Metric // reused across components
 	n := 0
-	for _, comp := range comps {
-		ms = in.Store.AppendMetricsFor(ms[:0], string(comp))
-		n += len(ms)
+	for _, comp := range sc.comps {
+		sc.ms = in.Store.AppendMetricsFor(sc.ms[:0], string(comp))
+		n += len(sc.ms)
 	}
 	if n > 0 {
 		res.Scores = make([]MetricScore, 0, n) // at most one score per series
 	}
-	for _, comp := range comps {
+	for _, comp := range sc.comps {
 		c := string(comp)
-		ms = in.Store.AppendMetricsFor(ms[:0], c)
-		for _, m := range ms {
-			satVals = in.Store.WindowMeans(c, m, sat, satVals[:0])
-			unsatVals = in.Store.WindowMeans(c, m, unsat, unsatVals[:0])
-			if len(satVals) < minSamplesForKDE || len(unsatVals) == 0 {
+		sc.ms = in.Store.AppendMetricsFor(sc.ms[:0], c)
+		for _, m := range sc.ms {
+			sc.satVals = in.Store.WindowMeans(c, m, sat, sc.satVals[:0])
+			sc.unsatVals = in.Store.WindowMeans(c, m, unsat, sc.unsatVals[:0])
+			if len(sc.satVals) < minSamplesForKDE || len(sc.unsatVals) == 0 {
 				continue
 			}
-			score, err := kde.AnomalyScore(satVals, unsatVals)
+			score, err := kde.AnomalyScore(sc.satVals, sc.unsatVals)
 			if err != nil {
 				continue
 			}
@@ -129,24 +128,32 @@ func DependencyAnalysis(in *Input, g *apg.APG, co *COResult) (*DAResult, error) 
 	return res, nil
 }
 
-// candidateComponents collects the components on the dependency paths of
-// the correlated operators: the inner paths, the outer paths (volumes
-// sharing disks), and — because outer-path volumes matter precisely when
-// disks are shared — every volume of the pools those paths traverse.
-func candidateComponents(g *apg.APG, co *COResult) []topology.ID {
-	n := 0
+// daScratch is Module DA's working memory, recycled across diagnoses:
+// the candidate components, one component's metrics, and one series'
+// window means. No DAResult keeps any of it; kde copies what it keeps.
+type daScratch struct {
+	comps              []topology.ID
+	ms                 []metrics.Metric
+	satVals, unsatVals []float64
+}
+
+var daScratches = sync.Pool{New: func() any { return new(daScratch) }}
+
+// appendCandidateComponents appends to dst, sorted and without
+// duplicates, the components on the dependency paths of the correlated
+// operators: the inner paths, the outer paths (volumes sharing disks),
+// and — because outer-path volumes matter precisely when disks are
+// shared — every volume of the pools those paths traverse. The paths
+// repeat components, which the sort brings together; dst must be empty,
+// as the sort takes in all of it.
+func appendCandidateComponents(dst []topology.ID, g *apg.APG, co *COResult) []topology.ID {
 	for _, opID := range co.COS {
 		dp := g.DependencyPath(opID)
-		n += len(dp.Inner) + len(dp.Outer)
+		dst = append(dst, dp.Inner...)
+		dst = append(dst, dp.Outer...)
 	}
-	out := make([]topology.ID, 0, n)
-	for _, opID := range co.COS {
-		dp := g.DependencyPath(opID)
-		out = append(out, dp.Inner...)
-		out = append(out, dp.Outer...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // ProbeMetricScore computes the anomaly score for one (component,
@@ -154,8 +161,9 @@ func candidateComponents(g *apg.APG, co *COResult) []topology.ID {
 // DA's dependency-path pruning. The Table 2 reproduction uses it to
 // report scores for volumes DA legitimately pruned away.
 func ProbeMetricScore(in *Input, component string, metric metrics.Metric) (float64, error) {
-	satVals := in.Store.WindowMeans(component, metric, ReadWindows(in.satisfactoryRuns()), nil)
-	unsatVals := in.Store.WindowMeans(component, metric, ReadWindows(in.unsatisfactoryRuns()), nil)
+	sat, unsat := in.windows()
+	satVals := in.Store.WindowMeans(component, metric, sat, nil)
+	unsatVals := in.Store.WindowMeans(component, metric, unsat, nil)
 	if len(satVals) < minSamplesForKDE || len(unsatVals) == 0 {
 		return 0, kde.ErrNoSamples
 	}
@@ -168,9 +176,13 @@ func ProbeMetricScore(in *Input, component string, metric metrics.Metric) (float
 // over it yields one observation per run, skipping runs whose windows
 // hold no samples.
 func ReadWindows(runs []*exec.RunRecord) []simtime.Interval {
-	out := make([]simtime.Interval, len(runs))
-	for i, r := range runs {
-		out[i] = metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop))
+	return appendReadWindows(make([]simtime.Interval, 0, len(runs)), runs)
+}
+
+// appendReadWindows appends ReadWindows(runs) to dst.
+func appendReadWindows(dst []simtime.Interval, runs []*exec.RunRecord) []simtime.Interval {
+	for _, r := range runs {
+		dst = append(dst, metrics.ReadWindow(simtime.NewInterval(r.Start, r.Stop)))
 	}
-	return out
+	return dst
 }

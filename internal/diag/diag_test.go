@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -371,5 +372,36 @@ func TestDiagnosisWithoutSymptomsDB(t *testing.T) {
 	}
 	if !v1Anomalous {
 		t.Fatalf("DA should still flag V1 metrics")
+	}
+}
+
+// TestComponentFactsFoldLikeTheirAdds: BuildFacts adds each component's
+// anomaly once, folded from its run of DA scores. The fact must be the
+// one an Add per score would leave, NaN included: a NaN gives way to the
+// next score, and a NaN after a score replaces it.
+func TestComponentFactsFoldLikeTheirAdds(t *testing.T) {
+	nan := math.NaN()
+	da := &DAResult{Scores: []MetricScore{
+		{Component: "disk-1", Metric: "a", Score: 0.4},
+		{Component: "disk-1", Metric: "b", Score: 0.9},
+		{Component: "disk-1", Metric: "c", Score: 0.2},
+		{Component: "pool-P1", Metric: "a", Score: nan},
+		{Component: "pool-P1", Metric: "b", Score: 0.3},
+		{Component: "vol-V1", Metric: "a", Score: 0.7},
+		{Component: "vol-V1", Metric: "b", Score: nan},
+		{Component: "vol-V2", Metric: "a", Score: 0.6},
+		{Component: "vol-V3", Metric: "a", Score: 0.5},
+		{Component: "vol-V3", Metric: "b", Score: nan},
+		{Component: "vol-V3", Metric: "c", Score: 0.1},
+		{Component: "vol-V3", Metric: "d", Score: 0.1},
+	}}
+	want := symptoms.NewFactBase()
+	for _, s := range da.Scores {
+		want.Add("component-anomaly:"+s.Component, s.Score)
+	}
+	b := symptoms.NewFactBuilder(len(da.Scores))
+	addComponentFacts(b, da)
+	if got := b.Build(); got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("folded component facts\n%s\nwant one Add per score\n%s", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"sync"
 
 	"diads/internal/apg"
 	"diads/internal/metrics"
@@ -47,8 +48,8 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 	if da != nil {
 		for _, s := range da.Scores {
 			fb.Add(s.Score, "metric-anomaly:", s.Component, ":", string(s.Metric))
-			fb.Add(s.Score, "component-anomaly:", s.Component)
 		}
+		addComponentFacts(fb, da)
 		addDerivedDAFacts(fb, in, da)
 	}
 
@@ -71,12 +72,28 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
+// addComponentFacts records each component's highest metric anomaly. A
+// component's scores are adjacent in DA's sorted Scores, so it folds
+// them, call by call as the builder would, into one Add.
+func addComponentFacts(fb *symptoms.FactBuilder, da *DAResult) {
+	for i := 0; i < len(da.Scores); {
+		c, score := da.Scores[i].Component, da.Scores[i].Score
+		for i++; i < len(da.Scores) && da.Scores[i].Component == c; i++ {
+			if !symptoms.AddKeeps(score, da.Scores[i].Score) {
+				score = da.Scores[i].Score
+			}
+		}
+		fb.Add(score, "component-anomaly:", c)
+	}
+}
+
 // addCPULevelFact records the absolute CPU utilization level during the
 // unsatisfactory runs (0..1). Anomaly scores alone cannot distinguish
 // "CPU is a bit higher because runs last longer" from genuine saturation;
 // the level can.
 func addCPULevelFact(fb *symptoms.FactBuilder, in *Input) {
-	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, ReadWindows(in.unsatisfactoryRuns()), nil)
+	_, unsat := in.windows()
+	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, unsat, nil)
 	if len(vals) == 0 {
 		return
 	}
@@ -222,27 +239,33 @@ func addEventFacts(fb *symptoms.FactBuilder, in *Input, events []topology.Event)
 // their disk-sharing neighbours), every pool those volumes belong to,
 // every base table of the plan, and the database server.
 func Bindings(in *Input, g *apg.APG) []symptoms.Binding {
-	out := make([]symptoms.Binding, 0, 2*len(g.Volumes())+len(g.Tables())+2)
+	return appendBindings(nil, in, g)
+}
+
+// bindingScratch recycles Module SD's bindings, and their Vars maps,
+// across diagnoses: a cause instance keeps only a binding's Subject, a
+// topology or table name the binding never owned.
+var bindingScratch = sync.Pool{New: func() any { return new([]symptoms.Binding) }}
+
+// appendBindings appends Bindings(in, g) to the empty dst, reusing the
+// Vars maps an earlier call left in dst's spare capacity.
+func appendBindings(dst []symptoms.Binding, in *Input, g *apg.APG) []symptoms.Binding {
+	out := slices.Grow(dst, 2*len(g.Volumes())+len(g.Tables())+2)
 	var volBuf, poolBuf [16]topology.ID    // a plan reaches a few of each
 	vols, pools := volBuf[:0], poolBuf[:0] // bound so far
+	var vars map[string]string
 	addVolume := func(vol topology.ID) {
 		if slices.Contains(vols, vol) {
 			return
 		}
 		vols = append(vols, vol)
 		pool := in.Cfg.PoolOf(vol)
-		out = append(out, symptoms.Binding{
-			Scope:   symptoms.ScopeVolume,
-			Subject: string(vol),
-			Vars:    map[string]string{"$V": string(vol), "$P": string(pool)},
-		})
+		out, vars = addBinding(out, symptoms.ScopeVolume, string(vol))
+		vars["$V"], vars["$P"] = string(vol), string(pool)
 		if pool != "" && !slices.Contains(pools, pool) {
 			pools = append(pools, pool)
-			out = append(out, symptoms.Binding{
-				Scope:   symptoms.ScopePool,
-				Subject: string(pool),
-				Vars:    map[string]string{"$P": string(pool)},
-			})
+			out, vars = addBinding(out, symptoms.ScopePool, string(pool))
+			vars["$P"] = string(pool)
 		}
 	}
 	for _, vol := range g.Volumes() {
@@ -252,20 +275,26 @@ func Bindings(in *Input, g *apg.APG) []symptoms.Binding {
 		}
 	}
 	for _, table := range g.Tables() {
-		out = append(out, symptoms.Binding{
-			Scope:   symptoms.ScopeTable,
-			Subject: table,
-			Vars:    map[string]string{"$T": table},
-		})
+		out, vars = addBinding(out, symptoms.ScopeTable, table)
+		vars["$T"] = table
 	}
-	out = append(out, symptoms.Binding{
-		Scope:   symptoms.ScopeServer,
-		Subject: string(in.Server),
-		Vars:    map[string]string{"$S": string(in.Server)},
-	})
-	out = append(out, symptoms.Binding{
-		Scope:   symptoms.ScopeGlobal,
-		Subject: in.Query,
-	})
+	out, vars = addBinding(out, symptoms.ScopeServer, string(in.Server))
+	vars["$S"] = string(in.Server)
+	out, _ = addBinding(out, symptoms.ScopeGlobal, in.Query)
 	return out
+}
+
+// addBinding appends a binding of scope to subject and returns its
+// empty Vars map: the one an earlier call left in the slot, cleared, or
+// a new one.
+func addBinding(out []symptoms.Binding, scope symptoms.Scope, subject string) ([]symptoms.Binding, map[string]string) {
+	out = slices.Grow(out, 1)[:len(out)+1]
+	b := &out[len(out)-1]
+	if b.Vars == nil {
+		b.Vars = make(map[string]string, 2)
+	} else {
+		clear(b.Vars)
+	}
+	b.Scope, b.Subject = scope, subject
+	return out, b.Vars
 }

@@ -92,6 +92,10 @@ type Input struct {
 	// the partitions above; planSig "" means "not computed". Read-only.
 	planSig                string
 	satOnPlan, unsatOnPlan []*exec.RunRecord
+	// satWin and unsatWin are the evidence windows of sat and unsat
+	// (ReadWindows), set by Seed with them: Module DA and the fact
+	// builder read the same windows. nil means "not computed". Read-only.
+	satWin, unsatWin []simtime.Interval
 }
 
 // threshold returns the configured or default anomaly threshold.
@@ -129,6 +133,15 @@ func (in *Input) unsatisfactoryRuns() []*exec.RunRecord {
 	}
 	_, unsat := in.partition()
 	return unsat
+}
+
+// windows returns the evidence windows of the satisfactory and the
+// unsatisfactory runs: the seeded ones, or ReadWindows per call.
+func (in *Input) windows() (sat, unsat []simtime.Interval) {
+	if in.satWin != nil {
+		return in.satWin, in.unsatWin
+	}
+	return ReadWindows(in.satisfactoryRuns()), ReadWindows(in.unsatisfactoryRuns())
 }
 
 // partition splits the labeled runs into the satisfactory and the

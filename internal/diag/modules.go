@@ -7,6 +7,7 @@ import (
 	"diads/internal/apg"
 	"diads/internal/cache"
 	"diads/internal/pipeline"
+	"diads/internal/simtime"
 	"diads/internal/symptoms"
 )
 
@@ -27,8 +28,9 @@ const PipelineDIADS = "diads"
 
 // Seed validates the input and returns the copy of it a diagnosis reads:
 // the run history already partitioned by label, and by the plan the
-// drill-down will analyze, so the modules share one filter-and-sort
-// instead of repeating it. The caller's Input is never written.
+// drill-down will analyze, and the runs' evidence windows, so the modules
+// share one filter-and-sort instead of repeating it. The caller's Input
+// is never written.
 func Seed(in *Input) (*Input, error) {
 	seeded := *in
 	seeded.sat, seeded.unsat = in.partition()
@@ -38,6 +40,10 @@ func Seed(in *Input) (*Input, error) {
 	seeded.planSig = dominantSig(seeded.unsat)
 	seeded.satOnPlan = withPlanSig(seeded.sat, seeded.planSig)
 	seeded.unsatOnPlan = withPlanSig(seeded.unsat, seeded.planSig)
+	nSat := len(seeded.sat)
+	win := appendReadWindows(make([]simtime.Interval, 0, nSat+len(seeded.unsat)), seeded.sat)
+	win = appendReadWindows(win, seeded.unsat)
+	seeded.satWin, seeded.unsatWin = win[:nSat:nSat], win[nSat:]
 	return &seeded, nil
 }
 
@@ -191,7 +197,13 @@ func runSD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
 			return s.in.CacheScope + "|" + s.APG.Plan.Signature() + "/" + s.Facts.Fingerprint() +
 				"@v" + strconv.Itoa(db.Version())
 		},
-		func() ([]symptoms.CauseInstance, error) { return db.Evaluate(s.Facts, Bindings(s.in, s.APG)), nil })
+		func() ([]symptoms.CauseInstance, error) {
+			bp := bindingScratch.Get().(*[]symptoms.Binding)
+			*bp = appendBindings((*bp)[:0], s.in, s.APG)
+			causes := db.Evaluate(s.Facts, *bp)
+			bindingScratch.Put(bp)
+			return causes, nil
+		})
 	s.Causes = causes
 	return false, outcome, err
 }

@@ -3,9 +3,9 @@ package symptoms
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Scope declares which template bindings an entry expects.
@@ -190,14 +190,25 @@ type Binding struct {
 	Vars    map[string]string
 }
 
+// evalScratch is Evaluate's working memory, recycled across
+// evaluations: the buffer every substituted pattern is written into, and
+// the true conditions instance after instance. No CauseInstance keeps
+// any of it.
+type evalScratch struct {
+	buf  []byte
+	held []string
+}
+
+var evalScratches = sync.Pool{New: func() any { return new(evalScratch) }}
+
 // Evaluate scores every entry against the fact base for each binding of
 // its scope, returning cause instances sorted by confidence (descending),
 // with ties broken by kind then subject for determinism.
 //
-// Every substituted pattern is written into one buffer and read as a
-// substring of it. The instances' TrueConditions are carved from one
-// slice of exactly their total length, so a retained result keeps
-// nothing else of the evaluation.
+// Each instance writes its substituted patterns into one recycled
+// buffer and reads them in place. The instances' TrueConditions are
+// carved from one slice of exactly their total length, so a retained
+// result keeps nothing else of the evaluation.
 func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 	pairs, conds := 0, 0
 	for _, e := range db.entries {
@@ -208,10 +219,10 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 			}
 		}
 	}
-	var buf strings.Builder
-	buf.Grow(conds * avgFactName) // a substituted pattern is about a fact name long
+	sc := evalScratches.Get().(*evalScratch)
+	buf := sc.buf[:0]
 	out := make([]CauseInstance, 0, pairs)
-	held := make([]string, 0, conds) // the true conditions, instance after instance
+	held := slices.Grow(sc.held[:0], conds)
 	for _, e := range db.entries {
 		for _, b := range bindings {
 			if b.Scope != e.Scope {
@@ -219,6 +230,7 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 			}
 			var score float64
 			first := len(held)
+			buf = buf[:0] // no pattern of an earlier instance is still read
 			for _, c := range e.Conditions {
 				if c.Expr.eval(fb, b.Vars, &buf) {
 					score += c.Weight
@@ -238,6 +250,9 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 	// held has room for every condition; keep an exactly sized copy.
 	kept := make([]string, len(held))
 	copy(kept, held)
+	clear(held) // the pool keeps no entry's text alive
+	sc.buf, sc.held = buf[:0], held[:0]
+	evalScratches.Put(sc)
 	at := 0
 	for i := range out {
 		n := len(out[i].TrueConditions)
@@ -247,14 +262,19 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 		}
 		at += n
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
+	// slices.SortFunc runs sort.Slice's pdqsort step for step without its
+	// reflective swapper, so instances that tie keep their old order.
+	slices.SortFunc(out, func(a, b CauseInstance) int {
+		if a.Confidence != b.Confidence {
+			if a.Confidence > b.Confidence {
+				return -1
+			}
+			return 1
 		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
+		if c := strings.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		return out[i].Subject < out[j].Subject
+		return strings.Compare(a.Subject, b.Subject)
 	})
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Expr is a parsed symptom expression, evaluated against a fact base with
@@ -15,14 +16,14 @@ type Expr interface {
 	String() string
 	// eval is Eval substituting each pattern into buf, or, with a nil
 	// buf, into a string of its own.
-	eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool
+	eval(fb *FactBase, bind map[string]string, buf *[]byte) bool
 }
 
 // existsExpr: exists(pattern) — some matching fact has score > 0.
 type existsExpr struct{ pattern string }
 
 func (e existsExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e existsExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e existsExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	return fb.Exists(substituteIn(buf, e.pattern, bind))
 }
 func (e existsExpr) String() string { return fmt.Sprintf("exists(%s)", e.pattern) }
@@ -34,7 +35,7 @@ type geExpr struct {
 }
 
 func (e geExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e geExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e geExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	return fb.MaxScore(substituteIn(buf, e.pattern, bind)) >= e.c
 }
 func (e geExpr) String() string { return fmt.Sprintf("ge(%s, %g)", e.pattern, e.c) }
@@ -43,7 +44,7 @@ func (e geExpr) String() string { return fmt.Sprintf("ge(%s, %g)", e.pattern, e.
 type notExpr struct{ inner Expr }
 
 func (e notExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e notExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e notExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	return !e.inner.eval(fb, bind, buf)
 }
 func (e notExpr) String() string { return fmt.Sprintf("not(%s)", e.inner) }
@@ -52,7 +53,7 @@ func (e notExpr) String() string { return fmt.Sprintf("not(%s)", e.inner) }
 type andExpr struct{ args []Expr }
 
 func (e andExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e andExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e andExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	for _, a := range e.args {
 		if !a.eval(fb, bind, buf) {
 			return false
@@ -66,7 +67,7 @@ func (e andExpr) String() string { return "and(" + joinExprs(e.args) + ")" }
 type orExpr struct{ args []Expr }
 
 func (e orExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e orExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e orExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	for _, a := range e.args {
 		if a.eval(fb, bind, buf) {
 			return true
@@ -82,7 +83,7 @@ func (e orExpr) String() string { return "or(" + joinExprs(e.args) + ")" }
 type beforeExpr struct{ p1, p2 string }
 
 func (e beforeExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e beforeExpr) eval(fb *FactBase, bind map[string]string, buf *strings.Builder) bool {
+func (e beforeExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
 	t1, ok1 := fb.EarliestT(substituteIn(buf, e.p1, bind))
 	t2, ok2 := fb.EarliestT(substituteIn(buf, e.p2, bind))
 	return ok1 && ok2 && t1 < t2
@@ -108,18 +109,17 @@ func substitute(pattern string, bind map[string]string) string {
 	if !strings.Contains(pattern, "$") {
 		return pattern
 	}
-	var buf strings.Builder
 	n := len(pattern)
 	for _, v := range bind {
 		n += len(v)
 	}
-	buf.Grow(n)
+	buf := make([]byte, 0, n)
 	return appendSubstitute(&buf, pattern, bind)
 }
 
 // substituteIn is substitute writing into buf, or substitute itself for
 // a nil buf.
-func substituteIn(buf *strings.Builder, pattern string, bind map[string]string) string {
+func substituteIn(buf *[]byte, pattern string, bind map[string]string) string {
 	if buf == nil {
 		return substitute(pattern, bind)
 	}
@@ -128,11 +128,15 @@ func substituteIn(buf *strings.Builder, pattern string, bind map[string]string) 
 
 // appendSubstitute is the append form of substitute: each variable that
 // occurs appends the text with it replaced to buf, and the result is the
-// last text appended — a substring of buf, which a later write leaves as
-// it is — or the pattern itself when no variable occurs. Bindings carry
-// one or two variables, so the keys are ordered on the stack; more spill
-// to the heap and order the same way.
-func appendSubstitute(buf *strings.Builder, pattern string, bind map[string]string) string {
+// last text appended or the pattern itself when no variable occurs.
+// Bindings carry one or two variables, so the keys are ordered on the
+// stack; more spill to the heap and order the same way.
+//
+// The result reads buf's bytes in place, so it holds only until buf is
+// next written from its start: a later append leaves those bytes as they
+// are, but a recycled buffer does not. Callers look the result up and
+// let it go; nothing keeps it.
+func appendSubstitute(buf *[]byte, pattern string, bind map[string]string) string {
 	if !strings.Contains(pattern, "$") {
 		return pattern
 	}
@@ -157,15 +161,16 @@ func appendSubstitute(buf *strings.Builder, pattern string, bind map[string]stri
 		if i < 0 {
 			continue
 		}
-		v, start := bind[k], buf.Len()
+		v, start := bind[k], len(*buf)
 		for i >= 0 {
-			buf.WriteString(out[:i])
-			buf.WriteString(v)
+			*buf = append(*buf, out[:i]...)
+			*buf = append(*buf, v...)
 			out = out[i+len(k):]
 			i = strings.Index(out, k)
 		}
-		buf.WriteString(out)
-		out = buf.String()[start:]
+		*buf = append(*buf, out...)
+		b := (*buf)[start:]
+		out = unsafe.String(unsafe.SliceData(b), len(b))
 	}
 	return out
 }

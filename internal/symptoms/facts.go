@@ -14,6 +14,7 @@
 package symptoms
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"diads/internal/simtime"
 )
@@ -51,80 +53,111 @@ type FactBase struct {
 func NewFactBase() *FactBase { return &FactBase{} }
 
 // FactBuilder builds a fact base from a sequence of Add and AddTimed
-// calls in one pass. It writes every name into one buffer and keeps the
-// calls in order; Build sorts them, folds each name's calls exactly as the
+// calls in one pass. It appends every name to one byte buffer, records
+// each call with its name's offsets into it, and keeps the calls in
+// order; Build sorts them, folds each name's calls exactly as the
 // sequential calls on a FactBase would, and copies the surviving facts
 // and their names into storage of exactly their size, which is all the
-// built base keeps.
+// built base keeps. The call list and the name buffer are scratch:
+// builders come from a pool, and Build returns its scratch there.
 type FactBuilder struct {
-	names strings.Builder
-	calls []Fact // in call order; HasT marks AddTimed
+	names []byte
+	calls []call // in call order
 }
+
+// call is one recorded Add or AddTimed, its name names[from:to].
+type call struct {
+	from, to int32
+	score    float64
+	t        simtime.Time
+	timed    bool // AddTimed
+}
+
+// fact returns the call as the Fact fold applies, without its name.
+func (c call) fact() Fact { return Fact{Score: c.score, T: c.t, HasT: c.timed} }
+
+// set makes the call record f, keeping its name.
+func (c *call) set(f Fact) { c.score, c.t, c.timed = f.Score, f.T, f.HasT }
+
+// builders recycles FactBuilder scratch across fact bases.
+var builders = sync.Pool{New: func() any { return new(FactBuilder) }}
 
 // avgFactName is the mean fact-name length in bytes, rounded up, over the
 // nine batch scenarios ("metric-anomaly:vol-V1:Total IOs" is 31).
 const avgFactName = 32
 
-// NewFactBuilder returns a builder sized for about n calls.
+// NewFactBuilder returns a builder with room for about n calls.
 func NewFactBuilder(n int) *FactBuilder {
-	b := &FactBuilder{calls: make([]Fact, 0, n)}
-	b.names.Grow(n * avgFactName)
+	b := builders.Get().(*FactBuilder)
+	b.calls = slices.Grow(b.calls[:0], n)
+	b.names = slices.Grow(b.names[:0], n*avgFactName)
 	return b
 }
 
 // Add records Add(name, score), the name being the concatenation of
 // parts.
 func (b *FactBuilder) Add(score float64, parts ...string) {
-	b.record(Fact{Score: score}, parts)
+	b.record(call{score: score}, parts)
 }
 
 // AddTimed records AddTimed(name, score, t), the name being the
 // concatenation of parts.
 func (b *FactBuilder) AddTimed(score float64, t simtime.Time, parts ...string) {
-	b.record(Fact{Score: score, T: t, HasT: true}, parts)
+	b.record(call{score: score, t: t, timed: true}, parts)
 }
 
-func (b *FactBuilder) record(f Fact, parts []string) {
-	from := b.names.Len()
+func (b *FactBuilder) record(c call, parts []string) {
+	c.from = int32(len(b.names))
 	for _, p := range parts {
-		b.names.WriteString(p)
+		b.names = append(b.names, p...)
 	}
-	// A strings.Builder never rewrites what it has written, so the name
-	// stays valid even if the buffer is later outgrown.
-	f.Name = b.names.String()[from:]
-	b.calls = append(b.calls, f)
+	c.to = int32(len(b.names))
+	b.calls = append(b.calls, c)
 }
 
-// Build returns the fact base the recorded calls build. The builder must
-// not be used afterwards.
+// name returns c's name in the builder's buffer.
+func (b *FactBuilder) name(c call) []byte { return b.names[c.from:c.to] }
+
+// Build returns the fact base the recorded calls build, and returns the
+// builder's scratch to the pool: the builder must not be used
+// afterwards.
 func (b *FactBuilder) Build() *FactBase {
 	calls := b.calls
 	// A stable sort keeps each name's calls in call order, so folding a
 	// run of one name applies them as the sequential calls would.
-	slices.SortStableFunc(calls, func(a, b Fact) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortStableFunc(calls, func(x, y call) int { return bytes.Compare(b.name(x), b.name(y)) })
 	folded, size := calls[:0], 0
-	for _, f := range calls {
-		if n := len(folded); n > 0 && folded[n-1].Name == f.Name {
-			folded[n-1] = fold(folded[n-1], true, f)
+	for _, c := range calls {
+		if n := len(folded); n > 0 && bytes.Equal(b.name(folded[n-1]), b.name(c)) {
+			folded[n-1].set(fold(folded[n-1].fact(), true, c.fact()))
 			continue
 		}
-		folded = append(folded, fold(Fact{}, false, f))
-		size += len(f.Name)
+		c.set(fold(Fact{}, false, c.fact()))
+		folded = append(folded, c)
+		size += len(b.name(c))
 	}
 	var kept strings.Builder
 	kept.Grow(size)
-	for _, f := range folded {
-		kept.WriteString(f.Name)
+	for _, c := range folded {
+		kept.Write(b.name(c))
 	}
 	facts := make([]Fact, len(folded))
 	all, at := kept.String(), 0
-	for i, f := range folded {
-		f.Name = all[at : at+len(f.Name)]
-		at += len(f.Name)
+	for i, c := range folded {
+		f, n := c.fact(), int(c.to-c.from)
+		f.Name = all[at : at+n]
+		at += n
 		facts[i] = f
 	}
+	builders.Put(b)
 	return &FactBase{facts: facts}
 }
+
+// AddKeeps reports whether Add, re-adding a name with score, leaves the
+// fact that holds old as it is: old is at least score. A NaN on either
+// side fails the comparison, so the later score wins. A caller that folds
+// several Adds of one name into one applies it call by call, in order.
+func AddKeeps(old, score float64) bool { return old >= score }
 
 // fold applies one call, Add(f.Name, f.Score) or, when f.HasT is set,
 // AddTimed(f.Name, f.Score, f.T), to the fact old already stored under
@@ -133,7 +166,7 @@ func (b *FactBuilder) Build() *FactBase {
 // FactBase's methods and FactBuilder both fold through it.
 func fold(old Fact, exists bool, f Fact) Fact {
 	if !f.HasT {
-		if exists && old.Score >= f.Score {
+		if exists && AddKeeps(old.Score, f.Score) {
 			return old
 		}
 		return Fact{Name: f.Name, Score: f.Score}

@@ -5,10 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"diads/internal/simtime"
 )
@@ -256,6 +258,58 @@ func TestFactIndexProperty(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			checkAgainst(t, bulk, ref, name(true))
+		}
+	}
+}
+
+// TestBuildKeepsNoScratch: Build returns a FactBuilder's call list and
+// name buffer to a pool, and the next builder writes over them. The base
+// it returned must hold none of that scratch: its facts slice is exactly
+// as long as its facts, and its names lie back to back in storage of
+// exactly their total length. Builders sent through the pool afterwards,
+// with other names of the same lengths, must leave it as it was.
+func TestBuildKeepsNoScratch(t *testing.T) {
+	b := NewFactBuilder(4)
+	b.Add(0.9, "metric-anomaly:", "vol-V1", ":writeTime")
+	b.AddTimed(1, 7, "event:VolumeCreated:", "vol-V3")
+	b.Add(0.4, "cos-leaf-frac:", "vol-V1")
+	b.Add(0.2, "cos-leaf-frac:vol-V1") // folds into the call before
+	fb := b.Build()
+
+	if len(fb.facts) != 3 || cap(fb.facts) != len(fb.facts) {
+		t.Fatalf("facts len %d cap %d, want 3 and 3", len(fb.facts), cap(fb.facts))
+	}
+	want, size := make([]Fact, len(fb.facts)), 0
+	for i, f := range fb.facts {
+		f.Name = strings.Clone(f.Name)
+		want[i] = f
+		size += len(f.Name)
+	}
+	first := unsafe.StringData(fb.facts[0].Name)
+	at := 0
+	for _, f := range fb.facts {
+		if unsafe.StringData(f.Name) != (*byte)(unsafe.Add(unsafe.Pointer(first), at)) {
+			t.Fatalf("name %q is not where the names before it end", f.Name)
+		}
+		at += len(f.Name)
+	}
+	if at != size {
+		t.Fatalf("names span %d bytes, want the %d they hold", at, size)
+	}
+	fp := fb.Fingerprint()
+
+	for round := 0; round < 8; round++ {
+		other := NewFactBuilder(4)
+		other.Add(0.1, "metric-anomaly:", "vol-V2", ":readTime_")
+		other.AddTimed(2, 3, "event:VolumeDeleted:", "vol-V9")
+		other.Add(0.8, "cos-leaf-frac:", "vol-V7")
+		other.Add(0.3, "cos-leaf-frac:vol-V8")
+		other.Build()
+		if got := fb.All(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: the first base reads %v, built as %v", round, got, want)
+		}
+		if got := fb.Fingerprint(); got != fp {
+			t.Fatalf("round %d: Fingerprint %s, built as %s", round, got, fp)
 		}
 	}
 }
