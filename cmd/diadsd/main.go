@@ -65,6 +65,7 @@ import (
 	"diads/internal/console"
 	"diads/internal/experiments"
 	"diads/internal/fleet"
+	"diads/internal/monitor"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -76,7 +77,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 4, "diagnosis worker pool size")
-	chunkMin := flag.Float64("chunk", 30, "simulation chunk in minutes (monitoring lag; fleet default 10)")
+	chunkMin := flag.Float64("chunk", 30, "simulation chunk in minutes, the monitoring lag and barrier spacing (0 plays the timeline as one chunk; -instances > 1 defaults to 10 and needs it positive)")
 	reportEvery := flag.Int("report-every", 4, "print the incident report every N chunks")
 	runs := flag.Int("runs", 16, "Q2 runs to schedule (other queries scale along)")
 	instances := flag.Int("instances", 1, "fleet size; above 1 streams a multi-instance fleet")
@@ -396,25 +397,24 @@ func run(seed int64, workers int, chunkMin float64, reportEvery, runs int, quiet
 
 	chunks := 0
 	spec := experiments.OnlineSpec{Seed: seed, Runs: runs, Workers: workers, SelfObserver: self}
-	res, err := experiments.RunOnline(spec, simtime.Duration(chunkMin)*simtime.Minute, func(t experiments.OnlineTick) error {
+	res, err := experiments.RunOnline(spec, simtime.Duration(chunkMin)*simtime.Minute, func(b fleet.Barrier, alerts []monitor.MetricAlert) error {
 		if !quiet {
 			// Logged at release (metrics cover the window), not at detection.
-			for _, ev := range t.Released {
+			for _, ev := range b.Released {
 				logger.Info("slowdown detected", "query", ev.Query,
 					"kind", string(ev.Kind), "factor", fmt.Sprintf("%.2f", ev.Factor),
 					"at", ev.At.Clock(), "trace", ev.TraceID)
 			}
-			for _, a := range t.Alerts {
+			for _, a := range alerts {
 				logger.Info("metric alert", "alert", a.String())
 			}
 		}
 		chunks++
 		switch {
-		case t.Final:
-			fmt.Printf("\n[final %s]\n%s\n", t.Now.Clock(), t.Service.Registry().Render())
+		case b.Final:
+			fmt.Printf("\n[final %s]\n%s\n", b.Now.Clock(), b.Service.Registry().Render())
 		case chunks%reportEvery == 0:
-			t.Service.Wait() // settle in-flight diagnoses before reporting
-			fmt.Printf("\n[%s]\n%s\n", t.Now.Clock(), t.Service.Registry().Render())
+			fmt.Printf("\n[%s]\n%s\n", b.Now.Clock(), b.Service.Registry().Render())
 		}
 		return nil
 	})

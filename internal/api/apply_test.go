@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"diads/internal/dbsys"
 	"diads/internal/faults"
+	"diads/internal/monitor"
 	"diads/internal/simtime"
 	"diads/internal/testbed"
 	"diads/internal/topology"
@@ -57,7 +59,8 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 
 			node := New(Config{Seed: testSeed})
 			defer node.Shutdown()
-			body, err := json.Marshal(EventBatch{Tenant: "acme", Instance: "db-1", Events: logEvents(sim)})
+			events := logEvents(sim)
+			body, err := json.Marshal(EventBatch{Tenant: "acme", Instance: "db-1", Events: events})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,9 +69,7 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 			if rec.Code != http.StatusAccepted {
 				t.Fatalf("POST events = %d %s", rec.Code, rec.Body)
 			}
-			if err := node.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
+			reachChanges(t, node, "acme", "db-1", events)
 			node.mu.Lock()
 			got := node.instances[keyOf("acme", "db-1")].Testbed
 			node.mu.Unlock()
@@ -96,13 +97,105 @@ func TestStatsUpdatedReachesDiagnoses(t *testing.T) {
 	tb := node.instances[keyOf("acme", "db-1")].Testbed
 	node.mu.Unlock()
 	before := tb.Stats.RowsOf(dbsys.TPartsupp)
-	post(WireEvent{T: 10, Kind: "DMLBatch", Subject: dbsys.TPartsupp, Factor: 2},
-		WireEvent{T: 20, Kind: "StatsUpdated", Subject: dbsys.TPartsupp})
+	events := []WireEvent{
+		{T: 10, Kind: "DMLBatch", Subject: dbsys.TPartsupp, Factor: 2},
+		{T: 20, Kind: "StatsUpdated", Subject: dbsys.TPartsupp},
+	}
+	post(events...)
+	reachChanges(t, node, "acme", "db-1", events)
 	if got := tb.Stats.RowsOf(dbsys.TPartsupp); got != 2*before {
 		t.Fatalf("statistics after StatsUpdated: %d partsupp rows, want %d", got, 2*before)
 	}
 	if env, ok := node.svc.EnvFor("acme/db-1"); !ok || !reflect.DeepEqual(env.Stats, tb.Stats) {
 		t.Fatalf("diagnosis environment statistics %v, want the instance's %v", env.Stats, tb.Stats)
+	}
+}
+
+// TestRunsPlanAsOfTheirStart: a posted change takes effect at its own
+// time T, not when it is posted. An IndexDrop posted ahead of runs that
+// start before T, at T and after T leaves the first on the pre-drop plan
+// and moves the others to the post-drop plan: like the simulator, the
+// node applies a change before a run that starts at its time.
+func TestRunsPlanAsOfTheirStart(t *testing.T) {
+	const at = 4 * 3600.0
+	drop := WireEvent{T: at, Kind: string(topology.EvIndexDropped), Subject: dbsys.IdxPartsuppPart}
+	ref, err := testbed.NewFigure1(testbed.DefaultConfig(testSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func() string {
+		p, err := ref.Opt.PlanQuery("Q2", ref.Stats, ref.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Signature()
+	}
+	before := plan()
+	if err := ref.Apply(drop.event()); err != nil {
+		t.Fatal(err)
+	}
+	after := plan()
+	if before == after {
+		t.Fatal("dropping the index leaves Q2's plan as it was; the check is vacuous")
+	}
+
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	post := func(j intakeJob) {
+		if err := node.enqueue(j); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post(intakeJob{events: &EventBatch{Tenant: "acme", Instance: "db-1", Events: []WireEvent{drop}}})
+	// Six runs before the drop arm the monitor; the last run, after it,
+	// is slow enough to raise the event whose snapshot shows every plan.
+	runs := &RunBatch{Tenant: "acme", Instance: "db-1"}
+	for i, start := range []float64{at - 1800, at - 1500, at - 1200, at - 900, at - 600, at - 300, at, at + 300} {
+		dur := 10.0
+		if start > at {
+			dur = 100
+		}
+		runs.Runs = append(runs.Runs, WireRun{Query: "Q2", RunID: strconv.Itoa(i), Start: start, Stop: start + dur})
+	}
+	post(intakeJob{runs: runs})
+
+	node.mu.Lock()
+	in := node.instances[keyOf("acme", "db-1")]
+	node.mu.Unlock()
+	evs := in.Monitor.Release(monitor.EndOfStream)
+	if len(evs) != 1 || len(evs[0].Runs) != len(runs.Runs) {
+		t.Fatalf("%d events; want one whose snapshot holds all %d runs", len(evs), len(runs.Runs))
+	}
+	for _, r := range evs[0].Runs {
+		want := before
+		if float64(r.Start) >= at {
+			want = after
+		}
+		if r.PlanSig != want {
+			t.Errorf("run starting at %v, drop at %v: planned as %s, want %s", r.Start, at, r.PlanSig, want)
+		}
+	}
+}
+
+// reachChanges moves the instance's evidence past every posted change,
+// which takes effect only once evidence reaches its time: it posts an
+// empty sample batch whose watermark is past the latest change and
+// settles the node.
+func reachChanges(t *testing.T, node *Node, tenant, instance string, events []WireEvent) {
+	t.Helper()
+	watermark := 0.0
+	for _, e := range events {
+		watermark = max(watermark, e.T)
+	}
+	watermark++
+	if err := node.enqueue(intakeJob{samples: &SampleBatch{Tenant: tenant, Instance: instance, Watermark: &watermark}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -180,6 +273,7 @@ func FuzzDecodeEventBatch(f *testing.F) {
 		if err := node.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
+		reachChanges(t, node, b.Tenant, b.Instance, b.Events)
 		node.mu.Lock()
 		in := node.instances[keyOf(b.Tenant, b.Instance)]
 		node.mu.Unlock()

@@ -9,8 +9,14 @@
 //     monitor exactly like simulator output; samples land in the
 //     instance's metrics store and advance its ingest watermark, which
 //     releases gated detections into the shared diagnosis pool; events
-//     apply to the instance's topology, catalog, parameters and
-//     statistics and land in the change log.
+//     change the instance's topology, catalog, parameters and
+//     statistics and land in the change log. A change takes effect at
+//     its own time T, not when it is posted: it applies once the
+//     instance's evidence reaches T — before the first posted run that
+//     starts at or after T is planned, or when the watermark reaches T.
+//     So posting order does not matter for a change posted ahead of its
+//     time, and each run is planned under the state as of its start as
+//     long as no change arrives after a run that starts later.
 //   - query: GET /v1/incidents, /v1/incidents/{id}, /v1/candidates,
 //     and /v1/modules render the same snapshots the console panels
 //     use — the ranked incident registry, the symptom-learning
@@ -88,7 +94,8 @@ type Config struct {
 	// is a deterministic function of the ingest stream. 0 disables
 	// eviction (the pre-lifecycle behavior: instances accrete forever,
 	// which under tenant churn is a leak). Registry incidents survive
-	// eviction; only ingest state pages out.
+	// eviction; only ingest state pages out, and with it any posted
+	// change whose time the instance's evidence had not reached yet.
 	IdleBatches int
 }
 
@@ -123,6 +130,9 @@ type instance struct {
 	// lastSeq is the intake sequence of the last batch that touched the
 	// instance — the idle-eviction clock.
 	lastSeq int64
+	// pending holds posted changes whose T the instance's evidence has
+	// not reached, in time order (see applyChanges).
+	pending []topology.Event
 }
 
 // intakeJob is one accepted ingest batch awaiting ordered application.
@@ -340,8 +350,8 @@ var (
 )
 
 // worker is the single ordered intake drain: batches apply in arrival
-// order, which is what lets a client reason "events before runs before
-// the watermark that releases them" across separate POSTs.
+// order, which is what lets a client reason "runs before the watermark
+// that releases them" across separate POSTs.
 func (n *Node) worker() {
 	defer n.workerWG.Done()
 	for j := range n.intake {
@@ -484,6 +494,7 @@ func (n *Node) applySamples(b *SampleBatch, traceID string) {
 	if high > in.watermark {
 		in.watermark = high
 		n.ingested.Store(true)
+		n.applyChanges(in, high)
 		n.release(in, traceID)
 	}
 }
@@ -532,10 +543,12 @@ func (n *Node) release(in *instance, traceID string) {
 }
 
 // applyRuns replays a run batch through the instance's monitor. The
-// run's plan is reconstructed with the instance's own optimizer —
-// deterministic, so node IDs match a client compiled against the same
-// catalog — whose memo plans each query once per catalog, parameter and
-// statistics version.
+// run's plan is reconstructed with the instance's own optimizer, under
+// the state as of the run's start (the changes due by then applied
+// first, as the simulator applies a change before a run that starts at
+// its time) — deterministic, so node IDs match a client compiled against
+// the same catalog — whose memo plans each query once per catalog,
+// parameter and statistics version.
 func (n *Node) applyRuns(b *RunBatch) {
 	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
@@ -545,6 +558,7 @@ func (n *Node) applyRuns(b *RunBatch) {
 	tb := in.Testbed
 	for i := range b.Runs {
 		wr := &b.Runs[i]
+		n.applyChanges(in, simtime.Time(wr.Start))
 		p, err := tb.Opt.PlanQuery(wr.Query, tb.Stats, tb.Params)
 		if err != nil {
 			n.tel.applyErr.Inc()
@@ -554,26 +568,37 @@ func (n *Node) applyRuns(b *RunBatch) {
 	}
 }
 
-// applyEvents applies each posted change to the instance through
-// testbed.Apply; a change that cannot apply is counted, not logged. A new
-// statistics snapshot re-registers the instance's diagnosis environment,
-// which holds the snapshot it was registered with, so diagnoses and
-// applyRuns plan under the same statistics (jobs in flight keep theirs).
+// applyEvents queues each posted change in time order; those the
+// instance's watermark has already reached apply at once.
 func (n *Node) applyEvents(b *EventBatch) {
 	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
 		n.tel.applyErr.Inc()
 		return
 	}
-	restat := false
 	for i := range b.Events {
-		ev := b.Events[i].event()
+		in.pending = append(in.pending, b.Events[i].event())
+	}
+	slices.SortStableFunc(in.pending, func(x, y topology.Event) int { return cmp.Compare(x.T, y.T) })
+	n.applyChanges(in, in.watermark)
+}
+
+// applyChanges applies, through testbed.Apply, every pending change due
+// by now; a change that cannot apply is counted, not logged. A new
+// statistics snapshot re-registers the instance's diagnosis environment,
+// which holds the snapshot it was registered with, so diagnoses and
+// applyRuns plan under the same statistics (jobs in flight keep theirs).
+func (n *Node) applyChanges(in *instance, now simtime.Time) {
+	k, restat := 0, false
+	for ; k < len(in.pending) && in.pending[k].T <= now; k++ {
+		ev := in.pending[k]
 		if err := in.Testbed.Apply(ev); err != nil {
 			n.tel.applyErr.Inc()
 			continue
 		}
 		restat = restat || ev.Kind == topology.EvStatsUpdated
 	}
+	in.pending = in.pending[k:]
 	if restat {
 		n.svc.AddInstance(in.ID, fleet.EnvOf(in.Testbed, n.cfg.SymDB))
 	}

@@ -90,8 +90,10 @@ type RunBatch struct {
 
 // WireEvent is one change-log entry, the wire form of topology.Event,
 // which documents each kind's payload. The instance applies it through
-// testbed.Apply, so diagnosis sees the post-change state and the change
-// log Modules PD and SD read.
+// testbed.Apply once its evidence reaches T — before planning the first
+// run that starts at or after T, or when the watermark reaches T — so
+// runs plan under the state as of their start, diagnosis sees the
+// post-change state, and the change log Modules PD and SD read.
 type WireEvent struct {
 	T       float64  `json:"t"`
 	Kind    string   `json:"kind"`
@@ -107,7 +109,10 @@ type WireEvent struct {
 	Value   float64  `json:"value,omitempty"`
 }
 
-// EventBatch is the body of POST /v1/ingest/events.
+// EventBatch is the body of POST /v1/ingest/events. Its changes may come
+// in any order and ahead of their time: each waits, in time order, for
+// the instance's evidence to reach its T. Post a change before any run
+// that starts after it.
 type EventBatch struct {
 	Tenant   string      `json:"tenant"`
 	Instance string      `json:"instance"`

@@ -22,48 +22,69 @@ import (
 )
 
 // TestCrossModeEquivalence pins that the same evidence yields the same
-// ranked causes whichever door it comes through: the single-instance
-// online driver, a one-instance fleet with learning off, and HTTP ingest
-// into an api.Node all advance the same instance runtime. Online and
-// fleet share a simulator, so their rankings must agree exactly; the
-// HTTP node diagnoses against its own Figure 1 environment mutated by
-// the posted configuration events, so it is held to the top incident's
-// identity and event count.
+// ranked causes whichever door it comes through, for every fault family:
+// the online driver (30-minute chunks, retention on), a one-instance
+// fleet with learning off (its default chunks, retention off), and HTTP
+// ingest into an api.Node, posted whole and in 30-minute steps. Online
+// and fleet share a simulator, so their rankings must agree exactly; the
+// HTTP node diagnoses against its own Figure 1 environment changed by the
+// posted change log, so it is held to the top incident's identity and
+// event count, with no diagnosis failed. Every door's top cause must be
+// in the fault's answer.
 func TestCrossModeEquivalence(t *testing.T) {
-	online, err := Online(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !online.Correct {
-		t.Fatalf("online run did not diagnose the fault:\n%s", online.Render())
-	}
-	want := incidentTuples(online.Incidents)
+	for _, fam := range faultFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			spec := OnlineSpec{Seed: testSeed, Fault: fam.fault}
+			online, err := RunOnline(spec, 30*simtime.Minute, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !online.Correct {
+				t.Fatalf("online run did not diagnose the fault:\n%s", online.Render())
+			}
+			want := incidentTuples(online.Incidents)
 
-	rep, _, err := RunFleetSpec(FleetSpec{Seed: testSeed, Instances: 1, Degraded: 1, LearnOff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := groupTuples(rep); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("fleet ranks different incidents than the online driver\n online %v\n fleet  %v", want, got)
-	}
+			rep, _, err := RunFleetSpec(FleetSpec{Seed: spec.Seed, Instances: 1, Degraded: 1, Fault: fam.fault, LearnOff: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := groupTuples(rep); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("fleet ranks different incidents than the online driver\n online %v\n fleet  %v", want, got)
+			}
 
-	top := httpIncidents(t, OnlineSpec{Seed: testSeed}, 0)[0]
-	if o := online.Incidents[0]; top.Query != o.Query || top.Kind != o.Kind ||
-		top.Subject != o.Subject || top.Events != o.Events {
-		t.Errorf("HTTP top incident = %s %s(%s) over %d events, online = %s %s(%s) over %d",
-			top.Query, top.Kind, top.Subject, top.Events, o.Query, o.Kind, o.Subject, o.Events)
+			env, err := BuildOnline(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer := env.Fault.Answer(env.Testbed)
+			o := online.Incidents[0]
+			for _, step := range []simtime.Duration{0, 30 * simtime.Minute} {
+				incs, failed := httpIncidents(t, spec, step)
+				top := incs[0]
+				if top.Query != o.Query || top.Kind != o.Kind || top.Subject != o.Subject || top.Events != o.Events {
+					t.Errorf("step %v: HTTP top incident = %s %s(%s) over %d events, online = %s %s(%s) over %d",
+						step, top.Query, top.Kind, top.Subject, top.Events, o.Query, o.Kind, o.Subject, o.Events)
+				}
+				if !Named(top.Kind, top.Subject, answer) {
+					t.Errorf("step %v: HTTP top incident %s(%s) is not in the fault's answer", step, top.Kind, top.Subject)
+				}
+				if failed != 0 {
+					t.Errorf("step %v: %d HTTP diagnoses failed", step, failed)
+				}
+			}
+		})
 	}
 
 	t.Run("under-retention", crossModeUnderRetention)
 }
 
 // crossModeUnderRetention is the same property on a stream long enough
-// for retention to fire on the two doors that truncate behind the pool's
-// in-flight floor: three days through the online driver and through
-// HTTP ingest — posted hour by hour with no Quiesce in between, so
-// diagnoses race further ingest and the truncation it sets off — must
-// rank exactly what a one-instance fleet with retention off, which never
-// truncates, ranks.
+// for retention to fire on the two doors that truncate: three days
+// through the online driver (retaining at its barriers) and through HTTP
+// ingest (retaining behind the pool's in-flight floor) — posted hour by
+// hour with no Quiesce in between, so diagnoses race further ingest and
+// the truncation it sets off — must rank exactly what a one-instance
+// fleet with retention off, which never truncates, ranks.
 func crossModeUnderRetention(t *testing.T) {
 	spec := OnlineSpec{Seed: testSeed, Runs: 144}
 	rep, _, err := RunFleetSpec(FleetSpec{Seed: spec.Seed, Instances: 1, Degraded: 1, Runs: spec.Runs, LearnOff: true})
@@ -89,7 +110,8 @@ func crossModeUnderRetention(t *testing.T) {
 
 	truncated = metrics.TruncatedTotal()
 	var got []string
-	for _, inc := range httpIncidents(t, spec, simtime.Hour) {
+	incs, _ := httpIncidents(t, spec, simtime.Hour)
+	for _, inc := range incs {
 		got = append(got, incidentTuple(inc.Query, inc.Kind, inc.Subject, inc.Events, inc.EstImpact))
 	}
 	if metrics.TruncatedTotal() == truncated {
@@ -136,10 +158,11 @@ func simulateClient(t *testing.T, spec OnlineSpec) *OnlineEnv {
 	return env
 }
 
-// streamHTTP replays a simulated client into the node as acme/db-1 in
-// the order the ingest contract requires: the client's change log, then, step by step, the runs that completed by the boundary
-// and the samples taken up to it, the boundary being the batch's
-// watermark; step 0 is the whole stream at once. Nothing settles between
+// streamHTTP replays a simulated client into the node as acme/db-1: the
+// client's whole change log first (each change takes effect at its own
+// time), then, step by step, the runs that completed by the boundary and
+// the samples taken up to it, the boundary being the batch's watermark;
+// step 0 is the whole stream at once. Nothing settles between
 // POSTs — diagnoses race further ingest — unless each (nil for none),
 // called after every step, does.
 func streamHTTP(t *testing.T, node *api.Node, env *OnlineEnv, step simtime.Duration, each func(now simtime.Time)) {
@@ -204,8 +227,8 @@ func streamHTTP(t *testing.T, node *api.Node, env *OnlineEnv, step simtime.Durat
 
 // httpIncidents streams the spec's scenario into a fresh api.Node,
 // settles it, and returns the ranked incidents read back over the query
-// route.
-func httpIncidents(t *testing.T, spec OnlineSpec, step simtime.Duration) []api.IncidentView {
+// route and how many diagnoses failed.
+func httpIncidents(t *testing.T, spec OnlineSpec, step simtime.Duration) ([]api.IncidentView, int64) {
 	t.Helper()
 	node := api.New(api.Config{Seed: spec.Seed})
 	defer node.Shutdown()
@@ -221,7 +244,7 @@ func httpIncidents(t *testing.T, spec OnlineSpec, step simtime.Duration) []api.I
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil || len(list.Incidents) == 0 {
 		t.Fatalf("GET /v1/incidents = %d %s (%v)", rec.Code, rec.Body, err)
 	}
-	return list.Incidents
+	return list.Incidents, node.Service().Stats().Failed
 }
 
 // TestDesignListsEveryMetricFamily keeps DESIGN.md's "Metric families"

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"diads/internal/fleet"
 	"diads/internal/monitor"
+	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 )
@@ -103,6 +105,50 @@ func TestFleetChunkSizeDeterminism(t *testing.T) {
 			t.Errorf("chunk %v fleet report differs from batch\n--- batch ---\n%s\n--- chunk %v ---\n%s",
 				chunk, base.Render(), chunk, rep.Render())
 		}
+	}
+}
+
+// TestBarrierHookObservesOnly pins fleet.Config.OnBarrier as a pure
+// observer: a fleet run whose hook records every argument, and reads the
+// service the way the online driver's does, renders the same report as
+// the run without one. Under -race it also checks the hook's reads
+// against the shard's simulating instances and diagnosing workers.
+func TestBarrierHookObservesOnly(t *testing.T) {
+	spec := FleetSpec{Seed: testSeed, Instances: 4, Degraded: 3, Runs: 12}
+	want, _, err := RunFleetSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var barriers []fleet.Barrier
+	var incidents []service.Incident
+	spec.OnBarrier = func(b fleet.Barrier) error {
+		barriers = append(barriers, b)
+		incidents = b.Service.Registry().Incidents()
+		return nil
+	}
+	got, _, err := RunFleetSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() {
+		t.Errorf("the hook changed the fleet report\n--- without ---\n%s\n--- with ---\n%s", want.Render(), got.Render())
+	}
+	released, events, finals := 0, 0, 0
+	for i, b := range barriers {
+		released += len(b.Released)
+		if b.Final {
+			finals++
+		}
+		if i > 0 && b.Now < barriers[i-1].Now {
+			t.Errorf("barrier %d at %v follows one at %v", i, b.Now, barriers[i-1].Now)
+		}
+	}
+	for _, ir := range got.Instances {
+		events += ir.Events
+	}
+	if finals != 1 || !barriers[len(barriers)-1].Final || released != events || len(incidents) == 0 {
+		t.Errorf("%d barriers, %d final (want the last, alone), %d events released (want %d), %d incidents at the end",
+			len(barriers), finals, released, events, len(incidents))
 	}
 }
 

@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
+	"diads/internal/faults"
 	"diads/internal/fleet"
 	"diads/internal/monitor"
 	"diads/internal/service"
@@ -110,6 +112,9 @@ type FleetSpec struct {
 	Seed      int64
 	Instances int
 	Degraded  int
+	// Fault builds the degraded instances' fault, as OnlineSpec.Fault
+	// does (nil: the SAN misconfiguration).
+	Fault func(onset, horizon simtime.Time) faults.Fault
 	// Runs is the per-instance Q2 schedule length (default 16).
 	Runs int
 	// Chunk is the simulation chunk and barrier granularity (0 = the
@@ -154,6 +159,8 @@ type FleetSpec struct {
 	// fire within test-scale timelines.
 	Monitor      monitor.Config
 	StoreSegment int
+	// OnBarrier observes every shard barrier (fleet.Config.OnBarrier).
+	OnBarrier func(fleet.Barrier) error
 }
 
 // RunFleetSpec builds the instances from the shared online-scenario
@@ -167,6 +174,7 @@ func RunFleetSpec(spec FleetSpec) (*fleet.Report, []simtime.Time, error) {
 			Seed:         spec.Seed + int64(i)*fleetSeedStride,
 			Runs:         spec.Runs,
 			Offset:       simtime.Duration(i) * fleetStagger,
+			Fault:        spec.Fault,
 			NoFault:      i >= spec.Degraded,
 			Monitor:      spec.Monitor,
 			StoreSegment: spec.StoreSegment,
@@ -186,21 +194,13 @@ func RunFleetSpec(spec FleetSpec) (*fleet.Report, []simtime.Time, error) {
 	if spec.OperatorReview {
 		learn.Review = fleet.ReviewOperator
 		if len(spec.AckKinds) > 0 {
-			acked := make(map[string]bool, len(spec.AckKinds))
-			for _, k := range spec.AckKinds {
-				acked[k] = true
-			}
 			learn.Reviewer = func(c symptoms.CandidateEntry, _ symptoms.Validation) bool {
-				return acked[c.CauseKind]
+				return slices.Contains(spec.AckKinds, c.CauseKind)
 			}
 		}
 	}
-	symdb := spec.SymDB
-	if symdb == nil {
-		symdb = symptoms.Builtin()
-	}
 	fl, err := fleet.New(fleet.Config{
-		SymDB:          symdb,
+		SymDB:          spec.SymDB,
 		SharedSubjects: fleetSharedSubjects(),
 		Chunk:          spec.Chunk,
 		MaxStreams:     spec.MaxStreams,
@@ -210,6 +210,7 @@ func RunFleetSpec(spec FleetSpec) (*fleet.Report, []simtime.Time, error) {
 		SelfObserver:   spec.SelfObserver,
 		Retention:      spec.Retention,
 		ResidentCap:    spec.ResidentCap,
+		OnBarrier:      spec.OnBarrier,
 	}, insts)
 	if err != nil {
 		return nil, nil, err

@@ -10,7 +10,6 @@ import (
 	"diads/internal/monitor"
 	"diads/internal/service"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 	"diads/internal/testbed"
 )
 
@@ -77,88 +76,72 @@ func Online(seed int64) (*OnlineResult, error) {
 	return RunOnline(OnlineSpec{Seed: seed}, 30*simtime.Minute, nil)
 }
 
-// OnlineTick is what the single-instance driver hands its per-chunk
-// callback: the chunk boundary (a metric watermark), the detections just
-// released and submitted, the metric alerts since the last tick, and the
-// service (to settle the pool, to read the registry). The last tick is
-// Final: the stream has ended and the pool has settled.
-type OnlineTick struct {
-	Now      simtime.Time
-	Final    bool
-	Released []monitor.SlowdownEvent
-	Alerts   []monitor.MetricAlert
-	Service  *service.Service
-}
-
-// RunOnline is the single-instance driver: it builds the spec's
-// instance and streams it in chunks (the monitoring lag and release
-// granularity; 0 plays the whole timeline as one batch chunk), at every
-// boundary releasing and submitting the detections the emitted metrics
-// cover, then calling onTick (nil for none). The result's Render output
-// is byte-identical for every chunk size: the evidence-window contract
-// (metrics.ReadWindow, the monitor's watermark gate, grid-aligned
-// emission) guarantees a diagnosis never depends on when its event was
-// released.
-func RunOnline(spec OnlineSpec, chunk simtime.Duration, onTick func(OnlineTick) error) (*OnlineResult, error) {
+// RunOnline is the single-instance driver: a one-instance fleet over the
+// spec's instance, learning off and retention on, streamed in chunks
+// (the monitoring lag and release granularity; 0 plays the whole
+// timeline as one chunk). At every barrier it polls the V1/V2 metric
+// watcher, then calls onBarrier (nil for none) with the barrier and the
+// alerts just raised. The result's Render output is byte-identical for
+// every chunk size: the evidence-window contract (metrics.ReadWindow, the
+// monitor's watermark gate, grid-aligned emission) guarantees a diagnosis
+// never depends on when its event was released.
+func RunOnline(spec OnlineSpec, chunk simtime.Duration, onBarrier func(fleet.Barrier, []monitor.MetricAlert) error) (*OnlineResult, error) {
 	env, err := BuildOnline(spec)
 	if err != nil {
 		return nil, err
 	}
 	tb := env.Testbed
-	inst := &fleet.Instance{Testbed: tb, Monitor: env.Monitor}
-
 	watcher := monitor.NewWatcher(tb.Store, monitor.Config{MinRuns: 12, MinFactor: 1.3})
 	watcher.Watch(string(testbed.VolV1), metrics.VolReadTime)
 	watcher.Watch(string(testbed.VolV2), metrics.VolReadTime)
 
-	svc := service.New(fleet.EnvOf(tb, symptoms.Builtin()), service.Config{Workers: spec.Workers})
-	svc.Self = spec.SelfObserver
-	svc.Start(context.Background())
-	defer svc.Stop()
-
+	if chunk <= 0 {
+		chunk = simtime.Duration(monitor.EndOfStream) // no timeline outlasts it
+	}
 	res := &OnlineResult{Onset: env.Onset}
-	tick := func(watermark, now simtime.Time, final bool) error {
-		t := OnlineTick{Now: now, Final: final, Service: svc, Released: inst.Release(watermark)}
-		for _, ev := range t.Released {
-			if ev.Query != "Q2" {
-				res.FalsePositives++
+	fl, err := fleet.New(fleet.Config{
+		Chunk:        chunk,
+		Service:      service.Config{Workers: spec.Workers},
+		Learn:        fleet.LearnConfig{Disabled: true},
+		SelfObserver: spec.SelfObserver,
+		Retention:    true,
+		OnBarrier: func(b fleet.Barrier) error {
+			for _, ev := range b.Released {
+				if ev.Query != "Q2" {
+					res.FalsePositives++
+				}
 			}
-		}
-		if err := svc.SubmitAll(t.Released); err != nil {
-			return err
-		}
-		if final {
-			svc.Wait()
-		}
-		t.Alerts = watcher.Poll()
-		for _, a := range t.Alerts {
-			if a.Component == string(testbed.VolV1) {
-				res.Alerts++
+			// Before retention, which must not drop a sample the
+			// watcher's cursors have not seen.
+			alerts := watcher.Poll()
+			for _, a := range alerts {
+				if a.Component == string(testbed.VolV1) {
+					res.Alerts++
+				}
 			}
-		}
-		// Behind the watcher, whose cursors must see a sample before
-		// retention may drop it, and behind the pool's in-flight reads.
-		inst.Retain(svc.Floor(inst.ID))
-		if onTick == nil {
-			return nil
-		}
-		return onTick(t)
+			if b.Final {
+				res.Incidents = b.Service.Registry().Incidents()
+				res.Service = b.Service.Stats()
+			}
+			if onBarrier == nil {
+				return nil
+			}
+			return onBarrier(b, alerts)
+		},
+	}, []fleet.Instance{{Testbed: tb, Monitor: env.Monitor}})
+	if err != nil {
+		return nil, err
 	}
-	err = tb.SimulateStream(chunk, func(now simtime.Time) error { return tick(now, now, false) })
-	if err == nil {
-		err = tick(monitor.EndOfStream, tb.Horizon.End, true)
-	}
+	rep, err := fl.Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
 
-	if res.Events, res.FirstDetection = inst.Detections(); res.Events > 0 {
-		res.Detected = true
+	if ir := rep.Instances[0]; ir.Detected {
+		res.Events, res.FirstDetection, res.Detected = ir.Events, ir.FirstDetection, true
 		res.DetectionLag = res.FirstDetection.Sub(env.Onset)
 	}
-	res.Incidents = svc.Registry().Incidents()
 	res.Monitor = env.Monitor.Stats()
-	res.Service = svc.Stats()
 	if len(res.Incidents) > 0 && env.Fault != nil {
 		top := res.Incidents[0]
 		res.Correct = Named(top.Kind, top.Subject, env.Fault.Answer(tb))

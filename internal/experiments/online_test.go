@@ -6,7 +6,9 @@ import (
 
 	"diads/internal/dbsys"
 	"diads/internal/faults"
+	"diads/internal/fleet"
 	"diads/internal/metrics"
+	"diads/internal/monitor"
 	"diads/internal/simtime"
 	"diads/internal/telemetry"
 	"diads/internal/testbed"
@@ -58,47 +60,51 @@ func TestOnlinePipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// faultFamilies lists one fault of each family with the parameters its
+// batch scenario uses (scenarios.go), plus a parameter change, for the
+// online scenario's onset and horizon. The online schedule starts where
+// the scenarios' does, so the lock holds line up with the second-half
+// runs.
+var faultFamilies = []struct {
+	name  string
+	fault func(onset, horizon simtime.Time) faults.Fault
+}{
+	{"san-misconfig", func(onset, horizon simtime.Time) faults.Fault { return sanMisconfig(onset, horizon) }},
+	{"external-load", func(onset, horizon simtime.Time) faults.Fault {
+		return &faults.ExternalVolumeLoad{
+			LoadName: "wl-v1-heavy", Volume: testbed.VolV3,
+			Window:   simtime.NewInterval(onset, horizon),
+			ReadIOPS: 450, WriteIOPS: 120, DutyCycle: 1,
+		}
+	}},
+	{"data-property", func(onset, _ simtime.Time) faults.Fault {
+		return &faults.DataPropertyChange{At: onset, Table: dbsys.TPartsupp, Factor: 1.8}
+	}},
+	{"lock-contention", func(simtime.Time, simtime.Time) faults.Fault {
+		return &faults.TableLockContention{Table: dbsys.TPartsupp, Holds: lockHolds(), Holder: "txn-batch"}
+	}},
+	{"index-drop", func(onset, _ simtime.Time) faults.Fault {
+		return &faults.IndexDrop{At: onset, Index: dbsys.IdxPartsuppPart}
+	}},
+	{"cpu-saturation", func(onset, horizon simtime.Time) faults.Fault {
+		return &faults.CPUSaturation{Server: testbed.ServerDB, Window: simtime.NewInterval(onset, horizon), Load: 0.83}
+	}},
+	{"disk-failure", func(onset, horizon simtime.Time) faults.Fault {
+		return &faults.DiskFailure{Disk: "disk-3", Window: simtime.NewInterval(onset, horizon), RebuildIntensity: 0.45}
+	}},
+	{"raid-rebuild", func(onset, horizon simtime.Time) faults.Fault {
+		return &faults.RAIDRebuild{Pool: testbed.PoolP1, Window: simtime.NewInterval(onset, horizon), Intensity: 0.55}
+	}},
+	{"param-change", func(onset, _ simtime.Time) faults.Fault {
+		return &faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0}
+	}},
+}
+
 // TestOnlineDiagnosesEveryFamily streams each fault family through the
 // online door — monitor, watermark gate, diagnosis service, registry —
-// with the parameters its batch scenario uses (scenarios.go), plus a
-// parameter change, and checks the top incident against the fault's
-// answer. The online schedule starts where the scenarios' does, so the
-// lock holds line up with the second-half runs.
+// and checks the top incident against the fault's answer.
 func TestOnlineDiagnosesEveryFamily(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		fault func(onset, horizon simtime.Time) faults.Fault
-	}{
-		{"san-misconfig", func(onset, horizon simtime.Time) faults.Fault { return sanMisconfig(onset, horizon) }},
-		{"external-load", func(onset, horizon simtime.Time) faults.Fault {
-			return &faults.ExternalVolumeLoad{
-				LoadName: "wl-v1-heavy", Volume: testbed.VolV3,
-				Window:   simtime.NewInterval(onset, horizon),
-				ReadIOPS: 450, WriteIOPS: 120, DutyCycle: 1,
-			}
-		}},
-		{"data-property", func(onset, _ simtime.Time) faults.Fault {
-			return &faults.DataPropertyChange{At: onset, Table: dbsys.TPartsupp, Factor: 1.8}
-		}},
-		{"lock-contention", func(simtime.Time, simtime.Time) faults.Fault {
-			return &faults.TableLockContention{Table: dbsys.TPartsupp, Holds: lockHolds(), Holder: "txn-batch"}
-		}},
-		{"index-drop", func(onset, _ simtime.Time) faults.Fault {
-			return &faults.IndexDrop{At: onset, Index: dbsys.IdxPartsuppPart}
-		}},
-		{"cpu-saturation", func(onset, horizon simtime.Time) faults.Fault {
-			return &faults.CPUSaturation{Server: testbed.ServerDB, Window: simtime.NewInterval(onset, horizon), Load: 0.83}
-		}},
-		{"disk-failure", func(onset, horizon simtime.Time) faults.Fault {
-			return &faults.DiskFailure{Disk: "disk-3", Window: simtime.NewInterval(onset, horizon), RebuildIntensity: 0.45}
-		}},
-		{"raid-rebuild", func(onset, horizon simtime.Time) faults.Fault {
-			return &faults.RAIDRebuild{Pool: testbed.PoolP1, Window: simtime.NewInterval(onset, horizon), Intensity: 0.55}
-		}},
-		{"param-change", func(onset, _ simtime.Time) faults.Fault {
-			return &faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0}
-		}},
-	} {
+	for _, tc := range faultFamilies {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := RunOnline(OnlineSpec{Seed: 400, Fault: tc.fault}, 30*simtime.Minute, nil)
 			if err != nil {
@@ -140,11 +146,11 @@ func TestOnlinePlateau(t *testing.T) {
 	base, truncated := exposed(), metrics.TruncatedTotal()
 	var day2, after, last float64
 	_, err := RunOnline(OnlineSpec{Seed: testSeed, Runs: 336, NoFault: true}, 30*simtime.Minute,
-		func(tick OnlineTick) error {
+		func(b fleet.Barrier, _ []monitor.MetricAlert) error {
 			last = exposed() - base
 			switch {
-			case tick.Now <= simtime.Time(simtime.Day):
-			case tick.Now <= simtime.Time(2*simtime.Day):
+			case b.Now <= simtime.Time(simtime.Day):
+			case b.Now <= simtime.Time(2*simtime.Day):
 				day2 = max(day2, last)
 			default:
 				after = max(after, last)

@@ -88,7 +88,7 @@ func TestFleetRetentionParity(t *testing.T) {
 // TestRetentionBehindPoolKeepsEveryDiagnosis holds retention behind the
 // pool's in-flight floor to the strictest reading of "cannot change a
 // diagnosis": the three-day faulty stream is driven twice through the
-// single-instance driver's loop — release, submit, and on one side
+// API node's release step — release, submit, and on one side
 // Retain(Floor) with the diagnoses it just submitted still running — and
 // every diagnosis, by trace ID, must report the same text and the same
 // anomaly score on every (component, metric), bit for bit. The ranked

@@ -1,7 +1,8 @@
 // Package fleet runs many database+SAN instances through one shared
-// diagnosis pipeline — the layer above the single-instance online loop
-// that the paper's symptoms-database design (Section 7) anticipates:
-// diagnosis knowledge amortized across deployments.
+// diagnosis pipeline — what the paper's symptoms-database design
+// (Section 7) anticipates: diagnosis knowledge amortized across
+// deployments. It is also the one loop that drives a simulated
+// instance: the single-instance online driver is a one-instance fleet.
 //
 // A Fleet streams N independent testbed instances concurrently, each on
 // its own seed and timeline, partitioned into shards by instance hash.
@@ -96,6 +97,9 @@ type Config struct {
 	// through the one evidence-window contract). Reports are
 	// byte-identical with retention on or off; only memory changes.
 	Retention bool
+	// OnBarrier, when non-nil, observes each shard's chunk barriers; an
+	// error fails the run.
+	OnBarrier func(Barrier) error
 	// ResidentCap bounds each shard's resident (non-hibernated)
 	// instances when Retention is on (0 = unlimited). Past the cap,
 	// instances with no gated or buffered events hibernate: their
@@ -105,6 +109,19 @@ type Config struct {
 	// pure functions of instance state, so the page-out/page-in cycle
 	// costs recomputation only, never a result.
 	ResidentCap int
+}
+
+// Barrier is what Config.OnBarrier sees at a shard's chunk barrier: the
+// barrier time (a metric watermark; at the Final barrier every instance
+// has finished), the detections it released, and the shard's service.
+// The hook runs on the coordinator after the barrier's epochs are
+// diagnosed and before retention, with every instance parked: it may
+// read their stores and the settled service, but must not submit.
+type Barrier struct {
+	Now      simtime.Time
+	Final    bool
+	Released []monitor.SlowdownEvent
+	Service  *service.Service
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -194,10 +211,7 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 	for _, s := range cfg.SharedSubjects {
 		f.shared[s] = true
 	}
-	for i, inst := range instances {
-		if inst.ID == "" {
-			return nil, fmt.Errorf("fleet: instance %d has no ID", i)
-		}
+	for _, inst := range instances {
 		if inst.Testbed == nil || inst.Monitor == nil {
 			return nil, fmt.Errorf("fleet: instance %q needs a testbed and a monitor", inst.ID)
 		}
@@ -266,19 +280,14 @@ func (f *Fleet) registerTelemetryFuncs() {
 	learnVal := func(read func(l *learner) float64) func() float64 {
 		return func() float64 { return f.ex.read(read) }
 	}
+	candidates := func(state string, n func(l *learner) int) func() {
+		return reg.GaugeFunc("diads_fleet_candidates", "Mined symptom candidates by lifecycle state.",
+			telemetry.Labels{"state": state}, learnVal(func(l *learner) float64 { return float64(n(l)) }))
+	}
 	f.freeze = []func(){
-		reg.GaugeFunc("diads_fleet_candidates",
-			"Mined symptom candidates by lifecycle state.",
-			telemetry.Labels{"state": "pending"},
-			learnVal(func(l *learner) float64 { return float64(len(l.pending)) })),
-		reg.GaugeFunc("diads_fleet_candidates",
-			"Mined symptom candidates by lifecycle state.",
-			telemetry.Labels{"state": "installed"},
-			learnVal(func(l *learner) float64 { return float64(len(l.installed)) })),
-		reg.GaugeFunc("diads_fleet_candidates",
-			"Mined symptom candidates by lifecycle state.",
-			telemetry.Labels{"state": "rejected"},
-			learnVal(func(l *learner) float64 { return float64(len(l.rejectedList)) })),
+		candidates("pending", func(l *learner) int { return len(l.pending) }),
+		candidates("installed", func(l *learner) int { return len(l.installed) }),
+		candidates("rejected", func(l *learner) int { return len(l.rejectedList) }),
 		reg.CounterFunc("diads_fleet_incidents_confirmed_total",
 			"Confirmed incidents fed to the symptom miner.",
 			nil, learnVal(func(l *learner) float64 { return float64(l.confirmed) })),

@@ -10,10 +10,12 @@ import (
 
 // Instance is one database+SAN deployment and the single owner of its
 // evidence: a testbed (simulated, or filled by HTTP ingest) and the
-// monitor attached to its run stream. Every driver — the single-instance
-// online loop, a fleet shard, the API's intake worker — advances this
-// one runtime, from the one goroutine that drives the instance.
+// monitor attached to its run stream. Both drivers — a fleet shard's
+// coordinator and the API's intake worker — advance this one runtime,
+// from the one goroutine that drives the instance.
 type Instance struct {
+	// ID scopes the instance's jobs and incidents in a shared service:
+	// unique in a fleet, and empty for a lone instance (the online driver).
 	ID      string
 	Testbed *testbed.Testbed
 	Monitor *monitor.Monitor
@@ -53,12 +55,6 @@ func (in *Instance) Release(watermark simtime.Time) []monitor.SlowdownEvent {
 		in.events++
 	}
 	return released
-}
-
-// Detections returns how many detections have been released and the
-// completion time of the earliest offending run among them.
-func (in *Instance) Detections() (n int, first simtime.Time) {
-	return in.events, in.firstDetection
 }
 
 // Retain truncates the instance's metric store, SAN timelines and run

@@ -145,6 +145,7 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 
 	alive := n
 	watermark := make([]simtime.Time, n)
+	var now simtime.Time
 	for alive > 0 {
 		arrived := 0
 		for arrived < alive {
@@ -156,6 +157,7 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 				continue
 			}
 			watermark[msg.idx] = msg.now
+			now = max(now, msg.now)
 			arrived++
 		}
 		// Every shard instance is now parked (or finished): release what
@@ -164,11 +166,17 @@ func (sh *shard) run(ctx context.Context, sem chan struct{}) {
 		// Nothing in this shard simulates while its diagnoses read stores.
 		if ctx.Err() == nil {
 			frontier := monitor.EndOfStream
+			var released []monitor.SlowdownEvent
 			for i, st := range sh.instances {
-				sh.buffered = append(sh.buffered, st.Release(watermark[i])...)
+				released = append(released, st.Release(watermark[i])...)
 				frontier = min(frontier, watermark[i])
 			}
-			if err := sh.advance(ctx, frontier); err != nil {
+			sh.buffered = append(sh.buffered, released...)
+			err := sh.advance(ctx, frontier)
+			if err == nil && sh.f.cfg.OnBarrier != nil {
+				err = sh.f.cfg.OnBarrier(Barrier{Now: now, Final: alive == 0, Released: released, Service: sh.svc})
+			}
+			if err != nil {
 				sh.f.fail(err)
 			} else if sh.f.cfg.Retention {
 				// Every shard instance is parked or finished and every
