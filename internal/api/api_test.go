@@ -62,7 +62,7 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) *http.Respo
 
 // simulateClient runs the online SAN-misconfiguration scenario locally —
 // the "real system" whose monitoring we serialize over the wire.
-func simulateClient(t *testing.T, spec experiments.OnlineSpec) *experiments.OnlineEnv {
+func simulateClient(t testing.TB, spec experiments.OnlineSpec) *experiments.OnlineEnv {
 	t.Helper()
 	env, err := experiments.BuildOnline(spec)
 	if err != nil {

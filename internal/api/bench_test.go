@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"diads/internal/experiments"
 )
 
 // The accept path's own rows (ROADMAP 1b): one request through
@@ -118,4 +120,37 @@ func BenchmarkAcceptSamples(b *testing.B) {
 
 func BenchmarkAcceptRuns(b *testing.B) {
 	benchAccept(b, "/v1/ingest/runs", benchRunBody(b, 0), nil)
+}
+
+// BenchmarkScanSamples times the scanner alone — no handler, no
+// validation, no intake — on a simulated day's samples marshalled the
+// way an agent posts them, 256 to a batch. Unlike benchSampleBody's
+// math.Sqrt values (16–17 digits, nearly all past the scanner's exact
+// fast path) these carry the fixture's real mix of short and
+// full-precision numbers. One op is one batch; MB/s is body bytes
+// scanned.
+func BenchmarkScanSamples(b *testing.B) {
+	env := simulateClient(b, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
+	samples := storeSamples(env.Testbed)
+	var bodies [][]byte
+	size := 0
+	for lo := 0; lo < len(samples); lo += 256 {
+		body, err := json.Marshal(SampleBatch{Tenant: "acme", Instance: "db-1", Samples: samples[lo:min(lo+256, len(samples))]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+		size += len(body)
+	}
+	sc := newScanner()
+	var batch SampleBatch
+	b.SetBytes(int64(size / len(bodies)))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if !sc.sampleBatch(bodies[i], &batch) {
+			b.Fatalf("scanner declined batch %d", i)
+		}
+		i = (i + 1) % len(bodies)
+	}
 }

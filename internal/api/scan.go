@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -11,9 +12,16 @@ import (
 // reflection-driven encoding/json spent most of an ingest node's CPU
 // rediscovering it. The scanner reads that canonical shape straight
 // into the wire structs: exact-case known keys, each at most once,
-// strings free of escapes and valid UTF-8, RFC 8259 numbers converted
-// by the strconv calls encoding/json itself makes (so every value is
-// bit-identical), nothing but whitespace around the batch.
+// strings free of escapes and valid UTF-8, RFC 8259 numbers, nothing
+// but whitespace around the batch. Every value is bit-identical to
+// encoding/json's. A number is read in the pass that checks its
+// grammar: one with no exponent, at most 19 significant digits, a
+// mantissa below 2^53 and at most 22 fraction digits is the quotient of
+// two exact float64s, which one correctly rounded division gets right
+// (the fast path strconv itself tries first); an int of at most 18
+// digits is its mantissa. Every other literal — most 17-digit values,
+// exponents, the long tail — goes through the strconv call
+// encoding/json itself makes.
 //
 // It has no error path. On anything else — an unknown or repeated key,
 // an escape, a null, a number a field cannot hold, malformed JSON — it
@@ -58,6 +66,9 @@ type scanner struct {
 	buf   []byte
 	pos   int
 	names internTable
+	// recent holds, per nameSlot, the last name interned there: a name
+	// that repeats costs one comparison instead of a map lookup.
+	recent [256]string
 }
 
 // sampleBatch fills b from body, or declines. Of what b held only the
@@ -284,8 +295,12 @@ func (s *scanner) hint() int {
 	return min(bytes.Count(rest, []byte{'{'}), maxHint)
 }
 
-// ws skips JSON whitespace.
+// ws skips JSON whitespace. A canonical body has none, so the common
+// case is one comparison.
 func (s *scanner) ws() {
+	if s.pos < len(s.buf) && s.buf[s.pos] > ' ' {
+		return
+	}
 	for s.pos < len(s.buf) {
 		switch s.buf[s.pos] {
 		case ' ', '\t', '\r', '\n':
@@ -319,97 +334,181 @@ func (s *scanner) str() ([]byte, bool) {
 	if !s.eat('"') {
 		return nil, false
 	}
-	ascii := true
-	for i := s.pos; i < len(s.buf); i++ {
-		switch c := s.buf[i]; {
+	b, ascii := s.buf, true
+	for i := s.pos; i < len(b); i++ {
+		c := b[i]
+		if !strStop[c] {
+			continue
+		}
+		switch {
 		case c == '"':
-			v := s.buf[s.pos:i]
+			v := b[s.pos:i]
 			s.pos = i + 1
 			return v, ascii || utf8.Valid(v)
 		case c == '\\' || c < ' ':
 			return nil, false
-		case c >= utf8.RuneSelf:
+		default:
 			ascii = false
 		}
 	}
 	return nil, false
 }
 
+// strStop marks the bytes str must look at: the closing quote, the
+// ones that decline, and the start of a multi-byte rune. One table load
+// per byte replaces three comparisons.
+var strStop = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '"' || c == '\\' || c < ' ' || c >= utf8.RuneSelf
+	}
+	return t
+}()
+
 // name scans a string that repeats across samples and interns it.
 func (s *scanner) name() (string, bool) {
 	b, ok := s.str()
-	if !ok {
+	switch {
+	case !ok:
 		return "", false
+	case len(b) == 0 || len(b) > internMaxLen:
+		return s.names.intern(b), true
 	}
-	return s.names.intern(b), true
+	slot := &s.recent[nameSlot(b)]
+	if *slot != string(b) {
+		*slot = s.names.intern(b)
+	}
+	return *slot, true
+}
+
+// nameSlot spreads names over scanner.recent by length and three bytes:
+// enough to part disk-1 from disk-2 and readIO from readTime.
+func nameSlot(b []byte) uint8 {
+	return uint8(len(b)*31) ^ b[0] ^ b[len(b)-1]<<3 ^ b[len(b)/2]<<5
+}
+
+// num is what number learns of a literal while it checks its grammar:
+// its significant digits read as one integer (exact while nd <= 19),
+// how many there are, how many digits follow the point, and whether an
+// exponent follows.
+type num struct {
+	start    int // the literal is buf[start:pos]
+	mant     uint64
+	nd, frac int
+	neg, exp bool
 }
 
 // number scans an RFC 8259 number literal — the grammar encoding/json's
-// own scanner accepts — and reports whether it is a plain integer.
-func (s *scanner) number() (lit []byte, integer, ok bool) {
+// own scanner accepts — and reads its mantissa in the same pass.
+func (s *scanner) number() (n num, ok bool) {
 	s.ws()
 	b, i := s.buf, s.pos
+	n.start = i
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
+		i = n.digits(b, i)
 	default:
-		return nil, false, false
+		return n, false
 	}
-	integer = true
 	if i < len(b) && b[i] == '.' {
-		end := digits(b, i+1)
-		if end == i+1 {
-			return nil, false, false
+		j := i + 1
+		if n.mant == 0 { // the zeros of 0.000…1 are not significant
+			for j < len(b) && b[j] == '0' {
+				j++
+			}
 		}
-		i, integer = end, false
+		end := n.digits(b, j)
+		if end == i+1 {
+			return n, false
+		}
+		i, n.frac = end, end-i-1
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		j := i + 1
 		if j < len(b) && (b[j] == '+' || b[j] == '-') {
 			j++
 		}
-		end := digits(b, j)
+		var e num // the exponent's digits; only their presence matters
+		end := e.digits(b, j)
 		if end == j {
-			return nil, false, false
+			return n, false
 		}
-		i, integer = end, false
+		i, n.exp = end, true
 	}
-	lit = b[s.pos:i]
 	s.pos = i
-	return lit, integer, true
+	return n, true
 }
 
-// digits returns the index after the run of digits starting at b[i].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits scans the run of digits starting at b[i] into n's mantissa and
+// returns the index after it. Past 19 digits the mantissa may wrap;
+// exactFloat and int never read it then.
+func (n *num) digits(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		n.mant = n.mant*10 + uint64(d)
+		n.nd++
 	}
 	return i
 }
 
-// float scans a number into a float64 field. Out of range (1e999)
-// declines: encoding/json refuses it.
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat is Clinger's fast path, the first one strconv's own atof
+// tries: a mantissa below 2^53 and a power of ten up to 1e22 are both
+// exact in a float64, so one correctly rounded division gives the
+// correctly rounded value — bit for bit what ParseFloat returns.
+func (n num) exactFloat() (float64, bool) {
+	if n.exp || n.nd > 19 || n.mant >= 1<<53 || n.frac >= len(pow10) {
+		return 0, false
+	}
+	f := float64(n.mant) / pow10[n.frac]
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// float scans a number into a float64 field: exactly when it can
+// (exactFloat), through strconv.ParseFloat otherwise. Out of range
+// (1e999) declines: encoding/json refuses it.
 func (s *scanner) float() (float64, bool) {
-	lit, _, ok := s.number()
+	n, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	if f, ok := n.exactFloat(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(s.buf[n.start:s.pos]), 64)
 	return f, err == nil
 }
 
-// int scans a number into an int field. A fraction or exponent (1.0,
-// 1e2) or an overflow declines: encoding/json refuses them.
+// int scans a number into an int field. Up to 18 digits the mantissa is
+// the value; longer literals go through strconv.ParseInt. A fraction or
+// exponent (1.0, 1e2) or an overflow declines: encoding/json refuses
+// them.
 func (s *scanner) int() (int, bool) {
-	lit, integer, ok := s.number()
-	if !ok || !integer {
+	n, ok := s.number()
+	if !ok || n.frac > 0 || n.exp {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	return int(n), err == nil
+	if n.nd <= 18 && n.mant <= math.MaxInt {
+		v := int(n.mant)
+		if n.neg {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseInt(string(s.buf[n.start:s.pos]), 10, strconv.IntSize)
+	return int(v), err == nil
 }

@@ -454,3 +454,86 @@ func TestOutOfOrderBatchSorted(t *testing.T) {
 		t.Errorf("out-of-order batch left a different store:\n sorted   %v\n shuffled %v", stores[0], stores[1])
 	}
 }
+
+// numberEdges are the literals at the edges of the scanner's exact fast
+// path (exactFloat and int's short branch) and of the grammar: 2^53 and
+// its neighbours, 17 to 20 significant digits, 22 and 23 fraction
+// digits, signed zeros, the float64 extremes and the int64 ones.
+var numberEdges = []string{
+	"0", "-0", "0.0", "-0.0", "1", "-1", "1.5", "-1.5", "300", "1849.96",
+	"9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
+	"0.9007199254740991", "900719925474099.3",
+	"12345678901234567", "0.12345678901234567", "1234567890123456789",
+	"0.1234567890123456789", "12345678901234567890", "0.000000000000000001",
+	"0.0000000000000000000001", "0.0000000000000000001234",
+	"0.00000000000000000000001", "0.00000000000000000001234",
+	"1.7976931348623157e308", "5e-324", "1e999", "-1e999", "1e-400",
+	"999999999999999999", "-999999999999999999", "1000000000000000000",
+	"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+	"1E+2", "1e-2", "1.0", "01", "-", ".5", "5.", "+1", "0x1", "1e", "1e+",
+	"NaN", "null", `"1"`, " 7 ", "7 x",
+}
+
+// FuzzScanNumber holds the scanner's number reading to encoding/json's
+// on any literal: float and int accept exactly what encoding/json reads
+// into a float64 or int field (null, which it reads as nothing, the
+// scanner declines), and every value they accept has the same bits.
+func FuzzScanNumber(f *testing.F) {
+	for _, lit := range numberEdges {
+		f.Add(lit)
+	}
+	f.Fuzz(func(t *testing.T, lit string) { checkNumber(t, lit) })
+}
+
+func checkNumber(t *testing.T, lit string) {
+	t.Helper()
+	var wantF *float64
+	sc := &scanner{buf: []byte(lit)}
+	gotF, ok := sc.float()
+	ok = ok && sc.end()
+	jsonOK := json.Unmarshal([]byte(lit), &wantF) == nil && wantF != nil
+	if ok != jsonOK {
+		t.Errorf("float(%q) accepted = %v, encoding/json = %v", lit, ok, jsonOK)
+	} else if ok && math.Float64bits(gotF) != math.Float64bits(*wantF) {
+		t.Errorf("float(%q) = %v (%#x), encoding/json %v (%#x)", lit, gotF, math.Float64bits(gotF), *wantF, math.Float64bits(*wantF))
+	}
+
+	var wantI *int
+	sc = &scanner{buf: []byte(lit)}
+	gotI, ok := sc.int()
+	ok = ok && sc.end()
+	jsonOK = json.Unmarshal([]byte(lit), &wantI) == nil && wantI != nil
+	if ok != jsonOK {
+		t.Errorf("int(%q) accepted = %v, encoding/json = %v", lit, ok, jsonOK)
+	} else if ok && gotI != *wantI {
+		t.Errorf("int(%q) = %d, encoding/json %d", lit, gotI, *wantI)
+	}
+}
+
+// TestNumberFastPath pins which literals skip strconv, so a change that
+// quietly sends every number back to ParseFloat shows here and not only
+// in a benchmark; checkNumber holds each to encoding/json as well.
+func TestNumberFastPath(t *testing.T) {
+	for lit, fast := range map[string]bool{
+		"0": true, "-0": true, "-0.0": true, "300": true, "1849.96": true,
+		"0.1234567890123456": true, "9007199254740991": true,
+		"0.0000000000000000000001": true, "0.0000000000000000001234": true,
+		"0.000000000000000001":      true,
+		"9007199254740992":          false, // mantissa 2^53
+		"0.12345678901234567":       false, // 17 digits, past 2^53
+		"1234567890123456789":       false, // 19 digits, past 2^53
+		"12345678901234567890":      false, // 20 digits
+		"0.00000000000000000000001": false, // 23 fraction digits
+		"1E+2":                      false, "5e-324": false, "1.7976931348623157e308": false,
+	} {
+		sc := &scanner{buf: []byte(lit)}
+		n, ok := sc.number()
+		if !ok {
+			t.Fatalf("number(%q) declined", lit)
+		}
+		if _, got := n.exactFloat(); got != fast {
+			t.Errorf("exactFloat(%q) taken = %v, want %v", lit, got, fast)
+		}
+		checkNumber(t, lit)
+	}
+}
