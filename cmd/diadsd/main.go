@@ -117,7 +117,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	self := selfmon.New(selfmon.Config{})
+	self := selfmon.New()
 
 	var err error
 	if *listen != "" {

@@ -34,7 +34,7 @@ func main() {
 }
 
 func run(name string, seed int64) error {
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		return err
 	}

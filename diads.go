@@ -139,11 +139,10 @@ const (
 	ScenarioRAIDRebuild      = experiments.SRAIDRebuild
 )
 
-// NewTestbed builds the paper's Figure 1 environment with default
-// configuration: the TPC-H database on volumes V1/V2 behind an FC fabric,
+// NewTestbed builds the paper's Figure 1 environment: the TPC-H database on volumes V1/V2 behind an FC fabric,
 // Q2 scheduled every 30 minutes.
 func NewTestbed(seed int64) (*Testbed, error) {
-	return testbed.NewFigure1(testbed.DefaultConfig(seed))
+	return testbed.NewFigure1(seed)
 }
 
 // BuildScenario constructs, simulates, and labels one of the canonical

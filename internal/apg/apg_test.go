@@ -14,7 +14,7 @@ import (
 
 func buildAPG(t *testing.T) (*APG, *testbed.Testbed) {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(1))
+	tb, err := testbed.NewFigure1(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func TestBuildMatchesLongWayReference(t *testing.T) {
 		&faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0},
 	} {
 		t.Run(f.Name(), func(t *testing.T) {
-			tb, err := testbed.NewFigure1(testbed.DefaultConfig(7))
+			tb, err := testbed.NewFigure1(7)
 			if err != nil {
 				t.Fatal(err)
 			}

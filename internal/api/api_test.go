@@ -265,7 +265,7 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 
 // TestIngestBackpressure pins the bounded-queue contract: with the
 // intake worker stalled, the queue fills to exactly its depth, the next
-// batch gets 429 + Retry-After, and the rejection is counted.
+// batch gets 429 + Retry-After: 1, and the rejection is counted.
 func TestIngestBackpressure(t *testing.T) {
 	node := New(Config{Seed: testSeed, QueueDepth: 4})
 	defer node.Shutdown()
@@ -291,10 +291,10 @@ func TestIngestBackpressure(t *testing.T) {
 			accepted++
 		case http.StatusTooManyRequests:
 			got429 = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After")
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Errorf("429 Retry-After = %q, want \"1\"", got)
 			}
-			if !strings.Contains(string(body), "queue full") {
+			if !strings.Contains(string(body), "intake queue full; retry after 1s") {
 				t.Errorf("429 body: %s", body)
 			}
 		default:

@@ -42,7 +42,7 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 		&faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0},
 	} {
 		t.Run(f.Name(), func(t *testing.T) {
-			sim, err := testbed.NewFigure1(testbed.DefaultConfig(testSeed))
+			sim, err := testbed.NewFigure1(testSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestStatsUpdatedReachesDiagnoses(t *testing.T) {
 func TestRunsPlanAsOfTheirStart(t *testing.T) {
 	const at = 4 * 3600.0
 	drop := WireEvent{T: at, Kind: string(topology.EvIndexDropped), Subject: dbsys.IdxPartsuppPart}
-	ref, err := testbed.NewFigure1(testbed.DefaultConfig(testSeed))
+	ref, err := testbed.NewFigure1(testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,17 +70,8 @@ type Config struct {
 	// Timeout bounds each request: its body must arrive and its reply
 	// be sent within Timeout of its start (default 10s).
 	Timeout time.Duration
-	// RetryAfter is the Retry-After hint on 429 responses, in seconds
-	// (default 1).
-	RetryAfter int
 	// Service tunes the shared diagnosis pool.
 	Service service.Config
-	// Monitor tunes each instance's slowdown detector.
-	Monitor monitor.Config
-	// Learn tunes the mined-symptom candidate lifecycle. The operator
-	// routes presume ReviewOperator with no Reviewer — validated
-	// candidates pend until acked over HTTP — so New forces that policy.
-	Learn fleet.LearnConfig
 	// SymDB is the shared symptoms database (nil means the built-in
 	// expert entries). Mined installs land here, so pass the same DB
 	// that -learned persistence renders.
@@ -106,14 +97,9 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	if c.SymDB == nil {
 		c.SymDB = symptoms.Builtin()
 	}
-	c.Learn.Review = fleet.ReviewOperator
-	c.Learn.Reviewer = nil
 	return c
 }
 
@@ -232,11 +218,14 @@ const (
 )
 
 // New builds the node and starts its diagnosis pool and intake worker.
+// Each instance's slowdown detector runs with the monitor defaults. The
+// operator routes settle validated candidates, so the learner holds
+// them for an ack over HTTP (ReviewOperator, no Reviewer).
 func New(cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:       cfg,
-		learner:   fleet.NewLearner(cfg.Learn, cfg.SymDB),
+		learner:   fleet.NewLearner(fleet.LearnConfig{Review: fleet.ReviewOperator}, cfg.SymDB),
 		instances: make(map[instanceKey]*instance),
 		intake:    make(chan intakeJob, cfg.QueueDepth),
 	}
@@ -457,12 +446,12 @@ func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
 		return in, nil
 	}
 	id := fleet.ScopedInstance(tenant, inst)
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(n.cfg.Seed))
+	tb, err := testbed.NewFigure1(n.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("api: building environment for %s: %w", id, err)
 	}
 	in = &instance{
-		Instance: fleet.Instance{ID: id, Testbed: tb, Monitor: monitor.New(n.cfg.Monitor)},
+		Instance: fleet.Instance{ID: id, Testbed: tb, Monitor: monitor.New(monitor.Config{})},
 		lastSeq:  n.batchSeq,
 	}
 	in.Attach(n.svc, n.cfg.SymDB)

@@ -146,6 +146,8 @@ const (
 	// maxPooledBody is the largest body buffer the pool keeps, so one
 	// huge batch does not pin its buffer for the life of the node.
 	maxPooledBody = 1 << 20
+	// retryAfter is the Retry-After hint on 429 replies, in seconds.
+	retryAfter = "1"
 )
 
 // ingestBuf is what one ingest request borrows from the pool: the
@@ -271,8 +273,8 @@ func (n *Node) acceptIngest(w http.ResponseWriter, in *ingestBuf, j intakeJob, a
 		writeError(w, http.StatusServiceUnavailable, "draining; not accepting ingest")
 	case errors.Is(err, errBackpressure):
 		n.tel.rejected[reasonBackpressure].Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(n.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "intake queue full; retry after %ds", n.cfg.RetryAfter)
+		w.Header().Set("Retry-After", retryAfter)
+		writeError(w, http.StatusTooManyRequests, "intake queue full; retry after %ss", retryAfter)
 	default:
 		n.tel.batches.Inc()
 		in.body.Reset()

@@ -17,7 +17,7 @@ import (
 // barely affects the query.
 func scenario1WithV2Burst(t testing.TB, seed int64) (*testbed.Testbed, *diag.Input) {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func simulated(t *testing.T) (*testbed.Testbed, *diag.Input) {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(31))
+	tb, err := testbed.NewFigure1(31)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // caller injects faults before calling simulate.
 func scenarioRig(t testing.TB, seed int64, runs int) *testbed.Testbed {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

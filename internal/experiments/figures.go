@@ -106,7 +106,7 @@ type Figure5Result struct {
 // Figure5 renders the testbed deployment: servers, fabric, subsystem,
 // pools, volumes, and the monitoring/diagnosis components.
 func Figure5(seed int64) (*Figure5Result, error) {
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		return nil, err
 	}

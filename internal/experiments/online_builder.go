@@ -69,7 +69,7 @@ func BuildOnline(spec OnlineSpec) (*OnlineEnv, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("experiments: online scenario needs at least 2 runs, got %d", runs)
 	}
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(spec.Seed))
+	tb, err := testbed.NewFigure1(spec.Seed)
 	if err != nil {
 		return nil, err
 	}

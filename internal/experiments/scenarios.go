@@ -71,7 +71,7 @@ func faultOnset() simtime.Time {
 // newScenarioTestbed builds the Figure 1 testbed with the scenario
 // schedule.
 func newScenarioTestbed(seed int64) (*testbed.Testbed, error) {
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		return nil, err
 	}

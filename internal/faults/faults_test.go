@@ -14,7 +14,7 @@ import (
 
 func newTB(t *testing.T, seed int64) *testbed.Testbed {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,12 @@ import (
 var errAborted = errors.New("fleet: learning exchange aborted")
 
 // epochOf maps an evidence time onto its learning epoch: epoch k covers
-// read-window ends in (k*E, (k+1)*E]. The half-open-below shape matches
-// the gates' inclusive release (End <= watermark): when a shard's
-// frontier reaches the boundary (k+1)*E, every epoch-k event has been
-// released, so the epoch is complete exactly at its boundary.
-func epochOf(t simtime.Time, e simtime.Duration) int64 {
-	k := int64(math.Ceil(float64(t)/float64(e))) - 1
+// read-window ends in (k*E, (k+1)*E], E = epochLen. The half-open-below
+// shape matches the gates' inclusive release (End <= watermark): when a
+// shard's frontier reaches the boundary (k+1)*E, every epoch-k event has
+// been released, so the epoch is complete exactly at its boundary.
+func epochOf(t simtime.Time) int64 {
+	k := int64(math.Ceil(float64(t)/float64(epochLen))) - 1
 	if k < 0 {
 		k = 0
 	}
@@ -39,12 +39,12 @@ const epochDone = math.MaxInt64
 // complete: every event with a read-window end in that epoch has been
 // released. The frontier is the minimum watermark over a shard's alive
 // instances (+Inf when all finished).
-func completeThrough(frontier simtime.Time, e simtime.Duration) int64 {
+func completeThrough(frontier simtime.Time) int64 {
 	if float64(frontier) >= math.MaxFloat64 {
 		return epochDone
 	}
-	k := epochOf(frontier, e)
-	if float64(frontier) >= float64(k+1)*float64(e) {
+	k := epochOf(frontier)
+	if float64(frontier) >= float64(k+1)*float64(epochLen) {
 		return k
 	}
 	return k - 1
@@ -79,7 +79,6 @@ type exchange struct {
 	mu       sync.Mutex
 	cond     sync.Cond // signaled under mu when the seal advances
 	learn    *learner
-	epoch    simtime.Duration
 	disabled bool
 
 	declared []int64 // per shard, highest epoch declared complete
@@ -97,7 +96,6 @@ type exchange struct {
 func newExchange(cfg LearnConfig, l *learner, shards int) *exchange {
 	ex := &exchange{
 		learn:    l,
-		epoch:    cfg.Epoch,
 		disabled: cfg.Disabled,
 		declared: make([]int64, shards),
 		sealed:   -1,

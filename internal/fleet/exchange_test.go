@@ -29,7 +29,7 @@ func TestEpochMath(t *testing.T) {
 		{simtime.Time(37 * e), 36},   // far grid point
 	}
 	for _, c := range cases {
-		if got := epochOf(c.t, e); got != c.want {
+		if got := epochOf(c.t); got != c.want {
 			t.Errorf("epochOf(%v) = %d, want %d", c.t, got, c.want)
 		}
 	}
@@ -46,7 +46,7 @@ func TestEpochMath(t *testing.T) {
 		{simtime.Time(math.MaxFloat64), epochDone}, // all instances finished
 	}
 	for _, c := range frontiers {
-		if got := completeThrough(c.f, e); got != c.want {
+		if got := completeThrough(c.f); got != c.want {
 			t.Errorf("completeThrough(%v) = %d, want %d", c.f, got, c.want)
 		}
 	}

@@ -9,10 +9,34 @@ import (
 	"diads/internal/symptoms"
 )
 
-// confirmConfidence is the diagnosis confidence an incident needs before
-// the fleet treats it as expert-confirmed and feeds it to the miner —
-// the paper's High category boundary.
-const confirmConfidence = 80
+const (
+	// confirmConfidence is the diagnosis confidence an incident needs
+	// before the fleet treats it as expert-confirmed and feeds it to the
+	// miner — the paper's High category boundary.
+	confirmConfidence = 80
+	// confirmEvents is how many slowdown events an incident must
+	// accumulate at high confidence before it counts as confirmed —
+	// standing in for the expert's review.
+	confirmEvents = 2
+	// epochLen is the evidence-time granularity of the learning
+	// exchange. Shards deposit confirmations and healthy bases tagged
+	// with their epoch; the central learner folds an epoch exactly once,
+	// when every shard's release frontier has passed its boundary, and
+	// installs land at that seal. The epoch is a fixed evidence-time
+	// grid — independent of Chunk — so chunk-size sweeps stay
+	// byte-identical.
+	epochLen = 10 * simtime.Minute
+)
+
+// isConfirmed reports whether an incident has crossed the confirmation
+// gate the miner feeds on: a built-in cause other than plan regression,
+// diagnosed at high confidence over enough events, with the facts to
+// mine.
+func isConfirmed(inc service.Incident) bool {
+	return inc.Kind != symptoms.CausePlanRegression && !symptoms.IsMined(inc.Kind) &&
+		inc.Confidence >= confirmConfidence && inc.Events >= confirmEvents &&
+		inc.Result != nil && inc.Result.Facts != nil
+}
 
 // ReviewPolicy selects how a candidate that passed validation is
 // adopted — the paper's "checked by an expert" step.
@@ -44,10 +68,6 @@ type LearnConfig struct {
 	// MinIncidents is how many confirmed incidents of a cause kind the
 	// miner needs before proposing an entry (default 2).
 	MinIncidents int
-	// ConfirmEvents is how many slowdown events an incident must
-	// accumulate at high confidence before it counts as confirmed
-	// (default 2) — standing in for the expert's review.
-	ConfirmEvents int
 	// HoldoutEvery withholds every n-th confirmed incident of a cause
 	// kind from mining and gives it to the validator instead, so
 	// candidates are replayed against confirmed incidents they were not
@@ -68,23 +88,11 @@ type LearnConfig struct {
 	// be deterministic for fleet runs to stay byte-identical per seed.
 	// Nil under ReviewOperator leaves validated candidates pending.
 	Reviewer func(symptoms.CandidateEntry, symptoms.Validation) bool
-	// Epoch is the evidence-time granularity of the learning exchange
-	// (default 10 simulated minutes). Shards deposit confirmations and
-	// healthy bases tagged with their epoch; the central learner folds an
-	// epoch exactly once, when every shard's release frontier has passed
-	// its boundary, and installs land at that seal. Epoch is a fixed
-	// evidence-time grid — independent of Chunk — so chunk-size sweeps
-	// stay byte-identical; changing Epoch itself changes when installs
-	// become visible and therefore legitimately changes reports.
-	Epoch simtime.Duration
 }
 
 func (c LearnConfig) withDefaults() LearnConfig {
 	if c.MinIncidents <= 0 {
 		c.MinIncidents = 2
-	}
-	if c.ConfirmEvents <= 0 {
-		c.ConfirmEvents = 2
 	}
 	if c.HoldoutEvery <= 0 {
 		c.HoldoutEvery = 3
@@ -96,9 +104,6 @@ func (c LearnConfig) withDefaults() LearnConfig {
 	}
 	if c.MinHoldout <= 0 {
 		c.MinHoldout = 1
-	}
-	if c.Epoch <= 0 {
-		c.Epoch = 10 * simtime.Minute
 	}
 	return c
 }
@@ -215,13 +220,7 @@ func (l *learner) addHealthy(fb *symptoms.FactBase) {
 // kind is withheld for the validator's hold-out replay.
 func (l *learner) observe(incs []service.Incident) {
 	for _, inc := range incs {
-		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
-			continue
-		}
-		if inc.Confidence < confirmConfidence || inc.Events < l.cfg.ConfirmEvents {
-			continue
-		}
-		if inc.Result == nil || inc.Result.Facts == nil {
+		if !isConfirmed(inc) {
 			continue
 		}
 		id := incidentID{inc.Instance, inc.Query, inc.Kind, inc.Subject}

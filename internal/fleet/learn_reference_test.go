@@ -283,7 +283,7 @@ func (l *refLearner) observe(incs []service.Incident) {
 		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
 			continue
 		}
-		if inc.Confidence < confirmConfidence || inc.Events < l.cfg.ConfirmEvents {
+		if inc.Confidence < confirmConfidence || inc.Events < confirmEvents {
 			continue
 		}
 		if inc.Result == nil || inc.Result.Facts == nil {

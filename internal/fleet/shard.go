@@ -245,11 +245,10 @@ func (sh *shard) retain() {
 // would mean waiting on a seal that needs this shard's own undeclarable
 // epoch, the self-deadlock the buffer exists to avoid.
 func (sh *shard) advance(ctx context.Context, frontier simtime.Time) error {
-	epochLen := sh.f.cfg.Learn.Epoch
-	d := completeThrough(frontier, epochLen)
+	d := completeThrough(frontier)
 	stop := int64(-1)
 	for _, ev := range sh.buffered {
-		if e := epochOf(ev.ReadWindow.End, epochLen); e > stop {
+		if e := epochOf(ev.ReadWindow.End); e > stop {
 			stop = e
 		}
 	}
@@ -279,11 +278,10 @@ func (sh *shard) advance(ctx context.Context, frontier simtime.Time) error {
 // processEpoch pulls the epoch's events out of the buffer and diagnoses
 // them in evidence-time waves.
 func (sh *shard) processEpoch(ctx context.Context, epoch int64) error {
-	epochLen := sh.f.cfg.Learn.Epoch
 	var wave []monitor.SlowdownEvent
 	rest := sh.buffered[:0]
 	for _, ev := range sh.buffered {
-		if epochOf(ev.ReadWindow.End, epochLen) == epoch {
+		if epochOf(ev.ReadWindow.End) == epoch {
 			wave = append(wave, ev)
 		} else {
 			rest = append(rest, ev)
@@ -363,7 +361,6 @@ func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) 
 	if sh.f.cfg.Learn.Disabled {
 		return
 	}
-	epochLen := sh.f.cfg.Learn.Epoch
 	for _, ev := range wave {
 		key := ev.Instance + "\x00" + ev.Query
 		if sh.probed[key] {
@@ -375,7 +372,7 @@ func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) 
 			continue
 		}
 		if fb := quietFacts(ctx, EnvOf(st.Testbed, nil), ev); fb != nil {
-			sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End, epochLen), fb)
+			sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End), fb)
 		}
 	}
 }
@@ -390,15 +387,8 @@ func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
 	if sh.f.cfg.Learn.Disabled {
 		return
 	}
-	cfg := sh.f.cfg.Learn
 	for _, inc := range sh.svc.Registry().Incidents() {
-		if inc.Kind == symptoms.CausePlanRegression || symptoms.IsMined(inc.Kind) {
-			continue
-		}
-		if inc.Confidence < confirmConfidence || inc.Events < cfg.ConfirmEvents {
-			continue
-		}
-		if inc.Result == nil || inc.Result.Facts == nil {
+		if !isConfirmed(inc) {
 			continue
 		}
 		id := incidentID{inc.Instance, inc.Query, inc.Kind, inc.Subject}
@@ -406,7 +396,7 @@ func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
 			continue
 		}
 		sh.deposited[id] = true
-		sh.f.ex.depositConfirm(epochOf(waveEnd, cfg.Epoch),
+		sh.f.ex.depositConfirm(epochOf(waveEnd),
 			confirmation{waveEnd: waveEnd, inc: inc})
 	}
 }
@@ -439,5 +429,5 @@ func (sh *shard) onHealthy(ev monitor.SlowdownEvent, fb *symptoms.FactBase) {
 	if sh.f.cfg.Learn.Disabled {
 		return
 	}
-	sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End, sh.f.cfg.Learn.Epoch), fb)
+	sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End), fb)
 }

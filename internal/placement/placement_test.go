@@ -12,7 +12,7 @@ import (
 
 func planner(t *testing.T, loadP1 bool) *Planner {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(81))
+	tb, err := testbed.NewFigure1(81)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,17 +157,27 @@ func windowMeans(segs []Segment, wins []simtime.Interval, dst []float64) []float
 func (tl *Timeline) Truncate(before simtime.Time) int {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	n := 0
-	//lint:allow mapiter kept is loop-local and every map write/delete is keyed by the loop key
+	var stale []string
 	for k, segs := range tl.segs {
+		dead := 0
+		for _, s := range segs {
+			if s.Iv.End <= before {
+				dead++
+			}
+		}
+		if dead > 0 {
+			stale = append(stale, k)
+		}
+	}
+	sort.Strings(stale)
+	n := 0
+	for _, k := range stale {
+		segs := tl.segs[k]
 		live := 0
 		for _, s := range segs {
 			if s.Iv.End > before {
 				live++
 			}
-		}
-		if live == len(segs) {
-			continue
 		}
 		n += len(segs) - live
 		if live == 0 {

@@ -37,7 +37,7 @@ func TestPlanCoversEveryBuiltinCause(t *testing.T) {
 }
 
 func TestPlanRegressionRemedyRestoresIndex(t *testing.T) {
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(71))
+	tb, err := testbed.NewFigure1(71)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPlanRegressionRemedyRestoresIndex(t *testing.T) {
 }
 
 func TestDataPropertyRemedyRefreshesStats(t *testing.T) {
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(72))
+	tb, err := testbed.NewFigure1(72)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,6 @@ type Env struct {
 	Stats  dbsys.Stats
 	Server topology.ID
 	SymDB  *symptoms.DB
-	// Threshold overrides the anomaly-score threshold (0 = default).
-	Threshold float64
 }
 
 // Input is the one view of the environment as a diagnosis input over
@@ -67,7 +65,7 @@ func (e Env) Input(query string, runs []*exec.RunRecord, satisfactory map[string
 		Query: query, Runs: runs, Satisfactory: satisfactory,
 		Store: e.Store, Cfg: e.Cfg, Cat: e.Cat, Opt: e.Opt,
 		Params: e.Params, Stats: e.Stats, Server: e.Server,
-		SymDB: e.SymDB, Threshold: e.Threshold,
+		SymDB: e.SymDB,
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // emitted events.
 func slowdownRig(t *testing.T, seed int64) (Env, []monitor.SlowdownEvent, []faults.Cause) {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(seed))
+	tb, err := testbed.NewFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

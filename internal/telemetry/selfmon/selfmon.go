@@ -58,23 +58,14 @@ const (
 	spikeFloor = 50 * time.Millisecond
 )
 
-// Config tunes the self-monitor.
-type Config struct {
-	// Step is the logical-clock spacing between observed diagnoses
-	// (default 1 minute). The dogfood timeline is synthetic: observation
-	// order provides the axis, Step the spacing.
-	Step simtime.Duration
-	// Monitor tunes the detector watching the smoothed latency stream.
-	// The zero value uses monitor defaults (6-run arming, 3-sigma + 1.4x
-	// threshold, Page-Hinkley drift detection); noiseFloor applies on
-	// top of any setting.
-	Monitor monitor.Config
-}
+// step is the logical-clock spacing between observed diagnoses. The
+// dogfood timeline is synthetic: observation order provides the axis,
+// step the spacing.
+const step = simtime.Minute
 
 // SelfMonitor implements service.SelfObserver. Safe for concurrent use —
 // service workers call ObserveDiagnosis from many goroutines.
 type SelfMonitor struct {
-	cfg   Config
 	store *metrics.Store
 	mon   *monitor.Monitor
 
@@ -88,16 +79,14 @@ type SelfMonitor struct {
 	detected *telemetry.Counter
 }
 
-// New returns a self-monitor with its own store and monitor.
-func New(cfg Config) *SelfMonitor {
-	if cfg.Step <= 0 {
-		cfg.Step = simtime.Minute
-	}
+// New returns a self-monitor with its own store and a monitor with the
+// defaults (6-run arming, 3-sigma + 1.4x threshold, Page-Hinkley drift
+// detection) watching the smoothed latency stream.
+func New() *SelfMonitor {
 	reg := telemetry.Default()
 	return &SelfMonitor{
-		cfg:    cfg,
 		store:  metrics.NewStore(),
-		mon:    monitor.New(cfg.Monitor),
+		mon:    monitor.New(monitor.Config{}),
 		recent: make(map[string]*recentWalls),
 		observed: reg.Counter("diads_self_diagnoses_observed_total",
 			"Completed diagnoses observed by the dogfood self-monitor.", nil),
@@ -152,7 +141,7 @@ func (s *SelfMonitor) ObserveDiagnosis(query string, wall time.Duration) {
 	s.seq++
 	start := s.clock
 	stop := start.Add(d)
-	s.clock = stop.Add(s.cfg.Step)
+	s.clock = stop.Add(step)
 
 	s.store.MustAppend(SelfComponent, SelfMetric, metrics.Sample{T: stop, V: wall.Seconds()})
 	s.mon.Observe(&exec.RunRecord{

@@ -14,7 +14,7 @@ import (
 // steady diagnosis latency establishes a baseline, one inflated
 // diagnosis raises an ordinary SlowdownEvent about diadsd itself.
 func TestDogfoodRaisesSlowdownEvent(t *testing.T) {
-	sm := New(Config{})
+	sm := New()
 	for i := 0; i < 10; i++ {
 		sm.ObserveDiagnosis("Q2", 10*time.Millisecond)
 	}
@@ -49,7 +49,7 @@ func TestDogfoodRaisesSlowdownEvent(t *testing.T) {
 // TestSelfStoreSeries pins the metrics side of the loop: every
 // observation lands in the self store's wall-time series in time order.
 func TestSelfStoreSeries(t *testing.T) {
-	sm := New(Config{})
+	sm := New()
 	walls := []time.Duration{
 		5 * time.Millisecond, 7 * time.Millisecond, 300 * time.Millisecond,
 	}
@@ -97,7 +97,7 @@ func observe(sm *SelfMonitor, walls []time.Duration) map[int]int {
 // it, raise nothing; a sustained 3× step raises an event within its
 // first 10 diagnoses.
 func TestNoiseFloor(t *testing.T) {
-	if raised := observe(New(Config{}), recorded); len(raised) != 0 {
+	if raised := observe(New(), recorded); len(raised) != 0 {
 		t.Errorf("recorded stream raised events at diagnoses %v, want none", raised)
 	}
 
@@ -105,7 +105,7 @@ func TestNoiseFloor(t *testing.T) {
 	for i, f := range map[int]time.Duration{7: 2, 10: 4, 13: 3, 17: 4, 21: 2, 24: 3} {
 		spiky[i] *= f
 	}
-	if raised := observe(New(Config{}), spiky); len(raised) != 0 {
+	if raised := observe(New(), spiky); len(raised) != 0 {
 		t.Errorf("one-off spikes raised events at diagnoses %v, want none", raised)
 	}
 
@@ -114,7 +114,7 @@ func TestNoiseFloor(t *testing.T) {
 	for _, w := range recorded[before : before+10] {
 		step = append(step, 3*w)
 	}
-	sm := New(Config{})
+	sm := New()
 	raised := observe(sm, step)
 	first := len(step)
 	for i := range raised {
@@ -132,7 +132,7 @@ func TestNoiseFloor(t *testing.T) {
 // goroutines at once. Every one must land in the store in time order
 // (MustAppend panics otherwise) and be counted.
 func TestConcurrentObserve(t *testing.T) {
-	sm := New(Config{})
+	sm := New()
 	const workers, each = 4, 200
 	var wg sync.WaitGroup
 	for w := range workers {

@@ -11,8 +11,7 @@ import (
 
 func newStreamTestbed(t *testing.T) *Testbed {
 	t.Helper()
-	conf := DefaultConfig(7)
-	tb, err := NewFigure1(conf)
+	tb, err := NewFigure1(7)
 	if err != nil {
 		t.Fatal(err)
 	}

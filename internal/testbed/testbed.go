@@ -33,39 +33,23 @@ const (
 	DBInstance             = "db-RepDB" // monitoring component for DB metrics
 )
 
-// Config tunes testbed construction.
-type Config struct {
-	// Seed drives all randomness.
-	Seed int64
-	// Scale is the TPC-H scale factor.
-	Scale float64
-	// CacheMB is the database buffer cache size.
-	CacheMB float64
-	// MonitorNoise is the log-normal sigma of monitoring samples.
-	MonitorNoise float64
-	// OpNoise is the base log-normal sigma on operator times.
-	OpNoise float64
-	// PartNoise is extra noise on part leaf operators (the O4 false
+// The paper-reproduction environment's fixed settings.
+const (
+	// tpchScale is the TPC-H scale factor.
+	tpchScale = 1.0
+	// cacheMB is the database buffer cache size.
+	cacheMB = 32
+	// monitorNoise is the log-normal sigma of monitoring samples.
+	monitorNoise = 0.05
+	// opNoise is the base log-normal sigma on operator times.
+	opNoise = 0.06
+	// partNoise is extra noise on part leaf operators (the O4 false
 	// positive source).
-	PartNoise float64
-}
-
-// DefaultConfig returns the configuration used by the paper-reproduction
-// experiments.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:         seed,
-		Scale:        1.0,
-		CacheMB:      32,
-		MonitorNoise: 0.05,
-		OpNoise:      0.06,
-		PartNoise:    0.30,
-	}
-}
+	partNoise = 0.30
+)
 
 // Testbed is the assembled environment.
 type Testbed struct {
-	Conf    Config
 	Cfg     *topology.Config
 	SAN     *sanperf.Model
 	Cat     *dbsys.Catalog
@@ -139,8 +123,9 @@ func (tb *Testbed) Retain(horizon simtime.Time) {
 // two application servers, an edge/core FC fabric, one storage subsystem
 // with pool P1 (disks 1-4, volumes V1 and V3) and pool P2 (disks 5-10,
 // volumes V2 and V4), TPC-H with partsupp on V1 and everything else on
-// V2, and a default schedule of Q2 every 30 minutes.
-func NewFigure1(conf Config) (*Testbed, error) {
+// V2, and a default schedule of Q2 every 30 minutes. The seed drives all
+// randomness.
+func NewFigure1(seed int64) (*Testbed, error) {
 	cfg := topology.New()
 	b := &builder{cfg: cfg}
 	b.server(ServerDB, "RedHat Linux DB Server", map[string]string{"os": "RHEL", "role": "database"})
@@ -195,16 +180,15 @@ func NewFigure1(conf Config) (*Testbed, error) {
 		return nil, err
 	}
 
-	cat := dbsys.NewTPCHCatalog(conf.Scale, VolV1, VolV2)
+	cat := dbsys.NewTPCHCatalog(tpchScale, VolV1, VolV2)
 	stats := cat.Snapshot()
 	params := dbsys.DefaultParams()
 	san := sanperf.NewModel(cfg, sanperf.DefaultDiskParams())
 	locks := dbsys.NewLockManager()
 	cpu := sanperf.NewTimeline()
-	cache := dbsys.NewCacheModel(conf.CacheMB)
+	cache := dbsys.NewCacheModel(cacheMB)
 
 	tb := &Testbed{
-		Conf:    conf,
 		Cfg:     cfg,
 		SAN:     san,
 		Cat:     cat,
@@ -214,7 +198,7 @@ func NewFigure1(conf Config) (*Testbed, error) {
 		CPULoad: cpu,
 		Opt:     opt.New(cat),
 		Store:   metrics.NewStore(),
-		Sampler: metrics.NewSampler(conf.MonitorNoise, conf.Seed),
+		Sampler: metrics.NewSampler(monitorNoise, seed),
 		Stats:   stats,
 		dbAct:   sanperf.NewTimeline(),
 	}
@@ -227,9 +211,9 @@ func NewFigure1(conf Config) (*Testbed, error) {
 		Server:     ServerDB,
 		StatsBase:  stats,
 		CPULoad:    cpu,
-		Rnd:        simtime.NewRand(conf.Seed, "exec"),
-		NoiseSigma: conf.OpNoise,
-		TableNoise: map[string]float64{dbsys.TPart: conf.PartNoise},
+		Rnd:        simtime.NewRand(seed, "exec"),
+		NoiseSigma: opNoise,
+		TableNoise: map[string]float64{dbsys.TPart: partNoise},
 		RecordLoad: true,
 	}
 

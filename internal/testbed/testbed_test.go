@@ -12,16 +12,11 @@ import (
 	"diads/internal/workload"
 )
 
-func shortConfig(seed int64) Config {
-	c := DefaultConfig(seed)
-	return c
-}
-
 // newShortTestbed builds a Figure 1 testbed with a reduced schedule so
 // unit tests stay fast.
 func newShortTestbed(t testing.TB, seed int64, runs int) *Testbed {
 	t.Helper()
-	tb, err := NewFigure1(shortConfig(seed))
+	tb, err := NewFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +31,7 @@ func newShortTestbed(t testing.TB, seed int64, runs int) *Testbed {
 }
 
 func TestFigure1TopologyShape(t *testing.T) {
-	tb, err := NewFigure1(DefaultConfig(1))
+	tb, err := NewFigure1(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +213,7 @@ func TestExternalLoadSlowsOverlappingRuns(t *testing.T) {
 // payload, a payload-less kind only logs, and a change that cannot
 // apply errors and logs nothing.
 func TestApply(t *testing.T) {
-	tb, err := NewFigure1(DefaultConfig(8))
+	tb, err := NewFigure1(8)
 	if err != nil {
 		t.Fatal(err)
 	}

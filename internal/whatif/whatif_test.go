@@ -12,7 +12,7 @@ import (
 
 func analyzer(t *testing.T) *Analyzer {
 	t.Helper()
-	tb, err := testbed.NewFigure1(testbed.DefaultConfig(61))
+	tb, err := testbed.NewFigure1(61)
 	if err != nil {
 		t.Fatal(err)
 	}
