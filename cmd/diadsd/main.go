@@ -81,7 +81,7 @@ func main() {
 	reportEvery := flag.Int("report-every", 4, "print the incident report every N chunks")
 	runs := flag.Int("runs", 16, "Q2 runs to schedule (other queries scale along)")
 	instances := flag.Int("instances", 1, "fleet size; above 1 streams a multi-instance fleet")
-	shards := flag.Int("shards", 1, "fleet coordinator shards (results are shard-count invariant)")
+	shards := flag.Int("shards", 1, "fleet service shards (results are shard-count invariant)")
 	degraded := flag.Int("degraded", 0, "instances on the misconfigured shared pool (default 3/4 of the fleet)")
 	review := flag.Bool("review", false, "hold validated candidates for operator review instead of auto-accepting")
 	ack := flag.String("ack", "", "comma-separated mined kinds the operator accepts (implies -review)")
@@ -108,8 +108,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "diadsd: telemetry listener:", err)
 			os.Exit(1)
 		}
-		//lint:allow errdiscard best-effort telemetry listener teardown on exit; nothing left to report to
-		defer srv.Close()
+		defer closeTelemetry(srv, logger)
 		logger.Info("telemetry listening", "addr", addr,
 			"endpoints", "/metrics /healthz /traces /debug/pprof")
 	} else if *linger {
@@ -257,10 +256,17 @@ func serve(addr string, seed int64, workers, idleBatches int, learnedPath string
 			return err
 		}
 	}
-	//lint:allow errdiscard best-effort telemetry listener teardown on exit; nothing left to report to
-	srv.Close()
+	closeTelemetry(srv, logger)
 	logger.Info("drained and stopped")
 	return nil
+}
+
+// closeTelemetry shuts the telemetry listener down; a failure there
+// loses nothing but is worth a line in the log.
+func closeTelemetry(srv *telemetry.Server, logger *slog.Logger) {
+	if err := srv.Close(); err != nil {
+		logger.Warn("telemetry listener close", "err", err)
+	}
 }
 
 // drainSelf surfaces the dogfood loop's findings: slowdown events the

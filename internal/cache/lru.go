@@ -95,14 +95,6 @@ func (c *LRU[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Purge empties the cache, keeping its statistics.
-func (c *LRU[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.items)
-}
-
 // RemoveIf drops every entry whose key satisfies the predicate and
 // returns how many were removed. Removals are not counted as evictions:
 // they are lifecycle cleanup (an instance paging out releases its scoped

@@ -111,44 +111,72 @@ func TestFleetChunkSizeDeterminism(t *testing.T) {
 // TestBarrierHookObservesOnly pins fleet.Config.OnBarrier as a pure
 // observer: a fleet run whose hook records every argument, and reads the
 // service the way the online driver's does, renders the same report as
-// the run without one. Under -race it also checks the hook's reads
-// against the shard's simulating instances and diagnosing workers.
+// the run without one. It also pins the hook's contract: every shard's
+// hook runs at every fleet barrier, in order of time, and each sees
+// exactly one Final barrier, its last. Under -race it also checks the
+// hook's reads against the stepping instances and diagnosing workers.
 func TestBarrierHookObservesOnly(t *testing.T) {
 	spec := FleetSpec{Seed: testSeed, Instances: 4, Degraded: 3, Runs: 12}
 	want, _, err := RunFleetSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var barriers []fleet.Barrier
-	var incidents []service.Incident
-	spec.OnBarrier = func(b fleet.Barrier) error {
-		barriers = append(barriers, b)
-		incidents = b.Service.Registry().Incidents()
-		return nil
-	}
-	got, _, err := RunFleetSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Render() != want.Render() {
-		t.Errorf("the hook changed the fleet report\n--- without ---\n%s\n--- with ---\n%s", want.Render(), got.Render())
-	}
-	released, events, finals := 0, 0, 0
-	for i, b := range barriers {
-		released += len(b.Released)
-		if b.Final {
-			finals++
+	for _, shards := range []int{1, 2} {
+		var order []*service.Service // shards in first-seen order
+		seen := map[*service.Service][]fleet.Barrier{}
+		var incidents []service.Incident
+		spec := spec
+		spec.Shards = shards
+		spec.OnBarrier = func(b fleet.Barrier) error {
+			if seen[b.Service] == nil {
+				order = append(order, b.Service)
+			}
+			seen[b.Service] = append(seen[b.Service], b)
+			if incs := b.Service.Registry().Incidents(); b.Final {
+				incidents = append(incidents, incs...)
+			}
+			return nil
 		}
-		if i > 0 && b.Now < barriers[i-1].Now {
-			t.Errorf("barrier %d at %v follows one at %v", i, b.Now, barriers[i-1].Now)
+		got, _, err := RunFleetSpec(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, ir := range got.Instances {
-		events += ir.Events
-	}
-	if finals != 1 || !barriers[len(barriers)-1].Final || released != events || len(incidents) == 0 {
-		t.Errorf("%d barriers, %d final (want the last, alone), %d events released (want %d), %d incidents at the end",
-			len(barriers), finals, released, events, len(incidents))
+		if got.Render() != want.Render() {
+			t.Errorf("shards=%d: the hook changed the fleet report\n--- without ---\n%s\n--- with ---\n%s",
+				shards, want.Render(), got.Render())
+		}
+		if len(order) != shards {
+			t.Fatalf("shards=%d: the hook saw %d services", shards, len(order))
+		}
+		first := seen[order[0]]
+		released, events := 0, 0
+		for _, svc := range order {
+			barriers := seen[svc]
+			finals := 0
+			for i, b := range barriers {
+				released += len(b.Released)
+				if b.Final {
+					finals++
+				}
+				if i > 0 && b.Now < barriers[i-1].Now {
+					t.Errorf("shards=%d: barrier %d at %v follows one at %v", shards, i, b.Now, barriers[i-1].Now)
+				}
+				if i < len(first) && (b.Now != first[i].Now || b.Final != first[i].Final) {
+					t.Errorf("shards=%d: shard barrier %d is (%v, %v), the first shard's (%v, %v)",
+						shards, i, b.Now, b.Final, first[i].Now, first[i].Final)
+				}
+			}
+			if len(barriers) != len(first) || finals != 1 || !barriers[len(barriers)-1].Final {
+				t.Errorf("shards=%d: a shard saw %d barriers (the first %d), %d final (want the last, alone)",
+					shards, len(barriers), len(first), finals)
+			}
+		}
+		for _, ir := range got.Instances {
+			events += ir.Events
+		}
+		if released != events || len(incidents) == 0 {
+			t.Errorf("shards=%d: %d events released (want %d), %d incidents at the end", shards, released, events, len(incidents))
+		}
 	}
 }
 

@@ -120,12 +120,12 @@ type FleetSpec struct {
 	// Chunk is the simulation chunk and barrier granularity (0 = the
 	// fleet default of 10 minutes).
 	Chunk simtime.Duration
-	// MaxStreams caps concurrently-simulating instances (0 = all);
+	// MaxStreams caps concurrently-stepping instances (0 = all);
 	// Workers sizes each shard service's pool (0 = service default).
 	MaxStreams int
 	Workers    int
-	// Shards partitions the instances into independent
-	// coordinator+service shards (0 = 1). Like MaxStreams and Workers,
+	// Shards partitions the instances into service shards (0 = 1).
+	// Like MaxStreams and Workers,
 	// sharding must never change results — only wall time.
 	Shards int
 	// LearnOff disables the symptom-learning loop.
@@ -159,7 +159,8 @@ type FleetSpec struct {
 	// fire within test-scale timelines.
 	Monitor      monitor.Config
 	StoreSegment int
-	// OnBarrier observes every shard barrier (fleet.Config.OnBarrier).
+	// OnBarrier observes every barrier of every shard
+	// (fleet.Config.OnBarrier).
 	OnBarrier func(fleet.Barrier) error
 }
 

@@ -4,29 +4,29 @@
 // deployments. It is also the one loop that drives a simulated
 // instance: the single-instance online driver is a one-instance fleet.
 //
-// A Fleet streams N independent testbed instances concurrently, each on
-// its own seed and timeline, partitioned into shards by instance hash.
-// Each shard has its own coordinator goroutine and its own
-// service.Service (worker pool, dedup set, impact registry,
-// instance-scoped APG/SD caches): a shard's instances synchronize at
-// chunk boundaries, and at each barrier the shard's coordinator
-// releases from each instance runtime (instance.go) the slowdown events
-// whose read windows the metric watermark covers and diagnoses them in
-// evidence-time waves — sorted by read-window end, with the worker pool
-// settled between waves. Shards share nothing on that hot path; they
-// meet only at the symptom-learning exchange, where healthy-corpus and
-// confirmed-incident contributions fold into the central learner at
-// deterministic evidence-time epoch seals (see exchange.go), and at the
-// end-of-run merge, which concatenates the per-shard registries into
-// one fleet-wide ranking.
+// A Fleet streams N independent testbed instances, each on its own seed
+// and timeline, partitioned into shards by instance hash; each shard
+// has its own service.Service (worker pool, dedup set, impact registry,
+// instance-scoped APG/SD caches). Run is one loop over fleet-wide chunk
+// barriers. At each barrier it steps every live instance one chunk
+// (testbed.Stream; at most MaxStreams at once), releases from each
+// instance runtime (instance.go) the slowdown events whose read windows
+// the metric watermark covers, and then takes, in order, every learning
+// epoch the fleet's frontier (the slowest live instance) has completed:
+// every shard diagnoses the epoch's events in evidence-time waves —
+// sorted by read-window end, with the worker pool settled between waves
+// — in parallel with the other shards, and then the epoch's
+// healthy-corpus and confirmed-incident deposits fold into the central
+// learner (see exchange.go). The end-of-run merge concatenates the
+// per-shard registries into one fleet-wide ranking.
 //
 // Because diagnosis state is instance-scoped throughout, because every
-// cross-instance learning effect happens at an epoch seal ordered by
+// cross-instance learning effect happens at an epoch fold ordered by
 // evidence time alone, and because the wave order depends only on the
 // event stream, a fleet run is byte-identical per seed regardless of
 // MaxStreams, service worker count, simulation chunk size, or shard
-// count — and diagnosis never races metric emission: instances are
-// parked while their events are diagnosed.
+// count — and diagnosis never races metric emission: no instance steps
+// while events are diagnosed.
 //
 // The fold back up is the fleet incident view: registry incidents whose
 // subject is shared SAN infrastructure group across the instances
@@ -50,6 +50,7 @@ import (
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/telemetry"
+	"diads/internal/testbed"
 )
 
 // Config tunes the fleet.
@@ -58,18 +59,19 @@ type Config struct {
 	// diagnoses against and the learning loop installs mined entries
 	// into (default symptoms.Builtin()).
 	SymDB *symptoms.DB
-	// Chunk is the simulation chunk, the monitoring lag and the
-	// coordination granularity (default 10 minutes).
+	// Chunk is the simulation chunk, the monitoring lag and the barrier
+	// granularity (default 10 minutes).
 	Chunk simtime.Duration
-	// MaxStreams caps concurrently-simulating instances (0 = all). The
-	// cap is fleet-wide — one semaphore shared across every shard's
-	// instances. Coordination is barrier-synchronized, so the setting
-	// changes wall time only, never results.
+	// MaxStreams caps the goroutines that step instances between two
+	// barriers (0 = one per instance). Every instance plays exactly one
+	// chunk per barrier whatever the cap, so it changes wall time only,
+	// never results.
 	MaxStreams int
-	// Shards partitions the instances (by ID hash) into independent
-	// coordinator+service slices (default 1; clamped to the instance
-	// count). Sharding changes wall time and telemetry labels only:
-	// reports are byte-identical across shard counts.
+	// Shards partitions the instances (by ID hash) into service slices,
+	// each with its own worker pool, dedup set, registry and caches,
+	// which diagnose a learning epoch in parallel (default 1; clamped to
+	// the instance count). Sharding changes wall time and telemetry
+	// labels only: reports are byte-identical across shard counts.
 	Shards int
 	// Service tunes the shared diagnosis service. Queue and cache sizes
 	// of zero are raised to fleet-scale defaults generous enough that
@@ -89,16 +91,18 @@ type Config struct {
 	// own latency.
 	SelfObserver service.SelfObserver
 	// Retention bounds per-instance memory. At each chunk barrier —
-	// after the shard's diagnoses have settled and before its instances
-	// resume — the coordinator truncates every instance's metric store,
+	// after the barrier's diagnoses have settled and before the next
+	// step — the loop truncates every instance's metric store,
 	// SAN timelines, and run history to the instance's evidence low
 	// watermark: the oldest time any future diagnosis can still read
 	// (monitor history, gated events, buffered epoch events, each padded
 	// through the one evidence-window contract). Reports are
 	// byte-identical with retention on or off; only memory changes.
 	Retention bool
-	// OnBarrier, when non-nil, observes each shard's chunk barriers; an
-	// error fails the run.
+	// OnBarrier, when non-nil, observes every chunk barrier once per
+	// shard, in shard order; an error fails the run. Now and Final are
+	// the fleet's: each shard sees every barrier, and exactly one Final,
+	// the last.
 	OnBarrier func(Barrier) error
 	// ResidentCap bounds each shard's resident (non-hibernated)
 	// instances when Retention is on (0 = unlimited). Past the cap,
@@ -111,12 +115,14 @@ type Config struct {
 	ResidentCap int
 }
 
-// Barrier is what Config.OnBarrier sees at a shard's chunk barrier: the
-// barrier time (a metric watermark; at the Final barrier every instance
-// has finished), the detections it released, and the shard's service.
-// The hook runs on the coordinator after the barrier's epochs are
-// diagnosed and before retention, with every instance parked: it may
-// read their stores and the settled service, but must not submit.
+// Barrier is what Config.OnBarrier sees of one shard at a chunk
+// barrier: the barrier time (the highest metric watermark any instance
+// has reached; at the Final barrier every instance has finished), the
+// detections the shard's instances released at it, and the shard's
+// service. The hook runs on Run's goroutine after the barrier's epochs
+// are diagnosed and folded and before retention, while no instance
+// steps: it may read their stores and the settled service, but must
+// not submit.
 type Barrier struct {
 	Now      simtime.Time
 	Final    bool
@@ -167,12 +173,17 @@ func (c Config) withDefaults(n int) Config {
 const apgCacheCap = 4096
 
 // instanceState is the fleet's per-instance bookkeeping around the
-// instance runtime, which the shard coordinator drives only while the
-// instance is parked at a barrier; transfers is written by service
-// workers, hence atomic.
+// instance runtime, which the loop drives only between steps; transfers
+// is written by service workers, hence atomic.
 type instanceState struct {
 	Instance
-	resume    chan struct{}
+	stream *testbed.Stream
+	// watermark is the instance's metric watermark at the last barrier,
+	// monitor.EndOfStream once it has finished. An instance whose stream
+	// played its last chunk (ended) reports that chunk's watermark at one
+	// barrier and finishes at the next, which releases its tail.
+	watermark simtime.Time
+	ended     bool
 	transfers atomic.Int64
 }
 
@@ -184,10 +195,6 @@ type Fleet struct {
 	shared    map[string]bool
 	shards    []*shard
 	ex        *exchange
-
-	failMu   sync.Mutex
-	firstErr error
-	cancel   context.CancelFunc
 
 	// freeze detaches the scrape callbacks from the fleet (see
 	// telemetry.Registry.CounterFunc); Run calls them on its way out.
@@ -218,14 +225,13 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 		if f.byID[inst.ID] != nil {
 			return nil, fmt.Errorf("fleet: duplicate instance ID %q", inst.ID)
 		}
-		st := &instanceState{Instance: inst, resume: make(chan struct{}, 1)}
+		st := &instanceState{Instance: inst}
 		f.instances = append(f.instances, st)
 		f.byID[inst.ID] = st
 	}
 
 	// Partition the instances into shards by ID hash; hash vacancies
-	// collapse (the exchange needs a declaration stream from every
-	// shard it tracks, so empty shards must not exist).
+	// collapse, so every shard has an instance.
 	groups := make([][]*instanceState, cfg.Shards)
 	for _, st := range f.instances {
 		gi := shardOf(st.ID, cfg.Shards)
@@ -237,12 +243,11 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 			continue
 		}
 		sh := &shard{
-			id:              len(f.shards),
-			f:               f,
-			instances:       g,
-			probed:          make(map[string]bool),
-			deposited:       make(map[incidentID]bool),
-			declaredThrough: -1,
+			id:        len(f.shards),
+			f:         f,
+			instances: g,
+			probed:    make(map[string]bool),
+			deposited: make(map[incidentID]bool),
 		}
 		svcCfg := cfg.Service
 		if svcCfg.APGCacheSize <= 0 {
@@ -266,7 +271,7 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 		sh.initTelemetry(sharded)
 		f.shards = append(f.shards, sh)
 	}
-	f.ex = newExchange(cfg.Learn, newLearner(cfg.Learn, cfg.SymDB), len(f.shards))
+	f.ex = newExchange(cfg.Learn, newLearner(cfg.Learn, cfg.SymDB))
 	f.registerTelemetryFuncs()
 	return f, nil
 }
@@ -274,7 +279,7 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 // registerTelemetryFuncs installs scrape-time callbacks over the
 // candidate lifecycle. The callbacks take the exchange lock; the
 // registry invokes them outside its own lock, so scrapes never order
-// against the coordinators.
+// against the loop.
 func (f *Fleet) registerTelemetryFuncs() {
 	reg := telemetry.Default()
 	learnVal := func(read func(l *learner) float64) func() float64 {
@@ -309,77 +314,160 @@ func (f *Fleet) registerTelemetryFuncs() {
 	}
 }
 
-// chunkMsg is one instance's arrival at a chunk boundary (or its
-// completion).
-type chunkMsg struct {
-	idx  int
-	now  simtime.Time
-	done bool
-	err  error
-}
-
 // Run streams every instance to the end of its timeline and returns the
-// merged fleet report. It may be called once. Each shard runs its own
-// coordinator; Run fans them out, waits, and merges.
+// merged fleet report. It may be called once.
 func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	if f.ran {
 		return nil, errors.New("fleet: already ran")
 	}
 	f.ran = true
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	f.cancel = cancel
-
-	sem := make(chan struct{}, f.cfg.MaxStreams)
-	var wg sync.WaitGroup
 	for _, sh := range f.shards {
 		sh.svc.Start(ctx)
 	}
+	err := f.drive(ctx)
 	for _, sh := range f.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.run(ctx, sem)
-		}(sh)
+		sh.svc.Stop()
 	}
-	wg.Wait()
 	for _, freeze := range f.freeze {
 		freeze()
 	}
-
-	f.failMu.Lock()
-	err := f.firstErr
-	f.failMu.Unlock()
-	if err == nil {
-		// A caller-canceled context unwinds the instances with plain
-		// context.Canceled errors, which fail() filters; surface the
-		// cancellation itself rather than an empty report. The fleet's
-		// own deferred cancel has not run yet, so a successful run
-		// reads a nil cause here.
-		err = context.Cause(ctx)
-	}
 	if err != nil {
+		// A cancellation mid-wave surfaces in the loop as the halted
+		// service refusing the next events; report the cancellation.
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
 		return nil, err
 	}
 	return f.report(), nil
 }
 
-// fail records the first real failure, cancels the run, and unwedges
-// the learning exchange. Plain cancellations and exchange aborts are
-// the unwind of an earlier failure (or of the caller's context), not a
-// cause of their own.
-func (f *Fleet) fail(err error) {
-	if err == nil {
-		return
+// drive is the fleet's loop, one pass per chunk barrier: step every
+// live instance, release what the watermarks cover, diagnose and fold
+// every learning epoch the frontier has completed, then show each shard
+// to the hook and run retention. Nothing steps while anything diagnoses.
+func (f *Fleet) drive(ctx context.Context) error {
+	live := make([]*instanceState, len(f.instances))
+	for i, st := range f.instances {
+		st.stream = st.Testbed.Stream(f.cfg.Chunk)
+		live[i] = st
 	}
-	f.failMu.Lock()
-	if f.firstErr == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, errAborted) {
-		f.firstErr = err
+	var now simtime.Time
+	for len(live) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		err := each(len(live), f.cfg.MaxStreams, func(i int) error {
+			st := live[i]
+			if st.ended {
+				st.watermark = monitor.EndOfStream
+				return nil
+			}
+			var err error
+			st.watermark, st.ended, err = st.stream.Next()
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		next := live[:0]
+		for _, st := range live {
+			if st.watermark != monitor.EndOfStream {
+				now = max(now, st.watermark)
+				next = append(next, st)
+			}
+		}
+		live = next
+
+		frontier := monitor.EndOfStream
+		released := make([][]monitor.SlowdownEvent, len(f.shards))
+		for i, sh := range f.shards {
+			for _, st := range sh.instances {
+				released[i] = append(released[i], st.Release(st.watermark)...)
+				frontier = min(frontier, st.watermark)
+			}
+			sh.buffered = append(sh.buffered, released[i]...)
+		}
+		if err := f.advance(ctx, frontier); err != nil {
+			return err
+		}
+		for i, sh := range f.shards {
+			if f.cfg.OnBarrier != nil {
+				b := Barrier{Now: now, Final: len(live) == 0, Released: released[i], Service: sh.svc}
+				if err := f.cfg.OnBarrier(b); err != nil {
+					return err
+				}
+			}
+			if f.cfg.Retention {
+				sh.retain()
+			}
+		}
 	}
-	f.failMu.Unlock()
-	f.cancel()
-	f.ex.abort()
+	return nil
+}
+
+// advance diagnoses, in order, every learning epoch the frontier has
+// completed that holds released events — each shard its own events of
+// the epoch, all shards at once — and folds each into the learner
+// before the next begins, so every diagnosis of epoch e sees the
+// database as of the fold of e-1. Events of incomplete epochs (a
+// finished instance's tail, released whole while others still stream)
+// stay buffered.
+func (f *Fleet) advance(ctx context.Context, frontier simtime.Time) error {
+	done := completeThrough(frontier)
+	for {
+		e := int64(epochDone)
+		for _, sh := range f.shards {
+			for _, ev := range sh.buffered {
+				e = min(e, epochOf(ev.ReadWindow.End))
+			}
+		}
+		if e > done || e == epochDone {
+			return nil
+		}
+		err := each(len(f.shards), len(f.shards), func(i int) error {
+			return f.shards[i].processEpoch(ctx, e)
+		})
+		if err != nil {
+			return err
+		}
+		f.ex.fold(e)
+	}
+}
+
+// each runs fn for every index below n on at most width goroutines
+// (inline when one suffices) and returns the lowest-indexed error.
+func each(n, width int, fn func(i int) error) error {
+	if width >= n {
+		width = n
+	}
+	if width <= 1 {
+		for i := range n {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // quietFacts replays the diagnosis machinery over the event's

@@ -6,9 +6,11 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +18,10 @@ import (
 	"diads/internal/experiments"
 	"diads/internal/fleet"
 	"diads/internal/metrics"
+	"diads/internal/service"
+	"diads/internal/simtime"
 	"diads/internal/telemetry"
+	"diads/internal/workload"
 )
 
 const testSeed = 400
@@ -228,3 +233,94 @@ func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
 		t.Errorf("the scrape after the run reports %d APG cache hits, the report %d", hits, rep.Stats.APG.Hits)
 	}
 }
+
+// TestFleetRunUnwinds pins how a failing run ends, on one shard and on
+// two, with learning on: Run returns the failure itself — an instance's
+// failed step, the caller's canceled context, the hook's error — and
+// every goroutine the run started (steppers, epoch workers, service
+// pools) has exited by the time it returns.
+func TestFleetRunUnwinds(t *testing.T) {
+	errHook := errors.New("hook refused the barrier")
+	newFleet := func(t *testing.T, shards int, hook func(fleet.Barrier) error, self service.SelfObserver, bad bool) *fleet.Fleet {
+		t.Helper()
+		insts := make([]fleet.Instance, 0, 3)
+		for i := 0; i < 3; i++ {
+			env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: testSeed + int64(i), Runs: 12, NoFault: i == 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad && i == 1 {
+				// A query the optimizer does not know, due in the first chunk.
+				env.Testbed.Schedules = append(env.Testbed.Schedules,
+					workload.QuerySchedule{Query: "Q99", Start: simtime.Time(simtime.Minute), Period: simtime.Hour, Count: 1})
+			}
+			insts = append(insts, fleet.Instance{
+				ID: "inst-" + strconv.Itoa(i), Testbed: env.Testbed, Monitor: env.Monitor, Shared: i < 2,
+			})
+		}
+		fl, err := fleet.New(fleet.Config{Shards: shards, Retention: true, OnBarrier: hook, SelfObserver: self}, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+	// atBarrier returns a hook that calls fn at the fleet's fifth barrier
+	// (each shard sees every barrier) and passes otherwise.
+	atBarrier := func(shards int, fn func() error) func(fleet.Barrier) error {
+		calls := 0
+		return func(fleet.Barrier) error {
+			calls++
+			if calls == 5*shards {
+				return fn()
+			}
+			return nil
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+
+			barriers := 0
+			count := func(fleet.Barrier) error { barriers++; return nil }
+			_, err := newFleet(t, shards, count, nil, true).Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), `"Q99"`) {
+				t.Errorf("an instance stepping an unknown query: Run returned %v, want the planning error", err)
+			}
+			if barriers != 0 {
+				t.Errorf("the failed first step still reached %d barrier hooks", barriers)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err = newFleet(t, shards, atBarrier(shards, func() error { cancel(); return nil }), nil, false).Run(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("canceled at a barrier: Run returned %v, want context.Canceled", err)
+			}
+			// The first completed diagnosis cancels, in the middle of a
+			// wave: the halted service refuses the next wave's events.
+			ctx, cancel = context.WithCancel(context.Background())
+			_, err = newFleet(t, shards, nil, cancelOnDiagnosis(cancel), false).Run(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("canceled mid-wave: Run returned %v, want context.Canceled", err)
+			}
+
+			_, err = newFleet(t, shards, atBarrier(shards, func() error { return errHook }), nil, false).Run(context.Background())
+			if !errors.Is(err, errHook) {
+				t.Errorf("hook failure: Run returned %v, want the hook's error", err)
+			}
+
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Errorf("%d goroutines after the failed runs, %d before", n, base)
+			}
+		})
+	}
+}
+
+// cancelOnDiagnosis cancels a run from a service worker, at the end of
+// every diagnosis.
+type cancelOnDiagnosis context.CancelFunc
+
+func (c cancelOnDiagnosis) ObserveDiagnosis(string, time.Duration) { c() }

@@ -10,9 +10,9 @@ import (
 
 // Instance is one database+SAN deployment and the single owner of its
 // evidence: a testbed (simulated, or filled by HTTP ingest) and the
-// monitor attached to its run stream. Both drivers — a fleet shard's
-// coordinator and the API's intake worker — advance this one runtime,
-// from the one goroutine that drives the instance.
+// monitor attached to its run stream. Both drivers — the fleet's loop
+// and the API's intake worker — advance this one runtime, never from two
+// goroutines at once.
 type Instance struct {
 	// ID scopes the instance's jobs and incidents in a shared service:
 	// unique in a fleet, and empty for a lone instance (the online driver).
@@ -67,7 +67,7 @@ func (in *Instance) Release(watermark simtime.Time) []monitor.SlowdownEvent {
 //
 // Diagnoses of the instance may be in flight: every read a diagnosis
 // makes lies inside its event's ReadWindow, the floor covers every
-// window submitted so far, only this goroutine submits the instance's
+// window submitted so far, only the driver submits the instance's
 // events, and a job finishing meanwhile can only raise the floor. An
 // instance with no monitor history is skipped: a run in progress will
 // enter the ring with a Start in the past, so no horizon is safe yet.

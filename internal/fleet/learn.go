@@ -21,8 +21,8 @@ const (
 	// epochLen is the evidence-time granularity of the learning
 	// exchange. Shards deposit confirmations and healthy bases tagged
 	// with their epoch; the central learner folds an epoch exactly once,
-	// when every shard's release frontier has passed its boundary, and
-	// installs land at that seal. The epoch is a fixed evidence-time
+	// after every shard has diagnosed it, and installs land at that
+	// fold. The epoch is a fixed evidence-time
 	// grid — independent of Chunk — so chunk-size sweeps stay
 	// byte-identical.
 	epochLen = 10 * simtime.Minute
@@ -84,8 +84,8 @@ type LearnConfig struct {
 	Review ReviewPolicy
 	// Reviewer is consulted under ReviewOperator: it sees the candidate
 	// and its validation report and answers accept or reject. It is
-	// called from whichever shard goroutine seals the epoch, so it must
-	// be deterministic for fleet runs to stay byte-identical per seed.
+	// called from the fleet's loop as it folds an epoch, so it must be
+	// deterministic for fleet runs to stay byte-identical per seed.
 	// Nil under ReviewOperator leaves validated candidates pending.
 	Reviewer func(symptoms.CandidateEntry, symptoms.Validation) bool
 }
@@ -134,7 +134,7 @@ func (c *candidate) state() string {
 // learner runs the candidate lifecycle — proposed → validated →
 // installed/rejected — over a shared symptoms database. It has no
 // locking of its own: the exchange drives it under its mutex at epoch
-// seals, and tests drive it directly.
+// folds, and tests drive it directly.
 type learner struct {
 	cfg       LearnConfig
 	symdb     *symptoms.DB

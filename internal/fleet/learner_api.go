@@ -35,7 +35,7 @@ func SplitScoped(id string) (tenant, instance string) {
 // Learner is the exported, self-locking face of the candidate
 // lifecycle for drivers outside the fleet's epoch exchange — the HTTP
 // serving surface in particular. The unexported learner has no locking
-// of its own (the exchange drives it under its mutex at epoch seals);
+// of its own (the exchange drives it under its mutex at epoch folds);
 // Learner adds the mutex so API handlers, the monitor's intake worker,
 // and an operator's ack can interleave safely.
 type Learner struct {

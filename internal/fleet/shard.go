@@ -5,9 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"diads/internal/diag"
 	"diads/internal/monitor"
@@ -28,11 +26,11 @@ func shardOf(id string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// shard is one slice of the fleet: a subset of instances, their own
-// coordinator goroutine, and their own diagnosis service (worker pool,
-// dedup set, impact registry, APG/SD caches). Shards share nothing
-// on the hot path; they meet only at the learning exchange's epoch
-// seals and the end-of-run report merge.
+// shard is one slice of the fleet: a subset of instances and their own
+// diagnosis service (worker pool, dedup set, impact registry, APG/SD
+// caches). Shards diagnose an epoch in parallel and share nothing on
+// that hot path; they meet only at the learning exchange and the
+// end-of-run report merge.
 type shard struct {
 	id        int
 	f         *Fleet
@@ -50,14 +48,11 @@ type shard struct {
 	// buffered holds released events whose learning epoch is not yet
 	// complete — chiefly the far-future tails of finished instances,
 	// which release wholesale at their final barrier long before the
-	// shard's frontier reaches them.
+	// fleet's frontier reaches them.
 	buffered []monitor.SlowdownEvent
-	// declaredThrough is the highest epoch this shard has declared to
-	// the exchange.
-	declaredThrough int64
-	// resident counts the shard's non-hibernated instances. The
-	// coordinator owns the resident flags; the counter is atomic only
-	// so the fleet-level telemetry gauge can read it at scrape time.
+	// resident counts the shard's non-hibernated instances. The loop
+	// owns the resident flags; the counter is atomic only so the
+	// fleet-level telemetry gauge can read it at scrape time.
 	resident atomic.Int64
 
 	waves    *telemetry.Counter
@@ -75,124 +70,12 @@ func (sh *shard) initTelemetry(sharded bool) {
 	}
 	reg := telemetry.Default()
 	sh.waves = reg.Counter("diads_fleet_waves_total",
-		"Evidence-time waves the coordinator dispatched.", labels)
+		"Evidence-time waves the fleet dispatched.", labels)
 	sh.released = reg.Counter("diads_fleet_events_released_total",
 		"Slowdown events released through the gates into waves.", labels)
 	sh.waveSec = reg.Histogram("diads_fleet_wave_seconds",
 		"Wall time of one evidence-time wave: submit, settle, probes, deposits.",
 		labels, nil)
-}
-
-// run is the shard's coordinator: it streams the shard's instances
-// through chunk barriers, releases held events by watermark, and
-// processes complete learning epochs in evidence-time wave order. It is
-// the per-shard copy of what used to be the fleet-global loop; the only
-// cross-shard interactions are the shared MaxStreams semaphore and the
-// learning exchange.
-func (sh *shard) run(ctx context.Context, sem chan struct{}) {
-	defer func() {
-		// Whatever happened, release the exchange: a shard that stops
-		// declaring would wedge every other shard's epoch waits.
-		sh.f.ex.declare(sh.id, epochDone)
-		sh.svc.Wait()
-		sh.svc.Stop()
-	}()
-
-	n := len(sh.instances)
-	barrier := make(chan chunkMsg, n)
-	var wg sync.WaitGroup
-	for i, st := range sh.instances {
-		wg.Add(1)
-		go func(i int, st *instanceState) {
-			defer wg.Done()
-			held := false
-			acquire := func() error {
-				select {
-				case sem <- struct{}{}:
-					held = true
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			release := func() {
-				if held {
-					<-sem
-					held = false
-				}
-			}
-			err := acquire()
-			if err == nil {
-				err = st.Testbed.SimulateStream(sh.f.cfg.Chunk, func(now simtime.Time) error {
-					release()
-					select {
-					case barrier <- chunkMsg{idx: i, now: now}:
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-					select {
-					case <-st.resume:
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-					return acquire()
-				})
-			}
-			release()
-			barrier <- chunkMsg{idx: i, done: true, err: err}
-		}(i, st)
-	}
-
-	alive := n
-	watermark := make([]simtime.Time, n)
-	var now simtime.Time
-	for alive > 0 {
-		arrived := 0
-		for arrived < alive {
-			msg := <-barrier
-			if msg.done {
-				alive--
-				watermark[msg.idx] = monitor.EndOfStream
-				sh.f.fail(msg.err)
-				continue
-			}
-			watermark[msg.idx] = msg.now
-			now = max(now, msg.now)
-			arrived++
-		}
-		// Every shard instance is now parked (or finished): release what
-		// the watermarks cover, then advance through whatever learning
-		// epochs the frontier (the slowest live instance) has completed.
-		// Nothing in this shard simulates while its diagnoses read stores.
-		if ctx.Err() == nil {
-			frontier := monitor.EndOfStream
-			var released []monitor.SlowdownEvent
-			for i, st := range sh.instances {
-				released = append(released, st.Release(watermark[i])...)
-				frontier = min(frontier, watermark[i])
-			}
-			sh.buffered = append(sh.buffered, released...)
-			err := sh.advance(ctx, frontier)
-			if err == nil && sh.f.cfg.OnBarrier != nil {
-				err = sh.f.cfg.OnBarrier(Barrier{Now: now, Final: alive == 0, Released: released, Service: sh.svc})
-			}
-			if err != nil {
-				sh.f.fail(err)
-			} else if sh.f.cfg.Retention {
-				// Every shard instance is parked or finished and every
-				// submitted diagnosis has settled (per-wave Wait), so
-				// this is the one point where truncating evidence and
-				// paging instances out cannot race a reader.
-				sh.retain()
-			}
-		}
-		for i, st := range sh.instances {
-			if watermark[i] != monitor.EndOfStream {
-				st.resume <- struct{}{}
-			}
-		}
-	}
-	wg.Wait()
 }
 
 // retain runs the retention pass at a barrier: every instance's
@@ -238,43 +121,6 @@ func (sh *shard) retain() {
 	}
 }
 
-// advance processes every learning epoch the frontier has completed, in
-// order: wait for the previous epoch's seal, diagnose the epoch's waves,
-// deposit its contributions, declare it. Events of incomplete epochs
-// (released early by finished instances) stay buffered — processing one
-// would mean waiting on a seal that needs this shard's own undeclarable
-// epoch, the self-deadlock the buffer exists to avoid.
-func (sh *shard) advance(ctx context.Context, frontier simtime.Time) error {
-	d := completeThrough(frontier)
-	stop := int64(-1)
-	for _, ev := range sh.buffered {
-		if e := epochOf(ev.ReadWindow.End); e > stop {
-			stop = e
-		}
-	}
-	if stop > d {
-		stop = d
-	}
-	for e := sh.declaredThrough + 1; e <= stop; e++ {
-		if err := sh.f.ex.waitSealed(e - 1); err != nil {
-			return err
-		}
-		if err := sh.processEpoch(ctx, e); err != nil {
-			return err
-		}
-		sh.declaredThrough = e
-		sh.f.ex.declare(sh.id, e)
-	}
-	if d > sh.declaredThrough {
-		// Epochs past the last buffered event are complete and empty;
-		// declare them wholesale (d is epochDone once every instance
-		// has finished).
-		sh.declaredThrough = d
-		sh.f.ex.declare(sh.id, d)
-	}
-	return nil
-}
-
 // processEpoch pulls the epoch's events out of the buffer and diagnoses
 // them in evidence-time waves.
 func (sh *shard) processEpoch(ctx context.Context, epoch int64) error {
@@ -293,7 +139,7 @@ func (sh *shard) processEpoch(ctx context.Context, epoch int64) error {
 
 // submitWaves diagnoses released events in evidence-time waves: sorted
 // by the end of their read windows, events sharing an end diagnose
-// concurrently, then the coordinator settles the worker pool, captures
+// concurrently, then the shard settles its worker pool, captures
 // quiet-window probes, and deposits newly-confirmed incidents before
 // the next wave. Ordering by evidence time — never by barrier arrival —
 // is what makes the run chunk-size invariant: the wave sequence is a
@@ -320,8 +166,7 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 		for j < len(released) && released[j].ReadWindow.End == released[i].ReadWindow.End {
 			j++
 		}
-		//lint:allow walltime telemetry-only wall timing of the wave; never enters evidence
-		waveStart := time.Now()
+		span := telemetry.DefaultTracer().Start("fleet", "fleet.wave")
 		// The fleet's default queue is sized so nothing is ever shed.
 		if err := sh.svc.SubmitAll(released[i:j]); err != nil {
 			return err
@@ -329,20 +174,14 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 		sh.svc.Wait()
 		sh.quietProbes(ctx, released[i:j])
 		sh.depositConfirmed(released[i].ReadWindow.End)
-		//lint:allow walltime telemetry-only wall timing of the wave; never enters evidence
-		waveWall := time.Since(waveStart)
+		wall := span.End(
+			telemetry.Attr{Key: "shard", Value: strconv.Itoa(sh.id)},
+			telemetry.Attr{Key: "events", Value: strconv.Itoa(j - i)},
+			telemetry.Attr{Key: "window_end", Value: released[i].ReadWindow.End.Clock()},
+		)
 		sh.waves.Inc()
 		sh.released.Add(int64(j - i))
-		sh.waveSec.Observe(waveWall.Seconds())
-		telemetry.DefaultTracer().Record(telemetry.Span{
-			TraceID: "fleet", Name: "fleet.wave",
-			Start: waveStart, Duration: waveWall,
-			Attrs: []telemetry.Attr{
-				{Key: "shard", Value: strconv.Itoa(sh.id)},
-				{Key: "events", Value: strconv.Itoa(j - i)},
-				{Key: "window_end", Value: released[i].ReadWindow.End.Clock()},
-			},
-		})
+		sh.waveSec.Observe(wall.Seconds())
 		i = j
 	}
 	return nil
@@ -356,7 +195,7 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 // validator's healthy corpus need. Probes are derived from the event
 // snapshot (not live monitor state), so their content is a function of
 // the event stream alone; they are deposited under the wave's epoch and
-// fold into the learner at its seal.
+// fold into the learner with it.
 func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) {
 	if sh.f.cfg.Learn.Disabled {
 		return
@@ -381,8 +220,8 @@ func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) 
 // every incident that newly crossed the confirmation gate to the
 // exchange, tagged with this wave's evidence end. The crossing wave is
 // determined by the incident's own event stream, so the deposit key —
-// and therefore the seal's fold order — is identical for every shard
-// count and chunk size.
+// and therefore the fold order — is identical for every shard count and
+// chunk size.
 func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
 	if sh.f.cfg.Learn.Disabled {
 		return
@@ -396,15 +235,14 @@ func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
 			continue
 		}
 		sh.deposited[id] = true
-		sh.f.ex.depositConfirm(epochOf(waveEnd),
-			confirmation{waveEnd: waveEnd, inc: inc})
+		sh.f.ex.depositConfirm(confirmation{waveEnd: waveEnd, inc: inc})
 	}
 }
 
 // onDiagnosis observes every completed diagnosis (called from the
 // shard's service workers): a mined entry scoring high in a diagnosis
 // on an instance that did not author it is a successful cross-instance
-// symptom transfer. Author sets are frozen at install seals and the
+// symptom transfer. Author sets change only at epoch folds and the
 // counters are commutative, so worker scheduling cannot change the
 // final report.
 func (sh *shard) onDiagnosis(ev monitor.SlowdownEvent, res *diag.Result) {

@@ -18,9 +18,6 @@ type Cardinalities struct {
 	Total []float64
 }
 
-// TotalRows returns the operator's total output rows for the run.
-func (c Cardinalities) TotalRows(id int) float64 { return c.Total[id] }
-
 // Cardinality computes per-operator cardinalities for p.
 //
 // rowsOf supplies table cardinalities (statistics snapshot for estimates,

@@ -101,14 +101,6 @@ func aliasSuffix(a string) string {
 // IsLeaf reports whether the node reads base data.
 func (n *Node) IsLeaf() bool { return n.Type.IsLeaf() }
 
-// EffectiveLoops returns Loops, defaulting to 1.
-func (n *Node) EffectiveLoops() float64 {
-	if n.Loops <= 0 {
-		return 1
-	}
-	return n.Loops
-}
-
 // EffectiveFanout returns Fanout, defaulting to 1.
 func (n *Node) EffectiveFanout() float64 {
 	if n.Fanout <= 0 {

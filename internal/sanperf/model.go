@@ -295,16 +295,6 @@ func (m *Model) ReadResponse(vol topology.ID, t simtime.Time, sequential bool) s
 	return simtime.Duration(float64(svc) * m.queueFactor(m.PoolUtilization(pool, t)))
 }
 
-// WriteResponse returns the expected response time of one write I/O
-// against vol at t.
-func (m *Model) WriteResponse(vol topology.ID, t simtime.Time) simtime.Duration {
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return m.params.WriteService
-	}
-	return simtime.Duration(float64(m.params.WriteService) * m.queueFactor(m.PoolUtilization(pool, t)))
-}
-
 // ContributorsAt names the load sources active on a volume's pool at t —
 // the ground truth a diagnosis should recover.
 func (m *Model) ContributorsAt(vol topology.ID, t simtime.Time) []string {

@@ -343,7 +343,8 @@ func (s *Service) AddInstance(id string, env Env) {
 // dehydrate half of the instance lifecycle (fleet hibernation, HTTP
 // tenant idle-out). Safe to call while the service is running, but the
 // caller must guarantee no job for the instance is queued or in flight
-// (the fleet removes only parked instances with empty gates; the API's
+// (the fleet removes only idle instances with empty gates, between
+// steps; the API's
 // single intake worker removes only idle instances), or subsequent
 // diagnoses fail with an unknown environment. Removal changes memory
 // only: cached artifacts are pure functions of instance state, so a
@@ -599,8 +600,7 @@ func (s *Service) run(ctx context.Context, j job) {
 		s.tel.failed.Inc()
 		return
 	}
-	wall := time.Since(diagSpan.StartedAt())
-	diagSpan.End(attr("outcome", "completed"), attr("query", j.ev.Query))
+	wall := diagSpan.End(attr("outcome", "completed"), attr("query", j.ev.Query))
 	s.tel.diagWall.Observe(wall.Seconds())
 	s.spanModules(j.ev.TraceID, res.Trace)
 	s.recordTrace(res.Trace)

@@ -63,9 +63,6 @@ func (t Time) String() string { return t.Clock() }
 // Seconds returns d as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
-// Minutes returns d as a float64 number of minutes.
-func (d Duration) Minutes() float64 { return float64(d) / 60 }
-
 // String implements fmt.Stringer.
 func (d Duration) String() string {
 	s := float64(d)

@@ -70,7 +70,7 @@ type Validation struct {
 
 // Validator replays candidate entries against evidence of normal
 // operation. It is not safe for concurrent use; the fleet layer drives
-// it from its single coordinator under the fleet mutex.
+// it from its epoch fold, under the exchange's mutex.
 type Validator struct {
 	// MinHealthy is the healthy-corpus size required before a candidate
 	// can be validated at all (default 1): with no picture of normal
@@ -123,9 +123,6 @@ func (v *Validator) AddHoldout(inc Incident) {
 
 // HealthyCount returns the corpus size.
 func (v *Validator) HealthyCount() int { return len(v.healthy) }
-
-// HoldoutCount returns the held-out incidents recorded for a base kind.
-func (v *Validator) HoldoutCount(kind string) int { return len(v.holdout[kind]) }
 
 func (v *Validator) minHealthy() int {
 	if v.MinHealthy > 0 {

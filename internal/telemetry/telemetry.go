@@ -175,9 +175,6 @@ func Default() *Registry { return defaultRegistry }
 // the layer is a pure side channel.
 func (r *Registry) SetEnabled(v bool) { r.enabled.Store(v) }
 
-// Enabled reports whether instrument writes are recorded.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // Reset drops every registered family. Intended for tests.
 func (r *Registry) Reset() {
 	r.mu.Lock()

@@ -16,7 +16,7 @@ type Attr struct {
 // end to end: the monitor mints the trace ID when it builds the event,
 // the service records submit-outcome, queue-wait, and diagnosis spans
 // under it, each pipeline module's wall time becomes a span, and the
-// fleet coordinator spans its evidence-time waves.
+// fleet spans its evidence-time waves and learning folds.
 type Span struct {
 	TraceID  string        `json:"trace_id"`
 	Name     string        `json:"name"`
@@ -72,9 +72,10 @@ func (t *Tracer) Record(s Span) {
 	t.mu.Unlock()
 }
 
-// Start begins a span; call End on the result to record it.
-func (t *Tracer) Start(traceID, name string) *ActiveSpan {
-	return &ActiveSpan{t: t, span: Span{TraceID: traceID, Name: name, Start: time.Now()}}
+// Start begins a span; call End on the result to record it. The span
+// is a value, so timing a step costs no allocation of its own.
+func (t *Tracer) Start(traceID, name string) ActiveSpan {
+	return ActiveSpan{t: t, span: Span{TraceID: traceID, Name: name, Start: time.Now()}}
 }
 
 // ActiveSpan is an in-flight span returned by Start.
@@ -83,14 +84,14 @@ type ActiveSpan struct {
 	span Span
 }
 
-// StartedAt returns the span's start instant.
-func (a *ActiveSpan) StartedAt() time.Time { return a.span.Start }
-
-// End finishes the span with the given attributes and records it.
-func (a *ActiveSpan) End(attrs ...Attr) {
+// End finishes the span with the given attributes, records it, and
+// returns its duration: the one wall-time reading a caller feeding a
+// histogram as well needs.
+func (a *ActiveSpan) End(attrs ...Attr) time.Duration {
 	a.span.Duration = time.Since(a.span.Start)
 	a.span.Attrs = attrs
 	a.t.Record(a.span)
+	return a.span.Duration
 }
 
 // Total returns the number of spans ever recorded (including those that

@@ -47,88 +47,114 @@ func (tb *Testbed) Simulate() error {
 // pipeline — can poll metrics and drain slowdown events "live". Runs
 // themselves stream through exec.Engine.OnRunComplete the moment they
 // finish. A chunk of 0 plays the whole timeline as one chunk. Like
-// Simulate, it may only be called once per testbed.
+// Simulate, it may only be called once per testbed. It is a loop over
+// Stream's Next.
+func (tb *Testbed) SimulateStream(chunk simtime.Duration, onChunk func(now simtime.Time) error) error {
+	s := tb.Stream(chunk)
+	for {
+		now, done, err := s.Next()
+		if err != nil {
+			return err
+		}
+		if onChunk != nil {
+			if err := onChunk(now); err != nil {
+				return err
+			}
+		}
+		if done {
+			return nil
+		}
+	}
+}
+
+// Stream is the testbed's timeline played one chunk per Next call: the
+// stepping form of SimulateStream, for a driver that advances many
+// testbeds itself.
 //
 // Emission is aligned to the monitoring-interval grid and holds back
 // incomplete intervals: each chunk emits only the monitoring intervals
 // that have fully elapsed, and the trailing partial interval flushes
 // with the final chunk. Two guarantees follow. First, the boundary time
-// onChunk receives is a metric watermark — every sample with a
-// timestamp at or before it has been emitted, and no future chunk can
-// append one at or before it — which is what lets drivers pass it
-// straight to monitor.Gate.Release. Second, the emitted sample set (and,
-// with the sampler's per-series noise streams, every sample value) is
+// Next returns is a metric watermark — every sample with a timestamp at
+// or before it has been emitted, and no future chunk can append one at
+// or before it — which is what lets drivers pass it straight to
+// monitor.Gate.Release. Second, the emitted sample set (and, with the
+// sampler's per-series noise streams, every sample value) is
 // byte-identical whatever the chunk size, including the single-chunk
 // batch run, so diagnosis results cannot depend on chunking.
-func (tb *Testbed) SimulateStream(chunk simtime.Duration, onChunk func(now simtime.Time) error) error {
-	if tb.simulated {
-		return fmt.Errorf("testbed: already simulated")
+type Stream struct {
+	tb       *Testbed
+	chunk    simtime.Duration
+	started  bool
+	finished bool
+	events   []timelineEvent
+	next     int // first event not yet run
+	loadEnd  simtime.Time
+	boundary simtime.Time // end of the last chunk played
+	emitted  simtime.Time // metrics are emitted through here
+}
+
+// Stream returns the testbed's timeline as a stepper over chunks of the
+// given length (0: the whole timeline as one chunk). Nothing plays until
+// the first Next, which fails if the testbed has been simulated before.
+func (tb *Testbed) Stream(chunk simtime.Duration) *Stream {
+	return &Stream{tb: tb, chunk: chunk}
+}
+
+// Next plays one chunk: every timeline event before the chunk boundary,
+// then the chunk's metric emission. It returns the chunk's watermark and
+// whether the timeline is done; a done stream sets the testbed's Horizon
+// and must not be stepped again.
+func (s *Stream) Next() (watermark simtime.Time, done bool, err error) {
+	tb := s.tb
+	if !s.started {
+		if tb.simulated {
+			return 0, false, fmt.Errorf("testbed: already simulated")
+		}
+		tb.simulated, s.started = true, true
+		for _, l := range tb.Loads {
+			for _, seg := range l.Segments() {
+				tb.SAN.AddLoad(seg)
+			}
+			s.loadEnd = max(s.loadEnd, l.Window.End)
+		}
+		s.events = tb.timeline()
 	}
-	tb.simulated = true
-
-	var loadEnd simtime.Time
-	for _, l := range tb.Loads {
-		for _, seg := range l.Segments() {
-			tb.SAN.AddLoad(seg)
-		}
-		if l.Window.End > loadEnd {
-			loadEnd = l.Window.End
-		}
+	if s.finished {
+		return 0, false, fmt.Errorf("testbed: stream already finished")
 	}
-
-	events := tb.timeline()
-
-	if chunk <= 0 {
-		for _, ev := range events {
-			if err := ev.run(); err != nil {
-				return err
-			}
-		}
-		end := tb.activityEnd(loadEnd)
-		tb.Horizon = simtime.NewInterval(0, end)
-		tb.emitMetrics(tb.Horizon)
-		if onChunk != nil {
-			return onChunk(end)
-		}
-		return nil
+	boundary := simtime.Time(math.Inf(1)) // chunk 0: the whole timeline
+	if s.chunk > 0 {
+		boundary = s.boundary.Add(s.chunk)
 	}
-
-	i := 0
-	var emitted simtime.Time
-	for boundary := simtime.Time(chunk); ; boundary = boundary.Add(chunk) {
-		for i < len(events) && events[i].t < boundary {
-			if err := events[i].run(); err != nil {
-				return err
-			}
-			i++
+	s.boundary = boundary
+	for s.next < len(s.events) && s.events[s.next].t < boundary {
+		if err := s.events[s.next].run(); err != nil {
+			return 0, false, err
 		}
-		stop := boundary
-		done := false
-		if i == len(events) {
-			if end := tb.activityEnd(loadEnd); end <= boundary {
-				stop, done = end, true
-			}
-		}
-		// Emit only fully-elapsed monitoring intervals; the final chunk
-		// flushes the partial tail so the store matches a batch run's.
-		cover := stop
-		if !done {
-			cover = tb.monitorGrid(stop)
-		}
-		if cover > emitted {
-			tb.emitMetrics(simtime.NewInterval(emitted, cover))
-			emitted = cover
-		}
-		if onChunk != nil {
-			if err := onChunk(stop); err != nil {
-				return err
-			}
-		}
-		if done {
-			tb.Horizon = simtime.NewInterval(0, stop)
-			return nil
+		s.next++
+	}
+	stop := boundary
+	if s.next == len(s.events) {
+		if end := tb.activityEnd(s.loadEnd); end <= boundary {
+			stop, done = end, true
 		}
 	}
+	// Emit only fully-elapsed monitoring intervals; the final chunk
+	// flushes the partial tail so the store matches a batch run's.
+	cover := stop
+	if !done {
+		cover = tb.monitorGrid(stop)
+	}
+	if cover > s.emitted {
+		tb.emitMetrics(simtime.NewInterval(s.emitted, cover))
+		s.emitted = cover
+	}
+	if done {
+		s.finished = true
+		tb.Horizon = simtime.NewInterval(0, stop)
+	}
+	return stop, done, nil
 }
 
 // timeline assembles the chronologically sorted event list.
