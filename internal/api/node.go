@@ -173,6 +173,7 @@ type nodeTelemetry struct {
 	applyErr *telemetry.Counter
 	released *telemetry.Counter
 	evicted  *telemetry.Counter
+	mismatch *telemetry.Counter
 	// freeze detaches the scrape callbacks from the node (see
 	// telemetry.Registry.CounterFunc); Shutdown calls them.
 	freeze []func()
@@ -208,6 +209,8 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 			"Gated slowdown events released to the diagnosis pool by watermark advances.", nil),
 		evicted: reg.Counter("diads_api_instances_evicted_total",
 			"Tenant instances paged out by the idle-eviction lifecycle.", nil),
+		mismatch: reg.Counter("diads_api_plan_mismatch_total",
+			"Posted runs applied although an operator's type, table or estimate disagrees with the plan the node reconstructed.", nil),
 	}
 }
 
@@ -537,7 +540,8 @@ func (n *Node) release(in *instance, traceID string) {
 // first, as the simulator applies a change before a run that starts at
 // its time) — deterministic, so node IDs match a client compiled against
 // the same catalog — whose memo plans each query once per catalog,
-// parameter and statistics version.
+// parameter and statistics version. A run whose posted operators
+// disagree with that plan is counted and applied all the same.
 func (n *Node) applyRuns(b *RunBatch) {
 	in, err := n.instanceFor(b.Tenant, b.Instance)
 	if err != nil {
@@ -552,6 +556,9 @@ func (n *Node) applyRuns(b *RunBatch) {
 		if err != nil {
 			n.tel.applyErr.Inc()
 			continue
+		}
+		if !wr.matchesPlan(p) {
+			n.tel.mismatch.Inc()
 		}
 		in.Monitor.Observe(wr.runRecord(p))
 	}
@@ -587,7 +594,8 @@ func (n *Node) applyChanges(in *instance, now simtime.Time) {
 		}
 		restat = restat || ev.Kind == topology.EvStatsUpdated
 	}
-	in.pending = in.pending[k:]
+	// Shift the rest down so the array keeps no applied change.
+	in.pending = slices.Delete(in.pending, 0, k)
 	if restat {
 		n.svc.AddInstance(in.ID, fleet.EnvOf(in.Testbed, n.cfg.SymDB))
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"os"
 	"strconv"
@@ -357,21 +356,10 @@ type IncidentView struct {
 	TraceID    string  `json:"trace_id,omitempty"`
 }
 
-// incidentID derives the stable detail-route ID: FNV-1a over the
-// incident's full identity. Deterministic per seed, single URL segment.
-func incidentID(inc *service.Incident) string {
-	h := fnv.New64a()
-	for _, s := range []string{inc.Instance, inc.Query, inc.Kind, inc.Subject} {
-		_, _ = h.Write([]byte(s))
-		_, _ = h.Write([]byte{0})
-	}
-	return strconv.FormatUint(h.Sum64(), 16)
-}
-
 func (n *Node) incidentView(inc *service.Incident) IncidentView {
 	tenant, bare := fleet.SplitScoped(inc.Instance)
 	v := IncidentView{
-		ID:         incidentID(inc),
+		ID:         inc.ID(),
 		Tenant:     tenant,
 		Instance:   bare,
 		Query:      inc.Query,
@@ -421,30 +409,26 @@ type ModuleTimingView struct {
 
 func (n *Node) handleIncident(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	incs := n.svc.Registry().Incidents()
-	for i := range incs {
-		inc := &incs[i]
-		if incidentID(inc) != id {
-			continue
-		}
-		detail := map[string]any{"incident": n.incidentView(inc)}
-		if inc.Result != nil {
-			causes := make([]CauseView, 0, len(inc.Result.Causes))
-			for _, c := range inc.Result.Causes {
-				causes = append(causes, CauseView{
-					Kind: c.Kind, Subject: c.Subject,
-					Confidence: c.Confidence, Category: string(c.Category),
-				})
-			}
-			detail["causes"] = causes
-		}
-		if inc.Trace != nil {
-			detail["modules"] = moduleTimings(inc.Trace)
-		}
-		writeJSON(w, http.StatusOK, detail)
+	inc, ok := n.svc.Registry().Incident(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no incident %q", id)
 		return
 	}
-	writeError(w, http.StatusNotFound, "no incident %q", id)
+	detail := map[string]any{"incident": n.incidentView(&inc)}
+	if inc.Result != nil {
+		causes := make([]CauseView, 0, len(inc.Result.Causes))
+		for _, c := range inc.Result.Causes {
+			causes = append(causes, CauseView{
+				Kind: c.Kind, Subject: c.Subject,
+				Confidence: c.Confidence, Category: string(c.Category),
+			})
+		}
+		detail["causes"] = causes
+	}
+	if inc.Trace != nil {
+		detail["modules"] = moduleTimings(inc.Trace)
+	}
+	writeJSON(w, http.StatusOK, detail)
 }
 
 func moduleTimings(t *pipeline.Trace) []ModuleTimingView {

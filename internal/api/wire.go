@@ -135,7 +135,9 @@ type ErrorReply struct {
 
 // runRecord converts a posted run to the monitor's record form, wiring
 // the given reconstructed plan in. The operators share one allocation,
-// sorted by ID; of a repeated ID the last posted wins.
+// sorted by ID; of a repeated ID the last posted wins. Only what the run
+// measured is kept: an operator's type, table and estimate are read from
+// p (matchesPlan counts a run whose posted ones disagree).
 func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 	rec := &exec.RunRecord{
 		Query:    wr.Query,
@@ -154,13 +156,10 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 	for i, op := range wr.Ops {
 		ops[i] = exec.OpRun{
 			ID:       op.ID,
-			Type:     plan.OpType(op.Type),
-			Table:    op.Table,
 			Start:    simtime.Time(op.Start),
 			Stop:     simtime.Time(op.Stop),
 			Recorded: simtime.Duration(op.Recorded),
 			ActRows:  op.ActRows,
-			EstRows:  op.EstRows,
 			PhysIO:   op.PhysIO,
 			CacheHit: op.CacheHit,
 			IOTime:   simtime.Duration(op.IOTime),
@@ -175,6 +174,20 @@ func (wr *WireRun) runRecord(p *plan.Plan) *exec.RunRecord {
 		}
 	}
 	return rec
+}
+
+// matchesPlan reports whether every posted operator names a node of p
+// with the node's type, table and estimate: whether the client ran the
+// plan the node reconstructed for the run.
+func (wr *WireRun) matchesPlan(p *plan.Plan) bool {
+	for i := range wr.Ops {
+		op := &wr.Ops[i]
+		n, ok := p.Node(op.ID)
+		if !ok || op.Type != string(n.Type) || op.Table != n.Table || op.EstRows != n.EstRows {
+			return false
+		}
+	}
+	return true
 }
 
 // The validate methods reject batches the intake worker cannot use
@@ -273,7 +286,8 @@ func WireSampleOf(component string, metric metrics.Metric, s metrics.Sample) Wir
 	return WireSample{Component: component, Metric: string(metric), T: float64(s.T), V: s.V}
 }
 
-// WireRunOf converts an executed run record to wire form.
+// WireRunOf converts an executed run record to wire form. Each
+// operator's type, table and estimate come from its node in rec.Plan.
 func WireRunOf(rec *exec.RunRecord) WireRun {
 	wr := WireRun{
 		Query:    rec.Query,
@@ -288,20 +302,21 @@ func WireRunOf(rec *exec.RunRecord) WireRun {
 	}
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		wr.Ops = append(wr.Ops, WireOp{
+		wo := WireOp{
 			ID:       op.ID,
-			Type:     string(op.Type),
-			Table:    op.Table,
 			Start:    float64(op.Start),
 			Stop:     float64(op.Stop),
 			Recorded: float64(op.Recorded),
 			ActRows:  op.ActRows,
-			EstRows:  op.EstRows,
 			PhysIO:   op.PhysIO,
 			CacheHit: op.CacheHit,
 			IOTime:   float64(op.IOTime),
 			LockWait: float64(op.LockWait),
-		})
+		}
+		if n, ok := rec.Plan.Node(op.ID); ok {
+			wo.Type, wo.Table, wo.EstRows = string(n.Type), n.Table, n.EstRows
+		}
+		wr.Ops = append(wr.Ops, wo)
 	}
 	return wr
 }

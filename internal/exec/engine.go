@@ -79,16 +79,15 @@ type Engine struct {
 	OnRunComplete func(*RunRecord)
 }
 
-// OpRun is the monitoring data for one operator in one run.
+// OpRun is the monitoring data for one operator in one run: only what
+// the run measured. The operator's type, table and estimate are its plan
+// node's (RunRecord.Plan.Node(ID)), which every run of the plan shares.
 type OpRun struct {
 	ID       int
-	Type     plan.OpType
-	Table    string
 	Start    simtime.Time
 	Stop     simtime.Time
 	Recorded simtime.Duration // the t(Oi) DIADS analyzes
 	ActRows  float64
-	EstRows  float64
 	PhysIO   float64
 	CacheHit float64
 	IOTime   simtime.Duration
@@ -164,11 +163,8 @@ func (e *Engine) Run(p *plan.Plan, start simtime.Time, runID string) (*RunRecord
 		op := &rec.Ops[n.ID-1]
 		*op = OpRun{
 			ID:      n.ID,
-			Type:    n.Type,
-			Table:   n.Table,
 			Start:   cursor,
 			ActRows: actual.Total[n.ID],
-			EstRows: n.EstRows,
 		}
 
 		var childTotal simtime.Duration
@@ -366,10 +362,11 @@ func (e *Engine) indexScanTime(n *plan.Node, cards plan.Cardinalities, t simtime
 func (e *Engine) feedBackLoad(rec *RunRecord) {
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		if op.PhysIO <= 0 || op.Table == "" {
+		n, ok := rec.Plan.Node(op.ID)
+		if !ok || op.PhysIO <= 0 || n.Table == "" {
 			continue
 		}
-		vol, err := e.Cat.VolumeOf(op.Table)
+		vol, err := e.Cat.VolumeOf(n.Table)
 		if err != nil {
 			continue
 		}
@@ -382,12 +379,10 @@ func (e *Engine) feedBackLoad(rec *RunRecord) {
 		// full scans are sequential; index fetches are sequential to the
 		// extent of the index's correlation.
 		seq := 1.0
-		if op.Type == plan.OpIndexScan {
+		if n.Type == plan.OpIndexScan {
 			seq = 0.5
-			if n, ok := rec.Plan.Node(op.ID); ok {
-				if ix, found := e.Cat.Index(n.Index); found {
-					seq = ix.Correlation
-				}
+			if ix, found := e.Cat.Index(n.Index); found {
+				seq = ix.Correlation
 			}
 		}
 		e.SAN.AddLoad(sanperf.Load{

@@ -204,7 +204,7 @@ func TestDataPropertyChangeShiftsActualRows(t *testing.T) {
 			t.Errorf("O%d actual rows should grow ~1.6x: %v -> %v",
 				id, before.Op(id).ActRows, after.Op(id).ActRows)
 		}
-		if after.Op(id).EstRows != before.Op(id).EstRows {
+		if after.Plan.MustNode(id).EstRows != before.Plan.MustNode(id).EstRows {
 			t.Errorf("O%d estimates should stay stale", id)
 		}
 	}

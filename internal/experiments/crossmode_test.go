@@ -29,8 +29,9 @@ import (
 // and fleet share a simulator, so their rankings must agree exactly; the
 // HTTP node diagnoses against its own Figure 1 environment changed by the
 // posted change log, so it is held to the top incident's identity and
-// event count, with no diagnosis failed. Every door's top cause must be
-// in the fault's answer.
+// event count, with no diagnosis failed and no posted run disagreeing
+// with the plan the node reconstructed for it. Every door's top cause
+// must be in the fault's answer.
 func TestCrossModeEquivalence(t *testing.T) {
 	for _, fam := range faultFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -59,7 +60,11 @@ func TestCrossModeEquivalence(t *testing.T) {
 			answer := env.Fault.Answer(env.Testbed)
 			o := online.Incidents[0]
 			for _, step := range []simtime.Duration{0, 30 * simtime.Minute} {
+				mismatches := planMismatches()
 				incs, failed := httpIncidents(t, spec, step)
+				if n := planMismatches() - mismatches; n != 0 {
+					t.Errorf("step %v: %v posted runs disagree with the node's plan", step, n)
+				}
 				top := incs[0]
 				if top.Query != o.Query || top.Kind != o.Kind || top.Subject != o.Subject || top.Events != o.Events {
 					t.Errorf("step %v: HTTP top incident = %s %s(%s) over %d events, online = %s %s(%s) over %d",
@@ -245,6 +250,18 @@ func httpIncidents(t *testing.T, spec OnlineSpec, step simtime.Duration) ([]api.
 		t.Fatalf("GET /v1/incidents = %d %s (%v)", rec.Code, rec.Body, err)
 	}
 	return list.Incidents, node.Service().Stats().Failed
+}
+
+// planMismatches reads diads_api_plan_mismatch_total, 0 before any
+// api.Node registered it: the posted runs every node in the process
+// applied under a plan that disagreed with the operators posted.
+func planMismatches() float64 {
+	for _, fam := range telemetry.Default().Snapshot() {
+		if fam.Name == "diads_api_plan_mismatch_total" {
+			return fam.Series[0].Value
+		}
+	}
+	return 0
 }
 
 // TestDesignListsEveryMetricFamily keeps DESIGN.md's "Metric families"

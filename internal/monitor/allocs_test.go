@@ -18,9 +18,8 @@ const observeAllocs = 0
 // TestMonitorObserveAllocs holds Observe of a satisfactory run — what
 // the monitor costs on every run the product ingests, in the steady
 // state of an armed query with a full history ring — to its allocation
-// budget. The ring is a slice re-grown about once per 40 runs, which the
-// per-run average rounds away; an allocation on every run does not. The
-// race detector adds allocations, so the test is built only without it;
+// budget. A full ring drops its oldest run in place, so it never grows.
+// The race detector adds allocations, so the test is built only without it;
 // CI runs it in the allocation-budget step.
 func TestMonitorObserveAllocs(t *testing.T) {
 	const runs = 200

@@ -138,7 +138,7 @@ type histEntry struct {
 
 // queryState is the incremental state of one query's stream.
 type queryState struct {
-	hist []histEntry // ring of recent runs, oldest first after slicing
+	hist []histEntry // the last History runs, oldest first
 	base *baseline   // sliding stats over satisfactory runs only
 }
 
@@ -280,7 +280,10 @@ func (m *Monitor) Observe(rec *exec.RunRecord) {
 	m.stats.Observed++
 	st := m.states[rec.Query]
 	if st == nil {
-		st = &queryState{base: newBaseline(m.cfg.History)}
+		st = &queryState{
+			hist: make([]histEntry, 0, m.cfg.History),
+			base: newBaseline(m.cfg.History),
+		}
 		m.states[rec.Query] = st
 	}
 
@@ -309,9 +312,13 @@ func (m *Monitor) Observe(rec *exec.RunRecord) {
 		// cannot poison the reference it is judged against.
 		st.base.push(dur)
 	}
-	st.hist = append(st.hist, histEntry{rec: rec, sat: sat})
-	if len(st.hist) > m.cfg.History {
-		st.hist = st.hist[len(st.hist)-m.cfg.History:]
+	// A full ring drops its oldest run in place, so the array never
+	// holds more than History runs and keeps none it evicted reachable.
+	if n := len(st.hist); n == m.cfg.History {
+		copy(st.hist, st.hist[1:])
+		st.hist[n-1] = histEntry{rec: rec, sat: sat}
+	} else {
+		st.hist = append(st.hist, histEntry{rec: rec, sat: sat})
 	}
 
 	if kind == "" {
@@ -394,6 +401,9 @@ func (g *Gate) Release(watermark simtime.Time) []SlowdownEvent {
 			kept = append(kept, ev)
 		}
 	}
+	// The tail still holds the released events: clear it, so the gate
+	// keeps no run snapshot it has handed on.
+	clear(g.pending[len(kept):])
 	g.pending = kept
 	return ready
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -51,6 +52,26 @@ type Incident struct {
 // running time; all of it for a plan change).
 func (inc *Incident) EstImpact() float64 {
 	return inc.ImpactPct / 100 * inc.TotalExtra.Seconds()
+}
+
+// ID is the incident's stable detail-route ID: the 64-bit FNV-1a hash
+// of its full identity (instance, query, kind, subject, each followed by
+// a zero byte) in lower-case hex. Deterministic per seed, a single URL
+// segment.
+func (inc *Incident) ID() string { return strconv.FormatUint(inc.idHash(), 16) }
+
+// idHash is the hash ID formats, computed without allocating: Incident
+// hashes every open incident per lookup.
+func (inc *Incident) idHash() uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, s := range [...]string{inc.Instance, inc.Query, inc.Kind, inc.Subject} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h *= prime // the zero byte after the field
+	}
+	return h
 }
 
 // incidentKey groups diagnoses into incidents.
@@ -166,24 +187,49 @@ func (r *Registry) Incidents() []Incident {
 // sort, and the result is byte-stable regardless of which shard each
 // incident came from.
 func SortIncidents(out []Incident) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EstImpact() != out[j].EstImpact() {
-			return out[i].EstImpact() > out[j].EstImpact()
+	sort.Slice(out, func(i, j int) bool { return ranksBefore(&out[i], &out[j]) })
+}
+
+// ranksBefore is the registry's ranking order: whether a ranks above b.
+func ranksBefore(a, b *Incident) bool {
+	if a.EstImpact() != b.EstImpact() {
+		return a.EstImpact() > b.EstImpact()
+	}
+	if a.LastSeen != b.LastSeen {
+		return a.LastSeen > b.LastSeen
+	}
+	if a.Instance != b.Instance {
+		return a.Instance < b.Instance
+	}
+	if a.Query != b.Query {
+		return a.Query < b.Query
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Subject < b.Subject
+}
+
+// Incident returns a copy of the open incident whose ID is id, copying
+// no other. Should two IDs collide, the one that ranks first in
+// Incidents' order wins.
+func (r *Registry) Incident(id string) (Incident, bool) {
+	want, err := strconv.ParseUint(id, 16, 64)
+	if err != nil || strconv.FormatUint(want, 16) != id {
+		return Incident{}, false // no ID is spelled this way
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var found *Incident
+	for _, inc := range r.open {
+		if inc.idHash() == want && (found == nil || ranksBefore(inc, found)) {
+			found = inc
 		}
-		if out[i].LastSeen != out[j].LastSeen {
-			return out[i].LastSeen > out[j].LastSeen
-		}
-		if out[i].Instance != out[j].Instance {
-			return out[i].Instance < out[j].Instance
-		}
-		if out[i].Query != out[j].Query {
-			return out[i].Query < out[j].Query
-		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Subject < out[j].Subject
-	})
+	}
+	if found == nil {
+		return Incident{}, false
+	}
+	return *found, true
 }
 
 // Len returns the number of open incidents.

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"hash/fnv"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"diads/internal/simtime"
@@ -42,5 +45,37 @@ func TestSortIncidentsFullTieBreak(t *testing.T) {
 		if !reflect.DeepEqual(in, want) {
 			t.Fatalf("rotation %d: merged ranking diverged\n got: %+v\nwant: %+v", rot, in, want)
 		}
+	}
+}
+
+// TestIncidentIDIsFNV1a pins the detail-route ID to hash/fnv's 64-bit
+// FNV-1a over the identity fields, each followed by a zero byte, so IDs
+// a client saved stay valid; and Registry.Incident accepts only the
+// canonical spelling ID produces.
+func TestIncidentIDIsFNV1a(t *testing.T) {
+	for _, inc := range []Incident{
+		{},
+		{Instance: "acme/db-1", Query: "Q2", Kind: "san-misconfig-contention", Subject: "vol-V1"},
+		{Query: "Q14", Kind: "plan-regression", Subject: "idx_partsupp_part\x00"},
+	} {
+		h := fnv.New64a()
+		for _, s := range []string{inc.Instance, inc.Query, inc.Kind, inc.Subject} {
+			_, _ = h.Write([]byte(s))
+			_, _ = h.Write([]byte{0})
+		}
+		if got, want := inc.ID(), strconv.FormatUint(h.Sum64(), 16); got != want {
+			t.Errorf("%+v: ID = %s, want %s", inc, got, want)
+		}
+	}
+	reg := NewRegistry()
+	reg.open[incidentKey{"i", "Q2", "k", "s"}] = &Incident{Instance: "i", Query: "Q2", Kind: "k", Subject: "s"}
+	id := reg.open[incidentKey{"i", "Q2", "k", "s"}].ID()
+	for _, alias := range []string{"0" + id, strings.ToUpper(id), "+" + id} {
+		if _, ok := reg.Incident(alias); ok {
+			t.Errorf("Incident(%q) found the incident whose ID is %s", alias, id)
+		}
+	}
+	if inc, ok := reg.Incident(id); !ok || inc.Subject != "s" {
+		t.Errorf("Incident(%s) = %+v, %v", id, inc, ok)
 	}
 }

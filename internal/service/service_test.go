@@ -455,6 +455,13 @@ func TestRegistryRankingDeterministicTies(t *testing.T) {
 			if got != w {
 				t.Errorf("order %v: rank %d = %+v, want %+v", order, i+1, got, w)
 			}
+			// The detail lookup finds each incident by its ID alone.
+			if inc, ok := reg.Incident(incs[i].ID()); !ok || inc != incs[i] {
+				t.Errorf("order %v: Incident(%s) = %+v, %v; want rank %d", order, incs[i].ID(), inc, ok, i+1)
+			}
+		}
+		if _, ok := reg.Incident("0"); ok {
+			t.Errorf("order %v: Incident found an ID no incident has", order)
 		}
 	}
 }
