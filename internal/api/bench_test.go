@@ -7,9 +7,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"diads/internal/diag"
 	"diads/internal/experiments"
+	"diads/internal/monitor"
+	"diads/internal/simtime"
+	"diads/internal/symptoms"
 )
 
 // The accept path's own rows (ROADMAP 1b): one request through
@@ -130,8 +135,8 @@ func BenchmarkAcceptRuns(b *testing.B) {
 // BenchmarkScanSamples times the scanner alone — no handler, no
 // validation, no intake — on a simulated day's samples marshalled the
 // way an agent posts them, 256 to a batch. Unlike benchSampleBody's
-// math.Sqrt values (16–17 digits, nearly all past the scanner's exact
-// fast path) these carry the fixture's real mix of short and
+// math.Sqrt values (16–17 digits, more than half past exactFloat, on
+// divFloat) these carry the fixture's real mix of short and
 // full-precision numbers. One op is one batch; MB/s is body bytes
 // scanned.
 func BenchmarkScanSamples(b *testing.B) {
@@ -157,5 +162,81 @@ func BenchmarkScanSamples(b *testing.B) {
 			b.Fatalf("scanner declined batch %d", i)
 		}
 		i = (i + 1) % len(bodies)
+	}
+}
+
+// BenchmarkScanRuns is BenchmarkScanSamples' twin for the run half: the
+// same simulated day's runs, 16 to a batch as the example client flushes
+// them, through the scanner alone. One op is one batch; its allocations
+// are the batch's Runs and Ops arrays and its run IDs.
+func BenchmarkScanRuns(b *testing.B) {
+	env := simulateClient(b, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
+	var bodies [][]byte
+	size := 0
+	for lo := 0; lo < len(env.Testbed.Runs); lo += 16 {
+		batch := RunBatch{Tenant: "acme", Instance: "db-1"}
+		for _, rec := range env.Testbed.Runs[lo:min(lo+16, len(env.Testbed.Runs))] {
+			batch.Runs = append(batch.Runs, WireRunOf(rec))
+		}
+		body, err := json.Marshal(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+		size += len(body)
+	}
+	sc := newScanner()
+	b.SetBytes(int64(size / len(bodies)))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		var batch RunBatch
+		if !sc.runBatch(bodies[i], &batch) {
+			b.Fatalf("scanner declined batch %d", i)
+		}
+		i = (i + 1) % len(bodies)
+	}
+}
+
+// BenchmarkIncidentDetail times GET /v1/incidents/{id} through Handler
+// on a recorder against a registry of 128 open incidents, each with
+// three ranked causes, cycling through their IDs: the registry lookup,
+// the view and the JSON reply.
+func BenchmarkIncidentDetail(b *testing.B) {
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	reg := node.Service().Registry()
+	for i := range 128 {
+		var causes []symptoms.CauseInstance
+		for c := range 3 {
+			causes = append(causes, symptoms.CauseInstance{
+				Kind: "cause-" + strconv.Itoa(c), Subject: "vol-V" + strconv.Itoa(i%16),
+				Confidence: 90 - 10*float64(c), Category: symptoms.High,
+			})
+		}
+		res := &diag.Result{
+			Query: "Q2", PD: &diag.PDResult{}, Causes: causes,
+			IA: &diag.IAResult{Items: []diag.ImpactItem{{Cause: causes[0], Score: 50}}},
+		}
+		at := simtime.Time(600 * (i + 1))
+		reg.Record(monitor.SlowdownEvent{
+			Instance: "tenant-" + strconv.Itoa(i/8) + "/db-1", Query: "Q2", RunID: "r" + strconv.Itoa(i),
+			At: at, Duration: 120, Baseline: 60, Window: simtime.NewInterval(at-600, at),
+		}, res)
+	}
+	incs := reg.Incidents()
+	if len(incs) < 100 {
+		b.Fatalf("registry holds %d incidents, want at least 100", len(incs))
+	}
+	h := node.Handler()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/incidents/"+incs[i].ID(), nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET incident = %d %s", rec.Code, rec.Body)
+		}
+		i = (i + 1) % len(incs)
 	}
 }

@@ -2,7 +2,9 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -14,14 +16,24 @@ import (
 // into the wire structs: exact-case known keys, each at most once,
 // strings free of escapes and valid UTF-8, RFC 8259 numbers, nothing
 // but whitespace around the batch. Every value is bit-identical to
-// encoding/json's. A number is read in the pass that checks its
-// grammar: one with no exponent, at most 19 significant digits, a
-// mantissa below 2^53 and at most 22 fraction digits is the quotient of
-// two exact float64s, which one correctly rounded division gets right
-// (the fast path strconv itself tries first); an int of at most 18
-// digits is its mantissa. Every other literal — most 17-digit values,
-// exponents, the long tail — goes through the strconv call
-// encoding/json itself makes.
+// encoding/json's.
+//
+// Keys are predicted: each shape lists its keys in json.Marshal order,
+// quoted and with their colon, and the key after the last one seen
+// costs one compare of that literal. Any other key — reordered, after
+// an omitted one, spaced — is scanned and looked up in the list, and
+// the prediction picks up after it.
+//
+// A number is read in the pass that checks its grammar. With no
+// exponent, at most 19 significant digits and a mantissa below 2^53 it
+// is the quotient of two exact float64s, which one correctly rounded
+// division gets right (exactFloat, the fast path strconv itself tries
+// first); a mantissa from 2^53 up with at most 19 fraction digits is
+// divided exactly in 128 bits by the uint64 10^frac and rounded half to
+// even (divFloat). An int of at most 18 digits is its mantissa. Only
+// exponents, mantissas of 20 or more digits, and more fraction digits
+// than those paths take go through the strconv call encoding/json
+// itself makes.
 //
 // It has no error path. On anything else — an unknown or repeated key,
 // an escape, a null, a number a field cannot hold, malformed JSON — it
@@ -71,6 +83,11 @@ type scanner struct {
 	recent [256]string
 }
 
+// Each shape lists its keys in json.Marshal order, each with its quotes
+// and colon: object matches the next expected one with one compare and
+// hands field its index, which is also its bit in the seen mask.
+var sampleBatchKeys = []string{`"tenant":`, `"instance":`, `"samples":`, `"watermark":`}
+
 // sampleBatch fills b from body, or declines. Of what b held only the
 // Samples backing array survives, reused when it is large enough: a
 // recycled batch (sampleBatchPool) decodes like a fresh one.
@@ -78,171 +95,154 @@ func (s *scanner) sampleBatch(body []byte, b *SampleBatch) bool {
 	s.buf, s.pos = body, 0
 	spare := b.Samples[:0]
 	*b = SampleBatch{}
-	ok := s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "tenant":
+	ok := s.object(sampleBatchKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
 			b.Tenant, ok = s.name()
-			return 1 << 0, ok
-		case "instance":
+		case 1:
 			b.Instance, ok = s.name()
-			return 1 << 1, ok
-		case "samples":
+		case 2:
 			// Non-nil even when empty, as encoding/json leaves it.
 			if h := s.hint(); spare == nil || cap(spare) < h {
 				spare = make([]WireSample, 0, h)
 			}
 			b.Samples = spare
-			return 1 << 2, s.array(func() bool {
+			return s.array(func() bool {
 				b.Samples = append(b.Samples, WireSample{})
 				return s.sample(&b.Samples[len(b.Samples)-1])
 			})
-		case "watermark":
+		case 3:
 			var w float64
 			w, ok = s.float()
 			b.Watermark = &w
-			return 1 << 3, ok
 		}
-		return 0, false
+		return ok
 	})
 	return ok && s.end()
 }
 
+var sampleKeys = []string{`"component":`, `"metric":`, `"t":`, `"v":`}
+
 func (s *scanner) sample(ws *WireSample) bool {
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "component":
+	return s.object(sampleKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
 			ws.Component, ok = s.name()
-			return 1 << 0, ok
-		case "metric":
+		case 1:
 			ws.Metric, ok = s.name()
-			return 1 << 1, ok
-		case "t":
+		case 2:
 			ws.T, ok = s.float()
-			return 1 << 2, ok
-		case "v":
+		case 3:
 			ws.V, ok = s.float()
-			return 1 << 3, ok
 		}
-		return 0, false
+		return ok
 	})
 }
+
+var runBatchKeys = []string{`"tenant":`, `"instance":`, `"runs":`}
 
 // runBatch fills b from body, or declines.
 func (s *scanner) runBatch(body []byte, b *RunBatch) bool {
 	s.buf, s.pos = body, 0
-	ok := s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "tenant":
+	ok := s.object(runBatchKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
 			b.Tenant, ok = s.name()
-			return 1 << 0, ok
-		case "instance":
+		case 1:
 			b.Instance, ok = s.name()
-			return 1 << 1, ok
-		case "runs":
+		case 2:
 			b.Runs = []WireRun{}
-			return 1 << 2, s.array(func() bool {
+			return s.array(func() bool {
 				b.Runs = append(b.Runs, WireRun{})
 				return s.run(&b.Runs[len(b.Runs)-1])
 			})
 		}
-		return 0, false
+		return ok
 	})
 	return ok && s.end()
 }
 
+var runKeys = []string{`"query":`, `"run_id":`, `"start":`, `"stop":`, `"phys_io":`,
+	`"cache_hit":`, `"lock_wait":`, `"seq_scans":`, `"idx_scans":`, `"ops":`}
+
 func (s *scanner) run(wr *WireRun) bool {
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "query":
+	return s.object(runKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
 			wr.Query, ok = s.name()
-			return 1 << 0, ok
-		case "run_id":
+		case 1:
 			// Unique per run: copied, not interned.
 			var id []byte
 			id, ok = s.str()
 			wr.RunID = string(id)
-			return 1 << 1, ok
-		case "start":
+		case 2:
 			wr.Start, ok = s.float()
-			return 1 << 2, ok
-		case "stop":
+		case 3:
 			wr.Stop, ok = s.float()
-			return 1 << 3, ok
-		case "phys_io":
+		case 4:
 			wr.PhysIO, ok = s.float()
-			return 1 << 4, ok
-		case "cache_hit":
+		case 5:
 			wr.CacheHit, ok = s.float()
-			return 1 << 5, ok
-		case "lock_wait":
+		case 6:
 			wr.LockWait, ok = s.float()
-			return 1 << 6, ok
-		case "seq_scans":
+		case 7:
 			wr.SeqScans, ok = s.int()
-			return 1 << 7, ok
-		case "idx_scans":
+		case 8:
 			wr.IdxScans, ok = s.int()
-			return 1 << 8, ok
-		case "ops":
+		case 9:
 			wr.Ops = make([]WireOp, 0, s.hint())
-			return 1 << 9, s.array(func() bool {
+			return s.array(func() bool {
 				wr.Ops = append(wr.Ops, WireOp{})
 				return s.op(&wr.Ops[len(wr.Ops)-1])
 			})
 		}
-		return 0, false
+		return ok
 	})
 }
+
+var opKeys = []string{`"id":`, `"type":`, `"table":`, `"start":`, `"stop":`, `"recorded":`,
+	`"act_rows":`, `"est_rows":`, `"phys_io":`, `"cache_hit":`, `"io_time":`, `"lock_wait":`}
 
 func (s *scanner) op(op *WireOp) bool {
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "id":
+	return s.object(opKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
 			op.ID, ok = s.int()
-			return 1 << 0, ok
-		case "type":
+		case 1:
 			op.Type, ok = s.name()
-			return 1 << 1, ok
-		case "table":
+		case 2:
 			op.Table, ok = s.name()
-			return 1 << 2, ok
-		case "start":
+		case 3:
 			op.Start, ok = s.float()
-			return 1 << 3, ok
-		case "stop":
+		case 4:
 			op.Stop, ok = s.float()
-			return 1 << 4, ok
-		case "recorded":
+		case 5:
 			op.Recorded, ok = s.float()
-			return 1 << 5, ok
-		case "act_rows":
+		case 6:
 			op.ActRows, ok = s.float()
-			return 1 << 6, ok
-		case "est_rows":
+		case 7:
 			op.EstRows, ok = s.float()
-			return 1 << 7, ok
-		case "phys_io":
+		case 8:
 			op.PhysIO, ok = s.float()
-			return 1 << 8, ok
-		case "cache_hit":
+		case 9:
 			op.CacheHit, ok = s.float()
-			return 1 << 9, ok
-		case "io_time":
+		case 10:
 			op.IOTime, ok = s.float()
-			return 1 << 10, ok
-		case "lock_wait":
+		case 11:
 			op.LockWait, ok = s.float()
-			return 1 << 11, ok
 		}
-		return 0, false
+		return ok
 	})
 }
 
-// object walks one object's members, handing each key to field, which
-// scans the member's value and names the key's bit in the seen mask.
-// An unknown key or a repeated one declines: encoding/json refuses the
-// first and merges the second.
-func (s *scanner) object(field func(key []byte) (bit uint, ok bool)) bool {
+// object walks one object's members, handing each key's index in keys
+// to field, which scans the member's value. The key after the last one
+// seen is predicted: when the body continues with its literal, one
+// compare consumes key and colon. Otherwise — a key out of order, one
+// omitted, whitespace — the key is scanned and looked up, and the
+// prediction restarts after it. An unknown key or a repeated one
+// declines: encoding/json refuses the first and merges the second.
+func (s *scanner) object(keys []string, field func(key int) bool) bool {
 	if !s.eat('{') {
 		return false
 	}
@@ -250,20 +250,46 @@ func (s *scanner) object(field func(key []byte) (bit uint, ok bool)) bool {
 		return true
 	}
 	var seen uint
+	next := 0
 	for {
-		key, ok := s.str()
-		if !ok || !s.eat(':') {
+		i := next
+		if i >= len(keys) || !s.lit(keys[i]) {
+			key, ok := s.str()
+			if !ok || !s.eat(':') {
+				return false
+			}
+			if i = keyIndex(keys, key); i < 0 {
+				return false
+			}
+		}
+		if seen&(1<<i) != 0 || !field(i) {
 			return false
 		}
-		bit, ok := field(key)
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
+		seen |= 1 << i
+		next = i + 1
 		if !s.eat(',') {
 			return s.eat('}')
 		}
 	}
+}
+
+// lit consumes lit if the body continues with it, byte for byte.
+func (s *scanner) lit(lit string) bool {
+	if len(s.buf)-s.pos < len(lit) || string(s.buf[s.pos:s.pos+len(lit)]) != lit {
+		return false
+	}
+	s.pos += len(lit)
+	return true
+}
+
+// keyIndex returns the index of the key literal whose name is key, or -1.
+func keyIndex(keys []string, key []byte) int {
+	for i, k := range keys {
+		if k[1:len(k)-2] == string(key) {
+			return i
+		}
+	}
+	return -1
 }
 
 // array walks one array's elements; elem scans one.
@@ -445,9 +471,18 @@ func (s *scanner) number() (n num, ok bool) {
 }
 
 // digits scans the run of digits starting at b[i] into n's mantissa and
-// returns the index after it. Past 19 digits the mantissa may wrap;
-// exactFloat and int never read it then.
+// returns the index after it, eight digits at a time while eight
+// remain. Past 19 digits the mantissa may wrap; exactFloat, divFloat
+// and int never read it then.
 func (n *num) digits(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		v, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+		if !ok {
+			break
+		}
+		n.mant = n.mant*1e8 + v
+		n.nd += 8
+	}
 	for ; i < len(b); i++ {
 		d := b[i] - '0'
 		if d > 9 {
@@ -457,6 +492,21 @@ func (n *num) digits(b []byte, i int) int {
 		n.nd++
 	}
 	return i
+}
+
+// eightDigits reads eight ASCII digits, first digit in the low byte, as
+// one number, reporting whether all eight are digits (the SWAR test and
+// fold simdjson uses: each byte is 0x30-0x39 exactly when its high
+// nibble is 3 and adding 6 keeps it 3; then pairs, quads and halves
+// combine in three multiplies).
+func eightDigits(v uint64) (uint64, bool) {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	if v&hi|(v+0x0606060606060606)&hi>>4 != 0x3333333333333333 {
+		return 0, false
+	}
+	v = (v & 0x0F0F0F0F0F0F0F0F) * (1 + 10<<8) >> 8
+	v = (v & 0x00FF00FF00FF00FF) * (1 + 100<<16) >> 16
+	return (v & 0x0000FFFF0000FFFF) * (1 + 10000<<32) >> 32, true
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -478,15 +528,61 @@ func (n num) exactFloat() (float64, bool) {
 	return f, true
 }
 
+// pow10u holds the powers of ten a uint64 holds, 10^19 the largest.
+var pow10u = func() (t [20]uint64) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = t[i-1] * 10
+	}
+	return t
+}()
+
+// divFloat takes what exactFloat cannot of a literal with no exponent,
+// at most 19 significant digits and at most 19 fraction digits: a
+// mantissa m from 2^53 up, so 10^19 > m/10^frac > 2^53/10^19, all
+// normal. Shifted left by s into 128 bits, m divides exactly once by the
+// uint64 10^frac, giving a 63- or 64-bit quotient q and a remainder r
+// with m/10^frac = (q + r/10^frac)·2^-s. Rounding q to 53 bits, half to
+// even with a non-zero r as sticky, is the correctly rounded value —
+// bit for bit what ParseFloat returns.
+func (n num) divFloat() (float64, bool) {
+	if n.exp || n.nd > 19 || n.frac >= len(pow10u) || n.mant < 1<<53 {
+		return 0, false
+	}
+	d := pow10u[n.frac]
+	// s puts q = m·2^s/d in (2^62, 2^64): it fits 64 bits, and hi < d.
+	s := uint(63 + bits.LeadingZeros64(n.mant) - bits.LeadingZeros64(d))
+	var hi, lo uint64
+	if s >= 64 {
+		hi = n.mant << (s - 64)
+	} else {
+		hi, lo = n.mant>>(64-s), n.mant<<s
+	}
+	q, r := bits.Div64(hi, lo, d)
+	drop := uint(64 - 53 - bits.LeadingZeros64(q))
+	m, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || m&1 == 1) {
+		m++ // 2^53 is exact: Ldexp carries it into the exponent
+	}
+	f := math.Ldexp(float64(m), int(drop)-int(s))
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
 // float scans a number into a float64 field: exactly when it can
-// (exactFloat), through strconv.ParseFloat otherwise. Out of range
-// (1e999) declines: encoding/json refuses it.
+// (exactFloat, divFloat), through strconv.ParseFloat otherwise. Out of
+// range (1e999) declines: encoding/json refuses it.
 func (s *scanner) float() (float64, bool) {
 	n, ok := s.number()
 	if !ok {
 		return 0, false
 	}
 	if f, ok := n.exactFloat(); ok {
+		return f, true
+	}
+	if f, ok := n.divFloat(); ok {
 		return f, true
 	}
 	f, err := strconv.ParseFloat(string(s.buf[n.start:s.pos]), 64)

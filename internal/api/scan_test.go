@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -456,7 +457,7 @@ func TestOutOfOrderBatchSorted(t *testing.T) {
 }
 
 // numberEdges are the literals at the edges of the scanner's exact fast
-// path (exactFloat and int's short branch) and of the grammar: 2^53 and
+// paths (exactFloat, divFloat and int's short branch) and of the grammar: 2^53 and
 // its neighbours, 17 to 20 significant digits, 22 and 23 fraction
 // digits, signed zeros, the float64 extremes and the int64 ones.
 var numberEdges = []string{
@@ -472,6 +473,10 @@ var numberEdges = []string{
 	"9223372036854775807", "-9223372036854775808", "9223372036854775808",
 	"1E+2", "1e-2", "1.0", "01", "-", ".5", "5.", "+1", "0x1", "1e", "1e+",
 	"NaN", "null", `"1"`, " 7 ", "7 x",
+	// divFloat's rounding: halfway cases to even, and the widest operands.
+	"9007199254740993", "9007199254740995", "0.30000000000000004",
+	"1.0000000000000002", "0.9999999999999999999", "0.1234567890123456789",
+	"9999999999999999999",
 }
 
 // FuzzScanNumber holds the scanner's number reading to encoding/json's
@@ -510,30 +515,105 @@ func checkNumber(t *testing.T, lit string) {
 	}
 }
 
-// TestNumberFastPath pins which literals skip strconv, so a change that
-// quietly sends every number back to ParseFloat shows here and not only
-// in a benchmark; checkNumber holds each to encoding/json as well.
+// numberPath names the path float takes for a scanned literal.
+func numberPath(n num) string {
+	if _, ok := n.exactFloat(); ok {
+		return "exact"
+	}
+	if _, ok := n.divFloat(); ok {
+		return "div"
+	}
+	return "strconv"
+}
+
+// TestNumberFastPath pins which path each literal takes — exactFloat,
+// divFloat's exact division, or strconv — so a change that quietly
+// sends numbers back to ParseFloat shows here and not only in a
+// benchmark; checkNumber holds each to encoding/json as well.
 func TestNumberFastPath(t *testing.T) {
-	for lit, fast := range map[string]bool{
-		"0": true, "-0": true, "-0.0": true, "300": true, "1849.96": true,
-		"0.1234567890123456": true, "9007199254740991": true,
-		"0.0000000000000000000001": true, "0.0000000000000000001234": true,
-		"0.000000000000000001":      true,
-		"9007199254740992":          false, // mantissa 2^53
-		"0.12345678901234567":       false, // 17 digits, past 2^53
-		"1234567890123456789":       false, // 19 digits, past 2^53
-		"12345678901234567890":      false, // 20 digits
-		"0.00000000000000000000001": false, // 23 fraction digits
-		"1E+2":                      false, "5e-324": false, "1.7976931348623157e308": false,
+	for lit, want := range map[string]string{
+		"0": "exact", "-0": "exact", "-0.0": "exact", "300": "exact", "1849.96": "exact",
+		"0.1234567890123456": "exact", "9007199254740991": "exact",
+		"0.0000000000000000000001": "exact", "0.0000000000000000001234": "exact",
+		"0.000000000000000001":      "exact",
+		"9007199254740992":          "div", // mantissa 2^53
+		"9007199254740993":          "div", // halfway, to even
+		"-9007199254740995":         "div", // halfway, to even (up)
+		"0.12345678901234567":       "div", // 17 digits, past 2^53
+		"0.30000000000000004":       "div",
+		"1234567890123456789":       "div", // 19 digits
+		"9999999999999999999":       "div", // the largest 19-digit mantissa
+		"0.9999999999999999999":     "div", // 19 fraction digits
+		"0.1234567890123456789":     "div",
+		"12345678901234567890":      "strconv", // 20 digits
+		"0.01234567890123456789":    "strconv", // 20 fraction digits
+		"0.00000000000000000000001": "strconv", // 23 fraction digits
+		"1E+2":                      "strconv", "5e-324": "strconv", "1.7976931348623157e308": "strconv",
 	} {
 		sc := &scanner{buf: []byte(lit)}
 		n, ok := sc.number()
 		if !ok {
 			t.Fatalf("number(%q) declined", lit)
 		}
-		if _, got := n.exactFloat(); got != fast {
-			t.Errorf("exactFloat(%q) taken = %v, want %v", lit, got, fast)
+		if got := numberPath(n); got != want {
+			t.Errorf("%q takes %s, want %s", lit, got, want)
 		}
 		checkNumber(t, lit)
+	}
+}
+
+// TestFloatMatchesParseFloat holds float to strconv.ParseFloat, bit for
+// bit, on a million seeded literals: shortest round-trip forms of
+// random float64s, random digit strings of 1 to 20 digits with the
+// point anywhere, and ties — odd integers just past 2^53, x.5 just
+// below it — that round half to even. Most of them take divFloat.
+func TestFloatMatchesParseFloat(t *testing.T) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(20261018))
+	var lit []byte
+	paths := map[string]int{}
+	for i := range n {
+		lit = lit[:0]
+		if rng.Intn(2) == 0 {
+			lit = append(lit, '-')
+		}
+		switch i % 4 {
+		case 0: // shortest form of a value in [1e-4, 1e19)
+			lit = strconv.AppendFloat(lit, math.Pow(10, rng.Float64()*23-4), 'f', -1, 64)
+		case 1: // 1 to 20 random digits, the point before any of them or none
+			nd, p := 1+rng.Intn(20), rng.Intn(21)
+			if p == 0 {
+				lit = append(lit, "0."...)
+			}
+			lit = append(lit, byte('1'+rng.Intn(9)))
+			for j := 1; j < nd; j++ {
+				if j == p {
+					lit = append(lit, '.')
+				}
+				lit = append(lit, byte('0'+rng.Intn(10)))
+			}
+		case 2: // integer ties and near-ties in [2^53, 2^56)
+			lit = strconv.AppendUint(lit, 1<<53+rng.Uint64()%(7<<53), 10)
+		case 3: // x.5 ties and x.25, x.75 between 2^51 and 2^53
+			lit = strconv.AppendUint(lit, 1<<51+rng.Uint64()%(3<<51), 10)
+			lit = append(lit, []string{".5", ".25", ".75"}[rng.Intn(3)]...)
+		}
+		sc := &scanner{buf: lit}
+		num, ok := sc.number()
+		if !ok || sc.pos != len(lit) {
+			t.Fatalf("number(%q) declined", lit)
+		}
+		paths[numberPath(num)]++
+		sc.pos = 0
+		got, ok := sc.float()
+		want, err := strconv.ParseFloat(string(lit), 64)
+		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("float(%q) = %v (%#x) %v, ParseFloat %v (%#x) %v",
+				lit, got, math.Float64bits(got), ok, want, math.Float64bits(want), err)
+		}
+	}
+	t.Logf("paths: %v", paths)
+	if paths["div"] < n/3 {
+		t.Errorf("only %d of %d literals took divFloat", paths["div"], n)
 	}
 }

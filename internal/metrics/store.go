@@ -90,8 +90,9 @@ func TruncatedTotal() int64 { return truncatedTotal.Load() }
 // and the times go in its upper half, 16 bytes a sample, with dt set
 // negative to mark it — no grid steps backwards. Readers branch on that
 // once per segment. Keeping the times inside the value array, not in a
-// field of their own, holds the header at 112 bytes, so a series'
-// 8-segment list is one 896-byte size class.
+// field of their own, holds the header at 112 bytes; a series' list
+// holds exactly its segments (append grows it one slot at a time), so a
+// day's five segments are one 576-byte size class.
 //
 // Its checkpoints are ABSOLUTE prefix sums — anchored to the series
 // origin, not the segment start — each the running sum append held just
@@ -424,6 +425,11 @@ func (ser *series) append(sample Sample, size int) {
 			next.vals, next.dt = make([]float64, 0, 2*size), -1
 		} else {
 			next.vals = make([]float64, 0, size)
+		}
+		if n == cap(ser.segs) {
+			// Exactly one more slot: append would double the list, and
+			// the slots truncate resliced away would stay allocated.
+			ser.segs = append(make([]segment, 0, n+1), ser.segs...)
 		}
 		ser.segs = append(ser.segs, next)
 		n++
