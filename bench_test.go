@@ -6,6 +6,7 @@ package diads_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"diads"
@@ -279,6 +280,55 @@ func BenchmarkMicro_KDEScore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := kde.AnomalyScore(sat, unsat); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNormalCDF times one standard normal CDF, the kernel every KDE
+// score term goes through, against the 0.5*(1+math.Erf(z/√2)) form it
+// replaced. Each sub-benchmark draws |z| from one of math.Erf's branches
+// (x = z/√2 below 0.84375, below 1.25, below 1/0.35, below 6, and ±1
+// from 6 on), half of the points negative.
+func BenchmarkNormalCDF(b *testing.B) {
+	branches := []struct {
+		name   string
+		lo, hi float64 // bounds of |x|
+	}{
+		{"small", 0, 0.84375},
+		{"near1", 0.84375, 1.25},
+		{"mid", 1.25, 1 / 0.35},
+		{"tail", 1 / 0.35, 6},
+		{"saturated", 6, 7},
+	}
+	forms := []struct {
+		name string
+		phi  func(float64) float64
+	}{
+		{"kernel", kde.NormalCDF},
+		{"erf", func(z float64) float64 { return 0.5 * (1 + math.Erf(z/math.Sqrt2)) }},
+	}
+	rnd := simtime.NewRand(1, "bench-normal-cdf")
+	for _, br := range branches {
+		zs := make([]float64, 256)
+		for i := range zs {
+			zs[i] = math.Sqrt2 * (br.lo + (br.hi-br.lo)*rnd.Float64())
+			if i%2 == 1 {
+				zs[i] = -zs[i]
+			}
+		}
+		for _, form := range forms {
+			b.Run(form.name+"/"+br.name, func(b *testing.B) {
+				var sum float64
+				for b.Loop() {
+					for _, z := range zs {
+						sum += form.phi(z)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(zs)), "ns/z")
+				if math.IsNaN(sum) {
+					b.Fatal("NaN")
+				}
+			})
 		}
 	}
 }

@@ -63,8 +63,7 @@ func (GaussianScorer) Score(sat, unsat []float64) (float64, error) {
 	}
 	var sum float64
 	for _, u := range unsat {
-		z := (u - mean) / sigma
-		sum += 0.5 * (1 + math.Erf(z/math.Sqrt2))
+		sum += kde.NormalCDF((u - mean) / sigma)
 	}
 	return sum / float64(len(unsat)), nil
 }

@@ -17,10 +17,11 @@ import (
 // referenceDAScores re-derives Module DA's score list the slow way, from
 // public per-call readers only: the candidate components off the APG's
 // dependency paths, Store.MetricsFor per component, one Store.WindowMean
-// per (series, run), kde.AnomalyScore per series. It is the reference the
+// per (series, run), score per series (kde.AnomalyScore, or the
+// math.Erf oracle of kde_oracle_test.go). It is the reference the
 // batched read path (ordered index + Store.WindowMeans) is held to, so it
 // must not share code with it.
-func referenceDAScores(in *diag.Input, res *diag.Result) []diag.MetricScore {
+func referenceDAScores(in *diag.Input, res *diag.Result, score func(sat, unsat []float64) (float64, error)) []diag.MetricScore {
 	seen := map[topology.ID]bool{}
 	for _, opID := range res.CO.COS {
 		dp := res.APG.DependencyPath(opID)
@@ -55,11 +56,11 @@ func referenceDAScores(in *diag.Input, res *diag.Result) []diag.MetricScore {
 			if len(satVals) < 4 || len(unsatVals) == 0 {
 				continue
 			}
-			score, err := kde.AnomalyScore(satVals, unsatVals)
+			sc, err := score(satVals, unsatVals)
 			if err != nil {
 				continue
 			}
-			out = append(out, diag.MetricScore{Component: c, Metric: m, Score: score})
+			out = append(out, diag.MetricScore{Component: c, Metric: m, Score: sc})
 		}
 	}
 	return out
@@ -83,7 +84,7 @@ func TestDAScoresBitIdenticalToPerCallReference(t *testing.T) {
 		if res.DA == nil { // plan regression: PD short-circuits the drill-down
 			continue
 		}
-		want := referenceDAScores(sc.Input, res)
+		want := referenceDAScores(sc.Input, res, kde.AnomalyScore)
 		got := res.DA.Scores
 		if len(got) != len(want) {
 			t.Fatalf("scenario %d: DA scored %d series, reference %d", id, len(got), len(want))

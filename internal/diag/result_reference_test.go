@@ -330,7 +330,7 @@ func TestResultBitIdenticalToLongWayReference(t *testing.T) {
 		sameScores(t, what("CR.Scores"), res.CR.Scores, wantCR)
 
 		// DA: da_reference_test.go's per-call reference.
-		wantDA := referenceDAScores(in, res)
+		wantDA := referenceDAScores(in, res, kde.AnomalyScore)
 		if len(res.DA.Scores) != len(wantDA) {
 			t.Fatalf("%s: %d scores, reference %d", what("DA"), len(res.DA.Scores), len(wantDA))
 		}

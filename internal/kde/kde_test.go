@@ -67,25 +67,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestDensityIntegratesToOne(t *testing.T) {
-	samples := []float64{1, 2, 2.5, 3, 5, 5.5, 6}
-	est, err := NewEstimator(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Numeric integration over a wide range.
-	lo, hi := -20.0, 30.0
-	steps := 20000
-	dx := (hi - lo) / float64(steps)
-	var integral float64
-	for i := 0; i < steps; i++ {
-		integral += est.Density(lo+(float64(i)+0.5)*dx) * dx
-	}
-	if math.Abs(integral-1) > 0.01 {
-		t.Fatalf("density should integrate to ~1, got %v", integral)
-	}
-}
-
 func TestDegenerateSamples(t *testing.T) {
 	est, err := NewEstimator([]float64{7, 7, 7, 7})
 	if err != nil {

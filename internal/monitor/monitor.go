@@ -168,7 +168,8 @@ type Monitor struct {
 
 // monitorTelemetry holds the layer's shared instruments: every monitor
 // in the process (each fleet instance runs its own) increments the same
-// fleet-wide counters. Telemetry is a side channel — Stats stays the
+// fleet-wide counters; a NewUncounted monitor's are nil, and write
+// nothing. Telemetry is a side channel — Stats stays the
 // per-monitor source of truth.
 type monitorTelemetry struct {
 	observed      *telemetry.Counter
@@ -196,10 +197,19 @@ func newMonitorTelemetry() monitorTelemetry {
 
 // New returns a monitor whose sink is its own gate.
 func New(cfg Config) *Monitor {
+	m := NewUncounted(cfg)
+	m.tel = newMonitorTelemetry()
+	return m
+}
+
+// NewUncounted is New without the diads_monitor_* counters, for a
+// stream that is not a product workload: the self-monitor watches the
+// diagnoser's own latency with one, filters its events through a noise
+// floor and counts what is left into its own diads_self_* families.
+func NewUncounted(cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:    cfg.withDefaults(),
 		states: make(map[string]*queryState),
-		tel:    newMonitorTelemetry(),
 	}
 	m.sink = m.gate.Add
 	return m

@@ -81,12 +81,14 @@ type SelfMonitor struct {
 
 // New returns a self-monitor with its own store and a monitor with the
 // defaults (6-run arming, 3-sigma + 1.4x threshold, Page-Hinkley drift
-// detection) watching the smoothed latency stream.
+// detection) watching the smoothed latency stream. That monitor counts
+// into no diads_monitor_* family: its raw detections, before the noise
+// floor, are not product detections.
 func New() *SelfMonitor {
 	reg := telemetry.Default()
 	return &SelfMonitor{
 		store:  metrics.NewStore(),
-		mon:    monitor.New(monitor.Config{}),
+		mon:    monitor.NewUncounted(monitor.Config{}),
 		recent: make(map[string]*recentWalls),
 		observed: reg.Counter("diads_self_diagnoses_observed_total",
 			"Completed diagnoses observed by the dogfood self-monitor.", nil),

@@ -2,12 +2,15 @@ package selfmon
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"diads/internal/monitor"
+	"diads/internal/telemetry"
 )
 
 // TestDogfoodRaisesSlowdownEvent pins the loop the package exists for:
@@ -157,5 +160,39 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if st := sm.Stats(); st.Observed != workers*each {
 		t.Errorf("observed %d, want %d", st.Observed, workers*each)
+	}
+}
+
+// monitorFamilies sums every diads_monitor_* counter series in the
+// process-wide registry, by family.
+func monitorFamilies() map[string]float64 {
+	out := make(map[string]float64)
+	for _, fam := range telemetry.Default().Snapshot() {
+		if strings.HasPrefix(fam.Name, "diads_monitor_") {
+			for _, s := range fam.Series {
+				out[fam.Name] += s.Value
+			}
+		}
+	}
+	return out
+}
+
+// TestSelfDetectionsStayOutOfMonitorCounters: the self-monitor's
+// detector raises an event the noise floor drops, and the product
+// monitor families (runs observed, slowdown events, undiagnosable runs)
+// do not move; only the diads_self_* families count the diagnoses.
+func TestSelfDetectionsStayOutOfMonitorCounters(t *testing.T) {
+	before := monitorFamilies()
+	sm := New()
+	walls := slices.Repeat([]time.Duration{100}, 10)
+	walls = append(walls, slices.Repeat([]time.Duration{500}, 5)...)
+	if raised := observe(sm, walls); len(raised) != 0 {
+		t.Fatalf("sub-floor step raised events at diagnoses %v, want none reported", raised)
+	}
+	if st := sm.mon.Stats(); st.Events == 0 || st.Observed != int64(len(walls)) {
+		t.Fatalf("detector stats = %+v, want %d observed and a raw event under the floor", st, len(walls))
+	}
+	if after := monitorFamilies(); !maps.Equal(before, after) {
+		t.Errorf("diads_monitor_* counters moved: %v -> %v", before, after)
 	}
 }
