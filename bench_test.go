@@ -239,19 +239,6 @@ func BenchmarkAblation_ThresholdSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_WhatIf measures the what-if study (E19).
-func BenchmarkExtension_WhatIf(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.WhatIf(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Render())
-		}
-	}
-}
-
 // BenchmarkExtension_SelfHeal measures the self-healing study (E20).
 func BenchmarkExtension_SelfHeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -548,23 +535,6 @@ func BenchmarkMicro_QueryExecution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tb.Engine.Run(p, simtime.Time(i*1800), fmt.Sprintf("b-%d", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtension_Placement measures the integrated-planning extension
-// ranking pools for partsupp.
-func BenchmarkExtension_Placement(b *testing.B) {
-	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
-	run := sc.Input.SatRuns()[0]
-	p := &diads.PlacementPlanner{
-		Cfg: sc.Testbed.Cfg, SAN: sc.Testbed.SAN, Cat: sc.Testbed.Cat,
-		Baseline: run, At: run.Start,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Rank("partsupp"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	diadsbench [-seed S] [-only table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|kde|baselines|sd|ablations|whatif|selfheal]
+//	diadsbench [-seed S] [-only table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|kde|baselines|sd|ablations|selfheal|robustness]
 package main
 
 import (
@@ -48,7 +48,6 @@ func run(w io.Writer, seed int64, only string) error {
 		{"baselines", func(s int64) (interface{ Render() string }, error) { return experiments.Baselines(s) }},
 		{"sd", func(s int64) (interface{ Render() string }, error) { return experiments.IncompleteSymptomsDB(s) }},
 		{"ablations", func(s int64) (interface{ Render() string }, error) { return experiments.Ablations(s) }},
-		{"whatif", func(s int64) (interface{ Render() string }, error) { return experiments.WhatIf(s) }},
 		{"selfheal", func(s int64) (interface{ Render() string }, error) { return experiments.SelfHeal(s) }},
 		{"robustness", func(s int64) (interface{ Render() string }, error) { return experiments.SeedRobustness(s, 4) }},
 	}

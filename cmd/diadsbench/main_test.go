@@ -32,7 +32,6 @@ var goldenSections = []section{
 	{"baselines", "b5c12ff50d2aa84d294c86c0b5f28c74940b12fad1c5f0c0a042551931632304"},
 	{"sd", "4f3dcf378cf1fe06e0dabb33a4462e74ac719c6c7df3e0892142c14c261b2d5e"},
 	{"ablations", "c8360229aad7ed7ba45cf40f1dea150f95dd44cb7252401e12f070e26901566f"},
-	{"whatif", "022a813bf608c704a131417eb0b60c314ba504ab029f4fd7ce6ff3d2c6a3202c"},
 	{"selfheal", "3b63059fd84ba49afc772605a8adb0c4e04d42db7751c9f4243b8f440021ddf2"},
 	{"robustness", "eeaf258b8d016d3490b3ea0a79904fbe24c02b22c1a399c7896649738b4f7d39"},
 }

@@ -37,12 +37,10 @@ import (
 	"diads/internal/fleet"
 	"diads/internal/monitor"
 	"diads/internal/pipeline"
-	"diads/internal/placement"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/testbed"
-	"diads/internal/whatif"
 )
 
 // Core diagnosis types.
@@ -73,10 +71,6 @@ type (
 	Scenario = experiments.Scenario
 	// ScenarioID selects a scenario.
 	ScenarioID = experiments.ScenarioID
-	// WhatIfAnalyzer answers what-if questions (Section 7 extension).
-	WhatIfAnalyzer = whatif.Analyzer
-	// PlacementPlanner ranks tablespace placements (Section 7 extension).
-	PlacementPlanner = placement.Planner
 	// SymptomMiner proposes codebook entries from confirmed incidents
 	// (Section 7's self-evolving symptoms database).
 	SymptomMiner = symptoms.Miner

@@ -260,32 +260,6 @@ func TestAblationsShowModuleValue(t *testing.T) {
 	}
 }
 
-func TestWhatIfPredictions(t *testing.T) {
-	res, err := WhatIf(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adding the workload to P1 (the query's partsupp pool) must predict
-	// a clearly larger slowdown than adding it to P2 (more spindles, less
-	// critical data).
-	if res.PredictedP1.SlowdownFactor <= res.PredictedP2.SlowdownFactor {
-		t.Errorf("P1 prediction (%.2f) should exceed P2 (%.2f)",
-			res.PredictedP1.SlowdownFactor, res.PredictedP2.SlowdownFactor)
-	}
-	if res.PredictedP1.SlowdownFactor < 1.2 {
-		t.Errorf("P1 prediction should be a material slowdown: %.2f", res.PredictedP1.SlowdownFactor)
-	}
-	// Prediction and observation agree in direction and rough magnitude.
-	if res.ObservedP1 < 1.2 {
-		t.Errorf("observed slowdown missing: %.2f", res.ObservedP1)
-	}
-	ratio := res.PredictedP1.SlowdownFactor / res.ObservedP1
-	if ratio < 0.3 || ratio > 3 {
-		t.Errorf("prediction off by more than 3x: predicted %.2f observed %.2f",
-			res.PredictedP1.SlowdownFactor, res.ObservedP1)
-	}
-}
-
 func TestSelfHealRecovers(t *testing.T) {
 	res, err := SelfHeal(testSeed)
 	if err != nil {

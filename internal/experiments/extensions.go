@@ -11,51 +11,7 @@ import (
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/testbed"
-	"diads/internal/whatif"
 )
-
-// WhatIfResult is the Section 7 what-if extension study: predicted vs
-// observed impact of adding a workload to each pool.
-type WhatIfResult struct {
-	PredictedP1 whatif.Prediction
-	PredictedP2 whatif.Prediction
-	// ObservedP1 is the measured slowdown factor when the P1 workload is
-	// actually applied (scenario 1's fault).
-	ObservedP1 float64
-}
-
-// WhatIf predicts the impact of the scenario-1 workload on each pool and
-// compares the P1 prediction against the measured outcome.
-func WhatIf(seed int64) (*WhatIfResult, error) {
-	sc, err := Build(S1SANMisconfig, seed)
-	if err != nil {
-		return nil, err
-	}
-	sat, unsat := sc.Input.SatRuns(), sc.Input.UnsatRuns()
-	if len(sat) == 0 || len(unsat) == 0 {
-		return nil, fmt.Errorf("experiments: scenario 1 labels degenerate")
-	}
-	an := &whatif.Analyzer{
-		Cfg: sc.Testbed.Cfg, SAN: sc.Testbed.SAN, Cat: sc.Testbed.Cat,
-		Opt: sc.Testbed.Opt, Params: sc.Testbed.Params, Stats: sc.Testbed.Stats,
-		Baseline: sat[0],
-		// Evaluate storage state before the fault so predictions are
-		// proactive.
-		At: sat[0].Start,
-	}
-	// What the misconfigured workload would do on each pool. These use
-	// the same IOPS as the injected fault.
-	p1, err := an.AddWorkload(testbed.VolV3, 450, 120)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := an.AddWorkload(testbed.VolV4, 450, 120)
-	if err != nil {
-		return nil, err
-	}
-	observed := meanDuration(unsat) / meanDuration(sat)
-	return &WhatIfResult{PredictedP1: p1, PredictedP2: p2, ObservedP1: observed}, nil
-}
 
 // meanDuration averages run durations in seconds.
 func meanDuration(runs []*exec.RunRecord) float64 {
@@ -67,16 +23,6 @@ func meanDuration(runs []*exec.RunRecord) float64 {
 		sum += float64(r.Duration())
 	}
 	return sum / float64(len(runs))
-}
-
-// Render formats the study.
-func (r *WhatIfResult) Render() string {
-	var b strings.Builder
-	b.WriteString("What-if analysis (Section 7 extension)\n")
-	fmt.Fprintf(&b, "P1-side: %s\n", r.PredictedP1)
-	fmt.Fprintf(&b, "P2-side: %s\n", r.PredictedP2)
-	fmt.Fprintf(&b, "observed slowdown when the P1 workload really ran: %.2fx\n", r.ObservedP1)
-	return b.String()
 }
 
 // SelfHealResult is the Section 7 self-healing study: diagnose a plan

@@ -129,11 +129,6 @@ func (m *Model) VolumeReadIOPS(vol topology.ID, t simtime.Time) float64 {
 	return m.reads.At(volKey(vol), t)
 }
 
-// VolumeWriteIOPS returns the total write IOPS applied to vol at t.
-func (m *Model) VolumeWriteIOPS(vol topology.ID, t simtime.Time) float64 {
-	return m.writes.At(volKey(vol), t)
-}
-
 // volLoad is one volume's read, write and sequential-read segments.
 type volLoad struct{ reads, writes, seqReads []Segment }
 
