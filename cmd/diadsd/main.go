@@ -211,20 +211,9 @@ func main() {
 // diagnoses finish, learned entries flush, and the listener closes.
 func serve(addr string, seed int64, workers, idleBatches int, learnedPath string,
 	self *selfmon.SelfMonitor, logger *slog.Logger) error {
-	symdb := symptoms.Builtin()
-	learned := symptoms.NewDB()
-	if learnedPath != "" {
-		db, err := loadLearned(learnedPath)
-		if err != nil {
-			return err
-		}
-		learned = db
-		for _, e := range learned.Entries() {
-			if err := symdb.Add(e); err != nil {
-				return fmt.Errorf("learned entry %s: %w", e.Kind, err)
-			}
-		}
-		logger.Info("loaded learned entries", "count", len(learned.Entries()), "path", learnedPath)
+	symdb, learned, err := loadLearned(learnedPath, logger)
+	if err != nil {
+		return err
 	}
 	node := api.New(api.Config{
 		Seed:        seed,
@@ -311,27 +300,15 @@ func runFleet(o fleetOpts) error {
 	if o.degraded > o.instances {
 		return fmt.Errorf("-degraded %d exceeds -instances %d", o.degraded, o.instances)
 	}
+	symdb, learned, err := loadLearned(o.learnedPath, o.logger)
+	if err != nil {
+		return err
+	}
 	spec := experiments.FleetSpec{
 		Seed: o.seed, Instances: o.instances, Degraded: o.degraded,
 		Runs: o.runs, Chunk: o.chunk, Workers: o.workers, Shards: o.shards,
 		OperatorReview: o.review, AckKinds: o.ackKinds,
-		SelfObserver: o.self,
-	}
-	learned := symptoms.NewDB()
-	if o.learnedPath != "" {
-		db, err := loadLearned(o.learnedPath)
-		if err != nil {
-			return err
-		}
-		learned = db
-		full := symptoms.Builtin()
-		for _, e := range learned.Entries() {
-			if err := full.Add(e); err != nil {
-				return fmt.Errorf("learned entry %s: %w", e.Kind, err)
-			}
-		}
-		spec.SymDB = full
-		o.logger.Info("loaded learned entries", "count", len(learned.Entries()), "path", o.learnedPath)
+		SymDB: symdb, SelfObserver: o.self,
 	}
 	o.logger.Info("fleet starting", "instances", o.instances,
 		"degraded", o.degraded, "shared_pool", string(testbed.PoolP1))
@@ -351,21 +328,32 @@ func runFleet(o fleetOpts) error {
 	return nil
 }
 
-// loadLearned parses the learned-entry DSL file; a missing file is an
-// empty database (first run).
-func loadLearned(path string) (*symptoms.DB, error) {
+// loadLearned parses the learned-entry DSL file and returns the built-in
+// database with its entries added, plus the learned entries alone (what
+// saveLearned extends and writes back). A missing file is an empty
+// learned database (first run); an empty path means no file at all.
+func loadLearned(path string, logger *slog.Logger) (symdb, learned *symptoms.DB, err error) {
+	symdb, learned = symptoms.Builtin(), symptoms.NewDB()
+	if path == "" {
+		return symdb, learned, nil
+	}
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return symptoms.NewDB(), nil
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return nil, nil, err
+	default:
+		if learned, err = symptoms.Parse(string(data)); err != nil {
+			return nil, nil, fmt.Errorf("parsing %s: %w", path, err)
+		}
 	}
-	if err != nil {
-		return nil, err
+	for _, e := range learned.Entries() {
+		if err := symdb.Add(e); err != nil {
+			return nil, nil, fmt.Errorf("learned entry %s: %w", e.Kind, err)
+		}
 	}
-	db, err := symptoms.Parse(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return db, nil
+	logger.Info("loaded learned entries", "count", len(learned.Entries()), "path", path)
+	return symdb, learned, nil
 }
 
 // saveLearned persists the union of previously-learned entries and this
