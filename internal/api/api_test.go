@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"diads/internal/dbsys"
 	"diads/internal/experiments"
 	"diads/internal/fleet"
 	"diads/internal/metrics"
@@ -24,6 +26,7 @@ import (
 	"diads/internal/symptoms"
 	"diads/internal/telemetry"
 	"diads/internal/testbed"
+	"diads/internal/topology"
 )
 
 const testSeed = 11
@@ -263,68 +266,175 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressure pins the bounded-queue contract: with the
-// intake worker stalled, the queue fills to exactly its depth, the next
-// batch gets 429 + Retry-After: 1, and the rejection is counted.
+// holdInstance builds the scoped instance if need be and returns it
+// locked: batches for it wait to apply until release unlocks it. Defer
+// release after the node's Shutdown, which waits for those batches, so
+// a test that stops early does not hang.
+func holdInstance(t *testing.T, node *Node, tenant, instance string) (in *instance, release func()) {
+	t.Helper()
+	in, err := node.acquire(tenant, instance, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, sync.OnceFunc(in.mu.Unlock)
+}
+
+// postStatus posts body to url and returns the status code, 0 when the
+// request failed. It never stops the test, so goroutines may call it.
+func postStatus(client *http.Client, url string, body []byte) int {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// parkedOnInstances counts the goroutines parked on an instance lock.
+func parkedOnInstances() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[sync.Mutex.Lock")) && bytes.Contains(g, []byte("(*Node).acquire")) {
+			n++
+		}
+	}
+	return n
+}
+
+// sampleBody is a one-sample batch for the scoped instance at time at,
+// its watermark at the sample.
+func sampleBody(t *testing.T, tenant, instance string, at float64) []byte {
+	t.Helper()
+	body, err := json.Marshal(SampleBatch{Tenant: tenant, Instance: instance, Watermark: &at,
+		Samples: []WireSample{{Component: "c", Metric: "m", T: at, V: at}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestIngestBackpressure pins the bounded-intake contract: with one
+// instance's lock held, batches for it wait to apply until exactly
+// QueueDepth of them are admitted, the next batch gets 429 +
+// Retry-After: 1 and the rejection is counted; released, the waiting
+// batches apply and are answered 202.
 func TestIngestBackpressure(t *testing.T) {
 	node := New(Config{Seed: testSeed, QueueDepth: 4})
 	defer node.Shutdown()
 	hs := httptest.NewServer(node.Handler())
 	defer hs.Close()
 	client := hs.Client()
+	url := hs.URL + "/v1/ingest/samples"
 
 	before := node.tel.rejected[reasonBackpressure].Value()
-
-	// Stall the worker on a block job, then fill the queue. The flood
-	// waits until the worker has taken the block job off the queue, or
-	// the job would hold one of the QueueDepth slots itself.
-	resume := stallWorker(t, node)
-	batch := SampleBatch{Tenant: "t", Instance: "i", Samples: []WireSample{
-		{Component: "c", Metric: "m", T: 1, V: 1},
-	}}
-	accepted := 0
-	var got429 bool
-	for i := 0; i < node.cfg.QueueDepth+8; i++ {
-		resp, body := postJSON(t, client, hs.URL+"/v1/ingest/samples", batch)
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			accepted++
-		case http.StatusTooManyRequests:
-			got429 = true
-			if got := resp.Header.Get("Retry-After"); got != "1" {
-				t.Errorf("429 Retry-After = %q, want \"1\"", got)
-			}
-			if !strings.Contains(string(body), "intake queue full; retry after 1s") {
-				t.Errorf("429 body: %s", body)
-			}
-		default:
-			t.Fatalf("unexpected status %d: %s", resp.StatusCode, body)
-		}
+	_, release := holdInstance(t, node, "t", "i")
+	defer release()
+	codes := make(chan int, node.cfg.QueueDepth)
+	for i := range node.cfg.QueueDepth {
+		body := sampleBody(t, "t", "i", float64(i+1))
+		go func() { codes <- postStatus(client, url, body) }()
 	}
-	if !got429 {
-		t.Fatal("flood never hit backpressure")
+	waitUntil(t, "QueueDepth batches wait", func() bool { return node.waiting.Load() == int64(node.cfg.QueueDepth) })
+	resp, body := postJSON(t, client, url, json.RawMessage(sampleBody(t, "other", "i", 1)))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch past QueueDepth = %d %s, want 429", resp.StatusCode, body)
 	}
-	if accepted != node.cfg.QueueDepth {
-		t.Errorf("accepted %d batches with a stalled worker, want exactly %d (bounded queue)",
-			accepted, node.cfg.QueueDepth)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want \"1\"", got)
+	}
+	if !strings.Contains(string(body), "intake queue full; retry after 1s") {
+		t.Errorf("429 body: %s", body)
 	}
 	if after := node.tel.rejected[reasonBackpressure].Value(); after <= before {
 		t.Errorf("rejection counter did not move: %v -> %v", before, after)
 	}
 
-	resume()
+	release()
+	for range node.cfg.QueueDepth {
+		if code := <-codes; code != http.StatusAccepted {
+			t.Errorf("waiting batch answered %d, want 202", code)
+		}
+	}
 	if err := node.Quiesce(); err != nil {
-		t.Fatalf("quiesce after unblock: %v", err)
+		t.Fatalf("quiesce after release: %v", err)
 	}
 	if err := telemetry.ValidateExposition(telemetry.Default().Exposition()); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
 }
 
+// TestInstancesApplyIndependently: with instance A's lock held, a batch
+// for instance B is answered 202 and applied; the batches waiting on A
+// then apply in the order they reached its lock, each sample later than
+// the last, so the store refuses none of them.
+func TestInstancesApplyIndependently(t *testing.T) {
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+	client := hs.Client()
+	url := hs.URL + "/v1/ingest/samples"
+	errs := node.tel.applyErr.Value()
+
+	_, release := holdInstance(t, node, "a", "db")
+	defer release()
+	const waiting = 5
+	codes := make(chan int, waiting)
+	for i := range waiting {
+		body := sampleBody(t, "a", "db", float64(i+1))
+		go func() { codes <- postStatus(client, url, body) }()
+		waitUntil(t, "the batch waits on A's lock", func() bool { return parkedOnInstances() == i+1 })
+	}
+	if code := postStatus(client, url, sampleBody(t, "b", "db", 1)); code != http.StatusAccepted {
+		t.Fatalf("B's batch with A held = %d, want 202", code)
+	}
+	series := func(tenant string) []metrics.Sample {
+		node.mu.Lock()
+		in := node.instances[keyOf(tenant, "db")]
+		node.mu.Unlock()
+		return in.Testbed.Store.Series("c", "m")
+	}
+	if got := series("b"); len(got) != 1 {
+		t.Fatalf("B's store holds %v after its 202, want the one posted sample", got)
+	}
+	if got := series("a"); len(got) != 0 {
+		t.Fatalf("A's store holds %v while A is held", got)
+	}
+
+	release()
+	for range waiting {
+		if code := <-codes; code != http.StatusAccepted {
+			t.Errorf("A's waiting batch answered %d, want 202", code)
+		}
+	}
+	var got []float64
+	for _, s := range series("a") {
+		got = append(got, float64(s.T))
+	}
+	if want := []float64{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("A's store holds samples at %v, want %v (arrival order)", got, want)
+	}
+	if d := node.tel.applyErr.Value() - errs; d != 0 {
+		t.Errorf("%d items refused at apply", d)
+	}
+}
+
 // TestSlowBodyTimesOut pins the request deadline on the one wait a
 // handler has, the body: a body still arriving at Timeout is answered
 // 503 within Timeout plus slack, counted under code="503", and never
-// enqueued, however long the client goes on sending.
+// applied, however long the client goes on sending.
 func TestSlowBodyTimesOut(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	node := New(Config{Seed: testSeed, Timeout: timeout})
@@ -378,7 +488,7 @@ func TestSlowBodyTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := node.tel.batches.Value() - batches; got != 0 || node.InstanceCount() != 0 {
-		t.Errorf("timed-out body enqueued %d batches, %d instances resident", got, node.InstanceCount())
+		t.Errorf("timed-out body applied %d batches, %d instances resident", got, node.InstanceCount())
 	}
 }
 
@@ -524,16 +634,8 @@ func TestIdleEvictionBoundsInstances(t *testing.T) {
 		batch := SampleBatch{Tenant: tenant, Instance: "db", Samples: []WireSample{
 			{Component: "c", Metric: "m", T: 1, V: 1},
 		}}
-		for {
-			resp, body := postJSON(t, client, hs.URL+"/v1/ingest/samples", batch)
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				return
-			case http.StatusTooManyRequests:
-				continue // intake momentarily full; the worker drains it
-			default:
-				t.Fatalf("samples for %s: %d %s", tenant, resp.StatusCode, body)
-			}
+		if resp, body := postJSON(t, client, hs.URL+"/v1/ingest/samples", batch); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("samples for %s: %d %s", tenant, resp.StatusCode, body)
 		}
 	}
 	for i := 0; i < tenants; i++ {
@@ -566,6 +668,135 @@ func TestIdleEvictionBoundsInstances(t *testing.T) {
 
 	if err := telemetry.ValidateExposition(telemetry.Default().Exposition()); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
+	}
+}
+
+// TestIdleSweepAndHeldInstances: the idle sweep leaves an instance
+// whose lock is held, however long it has been idle; and a batch that
+// fetched its instance and waits for the lock while the sweep evicts
+// the instance applies to a freshly built one, not to the evicted one.
+func TestIdleSweepAndHeldInstances(t *testing.T) {
+	node := New(Config{Seed: testSeed, IdleBatches: 2})
+	defer node.Shutdown()
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+	client, url := hs.Client(), hs.URL+"/v1/ingest/samples"
+
+	held, release := holdInstance(t, node, "a", "db")
+	defer release()
+	for i := range 2 {
+		if c := postStatus(client, url, sampleBody(t, "b", "db", float64(i+1))); c != http.StatusAccepted {
+			t.Fatalf("B's batch %d = %d, want 202", i, c)
+		}
+	}
+	if n := node.InstanceCount(); n != 2 {
+		t.Fatalf("%d instances resident; the sweep evicted one whose lock is held", n)
+	}
+
+	body := sampleBody(t, "a", "db", 1)
+	code := make(chan int, 1)
+	go func() { code <- postStatus(client, url, body) }()
+	waitUntil(t, "A's batch waits on its lock", func() bool { return parkedOnInstances() == 1 })
+	node.mu.Lock()
+	node.evict(held) // what sweepIdle does to each victim it has locked
+	node.mu.Unlock()
+	release()
+	if c := <-code; c != http.StatusAccepted {
+		t.Fatalf("A's batch = %d, want 202", c)
+	}
+	if n := held.Testbed.Store.Len(); n != 0 {
+		t.Errorf("the evicted instance took %d samples", n)
+	}
+	node.mu.Lock()
+	fresh := node.instances[keyOf("a", "db")]
+	node.mu.Unlock()
+	if fresh == nil || fresh == held || fresh.Testbed.Store.Len() != 1 {
+		t.Errorf("A's batch did not land in a fresh resident instance")
+	}
+}
+
+// TestIdleEvictionUnderConcurrentTenants: tenants post from goroutines
+// of their own into a node with a short idle horizon, so instances are
+// evicted while other tenants' batches apply. No batch applies to an
+// evicted instance: none is refused at apply, every resident tenant's
+// diagnosis environment (which each StatsUpdated re-registers) is its
+// resident instance's, no evicted tenant keeps one, and every resident
+// tenant's store ends with its last batch.
+func TestIdleEvictionUnderConcurrentTenants(t *testing.T) {
+	const (
+		idle    = 4
+		tenants = 8
+		batches = 12
+		step    = 300.0
+	)
+	node := New(Config{Seed: testSeed, IdleBatches: idle})
+	defer node.Shutdown()
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+	client := hs.Client()
+	errs, evicted := node.tel.applyErr.Value(), node.tel.evicted.Value()
+
+	tenantName := func(i int) string { return "churn-" + strconv.Itoa(i) }
+	failures := make(chan string, 2*tenants*batches)
+	var wg sync.WaitGroup
+	for tn := range tenants {
+		tenant := tenantName(tn)
+		var bodies [][]byte // events, then samples, batch by batch
+		for i := range batches {
+			at := step * float64(i+1)
+			events, err := json.Marshal(EventBatch{Tenant: tenant, Instance: "db", Events: []WireEvent{
+				{T: at, Kind: string(topology.EvStatsUpdated), Subject: dbsys.TPartsupp},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, events, sampleBody(t, tenant, "db", at))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, body := range bodies {
+				url := hs.URL + "/v1/ingest/" + [...]string{"events", "samples"}[i%2]
+				if code := postStatus(client, url, body); code != http.StatusAccepted {
+					failures <- fmt.Sprintf("%s batch %d: %d", tenant, i, code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Error(f)
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d := node.tel.applyErr.Value() - errs; d != 0 {
+		t.Errorf("%d items refused at apply", d)
+	}
+	if node.tel.evicted.Value() == evicted {
+		t.Fatal("no instance was evicted; the test is vacuous")
+	}
+	for tn := range tenants {
+		id := fleet.ScopedInstance(tenantName(tn), "db")
+		node.mu.Lock()
+		in := node.instances[keyOfID(id)]
+		node.mu.Unlock()
+		env, registered := node.svc.EnvFor(id)
+		if in == nil {
+			if registered {
+				t.Errorf("%s was evicted but keeps a diagnosis environment", id)
+			}
+			continue
+		}
+		if !registered || env.Store != in.Testbed.Store {
+			t.Errorf("%s: diagnosis environment registered %v, not the resident instance's", id, registered)
+		}
+		s := in.Testbed.Store.Series("c", "m")
+		if len(s) == 0 || float64(s[len(s)-1].T) != step*batches {
+			t.Errorf("%s: store holds %v, want its last batch's sample at %v last", id, s, step*batches)
+		}
 	}
 }
 

@@ -60,15 +60,7 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 			node := New(Config{Seed: testSeed})
 			defer node.Shutdown()
 			events := logEvents(sim)
-			body, err := json.Marshal(EventBatch{Tenant: "acme", Instance: "db-1", Events: events})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := httptest.NewRecorder()
-			node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest/events", bytes.NewReader(body)))
-			if rec.Code != http.StatusAccepted {
-				t.Fatalf("POST events = %d %s", rec.Code, rec.Body)
-			}
+			postBatch(t, node, "/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: events})
 			reachChanges(t, node, "acme", "db-1", events)
 			node.mu.Lock()
 			got := node.instances[keyOf("acme", "db-1")].Testbed
@@ -85,12 +77,7 @@ func TestStatsUpdatedReachesDiagnoses(t *testing.T) {
 	node := New(Config{Seed: testSeed})
 	defer node.Shutdown()
 	post := func(events ...WireEvent) {
-		if err := node.enqueue(intakeJob{events: &EventBatch{Tenant: "acme", Instance: "db-1", Events: events}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
+		postBatch(t, node, "/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: events})
 	}
 	post()
 	node.mu.Lock()
@@ -141,15 +128,7 @@ func TestRunsPlanAsOfTheirStart(t *testing.T) {
 
 	node := New(Config{Seed: testSeed})
 	defer node.Shutdown()
-	post := func(j intakeJob) {
-		if err := node.enqueue(j); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	post(intakeJob{events: &EventBatch{Tenant: "acme", Instance: "db-1", Events: []WireEvent{drop}}})
+	postBatch(t, node, "/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: []WireEvent{drop}})
 	// Six runs before the drop arm the monitor; the last run, after it,
 	// is slow enough to raise the event whose snapshot shows every plan.
 	runs := &RunBatch{Tenant: "acme", Instance: "db-1"}
@@ -160,7 +139,7 @@ func TestRunsPlanAsOfTheirStart(t *testing.T) {
 		}
 		runs.Runs = append(runs.Runs, WireRun{Query: "Q2", RunID: strconv.Itoa(i), Start: start, Stop: start + dur})
 	}
-	post(intakeJob{runs: runs})
+	postBatch(t, node, "/v1/ingest/runs", runs)
 
 	node.mu.Lock()
 	in := node.instances[keyOf("acme", "db-1")]
@@ -180,10 +159,24 @@ func TestRunsPlanAsOfTheirStart(t *testing.T) {
 	}
 }
 
+// postBatch posts batch to the route through the node's handler and
+// fails the test unless it is answered 202, which means applied.
+func postBatch(t *testing.T, node *Node, route string, batch any) {
+	t.Helper()
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST %s = %d %s", route, rec.Code, rec.Body)
+	}
+}
+
 // reachChanges moves the instance's evidence past every posted change,
 // which takes effect only once evidence reaches its time: it posts an
-// empty sample batch whose watermark is past the latest change and
-// settles the node.
+// empty sample batch whose watermark is past the latest change.
 func reachChanges(t *testing.T, node *Node, tenant, instance string, events []WireEvent) {
 	t.Helper()
 	watermark := 0.0
@@ -191,12 +184,7 @@ func reachChanges(t *testing.T, node *Node, tenant, instance string, events []Wi
 		watermark = max(watermark, e.T)
 	}
 	watermark++
-	if err := node.enqueue(intakeJob{samples: &SampleBatch{Tenant: tenant, Instance: instance, Watermark: &watermark}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	postBatch(t, node, "/v1/ingest/samples", SampleBatch{Tenant: tenant, Instance: instance, Watermark: &watermark})
 }
 
 // sameState compares two environments' changeable state by content.
@@ -267,11 +255,10 @@ func FuzzDecodeEventBatch(f *testing.F) {
 		node := New(Config{Seed: testSeed})
 		defer node.Shutdown()
 		errs := node.tel.applyErr.Value()
-		if err := node.enqueue(intakeJob{events: b}); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Quiesce(); err != nil {
-			t.Fatal(err)
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest/events", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST events = %d %s", rec.Code, rec.Body)
 		}
 		reachChanges(t, node, b.Tenant, b.Instance, b.Events)
 		node.mu.Lock()
@@ -290,11 +277,6 @@ func FuzzDecodeEventBatch(f *testing.F) {
 		for _, q := range []string{"Q2", "Q5", "Q6", "Q14"} {
 			runs.Runs = append(runs.Runs, WireRun{Query: q, RunID: q, Start: 1, Stop: 2})
 		}
-		if err := node.enqueue(intakeJob{runs: runs}); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
+		postBatch(t, node, "/v1/ingest/runs", runs)
 	})
 }

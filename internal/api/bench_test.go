@@ -19,18 +19,15 @@ import (
 
 // The accept path's own rows (ROADMAP 1b): one request through
 // Node.Handler on an in-memory recorder — middleware, body read,
-// decode, validation, enqueue — with no socket and no client. MB/s is
-// body bytes accepted per second; allocs/op is per batch.
+// decode, validation and the apply the 202 waits for — with no socket
+// and no client. MB/s is body bytes accepted per second; allocs/op is
+// per batch.
 //
-// The intake worker is parked while the clock runs, so ns/op and the
-// process-wide allocation counts are the handler's alone; every
-// benchWindow posts the clock stops and the worker drains the queue.
-// The store accepts a sample no older than its series' last one, so the
-// sample benchmark first posts every series once at a later time: what
-// the drains apply is then refused and the node does not grow. Refusing
-// costs the worker several times what accepting does, so a run's wall
-// time is mostly untimed drain, and a -cpuprofile of it is mostly
-// applySamples: read the handler's subtree, not the percentages.
+// Each post carries later times than the one before, so the store
+// accepts every sample and the monitor sees fresh runs, as in
+// TestIngestBatchAllocs. So that the node does not grow without bound,
+// every benchWindow posts the clock stops and a fresh node replaces it,
+// its instance built by an untimed first post.
 //
 // The loop runs to b.N rather than b.Loop: Go 1.24's b.Loop measures
 // its time budget from the last StartTimer, so a loop that stops the
@@ -86,10 +83,13 @@ func benchRunBody(b testing.TB, t0 float64) []byte {
 	return body
 }
 
-func benchAccept(b *testing.B, route string, body []byte, prime []byte) {
-	node := New(Config{Seed: testSeed, QueueDepth: benchWindow})
-	defer node.Shutdown()
-	h := node.Handler()
+func benchAccept(b *testing.B, route string, body func(testing.TB, float64) []byte) {
+	bodies := make([][]byte, benchWindow)
+	for i := range bodies {
+		bodies[i] = body(b, float64(i)*1e4)
+	}
+	var node *Node
+	var h http.Handler
 	post := func(body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
@@ -97,39 +97,36 @@ func benchAccept(b *testing.B, route string, body []byte, prime []byte) {
 			b.Fatalf("POST %s = %d %s", route, rec.Code, rec.Body)
 		}
 	}
-	if prime != nil {
-		post(prime)
-	}
-	drain := func() {
-		if err := node.Quiesce(); err != nil {
-			b.Fatal(err)
+	fresh := func() {
+		if node != nil {
+			node.Shutdown()
 		}
+		node = New(Config{Seed: testSeed})
+		h = node.Handler()
+		post(bodies[0])
 	}
-	drain()
-	resume := stallWorker(b, node)
-	b.SetBytes(int64(len(body)))
+	defer func() { node.Shutdown() }()
+	b.SetBytes(int64(len(bodies[1])))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
-		if i > 0 && i%benchWindow == 0 {
+		k := i % (benchWindow - 1)
+		if k == 0 {
 			b.StopTimer()
-			resume()
-			drain()
-			resume = stallWorker(b, node)
+			fresh()
 			b.StartTimer()
 		}
-		post(body)
+		post(bodies[1+k])
 	}
 	b.StopTimer()
-	resume()
 }
 
 func BenchmarkAcceptSamples(b *testing.B) {
-	benchAccept(b, "/v1/ingest/samples", benchSampleBody(b, 0), benchSampleBody(b, 1e9))
+	benchAccept(b, "/v1/ingest/samples", benchSampleBody)
 }
 
 func BenchmarkAcceptRuns(b *testing.B) {
-	benchAccept(b, "/v1/ingest/runs", benchRunBody(b, 0), nil)
+	benchAccept(b, "/v1/ingest/runs", benchRunBody)
 }
 
 // BenchmarkScanSamples times the scanner alone — no handler, no

@@ -25,21 +25,24 @@
 //     validated mined-symptom candidates, the ack the ReviewOperator
 //     policy waits for.
 //
-// Ingest is backpressured like the diagnosis pool itself: accepted
-// batches enter a bounded intake queue drained by one ordered worker
-// (per-batch ordering is what makes watermarks meaningful), and a full
-// queue answers 429 with Retry-After rather than blocking or buffering
-// unboundedly — the snowball regime where the diagnoser's own slowdown
-// amplifies load is exactly what the paper's monitor exists to catch.
+// Each ingest request applies its own batch, holding its instance's
+// lock, before it answers: a 202 means the batch is applied. Batches of
+// one (tenant, instance) therefore apply one at a time, in the order
+// they reach the lock — a client that posts runs and then the samples
+// whose watermark releases them gets exactly that order — while other
+// instances apply in parallel. Ingest is backpressured like the
+// diagnosis pool itself: at most QueueDepth batches may be admitted and
+// not yet applied, and the next answers 429 with Retry-After rather
+// than blocking or buffering unboundedly — the snowball regime where
+// the diagnoser's own slowdown amplifies load is exactly what the
+// paper's monitor exists to catch.
 package api
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,8 +67,9 @@ type Config struct {
 	// gets a Figure 1 topology and catalog built from it, with an empty
 	// metrics store the tenant fills by posting samples).
 	Seed int64
-	// QueueDepth bounds the ingest intake queue (default 64, the
-	// diagnosis pool's own default).
+	// QueueDepth bounds the ingest batches admitted and not yet applied
+	// (default 64, the diagnosis pool's own default); one more is
+	// answered 429.
 	QueueDepth int
 	// Timeout bounds each request: its body must arrive and its reply
 	// be sent within Timeout of its start (default 10s).
@@ -81,8 +85,9 @@ type Config struct {
 	// batches (and with no gated detections) is evicted — its serving
 	// environment, metric store, and monitor baselines page out, and a
 	// returning tenant rebuilds from scratch on next contact. The
-	// horizon is counted in applied batches, not wall time, so eviction
-	// is a deterministic function of the ingest stream. 0 disables
+	// horizon is counted in admitted batches, not wall time, so for a
+	// client that posts one batch at a time eviction is a deterministic
+	// function of the ingest stream. 0 disables
 	// eviction (the pre-lifecycle behavior: instances accrete forever,
 	// which under tenant churn is a leak). Registry incidents survive
 	// eviction; only ingest state pages out, and with it any posted
@@ -106,38 +111,31 @@ func (c Config) withDefaults() Config {
 // instance is the per-(tenant, instance) serving state: the instance
 // runtime (ID: the scoped "tenant/instance") over a Figure 1 environment
 // whose store is filled by posted samples and a monitor fed by posted
-// runs, plus what only ingest knows. Only the intake worker touches the
-// mutable parts, so there is no locking here.
+// runs, plus what only ingest knows.
 type instance struct {
 	fleet.Instance
+	// mu is held by the handler applying a batch to the instance, and by
+	// the idle sweep evicting it; it guards the embedded runtime's
+	// mutable parts and every field below but lastSeq.
+	mu sync.Mutex
+	// gone marks an instance the idle sweep evicted: a handler that
+	// finds it set fetches the instance afresh.
+	gone bool
 	// watermark is the instance's ingest watermark: every sample with
 	// T <= watermark has been posted.
 	watermark simtime.Time
-	// lastSeq is the intake sequence of the last batch that touched the
-	// instance — the idle-eviction clock.
+	// lastSeq is the sequence number of the last batch that fetched the
+	// instance — the idle-eviction clock. Node.mu guards it.
 	lastSeq int64
 	// pending holds posted changes whose T the instance's evidence has
 	// not reached, in time order (see applyChanges).
 	pending []topology.Event
 }
 
-// intakeJob is one accepted ingest batch awaiting ordered application.
-// Exactly one of the batch fields is set; done is the Quiesce sentinel.
-type intakeJob struct {
-	samples *SampleBatch
-	runs    *RunBatch
-	events  *EventBatch
-	traceID string
-	done    chan struct{}
-	// block stalls the worker until closed — how tests hold the queue
-	// full deterministically to observe backpressure.
-	block chan struct{}
-}
-
 // Node is the serving node: the shared diagnosis service, the learner
-// behind the operator routes, the per-instance ingest state, and the
-// intake queue. Construct with New, attach to a telemetry server with
-// Mount (or drive Handler directly in tests), and Shutdown to drain.
+// behind the operator routes and the per-instance ingest state.
+// Construct with New, attach to a telemetry server with Mount (or drive
+// Handler directly in tests), and Shutdown to drain.
 type Node struct {
 	cfg     Config
 	svc     *service.Service
@@ -146,18 +144,18 @@ type Node struct {
 	mu        sync.Mutex
 	instances map[instanceKey]*instance
 
-	intake chan intakeJob
-	// batchSeq counts applied ingest batches; worker-owned, the
-	// evidence-free clock idle eviction runs on.
-	batchSeq int64
-	// sendMu serializes intake enqueues against Shutdown's close, the
-	// service pool's send-vs-close pattern: handlers send under the read
-	// lock, Shutdown flips draining before taking the write lock to
-	// close, so no send can hit a closed channel.
-	sendMu   sync.RWMutex
+	// batchSeq counts admitted ingest batches, the evidence-free clock
+	// idle eviction runs on.
+	batchSeq atomic.Int64
+	// waiting counts batches admitted and not yet applied, which
+	// QueueDepth bounds.
+	waiting atomic.Int64
+	// applyMu is held for reading by every batch from its draining check
+	// until it is applied; Shutdown raises draining and then takes it
+	// for writing, so no batch is mid-apply once it has it.
+	applyMu  sync.RWMutex
 	draining atomic.Bool
 	ingested atomic.Bool // any watermark advanced yet (readiness)
-	workerWG sync.WaitGroup
 
 	traceSeq atomic.Int64
 
@@ -190,21 +188,21 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 		reg: reg,
 		freeze: []func(){
 			reg.GaugeFunc("diads_api_ingest_queue_depth",
-				"Ingest batches waiting in the intake queue.",
-				nil, func() float64 { return float64(len(n.intake)) }),
+				"Ingest batches admitted and not yet applied.",
+				nil, func() float64 { return float64(n.waiting.Load()) }),
 			reg.GaugeFunc("diads_api_instances_resident",
 				"Tenant instances currently resident (serving state built, not evicted).",
 				nil, func() float64 { return float64(n.InstanceCount()) }),
 		},
 		batches: reg.Counter("diads_api_ingest_batches_total",
-			"Ingest batches accepted into the intake queue.", nil),
+			"Ingest batches applied and answered 202.", nil),
 		rejected: map[string]*telemetry.Counter{
 			reasonBackpressure: rejected(reasonBackpressure),
 			reasonDraining:     rejected(reasonDraining),
 			reasonTooLarge:     rejected(reasonTooLarge),
 		},
 		applyErr: reg.Counter("diads_api_ingest_errors_total",
-			"Ingest batch items the intake worker could not apply.", nil),
+			"Ingest batch items that could not be applied.", nil),
 		released: reg.Counter("diads_api_events_released_total",
 			"Gated slowdown events released to the diagnosis pool by watermark advances.", nil),
 		evicted: reg.Counter("diads_api_instances_evicted_total",
@@ -220,7 +218,7 @@ const (
 	reasonTooLarge     = "too_large"
 )
 
-// New builds the node and starts its diagnosis pool and intake worker.
+// New builds the node and starts its diagnosis pool.
 // Each instance's slowdown detector runs with the monitor defaults. The
 // operator routes settle validated candidates, so the learner holds
 // them for an ack over HTTP (ReviewOperator, no Reviewer).
@@ -230,7 +228,6 @@ func New(cfg Config) *Node {
 		cfg:       cfg,
 		learner:   fleet.NewLearner(fleet.LearnConfig{Review: fleet.ReviewOperator}, cfg.SymDB),
 		instances: make(map[instanceKey]*instance),
-		intake:    make(chan intakeJob, cfg.QueueDepth),
 	}
 	n.tel = newNodeTelemetry(n)
 	n.svc = service.New(service.Env{}, cfg.Service)
@@ -247,8 +244,6 @@ func New(cfg Config) *Node {
 		n.learner.AddHealthy(fb)
 	}
 	n.svc.Start(context.Background())
-	n.workerWG.Add(1)
-	go n.worker()
 	return n
 }
 
@@ -277,18 +272,16 @@ func (n *Node) Mount(srv *telemetry.Server) {
 	srv.SetReady(n.Ready)
 }
 
-// Shutdown drains the node: ingest starts answering 503, the intake
-// queue is drained by the worker, and in-flight diagnoses complete.
-// The diagnosis pool stays Submittable throughout (events released by
-// the final batches still diagnose); it is stopped at the end.
+// Shutdown drains the node: ingest starts answering 503, the batches
+// mid-apply finish, and in-flight diagnoses complete. The diagnosis pool
+// stays Submittable throughout (events released by the final batches
+// still diagnose); it is stopped at the end.
 func (n *Node) Shutdown() {
 	if n.draining.Swap(true) {
 		return
 	}
-	n.sendMu.Lock()
-	close(n.intake)
-	n.sendMu.Unlock()
-	n.workerWG.Wait()
+	n.applyMu.Lock()
+	n.applyMu.Unlock()
 	n.svc.Wait()
 	n.svc.Stop()
 	for _, freeze := range n.tel.freeze {
@@ -296,44 +289,16 @@ func (n *Node) Shutdown() {
 	}
 }
 
-// Quiesce blocks until every batch accepted so far has been applied and
-// every diagnosis it triggered has completed — the deterministic
-// settle point tests and the example client use instead of polling.
-// Unlike ingest it waits out a full queue (the sentinel must land
-// behind the batches it settles); draining is still an error.
+// Quiesce blocks until every diagnosis the batches applied so far
+// triggered has completed — the deterministic settle point tests and
+// the example client use instead of polling. A 202 means its batch is
+// applied, so only the pool is waited on; draining is an error.
 func (n *Node) Quiesce() error {
-	done := make(chan struct{})
-	for {
-		err := n.enqueue(intakeJob{done: done})
-		if err == nil {
-			break
-		}
-		if errors.Is(err, errDraining) {
-			return err
-		}
-		time.Sleep(time.Millisecond)
+	if n.draining.Load() {
+		return errDraining
 	}
-	<-done
 	n.svc.Wait()
 	return nil
-}
-
-// enqueue places a job on the intake queue without blocking.
-func (n *Node) enqueue(j intakeJob) error {
-	if n.draining.Load() {
-		return errDraining
-	}
-	n.sendMu.RLock()
-	defer n.sendMu.RUnlock()
-	if n.draining.Load() {
-		return errDraining
-	}
-	select {
-	case n.intake <- j:
-		return nil
-	default:
-		return errBackpressure
-	}
 }
 
 var (
@@ -341,66 +306,93 @@ var (
 	errDraining     = fmt.Errorf("api: draining")
 )
 
-// worker is the single ordered intake drain: batches apply in arrival
-// order, which is what lets a client reason "runs before the watermark
-// that releases them" across separate POSTs.
-func (n *Node) worker() {
-	defer n.workerWG.Done()
-	for j := range n.intake {
-		switch {
-		case j.block != nil:
-			<-j.block
-		case j.done != nil:
-			close(j.done)
-		case j.samples != nil:
-			n.batchSeq++
-			n.applySamples(j.samples, j.traceID)
-			j.samples.recycle()
-			n.sweepIdle()
-		case j.runs != nil:
-			n.batchSeq++
-			n.applyRuns(j.runs)
-			n.sweepIdle()
-		case j.events != nil:
-			n.batchSeq++
-			n.applyEvents(j.events)
-			n.sweepIdle()
+// apply admits a batch unless the node is draining or QueueDepth
+// batches are admitted and not yet applied, runs f on the batch's
+// instance, locked, and then the idle sweep. It returns how many
+// batches were admitted and not yet applied, this one included, when
+// it was admitted.
+func (n *Node) apply(tenant, inst string, f func(*instance)) (int, error) {
+	n.applyMu.RLock()
+	defer n.applyMu.RUnlock()
+	if n.draining.Load() {
+		return 0, errDraining
+	}
+	depth := n.waiting.Add(1)
+	defer n.waiting.Add(-1)
+	if depth > int64(n.cfg.QueueDepth) {
+		return 0, errBackpressure
+	}
+	if in, err := n.acquire(tenant, inst, n.batchSeq.Add(1)); err != nil {
+		n.tel.applyErr.Inc()
+	} else {
+		f(in)
+		in.mu.Unlock()
+	}
+	n.sweepIdle()
+	return int(depth), nil
+}
+
+// acquire returns the scoped instance, locked, fetching it afresh when
+// the idle sweep evicted the one it found before it got the lock.
+func (n *Node) acquire(tenant, inst string, seq int64) (*instance, error) {
+	for {
+		in, err := n.instanceFor(tenant, inst, seq)
+		if err != nil {
+			return nil, err
 		}
+		in.mu.Lock()
+		if !in.gone {
+			return in, nil
+		}
+		in.mu.Unlock()
 	}
 }
 
 // sweepIdle evicts instances the idle horizon has passed: untouched for
-// IdleBatches applied batches and holding no gated detections. It runs
-// on the intake worker after every applied batch, so eviction order and
-// timing are a deterministic function of the ingest stream. The pool is
-// settled first (Wait) so no queued diagnosis loses its environment
-// mid-flight; eviction then detaches the instance from the shared
-// service and drops the serving state for the garbage collector.
+// IdleBatches admitted batches, not being applied to (their lock is
+// free) and holding no gated detections. It runs after every applied
+// batch, under Node.mu, so no handler fetches an instance meanwhile.
+// The pool is settled first (Wait) so no queued diagnosis loses its
+// environment mid-flight; eviction then detaches the instance from the
+// shared service, marks it gone for a handler already holding it, and
+// drops the serving state for the garbage collector.
 func (n *Node) sweepIdle() {
 	h := int64(n.cfg.IdleBatches)
 	if h <= 0 {
 		return
 	}
-	var victims []*instance
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := n.batchSeq.Load()
+	var victims []*instance
 	for _, in := range n.instances {
-		if n.batchSeq-in.lastSeq >= h && in.Monitor.Pending() == 0 {
+		if now-in.lastSeq < h || !in.mu.TryLock() {
+			continue
+		}
+		if in.Monitor.Pending() == 0 {
 			victims = append(victims, in)
+		} else {
+			in.mu.Unlock()
 		}
 	}
-	n.mu.Unlock()
 	if len(victims) == 0 {
 		return
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	n.svc.Wait()
 	for _, in := range victims {
-		in.Detach(n.svc)
-		n.mu.Lock()
-		delete(n.instances, keyOfID(in.ID))
-		n.mu.Unlock()
-		n.tel.evicted.Inc()
+		n.evict(in)
+		in.mu.Unlock()
 	}
+}
+
+// evict detaches in from the service, marks it gone and drops it from
+// the node. The caller holds Node.mu and in.mu, and no diagnosis of in
+// is queued or running.
+func (n *Node) evict(in *instance) {
+	in.Detach(n.svc)
+	in.gone = true
+	delete(n.instances, keyOfID(in.ID))
+	n.tel.evicted.Inc()
 }
 
 // InstanceCount reports the resident tenant instances — the bound the
@@ -437,15 +429,13 @@ func keyOfID(id string) instanceKey {
 }
 
 // instanceFor returns (building on first contact) the serving state for
-// the scoped instance and restarts its idle clock. Only the intake
-// worker calls it.
-func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
+// the scoped instance and restarts its idle clock at seq.
+func (n *Node) instanceFor(tenant, inst string, seq int64) (*instance, error) {
 	key := keyOf(tenant, inst)
 	n.mu.Lock()
-	in := n.instances[key]
-	n.mu.Unlock()
-	if in != nil {
-		in.lastSeq = n.batchSeq
+	defer n.mu.Unlock()
+	if in := n.instances[key]; in != nil {
+		in.lastSeq = max(in.lastSeq, seq)
 		return in, nil
 	}
 	id := fleet.ScopedInstance(tenant, inst)
@@ -453,25 +443,18 @@ func (n *Node) instanceFor(tenant, inst string) (*instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("api: building environment for %s: %w", id, err)
 	}
-	in = &instance{
+	in := &instance{
 		Instance: fleet.Instance{ID: id, Testbed: tb, Monitor: monitor.New(monitor.Config{})},
-		lastSeq:  n.batchSeq,
+		lastSeq:  seq,
 	}
 	in.Attach(n.svc, n.cfg.SymDB)
-	n.mu.Lock()
 	n.instances[key] = in
-	n.mu.Unlock()
 	return in, nil
 }
 
 // applySamples lands a sample batch in the instance's store and
 // advances its watermark, releasing any gated detections it covers.
-func (n *Node) applySamples(b *SampleBatch, traceID string) {
-	in, err := n.instanceFor(b.Tenant, b.Instance)
-	if err != nil {
-		n.tel.applyErr.Inc()
-		return
-	}
+func (n *Node) applySamples(in *instance, b *SampleBatch, traceID string) {
 	// Sort by time so interleaved series in one batch cannot trip the
 	// store's per-series ordering check. Agents post in time order, so
 	// the sort itself is the rare case.
@@ -542,12 +525,7 @@ func (n *Node) release(in *instance, traceID string) {
 // the same catalog — whose memo plans each query once per catalog,
 // parameter and statistics version. A run whose posted operators
 // disagree with that plan is counted and applied all the same.
-func (n *Node) applyRuns(b *RunBatch) {
-	in, err := n.instanceFor(b.Tenant, b.Instance)
-	if err != nil {
-		n.tel.applyErr.Inc()
-		return
-	}
+func (n *Node) applyRuns(in *instance, b *RunBatch) {
 	tb := in.Testbed
 	for i := range b.Runs {
 		wr := &b.Runs[i]
@@ -566,12 +544,7 @@ func (n *Node) applyRuns(b *RunBatch) {
 
 // applyEvents queues each posted change in time order; those the
 // instance's watermark has already reached apply at once.
-func (n *Node) applyEvents(b *EventBatch) {
-	in, err := n.instanceFor(b.Tenant, b.Instance)
-	if err != nil {
-		n.tel.applyErr.Inc()
-		return
-	}
+func (n *Node) applyEvents(in *instance, b *EventBatch) {
 	for i := range b.Events {
 		in.pending = append(in.pending, b.Events[i].event())
 	}

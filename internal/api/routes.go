@@ -23,15 +23,15 @@ import (
 // this against a telemetry server) or drive it directly in tests.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	ingest := func(pattern, name string, h tracedHandler) {
+	traced := func(pattern, name string, h tracedHandler) {
 		mux.Handle(pattern, n.wrap(name, h))
 	}
 	route := func(pattern, name string, h http.HandlerFunc) {
-		ingest(pattern, name, func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) })
+		traced(pattern, name, func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) })
 	}
-	ingest("POST /v1/ingest/samples", "ingest_samples", n.handleIngestSamples)
-	ingest("POST /v1/ingest/runs", "ingest_runs", n.handleIngestRuns)
-	ingest("POST /v1/ingest/events", "ingest_events", n.handleIngestEvents)
+	traced("POST /v1/ingest/samples", "ingest_samples", n.handleIngestSamples)
+	route("POST /v1/ingest/runs", "ingest_runs", n.handleIngestRuns)
+	route("POST /v1/ingest/events", "ingest_events", n.handleIngestEvents)
 	route("GET /v1/incidents", "incidents", n.handleIncidents)
 	route("GET /v1/incidents/{id}", "incident", n.handleIncident)
 	route("GET /v1/candidates", "candidates", n.handleCandidates)
@@ -42,7 +42,7 @@ func (n *Node) Handler() http.Handler {
 }
 
 // tracedHandler is a route handler that is handed the request's trace
-// ID, which ingest threads through to the diagnosis trace.
+// ID, which sample ingest threads through to the diagnosis trace.
 type tracedHandler func(w http.ResponseWriter, r *http.Request, traceID string)
 
 // statusWriter captures the response code for the outcome metric.
@@ -169,9 +169,9 @@ func (in *ingestBuf) release() {
 }
 
 // sampleBatchPool recycles decoded sample batches, for their Samples
-// arrays: a batch goes back once the intake worker has applied it, or
-// from the handler when it was never queued. Like maxPooledBody, the
-// pool keeps no array longer than the scanner would size up front.
+// arrays: the handler puts its batch back when it answers. Like
+// maxPooledBody, the pool keeps no array longer than the scanner would
+// size up front.
 var sampleBatchPool = sync.Pool{New: func() any { return new(SampleBatch) }}
 
 func (b *SampleBatch) recycle() {
@@ -259,13 +259,13 @@ func usable(w http.ResponseWriter, decodeErr error, b interface{ validate() erro
 	return true
 }
 
-// acceptIngest enqueues a parsed batch, mapping queue states to the
-// backpressure contract: 202 queued, 429 + Retry-After full, 503
-// draining. It reports whether the batch was queued — from then on it
-// is the intake worker's. The body in has been decoded and is spent;
-// the 202 reply is built in its buffer.
-func (n *Node) acceptIngest(w http.ResponseWriter, in *ingestBuf, j intakeJob, accepted int) bool {
-	err := n.enqueue(j)
+// ingest applies a parsed batch with f on its instance, mapping the
+// node's state to the backpressure contract: 202 applied, 429 +
+// Retry-After when QueueDepth batches wait to apply, 503 draining. The
+// body in has been decoded and is spent; the 202 reply is built in its
+// buffer.
+func (n *Node) ingest(w http.ResponseWriter, in *ingestBuf, tenant, inst string, accepted int, f func(*instance)) {
+	depth, err := n.apply(tenant, inst, f)
 	switch {
 	case errors.Is(err, errDraining):
 		n.tel.rejected[reasonDraining].Inc()
@@ -277,9 +277,8 @@ func (n *Node) acceptIngest(w http.ResponseWriter, in *ingestBuf, j intakeJob, a
 	default:
 		n.tel.batches.Inc()
 		in.body.Reset()
-		writeAccepted(w, in.body.AvailableBuffer(), accepted, len(n.intake))
+		writeAccepted(w, in.body.AvailableBuffer(), accepted, depth)
 	}
-	return err == nil
 }
 
 // writeAccepted writes the 202 reply byte for byte as writeJSON would
@@ -303,38 +302,36 @@ func (n *Node) handleIngestSamples(w http.ResponseWriter, r *http.Request, trace
 	}
 	defer in.release()
 	b := sampleBatchPool.Get().(*SampleBatch)
-	if !usable(w, in.decodeSamples(b), b) ||
-		!n.acceptIngest(w, in, intakeJob{samples: b, traceID: traceID}, len(b.Samples)) {
-		b.recycle()
+	defer b.recycle()
+	if usable(w, in.decodeSamples(b), b) {
+		n.ingest(w, in, b.Tenant, b.Instance, len(b.Samples), func(inst *instance) { n.applySamples(inst, b, traceID) })
 	}
 }
 
-func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request, traceID string) {
+func (n *Node) handleIngestRuns(w http.ResponseWriter, r *http.Request) {
 	in := n.readBody(w, r)
 	if in == nil {
 		return
 	}
 	defer in.release()
 	b := new(RunBatch)
-	if !usable(w, in.decodeRuns(b), b) {
-		return
+	if usable(w, in.decodeRuns(b), b) {
+		n.ingest(w, in, b.Tenant, b.Instance, len(b.Runs), func(inst *instance) { n.applyRuns(inst, b) })
 	}
-	n.acceptIngest(w, in, intakeJob{runs: b, traceID: traceID}, len(b.Runs))
 }
 
 // handleIngestEvents stays on encoding/json alone: a tenant-day posts a
 // handful of events against tens of thousands of samples.
-func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request, traceID string) {
+func (n *Node) handleIngestEvents(w http.ResponseWriter, r *http.Request) {
 	in := n.readBody(w, r)
 	if in == nil {
 		return
 	}
 	defer in.release()
 	b := new(EventBatch)
-	if !usable(w, decodeStrict(in.body.Bytes(), b), b) {
-		return
+	if usable(w, decodeStrict(in.body.Bytes(), b), b) {
+		n.ingest(w, in, b.Tenant, b.Instance, len(b.Events), func(inst *instance) { n.applyEvents(inst, b) })
 	}
-	n.acceptIngest(w, in, intakeJob{events: b, traceID: traceID}, len(b.Events))
 }
 
 // IncidentView is the query-route rendering of one open incident — the

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -254,26 +253,13 @@ func TestInternTableBounded(t *testing.T) {
 	}
 }
 
-// stallWorker parks the node's intake worker until the returned func is
-// called, so every accepted batch stays queued and IngestReply's
-// queue_depth counts them exactly.
-func stallWorker(t testing.TB, node *Node) (resume func()) {
-	t.Helper()
-	block := make(chan struct{})
-	if err := node.enqueue(intakeJob{block: block}); err != nil {
-		t.Fatalf("enqueue block: %v", err)
-	}
-	for len(node.intake) > 0 { // until the worker has taken the block job
-		runtime.Gosched()
-	}
-	return func() { close(block) }
-}
-
 // TestIngestHandlerParity drives the real handlers over the seed corpus
 // and every truncation of the canonical bodies, on all three ingest
 // routes, and requires status and body byte-identical to a reference
 // that never runs the scanner: decodeStrict (encoding/json plus the
 // trailing-data rule), then the handlers' own validation and replies.
+// The posts come one at a time, so each accepted one was the only batch
+// waiting to apply: its queue_depth is 1.
 func TestIngestHandlerParity(t *testing.T) {
 	type post struct {
 		name string
@@ -296,12 +282,11 @@ func TestIngestHandlerParity(t *testing.T) {
 		"/v1/ingest/runs":    func() batch { return new(RunBatch) },
 		"/v1/ingest/events":  func() batch { return new(EventBatch) },
 	}
-	node := New(Config{Seed: testSeed, QueueDepth: len(routes)*len(posts) + 1})
+	node := New(Config{Seed: testSeed})
 	defer node.Shutdown()
-	defer stallWorker(t, node)()
 	h := node.Handler()
 
-	depth, accepted := 0, 0
+	accepted := 0
 	for _, p := range posts {
 		for route, newBatch := range routes {
 			got := httptest.NewRecorder()
@@ -310,8 +295,7 @@ func TestIngestHandlerParity(t *testing.T) {
 			want := httptest.NewRecorder()
 			b := newBatch()
 			if usable(want, decodeStrict(p.body, b), b) {
-				depth++
-				writeJSON(want, http.StatusAccepted, IngestReply{Accepted: b.size(), QueueDepth: depth})
+				writeJSON(want, http.StatusAccepted, IngestReply{Accepted: b.size(), QueueDepth: 1})
 			}
 			if got.Code != want.Code || got.Body.String() != want.Body.String() {
 				t.Errorf("%s on %s:\n handler   %d %s reference %d %s",
@@ -434,9 +418,11 @@ func TestOutOfOrderBatchSorted(t *testing.T) {
 		if err := node.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
-		in, err := node.instanceFor("t", "i")
-		if err != nil || in == nil {
-			t.Fatalf("instance not built: %v", err)
+		node.mu.Lock()
+		in := node.instances[keyOf("t", "i")]
+		node.mu.Unlock()
+		if in == nil {
+			t.Fatal("instance not built")
 		}
 		stores[n] = make(map[string][]float64)
 		total := 0

@@ -119,12 +119,14 @@ type EventBatch struct {
 	Events   []WireEvent `json:"events"`
 }
 
-// IngestReply acknowledges an accepted ingest batch (HTTP 202): the
-// batch is queued for ordered application, not yet applied.
+// IngestReply acknowledges an ingest batch the node has applied (HTTP
+// 202).
 type IngestReply struct {
 	Accepted int `json:"accepted"`
-	// QueueDepth is the intake queue depth after enqueueing, the
-	// client-visible backpressure signal short of a 429.
+	// QueueDepth counts the batches admitted and not yet applied when
+	// this one was admitted, itself included: 1 for a client posting one
+	// batch at a time. It is the client-visible backpressure signal
+	// short of a 429, which answers a batch once Config.QueueDepth wait.
 	QueueDepth int `json:"queue_depth"`
 }
 
@@ -190,9 +192,9 @@ func (wr *WireRun) matchesPlan(p *plan.Plan) bool {
 	return true
 }
 
-// The validate methods reject batches the intake worker cannot use
-// before they reach it, so a bad batch fails at the request with a 400
-// (the error is the reply) instead of silently corrupting an instance's
+// The validate methods reject batches the node cannot use before they
+// are applied, so a bad batch fails at the request with a 400 (the
+// error is the reply) instead of silently corrupting an instance's
 // baseline.
 
 var errNoInstance = errors.New("batch missing instance")

@@ -99,12 +99,7 @@ func TestPlanMismatchCounted(t *testing.T) {
 	defer node.Shutdown()
 	before := node.tel.mismatch.Value()
 	runs := &RunBatch{Tenant: "acme", Instance: "db-1", Runs: []WireRun{agreeing, disagreeing}}
-	if err := node.enqueue(intakeJob{runs: runs}); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	postBatch(t, node, "/v1/ingest/runs", runs)
 	if got := node.tel.mismatch.Value() - before; got != 1 {
 		t.Errorf("plan mismatches counted = %d, want 1", got)
 	}

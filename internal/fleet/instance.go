@@ -11,8 +11,8 @@ import (
 // Instance is one database+SAN deployment and the single owner of its
 // evidence: a testbed (simulated, or filled by HTTP ingest) and the
 // monitor attached to its run stream. Both drivers — the fleet's loop
-// and the API's intake worker — advance this one runtime, never from two
-// goroutines at once.
+// and the API's ingest requests, each holding the instance's lock —
+// advance this one runtime, never from two goroutines at once.
 type Instance struct {
 	// ID scopes the instance's jobs and incidents in a shared service:
 	// unique in a fleet, and empty for a lone instance (the online driver).

@@ -36,7 +36,7 @@ func SplitScoped(id string) (tenant, instance string) {
 // lifecycle for drivers outside the fleet's epoch exchange — the HTTP
 // serving surface in particular. The unexported learner has no locking
 // of its own (the exchange drives it under its mutex at epoch folds);
-// Learner adds the mutex so API handlers, the monitor's intake worker,
+// Learner adds the mutex so API handlers, the diagnosis pool's workers
 // and an operator's ack can interleave safely.
 type Learner struct {
 	mu sync.Mutex

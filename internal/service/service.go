@@ -344,8 +344,8 @@ func (s *Service) AddInstance(id string, env Env) {
 // tenant idle-out). Safe to call while the service is running, but the
 // caller must guarantee no job for the instance is queued or in flight
 // (the fleet removes only idle instances with empty gates, between
-// steps; the API's
-// single intake worker removes only idle instances), or subsequent
+// steps; the API's idle sweep only instances no request is applying to,
+// after settling the pool), or subsequent
 // diagnoses fail with an unknown environment. Removal changes memory
 // only: cached artifacts are pure functions of instance state, so a
 // later re-registration recomputes identical values.
