@@ -36,7 +36,8 @@
 // text), /healthz, /traces (per-slowdown span streams), and
 // /debug/pprof. Structured events go to stderr through log/slog
 // (-log-json for one JSON object per line). The end-of-run summary is
-// the same registry snapshot /metrics serves, rendered for the console.
+// the same registry snapshot /metrics serves, rendered for the console
+// on stderr, so stdout carries only the report.
 // The daemon also watches itself: its per-diagnosis wall times feed a
 // dedicated self-monitor whose slowdown events — diadsd diagnosing
 // diadsd — are logged like any other detection. -linger keeps the
@@ -136,7 +137,7 @@ func main() {
 			os.Exit(1)
 		}
 		drainSelf(self, logger)
-		fmt.Println(telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
+		fmt.Fprintln(os.Stderr, telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
 		return
 	}
 	if set["idle-batches"] {
@@ -195,8 +196,9 @@ func main() {
 	drainSelf(self, logger)
 	// One snapshot render for the console — the same data /metrics
 	// serves, so the end-of-run summary and the scrape surface cannot
-	// drift.
-	fmt.Println(telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
+	// drift. It goes to stderr with the log: its wall-time histograms
+	// differ from run to run, and the report on stdout does not.
+	fmt.Fprintln(os.Stderr, telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
 
 	if *linger {
 		logger.Info("run complete, lingering for scrapes", "signal", "SIGINT/SIGTERM to exit")
