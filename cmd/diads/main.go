@@ -94,8 +94,8 @@ func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath str
 	if show("workflow") {
 		fmt.Println(console.WorkflowScreen(w))
 	}
-	if show("timing") {
-		fmt.Println(console.TimingPanel(res.Trace))
+	if show("timing") { // wall times differ run to run: off the report
+		fmt.Fprintln(os.Stderr, console.TimingPanel(res.Trace))
 	}
 	if show("telemetry") {
 		// The same snapshot render diadsd prints and /metrics serves:

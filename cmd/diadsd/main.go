@@ -428,8 +428,8 @@ func run(seed int64, workers int, chunkMin float64, reportEvery, runs int, quiet
 		fmt.Println()
 		fmt.Println(top.Result.Render())
 	}
-	if top.Trace != nil {
-		fmt.Println(console.TimingPanel(top.Trace))
+	if top.Trace != nil { // wall times differ run to run: off the report
+		fmt.Fprintln(os.Stderr, console.TimingPanel(top.Trace))
 	}
 	return nil
 }

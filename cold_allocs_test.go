@@ -14,29 +14,29 @@ import (
 // most 10 % headroom. A change that needs more allocations raises the
 // ceiling in the open, with its reason; one that needs fewer lowers it.
 var coldDiagnosisAllocs = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     132,
-	diads.ScenarioTwoPools:         118,
-	diads.ScenarioDataProperty:     124,
-	diads.ScenarioConcurrentFaults: 138,
-	diads.ScenarioLockingNoise:     118,
-	diads.ScenarioPlanRegression:   160,
-	diads.ScenarioCPUSaturation:    113,
-	diads.ScenarioDiskFailure:      126,
-	diads.ScenarioRAIDRebuild:      123,
+	diads.ScenarioSANMisconfig:     55,
+	diads.ScenarioTwoPools:         48,
+	diads.ScenarioDataProperty:     53,
+	diads.ScenarioConcurrentFaults: 61,
+	diads.ScenarioLockingNoise:     48,
+	diads.ScenarioPlanRegression:   159,
+	diads.ScenarioCPUSaturation:    47,
+	diads.ScenarioDiskFailure:      52,
+	diads.ScenarioRAIDRebuild:      50,
 }
 
 // coldDiagnosisBytes is the byte budget of the same diagnoses, set the
 // same way: the bytes measured per diagnosis plus at most 10 %.
 var coldDiagnosisBytes = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     51310,
-	diads.ScenarioTwoPools:         47726,
-	diads.ScenarioDataProperty:     46213,
-	diads.ScenarioConcurrentFaults: 53367,
-	diads.ScenarioLockingNoise:     46644,
-	diads.ScenarioPlanRegression:   60041,
-	diads.ScenarioCPUSaturation:    44198,
-	diads.ScenarioDiskFailure:      47234,
-	diads.ScenarioRAIDRebuild:      46538,
+	diads.ScenarioSANMisconfig:     45625,
+	diads.ScenarioTwoPools:         42977,
+	diads.ScenarioDataProperty:     41674,
+	diads.ScenarioConcurrentFaults: 47473,
+	diads.ScenarioLockingNoise:     42105,
+	diads.ScenarioPlanRegression:   59838,
+	diads.ScenarioCPUSaturation:    40064,
+	diads.ScenarioDiskFailure:      42149,
+	diads.ScenarioRAIDRebuild:      41595,
 }
 
 // TestColdDiagnosisAllocs holds every scenario's cold diagnosis (no APG

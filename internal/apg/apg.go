@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"diads/internal/dbsys"
 	"diads/internal/exec"
@@ -59,13 +60,13 @@ type Leaf struct {
 // configuration (Section 3.1.1).
 //
 // The fabric search depends only on (server, volume), so it runs once per
-// distinct volume, all searches sharing one set of buffers. An interior
-// operator depends on the server, the database instance and everything
-// its descendants depend on: its paths are the de-duplicated
-// concatenation of its leaves' volume paths in depth-first order, and
-// since a repeated volume adds nothing, they are a function of the
-// sequence of distinct volumes under it. Build derives them once per such
-// sequence.
+// distinct volume. An interior operator depends on the server, the
+// database instance and everything its descendants depend on: its paths
+// are the de-duplicated concatenation of its leaves' volume paths in
+// depth-first order, and since a repeated volume adds nothing, they are
+// a function of the sequence of distinct volumes under it. Build derives
+// them once per such sequence. Its search buffers and working lists come
+// from a pool, so it allocates only memory the graph keeps.
 func Build(p *plan.Plan, cfg *topology.Config, cat *dbsys.Catalog, server topology.ID) (*APG, error) {
 	nLeaves := 0
 	for _, n := range p.Nodes() {
@@ -80,8 +81,10 @@ func Build(p *plan.Plan, cfg *topology.Config, cat *dbsys.Catalog, server topolo
 		leaves: make([]Leaf, 0, nLeaves),
 		paths:  make([]topology.DependencyPath, p.NumOperators()),
 	}
-	b := builder{g: g}
-	finder := cfg.PathFinder(server)
+	b := builders.Get().(*builder)
+	defer b.release()
+	b.g = g
+	b.finder.Reset(cfg, server)
 	size := 0 // the leaves' paths, in IDs
 	for _, n := range p.Nodes() {
 		if !n.IsLeaf() {
@@ -93,7 +96,8 @@ func Build(p *plan.Plan, cfg *topology.Config, cat *dbsys.Catalog, server topolo
 		}
 		v := slices.Index(b.vols, vol)
 		if v < 0 {
-			dp, err := finder.VolumeDependencyPath(vol)
+			var dp topology.DependencyPath
+			b.ids, dp, err = b.finder.AppendVolumeDependencyPath(b.ids, vol)
 			if err != nil {
 				return nil, fmt.Errorf("apg: leaf O%d on %s: %w", n.ID, vol, err)
 			}
@@ -134,13 +138,31 @@ func Build(p *plan.Plan, cfg *topology.Config, cat *dbsys.Catalog, server topolo
 	return g, nil
 }
 
-// builder holds Build's working state for the interior operators.
+// builder holds Build's working state. Builders are recycled through
+// builders; the graph keeps none of their memory. volPaths and the
+// memo's sequences are slices of ids and seqs, which stay valid as those
+// grow: append copies them, and never writes the old array again.
 type builder struct {
 	g        *APG
+	finder   topology.PathFinder
 	vols     []topology.ID             // distinct volumes, first-seen plan order
 	volPaths []topology.DependencyPath // each volume's paths, by index in vols
+	ids      []topology.ID             // the volumes' paths, back to back
 	seq      []int                     // walk's stack of volume indexes
 	memo     []sequencePath            // interior paths derived so far
+	seqs     []int                     // the memo's sequences, back to back
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// release empties b, drops its references into the graph and to the
+// configuration, and returns it to builders.
+func (b *builder) release() {
+	clear(b.memo)
+	b.g, b.vols, b.volPaths, b.ids = nil, b.vols[:0], b.volPaths[:0], b.ids[:0]
+	b.seq, b.memo, b.seqs = b.seq[:0], b.memo[:0], b.seqs[:0]
+	b.finder.Reset(nil, "")
+	builders.Put(b)
 }
 
 // sequencePath is the paths of the interior operators whose leaves read
@@ -186,37 +208,40 @@ func (b *builder) absorb(base int, n *plan.Node) {
 // interiorPath returns the paths of an interior operator whose leaves
 // read the distinct volumes seq in that order: the server and database
 // instance, then each volume's inner path, skipping components already
-// listed; the outer path likewise.
+// listed; the outer path likewise. Both are carved from one array.
 func (b *builder) interiorPath(seq []int) topology.DependencyPath {
 	for _, m := range b.memo {
 		if slices.Equal(m.seq, seq) {
 			return m.dp
 		}
 	}
-	nIn, nOut := 2, 0
+	size := 2
 	for _, v := range seq {
-		nIn += len(b.volPaths[v].Inner)
-		nOut += len(b.volPaths[v].Outer)
+		size += len(b.volPaths[v].Inner) + len(b.volPaths[v].Outer)
 	}
-	inner := append(make([]topology.ID, 0, nIn), b.g.Server, DBComponent)
-	var outer []topology.ID
+	inner := append(make([]topology.ID, 0, size), b.g.Server, DBComponent)
 	for _, v := range seq {
 		for _, id := range b.volPaths[v].Inner {
 			if !slices.Contains(inner, id) {
 				inner = append(inner, id)
 			}
 		}
+	}
+	outer := inner[len(inner):len(inner)]
+	for _, v := range seq {
 		for _, id := range b.volPaths[v].Outer {
 			if !slices.Contains(outer, id) {
-				if outer == nil {
-					outer = make([]topology.ID, 0, nOut)
-				}
 				outer = append(outer, id)
 			}
 		}
 	}
-	dp := topology.DependencyPath{Inner: slices.Clip(inner), Outer: slices.Clip(outer)}
-	b.memo = append(b.memo, sequencePath{seq: slices.Clone(seq), dp: dp})
+	dp := topology.DependencyPath{Inner: slices.Clip(inner)}
+	if len(outer) > 0 {
+		dp.Outer = slices.Clip(outer)
+	}
+	from := len(b.seqs)
+	b.seqs = append(b.seqs, seq...)
+	b.memo = append(b.memo, sequencePath{seq: b.seqs[from:], dp: dp})
 	return dp
 }
 

@@ -28,7 +28,8 @@ func CorrelatedRecordCounts(in *Input, p *plan.Plan, co *COResult) (*CRResult, e
 	res := &CRResult{Scores: make([]OperatorScore, 0, len(co.COS)), TableScores: make(map[string]float64)}
 	threshold := in.threshold()
 	// Reused across operators; kde copies what it keeps.
-	var satCounts, unsatCounts []float64
+	counts := make([]float64, len(sat)+len(unsat))
+	satCounts, unsatCounts := counts[:0:len(sat)], counts[len(sat):len(sat)]
 	for _, opID := range co.COS {
 		node, ok := p.Node(opID)
 		if !ok {

@@ -140,17 +140,27 @@ type daScratch struct {
 var daScratches = sync.Pool{New: func() any { return new(daScratch) }}
 
 // appendCandidateComponents appends to dst, sorted and without
-// duplicates, the components on the dependency paths of the correlated
-// operators: the inner paths, the outer paths (volumes sharing disks),
-// and — because outer-path volumes matter precisely when disks are
-// shared — every volume of the pools those paths traverse. The paths
-// repeat components, which the sort brings together; dst must be empty,
-// as the sort takes in all of it.
+// duplicates, the components on the inner and outer dependency paths of
+// the correlated operators. An operator's paths are the server, the
+// database and its leaves' volumes' paths, so DA takes each volume read
+// under a correlated operator once, from the first leaf reading it. dst
+// must be empty, as the sort takes in all of it.
 func appendCandidateComponents(dst []topology.ID, g *apg.APG, co *COResult) []topology.ID {
-	for _, opID := range co.COS {
-		dp := g.DependencyPath(opID)
-		dst = append(dst, dp.Inner...)
-		dst = append(dst, dp.Outer...)
+	if slices.ContainsFunc(co.COS, func(id int) bool { _, ok := g.Plan.Node(id); return ok }) {
+		dst = append(dst, g.Server, apg.DBComponent)
+	}
+	vols := make([]topology.ID, 0, 16) // a plan reads a few volumes
+	for _, leaf := range g.Leaves() {
+		id := leaf.ID // climbs to the leaf's lowest correlated operator, or 0
+		for id != 0 && !co.InCOS(id) {
+			id = g.Plan.ParentID(id)
+		}
+		if id == 0 || slices.Contains(vols, leaf.Volume) {
+			continue
+		}
+		vols = append(vols, leaf.Volume)
+		dp := g.DependencyPath(leaf.ID)
+		dst = append(append(dst, dp.Inner...), dp.Outer...)
 	}
 	slices.Sort(dst)
 	return slices.Compact(dst)

@@ -2,9 +2,11 @@ package diag_test
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"diads/internal/apg"
 	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/experiments"
@@ -107,5 +109,58 @@ func TestDAScoresBitIdenticalToPerCallReference(t *testing.T) {
 	}
 	if scored == 0 {
 		t.Fatal("no scenario produced DA scores; the comparison was vacuous")
+	}
+}
+
+// refCandidateComponents is Module DA's candidate set derived the long
+// way: every correlated operator's inner and outer paths, concatenated,
+// sorted and compacted.
+func refCandidateComponents(g *apg.APG, cos []int) []topology.ID {
+	var out []topology.ID
+	for _, id := range cos {
+		dp := g.DependencyPath(id)
+		out = append(append(out, dp.Inner...), dp.Outer...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestCandidateComponentsMatchConcatenation holds DA's candidate set,
+// the union of the volume paths under the correlated operators plus the
+// server and the database, to the long way over the nine scenarios at
+// seeds 1, 7 and 42: for the diagnosis's own COS, and for a COS of each
+// single operator ID, including two the plan does not have.
+func TestCandidateComponentsMatchConcatenation(t *testing.T) {
+	for id := experiments.S1SANMisconfig; id <= experiments.SRAIDRebuild; id++ {
+		for _, seed := range []int64{1, 7, 42} {
+			sc, err := experiments.Build(id, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := diag.Diagnose(sc.Input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := res.APG
+			if g == nil { // plan regression: PD short-circuits; take the last run's plan
+				in := sc.Input
+				if g, err = apg.Build(in.Runs[len(in.Runs)-1].Plan, in.Cfg, in.Cat, in.Server); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var cases [][]int
+			if res.CO != nil {
+				cases = append(cases, res.CO.COS)
+			}
+			for op := 0; op <= g.Plan.NumOperators()+1; op++ {
+				cases = append(cases, []int{op})
+			}
+			for _, cos := range cases {
+				got := diag.AppendCandidateComponents(nil, g, &diag.COResult{COS: cos})
+				if want := refCandidateComponents(g, cos); !slices.Equal(got, want) {
+					t.Errorf("S%d seed %d, COS %v: candidates %v, reference %v", id, seed, cos, got, want)
+				}
+			}
+		}
 	}
 }

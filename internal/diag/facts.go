@@ -93,7 +93,7 @@ func addComponentFacts(fb *symptoms.FactBuilder, da *DAResult) {
 // the level can.
 func addCPULevelFact(fb *symptoms.FactBuilder, in *Input) {
 	_, unsat := in.windows()
-	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, unsat, nil)
+	vals := in.Store.WindowMeans(string(in.Server), metrics.SrvCPUUsagePct, unsat, make([]float64, 0, 64))
 	if len(vals) == 0 {
 		return
 	}
@@ -183,7 +183,7 @@ func addDerivedDAFacts(fb *symptoms.FactBuilder, in *Input, da *DAResult) {
 			// whose own I/O grew does not.
 			if s.Metric == metrics.StTotalIOs {
 				var max float64
-				for _, sib := range in.Cfg.SharingVolumes(topology.ID(s.Component)) {
+				for _, sib := range in.Cfg.AppendSharingVolumes(make([]topology.ID, 0, 8), topology.ID(s.Component)) {
 					if sc := da.ScoreOf(string(sib), metrics.StTotalIOs); sc > max {
 						max = sc
 					}
@@ -270,7 +270,7 @@ func appendBindings(dst []symptoms.Binding, in *Input, g *apg.APG) []symptoms.Bi
 	}
 	for _, vol := range g.Volumes() {
 		addVolume(vol)
-		for _, neighbour := range in.Cfg.SharingVolumes(vol) {
+		for _, neighbour := range in.Cfg.AppendSharingVolumes(make([]topology.ID, 0, 8), vol) {
 			addVolume(neighbour)
 		}
 	}

@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -88,11 +89,8 @@ func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.Cause
 		}
 		res.Items = append(res.Items, ImpactItem{Cause: cause, Score: score, Ops: ops})
 	}
-	sort.SliceStable(res.Items, func(i, j int) bool {
-		if res.Items[i].Cause.Confidence != res.Items[j].Cause.Confidence {
-			return res.Items[i].Cause.Confidence > res.Items[j].Cause.Confidence
-		}
-		return res.Items[i].Score > res.Items[j].Score
+	slices.SortStableFunc(res.Items, func(a, b ImpactItem) int {
+		return cmp.Or(cmp.Compare(b.Cause.Confidence, a.Cause.Confidence), cmp.Compare(b.Score, a.Score))
 	})
 	return res, nil
 }
@@ -107,7 +105,7 @@ func operatorsFor(in *Input, g *apg.APG, co *COResult, cause symptoms.CauseInsta
 		vol := topology.ID(cause.Subject)
 		// The cause's subject volume affects the leaves reading any
 		// volume sharing its disks (including itself).
-		sharing := in.Cfg.SharingVolumes(vol)
+		sharing := in.Cfg.AppendSharingVolumes(make([]topology.ID, 0, 8), vol)
 		for _, leaf := range g.Leaves() {
 			if (leaf.Volume == vol || slices.Contains(sharing, leaf.Volume)) && co.InCOS(leaf.ID) {
 				out = append(out, leaf.ID)

@@ -3,7 +3,6 @@ package topology
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -324,15 +323,16 @@ func (c *Config) VolumesInPool(pool ID) []ID {
 	return c.ChildrenOfKind(pool, KindVolume)
 }
 
-// SharingVolumes returns the other volumes that share disks with volume
-// (i.e. the rest of its pool), the core of the paper's outer dependency
-// path example.
-func (c *Config) SharingVolumes(volume ID) []ID {
-	out := slices.DeleteFunc(c.VolumesInPool(c.PoolOf(volume)), func(v ID) bool { return v == volume })
-	if len(out) == 0 {
-		return nil
+// AppendSharingVolumes appends to dst the other volumes that share disks
+// with volume (i.e. the rest of its pool), in ID order: the core of the
+// paper's outer dependency path example.
+func (c *Config) AppendSharingVolumes(dst []ID, volume ID) []ID {
+	for _, v := range c.children[c.PoolOf(volume)] {
+		if v != volume && c.components[v].Kind == KindVolume {
+			dst = append(dst, v)
+		}
 	}
-	return out
+	return dst
 }
 
 // ServersMappedTo returns the servers with LUN access to the volume.

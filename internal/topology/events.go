@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"diads/internal/simtime"
@@ -69,27 +69,36 @@ func (e Event) String() string {
 // EventLog is an append-only, time-ordered record of events. It is safe
 // for concurrent use.
 type EventLog struct {
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// events is in time order, events at one time in record order. An
+	// element All has handed out is never written again.
 	events []Event
 }
 
-// Record appends an event. Events may be recorded out of order; queries
-// sort lazily. Environments record through testbed.Apply, which makes
-// the change first.
+// Record adds an event. Events may be recorded out of order: each goes
+// after every event at or before its time, and one that goes before the
+// last goes into a fresh array. Environments record through
+// testbed.Apply, which makes the change first.
 func (l *EventLog) Record(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, e)
+	i := len(l.events)
+	for i > 0 && l.events[i-1].T > e.T {
+		i--
+	}
+	if i == len(l.events) {
+		l.events = append(l.events, e)
+	} else {
+		l.events = slices.Insert(slices.Clip(l.events), i, e)
+	}
 }
 
-// All returns every event in time order.
+// All returns every event in time order. The slice is shared: callers
+// must not modify it.
 func (l *EventLog) All() []Event {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
+	return slices.Clip(l.events)
 }
 
 // OfKind returns events of the given kind, in time order.

@@ -29,7 +29,8 @@ func (c *Config) FabricRoute(server, volume ID) (Route, error) {
 // switches, storage subsystem, pool P2, volume V2, and disks 5-10; the
 // outer path is the volumes sharing those disks.
 func (c *Config) VolumeDependencyPath(server, volume ID) (DependencyPath, error) {
-	return c.PathFinder(server).VolumeDependencyPath(volume)
+	_, dp, err := c.PathFinder(server).AppendVolumeDependencyPath(nil, volume)
+	return dp, err
 }
 
 // PathFinder resolves the dependency paths of one server's I/O, volume
@@ -58,24 +59,31 @@ func (c *Config) PathFinder(server ID) *PathFinder {
 	return &PathFinder{c: c, server: server}
 }
 
-// VolumeDependencyPath computes the inner and outer dependency paths of
-// the finder's server against volume; see Config.VolumeDependencyPath.
-// The paths are freshly allocated and belong to the caller.
-func (f *PathFinder) VolumeDependencyPath(volume ID) (DependencyPath, error) {
+// Reset points the finder at server's I/O in c, keeping its buffers, so
+// one finder can serve configuration after configuration.
+func (f *PathFinder) Reset(c *Config, server ID) { f.c, f.server = c, server }
+
+// AppendVolumeDependencyPath appends the inner and then the outer
+// dependency path of the finder's server against volume (see
+// Config.VolumeDependencyPath) to dst, and returns dst and the paths, as
+// slices of it with their capacities clipped.
+func (f *PathFinder) AppendVolumeDependencyPath(dst []ID, volume ID) ([]ID, DependencyPath, error) {
 	route, err := f.route(volume)
 	if err != nil {
-		return DependencyPath{}, err
+		return dst, DependencyPath{}, err
 	}
 	c := f.c
 	pool := c.PoolOf(volume)
-	inner := make([]ID, 0, len(route)+2+len(c.children[pool]))
-	inner = append(inner, route...)
-	inner = append(inner, pool, volume)
-	inner = c.appendChildrenOfKind(inner, pool, KindDisk)
-	return DependencyPath{
-		Inner: inner,
-		Outer: c.SharingVolumes(volume),
-	}, nil
+	from := len(dst)
+	dst = append(append(dst, route...), pool, volume)
+	dst = c.appendChildrenOfKind(dst, pool, KindDisk)
+	mid := len(dst)
+	dst = c.AppendSharingVolumes(dst, volume)
+	dp := DependencyPath{Inner: dst[from:mid:mid]}
+	if len(dst) > mid {
+		dp.Outer = dst[mid:len(dst):len(dst)]
+	}
+	return dst, dp, nil
 }
 
 // route is FabricRoute; the returned route is the finder's buffer, valid

@@ -110,7 +110,7 @@ func TestVolumeDependencyPath(t *testing.T) {
 
 func TestSharingVolumes(t *testing.T) {
 	c := buildTestSAN(t)
-	sh := c.SharingVolumes("vol-V1")
+	sh := c.AppendSharingVolumes(nil, "vol-V1")
 	if len(sh) != 1 || sh[0] != "vol-V3" {
 		t.Fatalf("SharingVolumes(V1): got %v", sh)
 	}
