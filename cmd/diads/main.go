@@ -94,13 +94,15 @@ func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath str
 	if show("workflow") {
 		fmt.Println(console.WorkflowScreen(w))
 	}
-	if show("timing") { // wall times differ run to run: off the report
+	// Wall times differ run to run: the timing panel and the telemetry
+	// snapshot go to stderr, off the report.
+	if show("timing") {
 		fmt.Fprintln(os.Stderr, console.TimingPanel(res.Trace))
 	}
 	if show("telemetry") {
 		// The same snapshot render diadsd prints and /metrics serves:
 		// module wall histograms and outcome counters from this run.
-		fmt.Println(telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
+		fmt.Fprintln(os.Stderr, telemetry.RenderSnapshot(telemetry.Default().Snapshot()))
 	}
 	if show("report") {
 		fmt.Println(res.Render())

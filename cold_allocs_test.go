@@ -19,7 +19,7 @@ var coldDiagnosisAllocs = map[diads.ScenarioID]float64{
 	diads.ScenarioDataProperty:     53,
 	diads.ScenarioConcurrentFaults: 61,
 	diads.ScenarioLockingNoise:     48,
-	diads.ScenarioPlanRegression:   159,
+	diads.ScenarioPlanRegression:   25,
 	diads.ScenarioCPUSaturation:    47,
 	diads.ScenarioDiskFailure:      52,
 	diads.ScenarioRAIDRebuild:      50,
@@ -33,7 +33,7 @@ var coldDiagnosisBytes = map[diads.ScenarioID]float64{
 	diads.ScenarioDataProperty:     41674,
 	diads.ScenarioConcurrentFaults: 47473,
 	diads.ScenarioLockingNoise:     42105,
-	diads.ScenarioPlanRegression:   59838,
+	diads.ScenarioPlanRegression:   2788,
 	diads.ScenarioCPUSaturation:    40064,
 	diads.ScenarioDiskFailure:      42149,
 	diads.ScenarioRAIDRebuild:      41595,

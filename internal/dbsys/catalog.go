@@ -76,13 +76,14 @@ type Index struct {
 }
 
 // Catalog is the database schema plus actual data properties. It is safe
-// for concurrent use. Every mutation gives it a new Version.
+// for concurrent use. Every mutation gives it a new version
+// (Schema().Version()).
 type Catalog struct {
 	mu          sync.RWMutex
 	version     uint64
 	tables      map[string]*Table
-	indexes     map[string]*Index
 	tablespaces map[string]*Tablespace
+	schema      Schema // the optimizer-visible part, replaced on a schema change
 }
 
 // NewCatalog returns an empty catalog.
@@ -90,44 +91,18 @@ func NewCatalog() *Catalog {
 	return &Catalog{
 		version:     nextVersion(),
 		tables:      make(map[string]*Table),
-		indexes:     make(map[string]*Index),
 		tablespaces: make(map[string]*Tablespace),
 	}
 }
 
-// Version names the catalog's current state: it changes on every
-// mutation and no other catalog ever carries it.
-func (c *Catalog) Version() uint64 {
+// Schema returns the catalog's current optimizer-visible state, read
+// under one lock. It stays that state however the catalog changes later.
+func (c *Catalog) Schema() Schema {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.version
-}
-
-// Clone returns an independent copy under a fresh version. Module PD
-// replays schema events on a clone, never on the live catalog an
-// instance's driver is planning against.
-func (c *Catalog) Clone() *Catalog {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := &Catalog{
-		version:     nextVersion(),
-		tables:      make(map[string]*Table, len(c.tables)),
-		indexes:     make(map[string]*Index, len(c.indexes)),
-		tablespaces: make(map[string]*Tablespace, len(c.tablespaces)),
-	}
-	for n, t := range c.tables {
-		cp := *t
-		out.tables[n] = &cp
-	}
-	for n, ix := range c.indexes {
-		cp := *ix
-		out.indexes[n] = &cp
-	}
-	for n, ts := range c.tablespaces {
-		cp := *ts
-		out.tablespaces[n] = &cp
-	}
-	return out
+	s := c.schema
+	s.version = c.version
+	return s
 }
 
 // AddTablespace registers a tablespace on a SAN volume.
@@ -146,6 +121,7 @@ func (c *Catalog) AddTable(name, tablespace string, rows int64, rowWidthB int) e
 		return fmt.Errorf("dbsys: table %q references unknown tablespace %q", name, tablespace)
 	}
 	c.tables[name] = &Table{Name: name, Tablespace: tablespace, Rows: rows, RowWidthB: rowWidthB}
+	c.schema.widths = upsert(c.schema.widths, tableWidth{name, rowWidthB})
 	c.version = nextVersion()
 	return nil
 }
@@ -157,7 +133,7 @@ func (c *Catalog) AddIndex(name, table, column string, correlation float64) erro
 	if _, ok := c.tables[table]; !ok {
 		return fmt.Errorf("dbsys: index %q references unknown table %q", name, table)
 	}
-	c.indexes[name] = &Index{Name: name, Table: table, Column: column, Correlation: correlation}
+	c.schema.indexes = upsert(c.schema.indexes, Index{Name: name, Table: table, Column: column, Correlation: correlation})
 	c.version = nextVersion()
 	return nil
 }
@@ -174,18 +150,6 @@ func (c *Catalog) Table(name string) (*Table, bool) {
 	return &cp, true
 }
 
-// RowWidth returns the named table's row width in bytes, without the
-// copy Table makes.
-func (c *Catalog) RowWidth(name string) (int, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return 0, false
-	}
-	return t.RowWidthB, true
-}
-
 // MustTable returns the named table or panics.
 func (c *Catalog) MustTable(name string) *Table {
 	t, ok := c.Table(name)
@@ -196,72 +160,26 @@ func (c *Catalog) MustTable(name string) *Table {
 }
 
 // Index returns the named index.
-func (c *Catalog) Index(name string) (*Index, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ix, ok := c.indexes[name]
-	if !ok {
-		return nil, false
-	}
-	cp := *ix
-	return &cp, true
-}
-
-// IndexCorrelation returns the named index's correlation, without the
-// copy Index makes.
-func (c *Catalog) IndexCorrelation(name string) (float64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ix, ok := c.indexes[name]
-	if !ok {
-		return 0, false
-	}
-	return ix.Correlation, true
-}
-
-// IndexOn returns a usable (non-dropped) index on table.column, if any.
-func (c *Catalog) IndexOn(table, column string) (*Index, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var buf [16]string // a catalog has a dozen indexes
-	names := buf[:0]
-	for n := range c.indexes {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	for _, n := range names {
-		ix := c.indexes[n]
-		if ix.Table == table && ix.Column == column && !ix.Dropped {
-			cp := *ix
-			return &cp, true
-		}
-	}
-	return nil, false
-}
+func (c *Catalog) Index(name string) (Index, bool) { return c.Schema().Index(name) }
 
 // DropIndex marks an index dropped; it reports whether the index existed.
-func (c *Catalog) DropIndex(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ix, ok := c.indexes[name]
-	if !ok {
-		return false
-	}
-	ix.Dropped = true
-	c.version = nextVersion()
-	return true
-}
+func (c *Catalog) DropIndex(name string) bool { return c.setDropped(name, true) }
 
 // RestoreIndex clears the dropped flag; it reports whether the index
 // existed.
-func (c *Catalog) RestoreIndex(name string) bool {
+func (c *Catalog) RestoreIndex(name string) bool { return c.setDropped(name, false) }
+
+// setDropped sets an index's dropped flag in a new index list, so every
+// Schema already read keeps the old one.
+func (c *Catalog) setDropped(name string, dropped bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ix, ok := c.indexes[name]
+	i, ok := search(c.schema.indexes, name)
 	if !ok {
 		return false
 	}
-	ix.Dropped = false
+	c.schema.indexes = slices.Clone(c.schema.indexes)
+	c.schema.indexes[i].Dropped = dropped
 	c.version = nextVersion()
 	return true
 }

@@ -2,6 +2,7 @@ package dbsys
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -38,20 +39,20 @@ func TestTPCHCatalogShape(t *testing.T) {
 
 func TestIndexLookupAndDrop(t *testing.T) {
 	c := newTestCatalog(t)
-	ix, ok := c.IndexOn(TPartsupp, "ps_partkey")
+	ix, ok := c.Schema().IndexOn(TPartsupp, "ps_partkey")
 	if !ok || ix.Name != IdxPartsuppPart {
 		t.Fatalf("IndexOn(partsupp.ps_partkey): %v %v", ix, ok)
 	}
 	if !c.DropIndex(IdxPartsuppPart) {
 		t.Fatalf("drop failed")
 	}
-	if _, ok := c.IndexOn(TPartsupp, "ps_partkey"); ok {
+	if _, ok := c.Schema().IndexOn(TPartsupp, "ps_partkey"); ok {
 		t.Fatalf("dropped index should be invisible")
 	}
 	if !c.RestoreIndex(IdxPartsuppPart) {
 		t.Fatalf("restore failed")
 	}
-	if _, ok := c.IndexOn(TPartsupp, "ps_partkey"); !ok {
+	if _, ok := c.Schema().IndexOn(TPartsupp, "ps_partkey"); !ok {
 		t.Fatalf("restored index should be visible")
 	}
 	if c.DropIndex("no_such_index") {
@@ -107,21 +108,33 @@ func TestCatalogErrors(t *testing.T) {
 	}
 }
 
-func TestParamsDefaultsAndClone(t *testing.T) {
+// TestParamsDefaultsAndSettings: a Settings read keeps its state across
+// later Sets, and a value laid over it with With reaches neither the
+// parameters nor the settings it came from.
+func TestParamsDefaultsAndSettings(t *testing.T) {
 	p := DefaultParams()
-	if p.Get(ParamRandomPageCost) != 4.0 {
-		t.Fatalf("random_page_cost default: %v", p.Get(ParamRandomPageCost))
+	if p.Settings().Get(ParamRandomPageCost) != 4.0 {
+		t.Fatalf("random_page_cost default: %v", p.Settings().Get(ParamRandomPageCost))
 	}
-	if !p.Bool(ParamEnableIndexScan) {
+	if !p.Settings().Bool(ParamEnableIndexScan) {
 		t.Fatalf("enable_indexscan should default on")
 	}
-	cl := p.Clone()
-	cl.Set(ParamRandomPageCost, 1.1)
-	if p.Get(ParamRandomPageCost) != 4.0 {
-		t.Fatalf("Clone must not alias")
+	set := p.Settings()
+	over := set.With(ParamRandomPageCost, 1.1)
+	if over.Get(ParamRandomPageCost) != 1.1 || over.Version() != 0 || over.Get(ParamSeqPageCost) != 1.0 {
+		t.Fatalf("With: %v at version %d", over, over.Version())
+	}
+	if p.Settings().Get(ParamRandomPageCost) != 4.0 || set.Get(ParamRandomPageCost) != 4.0 {
+		t.Fatalf("With must not alias")
 	}
 	if old := p.Set(ParamWorkMemKB, 65536); old != 4096 {
 		t.Fatalf("Set should return previous value, got %v", old)
+	}
+	if set.Get(ParamWorkMemKB) != 4096 || set.Version() == p.Settings().Version() {
+		t.Fatalf("a Set reached settings read before it")
+	}
+	if got, want := p.String(), p.Settings().String(); got != want || !strings.Contains(got, "work_mem=65536") {
+		t.Fatalf("String: %q, settings %q", got, want)
 	}
 }
 
@@ -227,13 +240,14 @@ func TestTablePages(t *testing.T) {
 // TestVersionsNameStates pins the versioning contract the optimizer's
 // memo keys on: every mutation of a catalog or parameter set gives it a
 // version no object has carried before, a refused mutation keeps the
-// version, a clone starts under its own and diverges independently, and
-// every stamped statistics snapshot is distinct while a hand-built one is
-// unversioned.
+// version, a schema read carries the catalog's version and keeps its
+// state while the catalog moves on, one with a change laid over it is
+// unversioned, and every stamped statistics snapshot is distinct while a
+// hand-built one is unversioned.
 func TestVersionsNameStates(t *testing.T) {
 	c := newTestCatalog(t)
 	p := DefaultParams()
-	seen := map[uint64]bool{c.Version(): true, p.Version(): true}
+	seen := map[uint64]bool{c.Schema().Version(): true, p.Settings().Version(): true}
 	fresh := func(what string, v uint64) {
 		t.Helper()
 		if v == 0 || seen[v] {
@@ -256,33 +270,41 @@ func TestVersionsNameStates(t *testing.T) {
 		if !m.do() {
 			t.Fatalf("%s failed", m.what)
 		}
-		fresh(m.what, c.Version())
+		fresh(m.what, c.Schema().Version())
 	}
-	v := c.Version()
-	if c.DropIndex("no_such_index") || c.SetRows("missing", 1) == nil || c.AddTable("y", "nope", 1, 1) == nil || c.Version() != v {
-		t.Fatalf("a refused mutation moved the version %d -> %d", v, c.Version())
+	v := c.Schema().Version()
+	if c.DropIndex("no_such_index") || c.SetRows("missing", 1) == nil || c.AddTable("y", "nope", 1, 1) == nil || c.Schema().Version() != v {
+		t.Fatalf("a refused mutation moved the version %d -> %d", v, c.Schema().Version())
 	}
 
-	clone := c.Clone()
-	fresh("Clone", clone.Version())
-	clone.DropIndex(IdxPartsuppPart)
-	fresh("clone's DropIndex", clone.Version())
-	if c.Version() != v {
-		t.Fatal("mutating a clone moved the original's version")
+	s := c.Schema()
+	if s.Version() != v {
+		t.Fatalf("schema read at version %d, catalog at %d", s.Version(), v)
 	}
-	if _, ok := c.IndexOn(TPartsupp, "ps_partkey"); !ok {
-		t.Fatal("a clone's drop reached the original")
+	dropped, ok := s.With(IdxPartsuppPart, true)
+	if !ok || dropped.Version() != 0 || c.Schema().Version() != v {
+		t.Fatalf("With: ok %v, version %d, catalog %d -> %d", ok, dropped.Version(), v, c.Schema().Version())
 	}
-	if ix, _ := clone.Index("x_idx"); ix == nil || clone.MustTable("x").Rows != 40 {
-		t.Fatal("the clone lost state")
+	if _, ok := dropped.IndexOn(TPartsupp, "ps_partkey"); ok {
+		t.Fatal("a dropped overlay still offers the index")
+	}
+	if _, ok := c.Schema().IndexOn(TPartsupp, "ps_partkey"); !ok {
+		t.Fatal("an overlay's drop reached the catalog")
+	}
+	if _, ok := s.With("no_such_index", true); ok {
+		t.Fatal("With accepted an unknown index")
+	}
+	c.DropIndex(IdxPartsuppPart)
+	fresh("DropIndex after a schema read", c.Schema().Version())
+	if _, ok := s.IndexOn(TPartsupp, "ps_partkey"); !ok {
+		t.Fatal("a drop reached a schema read before it")
+	}
+	if w, ok := s.RowWidth("x"); !ok || w != 100 {
+		t.Fatalf("the schema lost a row width: %d %v", w, ok)
 	}
 
 	p.Set(ParamWorkMemKB, 1)
-	fresh("Params.Set", p.Version())
-	pc := p.Clone()
-	fresh("Params.Clone", pc.Version())
-	pc.Set(ParamWorkMemKB, 2)
-	fresh("clone's Set", pc.Version())
+	fresh("Params.Set", p.Settings().Version())
 
 	s1, s2 := c.Snapshot(), c.Snapshot()
 	fresh("Snapshot", s1.Version())

@@ -2,7 +2,8 @@ package dbsys
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -26,7 +27,7 @@ const (
 // (booleans are 0/1). The optimizer's plan choice is sensitive to several
 // of them, which is what lets Module PD attribute plan changes to
 // parameter changes. Params is safe for concurrent use. Every Set gives
-// it a new Version.
+// it a new version (Settings().Version()).
 type Params struct {
 	mu      sync.RWMutex
 	version uint64
@@ -51,67 +52,72 @@ func DefaultParams() *Params {
 	}}
 }
 
-// Get returns the value of a parameter; unknown parameters read as 0.
-func (p *Params) Get(name string) float64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.values[name]
-}
-
-// Bool interprets a parameter as a flag.
-func (p *Params) Bool(name string) bool { return p.Get(name) != 0 }
-
-// Set changes a parameter and returns its previous value.
+// Set changes a parameter and returns its previous value. It writes a
+// new value map, so every Settings already read keeps the old one.
 func (p *Params) Set(name string, v float64) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.values[name]
+	p.values = maps.Clone(p.values)
 	p.values[name] = v
 	p.version = nextVersion()
 	return old
 }
 
-// Version names the parameters' current state: it changes on every Set,
-// and a Clone starts under its own.
-func (p *Params) Version() uint64 {
+// Settings returns the parameters' current state, read under one lock.
+// It stays that state however the parameters change later.
+func (p *Params) Settings() Settings {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.version
-}
-
-// Clone returns an independent copy; Module PD replays candidate changes
-// against clones to test whether a parameter change explains a plan
-// change.
-func (p *Params) Clone() *Params {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	cp := &Params{version: nextVersion(), values: make(map[string]float64, len(p.values))}
-	for k, v := range p.values {
-		cp.values[k] = v
-	}
-	return cp
+	return Settings{version: p.version, values: p.values}
 }
 
 // Names returns the parameter names, sorted.
-func (p *Params) Names() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, 0, len(p.values))
-	for k := range p.values {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (p *Params) Names() []string { return slices.Sorted(maps.Keys(p.Settings().values)) }
 
 // String implements fmt.Stringer.
-func (p *Params) String() string {
+func (p *Params) String() string { return p.Settings().String() }
+
+// Settings is one state of a parameter set. With lays a hypothetical
+// value over one parameter, so Module PD replays a parameter change
+// without a copy of the set.
+type Settings struct {
+	version uint64
+	values  map[string]float64 // never written once read
+	// name, when set, is a parameter that reads as value.
+	name  string
+	value float64
+}
+
+// Version is the parameters' version the settings were read at; settings
+// with a value laid over them (With) are unversioned, 0.
+func (s Settings) Version() uint64 { return s.version }
+
+// With returns the settings with the named parameter reading v.
+func (s Settings) With(name string, v float64) Settings {
+	s.version, s.name, s.value = 0, name, v
+	return s
+}
+
+// Get returns the value of a parameter; unknown parameters read as 0.
+func (s Settings) Get(name string) float64 {
+	if s.name != "" && name == s.name {
+		return s.value
+	}
+	return s.values[name]
+}
+
+// Bool interprets a parameter as a flag.
+func (s Settings) Bool(name string) bool { return s.Get(name) != 0 }
+
+// String implements fmt.Stringer: name=value pairs in name order.
+func (s Settings) String() string {
 	var b []byte
-	for i, n := range p.Names() {
+	for i, n := range slices.Sorted(maps.Keys(s.values)) {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, fmt.Sprintf("%s=%g", n, p.Get(n))...)
+		b = append(b, fmt.Sprintf("%s=%g", n, s.Get(n))...)
 	}
 	return string(b)
 }

@@ -1,9 +1,11 @@
 package diag
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
+	"diads/internal/dbsys"
 	"diads/internal/exec"
 	"diads/internal/opt"
 	"diads/internal/plan"
@@ -62,7 +64,10 @@ func PlanDiffing(in *Input) (*PDResult, error) {
 
 	lastSat := sat[len(sat)-1]
 	firstUnsat := unsat[0]
-	for _, ev := range in.Cfg.Log.Between(lastSat.Start, firstUnsat.Start) {
+	for _, ev := range in.Cfg.Log.All() {
+		if ev.T <= lastSat.Start || ev.T > firstUnsat.Start {
+			continue
+		}
 		switch ev.Kind {
 		case topology.EvIndexDropped, topology.EvIndexCreated:
 			res.Causes = append(res.Causes, replayIndexEvent(in, ev, res))
@@ -119,64 +124,57 @@ func planWithSig(runs []*exec.RunRecord, sig string) *plan.Plan {
 }
 
 // replayIndexEvent tests whether an index drop/creation explains the plan
-// change by toggling the index and re-running the optimizer. It replays on
-// a clone of the catalog through its own optimizer: the live catalog keeps
-// serving the instance's driver and sibling diagnoses, untouched, and
-// both plans come from one consistent copy of it.
+// change by planning with the index toggled back and as it is. Both
+// plans come from one schema read of the live catalog, with the toggle
+// laid over it as a value: the catalog keeps serving the instance's
+// driver and sibling diagnoses, untouched, and is never copied.
 func replayIndexEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	idx := string(ev.Subject)
 	cause := PlanChangeCause{Event: ev}
-
-	cat := in.Cat.Clone()
-	o := opt.New(cat)
-	after, errA := o.PlanQuery(in.Query, in.Stats, in.Params)
-	var toggled bool
-	if ev.Kind == topology.EvIndexDropped {
-		toggled = cat.RestoreIndex(idx)
-	} else {
-		toggled = cat.DropIndex(idx)
-	}
-	if !toggled {
+	s := in.Cat.Schema()
+	toggled, ok := s.With(idx, ev.Kind == topology.EvIndexCreated)
+	if !ok {
 		cause.Detail = fmt.Sprintf("unknown index %q", idx)
 		return cause
 	}
-	before, errB := o.PlanQuery(in.Query, in.Stats, in.Params)
-	if errB != nil || errA != nil {
+	set := in.Params.Settings()
+	switch explains, err := reproduces(in, res, toggled, set, s, set); {
+	case err != nil:
 		cause.Detail = "optimizer replay failed"
-		return cause
-	}
-	cause.Explains = before.Signature() == res.SatSig && after.Signature() == res.UnsatSig
-	if cause.Explains {
-		cause.Detail = fmt.Sprintf("replaying %s of %s reproduces the plan change", ev.Kind, idx)
-	} else {
-		cause.Detail = fmt.Sprintf("replaying %s of %s does not reproduce the change", ev.Kind, idx)
+	case explains:
+		cause.Explains = true
+		cause.Detail = "replaying " + string(ev.Kind) + " of " + idx + " reproduces the plan change"
+	default:
+		cause.Detail = "replaying " + string(ev.Kind) + " of " + idx + " does not reproduce the change"
 	}
 	return cause
 }
 
 // replayParamEvent tests whether a parameter change explains the plan
-// change by re-planning under the old and new values, on parameter clones
-// through an optimizer of its own, so the replay neither reads nor evicts
-// the instance optimizer's memo.
+// change by planning under the old and the new value, each laid over one
+// read of the parameters.
 func replayParamEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	cause := PlanChangeCause{Event: ev}
 	name, oldV, newV := string(ev.Subject), ev.Old, ev.Value
-	pOld := in.Params.Clone()
-	pOld.Set(name, oldV)
-	pNew := in.Params.Clone()
-	pNew.Set(name, newV)
-	o := opt.New(in.Cat)
-	before, errB := o.PlanQuery(in.Query, in.Stats, pOld)
-	after, errA := o.PlanQuery(in.Query, in.Stats, pNew)
-	if errB != nil || errA != nil {
+	s, set := in.Cat.Schema(), in.Params.Settings()
+	switch explains, err := reproduces(in, res, s, set.With(name, oldV), s, set.With(name, newV)); {
+	case err != nil:
 		cause.Detail = "optimizer replay failed"
-		return cause
-	}
-	cause.Explains = before.Signature() == res.SatSig && after.Signature() == res.UnsatSig
-	if cause.Explains {
+	case explains:
+		cause.Explains = true
 		cause.Detail = fmt.Sprintf("changing %s from %g to %g reproduces the plan change", name, oldV, newV)
-	} else {
+	default:
 		cause.Detail = fmt.Sprintf("changing %s from %g to %g does not reproduce the change", name, oldV, newV)
 	}
 	return cause
+}
+
+// reproduces reports whether the optimizer chooses the satisfactory
+// runs' plan under the state before a change (s0, p0) and the
+// unsatisfactory runs' plan under the state after it (s1, p1). It
+// compares signatures only: no plan is built.
+func reproduces(in *Input, res *PDResult, s0 dbsys.Schema, p0 dbsys.Settings, s1 dbsys.Schema, p1 dbsys.Settings) (bool, error) {
+	before, errB := opt.Chooses(in.Query, s0, in.Stats, p0, res.SatSig)
+	after, errA := opt.Chooses(in.Query, s1, in.Stats, p1, res.UnsatSig)
+	return before && after, errors.Join(errB, errA)
 }

@@ -2,6 +2,7 @@ package diag
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,10 +15,10 @@ import (
 	"diads/internal/topology"
 )
 
-// freshPlan plans Q2 from scratch: unversioned statistics bypass the memo.
-func freshPlan(t *testing.T, cat *dbsys.Catalog, tb *testbed.Testbed) *plan.Plan {
+// freshPlan plans Q2 from scratch under a schema, with no memo.
+func freshPlan(t *testing.T, s dbsys.Schema, tb *testbed.Testbed) *plan.Plan {
 	t.Helper()
-	p, err := opt.New(cat).PlanQuery("Q2", dbsys.Stats{Rows: tb.Stats.Rows}, tb.Params)
+	p, err := opt.Plan("Q2", s, tb.Stats, tb.Params.Settings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +56,15 @@ func TestMemoisedPlansAreShared(t *testing.T) {
 	}
 
 	tb := runScenario1(t, 11, 16)
-	check("scenario 1", tb, 1, func(string) *plan.Plan { return freshPlan(t, tb.Cat, tb) })
+	check("scenario 1", tb, 1, func(string) *plan.Plan { return freshPlan(t, tb.Cat.Schema(), tb) })
 
 	tb = planRegressionRig(t, 14, 12)
-	after := freshPlan(t, tb.Cat, tb)
-	restored := tb.Cat.Clone()
-	restored.RestoreIndex(dbsys.IdxPartsuppPart)
+	after := freshPlan(t, tb.Cat.Schema(), tb)
+	// The restored state, as PD's replay lays it over the live schema.
+	restored, ok := tb.Cat.Schema().With(dbsys.IdxPartsuppPart, false)
+	if !ok {
+		t.Fatal("the dropped index is not in the schema")
+	}
 	before := freshPlan(t, restored, tb)
 	check("index drop", tb, 2, func(sig string) *plan.Plan {
 		if sig == after.Signature() {
@@ -72,27 +76,53 @@ func TestMemoisedPlansAreShared(t *testing.T) {
 
 // TestPDReplaysOnDerivedState drives an instance that plans runs while
 // Module PD replays the index event that changed its plan, concurrently,
-// on the same testbed (run it under -race). PD must leave the live
-// catalog at its version — it replays on a clone — so every run the
-// driver plans after the drop uses the post-drop plan, and every replay
-// still attributes the change to the drop.
+// on the same testbed (run it under -race -count=10). A third goroutine
+// drops and restores an index Q2 never reads, on the live catalog, for
+// as long as the replays run. PD replays on one read of the catalog's
+// schema with the toggle laid over it as a value, never writing the
+// catalog: every catalog version a replay sees after it is one of the
+// toggler's, every run the driver plans after the drop uses the
+// post-drop plan, and every replay still attributes the change to the
+// drop.
 func TestPDReplaysOnDerivedState(t *testing.T) {
 	const runs = 24
 	tb := scenarioRig(t, 14, runs)
 	if err := faults.Inject(tb, &faults.IndexDrop{At: faultMidpoint(runs), Index: dbsys.IdxPartsuppPart}); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	toggled := map[uint64]bool{} // catalog versions the toggler made, under mu
+	toggle := func(cat *dbsys.Catalog, stop <-chan struct{}) {
+		for drop := true; ; drop = !drop {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			if drop {
+				cat.DropIndex(dbsys.IdxOrdersKey)
+			} else {
+				cat.RestoreIndex(dbsys.IdxOrdersKey)
+			}
+			toggled[cat.Schema().Version()] = true
+			mu.Unlock()
+			runtime.Gosched()
+		}
+	}
 	replay := func(in *Input) {
 		for range 10 {
-			v := in.Cat.Version()
+			v := in.Cat.Schema().Version()
 			res, err := PlanDiffing(in)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if got := in.Cat.Version(); got != v {
+			mu.Lock()
+			if got := in.Cat.Schema().Version(); got != v && !toggled[got] {
 				t.Errorf("PlanDiffing moved the live catalog from version %d to %d", v, got)
 			}
+			mu.Unlock()
 			explained := false
 			for _, c := range res.Causes {
 				explained = explained || (c.Explains && c.Event.Kind == topology.EvIndexDropped)
@@ -117,13 +147,25 @@ func TestPDReplaysOnDerivedState(t *testing.T) {
 		}
 		started = true
 		in := inputFor(tb)
+		var replays sync.WaitGroup
 		for range 2 {
-			wg.Add(1)
+			replays.Add(1)
 			go func() {
-				defer wg.Done()
+				defer replays.Done()
 				replay(in)
 			}()
 		}
+		stop := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			replays.Wait()
+			close(stop)
+		}()
+		go func() {
+			defer wg.Done()
+			toggle(in.Cat, stop)
+		}()
 		return nil
 	})
 	wg.Wait()

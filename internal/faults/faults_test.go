@@ -192,10 +192,10 @@ func TestCPUSaturationAndScheduledChanges(t *testing.T) {
 	if got := tb.Cfg.Log.All(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("change log:\n got %+v\nwant %+v", got, want)
 	}
-	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); ok {
+	if _, ok := tb.Cat.Schema().IndexOn(dbsys.TPartsupp, "ps_partkey"); ok {
 		t.Errorf("index still present after its drop applied")
 	}
-	if got := tb.Params.Get(dbsys.ParamRandomPageCost); got != 40 {
+	if got := tb.Params.Settings().Get(dbsys.ParamRandomPageCost); got != 40 {
 		t.Errorf("random_page_cost = %v after its change applied", got)
 	}
 }

@@ -7,35 +7,34 @@ import (
 	"diads/internal/plan"
 )
 
-// CostPlan returns the optimizer's cost for a plan under a statistics
-// snapshot and parameter set, in abstract page-fetch units. The shape of
-// the model follows PostgreSQL's: sequential and random page costs for
-// I/O, a per-tuple CPU cost, n-log-n sorts, and nested-loop probe costs
-// that grow with the product of input cardinalities.
+// CostPlan returns the optimizer's cost for a plan under the catalog's
+// current schema and a statistics snapshot and parameter set, in
+// abstract page-fetch units. The shape of the model follows PostgreSQL's:
+// sequential and random page costs for I/O, a per-tuple CPU cost,
+// n-log-n sorts, and nested-loop probe costs that grow with the product
+// of input cardinalities.
 func (o *Optimizer) CostPlan(p *plan.Plan, stats dbsys.Stats, params *dbsys.Params) float64 {
-	pr := o.pricer(stats, params)
+	var pr pricer
+	pr.reset(o.Cat.Schema(), stats, params.Settings())
 	return pr.price(p)
 }
 
-// pricer prices plans under one statistics snapshot and parameter set,
-// reusing its cardinality storage from one plan to the next.
+// pricer prices plans under one schema, statistics snapshot and
+// parameter set, reusing its cardinality storage from one plan to the
+// next.
 type pricer struct {
-	cat                         *dbsys.Catalog
+	schema                      dbsys.Schema
 	stats                       dbsys.Stats
 	seqCost, randCost, cpuTuple float64
 	cards                       plan.Cardinalities
 }
 
-// pricer returns a pricer for the optimizer's catalog under stats and
-// params.
-func (o *Optimizer) pricer(stats dbsys.Stats, params *dbsys.Params) pricer {
-	return pricer{
-		cat:      o.Cat,
-		stats:    stats,
-		seqCost:  params.Get(dbsys.ParamSeqPageCost),
-		randCost: params.Get(dbsys.ParamRandomPageCost),
-		cpuTuple: params.Get(dbsys.ParamCPUTupleCost),
-	}
+// reset points the pricer at a state, keeping its cardinality storage.
+func (pr *pricer) reset(s dbsys.Schema, stats dbsys.Stats, set dbsys.Settings) {
+	pr.schema, pr.stats = s, stats
+	pr.seqCost = set.Get(dbsys.ParamSeqPageCost)
+	pr.randCost = set.Get(dbsys.ParamRandomPageCost)
+	pr.cpuTuple = set.Get(dbsys.ParamCPUTupleCost)
 }
 
 // price returns p's cost.
@@ -47,7 +46,7 @@ func (pr *pricer) price(p *plan.Plan) float64 {
 // pagesOf returns the table's heap pages under the snapshot's row count.
 func (pr *pricer) pagesOf(table string) float64 {
 	rows := pr.stats.RowsOf(table)
-	width, ok := pr.cat.RowWidth(table)
+	width, ok := pr.schema.RowWidth(table)
 	if !ok {
 		width = 128
 	}
@@ -65,9 +64,9 @@ func (pr *pricer) cost(n *plan.Node) float64 {
 	case plan.OpSeqScan:
 		own = pr.pagesOf(n.Table)*pr.seqCost + float64(pr.stats.RowsOf(n.Table))*cpuTuple
 	case plan.OpIndexScan:
-		corr, ok := pr.cat.IndexCorrelation(n.Index)
-		if !ok {
-			corr = 0.5
+		corr := 0.5
+		if ix, ok := pr.schema.Index(n.Index); ok {
+			corr = ix.Correlation
 		}
 		descent := math.Log2(pr.pagesOf(n.Table) + 2)
 		perFetch := pr.randCost*(1-corr) + pr.seqCost*corr

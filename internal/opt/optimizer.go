@@ -42,9 +42,9 @@ type memoized struct {
 // New returns an optimizer over the given catalog.
 func New(cat *dbsys.Catalog) *Optimizer { return &Optimizer{Cat: cat} }
 
-// PlanQuery chooses the cheapest plan for the named query under the given
-// statistics snapshot and parameters. Supported queries: Q2 (with access
-// path and join strategy enumeration), Q5, Q6, Q14 (fixed shapes).
+// PlanQuery chooses the cheapest plan for the named query under the
+// catalog's current schema and the given statistics snapshot and
+// parameters (see Plan).
 //
 // Plans are memoised on (query, catalog, params and stats versions), at
 // most one per query: a periodic query re-plans only after a catalog,
@@ -53,9 +53,10 @@ func New(cat *dbsys.Catalog) *Optimizer { return &Optimizer{Cat: cat} }
 // must not be modified (plans are immutable once built). Unversioned
 // (hand-built) statistics bypass the memo.
 func (o *Optimizer) PlanQuery(query string, stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
-	key := stateKey{o.Cat.Version(), params.Version(), stats.Version()}
+	s, set := o.Cat.Schema(), params.Settings()
+	key := stateKey{s.Version(), set.Version(), stats.Version()}
 	if key.stats == 0 {
-		return o.plan(query, stats, params)
+		return Plan(query, s, stats, set)
 	}
 	o.mu.Lock()
 	m, ok := o.memo[query]
@@ -63,56 +64,92 @@ func (o *Optimizer) PlanQuery(query string, stats dbsys.Stats, params *dbsys.Par
 	if ok && m.key == key {
 		return m.plan, nil
 	}
-	p, err := o.plan(query, stats, params)
+	p, err := Plan(query, s, stats, set)
 	if err != nil {
 		return nil, err
 	}
-	// A mutation that raced the planning leaves the plan unmemoised: it
-	// may mix two states.
-	if o.Cat.Version() == key.cat && params.Version() == key.params {
-		o.mu.Lock()
-		if o.memo == nil {
-			o.memo = make(map[string]memoized)
-		}
-		o.memo[query] = memoized{key, p}
-		o.mu.Unlock()
+	o.mu.Lock()
+	if o.memo == nil {
+		o.memo = make(map[string]memoized)
 	}
+	o.memo[query] = memoized{key, p}
+	o.mu.Unlock()
 	return p, nil
 }
 
-// plan chooses the plan without consulting the memo.
-func (o *Optimizer) plan(query string, stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
+// Plan chooses the cheapest plan for the named query under one schema,
+// statistics snapshot and parameter state, with no memo. Supported
+// queries: Q2 (with access path and join strategy enumeration), Q5, Q6,
+// Q14 (fixed shapes).
+func Plan(query string, s dbsys.Schema, stats dbsys.Stats, set dbsys.Settings) (*plan.Plan, error) {
+	var p *plan.Plan
 	switch query {
 	case "Q2":
-		return o.planQ2(stats, params)
+		sc := scratchPool.Get().(*scratch)
+		best, err := sc.chooseQ2(s, stats, set)
+		sc.put()
+		if err != nil {
+			return nil, err
+		}
+		p = plan.BuildQ2(best)
 	case "Q5":
-		p := plan.BuildQ5()
-		plan.EstimateInto(p, stats.RowsOf)
-		return p, nil
+		p = plan.BuildQ5()
 	case "Q6":
-		p := plan.BuildQ6()
-		plan.EstimateInto(p, stats.RowsOf)
-		return p, nil
+		p = plan.BuildQ6()
 	case "Q14":
-		p := plan.BuildQ14()
-		plan.EstimateInto(p, stats.RowsOf)
-		return p, nil
+		p = plan.BuildQ14()
 	default:
 		return nil, fmt.Errorf("opt: unknown query %q", query)
 	}
+	plan.EstimateInto(p, stats.RowsOf)
+	return p, nil
 }
 
-// planQ2 enumerates the Q2 decision points and picks the cheapest
-// combination. Parameters that leave no candidate a finite cost (a
-// posted cpu_tuple_cost of 1e308, say) are an error, not a plan.
-func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan, error) {
-	indexEnabled := params.Bool(dbsys.ParamEnableIndexScan)
+// Chooses reports whether the plan Plan would choose has the signature
+// sig, without building a Q2 plan: Module PD's replays compare
+// signatures only. A Q2 choice is checked on the winning candidate's
+// scratch tree, which has the structure BuildQ2 gives the winner.
+func Chooses(query string, s dbsys.Schema, stats dbsys.Stats, set dbsys.Settings, sig string) (bool, error) {
+	if query != "Q2" {
+		p, err := Plan(query, s, stats, set)
+		return err == nil && p.Signature() == sig, err
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.put()
+	best, err := sc.chooseQ2(s, stats, set)
+	if err != nil {
+		return false, err
+	}
+	return sc.q2.Build(best).HasSignature(sig), nil
+}
+
+// scratch is one Q2 enumeration's storage, pooled: the candidate tree
+// and the pricer with its cardinalities.
+type scratch struct {
+	q2 plan.Q2Scratch
+	pr pricer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// put returns the scratch to the pool without the state it last priced.
+func (sc *scratch) put() {
+	sc.pr.schema, sc.pr.stats = dbsys.Schema{}, dbsys.Stats{}
+	scratchPool.Put(sc)
+}
+
+// chooseQ2 enumerates the Q2 decision points and returns the cheapest
+// combination, pricing each candidate in the scratch. Parameters that
+// leave no candidate a finite cost (a posted cpu_tuple_cost of 1e308,
+// say) are an error, not a plan.
+func (sc *scratch) chooseQ2(s dbsys.Schema, stats dbsys.Stats, set dbsys.Settings) (plan.Q2Choices, error) {
+	indexEnabled := set.Bool(dbsys.ParamEnableIndexScan)
 	seqScan := plan.AccessSpec{Type: plan.OpSeqScan}
 	// access is the preferred read of table: the index scan on column
 	// when such an index is available and allowed, else a sequential scan.
 	access := func(table, column string) plan.AccessSpec {
 		if indexEnabled {
-			if ix, ok := o.Cat.IndexOn(table, column); ok {
+			if ix, ok := s.IndexOn(table, column); ok {
 				return plan.AccessSpec{Type: plan.OpIndexScan, Index: ix.Name}
 			}
 		}
@@ -136,17 +173,15 @@ func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan,
 	supplierAccess := access(dbsys.TSupplier, "s_suppkey")
 	var joinBuf [2]plan.OpType
 	joins := joinBuf[:0]
-	if params.Bool(dbsys.ParamEnableHashJoin) {
+	if set.Bool(dbsys.ParamEnableHashJoin) {
 		joins = append(joins, plan.OpHashJoin)
 	}
-	if params.Bool(dbsys.ParamEnableNestLoop) || len(joins) == 0 {
+	if set.Bool(dbsys.ParamEnableNestLoop) || len(joins) == 0 {
 		joins = append(joins, plan.OpNestedLoop)
 	}
 
-	// Each candidate is built into one scratch tree and priced there;
-	// only the winner is built to keep.
-	pr := o.pricer(stats, params)
-	var scratch plan.Q2Scratch
+	// Each candidate is built into one scratch tree and priced there.
+	sc.pr.reset(s, stats, set)
 	var best plan.Q2Choices
 	found := false
 	bestCost := math.Inf(1)
@@ -162,7 +197,7 @@ func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan,
 						SubSupplierAccess: supplierAccess,
 						MainJoin:          j,
 					}
-					cost := pr.price(scratch.Build(ch))
+					cost := sc.pr.price(sc.q2.Build(ch))
 					if cost < bestCost {
 						bestCost = cost
 						best, found = ch, true
@@ -172,9 +207,7 @@ func (o *Optimizer) planQ2(stats dbsys.Stats, params *dbsys.Params) (*plan.Plan,
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("opt: no Q2 plan has a finite cost under %s", params)
+		return best, fmt.Errorf("opt: no Q2 plan has a finite cost under %s", set)
 	}
-	p := plan.BuildQ2(best)
-	plan.EstimateInto(p, stats.RowsOf)
-	return p, nil
+	return best, nil
 }

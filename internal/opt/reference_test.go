@@ -83,9 +83,9 @@ func refCardinality(p *plan.Plan, rowsOf func(string) int64, absScale func(strin
 
 // refCostPlan is the closure-based cost walk over refCardinality.
 func refCostPlan(o *Optimizer, p *plan.Plan, stats dbsys.Stats, params *dbsys.Params) float64 {
-	seqCost := params.Get(dbsys.ParamSeqPageCost)
-	randCost := params.Get(dbsys.ParamRandomPageCost)
-	cpuTuple := params.Get(dbsys.ParamCPUTupleCost)
+	seqCost := params.Settings().Get(dbsys.ParamSeqPageCost)
+	randCost := params.Settings().Get(dbsys.ParamRandomPageCost)
+	cpuTuple := params.Settings().Get(dbsys.ParamCPUTupleCost)
 	rowsPerExec, _, _ := refCardinality(p, stats.RowsOf, func(string) float64 { return 1 })
 	pagesOf := func(table string) float64 {
 		rows := stats.RowsOf(table)
@@ -160,11 +160,11 @@ func refCostPlan(o *Optimizer, p *plan.Plan, stats dbsys.Stats, params *dbsys.Pa
 // refCandidates enumerates Q2's candidate choices in the optimizer's
 // order.
 func refCandidates(o *Optimizer, params *dbsys.Params) []plan.Q2Choices {
-	indexEnabled := params.Bool(dbsys.ParamEnableIndexScan)
+	indexEnabled := params.Settings().Bool(dbsys.ParamEnableIndexScan)
 	accessAlternatives := func(table, column string) []plan.AccessSpec {
 		alts := []plan.AccessSpec{{Type: plan.OpSeqScan}}
 		if indexEnabled {
-			if ix, ok := o.Cat.IndexOn(table, column); ok {
+			if ix, ok := o.Cat.Schema().IndexOn(table, column); ok {
 				alts = append([]plan.AccessSpec{{Type: plan.OpIndexScan, Index: ix.Name}}, alts...)
 			}
 		}
@@ -175,10 +175,10 @@ func refCandidates(o *Optimizer, params *dbsys.Params) []plan.Q2Choices {
 	nationAccess := accessAlternatives(dbsys.TNation, "n_nationkey")[0]
 	supplierAccess := accessAlternatives(dbsys.TSupplier, "s_suppkey")[0]
 	joins := []plan.OpType{}
-	if params.Bool(dbsys.ParamEnableHashJoin) {
+	if params.Settings().Bool(dbsys.ParamEnableHashJoin) {
 		joins = append(joins, plan.OpHashJoin)
 	}
-	if params.Bool(dbsys.ParamEnableNestLoop) || len(joins) == 0 {
+	if params.Settings().Bool(dbsys.ParamEnableNestLoop) || len(joins) == 0 {
 		joins = append(joins, plan.OpNestedLoop)
 	}
 	var out []plan.Q2Choices
@@ -269,7 +269,8 @@ func TestPlanQ2MatchesLongWayReference(t *testing.T) {
 				for si, stats := range snapshots {
 					where := fmt.Sprintf("dropped %04b flags %03b rpc %g cpu %g stats %d", mask, flags, c.rpc, c.cpu, si)
 
-					pr := o.pricer(stats, params)
+					var pr pricer
+					pr.reset(cat.Schema(), stats, params.Settings())
 					var scratch plan.Q2Scratch
 					for _, ch := range refCandidates(o, params) {
 						got := pr.price(scratch.Build(ch))
@@ -279,7 +280,7 @@ func TestPlanQ2MatchesLongWayReference(t *testing.T) {
 						}
 					}
 
-					got, errGot := o.planQ2(stats, params)
+					got, errGot := Plan("Q2", cat.Schema(), stats, params.Settings())
 					want, errWant := refPlanQ2(o, stats, params)
 					if errGot != nil || errWant != nil {
 						if fmt.Sprint(errGot) != fmt.Sprint(errWant) {

@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,30 +159,42 @@ func (p *Plan) Tables() []string {
 // on first use and remembered: every run record, wire record, plan diff
 // and cache key of a plan asks for it, and the plan cannot change.
 func (p *Plan) Signature() string {
-	p.sigOnce.Do(func() { p.sig = p.signature() })
+	p.sigOnce.Do(func() {
+		h := p.hash()
+		p.sig = string(h[:])
+	})
 	return p.sig
 }
 
-// signature walks the tree and hashes it.
-func (p *Plan) signature() string {
-	b := make([]byte, 0, 64*len(p.nodes))
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		b = strconv.AppendInt(b, int64(depth), 10)
-		for _, s := range [...]string{":", string(n.Type), ":", n.Table, ":", n.Index, ":", n.Alias, ";"} {
-			b = append(b, s...)
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-		for _, s := range n.SubPlans {
-			b = append(b, "sub;"...)
-			walk(s, depth+1)
-		}
+// HasSignature reports whether the plan's signature is sig, without
+// keeping it: Module PD asks it of a scratch plan the optimizer reuses.
+func (p *Plan) HasSignature(sig string) bool {
+	h := p.hash()
+	return string(h[:]) == sig
+}
+
+// hash hashes the tree's structure into the signature's hex digits. The
+// walk writes into a stack buffer that holds a Q2 plan's structure.
+func (p *Plan) hash() (h [16]byte) {
+	var buf [2048]byte
+	sum := sha256.Sum256(appendShape(buf[:0], p.Root, 0))
+	hex.Encode(h[:], sum[:8])
+	return h
+}
+
+// appendShape appends the structure of the subtree under n, at depth.
+func appendShape(b []byte, n *Node, depth int) []byte {
+	b = strconv.AppendInt(b, int64(depth), 10)
+	for _, s := range [...]string{":", string(n.Type), ":", n.Table, ":", n.Index, ":", n.Alias, ";"} {
+		b = append(b, s...)
 	}
-	walk(p.Root, 0)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+	for _, c := range n.Children {
+		b = appendShape(b, c, depth+1)
+	}
+	for _, s := range n.SubPlans {
+		b = appendShape(append(b, "sub;"...), s, depth+1)
+	}
+	return b
 }
 
 // Render returns an EXPLAIN-style indented listing with operator numbers.
@@ -212,68 +227,98 @@ func (d Difference) String() string { return d.Kind + ": " + d.Detail }
 
 // Diff compares two plans structurally: per-table access paths and the
 // multiset of operator types. It returns nil when the plans are
-// structurally identical.
+// structurally identical. It walks the two plans' leaves in key order,
+// so it allocates only its result.
 func Diff(a, b *Plan) []Difference {
 	if a.Signature() == b.Signature() {
 		return nil
 	}
-	var out []Difference
+	var rows [8]Difference
+	out := rows[:0]
 
-	accessOf := func(p *Plan) map[string]string {
-		m := make(map[string]string)
-		for _, n := range p.Leaves() {
-			key := n.Table + aliasSuffix(n.Alias)
-			desc := string(n.Type)
-			if n.Index != "" {
-				desc += " using " + n.Index
+	// Both plans' leaves, a's first, stably in key order: each run of
+	// one key ends with a's last leaf on it and then b's.
+	type leaf struct {
+		n   *Node
+		inB bool
+	}
+	var buf [2 * q2Nodes]leaf
+	leaves := buf[:0]
+	for i, p := range [2]*Plan{a, b} {
+		for _, n := range p.nodes {
+			if n.IsLeaf() {
+				leaves = append(leaves, leaf{n, i == 1})
 			}
-			m[key] = desc
 		}
-		return m
 	}
-	accA, accB := accessOf(a), accessOf(b)
-	keys := make(map[string]bool)
-	for k := range accA {
-		keys[k] = true
-	}
-	for k := range accB {
-		keys[k] = true
-	}
-	sortedKeys := make([]string, 0, len(keys))
-	for k := range keys {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Strings(sortedKeys)
-	for _, k := range sortedKeys {
-		va, vb := accA[k], accB[k]
-		switch {
-		case va == vb:
-		case va == "":
-			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: none -> %s", k, vb)})
-		case vb == "":
-			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: %s -> none", k, va)})
-		default:
-			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: %s -> %s", k, va, vb)})
+	slices.SortStableFunc(leaves, func(x, y leaf) int { return compareKeys(x.n, y.n) })
+	for i := 0; i < len(leaves); {
+		var x, y *Node
+		for j := i; i < len(leaves) && compareKeys(leaves[i].n, leaves[j].n) == 0; i++ {
+			if leaves[i].inB {
+				y = leaves[i].n
+			} else {
+				x = leaves[i].n
+			}
 		}
+		if x != nil && y != nil && x.Type == y.Type && x.Index == y.Index {
+			continue
+		}
+		var d [128]byte
+		detail := appendAccess(append(appendAccess(append(appendKey(d[:0], cmp.Or(x, y)), ": "...), x), " -> "...), y)
+		out = append(out, Difference{Kind: "access-path", Detail: string(detail)})
 	}
 
-	countTypes := func(p *Plan) map[OpType]int {
-		m := make(map[OpType]int)
-		for _, n := range p.Nodes() {
-			m[n.Type]++
-		}
-		return m
-	}
-	ca, cb := countTypes(a), countTypes(b)
-	for _, t := range []OpType{OpLimit, OpSort, OpHashJoin, OpMergeJoin, OpNestedLoop,
+	for _, t := range [...]OpType{OpLimit, OpSort, OpHashJoin, OpMergeJoin, OpNestedLoop,
 		OpHash, OpMaterialize, OpAggregate, OpSeqScan, OpIndexScan} {
-		if ca[t] != cb[t] {
-			out = append(out, Difference{Kind: "operator",
-				Detail: fmt.Sprintf("%s count %d -> %d", t, ca[t], cb[t])})
+		if ca, cb := a.count(t), b.count(t); ca != cb {
+			var d [64]byte
+			detail := strconv.AppendInt(append(append(d[:0], t...), " count "...), int64(ca), 10)
+			detail = strconv.AppendInt(append(detail, " -> "...), int64(cb), 10)
+			out = append(out, Difference{Kind: "operator", Detail: string(detail)})
 		}
 	}
 	if len(out) == 0 {
 		out = append(out, Difference{Kind: "shape", Detail: "same operators arranged differently"})
 	}
-	return out
+	return slices.Clone(out)
+}
+
+// count returns the number of the plan's operators of type t.
+func (p *Plan) count(t OpType) int {
+	n := 0
+	for _, op := range p.nodes {
+		if op.Type == t {
+			n++
+		}
+	}
+	return n
+}
+
+// compareKeys orders two leaves by their access-path keys.
+func compareKeys(x, y *Node) int {
+	var bx, by [64]byte
+	return bytes.Compare(appendKey(bx[:0], x), appendKey(by[:0], y))
+}
+
+// appendKey appends a leaf's access-path key: its table, and its alias
+// after a space.
+func appendKey(b []byte, n *Node) []byte {
+	b = append(b, n.Table...)
+	if n.Alias != "" {
+		b = append(append(b, ' '), n.Alias...)
+	}
+	return b
+}
+
+// appendAccess appends how a leaf reads its table, or "none" for no leaf.
+func appendAccess(b []byte, n *Node) []byte {
+	if n == nil {
+		return append(b, "none"...)
+	}
+	b = append(b, n.Type...)
+	if n.Index != "" {
+		b = append(append(b, " using "...), n.Index...)
+	}
+	return b
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -307,23 +309,8 @@ func referenceSignature(p *Plan) string {
 // asked first by concurrent callers (run under -race), then again.
 func TestPlanSignatureMemo(t *testing.T) {
 	plans := []*Plan{BuildQ5(), BuildQ6(), BuildQ14()}
-	def := DefaultQ2Choices()
-	either := func(ix AccessSpec) []AccessSpec { return []AccessSpec{ix, {Type: OpSeqScan}} }
-	for _, pa := range either(def.PartAccess) {
-		for _, ma := range either(def.PartsuppAccess) {
-			for _, sa := range either(def.SubPartsuppAccess) {
-				for _, na := range either(def.SubNationAccess) {
-					for _, su := range either(def.SubSupplierAccess) {
-						for _, j := range []OpType{OpHashJoin, OpNestedLoop} {
-							plans = append(plans, BuildQ2(Q2Choices{
-								PartAccess: pa, PartsuppAccess: ma, SubPartsuppAccess: sa,
-								SubNationAccess: na, SubSupplierAccess: su, MainJoin: j,
-							}))
-						}
-					}
-				}
-			}
-		}
+	for _, ch := range allQ2Choices() {
+		plans = append(plans, BuildQ2(ch))
 	}
 	distinct := map[string]bool{}
 	for _, p := range plans {
@@ -339,7 +326,8 @@ func TestPlanSignatureMemo(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		for i, sig := range append(got, p.Signature(), p.signature()) {
+		h := p.hash()
+		for i, sig := range append(got, p.Signature(), string(h[:])) {
 			if sig != want {
 				t.Fatalf("%s plan: Signature call %d = %s, reference walk %s\n%s", p.Query, i, sig, want, p.Render())
 			}
@@ -347,5 +335,154 @@ func TestPlanSignatureMemo(t *testing.T) {
 	}
 	if len(distinct) != len(plans) {
 		t.Fatalf("%d plans produced %d distinct signatures", len(plans), len(distinct))
+	}
+}
+
+// allQ2Choices returns every Q2 decision point's choices: each access
+// both ways, both join strategies.
+func allQ2Choices() []Q2Choices {
+	def := DefaultQ2Choices()
+	either := func(ix AccessSpec) []AccessSpec { return []AccessSpec{ix, {Type: OpSeqScan}} }
+	var out []Q2Choices
+	for _, pa := range either(def.PartAccess) {
+		for _, ma := range either(def.PartsuppAccess) {
+			for _, sa := range either(def.SubPartsuppAccess) {
+				for _, na := range either(def.SubNationAccess) {
+					for _, su := range either(def.SubSupplierAccess) {
+						for _, j := range []OpType{OpHashJoin, OpNestedLoop} {
+							out = append(out, Q2Choices{
+								PartAccess: pa, PartsuppAccess: ma, SubPartsuppAccess: sa,
+								SubNationAccess: na, SubSupplierAccess: su, MainJoin: j,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestScratchSignatureMatchesBuild: the optimizer answers Module PD's
+// replays from its scratch tree, so for every Q2 choice the scratch
+// plan's signature, asked in either form and after the scratch has held
+// every other choice, must be the built plan's.
+func TestScratchSignatureMatchesBuild(t *testing.T) {
+	var s Q2Scratch
+	all := allQ2Choices()
+	reversed := slices.Clone(all)
+	slices.Reverse(reversed)
+	for _, order := range [][]Q2Choices{all, reversed} {
+		for _, ch := range order {
+			want := BuildQ2(ch).Signature()
+			if got := s.Build(ch).Signature(); got != want {
+				t.Fatalf("%+v: scratch signature %s, built %s", ch, got, want)
+			}
+			if !s.Build(ch).HasSignature(want) || s.Build(ch).HasSignature(want[1:]+"0") {
+				t.Fatalf("%+v: HasSignature disagrees with Signature %s", ch, want)
+			}
+		}
+	}
+}
+
+// referenceDiff is Diff as it was before it walked the leaves in key
+// order: maps of access-path strings and of operator counts.
+func referenceDiff(a, b *Plan) []Difference {
+	if a.Signature() == b.Signature() {
+		return nil
+	}
+	var out []Difference
+	accessOf := func(p *Plan) map[string]string {
+		m := make(map[string]string)
+		for _, n := range p.Leaves() {
+			desc := string(n.Type)
+			if n.Index != "" {
+				desc += " using " + n.Index
+			}
+			m[n.Table+aliasSuffix(n.Alias)] = desc
+		}
+		return m
+	}
+	accA, accB := accessOf(a), accessOf(b)
+	keys := make(map[string]bool)
+	for k := range accA {
+		keys[k] = true
+	}
+	for k := range accB {
+		keys[k] = true
+	}
+	sortedKeys := make([]string, 0, len(keys))
+	for k := range keys {
+		sortedKeys = append(sortedKeys, k)
+	}
+	sort.Strings(sortedKeys)
+	for _, k := range sortedKeys {
+		va, vb := accA[k], accB[k]
+		switch {
+		case va == vb:
+		case va == "":
+			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: none -> %s", k, vb)})
+		case vb == "":
+			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: %s -> none", k, va)})
+		default:
+			out = append(out, Difference{Kind: "access-path", Detail: fmt.Sprintf("%s: %s -> %s", k, va, vb)})
+		}
+	}
+	countTypes := func(p *Plan) map[OpType]int {
+		m := make(map[OpType]int)
+		for _, n := range p.Nodes() {
+			m[n.Type]++
+		}
+		return m
+	}
+	ca, cb := countTypes(a), countTypes(b)
+	for _, t := range []OpType{OpLimit, OpSort, OpHashJoin, OpMergeJoin, OpNestedLoop,
+		OpHash, OpMaterialize, OpAggregate, OpSeqScan, OpIndexScan} {
+		if ca[t] != cb[t] {
+			out = append(out, Difference{Kind: "operator",
+				Detail: fmt.Sprintf("%s count %d -> %d", t, ca[t], cb[t])})
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, Difference{Kind: "shape", Detail: "same operators arranged differently"})
+	}
+	return out
+}
+
+// TestDiffMatchesMapReference holds Diff to the map-based reference on
+// every ordered pair of plans the optimizer can choose, the fixed-shape
+// queries among them (leaves present on one side only), and on two
+// hand-built trees: one whose leaves share a key (the last in pre-order
+// wins) and whose tables order differently from their keys, and one
+// arranged differently from the other with the same operators.
+func TestDiffMatchesMapReference(t *testing.T) {
+	plans := []*Plan{BuildQ5(), BuildQ6(), BuildQ14()}
+	for _, ch := range allQ2Choices() {
+		plans = append(plans, BuildQ2(ch))
+	}
+	leaf := func(typ OpType, table, index, alias string) *Node {
+		return &Node{Type: typ, Table: table, Index: index, Alias: alias}
+	}
+	join := func(ns ...*Node) *Node { return &Node{Type: OpHashJoin, Children: ns} }
+	// Table "a b" and table "a" aliased "b" share the key "a b"; "a\t"
+	// sorts before it as a key, after it as a table.
+	plans = append(plans,
+		New("T", join(leaf(OpSeqScan, "ab", "", ""), leaf(OpIndexScan, "a", "a_i", "b"),
+			join(leaf(OpSeqScan, "a b", "", ""), leaf(OpIndexScan, "a\t", "x", "")))),
+		New("T", join(join(leaf(OpIndexScan, "a\t", "x", ""), leaf(OpSeqScan, "a", "", "b")),
+			leaf(OpSeqScan, "ab", "", ""), leaf(OpIndexScan, "a b", "a_i", ""))),
+	)
+	rows := 0
+	for _, a := range plans {
+		for _, b := range plans {
+			got, want := Diff(a, b), referenceDiff(a, b)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Diff\n%s\nagainst\n%s\n= %v\nreference %v", a.Render(), b.Render(), got, want)
+			}
+			rows += len(got)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no pair differed")
 	}
 }

@@ -54,7 +54,7 @@ func TestPlanRegressionRemedyRestoresIndex(t *testing.T) {
 	if err := r.Apply(tb, 7200); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
+	if _, ok := tb.Cat.Schema().IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
 		t.Fatalf("index should be restored")
 	}
 	if evs := tb.Cfg.Log.OfKind("IndexCreated"); len(evs) != 1 || evs[0].T != 7200 {

@@ -242,7 +242,7 @@ func TestApply(t *testing.T) {
 	if !tb.Cfg.LUNVisible("vol-X", ServerApp2) || !tb.Cfg.Zoned("hba-app2-1-p0", "ss-1-p0") || tb.Cfg.Zoned("hba-app1-1-p0", "ss-1-p1") {
 		t.Errorf("zoning or LUN mapping not applied")
 	}
-	if _, ok := tb.Cat.IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
+	if _, ok := tb.Cat.Schema().IndexOn(dbsys.TPartsupp, "ps_partkey"); !ok {
 		t.Errorf("index not restored")
 	}
 	if got := tb.Cat.Snapshot().RowsOf(dbsys.TPartsupp); got != 2*rows {
