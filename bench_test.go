@@ -423,7 +423,8 @@ func BenchmarkMicro_StoreMetricsFor(b *testing.B) {
 func BenchmarkMicro_StoreWindowMeans(b *testing.B) {
 	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
 	store, keys := sc.Input.Store, sc.Input.Store.Keys()
-	windows := diag.ReadWindows(sc.Input.SatRuns())
+	sat, _ := sc.Input.LabeledRuns()
+	windows := diag.ReadWindows(sat)
 	var buf []float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -444,7 +445,8 @@ func BenchmarkMicro_StoreWindowMeans(b *testing.B) {
 func BenchmarkMicro_StoreWindowStats(b *testing.B) {
 	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
 	store, keys := sc.Input.Store, sc.Input.Store.Keys()
-	windows := diag.ReadWindows(sc.Input.SatRuns())
+	sat, _ := sc.Input.LabeledRuns()
+	windows := diag.ReadWindows(sat)
 	n := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -82,7 +82,7 @@ func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath str
 		fmt.Println(console.QueryScreen(sc.Input.Runs, sc.Input.Satisfactory))
 	}
 	if show("apg") && res.APG != nil {
-		unsat := sc.Input.UnsatRuns()
+		_, unsat := sc.Input.LabeledRuns()
 		if len(unsat) > 0 {
 			var windows []simtime.Interval
 			for _, r := range unsat {

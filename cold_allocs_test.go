@@ -14,29 +14,29 @@ import (
 // most 10 % headroom. A change that needs more allocations raises the
 // ceiling in the open, with its reason; one that needs fewer lowers it.
 var coldDiagnosisAllocs = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     55,
-	diads.ScenarioTwoPools:         48,
-	diads.ScenarioDataProperty:     53,
-	diads.ScenarioConcurrentFaults: 61,
-	diads.ScenarioLockingNoise:     48,
+	diads.ScenarioSANMisconfig:     50,
+	diads.ScenarioTwoPools:         44,
+	diads.ScenarioDataProperty:     49,
+	diads.ScenarioConcurrentFaults: 57,
+	diads.ScenarioLockingNoise:     44,
 	diads.ScenarioPlanRegression:   25,
-	diads.ScenarioCPUSaturation:    47,
-	diads.ScenarioDiskFailure:      52,
-	diads.ScenarioRAIDRebuild:      50,
+	diads.ScenarioCPUSaturation:    42,
+	diads.ScenarioDiskFailure:      48,
+	diads.ScenarioRAIDRebuild:      46,
 }
 
 // coldDiagnosisBytes is the byte budget of the same diagnoses, set the
 // same way: the bytes measured per diagnosis plus at most 10 %.
 var coldDiagnosisBytes = map[diads.ScenarioID]float64{
-	diads.ScenarioSANMisconfig:     45625,
-	diads.ScenarioTwoPools:         42977,
-	diads.ScenarioDataProperty:     41674,
-	diads.ScenarioConcurrentFaults: 47473,
-	diads.ScenarioLockingNoise:     42105,
+	diads.ScenarioSANMisconfig:     39243,
+	diads.ScenarioTwoPools:         37298,
+	diads.ScenarioDataProperty:     35996,
+	diads.ScenarioConcurrentFaults: 41074,
+	diads.ScenarioLockingNoise:     36427,
 	diads.ScenarioPlanRegression:   2788,
-	diads.ScenarioCPUSaturation:    40064,
-	diads.ScenarioDiskFailure:      42149,
-	diads.ScenarioRAIDRebuild:      41595,
+	diads.ScenarioCPUSaturation:    34350,
+	diads.ScenarioDiskFailure:      35063,
+	diads.ScenarioRAIDRebuild:      34491,
 }
 
 // TestColdDiagnosisAllocs holds every scenario's cold diagnosis (no APG

@@ -50,7 +50,8 @@ func (r Report) String() string {
 // of the data is on V2").
 func SANOnly(in *diag.Input) (*Report, error) {
 	rep := &Report{Tool: "SAN-only"}
-	sat, unsat := diag.ReadWindows(in.SatRuns()), diag.ReadWindows(in.UnsatRuns())
+	satRuns, unsatRuns := in.LabeledRuns()
+	sat, unsat := diag.ReadWindows(satRuns), diag.ReadWindows(unsatRuns)
 	for _, vol := range in.Cfg.All(topology.KindVolume) {
 		c := string(vol)
 		var best float64
@@ -85,7 +86,7 @@ func SANOnly(in *diag.Input) (*Report, error) {
 // execution plan".
 func DBOnly(in *diag.Input) (*Report, error) {
 	rep := &Report{Tool: "DB-only"}
-	sat, unsat := in.SatRuns(), in.UnsatRuns()
+	sat, unsat := in.LabeledRuns()
 	if len(sat) == 0 || len(unsat) == 0 {
 		return nil, fmt.Errorf("baseline: need labeled runs")
 	}

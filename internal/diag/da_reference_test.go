@@ -50,7 +50,7 @@ func referenceDAScores(in *diag.Input, res *diag.Result, score func(sat, unsat [
 		}
 		return out
 	}
-	sat, unsat := in.SatRuns(), in.UnsatRuns()
+	sat, unsat := in.LabeledRuns()
 	var out []diag.MetricScore
 	for _, c := range comps {
 		for _, m := range in.Store.MetricsFor(c) {

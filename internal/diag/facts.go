@@ -1,13 +1,12 @@
 package diag
 
 import (
-	"cmp"
-	"maps"
 	"slices"
 	"strconv"
 	"sync"
 
 	"diads/internal/apg"
+	"diads/internal/exec"
 	"diads/internal/metrics"
 	"diads/internal/symptoms"
 	"diads/internal/topology"
@@ -34,7 +33,8 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 	if pd != nil && pd.Changed {
 		fb.Add(1, "plan-changed")
 	}
-	if unsat := in.unsatisfactoryRuns(); len(unsat) > 0 {
+	var runs [stackRuns]*exec.RunRecord
+	if _, unsat := in.labeledRuns(runs[:]); len(unsat) > 0 {
 		fb.AddTimed(1, unsat[0].Start, "first-unsat-run")
 	}
 
@@ -54,7 +54,13 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 	}
 
 	if cr != nil {
-		for _, table := range sortedKeys(cr.TableScores) {
+		var tables [16]string // a plan reads a handful of tables
+		keys := tables[:0]
+		for table := range cr.TableScores {
+			keys = append(keys, table)
+		}
+		slices.Sort(keys) // facts are added in one order whatever the map's
+		for _, table := range keys {
 			fb.Add(cr.TableScores[table], "record-anomaly:", table)
 		}
 	}
@@ -62,14 +68,6 @@ func BuildFacts(in *Input, g *apg.APG, pd *PDResult, co *COResult, da *DAResult,
 	addEventFacts(fb, in, events)
 	addCPULevelFact(fb, in)
 	return fb.Build()
-}
-
-// sortedKeys returns m's keys in order: facts are added in one order
-// whatever the map's.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := slices.AppendSeq(make([]K, 0, len(m)), maps.Keys(m))
-	slices.Sort(keys)
-	return keys
 }
 
 // addComponentFacts records each component's highest metric anomaly. A

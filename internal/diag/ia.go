@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 
 	"diads/internal/apg"
 	"diads/internal/exec"
@@ -51,8 +52,13 @@ func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.Cause
 		extraPlan = simtime.Duration(1e-9) // nothing to explain; scores ~0
 	}
 
-	own := ownTimeDeltas(g.Plan, sat, unsat)
-	lockDelta := lockWaitDeltas(g.Plan, sat, unsat)
+	deltas := deltaScratch.Get().(*[]float64)
+	ops := g.Plan.NumOperators() + 1
+	buf := slices.Grow((*deltas)[:0], 2*ops)[:2*ops]
+	clear(buf)
+	own, lockDelta := buf[:ops:ops], buf[ops:]
+	ownTimeDeltas(own, g.Plan, sat, unsat)
+	lockWaitDeltas(lockDelta, g.Plan, sat, unsat)
 
 	n := 0
 	for _, cause := range causes {
@@ -89,6 +95,8 @@ func ImpactAnalysis(in *Input, g *apg.APG, co *COResult, causes []symptoms.Cause
 		}
 		res.Items = append(res.Items, ImpactItem{Cause: cause, Score: score, Ops: ops})
 	}
+	*deltas = buf[:0]
+	deltaScratch.Put(deltas)
 	slices.SortStableFunc(res.Items, func(a, b ImpactItem) int {
 		return cmp.Or(cmp.Compare(b.Cause.Confidence, a.Cause.Confidence), cmp.Compare(b.Score, a.Score))
 	})
@@ -147,14 +155,16 @@ func opDelta(deltas []float64, id int) float64 {
 	return deltas[id]
 }
 
-// ownTimeDeltas computes, per operator ID, the change in mean own
+// deltaScratch recycles ImpactAnalysis's two per-operator delta arrays
+// across diagnoses: no ImpactItem keeps them.
+var deltaScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// ownTimeDeltas writes into out, per operator ID, the change in mean own
 // (exclusive) running time between satisfactory and unsatisfactory runs.
-func ownTimeDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) []float64 {
-	out := make([]float64, p.NumOperators()+1)
+func ownTimeDeltas(out []float64, p *plan.Plan, sat, unsat []*exec.RunRecord) {
 	for _, n := range p.Nodes() {
 		out[n.ID] = meanOwn(unsat, p, n.ID) - meanOwn(sat, p, n.ID)
 	}
-	return out
 }
 
 // meanOwn averages an operator's exclusive time: its interval minus its
@@ -189,9 +199,9 @@ func meanOwn(runs []*exec.RunRecord, p *plan.Plan, id int) float64 {
 	return sum / float64(len(runs))
 }
 
-// lockWaitDeltas computes, per operator ID, the change in mean lock-wait
-// time.
-func lockWaitDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) []float64 {
+// lockWaitDeltas writes into out, per operator ID, the change in mean
+// lock-wait time.
+func lockWaitDeltas(out []float64, p *plan.Plan, sat, unsat []*exec.RunRecord) {
 	mean := func(runs []*exec.RunRecord, id int) float64 {
 		if len(runs) == 0 {
 			return 0
@@ -204,11 +214,9 @@ func lockWaitDeltas(p *plan.Plan, sat, unsat []*exec.RunRecord) []float64 {
 		}
 		return sum / float64(len(runs))
 	}
-	out := make([]float64, p.NumOperators()+1)
 	for _, n := range p.Nodes() {
 		out[n.ID] = mean(unsat, n.ID) - mean(sat, n.ID)
 	}
-	return out
 }
 
 func meanDuration(runs []*exec.RunRecord) simtime.Duration {

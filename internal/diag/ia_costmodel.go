@@ -3,6 +3,7 @@ package diag
 import (
 	"fmt"
 
+	"diads/internal/exec"
 	"diads/internal/symptoms"
 )
 
@@ -40,7 +41,8 @@ func CostModelAnalysis(in *Input, res *Result) ([]CostModelImpact, error) {
 	if res.APG == nil {
 		return nil, fmt.Errorf("diag: cost-model analysis needs the common plan")
 	}
-	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
+	var buf [stackRuns]*exec.RunRecord
+	sat, unsat := in.labeledRuns(buf[:])
 	observed := 1.0
 	if m := meanDuration(sat); m > 0 {
 		observed = float64(meanDuration(unsat)) / float64(m)

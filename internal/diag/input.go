@@ -110,29 +110,24 @@ func (in *Input) threshold() float64 {
 // (the silo baselines reuse it for comparability).
 func (in *Input) Threshold0() float64 { return in.threshold() }
 
-// SatRuns exposes the labeled-satisfactory runs in time order.
-func (in *Input) SatRuns() []*exec.RunRecord { return in.satisfactoryRuns() }
+// LabeledRuns exposes the labeled-satisfactory and the
+// labeled-unsatisfactory runs, each in time order, from one partition.
+func (in *Input) LabeledRuns() (sat, unsat []*exec.RunRecord) { return in.labeledRuns(nil) }
 
-// UnsatRuns exposes the labeled-unsatisfactory runs in time order.
-func (in *Input) UnsatRuns() []*exec.RunRecord { return in.unsatisfactoryRuns() }
+// stackRuns is the size of the stack array a caller that keeps neither
+// partition lends labeledRuns: a batch scenario labels 16 runs, the
+// online monitor's history holds 32.
+const stackRuns = 64
 
-// satisfactoryRuns returns the labeled-satisfactory runs in time order.
-func (in *Input) satisfactoryRuns() []*exec.RunRecord {
+// labeledRuns returns the satisfactory and the unsatisfactory runs, each
+// in time order: the seeded partitions, or one partition of Runs per
+// call, carved from buf when it has room. A caller that keeps neither
+// half lends it stack storage; one that may keep them passes nil.
+func (in *Input) labeledRuns(buf []*exec.RunRecord) (sat, unsat []*exec.RunRecord) {
 	if in.sat != nil {
-		return in.sat
+		return in.sat, in.unsat
 	}
-	sat, _ := in.partition()
-	return sat
-}
-
-// unsatisfactoryRuns returns the labeled-unsatisfactory runs in time
-// order.
-func (in *Input) unsatisfactoryRuns() []*exec.RunRecord {
-	if in.unsat != nil {
-		return in.unsat
-	}
-	_, unsat := in.partition()
-	return unsat
+	return in.partition(buf)
 }
 
 // windows returns the evidence windows of the satisfactory and the
@@ -141,14 +136,16 @@ func (in *Input) windows() (sat, unsat []simtime.Interval) {
 	if in.satWin != nil {
 		return in.satWin, in.unsatWin
 	}
-	return ReadWindows(in.satisfactoryRuns()), ReadWindows(in.unsatisfactoryRuns())
+	var buf [stackRuns]*exec.RunRecord
+	satRuns, unsatRuns := in.labeledRuns(buf[:])
+	return ReadWindows(satRuns), ReadWindows(unsatRuns)
 }
 
 // partition splits the labeled runs into the satisfactory and the
 // unsatisfactory ones, each in time order (runs starting together keep
-// their order in Runs). Both are carved from one array of exactly their
-// size.
-func (in *Input) partition() (sat, unsat []*exec.RunRecord) {
+// their order in Runs). Both are carved from one array: buf's, when it
+// has room, else a new one of their size.
+func (in *Input) partition(buf []*exec.RunRecord) (sat, unsat []*exec.RunRecord) {
 	nSat, nUnsat := 0, 0
 	for _, r := range in.Runs {
 		if s, ok := in.Satisfactory[r.RunID]; ok {
@@ -159,7 +156,7 @@ func (in *Input) partition() (sat, unsat []*exec.RunRecord) {
 			}
 		}
 	}
-	all := make([]*exec.RunRecord, nSat+nUnsat)
+	all := slices.Grow(buf[:0], nSat+nUnsat)
 	sat, unsat = all[:0:nSat], all[nSat:nSat]
 	for _, r := range in.Runs {
 		if s, ok := in.Satisfactory[r.RunID]; ok {
@@ -184,7 +181,8 @@ func (in *Input) runsOnPlan(p *plan.Plan) (sat, unsat []*exec.RunRecord) {
 	if in.planSig == sig { // never true un-seeded: a signature is not ""
 		return in.satOnPlan, in.unsatOnPlan
 	}
-	return withPlanSig(in.satisfactoryRuns(), sig), withPlanSig(in.unsatisfactoryRuns(), sig)
+	sat, unsat = in.labeledRuns(nil)
+	return withPlanSig(sat, sig), withPlanSig(unsat, sig)
 }
 
 // withPlanSig filters runs to those recorded under the plan signature:
@@ -222,7 +220,7 @@ func (in *Input) validate() error {
 	if len(in.Runs) == 0 {
 		return fmt.Errorf("diag: no runs for query %s", in.Query)
 	}
-	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
+	sat, unsat := in.labeledRuns(nil)
 	if len(sat) < MinSatisfactory {
 		return fmt.Errorf("diag: need at least %d satisfactory runs, have %d", MinSatisfactory, len(sat))
 	}

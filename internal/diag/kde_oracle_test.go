@@ -116,7 +116,8 @@ func TestScoresMatchErfOracle(t *testing.T) {
 			}
 			what := func(s string) string { return fmt.Sprintf("scenario %d seed %d %s", id, seed, s) }
 			p := res.APG.Plan
-			sat, unsat := refRunsOnPlan(in.SatRuns(), p), refRunsOnPlan(in.UnsatRuns(), p)
+			satRuns, unsatRuns := in.LabeledRuns()
+			sat, unsat := refRunsOnPlan(satRuns, p), refRunsOnPlan(unsatRuns, p)
 			threshold := in.Threshold0()
 
 			// CO: every operator but the root.

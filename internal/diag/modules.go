@@ -33,7 +33,7 @@ const PipelineDIADS = "diads"
 // is never written.
 func Seed(in *Input) (*Input, error) {
 	seeded := *in
-	seeded.sat, seeded.unsat = in.partition()
+	seeded.sat, seeded.unsat = in.partition(nil)
 	if err := seeded.validate(); err != nil {
 		return nil, err
 	}

@@ -47,7 +47,8 @@ type PDResult struct {
 // change that occurred between the runs and checking whether it could
 // have caused the change (Section 4.1).
 func PlanDiffing(in *Input) (*PDResult, error) {
-	sat, unsat := in.satisfactoryRuns(), in.unsatisfactoryRuns()
+	var buf [stackRuns]*exec.RunRecord
+	sat, unsat := in.labeledRuns(buf[:])
 	satSig, unsatSig := dominantSig(sat), dominantSig(unsat)
 	res := &PDResult{
 		SatSig:    satSig,

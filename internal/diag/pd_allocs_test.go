@@ -17,7 +17,8 @@ import (
 const planDiffingAllocs = 9
 
 // TestPlanDiffingAllocs holds Module PD on the plan-change scenario,
-// seeded as a diagnosis runs it, to its budget. The replay plans on one
+// seeded as a diagnosis runs it, to its budget, and un-seeded to the
+// same count. The replay plans on one
 // read of the live schema with the change laid over it, prices the
 // candidates in pooled scratch and compares signatures on the scratch
 // tree, so it builds no plan and copies no catalog. The race detector
@@ -43,5 +44,15 @@ func TestPlanDiffingAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per PD run: %d differences, %d causes", got, len(res.Differences), len(res.Causes))
 	if got > planDiffingAllocs {
 		t.Errorf("PD allocates %.0f times, budget %d", got, planDiffingAllocs)
+	}
+
+	// Called on the un-seeded Input, PD partitions the runs once, into
+	// stack storage: it allocates what the seeded call does.
+	unseeded := testing.AllocsPerRun(100, func() { res, err = diag.PlanDiffing(sc.Input) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unseeded != got {
+		t.Errorf("PD on the un-seeded Input allocates %.0f times, seeded %.0f", unseeded, got)
 	}
 }

@@ -348,7 +348,8 @@ func TestPDMatchesReferenceOnSyntheticLogs(t *testing.T) {
 		in   *diag.Input
 	}{{"index drop", sc.Input}, {"index scans off", paramChangeInput(t)}}
 	for b, base := range bases {
-		lastSat, firstUnsat := base.in.SatRuns()[len(base.in.SatRuns())-1].Start, base.in.UnsatRuns()[0].Start
+		sat, unsat := base.in.LabeledRuns()
+		lastSat, firstUnsat := sat[len(sat)-1].Start, unsat[0].Start
 		mid := lastSat + (firstUnsat-lastSat)/2
 		index := func(kind topology.EventKind, idx string, at simtime.Time) topology.Event {
 			return topology.Event{T: at, Kind: kind, Subject: topology.ID(idx)}

@@ -282,7 +282,8 @@ func TestResultBitIdenticalToLongWayReference(t *testing.T) {
 		drilled++
 		what := func(s string) string { return fmt.Sprintf("scenario %d %s", id, s) }
 		p := res.APG.Plan
-		sat, unsat := refRunsOnPlan(in.SatRuns(), p), refRunsOnPlan(in.UnsatRuns(), p)
+		satRuns, unsatRuns := in.LabeledRuns()
+		sat, unsat := refRunsOnPlan(satRuns, p), refRunsOnPlan(unsatRuns, p)
 
 		// (B) per-leaf dependency paths; interior paths derive from them.
 		for _, leaf := range p.Leaves() {

@@ -63,7 +63,7 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 		Cause:  top.Cause.Kind + "(" + subject + ")",
 		Remedy: remedy.Description,
 	}
-	sat, unsat := sc.Input.SatRuns(), sc.Input.UnsatRuns()
+	sat, unsat := sc.Input.LabeledRuns()
 	out.HealthyMean = meanDuration(sat)
 	out.BrokenMean = meanDuration(unsat)
 

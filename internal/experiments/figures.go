@@ -148,7 +148,7 @@ func Figure6(seed int64) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	unsat := sc.Input.UnsatRuns()
+	_, unsat := sc.Input.LabeledRuns()
 	if len(unsat) == 0 {
 		return nil, fmt.Errorf("experiments: scenario 1 produced no unsatisfactory runs")
 	}

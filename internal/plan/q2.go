@@ -58,11 +58,11 @@ const (
 // leaves read V2 tables.
 //
 // The nodes and child lists are carved from two arrays of exactly their
-// size, found by building the tree once in scratch storage first.
+// size, counted by describing the tree once to an arena with no storage.
 func BuildQ2(ch Q2Choices) *Plan {
-	var s Q2Scratch
-	n := s.Build(ch).NumOperators()
-	a := arena{nodes: make([]Node, n), lists: make([]*Node, n-1)}
+	var count arena
+	q2Tree(ch, &count)
+	a := arena{nodes: make([]Node, count.used), lists: make([]*Node, count.listed)}
 	return New("Q2", q2Tree(ch, &a))
 }
 
@@ -91,7 +91,7 @@ func (s *Q2Scratch) Build(ch Q2Choices) *Plan {
 const q2Nodes = 32
 
 // arena hands out a tree's nodes and child lists from storage sized for
-// the tree.
+// the tree. An arena with no storage only counts them, handing out nil.
 type arena struct {
 	nodes        []Node
 	lists        []*Node
@@ -100,17 +100,23 @@ type arena struct {
 
 // node returns a node holding n.
 func (a *arena) node(n Node) *Node {
-	p := &a.nodes[a.used]
-	*p = n
 	a.used++
+	if a.nodes == nil {
+		return nil
+	}
+	p := &a.nodes[a.used-1]
+	*p = n
 	return p
 }
 
 // list returns a child list holding ns.
 func (a *arena) list(ns ...*Node) []*Node {
-	l := a.lists[a.listed : a.listed+len(ns) : a.listed+len(ns)]
-	copy(l, ns)
 	a.listed += len(ns)
+	if a.lists == nil {
+		return nil
+	}
+	l := a.lists[a.listed-len(ns) : a.listed : a.listed]
+	copy(l, ns)
 	return l
 }
 

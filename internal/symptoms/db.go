@@ -191,10 +191,13 @@ type Binding struct {
 }
 
 // evalScratch is Evaluate's working memory, recycled across
-// evaluations: the buffer every substituted pattern is written into, and
-// the true conditions instance after instance. No CauseInstance keeps
-// any of it.
+// evaluations: every binding's variables in substitution order, where
+// each binding's end, the buffer every substituted pattern is written
+// into, and the true conditions instance after instance. No
+// CauseInstance keeps any of it.
 type evalScratch struct {
+	vars []variable
+	ends []int
 	buf  []byte
 	held []string
 }
@@ -205,10 +208,11 @@ var evalScratches = sync.Pool{New: func() any { return new(evalScratch) }}
 // its scope, returning cause instances sorted by confidence (descending),
 // with ties broken by kind then subject for determinism.
 //
-// Each instance writes its substituted patterns into one recycled
-// buffer and reads them in place. The instances' TrueConditions are
-// carved from one slice of exactly their total length, so a retained
-// result keeps nothing else of the evaluation.
+// Each binding's variables are ordered once. Each instance writes its
+// substituted patterns into one recycled buffer and reads them in place.
+// The instances' TrueConditions are carved from one slice of exactly
+// their total length, so a retained result keeps nothing else of the
+// evaluation.
 func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 	pairs, conds := 0, 0
 	for _, e := range db.entries {
@@ -220,19 +224,27 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 		}
 	}
 	sc := evalScratches.Get().(*evalScratch)
-	buf := sc.buf[:0]
+	vars, ends := sc.vars[:0], sc.ends[:0]
+	for _, b := range bindings {
+		vars = appendVars(vars, b.Vars)
+		ends = append(ends, len(vars))
+	}
 	out := make([]CauseInstance, 0, pairs)
 	held := slices.Grow(sc.held[:0], conds)
 	for _, e := range db.entries {
-		for _, b := range bindings {
+		for j, b := range bindings {
 			if b.Scope != e.Scope {
 				continue
 			}
+			bound := vars[:ends[j]]
+			if j > 0 {
+				bound = bound[ends[j-1]:]
+			}
 			var score float64
 			first := len(held)
-			buf = buf[:0] // no pattern of an earlier instance is still read
+			sc.buf = sc.buf[:0] // no pattern of an earlier instance is still read
 			for _, c := range e.Conditions {
-				if c.Expr.eval(fb, b.Vars, &buf) {
+				if c.Expr.eval(fb, bound, &sc.buf) {
 					score += c.Weight
 					held = append(held, c.exprText())
 				}
@@ -250,8 +262,9 @@ func (db *DB) Evaluate(fb *FactBase, bindings []Binding) []CauseInstance {
 	// held has room for every condition; keep an exactly sized copy.
 	kept := make([]string, len(held))
 	copy(kept, held)
-	clear(held) // the pool keeps no entry's text alive
-	sc.buf, sc.held = buf[:0], held[:0]
+	clear(held) // the pool keeps no entry's or binding's text alive
+	clear(vars)
+	sc.vars, sc.ends, sc.held = vars[:0], ends[:0], held[:0]
 	evalScratches.Put(sc)
 	at := 0
 	for i := range out {

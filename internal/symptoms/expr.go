@@ -14,17 +14,20 @@ import (
 type Expr interface {
 	Eval(fb *FactBase, bind map[string]string) bool
 	String() string
-	// eval is Eval substituting each pattern into buf, or, with a nil
-	// buf, into a string of its own.
-	eval(fb *FactBase, bind map[string]string, buf *[]byte) bool
+	// eval is Eval with the bound variables in the order substitution
+	// applies them (appendVars), substituting each pattern into buf, or,
+	// with a nil buf, into a string of its own.
+	eval(fb *FactBase, vars []variable, buf *[]byte) bool
 }
 
 // existsExpr: exists(pattern) — some matching fact has score > 0.
 type existsExpr struct{ pattern string }
 
-func (e existsExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e existsExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
-	return fb.Exists(substituteIn(buf, e.pattern, bind))
+func (e existsExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e existsExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
+	return fb.Exists(substituteIn(buf, e.pattern, vars))
 }
 func (e existsExpr) String() string { return fmt.Sprintf("exists(%s)", e.pattern) }
 
@@ -34,28 +37,34 @@ type geExpr struct {
 	c       float64
 }
 
-func (e geExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e geExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
-	return fb.MaxScore(substituteIn(buf, e.pattern, bind)) >= e.c
+func (e geExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e geExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
+	return fb.MaxScore(substituteIn(buf, e.pattern, vars)) >= e.c
 }
 func (e geExpr) String() string { return fmt.Sprintf("ge(%s, %g)", e.pattern, e.c) }
 
 // notExpr: not(expr).
 type notExpr struct{ inner Expr }
 
-func (e notExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e notExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
-	return !e.inner.eval(fb, bind, buf)
+func (e notExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e notExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
+	return !e.inner.eval(fb, vars, buf)
 }
 func (e notExpr) String() string { return fmt.Sprintf("not(%s)", e.inner) }
 
 // andExpr: and(e1, e2, ...).
 type andExpr struct{ args []Expr }
 
-func (e andExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e andExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
+func (e andExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e andExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
 	for _, a := range e.args {
-		if !a.eval(fb, bind, buf) {
+		if !a.eval(fb, vars, buf) {
 			return false
 		}
 	}
@@ -66,10 +75,12 @@ func (e andExpr) String() string { return "and(" + joinExprs(e.args) + ")" }
 // orExpr: or(e1, e2, ...).
 type orExpr struct{ args []Expr }
 
-func (e orExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e orExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
+func (e orExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e orExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
 	for _, a := range e.args {
-		if a.eval(fb, bind, buf) {
+		if a.eval(fb, vars, buf) {
 			return true
 		}
 	}
@@ -82,10 +93,12 @@ func (e orExpr) String() string { return "or(" + joinExprs(e.args) + ")" }
 // the paper's "complex symptoms with temporal properties".
 type beforeExpr struct{ p1, p2 string }
 
-func (e beforeExpr) Eval(fb *FactBase, bind map[string]string) bool { return e.eval(fb, bind, nil) }
-func (e beforeExpr) eval(fb *FactBase, bind map[string]string, buf *[]byte) bool {
-	t1, ok1 := fb.EarliestT(substituteIn(buf, e.p1, bind))
-	t2, ok2 := fb.EarliestT(substituteIn(buf, e.p2, bind))
+func (e beforeExpr) Eval(fb *FactBase, bind map[string]string) bool {
+	return e.eval(fb, appendVars(nil, bind), nil)
+}
+func (e beforeExpr) eval(fb *FactBase, vars []variable, buf *[]byte) bool {
+	t1, ok1 := fb.EarliestT(substituteIn(buf, e.p1, vars))
+	t2, ok2 := fb.EarliestT(substituteIn(buf, e.p2, vars))
 	return ok1 && ok2 && t1 < t2
 }
 func (e beforeExpr) String() string { return fmt.Sprintf("before(%s, %s)", e.p1, e.p2) }
@@ -98,75 +111,84 @@ func joinExprs(es []Expr) string {
 	return strings.Join(parts, ", ")
 }
 
-// substitute replaces $-prefixed template variables in a pattern.
-// Variables apply longest-first so a binding for $V cannot mangle an
-// occurrence of $VOL, and ties break lexicographically so the result
-// never depends on map iteration order. Each variable applies to the
-// text the ones before it left, so a value may itself name a shorter
-// variable ($P bound to "pool-$V"). The result has a buffer of its own,
-// sized for one occurrence of each variable.
+// variable is one bound template variable and the text it stands for.
+type variable struct{ name, value string }
+
+// appendVars appends bind's variables to dst in the order substitution
+// applies them: longest name first, so a binding for $V cannot mangle an
+// occurrence of $VOL, and ties lexicographically, so the result never
+// depends on map iteration order.
+func appendVars(dst []variable, bind map[string]string) []variable {
+	from := len(dst)
+	for k, v := range bind {
+		dst = append(dst, variable{k, v})
+	}
+	slices.SortFunc(dst[from:], func(a, b variable) int {
+		if c := cmp.Compare(len(b.name), len(a.name)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.name, b.name)
+	})
+	return dst
+}
+
+// substitute replaces $-prefixed template variables in a pattern, in
+// appendVars order. Each variable applies to the text the ones before it
+// left, so a value may itself name a shorter variable ($P bound to
+// "pool-$V"). Bindings carry one or two variables, so the variables are
+// ordered on the stack; more spill to the heap and order the same way.
 func substitute(pattern string, bind map[string]string) string {
-	if !strings.Contains(pattern, "$") {
-		return pattern
-	}
-	n := len(pattern)
-	for _, v := range bind {
-		n += len(v)
-	}
-	buf := make([]byte, 0, n)
-	return appendSubstitute(&buf, pattern, bind)
+	var vbuf [4]variable
+	return substituteIn(nil, pattern, appendVars(vbuf[:0], bind))
 }
 
-// substituteIn is substitute writing into buf, or substitute itself for
-// a nil buf.
-func substituteIn(buf *[]byte, pattern string, bind map[string]string) string {
+// substituteIn is appendSubstitute writing into buf, or, for a nil buf,
+// into a buffer of the pattern's own, sized for one occurrence of each
+// variable.
+func substituteIn(buf *[]byte, pattern string, vars []variable) string {
 	if buf == nil {
-		return substitute(pattern, bind)
+		if !strings.Contains(pattern, "$") {
+			return pattern
+		}
+		n := len(pattern)
+		for _, v := range vars {
+			n += len(v.value)
+		}
+		own := make([]byte, 0, n)
+		buf = &own
 	}
-	return appendSubstitute(buf, pattern, bind)
+	return appendSubstitute(buf, pattern, vars)
 }
 
-// appendSubstitute is the append form of substitute: each variable that
-// occurs appends the text with it replaced to buf, and the result is the
-// last text appended or the pattern itself when no variable occurs.
-// Bindings carry one or two variables, so the keys are ordered on the
-// stack; more spill to the heap and order the same way.
+// appendSubstitute is the append form of substitute over ordered
+// variables: each variable that occurs appends the text with it replaced
+// to buf, and the result is the last text appended or the pattern itself
+// when no variable occurs.
 //
 // The result reads buf's bytes in place, so it holds only until buf is
 // next written from its start: a later append leaves those bytes as they
 // are, but a recycled buffer does not. Callers look the result up and
 // let it go; nothing keeps it.
-func appendSubstitute(buf *[]byte, pattern string, bind map[string]string) string {
+func appendSubstitute(buf *[]byte, pattern string, vars []variable) string {
 	if !strings.Contains(pattern, "$") {
 		return pattern
 	}
-	var kbuf [4]string
-	keys := kbuf[:0]
-	for k := range bind {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b string) int {
-		if c := cmp.Compare(len(b), len(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 	out := pattern
-	for _, k := range keys {
-		if k == "" { // strings.ReplaceAll's rule for an empty key
-			out = strings.ReplaceAll(out, k, bind[k])
+	for _, v := range vars {
+		if v.name == "" { // strings.ReplaceAll's rule for an empty key
+			out = strings.ReplaceAll(out, v.name, v.value)
 			continue
 		}
-		i := strings.Index(out, k)
+		i := strings.Index(out, v.name)
 		if i < 0 {
 			continue
 		}
-		v, start := bind[k], len(*buf)
+		start := len(*buf)
 		for i >= 0 {
 			*buf = append(*buf, out[:i]...)
-			*buf = append(*buf, v...)
-			out = out[i+len(k):]
-			i = strings.Index(out, k)
+			*buf = append(*buf, v.value...)
+			out = out[i+len(v.name):]
+			i = strings.Index(out, v.name)
 		}
 		*buf = append(*buf, out...)
 		b := (*buf)[start:]

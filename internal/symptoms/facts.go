@@ -38,15 +38,28 @@ type Fact struct {
 
 // FactBase is a set of facts queryable by glob-like patterns.
 //
-// It is one slice of facts sorted by name, with no two facts sharing a
-// name. A literal lookup is a binary search; a wildcard probe reads only
-// the range of names that share the pattern's literal prefix, and All and
-// Fingerprint walk the slice in order. Fact bases outlive their diagnosis
-// and are read concurrently (service registry, fleet miner and validator,
-// console); a read changes nothing, so concurrent readers are safe once
-// the last write is done.
+// It keeps the facts sorted by name, no two sharing a name, in two
+// pieces of storage of exactly their size: one string of every name back
+// to back, and one 16-byte record per fact (its score, where its name
+// ends, and where its time is, if it has one). The few timed facts keep
+// their times in records after the facts' own. A literal lookup is a
+// binary search; a wildcard probe reads only the range of names that
+// share the pattern's literal prefix, and All and Fingerprint walk the
+// records in order. Fact bases outlive their diagnosis and are read
+// concurrently (service registry, fleet miner and validator, console); a
+// read changes nothing, so concurrent readers are safe once the last
+// write is done.
 type FactBase struct {
-	facts []Fact
+	names string
+	recs  []rec // the n facts' records, then one per timed fact
+	n     int
+}
+
+// rec is one fact without its name, or, past a base's facts, one time.
+type rec struct {
+	score float64 // a time record's time
+	end   uint32  // where the fact's name ends in names
+	t     uint32  // the index of the fact's time record; 0 for no time
 }
 
 // NewFactBase returns an empty fact base.
@@ -55,14 +68,17 @@ func NewFactBase() *FactBase { return &FactBase{} }
 // FactBuilder builds a fact base from a sequence of Add and AddTimed
 // calls in one pass. It appends every name to one byte buffer, records
 // each call with its name's offsets into it, and keeps the calls in
-// order; Build sorts them, folds each name's calls exactly as the
-// sequential calls on a FactBase would, and copies the surviving facts
-// and their names into storage of exactly their size, which is all the
-// built base keeps. The call list and the name buffer are scratch:
-// builders come from a pool, and Build returns its scratch there.
+// order; Build sorts them by merging the ascending runs they arrive in,
+// folds each name's calls exactly as the sequential calls on a FactBase
+// would, and copies the surviving facts and their names into storage of
+// exactly their size, which is all the built base keeps. The rest is
+// scratch: builders come from a pool, and Build returns its scratch
+// there.
 type FactBuilder struct {
 	names []byte
-	calls []call // in call order
+	calls []call // in call order until Build sorts them
+	tmp   []call // the merge's second buffer
+	runs  []int  // where each ascending run of calls ends
 }
 
 // call is one recorded Add or AddTimed, its name names[from:to].
@@ -73,11 +89,24 @@ type call struct {
 	timed    bool // AddTimed
 }
 
-// fact returns the call as the Fact fold applies, without its name.
-func (c call) fact() Fact { return Fact{Score: c.score, T: c.t, HasT: c.timed} }
-
-// set makes the call record f, keeping its name.
-func (c *call) set(f Fact) { c.score, c.t, c.timed = f.Score, f.T, f.HasT }
+// then applies c, a later call of the same name, to the fact x holds:
+// Add keeps the higher score and records no timestamp; AddTimed keeps
+// the earliest timestamp and the higher score. A call alone is the fact
+// it makes.
+func (x *call) then(c call) {
+	switch {
+	case c.timed:
+		if !(x.timed && x.t < c.t) {
+			x.t = c.t
+		}
+		if !(x.score > c.score) {
+			x.score = c.score
+		}
+		x.timed = true
+	case !AddKeeps(x.score, c.score):
+		x.score, x.t, x.timed = c.score, 0, false
+	}
+}
 
 // builders recycles FactBuilder scratch across fact bases.
 var builders = sync.Pool{New: func() any { return new(FactBuilder) }}
@@ -90,6 +119,7 @@ const avgFactName = 32
 func NewFactBuilder(n int) *FactBuilder {
 	b := builders.Get().(*FactBuilder)
 	b.calls = slices.Grow(b.calls[:0], n)
+	b.tmp = slices.Grow(b.tmp[:0], n) // Build may swap the two
 	b.names = slices.Grow(b.names[:0], n*avgFactName)
 	return b
 }
@@ -118,21 +148,70 @@ func (b *FactBuilder) record(c call, parts []string) {
 // name returns c's name in the builder's buffer.
 func (b *FactBuilder) name(c call) []byte { return b.names[c.from:c.to] }
 
+// compare orders two calls by name.
+func (b *FactBuilder) compare(x, y call) int { return bytes.Compare(b.name(x), b.name(y)) }
+
+// sorted returns the calls ordered by name, each name's calls in call
+// order, as a stable sort orders them. A diagnosis's calls arrive in a
+// few ascending runs (14 to 20 of them), so it finds the runs and merges
+// neighbours pairwise, the left run's call first on a tie, until one run
+// is left.
+func (b *FactBuilder) sorted() []call {
+	src := b.calls
+	runs := b.runs[:0]
+	for i := 1; i < len(src); i++ {
+		if b.compare(src[i-1], src[i]) > 0 {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(src))
+	dst := slices.Grow(b.tmp[:0], len(src))[:len(src)]
+	for len(runs) > 1 {
+		lo, merged := 0, runs[:0]
+		for k := 0; k < len(runs); k += 2 {
+			hi := runs[k]
+			if k+1 < len(runs) {
+				hi = runs[k+1]
+				b.merge(dst[lo:hi], src[lo:runs[k]], src[runs[k]:hi])
+			} else {
+				copy(dst[lo:hi], src[lo:hi])
+			}
+			merged = append(merged, hi)
+			lo = hi
+		}
+		runs = merged
+		src, dst = dst, src
+	}
+	b.calls, b.tmp, b.runs = src, dst, runs
+	return src
+}
+
+// merge merges the sorted runs x and y into dst, taking x's call on a
+// tie.
+func (b *FactBuilder) merge(dst, x, y []call) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(y) || i < len(x) && b.compare(x[i], y[j]) <= 0 {
+			dst[k] = x[i]
+			i++
+		} else {
+			dst[k] = y[j]
+			j++
+		}
+	}
+}
+
 // Build returns the fact base the recorded calls build, and returns the
 // builder's scratch to the pool: the builder must not be used
 // afterwards.
 func (b *FactBuilder) Build() *FactBase {
-	calls := b.calls
-	// A stable sort keeps each name's calls in call order, so folding a
-	// run of one name applies them as the sequential calls would.
-	slices.SortStableFunc(calls, func(x, y call) int { return bytes.Compare(b.name(x), b.name(y)) })
-	folded, size := calls[:0], 0
+	calls := b.sorted()
+	folded, size, timed := calls[:0], 0, 0
 	for _, c := range calls {
 		if n := len(folded); n > 0 && bytes.Equal(b.name(folded[n-1]), b.name(c)) {
-			folded[n-1].set(fold(folded[n-1].fact(), true, c.fact()))
+			folded[n-1].then(c)
 			continue
 		}
-		c.set(fold(Fact{}, false, c.fact()))
 		folded = append(folded, c)
 		size += len(b.name(c))
 	}
@@ -140,17 +219,22 @@ func (b *FactBuilder) Build() *FactBase {
 	kept.Grow(size)
 	for _, c := range folded {
 		kept.Write(b.name(c))
+		if c.timed {
+			timed++
+		}
 	}
-	facts := make([]Fact, len(folded))
-	all, at := kept.String(), 0
+	n := len(folded)
+	recs, end, t := make([]rec, n+timed), 0, n
 	for i, c := range folded {
-		f, n := c.fact(), int(c.to-c.from)
-		f.Name = all[at : at+n]
-		at += n
-		facts[i] = f
+		end += int(c.to - c.from)
+		recs[i] = rec{score: c.score, end: uint32(end)}
+		if c.timed {
+			recs[i].t, recs[t].score = uint32(t), float64(c.t)
+			t++
+		}
 	}
 	builders.Put(b)
-	return &FactBase{facts: facts}
+	return &FactBase{names: kept.String(), recs: recs, n: n}
 }
 
 // AddKeeps reports whether Add, re-adding a name with score, leaves the
@@ -159,74 +243,79 @@ func (b *FactBuilder) Build() *FactBase {
 // several Adds of one name into one applies it call by call, in order.
 func AddKeeps(old, score float64) bool { return old >= score }
 
-// fold applies one call, Add(f.Name, f.Score) or, when f.HasT is set,
-// AddTimed(f.Name, f.Score, f.T), to the fact old already stored under
-// the name, if exists: Add keeps the higher score and records no
-// timestamp; AddTimed keeps the earliest timestamp and the higher score.
-// FactBase's methods and FactBuilder both fold through it.
-func fold(old Fact, exists bool, f Fact) Fact {
-	if !f.HasT {
-		if exists && AddKeeps(old.Score, f.Score) {
-			return old
-		}
-		return Fact{Name: f.Name, Score: f.Score}
+// add applies one call by building the base again from its facts and
+// the call. Only hand-built bases grow call by call; a diagnosis builds
+// its base once through a FactBuilder.
+func (fb *FactBase) add(name string, c call) {
+	b := NewFactBuilder(fb.n + 1)
+	for i := range fb.n {
+		f := fb.fact(i)
+		b.record(call{score: f.Score, t: f.T, timed: f.HasT}, []string{f.Name})
 	}
-	if exists {
-		if old.HasT && old.T < f.T {
-			f.T = old.T
-		}
-		if old.Score > f.Score {
-			f.Score = old.Score
-		}
-	}
-	return f
-}
-
-// add applies one call, as fold describes, in place.
-func (fb *FactBase) add(f Fact) {
-	i, ok := fb.find(f.Name)
-	if ok {
-		fb.facts[i] = fold(fb.facts[i], true, f)
-		return
-	}
-	fb.facts = slices.Insert(fb.facts, i, fold(Fact{}, false, f))
-}
-
-// find returns the index of the fact named name, or where it would go.
-func (fb *FactBase) find(name string) (int, bool) {
-	return slices.BinarySearchFunc(fb.facts, name, func(f Fact, name string) int { return strings.Compare(f.Name, name) })
+	b.record(c, []string{name})
+	*fb = *b.Build()
 }
 
 // Add records a fact with a score and no timestamp. Re-adding a name
 // keeps the higher score.
 func (fb *FactBase) Add(name string, score float64) {
-	fb.add(Fact{Name: name, Score: score})
+	fb.add(name, call{score: score})
 }
 
 // AddTimed records a fact with a score and timestamp. Re-adding keeps the
 // earliest timestamp and the higher score.
 func (fb *FactBase) AddTimed(name string, score float64, t simtime.Time) {
-	fb.add(Fact{Name: name, Score: score, T: t, HasT: true})
+	fb.add(name, call{score: score, t: t, timed: true})
+}
+
+// name returns fact i's name.
+func (fb *FactBase) name(i int) string {
+	var start uint32
+	if i > 0 {
+		start = fb.recs[i-1].end
+	}
+	return fb.names[start:fb.recs[i].end]
+}
+
+// time returns fact i's timestamp, if it has one.
+func (fb *FactBase) time(i int) (simtime.Time, bool) {
+	if t := fb.recs[i].t; t != 0 {
+		return simtime.Time(fb.recs[t].score), true
+	}
+	return 0, false
+}
+
+// fact returns fact i.
+func (fb *FactBase) fact(i int) Fact {
+	f := Fact{Name: fb.name(i), Score: fb.recs[i].score}
+	f.T, f.HasT = fb.time(i)
+	return f
+}
+
+// find returns the index of the fact named name, or where it would go.
+func (fb *FactBase) find(name string) (int, bool) {
+	i := sort.Search(fb.n, func(i int) bool { return fb.name(i) >= name })
+	return i, i < fb.n && fb.name(i) == name
 }
 
 // lookup returns the fact named name, if there is one.
 func (fb *FactBase) lookup(name string) (Fact, bool) {
 	if i, ok := fb.find(name); ok {
-		return fb.facts[i], true
+		return fb.fact(i), true
 	}
 	return Fact{}, false
 }
 
-// span returns the facts that can match a pattern: those whose names
-// start with the pattern's literal segments, i.e. everything before its
-// first "*" segment, without the colon that ends them. Leaving that colon
-// out is what keeps the bare name in range — "a:b:*" matches "a:b" itself
-// (a trailing "*" matches zero segments), which sorts before "a:b-x" and
-// so outside the "a:b:" names. The range may also hold names that do not
-// match ("a:b-x", "a:bc"); MatchPattern remains the matcher, the range
-// only spares it the names that cannot match. A pattern that starts with
-// a wildcard spans every fact.
-func (fb *FactBase) span(pattern string) []Fact {
+// span returns the indexes [lo, hi) of the facts that can match a
+// pattern: those whose names start with the pattern's literal segments,
+// i.e. everything before its first "*" segment, without the colon that
+// ends them. Leaving that colon out is what keeps the bare name in range
+// — "a:b:*" matches "a:b" itself (a trailing "*" matches zero segments),
+// which sorts before "a:b-x" and so outside the "a:b:" names. The range
+// may also hold names that do not match ("a:b-x", "a:bc"); MatchPattern
+// remains the matcher, the range only spares it the names that cannot
+// match. A pattern that starts with a wildcard spans every fact.
+func (fb *FactBase) span(pattern string) (lo, hi int) {
 	prefix := pattern
 	for at := 0; at <= len(pattern); {
 		end := strings.IndexByte(pattern[at:], ':')
@@ -241,10 +330,9 @@ func (fb *FactBase) span(pattern string) []Fact {
 		}
 		at = end + 1
 	}
-	lo, _ := fb.find(prefix)
-	rest := fb.facts[lo:]
-	n := sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i].Name, prefix) })
-	return rest[:n]
+	lo, _ = fb.find(prefix)
+	hi = lo + sort.Search(fb.n-lo, func(i int) bool { return !strings.HasPrefix(fb.name(lo+i), prefix) })
+	return lo, hi
 }
 
 // Match returns the facts whose names match the pattern, sorted by name.
@@ -259,9 +347,10 @@ func (fb *FactBase) Match(pattern string) []Fact {
 		return nil
 	}
 	var out []Fact
-	for _, f := range fb.span(pattern) {
-		if MatchPattern(pattern, f.Name) {
-			out = append(out, f)
+	lo, hi := fb.span(pattern)
+	for i := lo; i < hi; i++ {
+		if MatchPattern(pattern, fb.name(i)) {
+			out = append(out, fb.fact(i))
 		}
 	}
 	return out
@@ -273,13 +362,16 @@ func (fb *FactBase) Match(pattern string) []Fact {
 // the pattern's span.
 func (fb *FactBase) MaxScore(pattern string) float64 {
 	if literalPattern(pattern) {
-		f, _ := fb.lookup(pattern)
-		return f.Score
+		if i, ok := fb.find(pattern); ok {
+			return fb.recs[i].score
+		}
+		return 0
 	}
 	var max float64
-	for _, f := range fb.span(pattern) {
-		if f.Score > max && MatchPattern(pattern, f.Name) {
-			max = f.Score
+	lo, hi := fb.span(pattern)
+	for i := lo; i < hi; i++ {
+		if s := fb.recs[i].score; s > max && MatchPattern(pattern, fb.name(i)) {
+			max = s
 		}
 	}
 	return max
@@ -288,11 +380,12 @@ func (fb *FactBase) MaxScore(pattern string) float64 {
 // Exists reports whether any fact matches the pattern with score > 0.
 func (fb *FactBase) Exists(pattern string) bool {
 	if literalPattern(pattern) {
-		f, _ := fb.lookup(pattern)
-		return f.Score > 0
+		i, ok := fb.find(pattern)
+		return ok && fb.recs[i].score > 0
 	}
-	for _, f := range fb.span(pattern) {
-		if f.Score > 0 && MatchPattern(pattern, f.Name) {
+	lo, hi := fb.span(pattern)
+	for i := lo; i < hi; i++ {
+		if fb.recs[i].score > 0 && MatchPattern(pattern, fb.name(i)) {
 			return true
 		}
 	}
@@ -302,14 +395,17 @@ func (fb *FactBase) Exists(pattern string) bool {
 // EarliestT returns the earliest timestamp among matching timed facts.
 func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 	if literalPattern(pattern) {
-		f, ok := fb.lookup(pattern)
-		return f.T, ok && f.HasT
+		if i, ok := fb.find(pattern); ok {
+			return fb.time(i)
+		}
+		return 0, false
 	}
 	var best simtime.Time
 	found := false
-	for _, f := range fb.span(pattern) {
-		if f.HasT && (!found || f.T < best) && MatchPattern(pattern, f.Name) {
-			best = f.T
+	lo, hi := fb.span(pattern)
+	for i := lo; i < hi; i++ {
+		if t, ok := fb.time(i); ok && (!found || t < best) && MatchPattern(pattern, fb.name(i)) {
+			best = t
 			found = true
 		}
 	}
@@ -317,10 +413,16 @@ func (fb *FactBase) EarliestT(pattern string) (simtime.Time, bool) {
 }
 
 // All returns every fact sorted by name.
-func (fb *FactBase) All() []Fact { return slices.Clone(fb.facts) }
+func (fb *FactBase) All() []Fact {
+	out := make([]Fact, fb.n)
+	for i := range out {
+		out[i] = fb.fact(i)
+	}
+	return out
+}
 
 // Len returns the number of facts.
-func (fb *FactBase) Len() int { return len(fb.facts) }
+func (fb *FactBase) Len() int { return fb.n }
 
 // Fingerprint returns a stable digest of the fact base: two bases with
 // the same facts (names, scores, timestamps) produce the same string.
@@ -332,7 +434,8 @@ func (fb *FactBase) Len() int { return len(fb.facts) }
 func (fb *FactBase) Fingerprint() string {
 	h := fnv.New64a()
 	var buf []byte
-	for _, f := range fb.facts {
+	for i := range fb.n {
+		f := fb.fact(i)
 		buf = append(buf[:0], f.Name...)
 		buf = append(buf, '=')
 		buf = strconv.AppendFloat(buf, f.Score, 'g', 9, 64)

@@ -260,15 +260,56 @@ func TestFactIndexProperty(t *testing.T) {
 			checkAgainst(t, bulk, ref, name(true))
 		}
 	}
+
+	// Call orders that stress Build's merge of ascending runs: every call
+	// its own run, one long run of a single name, and names that recur
+	// across runs of length 1, where the merge decides which of two calls
+	// of one name folds first.
+	rng := rand.New(rand.NewSource(99))
+	var distinct []string
+	for i := 0; i < 120; i++ {
+		distinct = append(distinct, fmt.Sprintf("n:%03d", i))
+	}
+	descending, one, recurring := []Fact{}, []Fact{}, []Fact{}
+	for i := len(distinct) - 1; i >= 0; i-- {
+		descending = append(descending, Fact{Name: distinct[i], Score: rng.Float64(), T: simtime.Time(i), HasT: i%3 == 0})
+	}
+	for i := 0; i < 300; i++ {
+		one = append(one, Fact{Name: "metric-anomaly:vol-V1:Total IOs", Score: float64(rng.Intn(5)) / 4, T: simtime.Time(rng.Intn(50)), HasT: i%2 == 0})
+	}
+	for i := 0; i < 300; i++ {
+		recurring = append(recurring, Fact{Name: distinct[len(distinct)-1-i%7], Score: float64(rng.Intn(5)) / 4, T: simtime.Time(rng.Intn(50)), HasT: rng.Intn(2) == 0})
+	}
+	for _, calls := range [][]Fact{descending, one, recurring} {
+		ref, b := refFacts{}, NewFactBuilder(len(calls))
+		for _, c := range calls {
+			if c.HasT {
+				ref.addTimed(c.Name, c.Score, c.T)
+				b.AddTimed(c.Score, c.T, c.Name)
+			} else {
+				ref.add(c.Name, c.Score)
+				b.Add(c.Score, c.Name)
+			}
+		}
+		bulk := b.Build()
+		checkWhole(t, bulk, ref)
+		for _, pattern := range []string{"*", "n:*", "metric-anomaly:*:*", "n:006", "n:119", "n:113"} {
+			checkAgainst(t, bulk, ref, pattern)
+		}
+	}
 }
 
-// TestBuildKeepsNoScratch: Build returns a FactBuilder's call list and
-// name buffer to a pool, and the next builder writes over them. The base
-// it returned must hold none of that scratch: its facts slice is exactly
-// as long as its facts, and its names lie back to back in storage of
-// exactly their total length. Builders sent through the pool afterwards,
-// with other names of the same lengths, must leave it as it was.
+// TestBuildKeepsNoScratch: Build returns a FactBuilder's call lists,
+// run bounds and name buffer to a pool, and the next builder writes over
+// them. The base it returned must hold none of that scratch: one record
+// per fact and one per timed fact, in a slice of exactly that length, and
+// its names back to back in a string of exactly their total length.
+// Builders sent through the pool afterwards, with other names of the same
+// lengths, must leave it as it was.
 func TestBuildKeepsNoScratch(t *testing.T) {
+	if size := unsafe.Sizeof(rec{}); size > 16 {
+		t.Fatalf("a fact record takes %d bytes, want at most 16", size)
+	}
 	b := NewFactBuilder(4)
 	b.Add(0.9, "metric-anomaly:", "vol-V1", ":writeTime")
 	b.AddTimed(1, 7, "event:VolumeCreated:", "vol-V3")
@@ -276,26 +317,18 @@ func TestBuildKeepsNoScratch(t *testing.T) {
 	b.Add(0.2, "cos-leaf-frac:vol-V1") // folds into the call before
 	fb := b.Build()
 
-	if len(fb.facts) != 3 || cap(fb.facts) != len(fb.facts) {
-		t.Fatalf("facts len %d cap %d, want 3 and 3", len(fb.facts), cap(fb.facts))
+	if fb.Len() != 3 || len(fb.recs) != 4 || cap(fb.recs) != 4 {
+		t.Fatalf("%d facts in %d records of capacity %d, want 3 facts, 3 records and 1 time", fb.Len(), len(fb.recs), cap(fb.recs))
 	}
-	want, size := make([]Fact, len(fb.facts)), 0
-	for i, f := range fb.facts {
-		f.Name = strings.Clone(f.Name)
-		want[i] = f
-		size += len(f.Name)
+	want, size := fb.All(), 0
+	for i := range want {
+		want[i].Name = strings.Clone(want[i].Name)
+		size += len(want[i].Name)
 	}
-	first := unsafe.StringData(fb.facts[0].Name)
-	at := 0
-	for _, f := range fb.facts {
-		if unsafe.StringData(f.Name) != (*byte)(unsafe.Add(unsafe.Pointer(first), at)) {
-			t.Fatalf("name %q is not where the names before it end", f.Name)
-		}
-		at += len(f.Name)
+	if len(fb.names) != size || fb.recs[fb.n-1].end != uint32(size) {
+		t.Fatalf("names take %d bytes and the last ends at %d, want the %d they hold", len(fb.names), fb.recs[fb.n-1].end, size)
 	}
-	if at != size {
-		t.Fatalf("names span %d bytes, want the %d they hold", at, size)
-	}
+	names := strings.Clone(fb.names)
 	fp := fb.Fingerprint()
 
 	for round := 0; round < 8; round++ {
@@ -305,7 +338,7 @@ func TestBuildKeepsNoScratch(t *testing.T) {
 		other.Add(0.8, "cos-leaf-frac:", "vol-V7")
 		other.Add(0.3, "cos-leaf-frac:vol-V8")
 		other.Build()
-		if got := fb.All(); !slices.Equal(got, want) {
+		if got := fb.All(); !slices.Equal(got, want) || fb.names != names {
 			t.Fatalf("round %d: the first base reads %v, built as %v", round, got, want)
 		}
 		if got := fb.Fingerprint(); got != fp {

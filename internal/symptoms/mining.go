@@ -71,9 +71,10 @@ func (m *Miner) AddIncident(inc Incident) {
 		}
 		c = &minedClass{}
 		m.classes[strings.Clone(inc.CauseKind)] = c
-		for _, f := range inc.Facts.facts {
-			if f.Score >= minedScoreThreshold {
-				c.common = append(c.common, strings.Clone(f.Name))
+		fb := inc.Facts
+		for i := range fb.n {
+			if fb.recs[i].score >= minedScoreThreshold {
+				c.common = append(c.common, strings.Clone(fb.name(i)))
 			}
 		}
 	} else {
@@ -87,10 +88,11 @@ func (m *Miner) AddIncident(inc Incident) {
 
 // AddBackground records a healthy-period fact base's present names.
 func (m *Miner) AddBackground(fb *FactBase) {
-	for _, f := range fb.facts {
-		if f.Score >= minedScoreThreshold {
-			if i, found := slices.BinarySearch(m.background, f.Name); !found {
-				m.background = slices.Insert(m.background, i, strings.Clone(f.Name))
+	for i := range fb.n {
+		if fb.recs[i].score >= minedScoreThreshold {
+			name := fb.name(i)
+			if at, found := slices.BinarySearch(m.background, name); !found {
+				m.background = slices.Insert(m.background, at, strings.Clone(name))
 			}
 		}
 	}
