@@ -101,8 +101,9 @@ type (
 	// to a gate of its own points Monitor.SetSink at its Add.
 	EventGate = monitor.Gate
 	// Service is the concurrent diagnosis engine: a bounded worker pool
-	// with per-(query, window) dedup, APG/symptoms caches, and a ranked
-	// incident registry.
+	// behind a bounded queue (Submit waits for space rather than drop a
+	// detection) with per-(query, window) dedup, APG/symptoms caches, and
+	// a ranked incident registry.
 	Service = service.Service
 	// ServiceConfig tunes the worker pool and caches.
 	ServiceConfig = service.Config

@@ -18,9 +18,11 @@ import (
 	"time"
 
 	"diads/internal/dbsys"
+	"diads/internal/diag"
 	"diads/internal/experiments"
 	"diads/internal/fleet"
 	"diads/internal/metrics"
+	"diads/internal/monitor"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -372,6 +374,114 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	if err := telemetry.ValidateExposition(telemetry.Default().Exposition()); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
+	}
+}
+
+// parkedInSubmit counts the goroutines waiting in Service.Submit for
+// queue space.
+func parkedInSubmit() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[sync.Cond.Wait")) && bytes.Contains(g, []byte("(*Service).Submit")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPoolBackpressureReachesTheDoor pins where a saturated diagnosis
+// pool's load goes: with the pool's one worker stalled and its one-slot
+// queue full, a faulty tenant's batch waits to apply while its
+// detections wait for queue space; once QueueDepth such batches wait,
+// the next post is answered 429 with Retry-After: 1. Released, every
+// waiting batch is answered 202 and every detection is diagnosed: none
+// is dropped behind the door.
+func TestPoolBackpressureReachesTheDoor(t *testing.T) {
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
+	tb := env.Testbed
+	node := New(Config{Seed: testSeed, QueueDepth: 2, Service: service.Config{Queue: 1, Workers: 1}})
+	defer node.Shutdown()
+	stall := make(chan struct{})
+	unstall := sync.OnceFunc(func() { close(stall) })
+	defer unstall()
+	inner := node.svc.OnDiagnosis
+	node.svc.OnDiagnosis = func(ev monitor.SlowdownEvent, res *diag.Result) {
+		<-stall
+		inner(ev, res)
+	}
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+	client := hs.Client()
+
+	runs := make([]WireRun, 0, len(tb.Runs))
+	for _, rec := range tb.Runs {
+		runs = append(runs, WireRunOf(rec))
+	}
+	final := float64(env.Horizon.Add(2 * metrics.DefaultMonitorInterval))
+	bodies := func(tenant string) [][2]string { // route, body
+		var out [][2]string
+		for _, b := range []struct {
+			route string
+			batch any
+		}{
+			{"events", EventBatch{Tenant: tenant, Instance: "db", Events: logEvents(tb)}},
+			{"runs", RunBatch{Tenant: tenant, Instance: "db", Runs: runs}},
+			{"samples", SampleBatch{Tenant: tenant, Instance: "db", Samples: storeSamples(tb), Watermark: &final}},
+		} {
+			body, err := json.Marshal(b.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, [2]string{hs.URL + "/v1/ingest/" + b.route, string(body)})
+		}
+		return out
+	}
+
+	released := node.tel.released.Value()
+	depth := node.cfg.QueueDepth
+	codes := make(chan []int, depth)
+	for i := range depth {
+		posts := bodies("faulty-" + strconv.Itoa(i))
+		go func() {
+			var got []int
+			for _, p := range posts {
+				got = append(got, postStatus(client, p[0], []byte(p[1])))
+			}
+			codes <- got
+		}()
+	}
+	waitUntil(t, "QueueDepth batches wait on the pool", func() bool {
+		return parkedInSubmit() == depth && node.waiting.Load() == int64(depth)
+	})
+	if st := node.svc.Stats(); st.QueueDepth != 1 {
+		t.Fatalf("pool queue holds %d jobs while batches wait, want 1 (full)", st.QueueDepth)
+	}
+	late := bodies("faulty-late")[0]
+	resp, body := postJSON(t, client, late[0], json.RawMessage(late[1]))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch past QueueDepth = %d %s, want 429", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want \"1\"", got)
+	}
+
+	unstall()
+	for range depth {
+		for i, code := range <-codes {
+			if code != http.StatusAccepted {
+				t.Errorf("batch %d answered %d, want 202", i, code)
+			}
+		}
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	st := node.svc.Stats()
+	n := node.tel.released.Value() - released
+	if n == 0 || st.Completed != n || st.Submitted != n || st.Failed != 0 || st.Rejected != 0 {
+		t.Errorf("%d detections released: %+v, want every one completed and none rejected", n, st)
 	}
 }
 
@@ -949,7 +1059,6 @@ func TestScopedInstance(t *testing.T) {
 			}
 		}
 	}
-	_ = service.ErrBackpressure // the pool semantics ingest mirrors
 }
 
 // TestIngestPlateau is the retention acceptance test on the HTTP door: a

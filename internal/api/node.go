@@ -30,12 +30,14 @@
 // one (tenant, instance) therefore apply one at a time, in the order
 // they reach the lock — a client that posts runs and then the samples
 // whose watermark releases them gets exactly that order — while other
-// instances apply in parallel. Ingest is backpressured like the
-// diagnosis pool itself: at most QueueDepth batches may be admitted and
-// not yet applied, and the next answers 429 with Retry-After rather
-// than blocking or buffering unboundedly — the snowball regime where
-// the diagnoser's own slowdown amplifies load is exactly what the
-// paper's monitor exists to catch.
+// instances apply in parallel. Load is refused at the door, never
+// dropped behind it: at most QueueDepth batches may be admitted and not
+// yet applied, and the next answers 429 with Retry-After rather than
+// blocking or buffering unboundedly — the snowball regime where the
+// diagnoser's own slowdown amplifies load is exactly what the paper's
+// monitor exists to catch. A batch whose detections find the diagnosis
+// pool's queue full waits for space, holding its instance's lock and its
+// admission slot, so a saturated pool reaches clients as 429s.
 package api
 
 import (

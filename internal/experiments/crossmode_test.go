@@ -270,10 +270,10 @@ func viewTuples(incs []api.IncidentView) []string {
 // nine tenants with one goroutine each, rank for every tenant exactly
 // the incidents its family ranks when it is posted alone. Batches of
 // different instances apply in parallel, so this is what holds their
-// evidence, changes and diagnoses apart. The shared pool's queue holds
-// every detection the nine release: at its default 64 it sheds some
-// (Stats.Rejected, by design), and a shed detection is missing from its
-// tenant's incident, which is load, not isolation.
+// evidence, changes and diagnoses apart. It holds at the default pool
+// and at a two-slot queue with one worker: a full queue makes a
+// tenant's batch wait for space, never drops its detection, so the
+// pool's size moves wall time only.
 func TestConcurrentTenantsMatchAlone(t *testing.T) {
 	const step = 30 * simtime.Minute
 	envs := make([]*OnlineEnv, len(faultFamilies))
@@ -285,31 +285,41 @@ func TestConcurrentTenantsMatchAlone(t *testing.T) {
 		envs[i] = simulateClient(t, spec)
 	}
 
-	node := api.New(api.Config{Seed: testSeed, Service: service.Config{Queue: 1024}})
-	defer node.Shutdown()
-	errs := make([]error, len(envs))
-	var wg sync.WaitGroup
-	for i, env := range envs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = streamHTTP(node, env, faultFamilies[i].name, step)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	for i, fam := range faultFamilies {
-		if got := viewTuples(tenantIncidents(t, node, fam.name)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
-			t.Errorf("%s posted beside eight other tenants ranks differently\n alone      %v\n concurrent %v", fam.name, want[i], got)
-		}
-	}
-	if st := node.Service().Stats(); st.Failed != 0 || st.Rejected != 0 {
-		t.Errorf("%d diagnoses failed, %d shed", st.Failed, st.Rejected)
+	for _, pool := range []struct {
+		name string
+		cfg  service.Config
+	}{
+		{"default", service.Config{}},
+		{"queue=2,workers=1", service.Config{Queue: 2, Workers: 1}},
+	} {
+		t.Run(pool.name, func(t *testing.T) {
+			node := api.New(api.Config{Seed: testSeed, Service: pool.cfg})
+			defer node.Shutdown()
+			errs := make([]error, len(envs))
+			var wg sync.WaitGroup
+			for i, env := range envs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = streamHTTP(node, env, faultFamilies[i].name, step)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			for i, fam := range faultFamilies {
+				if got := viewTuples(tenantIncidents(t, node, fam.name)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
+					t.Errorf("%s posted beside eight other tenants ranks differently\n alone      %v\n concurrent %v", fam.name, want[i], got)
+				}
+			}
+			if st := node.Service().Stats(); st.Failed != 0 || st.Rejected != 0 {
+				t.Errorf("%d diagnoses failed, %d rejected", st.Failed, st.Rejected)
+			}
+		})
 	}
 }
 

@@ -73,11 +73,10 @@ type Config struct {
 	// the instance count). Sharding changes wall time and telemetry
 	// labels only: reports are byte-identical across shard counts.
 	Shards int
-	// Service tunes the shared diagnosis service. Queue and cache sizes
-	// of zero are raised to fleet-scale defaults generous enough that
-	// no event is shed and no cache entry evicted mid-run — shedding
-	// and eviction under concurrency are the two ways a fleet run could
-	// lose determinism.
+	// Service tunes each shard's diagnosis service. Cache sizes of zero
+	// are raised to fleet-scale defaults; the queue keeps the service's
+	// own, since a full queue makes a wave's Submit wait rather than
+	// drop a detection, so the report is the same at any queue size.
 	Service service.Config
 	// Learn tunes the cross-instance symptom-learning loop.
 	Learn LearnConfig
@@ -145,9 +144,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.Shards > n {
 		c.Shards = n
-	}
-	if c.Service.Queue <= 0 {
-		c.Service.Queue = 1024
 	}
 	// An entry is the cause one completed job named, a few strings and
 	// numbers, not the job's Result.

@@ -117,6 +117,43 @@ func TestFleetDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
+// TestFleetReportSameAtAnyQueue pins that the diagnosis pool's size
+// moves wall time only: a fleet whose degraded instances share a seed,
+// so each wave holds one detection per degraded instance, reports the
+// same at a one-slot queue with one worker — where a wave's Submits wait
+// for space — as at the default pool, and rejects nothing.
+func TestFleetReportSameAtAnyQueue(t *testing.T) {
+	const n, degraded = 6, 4
+	run := func(pool service.Config) *fleet.Report {
+		insts := make([]fleet.Instance, 0, n)
+		for i := 0; i < n; i++ {
+			env, err := experiments.BuildOnline(experiments.OnlineSpec{Seed: testSeed, Runs: 12, NoFault: i >= degraded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts = append(insts, fleet.Instance{
+				ID: "inst-" + strconv.Itoa(i), Testbed: env.Testbed, Monitor: env.Monitor, Shared: i < degraded,
+			})
+		}
+		fl, err := fleet.New(fleet.Config{Service: pool}, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fl.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.Completed == 0 || rep.Stats.Rejected != 0 || rep.Stats.Failed != 0 {
+			t.Fatalf("pool %+v: %s, want diagnoses completed, none rejected or failed", pool, rep.Stats)
+		}
+		return rep
+	}
+	want := run(service.Config{}).Render()
+	if got := run(service.Config{Queue: 1, Workers: 1}).Render(); got != want {
+		t.Errorf("report at queue 1, one worker diverged from the default pool's\n--- default ---\n%s\n--- queue=1 ---\n%s", want, got)
+	}
+}
+
 // TestFleetGroupsSharedPoolAcrossSeeds sweeps seeds on the shared-pool
 // scenario: the misconfiguration must always fold into one correlated
 // cross-instance incident ranked first, spanning exactly the attached

@@ -167,7 +167,6 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 			j++
 		}
 		span := telemetry.DefaultTracer().Start("fleet", "fleet.wave")
-		// The fleet's default queue is sized so nothing is ever shed.
 		if err := sh.svc.SubmitAll(released[i:j]); err != nil {
 			return err
 		}

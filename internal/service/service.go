@@ -1,7 +1,8 @@
 // Package service turns the monitor's SlowdownEvents into diagnoses at
-// fleet scale: a bounded worker pool drains a job queue with
-// backpressure, queued or running jobs are deduplicated per (instance,
-// query, window) under one admission mutex, built Annotated Plan Graphs
+// fleet scale: a bounded worker pool drains a bounded FIFO job queue
+// (Submit waits for space, never drops a detection), queued or running
+// jobs are deduplicated per (instance, query, window) under one
+// admission mutex, built Annotated Plan Graphs
 // and symptoms-database evaluations are LRU-cached so repeated
 // diagnoses of the same plan are near-free, and completed diagnoses feed
 // a results registry that ranks open incidents by estimated impact
@@ -34,13 +35,11 @@ import (
 
 // Submit errors.
 var (
-	// ErrBackpressure reports a full job queue: the caller should shed
-	// or retry later; the event is counted as rejected.
-	ErrBackpressure = errors.New("service: job queue full")
 	// ErrDuplicate reports that an equivalent job is already queued,
 	// running, or freshly diagnosed.
 	ErrDuplicate = errors.New("service: duplicate job for (query, window)")
-	// ErrStopped reports a Submit after Stop.
+	// ErrStopped reports a Submit refused because the service stopped,
+	// at entry or while it waited for queue space.
 	ErrStopped = errors.New("service: stopped")
 )
 
@@ -73,8 +72,8 @@ func (e Env) Input(query string, runs []*exec.RunRecord, satisfactory map[string
 type Config struct {
 	// Workers is the pool size (default 4).
 	Workers int
-	// Queue is the job queue depth before Submit reports backpressure
-	// (default 64).
+	// Queue is the job queue depth at which Submit waits for a worker
+	// to take a job (default 64).
 	Queue int
 	// APGCacheSize bounds the shared APG cache (default 32 plans).
 	APGCacheSize int
@@ -126,9 +125,10 @@ type jobKey struct {
 type job struct {
 	key jobKey
 	ev  monitor.SlowdownEvent
-	// enqueued is the wall-clock instant Submit placed the job on the
-	// queue; the dequeuing worker turns it into the queue-wait histogram
-	// and span. Observational only — simulation time is untouched.
+	// enqueued is the wall-clock instant Submit was called, so a wait
+	// for queue space counts as queueing; the dequeuing worker turns it
+	// into the queue-wait histogram and span. Observational only —
+	// simulation time is untouched.
 	enqueued time.Time
 }
 
@@ -139,7 +139,7 @@ type job struct {
 type Stats struct {
 	Submitted  int64 // Submit calls
 	Deduped    int64 // suppressed as queued/running/cached duplicates
-	Rejected   int64 // shed under backpressure
+	Rejected   int64 // refused or abandoned because the service stopped
 	Completed  int64 // diagnoses finished
 	Failed     int64 // diagnoses that returned an error
 	QueueDepth int   // jobs currently waiting in the queue
@@ -232,14 +232,16 @@ type Service struct {
 	// it before Start.
 	Self SelfObserver
 
-	jobs chan job
-	// mu guards admission: the queued-or-running dedup set, the stopped
-	// flag and every send on jobs, so Stop's close cannot race a send.
-	// The set holds at most Queue + Workers keys.
+	// mu guards admission: the FIFO job queue (at most Queue long), the
+	// dedup set of waiting, queued and running keys, and the stopped
+	// flag. cond, on mu, is broadcast on a push (for workers), a pop
+	// (for Submits waiting for space), pending emptying (for Wait) and
+	// a stop (for all of them).
 	mu      sync.Mutex
+	cond    sync.Cond
+	queue   []job
 	pending map[jobKey]bool
 	stopped bool
-	idle    sync.Cond // on mu; broadcast when pending empties
 	// unwatch retires Start's context callback (context.AfterFunc).
 	unwatch func() bool
 
@@ -268,7 +270,7 @@ func New(env Env, cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		env:      env,
-		jobs:     make(chan job, cfg.Queue),
+		queue:    make([]job, 0, cfg.Queue),
 		pending:  make(map[jobKey]bool),
 		apgs:     cache.New[string, *apg.APG](cfg.APGCacheSize),
 		sd:       cache.New[string, []symptoms.CauseInstance](cfg.SDCacheSize),
@@ -277,7 +279,7 @@ func New(env Env, cfg Config) *Service {
 		modstats: make(map[string]*ModuleStat),
 		tel:      newServiceTelemetry(),
 	}
-	s.idle.L = &s.mu
+	s.cond.L = &s.mu
 	s.registerFuncs()
 	return s
 }
@@ -299,7 +301,7 @@ func (s *Service) registerFuncs() {
 	}
 	s.freeze = append(s.freeze, reg.GaugeFunc("diads_service_queue_depth",
 		"Diagnosis jobs currently waiting in the queue.",
-		shard, func() float64 { return float64(len(s.jobs)) }))
+		shard, func() float64 { return float64(s.depth()) }))
 	caches := map[string]func() cache.CacheStats{
 		"apg":    s.apgs.Stats,
 		"sd":     s.sd.Stats,
@@ -385,17 +387,25 @@ func (s *Service) Stats() Stats {
 		Rejected:   s.rejected.Load(),
 		Completed:  s.completed.Load(),
 		Failed:     s.failed.Load(),
-		QueueDepth: len(s.jobs),
+		QueueDepth: s.depth(),
 		APG:        s.apgs.Stats(),
 		SD:         s.sd.Stats(),
 		Results:    s.results.Stats(),
 	}
 }
 
+// depth is the number of jobs in the queue.
+func (s *Service) depth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
+
 // Start launches the worker pool. Workers exit when the context is
-// canceled or Stop closes the queue. Canceling the context abandons any
-// still-queued jobs: they are dropped from the pending set so Wait does
-// not block on work nothing will ever run.
+// canceled or, after Stop, once the queue is empty. Canceling the
+// context abandons the queued jobs and refuses the waiting Submits (both
+// counted in Stats.Rejected), so Wait does not block on work nothing
+// will ever run.
 func (s *Service) Start(ctx context.Context) {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -404,16 +414,15 @@ func (s *Service) Start(ctx context.Context) {
 	s.unwatch = context.AfterFunc(ctx, s.halt)
 }
 
-// Stop closes the queue and waits for in-flight diagnoses to finish.
-// Submit returns ErrStopped afterwards. Jobs still queued when the
-// workers exit (possible when the start context was canceled) are
-// abandoned.
+// Stop refuses further Submits, lets the workers drain the queue, and
+// waits for them to finish. A Submit still waiting for queue space
+// returns ErrStopped, as does every Submit afterwards. Jobs still queued
+// when the workers exit (possible when the start context was canceled)
+// are abandoned.
 func (s *Service) Stop() {
 	s.mu.Lock()
-	if !s.stopped {
-		close(s.jobs)
-	}
 	s.stopped = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.halt()
@@ -425,47 +434,61 @@ func (s *Service) Stop() {
 	}
 }
 
-// halt is the one shutdown path of the pending set: it refuses further
-// Submits and abandons every queued-or-running reservation, so Wait
-// cannot block on work nothing will ever run. A worker still finishing
-// an abandoned job deletes a key that is already gone.
+// halt is the one shutdown path of the queue and the pending set: it
+// refuses further Submits and abandons every queued job (counted
+// rejected) and every reservation, so Wait cannot block on work nothing
+// will ever run. A worker still finishing an abandoned job deletes a key
+// that is already gone; a Submit still waiting wakes and counts itself.
 func (s *Service) halt() {
 	s.mu.Lock()
 	s.stopped = true
+	s.rejected.Add(int64(len(s.queue)))
+	s.tel.rejected.Add(int64(len(s.queue)))
+	clear(s.queue)
+	s.queue = s.queue[:0]
 	clear(s.pending)
-	s.idle.Broadcast()
+	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finish releases a key's queued-or-running reservation.
+// finish releases a key's reservation.
 func (s *Service) finish(key jobKey) {
 	s.mu.Lock()
 	delete(s.pending, key)
 	if len(s.pending) == 0 {
-		s.idle.Broadcast()
+		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }
 
-// Wait blocks until every currently queued job has been diagnosed. It is
-// a quiescence barrier for drivers that interleave submission and
+// Wait blocks until every waiting, queued and running job has settled.
+// It is a quiescence barrier for drivers that interleave submission and
 // reporting; new Submits remain allowed.
 func (s *Service) Wait() {
 	s.mu.Lock()
 	for len(s.pending) > 0 {
-		s.idle.Wait()
+		s.cond.Wait()
 	}
 	s.mu.Unlock()
 }
 
-// Submit enqueues a diagnosis job for the event. It never blocks: a full
-// queue returns ErrBackpressure, an already-pending or already-diagnosed
-// (query, window) returns ErrDuplicate (bumping the incident's
-// recurrence when the completed job named a cause). The stopped check,
-// the pending check, the result-cache lookup and the send share one
-// critical section. Because run caches its cause before it releases the
-// key, a key missing from pending finds its completed run's cause.
+// Submit enqueues a diagnosis job for the event. An already-pending or
+// already-diagnosed (query, window) returns ErrDuplicate (bumping the
+// incident's recurrence when the completed job named a cause). A full
+// queue makes Submit wait until a worker takes a job; it never drops
+// the event. The key is reserved before the wait, so a waiting job
+// dedups, Floor covers it and Wait waits for it. A service stopped at
+// entry or during the wait returns ErrStopped, counted in
+// Stats.Rejected. The stopped check, the pending check, the result-cache
+// lookup and the push share one critical section. Because run caches
+// its cause before it releases the key, a key missing from pending
+// finds its completed run's cause.
+//
+// Submit must never be called from a worker callback (OnDiagnosis,
+// OnHealthy, Self): a worker waiting for space only its siblings can
+// free may wait forever.
 func (s *Service) Submit(ev monitor.SlowdownEvent) error {
+	enqueued := time.Now()
 	s.submitted.Add(1)
 	s.tel.submitted.Inc()
 	key := jobKey{instance: ev.Instance, query: ev.Query, window: ev.ReadWindow}
@@ -473,7 +496,7 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		return ErrStopped
+		return s.refuse(ev)
 	}
 	if s.pending[key] {
 		s.mu.Unlock()
@@ -486,21 +509,29 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 		s.reg.record(ev, c, nil) // recurrence of a known incident
 		return ErrDuplicate
 	}
-	select {
-	case s.jobs <- job{key: key, ev: ev, enqueued: time.Now()}:
-		// The worker's finish takes mu, so it cannot run before the key
-		// is marked.
-		s.pending[key] = true
-		s.mu.Unlock()
-		s.span(ev.TraceID, "service.submit", attr("outcome", "enqueued"))
-		return nil
-	default:
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		s.tel.rejected.Inc()
-		s.span(ev.TraceID, "service.submit", attr("outcome", "rejected"))
-		return ErrBackpressure
+	s.pending[key] = true
+	for len(s.queue) == s.cfg.Queue && !s.stopped {
+		s.cond.Wait()
 	}
+	if s.stopped {
+		delete(s.pending, key)
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		return s.refuse(ev)
+	}
+	s.queue = append(s.queue, job{key: key, ev: ev, enqueued: enqueued})
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.span(ev.TraceID, "service.submit", attr("outcome", "enqueued"))
+	return nil
+}
+
+// refuse counts and traces a Submit refused because the service stopped.
+func (s *Service) refuse(ev monitor.SlowdownEvent) error {
+	s.rejected.Add(1)
+	s.tel.rejected.Inc()
+	s.span(ev.TraceID, "service.submit", attr("outcome", "rejected"))
+	return ErrStopped
 }
 
 // dedup counts and traces a Submit suppressed as a duplicate.
@@ -510,13 +541,13 @@ func (s *Service) dedup(ev monitor.SlowdownEvent, outcome string) {
 	s.span(ev.TraceID, "service.submit", attr("outcome", outcome))
 }
 
-// Floor returns the earliest evidence a queued or running diagnosis of
-// the instance may still read — the least ReadWindow.Start among its
-// pending jobs — and whether it has any. It is the retention floor of a
-// driver that truncates behind the pool: a job is pending from inside
-// Submit until its result is recorded, so a floor read after Submit
-// returned covers that event, and a job finishing meanwhile only raises
-// it.
+// Floor returns the earliest evidence a waiting, queued or running
+// diagnosis of the instance may still read — the least ReadWindow.Start
+// among its pending jobs — and whether it has any. It is the retention
+// floor of a driver that truncates behind the pool: a job is pending
+// from inside Submit, before any wait for queue space, until its result
+// is recorded, so a floor read after Submit returned covers that event,
+// and a job finishing meanwhile only raises it.
 func (s *Service) Floor(instance string) (simtime.Time, bool) {
 	var floor simtime.Time
 	found := false
@@ -531,13 +562,13 @@ func (s *Service) Floor(instance string) (simtime.Time, bool) {
 }
 
 // SubmitAll submits released detections in order under the one policy
-// every driver shares: a duplicate is a recurrence of a known incident,
-// backpressure sheds the event (counted in Stats.Rejected; the evidence
-// stays in the store, so a later recurrence re-detects), and anything
-// else — the service has stopped — ends the loop and is returned.
+// every driver shares: each waits for queue space as Submit does, a
+// duplicate is a recurrence of a known incident, and ErrStopped ends the
+// loop and is returned. Like Submit, it must never be called from a
+// worker callback.
 func (s *Service) SubmitAll(evs []monitor.SlowdownEvent) error {
 	for _, ev := range evs {
-		if err := s.Submit(ev); err != nil && err != ErrDuplicate && err != ErrBackpressure {
+		if err := s.Submit(ev); err != nil && err != ErrDuplicate {
 			return err
 		}
 	}
@@ -553,20 +584,37 @@ func (s *Service) span(traceID, name string, attrs ...telemetry.Attr) {
 
 func attr(k, v string) telemetry.Attr { return telemetry.Attr{Key: k, Value: v} }
 
-// worker drains the queue until shutdown.
+// worker runs queued jobs in FIFO order until the service has stopped
+// and its queue is empty.
 func (s *Service) worker(ctx context.Context) {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-ctx.Done():
+		j, ok := s.next()
+		if !ok {
 			return
-		case j, ok := <-s.jobs:
-			if !ok {
-				return
-			}
-			s.run(ctx, j)
 		}
+		s.run(ctx, j)
 	}
+}
+
+// next pops the oldest queued job, waiting while the queue is empty; it
+// reports false once the service has stopped and the queue is empty.
+// The pop shifts the queue down in place, so it never reallocates.
+func (s *Service) next() (job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 {
+		if s.stopped {
+			return job{}, false
+		}
+		s.cond.Wait()
+	}
+	j := s.queue[0]
+	n := copy(s.queue, s.queue[1:])
+	s.queue[n] = job{}
+	s.queue = s.queue[:n]
+	s.cond.Broadcast()
+	return j, true
 }
 
 // run executes one diagnosis job. The deferred finish releases the

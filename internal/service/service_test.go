@@ -176,12 +176,30 @@ func TestServiceCapturesLowConfidenceFactBases(t *testing.T) {
 	}
 }
 
+// waitForFloor polls until Floor(instance) reads want, which a Submit
+// reserving its key makes it read, failing the test after 10 s.
+func waitForFloor(t *testing.T, svc *Service, instance string, want simtime.Time) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if floor, ok := svc.Floor(instance); ok && floor == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Floor(%q) never read %v", instance, want)
+		}
+	}
+}
+
+// TestSubmitDeduplicatesAndExertsBackpressure pins admission into a
+// full queue: the submitter waits until a worker takes a job, and while
+// it waits its key dedups and Floor covers it. A Submit after Stop is
+// refused and counted rejected, so every Submit lands in one outcome.
 func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 	env, evs, _ := slowdownRig(t, 43)
 	ev := evs[0]
 
-	// No workers started: jobs stay queued, so duplicates and overflow
-	// are observable deterministically.
+	// No workers started: jobs stay queued, so duplicates and the wait
+	// for space are observable deterministically.
 	svc := New(env, Config{Workers: 1, Queue: 1})
 	if err := svc.Submit(ev); err != nil {
 		t.Fatalf("first submit: %v", err)
@@ -190,20 +208,31 @@ func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 		t.Errorf("duplicate submit = %v, want ErrDuplicate", err)
 	}
 	other := ev
-	other.ReadWindow = simtime.NewInterval(ev.ReadWindow.Start, ev.ReadWindow.End.Add(simtime.Minute))
-	if err := svc.Submit(other); err != ErrBackpressure {
-		t.Errorf("overflow submit = %v, want ErrBackpressure", err)
+	other.ReadWindow = simtime.NewInterval(ev.ReadWindow.Start.Add(-simtime.Minute), ev.ReadWindow.End)
+	waited := make(chan error, 1)
+	go func() { waited <- svc.Submit(other) }()
+	waitForFloor(t, svc, "", other.ReadWindow.Start)
+	if err := svc.Submit(other); err != ErrDuplicate {
+		t.Errorf("submit of a waiting key = %v, want ErrDuplicate", err)
 	}
-	st := svc.Stats()
-	if st.Deduped != 1 || st.Rejected != 1 {
-		t.Errorf("deduped=%d rejected=%d, want 1/1", st.Deduped, st.Rejected)
+	select {
+	case err := <-waited:
+		t.Fatalf("submit into a full queue returned %v before any worker started", err)
+	default:
+	}
+	if st := svc.Stats(); st.Deduped != 2 || st.Rejected != 0 || st.QueueDepth != 1 {
+		t.Errorf("deduped=%d rejected=%d depth=%d, want 2/0/1", st.Deduped, st.Rejected, st.QueueDepth)
 	}
 
-	// After the queue drains, the same window is served from the result
+	// Once a worker takes the queued job, the waiting submit enqueues;
+	// after the queue drains, the same window is served from the result
 	// cache and still counts the recurrence in the registry.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	svc.Start(ctx)
+	if err := <-waited; err != nil {
+		t.Fatalf("waiting submit = %v, want nil once a worker took a job", err)
+	}
 	svc.Wait()
 	if err := svc.Submit(ev); err != ErrDuplicate {
 		t.Errorf("cached re-submit = %v, want ErrDuplicate", err)
@@ -212,12 +241,17 @@ func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 	if err := svc.Submit(ev); err != ErrStopped {
 		t.Errorf("submit after stop = %v, want ErrStopped", err)
 	}
-	incs := svc.Registry().Incidents()
-	if len(incs) == 0 {
-		t.Fatal("no incidents")
+	st := svc.Stats()
+	if st.Completed != 2 || st.Deduped != 3 || st.Rejected != 1 ||
+		st.Submitted != st.Completed+st.Failed+st.Deduped+st.Rejected {
+		t.Errorf("%+v, want 2 completed, 3 deduped, 1 rejected, every submit counted once", st)
 	}
-	if incs[0].Events != 2 {
-		t.Errorf("events = %d, want 2 (diagnosis + cached recurrence)", incs[0].Events)
+	events := 0
+	for _, inc := range svc.Registry().Incidents() {
+		events += inc.Events
+	}
+	if events != 3 {
+		t.Errorf("events = %d, want 3 (two diagnoses + a cached recurrence)", events)
 	}
 }
 
@@ -382,6 +416,63 @@ func TestServiceContextCancelStopsWorkers(t *testing.T) {
 	}
 }
 
+// TestCancelSettlesEveryOutcome pins the outcome accounting of a
+// canceled pool: with one job running, one queued and one Submit waiting
+// for space, cancellation refuses the waiting Submit and abandons the
+// queued job (both counted rejected), Wait returns at once, and the
+// running job still settles, so every Submit lands in exactly one
+// outcome.
+func TestCancelSettlesEveryOutcome(t *testing.T) {
+	env, evs, _ := slowdownRig(t, 44)
+	svc := New(env, Config{Workers: 1, Queue: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	svc.OnDiagnosis = func(monitor.SlowdownEvent, *diag.Result) {
+		entered <- struct{}{}
+		<-release
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	// Each job reads from a second earlier than the last, so Floor shows
+	// when the latest one is pending.
+	job := func(i int) monitor.SlowdownEvent {
+		ev := evs[0]
+		ev.ReadWindow.Start = ev.ReadWindow.Start.Add(-simtime.Duration(i))
+		return ev
+	}
+	if err := svc.Submit(job(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // job 0 is running, held before it settles
+	if err := svc.Submit(job(1)); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- svc.Submit(job(2)) }()
+	waitForFloor(t, svc, "", job(2).ReadWindow.Start)
+
+	cancel()
+	if err := <-waited; err != ErrStopped {
+		t.Errorf("submit waiting at cancel = %v, want ErrStopped", err)
+	}
+	done := make(chan struct{})
+	go func() { svc.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait blocked on jobs abandoned by cancellation")
+	}
+	close(release)
+	svc.Stop()
+	st := svc.Stats()
+	if st.Submitted != 3 || st.Completed != 1 || st.Rejected != 2 ||
+		st.Submitted != st.Completed+st.Failed+st.Deduped+st.Rejected {
+		t.Errorf("%+v, want 3 submitted: 1 completed, 2 rejected", st)
+	}
+}
+
+// TestSubmitStopRaceDoesNotPanic races Submits against Stop: every
+// Submit returns, and every one lands in exactly one outcome.
 func TestSubmitStopRaceDoesNotPanic(t *testing.T) {
 	env, evs, _ := slowdownRig(t, 45)
 	for round := 0; round < 20; round++ {
@@ -394,12 +485,15 @@ func TestSubmitStopRaceDoesNotPanic(t *testing.T) {
 			defer wg.Done()
 			for i, ev := range evs {
 				ev.ReadWindow.End = ev.ReadWindow.End.Add(simtime.Duration(i)) // distinct keys
-				_ = svc.Submit(ev)                                             // must never panic on closed channel
+				_ = svc.Submit(ev)                                             // nil, or ErrStopped once Stop began
 			}
 		}()
 		svc.Stop()
 		wg.Wait()
 		cancel()
+		if st := svc.Stats(); st.Submitted != st.Completed+st.Failed+st.Deduped+st.Rejected {
+			t.Fatalf("round %d: %+v: a Submit landed in no outcome", round, st)
+		}
 	}
 }
 
@@ -669,8 +763,8 @@ func (f selfObserverFunc) ObserveDiagnosis(query string, wall time.Duration) { f
 
 // TestFloorCoversQueuedAndRunningJobs pins the retention floor a driver
 // reads after Submit: the earliest read-window start among the
-// instance's queued or running jobs, raised as they finish, never held
-// by a job that was rejected, deduplicated or served from the result
+// instance's waiting, queued or running jobs, raised as they finish,
+// never held by a job that was deduplicated or served from the result
 // cache, and never by another instance's.
 func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	env, evs, _ := slowdownRig(t, 48)
@@ -706,17 +800,17 @@ func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	if err := svc.Submit(early); err != ErrDuplicate {
 		t.Fatalf("duplicate submit = %v", err)
 	}
-	if err := svc.Submit(other); err != ErrBackpressure {
-		t.Fatalf("submit into a full queue = %v", err)
-	}
-	floor("inst-a", early.ReadWindow.Start, true, "after a duplicate and a rejection")
-	floor("inst-b", 0, false, "its only job rejected")
+	floor("inst-a", early.ReadWindow.Start, true, "after a duplicate")
+	waited := make(chan error, 1)
+	go func() { waited <- svc.Submit(other) }()
+	waitForFloor(t, svc, "inst-b", other.ReadWindow.Start) // its only job, waiting for queue space
+	floor("inst-a", early.ReadWindow.Start, true, "another instance's job waiting")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	svc.Start(ctx)
 	<-entered // early is running, held before it settles; late is queued
-	if err := svc.Submit(other); err != nil {
+	if err := <-waited; err != nil {
 		t.Fatal(err)
 	}
 	floor("inst-a", early.ReadWindow.Start, true, "one running, one queued")
@@ -789,8 +883,8 @@ func TestAdmissionUnderContention(t *testing.T) {
 
 	// Each round shifts every window to a fresh key. Submitters keep
 	// re-submitting the round's undiagnosed keys until all have settled,
-	// so re-submissions race each job's completion; backpressure sheds
-	// some passes, and a later pass admits them.
+	// so re-submissions race each job's completion and, with the queue
+	// full, wait for space while the key already dedups.
 	var evs []monitor.SlowdownEvent
 	for round := 0; round < 8; round++ {
 		batch := make([]monitor.SlowdownEvent, len(base))
@@ -845,8 +939,8 @@ func TestAdmissionUnderContention(t *testing.T) {
 	if st.Completed != int64(len(evs)) || st.Failed != 0 {
 		t.Errorf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(evs))
 	}
-	if st.Submitted != st.Completed+st.Deduped+st.Rejected+st.Failed {
-		t.Errorf("submitted=%d != completed %d + deduped %d + rejected %d + failed %d",
+	if st.Rejected != 0 || st.Submitted != st.Completed+st.Deduped+st.Rejected+st.Failed {
+		t.Errorf("submitted=%d != completed %d + deduped %d + rejected %d (want 0) + failed %d",
 			st.Submitted, st.Completed, st.Deduped, st.Rejected, st.Failed)
 	}
 }
