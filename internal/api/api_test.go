@@ -268,6 +268,61 @@ func TestEndToEndIngestDiagnosis(t *testing.T) {
 	}
 }
 
+// TestGatedDetectionsGauge pins diads_api_gated_detections: a detection
+// whose read window no posted sample covers yet counts in the node-wide
+// gauge until the samples covering it arrive and release it.
+func TestGatedDetectionsGauge(t *testing.T) {
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 16})
+	tb := env.Testbed
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	h := node.Handler()
+	post := func(path string, batch any) {
+		t.Helper()
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	gated := func() string {
+		t.Helper()
+		expo := telemetry.Default().Exposition()
+		_, rest, ok := bytes.Cut(expo, []byte("\ndiads_api_gated_detections "))
+		if !ok {
+			t.Fatal("exposition has no diads_api_gated_detections sample")
+		}
+		line, _, _ := bytes.Cut(rest, []byte("\n"))
+		return string(line)
+	}
+
+	post("/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: logEvents(tb)})
+	runs := slices.Clone(tb.Runs)
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Stop < runs[j].Stop })
+	for len(runs) > 0 && gated() == "0" {
+		post("/v1/ingest/runs", RunBatch{Tenant: "acme", Instance: "db-1", Runs: []WireRun{WireRunOf(runs[0])}})
+		runs = runs[1:]
+	}
+	if got := gated(); got != "1" {
+		t.Fatalf("gated detections after the first slow run = %s, want 1", got)
+	}
+	final := float64(env.Horizon.Add(2 * metrics.DefaultMonitorInterval))
+	post("/v1/ingest/samples", SampleBatch{Tenant: "acme", Instance: "db-1", Samples: storeSamples(tb), Watermark: &final})
+	if got := gated(); got != "0" {
+		t.Errorf("gated detections once samples cover the read window = %s, want 0", got)
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if st := node.Service().Stats(); st.Submitted != 1 {
+		t.Errorf("%d detections submitted, want the one released", st.Submitted)
+	}
+}
+
 // holdInstance builds the scoped instance if need be and returns it
 // locked: batches for it wait to apply until release unlocks it. Defer
 // release after the node's Shutdown, which waits for those batches, so

@@ -195,6 +195,9 @@ func newNodeTelemetry(n *Node) nodeTelemetry {
 			reg.GaugeFunc("diads_api_instances_resident",
 				"Tenant instances currently resident (serving state built, not evicted).",
 				nil, func() float64 { return float64(n.InstanceCount()) }),
+			reg.GaugeFunc("diads_api_gated_detections",
+				"Detections resident instances hold until their evidence covers the read window.",
+				nil, func() float64 { return float64(n.gatedDetections()) }),
 		},
 		batches: reg.Counter("diads_api_ingest_batches_total",
 			"Ingest batches applied and answered 202.", nil),
@@ -234,13 +237,14 @@ func New(cfg Config) *Node {
 	n.tel = newNodeTelemetry(n)
 	n.svc = service.New(service.Env{}, cfg.Service)
 	// The candidate lifecycle hangs off the diagnosis pool: every
-	// completed diagnosis refreshes the learner with the current
-	// incident set, every healthy diagnosis grows its background
-	// corpus — the fleet's epoch-exchange flow, minus the epochs (the
-	// serving surface has no global evidence clock; the Learner's own
-	// mutex keeps it consistent).
-	n.svc.OnDiagnosis = func(monitor.SlowdownEvent, *diag.Result) {
-		n.learner.Observe(n.svc.Registry().Incidents())
+	// completed diagnosis steps the learner with the incident it filed
+	// (only a diagnosis changes an incident, so no other can have become
+	// confirmed), every healthy diagnosis grows its background corpus —
+	// the fleet's epoch-exchange flow, minus the epochs (the serving
+	// surface has no global evidence clock; the Learner's own mutex
+	// keeps it consistent).
+	n.svc.OnDiagnosis = func(ev monitor.SlowdownEvent, res *diag.Result) {
+		n.learner.Observe(n.svc.Registry().FiledBy(ev, res))
 	}
 	n.svc.OnHealthy = func(_ monitor.SlowdownEvent, fb *symptoms.FactBase) {
 		n.learner.AddHealthy(fb)
@@ -403,6 +407,20 @@ func (n *Node) InstanceCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.instances)
+}
+
+// gatedDetections sums Monitor.Pending over the resident instances. It
+// holds Node.mu, not the instances' locks (a batch waiting for pool
+// space holds its instance's), and reads each gate under the gate's own
+// mutex, the order sweepIdle takes them in.
+func (n *Node) gatedDetections() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	total := 0
+	for _, in := range n.instances {
+		total += in.Monitor.Pending()
+	}
+	return total
 }
 
 // instanceKey identifies a resident instance by its scoped ID's two

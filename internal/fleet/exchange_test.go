@@ -58,8 +58,8 @@ func TestEpochMath(t *testing.T) {
 // epoch k's; deposits of a later epoch wait for their own fold.
 func TestExchangeInstallAtSealBoundary(t *testing.T) {
 	symdb := symptoms.NewDB()
-	l := newLearner(LearnConfig{}.withDefaults(), symdb)
-	ex := newExchange(LearnConfig{}.withDefaults(), l)
+	l := newLearner(LearnConfig{}, symdb)
+	ex := newExchange(LearnConfig{}, l)
 	v0 := symdb.Version()
 	healthy := func() int {
 		return int(ex.read(func(l *learner) float64 {
@@ -113,8 +113,8 @@ func TestExchangeInstallAtSealBoundary(t *testing.T) {
 // tagged with an already-folded epoch folds with the next epoch instead
 // of vanishing or mutating folded history.
 func TestExchangeLateDepositFoldsNextEpoch(t *testing.T) {
-	l := newLearner(LearnConfig{}.withDefaults(), symptoms.NewDB())
-	ex := newExchange(LearnConfig{}.withDefaults(), l)
+	l := newLearner(LearnConfig{}, symptoms.NewDB())
+	ex := newExchange(LearnConfig{}, l)
 
 	ex.fold(0) // epoch 0 folds empty
 	ex.depositHealthy(0, testFacts(map[string]float64{"late:fact": 0.5}))
@@ -135,8 +135,7 @@ func TestExchangeLateDepositFoldsNextEpoch(t *testing.T) {
 // TestExchangeDisabled pins that a disabled exchange is inert: deposits
 // vanish, folds do nothing, transfers answer false.
 func TestExchangeDisabled(t *testing.T) {
-	cfg := LearnConfig{Disabled: true}.withDefaults()
-	cfg.Disabled = true
+	cfg := LearnConfig{Disabled: true}
 	l := newLearner(cfg, symptoms.NewDB())
 	ex := newExchange(cfg, l)
 	ex.depositHealthy(3, testFacts(map[string]float64{"x": 1}))

@@ -73,10 +73,11 @@ type Config struct {
 	// the instance count). Sharding changes wall time and telemetry
 	// labels only: reports are byte-identical across shard counts.
 	Shards int
-	// Service tunes each shard's diagnosis service. Cache sizes of zero
-	// are raised to fleet-scale defaults; the queue keeps the service's
-	// own, since a full queue makes a wave's Submit wait rather than
-	// drop a detection, so the report is the same at any queue size.
+	// Service tunes each shard's diagnosis service. APG and SD cache
+	// sizes of zero are raised to fleet-scale defaults; the queue keeps
+	// the service's own, since a full queue makes a wave's Submit wait
+	// rather than drop a detection, so the report is the same at any
+	// queue size.
 	Service service.Config
 	// Learn tunes the cross-instance symptom-learning loop.
 	Learn LearnConfig
@@ -145,18 +146,12 @@ func (c Config) withDefaults(n int) Config {
 	if c.Shards > n {
 		c.Shards = n
 	}
-	// An entry is the cause one completed job named, a few strings and
-	// numbers, not the job's Result.
-	if c.Service.ResultCacheSize <= 0 {
-		c.Service.ResultCacheSize = 4096
-	}
 	// APGCacheSize defaults per shard in New — 64 entries per shard
 	// instance, capped at apgCacheCap — so a 1000-instance fleet no
 	// longer allocates an unbounded 64k-entry cache.
 	if c.Service.SDCacheSize <= 0 {
 		c.Service.SDCacheSize = 4096
 	}
-	c.Learn = c.Learn.withDefaults()
 	return c
 }
 

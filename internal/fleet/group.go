@@ -93,9 +93,6 @@ func (f *Fleet) report() *Report {
 		rep.Stats.SD.Hits += st.SD.Hits
 		rep.Stats.SD.Misses += st.SD.Misses
 		rep.Stats.SD.Evictions += st.SD.Evictions
-		rep.Stats.Results.Hits += st.Results.Hits
-		rep.Stats.Results.Misses += st.Results.Misses
-		rep.Stats.Results.Evictions += st.Results.Evictions
 		incs = append(incs, sh.svc.Registry().Incidents()...)
 	}
 	service.SortIncidents(incs)

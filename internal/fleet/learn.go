@@ -26,6 +26,14 @@ const (
 	// grid — independent of Chunk — so chunk-size sweeps stay
 	// byte-identical.
 	epochLen = 10 * simtime.Minute
+	// minIncidents is how many confirmed incidents of a cause kind the
+	// miner needs before proposing an entry.
+	minIncidents = 2
+	// holdoutEvery withholds every n-th confirmed incident of a cause
+	// kind from mining and gives it to the validator instead, so
+	// candidates are replayed against confirmed incidents they were not
+	// mined from.
+	holdoutEvery = 3
 )
 
 // isConfirmed reports whether an incident has crossed the confirmation
@@ -65,21 +73,6 @@ type LearnConfig struct {
 	// Disabled switches the loop off (the before-side of the fleet
 	// experiment's before/after comparison).
 	Disabled bool
-	// MinIncidents is how many confirmed incidents of a cause kind the
-	// miner needs before proposing an entry (default 2).
-	MinIncidents int
-	// HoldoutEvery withholds every n-th confirmed incident of a cause
-	// kind from mining and gives it to the validator instead, so
-	// candidates are replayed against confirmed incidents they were not
-	// mined from (default 3; values below 2 are raised to 2, since
-	// withholding everything would starve the miner).
-	HoldoutEvery int
-	// MinHealthy is the healthy-corpus size required before any
-	// candidate can be validated (default 1).
-	MinHealthy int
-	// MinHoldout is the number of held-out incidents of a candidate's
-	// class required before it can be validated (default 1).
-	MinHoldout int
 	// Review selects the adoption gate for validated candidates.
 	Review ReviewPolicy
 	// Reviewer is consulted under ReviewOperator: it sees the candidate
@@ -88,24 +81,6 @@ type LearnConfig struct {
 	// deterministic for fleet runs to stay byte-identical per seed.
 	// Nil under ReviewOperator leaves validated candidates pending.
 	Reviewer func(symptoms.CandidateEntry, symptoms.Validation) bool
-}
-
-func (c LearnConfig) withDefaults() LearnConfig {
-	if c.MinIncidents <= 0 {
-		c.MinIncidents = 2
-	}
-	if c.HoldoutEvery <= 0 {
-		c.HoldoutEvery = 3
-	} else if c.HoldoutEvery < 2 {
-		c.HoldoutEvery = 2
-	}
-	if c.MinHealthy <= 0 {
-		c.MinHealthy = 1
-	}
-	if c.MinHoldout <= 0 {
-		c.MinHoldout = 1
-	}
-	return c
 }
 
 // incidentID is the registry identity of a confirmed incident.
@@ -192,8 +167,6 @@ func newLearner(cfg LearnConfig, symdb *symptoms.DB) *learner {
 		rejected:      make(map[string]bool),
 		transferredTo: make(map[string]bool),
 	}
-	l.validator.MinHealthy = cfg.MinHealthy
-	l.validator.MinHoldout = cfg.MinHoldout
 	for _, e := range symdb.Entries() {
 		if symptoms.IsMined(e.Kind) {
 			l.preinstalled[e.Kind] = true
@@ -216,7 +189,7 @@ func (l *learner) addHealthy(fb *symptoms.FactBase) {
 }
 
 // observe routes newly-confirmed incidents: most feed the miner (their
-// instances become prospective authors), every HoldoutEvery-th of a
+// instances become prospective authors), every holdoutEvery-th of a
 // kind is withheld for the validator's hold-out replay.
 func (l *learner) observe(incs []service.Incident) {
 	for _, inc := range incs {
@@ -233,7 +206,7 @@ func (l *learner) observe(incs []service.Incident) {
 		mined := symptoms.Incident{
 			Facts: inc.Result.Facts, CauseKind: inc.Kind, Subject: inc.Subject,
 		}
-		if l.kindSeen[inc.Kind]%l.cfg.HoldoutEvery == 0 {
+		if l.kindSeen[inc.Kind]%holdoutEvery == 0 {
 			l.heldOut++
 			l.validator.AddHoldout(mined)
 			continue
@@ -261,7 +234,7 @@ func (l *learner) step() {
 		return
 	}
 	l.stale = false
-	for _, cand := range l.miner.Propose(l.cfg.MinIncidents) {
+	for _, cand := range l.miner.Propose(minIncidents) {
 		kind := cand.CauseKind
 		if l.preinstalled[kind] || l.authors[kind] != nil || l.rejected[kind] {
 			continue

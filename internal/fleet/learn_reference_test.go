@@ -120,9 +120,8 @@ func (m *refMiner) filterBackground(names []string) []string {
 // refValidator keeps its corpus in a map and sorts the fingerprints on
 // each Validate.
 type refValidator struct {
-	minHealthy, minHoldout int
-	healthy                map[string]*symptoms.FactBase
-	holdout                map[string][]symptoms.Incident
+	healthy map[string]*symptoms.FactBase
+	holdout map[string][]symptoms.Incident
 }
 
 func (v *refValidator) AddHealthy(fb *symptoms.FactBase) bool {
@@ -173,14 +172,14 @@ func (v *refValidator) Validate(c symptoms.CandidateEntry) symptoms.Validation {
 			Expr: cond.Expr.String(), Weight: cond.Weight,
 		})
 	}
-	if out.Healthy < v.minHealthy {
+	if out.Healthy < symptoms.MinHealthy {
 		out.Verdict = symptoms.VerdictDefer
-		out.Reason = fmt.Sprintf("awaiting healthy corpus (%d/%d fact bases)", out.Healthy, v.minHealthy)
+		out.Reason = fmt.Sprintf("awaiting healthy corpus (%d/%d fact bases)", out.Healthy, symptoms.MinHealthy)
 		return out
 	}
-	if out.Holdout < v.minHoldout {
+	if out.Holdout < symptoms.MinHoldout {
 		out.Verdict = symptoms.VerdictDefer
-		out.Reason = fmt.Sprintf("awaiting held-out incidents (%d/%d)", out.Holdout, v.minHoldout)
+		out.Reason = fmt.Sprintf("awaiting held-out incidents (%d/%d)", out.Holdout, symptoms.MinHoldout)
 		return out
 	}
 	for _, fb := range v.bases() {
@@ -259,7 +258,6 @@ func newRefLearner(cfg LearnConfig, symdb *symptoms.DB) *refLearner {
 		pending:      make(map[string]*candidate),
 		rejected:     make(map[string]bool),
 		validator: refValidator{
-			minHealthy: cfg.MinHealthy, minHoldout: cfg.MinHoldout,
 			healthy: make(map[string]*symptoms.FactBase),
 			holdout: make(map[string][]symptoms.Incident),
 		},
@@ -296,7 +294,7 @@ func (l *refLearner) observe(incs []service.Incident) {
 		l.fed[id] = true
 		l.kindSeen[inc.Kind]++
 		mined := symptoms.Incident{Facts: inc.Result.Facts, CauseKind: inc.Kind, Subject: inc.Subject}
-		if l.kindSeen[inc.Kind]%l.cfg.HoldoutEvery == 0 {
+		if l.kindSeen[inc.Kind]%holdoutEvery == 0 {
 			l.heldOut++
 			l.validator.AddHoldout(mined)
 			continue
@@ -312,7 +310,7 @@ func (l *refLearner) observe(incs []service.Incident) {
 }
 
 func (l *refLearner) step() {
-	for _, cand := range l.miner.Propose(l.cfg.MinIncidents) {
+	for _, cand := range l.miner.Propose(minIncidents) {
 		kind := cand.CauseKind
 		if l.preinstalled[kind] || l.authors[kind] != nil || l.rejected[kind] {
 			continue
@@ -484,14 +482,7 @@ func TestLearnerMatchesLongWayReference(t *testing.T) {
 	for _, pol := range policies {
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			cfg := LearnConfig{
-				MinIncidents: 1 + rng.Intn(3),
-				HoldoutEvery: 2 + rng.Intn(2),
-				MinHealthy:   1 + rng.Intn(2),
-				MinHoldout:   1 + rng.Intn(2),
-				Review:       pol.review,
-				Reviewer:     pol.reviewer,
-			}.withDefaults()
+			cfg := LearnConfig{Review: pol.review, Reviewer: pol.reviewer}
 			symdb, refdb := symptoms.NewDB(), symptoms.NewDB()
 			if seed%2 == 0 {
 				for _, db := range []*symptoms.DB{symdb, refdb} {

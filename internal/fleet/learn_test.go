@@ -40,7 +40,7 @@ func confirmed(instance, query, kind string, facts *symptoms.FactBase) service.I
 // fact is background.
 func TestLearnerRejectsBackgroundCandidate(t *testing.T) {
 	symdb := symptoms.NewDB()
-	l := newLearner(LearnConfig{}.withDefaults(), symdb)
+	l := newLearner(LearnConfig{}, symdb)
 
 	ambient := map[string]float64{"ambient-load:pool-P1": 0.9}
 	l.observe([]service.Incident{
@@ -109,7 +109,7 @@ func TestLearnerRejectsBackgroundCandidate(t *testing.T) {
 // no longer survives into a mined entry's conditions.
 func TestLearnerBackgroundFilterFeedsMiner(t *testing.T) {
 	symdb := symptoms.NewDB()
-	l := newLearner(LearnConfig{}.withDefaults(), symdb)
+	l := newLearner(LearnConfig{}, symdb)
 
 	// The healthy corpus is captured before the incidents confirm —
 	// the quiet-window probe order in a real fleet run.
@@ -144,7 +144,7 @@ func TestLearnerBackgroundFilterFeedsMiner(t *testing.T) {
 // confirmation of a kind is withheld for validation, its instance never
 // becomes an author, and transfers count exactly for non-authors.
 func TestLearnerHoldoutRoutingAndAuthors(t *testing.T) {
-	l := newLearner(LearnConfig{}.withDefaults(), symptoms.NewDB())
+	l := newLearner(LearnConfig{}, symptoms.NewDB())
 	l.addHealthy(testFacts(map[string]float64{"other": 0.9}))
 	facts := map[string]float64{"real-symptom:vol-V1": 0.95}
 	l.observe([]service.Incident{
@@ -179,7 +179,7 @@ func TestLearnerHoldoutRoutingAndAuthors(t *testing.T) {
 func TestLearnerOperatorReviewGate(t *testing.T) {
 	facts := map[string]float64{"real-symptom:vol-V1": 0.95}
 	seed := func(cfg LearnConfig, symdb *symptoms.DB) *learner {
-		l := newLearner(cfg.withDefaults(), symdb)
+		l := newLearner(cfg, symdb)
 		l.addHealthy(testFacts(map[string]float64{"other": 0.9}))
 		l.observe([]service.Incident{
 			confirmed("inst-0", "Q2", "san-contention", testFacts(facts)),
@@ -229,7 +229,7 @@ func TestLearnerOperatorReviewGate(t *testing.T) {
 // LearnStats, and is never proposed or re-installed again.
 func TestLearnerRecordsInstallErrorAndStopsRetrying(t *testing.T) {
 	symdb := symptoms.NewDB()
-	l := newLearner(LearnConfig{}.withDefaults(), symdb)
+	l := newLearner(LearnConfig{}, symdb)
 
 	// A candidate with weights that cannot sum to 100 — the database
 	// must refuse it. (The miner never produces one, but install must
@@ -282,7 +282,7 @@ func TestLearnerSkipsPreinstalledKinds(t *testing.T) {
 	if err := symdb.Add(pre); err != nil {
 		t.Fatal(err)
 	}
-	l := newLearner(LearnConfig{}.withDefaults(), symdb)
+	l := newLearner(LearnConfig{}, symdb)
 	l.addHealthy(testFacts(map[string]float64{"other": 0.9}))
 	facts := map[string]float64{"real-symptom:vol-V1": 0.95}
 	l.observe([]service.Incident{

@@ -46,7 +46,7 @@ type Learner struct {
 // NewLearner builds a standalone learner over the shared symptoms
 // database.
 func NewLearner(cfg LearnConfig, symdb *symptoms.DB) *Learner {
-	return &Learner{l: newLearner(cfg.withDefaults(), symdb)}
+	return &Learner{l: newLearner(cfg, symdb)}
 }
 
 // AddHealthy feeds one healthy-period fact base to the miner's

@@ -91,39 +91,23 @@ func NewRegistry() *Registry {
 	return &Registry{open: make(map[incidentKey]*Incident)}
 }
 
-// cause is what the service keeps of a diagnosis's root cause once the
-// diagnosis is filed: its identity and figures, and no pointer into the
-// Result. The zero cause names nothing.
-type cause struct {
-	kind, subject      string
-	confidence, impact float64
-}
-
-// rootCause is the compact form of res.RootCause.
-func rootCause(res *diag.Result) cause {
+// fileUnder returns the incident a diagnosis res of ev files under and
+// the root cause that names it; false when res names nothing above low
+// confidence, which is not an incident.
+func fileUnder(ev monitor.SlowdownEvent, res *diag.Result) (incidentKey, diag.ImpactItem, bool) {
 	top, ok := res.RootCause()
-	if !ok {
-		return cause{}
-	}
-	return cause{
-		kind: top.Cause.Kind, subject: top.Cause.Subject,
-		confidence: top.Cause.Confidence, impact: top.Score,
-	}
+	k := incidentKey{instance: ev.Instance, query: ev.Query, kind: top.Cause.Kind, subject: top.Cause.Subject}
+	return k, top, ok
 }
 
 // Record folds one diagnosis into the registry: its root cause becomes or
-// updates an incident.
-func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) {
-	r.record(ev, rootCause(res), res)
-}
-
-// record files c for ev. res is the diagnosis that named c and becomes
-// the incident's latest; a recurrence served from the service's
-// completed-job cache passes nil, counting the event and leaving Result
-// and Trace at the incident's latest diagnosis.
-func (r *Registry) record(ev monitor.SlowdownEvent, c cause, res *diag.Result) {
-	if c.kind == "" {
-		return // nothing above low confidence; not an incident
+// updates an incident, and res becomes the incident's latest diagnosis
+// when ev is its latest event. It reports whether res named a cause,
+// that is whether it filed an incident.
+func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) bool {
+	k, top, ok := fileUnder(ev, res)
+	if !ok {
+		return false
 	}
 	extra := ev.Duration - ev.Baseline
 	if extra < 0 {
@@ -132,11 +116,10 @@ func (r *Registry) record(ev monitor.SlowdownEvent, c cause, res *diag.Result) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := incidentKey{instance: ev.Instance, query: ev.Query, kind: c.kind, subject: c.subject}
 	inc := r.open[k]
 	if inc == nil {
 		inc = &Incident{
-			Instance: ev.Instance, Query: ev.Query, Kind: c.kind, Subject: c.subject,
+			Instance: ev.Instance, Query: ev.Query, Kind: k.kind, Subject: k.subject,
 			FirstSeen: ev.At,
 		}
 		r.open[k] = inc
@@ -151,15 +134,31 @@ func (r *Registry) record(ev monitor.SlowdownEvent, c cause, res *diag.Result) {
 	// finish out of order, and incident state must stay deterministic
 	// per seed.
 	if ev.At >= inc.LastSeen {
-		inc.Confidence = c.confidence
-		inc.ImpactPct = c.impact
+		inc.Confidence = top.Cause.Confidence
+		inc.ImpactPct = top.Score
 		inc.LastSeen = ev.At
 		inc.Window = ev.Window
-		if res != nil {
-			inc.Result = res
-			inc.Trace = res.Trace
-		}
+		inc.Result = res
+		inc.Trace = res.Trace
 	}
+	return true
+}
+
+// FiledBy returns a copy of the incident the diagnosis res of ev filed,
+// as it stands now, copying no other; empty when res named no cause. It
+// is what changed in the registry when Record(ev, res) returned, since
+// only a diagnosis changes an incident.
+func (r *Registry) FiledBy(ev monitor.SlowdownEvent, res *diag.Result) []Incident {
+	k, _, ok := fileUnder(ev, res)
+	if !ok {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if inc := r.open[k]; inc != nil {
+		return []Incident{*inc}
+	}
+	return nil
 }
 
 // Incidents returns the open incidents ranked by estimated impact

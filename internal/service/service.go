@@ -1,12 +1,15 @@
 // Package service turns the monitor's SlowdownEvents into diagnoses at
 // fleet scale: a bounded worker pool drains a bounded FIFO job queue
-// (Submit waits for space, never drops a detection), queued or running
-// jobs are deduplicated per (instance, query, window) under one
+// (Submit waits for space, never drops a detection), waiting, queued or
+// running jobs are deduplicated per (instance, query, window) under one
 // admission mutex, built Annotated Plan Graphs
 // and symptoms-database evaluations are LRU-cached so repeated
 // diagnoses of the same plan are near-free, and completed diagnoses feed
 // a results registry that ranks open incidents by estimated impact
 // (Module IA's score weighted by the slowdown each incident explains).
+// The service keeps no completed job: a (query, window) submitted again
+// after its diagnosis finished is diagnosed again, so every change to
+// the registry is a completed diagnosis.
 package service
 
 import (
@@ -35,8 +38,8 @@ import (
 
 // Submit errors.
 var (
-	// ErrDuplicate reports that an equivalent job is already queued,
-	// running, or freshly diagnosed.
+	// ErrDuplicate reports that an equivalent job is already waiting
+	// for queue space, queued or running.
 	ErrDuplicate = errors.New("service: duplicate job for (query, window)")
 	// ErrStopped reports a Submit refused because the service stopped,
 	// at entry or while it waited for queue space.
@@ -79,12 +82,6 @@ type Config struct {
 	APGCacheSize int
 	// SDCacheSize bounds the symptoms-evaluation cache (default 128).
 	SDCacheSize int
-	// ResultCacheSize bounds the completed-job cache that absorbs
-	// re-submissions of an already-diagnosed (query, window) (default
-	// 128 entries). An entry is the cause the diagnosis named, a few
-	// strings and numbers, not the diagnosis itself: the registry keeps
-	// the only full Result, the latest of each incident.
-	ResultCacheSize int
 	// ShardLabel, when non-empty, labels this service's scrape-time
 	// callback metrics (queue depth, cache counters) with {"shard": v}.
 	// A sharded fleet constructs one service per shard; without the
@@ -105,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SDCacheSize <= 0 {
 		c.SDCacheSize = 128
-	}
-	if c.ResultCacheSize <= 0 {
-		c.ResultCacheSize = 128
 	}
 	return c
 }
@@ -138,14 +132,13 @@ type job struct {
 // derived from.
 type Stats struct {
 	Submitted  int64 // Submit calls
-	Deduped    int64 // suppressed as queued/running/cached duplicates
+	Deduped    int64 // suppressed as waiting/queued/running duplicates
 	Rejected   int64 // refused or abandoned because the service stopped
 	Completed  int64 // diagnoses finished
 	Failed     int64 // diagnoses that returned an error
 	QueueDepth int   // jobs currently waiting in the queue
 	APG        cache.CacheStats
 	SD         cache.CacheStats
-	Results    cache.CacheStats
 }
 
 // String implements fmt.Stringer.
@@ -245,10 +238,9 @@ type Service struct {
 	// unwatch retires Start's context callback (context.AfterFunc).
 	unwatch func() bool
 
-	apgs    *cache.LRU[string, *apg.APG]
-	sd      *cache.LRU[string, []symptoms.CauseInstance]
-	results *cache.LRU[jobKey, cause] // completed jobs: the cause each named
-	reg     *Registry
+	apgs *cache.LRU[string, *apg.APG]
+	sd   *cache.LRU[string, []symptoms.CauseInstance]
+	reg  *Registry
 
 	modmu    sync.Mutex
 	modstats map[string]*ModuleStat
@@ -274,7 +266,6 @@ func New(env Env, cfg Config) *Service {
 		pending:  make(map[jobKey]bool),
 		apgs:     cache.New[string, *apg.APG](cfg.APGCacheSize),
 		sd:       cache.New[string, []symptoms.CauseInstance](cfg.SDCacheSize),
-		results:  cache.New[jobKey, cause](cfg.ResultCacheSize),
 		reg:      NewRegistry(),
 		modstats: make(map[string]*ModuleStat),
 		tel:      newServiceTelemetry(),
@@ -303,9 +294,8 @@ func (s *Service) registerFuncs() {
 		"Diagnosis jobs currently waiting in the queue.",
 		shard, func() float64 { return float64(s.depth()) }))
 	caches := map[string]func() cache.CacheStats{
-		"apg":    s.apgs.Stats,
-		"sd":     s.sd.Stats,
-		"result": s.results.Stats,
+		"apg": s.apgs.Stats,
+		"sd":  s.sd.Stats,
 	}
 	for name, statsOf := range caches {
 		labels := telemetry.Labels{"cache": name}
@@ -341,7 +331,7 @@ func (s *Service) AddInstance(id string, env Env) {
 }
 
 // RemoveInstance unregisters a per-instance environment and purges the
-// instance's scoped entries from the shared APG/SD/result caches — the
+// instance's scoped entries from the shared APG and SD caches — the
 // dehydrate half of the instance lifecycle (fleet hibernation, HTTP
 // tenant idle-out). Safe to call while the service is running, but the
 // caller must guarantee no job for the instance is queued or in flight
@@ -361,7 +351,6 @@ func (s *Service) RemoveInstance(id string) {
 	prefix := id + "|" // diag cache keys are CacheScope + "|" + artifact identity
 	s.apgs.RemoveIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
 	s.sd.RemoveIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
-	s.results.RemoveIf(func(k jobKey) bool { return k.instance == id })
 }
 
 // EnvFor resolves the environment an event of the instance diagnoses
@@ -390,7 +379,6 @@ func (s *Service) Stats() Stats {
 		QueueDepth: s.depth(),
 		APG:        s.apgs.Stats(),
 		SD:         s.sd.Stats(),
-		Results:    s.results.Stats(),
 	}
 }
 
@@ -472,17 +460,15 @@ func (s *Service) Wait() {
 	s.mu.Unlock()
 }
 
-// Submit enqueues a diagnosis job for the event. An already-pending or
-// already-diagnosed (query, window) returns ErrDuplicate (bumping the
-// incident's recurrence when the completed job named a cause). A full
-// queue makes Submit wait until a worker takes a job; it never drops
-// the event. The key is reserved before the wait, so a waiting job
-// dedups, Floor covers it and Wait waits for it. A service stopped at
-// entry or during the wait returns ErrStopped, counted in
-// Stats.Rejected. The stopped check, the pending check, the result-cache
-// lookup and the push share one critical section. Because run caches
-// its cause before it releases the key, a key missing from pending
-// finds its completed run's cause.
+// Submit enqueues a diagnosis job for the event. A (query, window)
+// already waiting, queued or running returns ErrDuplicate; one whose
+// diagnosis has finished is diagnosed again, and the registry files it
+// as a recurrence of its incident. A full queue makes Submit wait until
+// a worker takes a job; it never drops the event. The key is reserved
+// before the wait, so a waiting job dedups, Floor covers it and Wait
+// waits for it. A service stopped at entry or during the wait returns
+// ErrStopped, counted in Stats.Rejected. The stopped check, the pending
+// check, the reservation and the push share one critical section.
 //
 // Submit must never be called from a worker callback (OnDiagnosis,
 // OnHealthy, Self): a worker waiting for space only its siblings can
@@ -500,13 +486,9 @@ func (s *Service) Submit(ev monitor.SlowdownEvent) error {
 	}
 	if s.pending[key] {
 		s.mu.Unlock()
-		s.dedup(ev, "deduped-pending")
-		return ErrDuplicate
-	}
-	if c, ok := s.results.Get(key); ok {
-		s.mu.Unlock()
-		s.dedup(ev, "deduped-cached")
-		s.reg.record(ev, c, nil) // recurrence of a known incident
+		s.deduped.Add(1)
+		s.tel.deduped.Inc()
+		s.span(ev.TraceID, "service.submit", attr("outcome", "deduped-pending"))
 		return ErrDuplicate
 	}
 	s.pending[key] = true
@@ -534,13 +516,6 @@ func (s *Service) refuse(ev monitor.SlowdownEvent) error {
 	return ErrStopped
 }
 
-// dedup counts and traces a Submit suppressed as a duplicate.
-func (s *Service) dedup(ev monitor.SlowdownEvent, outcome string) {
-	s.deduped.Add(1)
-	s.tel.deduped.Inc()
-	s.span(ev.TraceID, "service.submit", attr("outcome", outcome))
-}
-
 // Floor returns the earliest evidence a waiting, queued or running
 // diagnosis of the instance may still read — the least ReadWindow.Start
 // among its pending jobs — and whether it has any. It is the retention
@@ -563,7 +538,7 @@ func (s *Service) Floor(instance string) (simtime.Time, bool) {
 
 // SubmitAll submits released detections in order under the one policy
 // every driver shares: each waits for queue space as Submit does, a
-// duplicate is a recurrence of a known incident, and ErrStopped ends the
+// duplicate of a pending job is skipped, and ErrStopped ends the
 // loop and is returned. Like Submit, it must never be called from a
 // worker callback.
 func (s *Service) SubmitAll(evs []monitor.SlowdownEvent) error {
@@ -617,10 +592,8 @@ func (s *Service) next() (job, bool) {
 	return j, true
 }
 
-// run executes one diagnosis job. The deferred finish releases the
-// dedup reservation only after every code path below — in particular
-// after results.Put — so a Submit that misses the key in pending finds
-// its cached cause.
+// run executes one diagnosis job; the deferred finish releases its
+// dedup reservation.
 func (s *Service) run(ctx context.Context, j job) {
 	defer s.finish(j.key)
 
@@ -652,9 +625,7 @@ func (s *Service) run(ctx context.Context, j job) {
 	s.tel.diagWall.Observe(wall.Seconds())
 	s.spanModules(j.ev.TraceID, res.Trace)
 	s.recordTrace(res.Trace)
-	c := rootCause(res)
-	s.results.Put(j.key, c)
-	s.reg.record(j.ev, c, res)
+	named := s.reg.Record(j.ev, res)
 	s.completed.Add(1)
 	s.tel.completed.Inc()
 	if s.Self != nil {
@@ -663,7 +634,7 @@ func (s *Service) run(ctx context.Context, j job) {
 	if s.OnDiagnosis != nil {
 		s.OnDiagnosis(j.ev, res)
 	}
-	if s.OnHealthy != nil && res.Facts != nil && c.kind == "" {
+	if s.OnHealthy != nil && res.Facts != nil && !named {
 		s.OnHealthy(j.ev, res.Facts)
 	}
 }

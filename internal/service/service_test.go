@@ -225,8 +225,8 @@ func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 	}
 
 	// Once a worker takes the queued job, the waiting submit enqueues;
-	// after the queue drains, the same window is served from the result
-	// cache and still counts the recurrence in the registry.
+	// after the queue drains, the same window is no longer pending, so a
+	// re-submit is diagnosed again and counts as a recurrence.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	svc.Start(ctx)
@@ -234,24 +234,24 @@ func TestSubmitDeduplicatesAndExertsBackpressure(t *testing.T) {
 		t.Fatalf("waiting submit = %v, want nil once a worker took a job", err)
 	}
 	svc.Wait()
-	if err := svc.Submit(ev); err != ErrDuplicate {
-		t.Errorf("cached re-submit = %v, want ErrDuplicate", err)
+	if err := svc.Submit(ev); err != nil {
+		t.Errorf("re-submit of a diagnosed window = %v, want nil", err)
 	}
 	svc.Stop()
 	if err := svc.Submit(ev); err != ErrStopped {
 		t.Errorf("submit after stop = %v, want ErrStopped", err)
 	}
 	st := svc.Stats()
-	if st.Completed != 2 || st.Deduped != 3 || st.Rejected != 1 ||
+	if st.Completed != 3 || st.Deduped != 2 || st.Rejected != 1 ||
 		st.Submitted != st.Completed+st.Failed+st.Deduped+st.Rejected {
-		t.Errorf("%+v, want 2 completed, 3 deduped, 1 rejected, every submit counted once", st)
+		t.Errorf("%+v, want 3 completed, 2 deduped, 1 rejected, every submit counted once", st)
 	}
 	events := 0
 	for _, inc := range svc.Registry().Incidents() {
 		events += inc.Events
 	}
 	if events != 3 {
-		t.Errorf("events = %d, want 3 (two diagnoses + a cached recurrence)", events)
+		t.Errorf("events = %d, want 3 (two diagnoses + a re-diagnosed recurrence)", events)
 	}
 }
 
@@ -304,14 +304,25 @@ func TestServiceKeepsOnlyIncidentResults(t *testing.T) {
 	runtime.KeepAlive(svc)
 }
 
-// TestCachedRecurrenceKeepsLatestResult pins a re-submission served from
-// the completed-job cache: it counts the event and moves the incident's
-// latest figures, but the incident's Result and Trace stay its latest
-// diagnosis. A cached job whose diagnosis named no cause files nothing.
-func TestCachedRecurrenceKeepsLatestResult(t *testing.T) {
+// TestResubmissionIsDiagnosedAsRecurrence pins a re-submission of a
+// window whose diagnosis has finished: Submit accepts it, the service
+// diagnoses it again, and the registry files it as a recurrence of the
+// same incident — one more event, its extra time added, its latest
+// figures moved — whose cause and report do not change. A re-submission
+// whose diagnosis names no cause files nothing.
+func TestResubmissionIsDiagnosedAsRecurrence(t *testing.T) {
 	env, evs, _ := slowdownRig(t, 45)
+	var mu sync.Mutex
+	rendered := map[simtime.Interval]string{} // each read window's first report
 	diagnose := func(env Env) *Service {
 		svc := New(env, Config{Workers: 2})
+		svc.OnDiagnosis = func(ev monitor.SlowdownEvent, res *diag.Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, ok := rendered[ev.ReadWindow]; !ok {
+				rendered[ev.ReadWindow] = res.Render()
+			}
+		}
 		svc.Start(context.Background())
 		t.Cleanup(svc.Stop)
 		if err := svc.SubmitAll(evs); err != nil {
@@ -331,10 +342,18 @@ func TestCachedRecurrenceKeepsLatestResult(t *testing.T) {
 	again := evs[0]
 	again.At = before.LastSeen.Add(simtime.Minute)
 	again.Window = simtime.NewInterval(again.At, again.At.Add(simtime.Minute))
-	if err := svc.Submit(again); err != ErrDuplicate {
-		t.Fatalf("cached re-submit = %v, want ErrDuplicate", err)
+	if err := svc.Submit(again); err != nil {
+		t.Fatalf("re-submit of a diagnosed window = %v, want nil", err)
 	}
-	after := svc.Registry().Incidents()[0]
+	svc.Wait()
+	incs = svc.Registry().Incidents()
+	if len(incs) != 1 {
+		t.Fatalf("%d incidents after the recurrence, want 1", len(incs))
+	}
+	after := incs[0]
+	if after.Kind != before.Kind || after.Subject != before.Subject {
+		t.Errorf("recurrence filed under %s(%s), want %s(%s)", after.Kind, after.Subject, before.Kind, before.Subject)
+	}
 	if after.Events != before.Events+1 {
 		t.Errorf("events = %d, want %d", after.Events, before.Events+1)
 	}
@@ -344,19 +363,26 @@ func TestCachedRecurrenceKeepsLatestResult(t *testing.T) {
 	if after.LastSeen != again.At || after.Window != again.Window {
 		t.Errorf("latest = %v %v, want the recurrence's %v %v", after.LastSeen, after.Window, again.At, again.Window)
 	}
-	if after.Result != before.Result || after.Trace != before.Trace {
-		t.Error("a cached recurrence replaced the incident's latest diagnosis")
+	if after.Result == before.Result || after.Trace != after.Result.Trace {
+		t.Error("the recurrence's diagnosis did not become the incident's latest")
 	}
-	if st := svc.Stats(); st.Completed != int64(len(evs)) || st.Results.Hits != 1 {
-		t.Errorf("completed=%d result hits=%d, want %d/1", st.Completed, st.Results.Hits, len(evs))
+	if got, want := after.Result.Render(), rendered[again.ReadWindow]; got != want {
+		t.Errorf("re-diagnosis reports\n%s\nwant the window's first report\n%s", got, want)
+	}
+	if st := svc.Stats(); st.Completed != int64(len(evs))+1 || st.Deduped != 0 {
+		t.Errorf("completed=%d deduped=%d, want %d/0", st.Completed, st.Deduped, len(evs)+1)
 	}
 
 	// With an empty database no diagnosis names a cause.
 	empty := env
 	empty.SymDB = symptoms.NewDB()
 	svc = diagnose(empty)
-	if err := svc.Submit(evs[0]); err != ErrDuplicate {
-		t.Fatalf("cached re-submit of a causeless job = %v, want ErrDuplicate", err)
+	if err := svc.Submit(evs[0]); err != nil {
+		t.Fatalf("re-submit of a causeless job = %v, want nil", err)
+	}
+	svc.Wait()
+	if st := svc.Stats(); st.Completed != int64(len(evs))+1 {
+		t.Errorf("completed=%d, want %d", st.Completed, len(evs)+1)
 	}
 	if n := svc.Registry().Len(); n != 0 {
 		t.Errorf("%d incidents filed from causeless diagnoses", n)
@@ -764,8 +790,9 @@ func (f selfObserverFunc) ObserveDiagnosis(query string, wall time.Duration) { f
 // TestFloorCoversQueuedAndRunningJobs pins the retention floor a driver
 // reads after Submit: the earliest read-window start among the
 // instance's waiting, queued or running jobs, raised as they finish,
-// never held by a job that was deduplicated or served from the result
-// cache, and never by another instance's.
+// never held by a duplicate or by a finished job, and never by another
+// instance's. A window re-submitted after its diagnosis finished is a
+// new job and holds the floor again until it finishes.
 func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	env, evs, _ := slowdownRig(t, 48)
 	early, late, other := evs[0], evs[0], evs[0]
@@ -823,38 +850,52 @@ func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	floor("inst-a", 0, false, "both finished")
 	release <- struct{}{}
 	svc.Wait()
-	if err := svc.Submit(early); err != ErrDuplicate {
+	floor("inst-b", 0, false, "finished")
+	if err := svc.Submit(early); err != nil {
 		t.Fatalf("re-submit of a diagnosed window = %v", err)
 	}
-	floor("inst-a", 0, false, "served from the result cache")
-	floor("inst-b", 0, false, "finished")
+	<-entered // early runs again
+	floor("inst-a", early.ReadWindow.Start, true, "a diagnosed window re-submitted")
+	release <- struct{}{}
+	svc.Wait()
+	floor("inst-a", 0, false, "the re-submitted window finished")
 	svc.Stop()
 }
 
 // TestAdmissionUnderContention pins the admission contract with several
 // goroutines re-submitting overlapping real events while another reads
-// Floor and Wait: every distinct (instance, query, window) is diagnosed
-// exactly once — a re-submission finds the job pending or its result
-// cached, never neither — and every Submit lands in exactly one counter.
-// Run it under -race.
+// Floor and Wait: each (instance, query, window) is diagnosed exactly as
+// many times as a Submit of it returned nil — a Submit that finds its key
+// waiting, queued or running returns ErrDuplicate and adds no diagnosis —
+// and every Submit lands in exactly one counter. Run it under -race.
 func TestAdmissionUnderContention(t *testing.T) {
 	env, base, _ := slowdownRig(t, 49)
 	type key struct {
 		instance, query string
 		window          simtime.Interval
 	}
+	keyOf := func(ev monitor.SlowdownEvent) key { return key{ev.Instance, ev.Query, ev.ReadWindow} }
 	var mu sync.Mutex
-	diagnosed := map[key]int{}
+	diagnosed, accepted := map[key]int{}, map[key]int{}
 	undiagnosed := func(ev monitor.SlowdownEvent) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}] == 0
+		return diagnosed[keyOf(ev)] == 0
 	}
 	svc := New(env, Config{Workers: 2, Queue: 4})
 	svc.OnDiagnosis = func(ev monitor.SlowdownEvent, _ *diag.Result) {
 		mu.Lock()
-		diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}]++
+		diagnosed[keyOf(ev)]++
 		mu.Unlock()
+	}
+	submit := func(ev monitor.SlowdownEvent) error {
+		err := svc.Submit(ev)
+		if err == nil {
+			mu.Lock()
+			accepted[keyOf(ev)]++
+			mu.Unlock()
+		}
+		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -882,9 +923,9 @@ func TestAdmissionUnderContention(t *testing.T) {
 	}()
 
 	// Each round shifts every window to a fresh key. Submitters keep
-	// re-submitting the round's undiagnosed keys until all have settled,
-	// so re-submissions race each job's completion and, with the queue
-	// full, wait for space while the key already dedups.
+	// re-submitting the round's undiagnosed keys until each has been
+	// diagnosed, so re-submissions race each job's completion and, with
+	// the queue full, wait for space while the key already dedups.
 	var evs []monitor.SlowdownEvent
 	for round := 0; round < 8; round++ {
 		batch := make([]monitor.SlowdownEvent, len(base))
@@ -893,23 +934,20 @@ func TestAdmissionUnderContention(t *testing.T) {
 			batch[i] = ev
 		}
 		evs = append(evs, batch...)
-		want := int64(len(evs))
-		settled := func() bool {
-			st := svc.Stats()
-			return st.Completed+st.Failed >= want
-		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for !settled() {
+				for pending := true; pending; {
+					pending = false
 					for i := range batch {
 						ev := batch[(i+g)%len(batch)]
 						if !undiagnosed(ev) {
 							continue
 						}
-						if err := svc.Submit(ev); err == ErrStopped {
+						pending = true
+						if err := submit(ev); err == ErrStopped {
 							t.Error(err)
 							return
 						}
@@ -920,24 +958,30 @@ func TestAdmissionUnderContention(t *testing.T) {
 		wg.Wait()
 	}
 	svc.Wait()
-	// Every key is now cached: a last pass is all recurrences.
+	// No key is pending now: a last pass re-submits every window, and
+	// each is diagnosed again.
 	for _, ev := range evs {
-		if err := svc.Submit(ev); err != ErrDuplicate {
-			t.Errorf("re-submit of a diagnosed window = %v", err)
+		if err := submit(ev); err != nil {
+			t.Errorf("re-submit of a diagnosed window = %v, want nil", err)
 		}
 	}
+	svc.Wait()
 	close(stop)
 	<-watched
 	svc.Stop()
 
+	total := int64(0)
 	for _, ev := range evs {
-		if n := diagnosed[key{ev.Instance, ev.Query, ev.ReadWindow}]; n != 1 {
-			t.Errorf("%s window %v diagnosed %d times, want once", ev.Query, ev.ReadWindow, n)
+		k := keyOf(ev)
+		if diagnosed[k] != accepted[k] || diagnosed[k] < 2 {
+			t.Errorf("%s window %v diagnosed %d times for %d accepted submits, want equal and at least 2",
+				ev.Query, ev.ReadWindow, diagnosed[k], accepted[k])
 		}
+		total += int64(accepted[k])
 	}
 	st := svc.Stats()
-	if st.Completed != int64(len(evs)) || st.Failed != 0 {
-		t.Errorf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(evs))
+	if st.Completed != total || st.Failed != 0 {
+		t.Errorf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, total)
 	}
 	if st.Rejected != 0 || st.Submitted != st.Completed+st.Deduped+st.Rejected+st.Failed {
 		t.Errorf("submitted=%d != completed %d + deduped %d + rejected %d (want 0) + failed %d",

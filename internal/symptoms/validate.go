@@ -68,18 +68,21 @@ type Validation struct {
 	Conditions []ConditionCheck
 }
 
+// Validate defers a candidate until it has this much evidence.
+const (
+	// MinHealthy is the healthy-corpus size required before a candidate
+	// can be validated at all: with no picture of normal operation,
+	// "discriminative" is unfalsifiable.
+	MinHealthy = 1
+	// MinHoldout is the number of held-out confirmed incidents of the
+	// candidate's class required before validation.
+	MinHoldout = 1
+)
+
 // Validator replays candidate entries against evidence of normal
 // operation. It is not safe for concurrent use; the fleet layer drives
 // it from its epoch fold, under the exchange's mutex.
 type Validator struct {
-	// MinHealthy is the healthy-corpus size required before a candidate
-	// can be validated at all (default 1): with no picture of normal
-	// operation, "discriminative" is unfalsifiable.
-	MinHealthy int
-	// MinHoldout is the number of held-out confirmed incidents of the
-	// candidate's class required before validation (default 1).
-	MinHoldout int
-
 	// healthy is the corpus sorted by fingerprint, so every replay walks
 	// it deterministically, and deduplicated by it so the same quiet
 	// period captured twice carries no extra weight.
@@ -124,20 +127,6 @@ func (v *Validator) AddHoldout(inc Incident) {
 // HealthyCount returns the corpus size.
 func (v *Validator) HealthyCount() int { return len(v.healthy) }
 
-func (v *Validator) minHealthy() int {
-	if v.MinHealthy > 0 {
-		return v.MinHealthy
-	}
-	return 1
-}
-
-func (v *Validator) minHoldout() int {
-	if v.MinHoldout > 0 {
-		return v.MinHoldout
-	}
-	return 1
-}
-
 // scoreOn evaluates the candidate's conditions against a fact base
 // (mined conditions reference concrete fact names, so no bindings).
 func scoreOn(conds []Condition, fb *FactBase) float64 {
@@ -167,16 +156,16 @@ func (v *Validator) Validate(c CandidateEntry) Validation {
 		})
 	}
 
-	if out.Healthy < v.minHealthy() {
+	if out.Healthy < MinHealthy {
 		out.Verdict = VerdictDefer
 		out.Reason = fmt.Sprintf("awaiting healthy corpus (%d/%d fact bases)",
-			out.Healthy, v.minHealthy())
+			out.Healthy, MinHealthy)
 		return out
 	}
-	if out.Holdout < v.minHoldout() {
+	if out.Holdout < MinHoldout {
 		out.Verdict = VerdictDefer
 		out.Reason = fmt.Sprintf("awaiting held-out incidents (%d/%d)",
-			out.Holdout, v.minHoldout())
+			out.Holdout, MinHoldout)
 		return out
 	}
 
