@@ -1,9 +1,8 @@
 // Benchmarks for the online layer: monitor ingestion, the store's
-// incremental window queries, and cache-accelerated repeated diagnosis.
+// incremental window queries, and the fleet.
 package diads_test
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -12,16 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"diads"
-	"diads/internal/apg"
-	"diads/internal/cache"
-	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/experiments"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
 	"diads/internal/simtime"
-	"diads/internal/symptoms"
 )
 
 // BenchmarkOnline_MonitorObserve measures per-run ingestion cost: ring
@@ -165,27 +159,6 @@ func BenchmarkFleet_Throughput(b *testing.B) {
 					ResidentCap: 16,
 				})
 			})
-		}
-	}
-}
-
-// BenchmarkOnline_CachedDiagnosis measures a service-style repeated
-// diagnosis with shared APG and symptoms caches — the near-free path a
-// recurring incident takes.
-func BenchmarkOnline_CachedDiagnosis(b *testing.B) {
-	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
-	in := *sc.Input
-	in.APGCache = cache.New[string, *apg.APG](8)
-	in.SDCache = cache.New[string, []symptoms.CauseInstance](8)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := diag.DiagnoseContext(ctx, &in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := res.TopCause(); !ok {
-			b.Fatal("no cause")
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestTelemetryScrape(t *testing.T) {
 	})
 
 	// Families register when first observed, so poll until all are in.
-	want := []string{"diads_monitor_", "diads_service_", "diads_module_", "diads_self_", "diads_cache_"}
+	want := []string{"diads_monitor_", "diads_service_", "diads_module_", "diads_self_"}
 	client := &http.Client{Timeout: 5 * time.Second}
 	var expo []byte
 	missing := want

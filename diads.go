@@ -52,8 +52,8 @@ type (
 	Result = diag.Result
 	// Workflow runs modules one at a time (the interactive mode).
 	Workflow = diag.Workflow
-	// Trace is a pipeline run's per-module execution record: wall time,
-	// cache hit/miss, and skip/short-circuit decisions.
+	// Trace is a pipeline run's per-module execution record: wall time
+	// and skip/short-circuit decisions.
 	Trace = pipeline.Trace
 	// ModuleTrace is one module's entry in a Trace.
 	ModuleTrace = pipeline.ModuleTrace
@@ -102,10 +102,10 @@ type (
 	EventGate = monitor.Gate
 	// Service is the concurrent diagnosis engine: a bounded worker pool
 	// behind a bounded queue (Submit waits for space rather than drop a
-	// detection) with per-(query, window) dedup, APG/symptoms caches, and
-	// a ranked incident registry.
+	// detection) with per-(query, window) dedup and a ranked incident
+	// registry; each diagnosis reads only its own inputs.
 	Service = service.Service
-	// ServiceConfig tunes the worker pool and caches.
+	// ServiceConfig tunes the worker pool.
 	ServiceConfig = service.Config
 	// ServiceEnv is the read-only diagnosis environment jobs share.
 	ServiceEnv = service.Env

@@ -485,17 +485,16 @@ func (n *Node) handleCandidates(w http.ResponseWriter, _ *http.Request) {
 func (n *Node) handleModules(w http.ResponseWriter, _ *http.Request) {
 	stats := n.svc.ModuleStats()
 	type row struct {
-		Module    string  `json:"module"`
-		Runs      int64   `json:"runs"`
-		CacheHits int64   `json:"cache_hits"`
-		Skipped   int64   `json:"skipped"`
-		WallMS    float64 `json:"wall_ms"`
+		Module  string  `json:"module"`
+		Runs    int64   `json:"runs"`
+		Skipped int64   `json:"skipped"`
+		WallMS  float64 `json:"wall_ms"`
 	}
 	out := make([]row, 0, len(stats))
 	for _, st := range stats {
 		out = append(out, row{
-			Module: st.Module, Runs: st.Runs, CacheHits: st.CacheHits,
-			Skipped: st.Skipped, WallMS: float64(st.Wall.Microseconds()) / 1e3,
+			Module: st.Module, Runs: st.Runs, Skipped: st.Skipped,
+			WallMS: float64(st.Wall.Microseconds()) / 1e3,
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"modules": out})

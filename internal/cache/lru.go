@@ -1,8 +1,8 @@
-// Package cache provides a small, thread-safe LRU used by the concurrent
-// diagnosis service to make repeated diagnoses of the same plan
-// near-free: built Annotated Plan Graphs, symptoms-database evaluations,
-// and the causes completed jobs named are all keyed and reused through
-// it.
+// Package cache provides a small, thread-safe LRU. Its one use is the
+// caller-owned diag.Input.APGCache and SDCache, which only the
+// repository benchmark's warm row (cmd/diadsperf, diag.cached_ms) sets:
+// the diagnosis service keeps no cross-diagnosis cache, since a cached
+// Annotated Plan Graph outlives the SAN configuration it was built on.
 package cache
 
 import (
@@ -93,26 +93,6 @@ func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// RemoveIf drops every entry whose key satisfies the predicate and
-// returns how many were removed. Removals are not counted as evictions:
-// they are lifecycle cleanup (an instance paging out releases its scoped
-// entries), not capacity pressure.
-func (c *LRU[K, V]) RemoveIf(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry[K, V]); pred(e.key) {
-			c.order.Remove(el)
-			delete(c.items, e.key)
-			n++
-		}
-		el = next
-	}
-	return n
 }
 
 // CacheStats reports cache effectiveness counters.

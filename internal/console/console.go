@@ -159,11 +159,11 @@ func WorkflowScreen(w *diag.Workflow) string {
 }
 
 // TimingPanel renders the workflow-timing panel: one row per module of
-// the diagnosis pipeline with its status, measured wall time, and cache
-// outcome. The online service records a trace per incident; the panel is
-// the screen an operator reads to see where a diagnosis spent its time
-// and what the caches absorbed. (Wall times are measured, so this panel
-// — unlike the diagnosis report — is not byte-deterministic per seed.)
+// the diagnosis pipeline with its status and measured wall time. The
+// online service records a trace per incident; the panel is the screen
+// an operator reads to see where a diagnosis spent its time. (Wall
+// times are measured, so this panel — unlike the diagnosis report — is
+// not byte-deterministic per seed.)
 func TimingPanel(t *pipeline.Trace) string {
 	var b strings.Builder
 	b.WriteString("DIADS — Workflow Timing\n")
@@ -172,15 +172,14 @@ func TimingPanel(t *pipeline.Trace) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "pipeline %s, total %s\n\n", t.Pipeline, t.Total.Round(time.Microsecond))
-	fmt.Fprintf(&b, "%-8s %-8s %12s  %-5s %s\n", "module", "status", "wall", "cache", "note")
+	fmt.Fprintf(&b, "%-8s %-8s %12s  %s\n", "module", "status", "wall", "note")
 	b.WriteString(strings.Repeat("-", 60) + "\n")
 	for _, m := range t.Modules {
 		wall := "-"
-		if m.Status == pipeline.StatusRan || m.Status == pipeline.StatusCacheHit ||
-			m.Status == pipeline.StatusFailed {
+		if m.Status == pipeline.StatusRan || m.Status == pipeline.StatusFailed {
 			wall = m.Wall.Round(time.Microsecond).String()
 		}
-		fmt.Fprintf(&b, "%-8s %-8s %12s  %-5s %s\n", m.Module, m.Status, wall, m.Cache, m.Note)
+		fmt.Fprintf(&b, "%-8s %-8s %12s  %s\n", m.Module, m.Status, wall, m.Note)
 	}
 	return b.String()
 }

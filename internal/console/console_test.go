@@ -126,11 +126,14 @@ func TestTimingPanelRendersTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := TimingPanel(res.Trace)
-	for _, want := range []string{"Workflow Timing", "pipeline diads", "module", "status", "wall", "cache",
+	for _, want := range []string{"Workflow Timing", "pipeline diads", "module", "status", "wall", "note",
 		"pd", "apg", "co", "da", "cr", "sd", "ia", "ran"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("timing panel missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "cache") {
+		t.Fatalf("timing panel has a cache column, and no module consults a cache:\n%s", s)
 	}
 	if s2 := TimingPanel(nil); !strings.Contains(s2, "no trace") {
 		t.Fatalf("nil trace panel wrong:\n%s", s2)

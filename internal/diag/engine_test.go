@@ -78,21 +78,23 @@ func TestPlanChangeShortCircuitsTrace(t *testing.T) {
 	}
 }
 
-// TestSchedulerLevelCaches checks that the APG and SD caches are
-// consulted by the scheduler, visible as cache hits in the trace.
+// TestSchedulerLevelCaches checks that a caller-owned APG and SD cache
+// is consulted: the first diagnosis misses and fills both, the second
+// hits both and renders identically.
 func TestSchedulerLevelCaches(t *testing.T) {
 	tb := runScenario1(t, 23, 12)
 	in := inputFor(tb)
-	in.APGCache = cache.New[string, *apg.APG](4)
-	in.SDCache = cache.New[string, []symptoms.CauseInstance](4)
+	apgs := cache.New[string, *apg.APG](4)
+	sds := cache.New[string, []symptoms.CauseInstance](4)
+	in.APGCache, in.SDCache = apgs, sds
 
 	first, err := Diagnose(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{KeyAPG, KeySD} {
-		if mt := first.Trace.Module(name); mt.Cache != pipeline.CacheMiss {
-			t.Errorf("first run %s cache = %q, want miss", name, mt.Cache)
+	for name, st := range map[string]cache.CacheStats{KeyAPG: apgs.Stats(), KeySD: sds.Stats()} {
+		if st != (cache.CacheStats{Misses: 1}) {
+			t.Errorf("first run %s cache stats = %+v, want one miss", name, st)
 		}
 	}
 
@@ -100,11 +102,13 @@ func TestSchedulerLevelCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{KeyAPG, KeySD} {
-		mt := second.Trace.Module(name)
-		if mt.Status != pipeline.StatusCacheHit || mt.Cache != pipeline.CacheHit {
-			t.Errorf("second run %s should be a cache hit, got %+v", name, mt)
+	for name, st := range map[string]cache.CacheStats{KeyAPG: apgs.Stats(), KeySD: sds.Stats()} {
+		if st != (cache.CacheStats{Hits: 1, Misses: 1}) {
+			t.Errorf("second run %s cache stats = %+v, want one hit after the miss", name, st)
 		}
+	}
+	if second.APG != first.APG {
+		t.Error("second run built its own APG instead of the cached one")
 	}
 	if first.Render() != second.Render() {
 		t.Fatal("cache-satisfied diagnosis must render identically")
@@ -118,7 +122,8 @@ func TestSchedulerLevelCaches(t *testing.T) {
 func TestSDCacheKeyedOnSymDBVersion(t *testing.T) {
 	tb := runScenario1(t, 23, 12)
 	in := inputFor(tb)
-	in.SDCache = cache.New[string, []symptoms.CauseInstance](4)
+	sds := cache.New[string, []symptoms.CauseInstance](4)
+	in.SDCache = sds
 	if _, err := Diagnose(in); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +137,8 @@ func TestSDCacheKeyedOnSymDBVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt := second.Trace.Module(KeySD); mt.Status != pipeline.StatusRan || mt.Cache != pipeline.CacheMiss {
-		t.Fatalf("SD after the database changed should miss, got %+v", mt)
+	if st := sds.Stats(); st != (cache.CacheStats{Misses: 2}) {
+		t.Fatalf("SD after the database changed should miss, cache stats %+v", st)
 	}
 	in.SDCache = nil
 	uncached, err := Diagnose(in)

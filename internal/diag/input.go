@@ -52,24 +52,17 @@ type Input struct {
 	// Threshold is the anomaly-score threshold (default 0.8).
 	Threshold float64
 
-	// APGCache, when non-nil, caches built Annotated Plan Graphs by plan
-	// signature across diagnoses. The concurrent diagnosis service shares
-	// one cache between its workers so repeated diagnoses of the same
-	// plan skip the topology walk. Entries assume a stable SAN
-	// configuration; purge the cache after configuration changes.
+	// APGCache and SDCache, when non-nil, carry a built Annotated Plan
+	// Graph (by plan signature) and a symptoms-database evaluation (by
+	// plan signature, fact-base fingerprint and SymDB version) from one
+	// diagnosis to the next. A cached graph is only right while the SAN
+	// configuration is unchanged, and nothing in the key says so: the
+	// diagnosis service sets neither, and every diagnosis it runs builds
+	// both from its own inputs. They remain only for the repository
+	// benchmark's warm row (cmd/diadsperf, diag.cached_ms), which
+	// diagnoses one unchanged scenario repeatedly; the caller owns them.
 	APGCache *cache.LRU[string, *apg.APG]
-	// SDCache, when non-nil, caches symptoms-database evaluations keyed
-	// by (plan signature, fact-base fingerprint, SymDB version), so
-	// identical symptom sets are not re-scored entry by entry while
-	// database growth (mined entries) still invalidates stale results.
-	SDCache *cache.LRU[string, []symptoms.CauseInstance]
-
-	// CacheScope namespaces APGCache/SDCache keys. A service diagnosing
-	// several fleet instances through shared caches sets it to the
-	// instance ID: the instances' plans share signatures but their SAN
-	// topologies diverge once faults are injected, so a cached APG from
-	// one instance must never satisfy another's diagnosis.
-	CacheScope string
+	SDCache  *cache.LRU[string, []symptoms.CauseInstance]
 
 	// TraceID, when set, tags the diagnosis's pipeline trace and telemetry
 	// spans. The online service threads the triggering SlowdownEvent's

@@ -86,9 +86,7 @@ type module = pipeline.Module[*state]
 //
 // Module PD short-circuits the drill-down when the plan changed
 // (plan-change analysis is then the whole diagnosis); DA and CR are
-// independent given CO; the APG build and the symptoms-database
-// evaluation consult the input's caches when it carries them. Deps are
-// the interactive mode's ordering checks.
+// independent given CO. Deps are the interactive mode's ordering checks.
 var diadsPipeline = pipeline.New(PipelineDIADS,
 	module{Name: KeyPD, Run: runPD},
 	module{Name: KeyAPG, Deps: []string{KeyPD}, Run: runAPG},
@@ -101,101 +99,98 @@ var diadsPipeline = pipeline.New(PipelineDIADS,
 )
 
 // cached returns c's value under key(), or build's result stored back
-// under it, with the outcome the trace records; a nil cache only builds.
-func cached[V any](c *cache.LRU[string, V], key func() string, build func() (V, error)) (V, pipeline.CacheOutcome, error) {
+// under it; a nil cache, the case of every diagnosis the product runs,
+// only builds. It serves Input.APGCache and SDCache alone (see there).
+func cached[V any](c *cache.LRU[string, V], key func() string, build func() (V, error)) (V, error) {
 	if c == nil {
-		v, err := build()
-		return v, pipeline.CacheNone, err
+		return build()
 	}
 	k := key()
 	if v, ok := c.Get(k); ok {
-		return v, pipeline.CacheHit, nil
+		return v, nil
 	}
 	v, err := build()
 	if err == nil {
 		c.Put(k, v)
 	}
-	return v, pipeline.CacheMiss, err
+	return v, err
 }
 
 // runPD executes Module PD. A changed plan halts the pipeline: the
 // drill-down modules are meaningless without a common plan.
-func runPD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runPD(_ context.Context, s *state) (bool, error) {
 	pd, err := PlanDiffing(s.in)
 	if err != nil {
-		return false, pipeline.CacheNone, err
+		return false, err
 	}
 	s.PD = pd
-	return pd.Changed, pipeline.CacheNone, nil
+	return pd.Changed, nil
 }
 
-// runAPG builds the Annotated Plan Graph of the common plan, through the
-// APG cache by (cache scope, plan signature) when the input carries one
-// (the online service shares one across workers; the scope keeps fleet
-// instances' topologies apart).
-func runAPG(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+// runAPG builds the Annotated Plan Graph of the common plan on the
+// input's SAN configuration, through Input.APGCache by plan signature
+// when the caller set one.
+func runAPG(_ context.Context, s *state) (bool, error) {
 	p := s.PD.CommonPlan
-	g, outcome, err := cached(s.in.APGCache,
-		func() string { return s.in.CacheScope + "|" + p.Signature() },
+	g, err := cached(s.in.APGCache, p.Signature,
 		func() (*apg.APG, error) { return apg.Build(p, s.in.Cfg, s.in.Cat, s.in.Server) })
 	if err == nil {
 		s.APG = g
 	}
-	return false, outcome, err
+	return false, err
 }
 
 // runCO executes Module CO over the common plan.
-func runCO(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runCO(_ context.Context, s *state) (bool, error) {
 	co, err := CorrelatedOperators(s.in, s.APG.Plan)
 	if err == nil {
 		s.CO = co
 	}
-	return false, pipeline.CacheNone, err
+	return false, err
 }
 
 // runDA executes Module DA; independent of Module CR given CO.
-func runDA(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runDA(_ context.Context, s *state) (bool, error) {
 	da, err := DependencyAnalysis(s.in, s.APG, s.CO)
 	if err == nil {
 		s.DA = da
 	}
-	return false, pipeline.CacheNone, err
+	return false, err
 }
 
 // runCR executes Module CR; independent of Module DA given CO.
-func runCR(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runCR(_ context.Context, s *state) (bool, error) {
 	cr, err := CorrelatedRecordCounts(s.in, s.APG.Plan, s.CO)
 	if err == nil {
 		s.CR = cr
 	}
-	return false, pipeline.CacheNone, err
+	return false, err
 }
 
 // runFacts assembles the fact base all downstream reasoning reads.
-func runFacts(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runFacts(_ context.Context, s *state) (bool, error) {
 	s.Facts = BuildFacts(s.in, s.APG, s.PD, s.CO, s.DA, s.CR)
-	return false, pipeline.CacheNone, nil
+	return false, nil
 }
 
-// runSD evaluates the symptoms database, through the SD cache when the
-// input carries one. Without a database the diagnosis still carries the
+// runSD evaluates the symptoms database, through Input.SDCache when the
+// caller set one. Without a database the diagnosis still carries the
 // facts — the paper notes DIADS usefully narrows the search space even
 // when the database is missing or incomplete.
 //
-// The cache key is (cache scope, plan signature, fact-base fingerprint,
-// SymDB version). The version term makes installing a mined entry into a
-// live shared database invalidate prior evaluations instead of hiding the
+// The cache key is (plan signature, fact-base fingerprint, SymDB
+// version). The version term makes installing a mined entry into a
+// shared database invalidate prior evaluations instead of hiding the
 // new entry behind stale cache hits.
-func runSD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runSD(_ context.Context, s *state) (bool, error) {
 	db := s.in.SymDB
 	if db == nil {
 		s.Causes = nil
-		return false, pipeline.CacheNone, nil
+		return false, nil
 	}
-	causes, outcome, err := cached(s.in.SDCache,
+	causes, err := cached(s.in.SDCache,
 		func() string {
-			return s.in.CacheScope + "|" + s.APG.Plan.Signature() + "/" + s.Facts.Fingerprint() +
-				"@v" + strconv.Itoa(db.Version())
+			return s.APG.Plan.Signature() + "/" + s.Facts.Fingerprint() + "@v" + strconv.Itoa(db.Version())
 		},
 		func() ([]symptoms.CauseInstance, error) {
 			bp := bindingScratch.Get().(*[]symptoms.Binding)
@@ -205,14 +200,14 @@ func runSD(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
 			return causes, nil
 		})
 	s.Causes = causes
-	return false, outcome, err
+	return false, err
 }
 
 // runIA executes Module IA over the medium- and high-confidence causes.
-func runIA(_ context.Context, s *state) (bool, pipeline.CacheOutcome, error) {
+func runIA(_ context.Context, s *state) (bool, error) {
 	ia, err := ImpactAnalysis(s.in, s.APG, s.CO, s.Causes)
 	if err == nil {
 		s.IA = ia
 	}
-	return false, pipeline.CacheNone, err
+	return false, err
 }

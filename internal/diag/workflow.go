@@ -22,9 +22,9 @@ type Result struct {
 	// Causes are the symptoms-database hypotheses, sorted by confidence.
 	Causes []symptoms.CauseInstance
 	IA     *IAResult
-	// Trace is the engine's per-module execution record: wall time,
-	// cache hit/miss, and skip/short-circuit decisions. It never feeds
-	// Render — reports stay byte-deterministic per seed.
+	// Trace is the engine's per-module execution record: wall time and
+	// skip/short-circuit decisions. It never feeds Render — reports stay
+	// byte-deterministic per seed.
 	Trace *pipeline.Trace
 }
 
@@ -215,10 +215,10 @@ func Diagnose(in *Input) (*Result, error) {
 
 // DiagnoseContext is the re-entrant entry point the online service's
 // worker goroutines use: one call per job, cancelable at module
-// granularity, with any caches configured on the Input shared safely
-// across calls. Diagnoses share no mutable state — each runs on its own
-// seeded copy of the Input and writes its own Result — so one Input may
-// serve many goroutines.
+// granularity, with any caches the caller set on the Input shared
+// safely across calls. Diagnoses share no mutable state — each runs on
+// its own seeded copy of the Input and writes its own Result — so one
+// Input may serve many goroutines.
 func DiagnoseContext(ctx context.Context, in *Input) (*Result, error) {
 	return diagnose(ctx, in, nil)
 }

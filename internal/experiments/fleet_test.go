@@ -38,9 +38,6 @@ func TestFleetScenarioEndToEnd(t *testing.T) {
 	if st.Completed == 0 || st.Failed != 0 || st.Rejected != 0 {
 		t.Fatalf("service: %+v — want diagnoses completed with none failed or shed", st)
 	}
-	if st.APG.Hits == 0 {
-		t.Errorf("shared APG cache never hit across %d same-plan diagnoses", st.Completed)
-	}
 
 	// One correlated incident, not six per-instance ones.
 	sharedGroups := 0

@@ -42,9 +42,7 @@ type OnlineResult struct {
 
 // Render formats the study like the paper's tables. The output is
 // byte-deterministic per seed and independent of the streaming chunk
-// size: like fleet.Report.Render, it carries no cache counters (cache
-// hit/miss totals depend on worker interleaving and on how many events a
-// chunk boundary releases at once; read them from Service).
+// size: like fleet.Report.Render, it carries no wall-clock times.
 func (r *OnlineResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Online monitoring & concurrent diagnosis\n")

@@ -34,11 +34,6 @@ func TestOnlinePipelineEndToEnd(t *testing.T) {
 	if res.Service.Failed != 0 {
 		t.Errorf("%d diagnoses failed", res.Service.Failed)
 	}
-	// Cache effectiveness is asserted on Stats, never on Render: hit
-	// counts depend on worker interleaving and release batching.
-	if res.Service.APG.Hits == 0 {
-		t.Error("APG cache never hit despite repeated same-plan diagnoses")
-	}
 	if int64(res.Events) != res.Monitor.Events {
 		t.Errorf("%d of %d minted events released", res.Events, res.Monitor.Events)
 	}

@@ -67,9 +67,9 @@ type healthyDeposit struct {
 // waves and their service workers alike; once every shard has diagnosed
 // epoch e, the fleet's loop calls fold(e), which drains the deposits of
 // e and earlier into the learner — observe, then step. Installs
-// therefore happen between epochs (bumping symptoms.DB.Version, which
-// the SD cache key respects), and every diagnosis sees exactly the
-// database the epoch ordering dictates — never a mid-wave install.
+// therefore happen between epochs (bumping symptoms.DB.Version), and
+// every diagnosis sees exactly the database the epoch ordering dictates
+// — never a mid-wave install.
 type exchange struct {
 	mu       sync.Mutex
 	learn    *learner

@@ -6,9 +6,9 @@
 //
 // A Fleet streams N independent testbed instances, each on its own seed
 // and timeline, partitioned into shards by instance hash; each shard
-// has its own service.Service (worker pool, dedup set, impact registry,
-// instance-scoped APG/SD caches). Run is one loop over fleet-wide chunk
-// barriers. At each barrier it steps every live instance one chunk
+// has its own service.Service (worker pool, dedup set, impact
+// registry). Run is one loop over fleet-wide chunk barriers. At each
+// barrier it steps every live instance one chunk
 // (testbed.Stream; at most MaxStreams at once), releases from each
 // instance runtime (instance.go) the slowdown events whose read windows
 // the metric watermark covers, and then takes, in order, every learning
@@ -68,14 +68,13 @@ type Config struct {
 	// never results.
 	MaxStreams int
 	// Shards partitions the instances (by ID hash) into service slices,
-	// each with its own worker pool, dedup set, registry and caches,
-	// which diagnose a learning epoch in parallel (default 1; clamped to
+	// each with its own worker pool, dedup set and registry, which
+	// diagnose a learning epoch in parallel (default 1; clamped to
 	// the instance count). Sharding changes wall time and telemetry
 	// labels only: reports are byte-identical across shard counts.
 	Shards int
-	// Service tunes each shard's diagnosis service. APG and SD cache
-	// sizes of zero are raised to fleet-scale defaults; the queue keeps
-	// the service's own, since a full queue makes a wave's Submit wait
+	// Service tunes each shard's diagnosis service. It keeps the
+	// service's own defaults: a full queue makes a wave's Submit wait
 	// rather than drop a detection, so the report is the same at any
 	// queue size.
 	Service service.Config
@@ -107,11 +106,10 @@ type Config struct {
 	// ResidentCap bounds each shard's resident (non-hibernated)
 	// instances when Retention is on (0 = unlimited). Past the cap,
 	// instances with no gated or buffered events hibernate: their
-	// service environment and instance-scoped cache entries page out,
-	// and they rehydrate automatically — before any Submit — when a
-	// later barrier releases an event of theirs. Cached artifacts are
-	// pure functions of instance state, so the page-out/page-in cycle
-	// costs recomputation only, never a result.
+	// service environment pages out, and they rehydrate automatically —
+	// before any Submit — when a later barrier releases an event of
+	// theirs. A diagnosis reads only its instance's state, so the
+	// page-out/page-in cycle never changes a result.
 	ResidentCap int
 }
 
@@ -146,22 +144,8 @@ func (c Config) withDefaults(n int) Config {
 	if c.Shards > n {
 		c.Shards = n
 	}
-	// APGCacheSize defaults per shard in New — 64 entries per shard
-	// instance, capped at apgCacheCap — so a 1000-instance fleet no
-	// longer allocates an unbounded 64k-entry cache.
-	if c.Service.SDCacheSize <= 0 {
-		c.Service.SDCacheSize = 4096
-	}
 	return c
 }
-
-// apgCacheCap bounds the default per-shard APG cache regardless of how
-// many instances the shard holds. Past the cap, LRU eviction is
-// possible; evictions are visible via diads_cache_evictions_total and
-// cost recomputation only — every cached artifact is a pure function of
-// instance state, so eviction can never change a result, only wall
-// time.
-const apgCacheCap = 4096
 
 // instanceState is the fleet's per-instance bookkeeping around the
 // instance runtime, which the loop drives only between steps; transfers
@@ -241,13 +225,6 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 			deposited: make(map[incidentID]bool),
 		}
 		svcCfg := cfg.Service
-		if svcCfg.APGCacheSize <= 0 {
-			size := 64 * len(g)
-			if size > apgCacheCap {
-				size = apgCacheCap
-			}
-			svcCfg.APGCacheSize = size
-		}
 		if sharded {
 			svcCfg.ShardLabel = strconv.Itoa(sh.id)
 		}

@@ -201,9 +201,8 @@ func TestFleetGroupsSharedPoolAcrossSeeds(t *testing.T) {
 // TestFinishedFleetLeavesTheRegistry pins what the default telemetry
 // registry — which outlives every fleet — keeps of one that has run: the
 // final values of its scrape-time series, and nothing of the fleet. The
-// callbacks used to capture the fleet, its services' queues and caches,
-// and through them every instance's store, until the next fleet replaced
-// them.
+// callbacks used to capture the fleet, its services' queues, and through
+// them every instance's store, until the next fleet replaced them.
 func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
 	const n = 3
 	var collected atomic.Int32
@@ -256,18 +255,20 @@ func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
 			t.Errorf("the scrape after the run does not report %s %d", line, want)
 		}
 	}
-	var hits int64
+	// Each shard's frozen queue-depth gauge keeps its final value under
+	// its own label.
+	var depth float64
 	for _, shard := range []string{"0", "1"} {
-		_, rest, _ := bytes.Cut(expo, []byte(`diads_cache_hits_total{cache="apg",shard="`+shard+`"} `))
+		_, rest, found := bytes.Cut(expo, []byte(`diads_service_queue_depth{shard="`+shard+`"} `))
 		line, _, _ := bytes.Cut(rest, []byte("\n"))
-		v, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil {
-			t.Fatalf("shard %s APG hits = %q: %v", shard, line, err)
+		v, err := strconv.ParseFloat(string(line), 64)
+		if !found || err != nil {
+			t.Fatalf("shard %s queue depth = %q: %v", shard, line, err)
 		}
-		hits += v
+		depth += v
 	}
-	if hits != rep.Stats.APG.Hits {
-		t.Errorf("the scrape after the run reports %d APG cache hits, the report %d", hits, rep.Stats.APG.Hits)
+	if depth != float64(rep.Stats.QueueDepth) {
+		t.Errorf("the scrape after the run reports queue depth %g, the report %d", depth, rep.Stats.QueueDepth)
 	}
 }
 

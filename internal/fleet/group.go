@@ -59,13 +59,11 @@ type InstanceReport struct {
 }
 
 // Report is the fleet run's outcome. Render is byte-deterministic per
-// seed: it carries no wall-clock times and no cache counters (cache
-// hit/miss totals depend on worker interleaving; read them from Stats).
+// seed: it carries no wall-clock times.
 type Report struct {
 	Instances []InstanceReport
 	Groups    []GroupedIncident
-	// Stats sums the per-shard services' lifetime counters. The cache
-	// fields are scheduling-dependent; every other counter is
+	// Stats sums the per-shard services' lifetime counters, each
 	// deterministic per seed under the fleet's barrier coordination.
 	Stats    service.Stats
 	Learning LearnStats
@@ -87,12 +85,6 @@ func (f *Fleet) report() *Report {
 		rep.Stats.Completed += st.Completed
 		rep.Stats.Failed += st.Failed
 		rep.Stats.QueueDepth += st.QueueDepth
-		rep.Stats.APG.Hits += st.APG.Hits
-		rep.Stats.APG.Misses += st.APG.Misses
-		rep.Stats.APG.Evictions += st.APG.Evictions
-		rep.Stats.SD.Hits += st.SD.Hits
-		rep.Stats.SD.Misses += st.SD.Misses
-		rep.Stats.SD.Evictions += st.SD.Evictions
 		incs = append(incs, sh.svc.Registry().Incidents()...)
 	}
 	service.SortIncidents(incs)

@@ -99,9 +99,9 @@ func (in *Instance) Attach(svc *service.Service, symdb *symptoms.DB) bool {
 	return true
 }
 
-// Detach pages the instance's environment and scoped cache entries
-// (which recompute to identical values) out of the service and reports
-// whether it was resident. No job of the instance may be queued or running.
+// Detach pages the instance's environment out of the service and
+// reports whether it was resident. No job of the instance may be queued
+// or running.
 func (in *Instance) Detach(svc *service.Service) bool {
 	if !in.resident {
 		return false

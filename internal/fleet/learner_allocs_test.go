@@ -11,9 +11,10 @@ import (
 )
 
 // TestLearnerObserveAllocs pins the cost of an Observe that brings no new
-// evidence: the HTTP node calls Observe with the whole incident registry
-// after every diagnosis, and once those incidents are routed a repeat
-// must allocate nothing and change nothing. The race detector adds
+// evidence: the HTTP node calls Observe after every diagnosis with the
+// one incident that diagnosis filed (Registry.FiledBy), which is often
+// one the learner has already routed, and a repeat must allocate nothing
+// and change nothing. The race detector adds
 // allocations, so the test is built only without it; CI runs it in the
 // allocation-budget step.
 func TestLearnerObserveAllocs(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 
 // shardOf assigns an instance to a shard by FNV-1a hash of its ID. The
 // assignment is load-bearing only for wall time: diagnosis state is
-// instance-scoped throughout (dedup keys, caches, registry identities),
+// instance-scoped throughout (dedup keys, registry identities),
 // so moving an instance between shards cannot change any result — the
 // property the shard-count determinism sweep pins.
 func shardOf(id string, shards int) int {
@@ -27,8 +27,8 @@ func shardOf(id string, shards int) int {
 }
 
 // shard is one slice of the fleet: a subset of instances and their own
-// diagnosis service (worker pool, dedup set, impact registry, APG/SD
-// caches). Shards diagnose an epoch in parallel and share nothing on
+// diagnosis service (worker pool, dedup set, impact registry). Shards
+// diagnose an epoch in parallel and share nothing on
 // that hot path; they meet only at the learning exchange and the
 // end-of-run report merge.
 type shard struct {

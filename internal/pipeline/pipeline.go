@@ -6,7 +6,7 @@
 // reads its inputs from S and writes its output into S; the engine only
 // times it, records its outcome, and stops the run on an error, a
 // cancellation or a halt. Every run produces a Trace recording
-// per-module wall time, cache outcome, and skip/short-circuit decisions.
+// per-module wall time and skip/short-circuit decisions.
 package pipeline
 
 import (
@@ -27,9 +27,8 @@ type Module[S any] struct {
 	// interactive RunModule; a batch Run relies on the registration order.
 	Deps []string
 	// Run computes the module's output into s. halt short-circuits the
-	// rest of the pipeline; cache reports whether the module consulted a
-	// cache and what it found.
-	Run func(ctx context.Context, s S) (halt bool, cache CacheOutcome, err error)
+	// rest of the pipeline.
+	Run func(ctx context.Context, s S) (halt bool, err error)
 }
 
 // Status classifies a module's outcome within one run.
@@ -38,8 +37,6 @@ type Status string
 const (
 	// StatusRan: the module executed and produced its output.
 	StatusRan Status = "ran"
-	// StatusCacheHit: the output came from the module's cache.
-	StatusCacheHit Status = "hit"
 	// StatusSkipped: an upstream module short-circuited the pipeline.
 	StatusSkipped Status = "skipped"
 	// StatusFailed: the module returned an error.
@@ -49,20 +46,10 @@ const (
 	StatusNotRun Status = "not-run"
 )
 
-// CacheOutcome records whether a module consulted its cache.
-type CacheOutcome string
-
-const (
-	CacheNone CacheOutcome = ""
-	CacheHit  CacheOutcome = "hit"
-	CacheMiss CacheOutcome = "miss"
-)
-
 // ModuleTrace is one module's entry in a run's trace.
 type ModuleTrace struct {
 	Module string
 	Status Status
-	Cache  CacheOutcome
 	// Wall is the module's measured wall time (zero when never started).
 	Wall time.Duration
 	// Note carries the skip reason, short-circuit marker, or error text.
@@ -70,7 +57,7 @@ type ModuleTrace struct {
 }
 
 // Trace is the observability record of one pipeline run: modules in
-// registration order with status, wall time, and cache outcome. The
+// registration order with status and wall time. The
 // online service threads it through incidents and the console renders it
 // as the workflow-timing panel.
 type Trace struct {
@@ -119,7 +106,7 @@ type moduleObs struct {
 }
 
 // statuses indexes moduleObs.outcomes.
-var statuses = [...]Status{StatusRan, StatusCacheHit, StatusSkipped, StatusFailed, StatusNotRun}
+var statuses = [...]Status{StatusRan, StatusSkipped, StatusFailed, StatusNotRun}
 
 // observeModule records one module outcome into the process-wide
 // telemetry registry: a wall-time histogram and an outcome counter per
@@ -141,7 +128,7 @@ func (p *Pipeline[S]) observeModule(i int, status Status, wall time.Duration) {
 	c := o.outcomes[s].Load()
 	if c == nil {
 		c = telemetry.Default().Counter("diads_module_outcomes_total",
-			"Module outcomes (ran, hit, skipped, failed, not-run) per pipeline.",
+			"Module outcomes (ran, skipped, failed, not-run) per pipeline.",
 			telemetry.Labels{"pipeline": p.name, "module": module, "status": string(status)})
 		o.outcomes[s].Store(c)
 	}
@@ -152,14 +139,11 @@ func (p *Pipeline[S]) observeModule(i int, status Status, wall time.Duration) {
 // telemetry; a module error comes back wrapped with the module's name.
 func (p *Pipeline[S]) exec(ctx context.Context, i int, s S) (ModuleTrace, bool, error) {
 	t0 := time.Now()
-	halt, cache, err := p.mods[i].Run(ctx, s)
-	mt := ModuleTrace{Module: p.mods[i].Name, Status: StatusRan, Wall: time.Since(t0), Cache: cache}
-	switch {
-	case err != nil:
+	halt, err := p.mods[i].Run(ctx, s)
+	mt := ModuleTrace{Module: p.mods[i].Name, Status: StatusRan, Wall: time.Since(t0)}
+	if err != nil {
 		mt.Status, mt.Note, halt = StatusFailed, err.Error(), false
 		err = fmt.Errorf("pipeline %s: module %s: %w", p.name, mt.Module, err)
-	case cache == CacheHit:
-		mt.Status = StatusCacheHit
 	}
 	if halt {
 		mt.Note = "short-circuit"

@@ -19,9 +19,9 @@ func constModule(name string, deps []string, v any) Module[state] {
 	return Module[state]{
 		Name: name,
 		Deps: deps,
-		Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+		Run: func(_ context.Context, s state) (bool, error) {
 			s[name] = v
-			return false, CacheNone, nil
+			return false, nil
 		},
 	}
 }
@@ -30,13 +30,13 @@ func TestRunExecutesDAGAndTraces(t *testing.T) {
 	p := New("sum",
 		constModule("a", nil, 1),
 		constModule("b", []string{"a"}, 2),
-		Module[state]{Name: "c", Deps: []string{"a", "b"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "c", Deps: []string{"a", "b"}, Run: func(_ context.Context, s state) (bool, error) {
 			s["c"] = s["a"].(int) + s["b"].(int)
-			return false, CacheMiss, nil
+			return false, nil
 		}},
-		Module[state]{Name: "d", Deps: []string{"c"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "d", Deps: []string{"c"}, Run: func(_ context.Context, s state) (bool, error) {
 			s["d"] = s["c"]
-			return false, CacheHit, nil
+			return false, nil
 		}},
 	)
 	s := state{}
@@ -50,18 +50,11 @@ func TestRunExecutesDAGAndTraces(t *testing.T) {
 	if trace.Pipeline != "sum" || len(trace.Modules) != 4 {
 		t.Fatalf("trace: %+v", trace)
 	}
-	for _, name := range []string{"a", "b", "c"} {
+	for _, name := range []string{"a", "b", "c", "d"} {
 		mt := trace.Module(name)
 		if mt == nil || mt.Status != StatusRan {
 			t.Fatalf("module %s trace: %+v", name, mt)
 		}
-	}
-	// The trace carries each module's own cache report; a hit is its status.
-	if mt := trace.Module("c"); mt.Cache != CacheMiss {
-		t.Fatalf("c trace: %+v", mt)
-	}
-	if mt := trace.Module("d"); mt.Status != StatusCacheHit || mt.Cache != CacheHit {
-		t.Fatalf("d trace: %+v", mt)
 	}
 }
 
@@ -74,10 +67,10 @@ func TestCancellationMidPipeline(t *testing.T) {
 
 	p := New("cancelable",
 		constModule("co", nil, 1),
-		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(runCtx context.Context, _ state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(runCtx context.Context, _ state) (bool, error) {
 			cancel()
 			<-runCtx.Done()
-			return false, CacheNone, runCtx.Err()
+			return false, runCtx.Err()
 		}},
 		constModule("cr", []string{"co"}, 3),
 		constModule("sd", []string{"da", "cr"}, 4),
@@ -122,12 +115,12 @@ func TestModuleErrorCancelsSiblingsAndPropagates(t *testing.T) {
 	slowRan := false
 	p := New("failing",
 		constModule("a", nil, 1),
-		Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
-			return false, CacheNone, boom
+		Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, error) {
+			return false, boom
 		}},
-		Module[state]{Name: "slow", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "slow", Deps: []string{"a"}, Run: func(context.Context, state) (bool, error) {
 			slowRan = true
-			return false, CacheNone, nil
+			return false, nil
 		}},
 		constModule("after", []string{"bad", "slow"}, 2),
 	)
@@ -150,9 +143,9 @@ func TestModuleErrorCancelsSiblingsAndPropagates(t *testing.T) {
 
 func TestHaltShortCircuitsDownstream(t *testing.T) {
 	p := New("shortcircuit",
-		Module[state]{Name: "pd", Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "pd", Run: func(_ context.Context, s state) (bool, error) {
 			s["pd"] = "plan changed"
-			return true, CacheNone, nil
+			return true, nil
 		}},
 		constModule("co", []string{"pd"}, 2),
 		constModule("ia", []string{"co"}, 3),
@@ -186,9 +179,9 @@ func TestHaltShortCircuitsDownstream(t *testing.T) {
 func TestInteractiveStepWithEditHook(t *testing.T) {
 	p := New("interactive",
 		constModule("co", nil, []int{1, 2, 3}),
-		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(_ context.Context, s state) (bool, CacheOutcome, error) {
+		Module[state]{Name: "da", Deps: []string{"co"}, Run: func(_ context.Context, s state) (bool, error) {
 			s["da"] = len(s["co"].([]int))
-			return false, CacheNone, nil
+			return false, nil
 		}},
 	)
 	s := state{}
@@ -233,9 +226,9 @@ func goroutineID() string {
 func TestRunInlineWhenSingleReady(t *testing.T) {
 	ranOn := map[string]string{}
 	mod := func(name string, deps ...string) Module[state] {
-		return Module[state]{Name: name, Deps: deps, Run: func(context.Context, state) (bool, CacheOutcome, error) {
+		return Module[state]{Name: name, Deps: deps, Run: func(context.Context, state) (bool, error) {
 			ranOn[name] = goroutineID()
-			return false, CacheNone, nil
+			return false, nil
 		}}
 	}
 
@@ -273,9 +266,9 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 	t.Run("halt", func(t *testing.T) {
 		caller := goroutineID() // each subtest calls Run from its own goroutine
 		p := New("halting",
-			Module[state]{Name: "pd", Run: func(context.Context, state) (bool, CacheOutcome, error) {
+			Module[state]{Name: "pd", Run: func(context.Context, state) (bool, error) {
 				ranOn["pd"] = goroutineID()
-				return true, CacheNone, nil
+				return true, nil
 			}},
 			mod("co", "pd"))
 		trace, err := p.Run(context.Background(), state{}, nil)
@@ -296,8 +289,8 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 	t.Run("error", func(t *testing.T) {
 		boom := errors.New("boom")
 		p := New("failing", mod("a"),
-			Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, CacheOutcome, error) {
-				return false, CacheNone, boom
+			Module[state]{Name: "bad", Deps: []string{"a"}, Run: func(context.Context, state) (bool, error) {
+				return false, boom
 			}},
 			mod("after", "bad"))
 		trace, err := p.Run(context.Background(), state{}, nil)
@@ -316,10 +309,10 @@ func TestRunInlineWhenSingleReady(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		p := New("canceled", mod("a"),
-			Module[state]{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ state) (bool, CacheOutcome, error) {
+			Module[state]{Name: "b", Deps: []string{"a"}, Run: func(runCtx context.Context, _ state) (bool, error) {
 				cancel() // the caller gives up while b runs
 				<-runCtx.Done()
-				return false, CacheNone, runCtx.Err()
+				return false, runCtx.Err()
 			}},
 			mod("c", "b"))
 		trace, err := p.Run(ctx, state{}, nil)

@@ -19,8 +19,8 @@ const submitAllocs = 1
 
 // TestSubmitAllocs holds one admission to its allocation budget. The
 // event names an instance with no registered environment, so a worker
-// dequeues it and fails it before any diagnosis runs; a failed job caches
-// no result, so every iteration admits the same key afresh. The race
+// dequeues it and fails it before any diagnosis runs; the service keeps
+// no finished job, so every iteration admits the same key afresh. The race
 // detector adds allocations, so the test is built only without it; CI
 // runs it in the allocation-budget step.
 func TestSubmitAllocs(t *testing.T) {

@@ -2,11 +2,12 @@
 // fleet scale: a bounded worker pool drains a bounded FIFO job queue
 // (Submit waits for space, never drops a detection), waiting, queued or
 // running jobs are deduplicated per (instance, query, window) under one
-// admission mutex, built Annotated Plan Graphs
-// and symptoms-database evaluations are LRU-cached so repeated
-// diagnoses of the same plan are near-free, and completed diagnoses feed
-// a results registry that ranks open incidents by estimated impact
-// (Module IA's score weighted by the slowdown each incident explains).
+// admission mutex, each diagnosis builds its Annotated Plan Graph and
+// evaluates its symptoms from its own inputs (the SAN configuration may
+// have changed since the last diagnosis of the same plan), and
+// completed diagnoses feed a results registry that ranks open incidents
+// by estimated impact (Module IA's score weighted by the slowdown each
+// incident explains).
 // The service keeps no completed job: a (query, window) submitted again
 // after its diagnosis finished is diagnosed again, so every change to
 // the registry is a completed diagnosis.
@@ -16,13 +17,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"diads/internal/apg"
-	"diads/internal/cache"
 	"diads/internal/dbsys"
 	"diads/internal/diag"
 	"diads/internal/exec"
@@ -61,7 +59,7 @@ type Env struct {
 }
 
 // Input is the one view of the environment as a diagnosis input over
-// the given labeled runs (caches and trace identity are the caller's).
+// the given labeled runs (trace identity is the caller's).
 func (e Env) Input(query string, runs []*exec.RunRecord, satisfactory map[string]bool) *diag.Input {
 	return &diag.Input{
 		Query: query, Runs: runs, Satisfactory: satisfactory,
@@ -78,15 +76,11 @@ type Config struct {
 	// Queue is the job queue depth at which Submit waits for a worker
 	// to take a job (default 64).
 	Queue int
-	// APGCacheSize bounds the shared APG cache (default 32 plans).
-	APGCacheSize int
-	// SDCacheSize bounds the symptoms-evaluation cache (default 128).
-	SDCacheSize int
 	// ShardLabel, when non-empty, labels this service's scrape-time
-	// callback metrics (queue depth, cache counters) with {"shard": v}.
-	// A sharded fleet constructs one service per shard; without the
-	// label, each registration would replace the previous shard's series.
-	// Standalone services leave it empty and keep the unlabeled series.
+	// queue-depth gauge with {"shard": v}. A sharded fleet constructs
+	// one service per shard; without the label, each registration would
+	// replace the previous shard's series. Standalone services leave it
+	// empty and keep the unlabeled series.
 	ShardLabel string
 }
 
@@ -96,12 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Queue <= 0 {
 		c.Queue = 64
-	}
-	if c.APGCacheSize <= 0 {
-		c.APGCacheSize = 32
-	}
-	if c.SDCacheSize <= 0 {
-		c.SDCacheSize = 128
 	}
 	return c
 }
@@ -126,10 +114,9 @@ type job struct {
 	enqueued time.Time
 }
 
-// Stats is the service's typed lifetime snapshot: counters, cache
-// effectiveness, and the instantaneous queue depth. It is the one
-// structure both the console summary and the /metrics exposition are
-// derived from.
+// Stats is the service's typed lifetime snapshot: counters and the
+// instantaneous queue depth. It is the one structure both the console
+// summary and the /metrics exposition are derived from.
 type Stats struct {
 	Submitted  int64 // Submit calls
 	Deduped    int64 // suppressed as waiting/queued/running duplicates
@@ -137,16 +124,18 @@ type Stats struct {
 	Completed  int64 // diagnoses finished
 	Failed     int64 // diagnoses that returned an error
 	QueueDepth int   // jobs currently waiting in the queue
-	APG        cache.CacheStats
-	SD         cache.CacheStats
+	// APG and SD always read zero: the service keeps no cross-diagnosis
+	// cache. They remain, shaped as cache.CacheStats, only because the
+	// repository benchmark (cmd/diadsperf) still reads its hit-ratio rows
+	// from them.
+	APG, SD struct{ Hits, Misses, Evictions int64 }
 }
 
 // String implements fmt.Stringer.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"submitted=%d deduped=%d rejected=%d completed=%d failed=%d apg-cache=%d/%d sd-cache=%d/%d",
-		s.Submitted, s.Deduped, s.Rejected, s.Completed, s.Failed,
-		s.APG.Hits, s.APG.Hits+s.APG.Misses, s.SD.Hits, s.SD.Hits+s.SD.Misses)
+		"submitted=%d deduped=%d rejected=%d completed=%d failed=%d",
+		s.Submitted, s.Deduped, s.Rejected, s.Completed, s.Failed)
 }
 
 // SelfObserver receives the wall time of every completed diagnosis.
@@ -238,9 +227,7 @@ type Service struct {
 	// unwatch retires Start's context callback (context.AfterFunc).
 	unwatch func() bool
 
-	apgs *cache.LRU[string, *apg.APG]
-	sd   *cache.LRU[string, []symptoms.CauseInstance]
-	reg  *Registry
+	reg *Registry
 
 	modmu    sync.Mutex
 	modstats map[string]*ModuleStat
@@ -264,8 +251,6 @@ func New(env Env, cfg Config) *Service {
 		env:      env,
 		queue:    make([]job, 0, cfg.Queue),
 		pending:  make(map[jobKey]bool),
-		apgs:     cache.New[string, *apg.APG](cfg.APGCacheSize),
-		sd:       cache.New[string, []symptoms.CauseInstance](cfg.SDCacheSize),
 		reg:      NewRegistry(),
 		modstats: make(map[string]*ModuleStat),
 		tel:      newServiceTelemetry(),
@@ -275,9 +260,7 @@ func New(env Env, cfg Config) *Service {
 	return s
 }
 
-// registerFuncs installs the scrape-time callbacks: instantaneous queue
-// depth and the shared caches' lifetime hit/miss/eviction totals (the
-// counters PR 4 dropped from OnlineResult.Render re-surface here).
+// registerFuncs installs the scrape-time queue-depth gauge.
 // Re-registering replaces the callback for a given (name, labels)
 // series, so the newest service owns it — tests and restarting daemons
 // construct many services. A sharded fleet sets Config.ShardLabel so
@@ -293,27 +276,6 @@ func (s *Service) registerFuncs() {
 	s.freeze = append(s.freeze, reg.GaugeFunc("diads_service_queue_depth",
 		"Diagnosis jobs currently waiting in the queue.",
 		shard, func() float64 { return float64(s.depth()) }))
-	caches := map[string]func() cache.CacheStats{
-		"apg": s.apgs.Stats,
-		"sd":  s.sd.Stats,
-	}
-	for name, statsOf := range caches {
-		labels := telemetry.Labels{"cache": name}
-		if s.cfg.ShardLabel != "" {
-			labels["shard"] = s.cfg.ShardLabel
-		}
-		statsOf := statsOf
-		s.freeze = append(s.freeze,
-			reg.CounterFunc("diads_cache_hits_total",
-				"Shared diagnosis-cache hits.", labels,
-				func() float64 { return float64(statsOf().Hits) }),
-			reg.CounterFunc("diads_cache_misses_total",
-				"Shared diagnosis-cache misses.", labels,
-				func() float64 { return float64(statsOf().Misses) }),
-			reg.CounterFunc("diads_cache_evictions_total",
-				"Shared diagnosis-cache evictions.", labels,
-				func() float64 { return float64(statsOf().Evictions) }))
-	}
 }
 
 // AddInstance registers a per-instance diagnosis environment: events
@@ -330,17 +292,14 @@ func (s *Service) AddInstance(id string, env Env) {
 	s.envs[id] = env
 }
 
-// RemoveInstance unregisters a per-instance environment and purges the
-// instance's scoped entries from the shared APG and SD caches — the
+// RemoveInstance unregisters a per-instance environment — the
 // dehydrate half of the instance lifecycle (fleet hibernation, HTTP
 // tenant idle-out). Safe to call while the service is running, but the
 // caller must guarantee no job for the instance is queued or in flight
 // (the fleet removes only idle instances with empty gates, between
 // steps; the API's idle sweep only instances no request is applying to,
-// after settling the pool), or subsequent
-// diagnoses fail with an unknown environment. Removal changes memory
-// only: cached artifacts are pure functions of instance state, so a
-// later re-registration recomputes identical values.
+// after settling the pool), or subsequent diagnoses fail with an
+// unknown environment.
 func (s *Service) RemoveInstance(id string) {
 	if id == "" {
 		return
@@ -348,9 +307,6 @@ func (s *Service) RemoveInstance(id string) {
 	s.envmu.Lock()
 	delete(s.envs, id)
 	s.envmu.Unlock()
-	prefix := id + "|" // diag cache keys are CacheScope + "|" + artifact identity
-	s.apgs.RemoveIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
-	s.sd.RemoveIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
 }
 
 // EnvFor resolves the environment an event of the instance diagnoses
@@ -368,7 +324,7 @@ func (s *Service) EnvFor(instance string) (Env, bool) {
 // Registry exposes the ranked-incident registry.
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Stats returns the lifetime counters, including cache effectiveness.
+// Stats returns the lifetime counters.
 func (s *Service) Stats() Stats {
 	return Stats{
 		Submitted:  s.submitted.Load(),
@@ -377,8 +333,6 @@ func (s *Service) Stats() Stats {
 		Completed:  s.completed.Load(),
 		Failed:     s.failed.Load(),
 		QueueDepth: s.depth(),
-		APG:        s.apgs.Stats(),
-		SD:         s.sd.Stats(),
 	}
 }
 
@@ -611,8 +565,7 @@ func (s *Service) run(ctx context.Context, j job) {
 		return
 	}
 	in := env.Input(j.ev.Query, j.ev.Runs, j.ev.Satisfactory)
-	in.APGCache, in.SDCache = s.apgs, s.sd
-	in.CacheScope, in.TraceID = j.ev.Instance, j.ev.TraceID
+	in.TraceID = j.ev.TraceID
 	diagSpan := telemetry.DefaultTracer().Start(j.ev.TraceID, "service.diagnose")
 	res, err := diag.DiagnoseContext(ctx, in)
 	if err != nil {
@@ -658,11 +611,10 @@ func (s *Service) spanModules(traceID string, t *pipeline.Trace) {
 // ModuleStat aggregates one workflow module's behavior across every
 // diagnosis the service completed.
 type ModuleStat struct {
-	Module    string
-	Runs      int64 // times the module executed
-	CacheHits int64 // times the engine satisfied it from a cache
-	Skipped   int64 // times a short circuit skipped it (plan changes)
-	Wall      time.Duration
+	Module  string
+	Runs    int64 // times the module executed
+	Skipped int64 // times a short circuit skipped it (plan changes)
+	Wall    time.Duration
 }
 
 // recordTrace folds one diagnosis's trace into the per-module totals.
@@ -682,8 +634,6 @@ func (s *Service) recordTrace(t *pipeline.Trace) {
 		switch mt.Status {
 		case pipeline.StatusRan:
 			st.Runs++
-		case pipeline.StatusCacheHit:
-			st.CacheHits++
 		case pipeline.StatusSkipped:
 			st.Skipped++
 		}
@@ -692,8 +642,7 @@ func (s *Service) recordTrace(t *pipeline.Trace) {
 }
 
 // ModuleStats returns the per-module aggregates in pipeline order — the
-// fleet-level view of where diagnosis time goes and what the caches
-// absorb.
+// fleet-level view of where diagnosis time goes.
 func (s *Service) ModuleStats() []ModuleStat {
 	s.modmu.Lock()
 	defer s.modmu.Unlock()

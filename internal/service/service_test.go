@@ -81,9 +81,6 @@ func TestServiceDiagnosesEventsConcurrently(t *testing.T) {
 	if st.Completed != int64(len(evs)) || st.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(evs))
 	}
-	if st.APG.Hits == 0 {
-		t.Errorf("APG cache never hit across %d same-plan diagnoses", len(evs))
-	}
 	incs := svc.Registry().Incidents()
 	if len(incs) == 0 {
 		t.Fatal("no incidents registered")
@@ -100,8 +97,8 @@ func TestServiceDiagnosesEventsConcurrently(t *testing.T) {
 	}
 
 	// Every diagnosis ran through the DAG engine: the incident carries a
-	// per-module trace, and the service aggregated module stats — with
-	// the APG cache hits visible at module granularity.
+	// per-module trace, and the service aggregated module stats. Each
+	// diagnosis built its own APG, same plan or not.
 	if top.Trace == nil || top.Trace.Module("da") == nil {
 		t.Fatalf("incident should carry the workflow trace, got %+v", top.Trace)
 	}
@@ -113,11 +110,10 @@ func TestServiceDiagnosesEventsConcurrently(t *testing.T) {
 	for _, m := range mods {
 		byName[m.Module] = m
 	}
-	if got := byName["ia"].Runs; got != int64(len(evs)) {
-		t.Errorf("module ia ran %d times, want %d", got, len(evs))
-	}
-	if byName["apg"].CacheHits == 0 {
-		t.Errorf("module apg recorded no scheduler-level cache hits: %+v", byName["apg"])
+	for _, name := range []string{"apg", "ia"} {
+		if got := byName[name].Runs; got != int64(len(evs)) {
+			t.Errorf("module %s ran %d times, want %d", name, got, len(evs))
+		}
 	}
 }
 
@@ -630,10 +626,9 @@ func TestServiceRoutesInstancesToTheirEnvironments(t *testing.T) {
 	svc := New(env, Config{Workers: 2})
 	svc.AddInstance("inst-a", env)
 	svc.AddInstance("inst-b", env)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	svc.Start(ctx)
 
+	// Every job is queued before the workers start, so inst-a's first job
+	// is still pending when its duplicate arrives.
 	evA, evB, evX := evs[0], evs[0], evs[0]
 	evA.Instance, evB.Instance, evX.Instance = "inst-a", "inst-b", "inst-unknown"
 	if err := svc.Submit(evA); err != nil {
@@ -648,6 +643,9 @@ func TestServiceRoutesInstancesToTheirEnvironments(t *testing.T) {
 	if err := svc.Submit(evX); err != nil {
 		t.Fatalf("submit unknown instance: %v", err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
 	svc.Wait()
 	svc.Stop()
 

@@ -426,10 +426,8 @@ func (fb *FactBase) Len() int { return fb.n }
 
 // Fingerprint returns a stable digest of the fact base: two bases with
 // the same facts (names, scores, timestamps) produce the same string.
-// The concurrent diagnosis service keys cached symptoms-database
-// evaluations by it, so re-diagnosing an identical window skips
-// re-evaluating every entry, and the fleet orders its healthy corpus by
-// it. Each fact is hashed as "name=score@t;hasT|" with the floats in
+// A caller-owned symptoms-evaluation cache (diag.Input.SDCache) keys on
+// it, and the fleet orders its healthy corpus by it. Each fact is hashed as "name=score@t;hasT|" with the floats in
 // %.9g form, in name order.
 func (fb *FactBase) Fingerprint() string {
 	h := fnv.New64a()

@@ -7,7 +7,7 @@ import (
 )
 
 // DefBuckets are the default histogram bounds, in seconds: they span the
-// sub-millisecond module walls of a cached diagnosis up to multi-second
+// sub-millisecond module walls of a diagnosis up to multi-second
 // fleet waves.
 var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,

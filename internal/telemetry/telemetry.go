@@ -227,8 +227,8 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	return se.gauge
 }
 
-// CounterFunc registers a callback-backed counter series (e.g. a cache's
-// lifetime hit total read at scrape time). Re-registering the same
+// CounterFunc registers a callback-backed counter series (e.g. a
+// lifetime total read at scrape time). Re-registering the same
 // identity replaces the callback — the latest live object wins, which is
 // what a daemon restarting its service expects.
 //
