@@ -1,8 +1,10 @@
 // Benchmarks for the online layer: monitor ingestion, the store's
-// incremental window queries, and the fleet.
+// incremental window queries, repeated diagnosis through caller-owned
+// caches, and the fleet.
 package diads_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -11,11 +13,16 @@ import (
 	"testing"
 	"time"
 
+	"diads"
+	"diads/internal/apg"
+	"diads/internal/cache"
+	"diads/internal/diag"
 	"diads/internal/exec"
 	"diads/internal/experiments"
 	"diads/internal/metrics"
 	"diads/internal/monitor"
 	"diads/internal/simtime"
+	"diads/internal/symptoms"
 )
 
 // BenchmarkOnline_MonitorObserve measures per-run ingestion cost: ring
@@ -159,6 +166,28 @@ func BenchmarkFleet_Throughput(b *testing.B) {
 					ResidentCap: 16,
 				})
 			})
+		}
+	}
+}
+
+// BenchmarkOnline_CachedDiagnosis times a repeated diagnosis of one
+// unchanged scenario through caller-owned diag.Input.APGCache and
+// SDCache, the path cmd/diadsperf's warm row (diag.cached_ms) takes. The
+// diagnosis service sets neither cache; this benchmark goes with them.
+func BenchmarkOnline_CachedDiagnosis(b *testing.B) {
+	sc := scenarioFor(b, diads.ScenarioSANMisconfig)
+	in := *sc.Input
+	in.APGCache = cache.New[string, *apg.APG](8)
+	in.SDCache = cache.New[string, []symptoms.CauseInstance](8)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := diag.DiagnoseContext(ctx, &in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := res.TopCause(); !ok {
+			b.Fatal("no cause")
 		}
 	}
 }

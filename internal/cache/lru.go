@@ -1,8 +1,9 @@
 // Package cache provides a small, thread-safe LRU. Its one use is the
 // caller-owned diag.Input.APGCache and SDCache, which only the
-// repository benchmark's warm row (cmd/diadsperf, diag.cached_ms) sets:
-// the diagnosis service keeps no cross-diagnosis cache, since a cached
-// Annotated Plan Graph outlives the SAN configuration it was built on.
+// repository benchmark's warm row (cmd/diadsperf, diag.cached_ms) and
+// its go test twin (BenchmarkOnline_CachedDiagnosis) set: the diagnosis
+// service keeps no cross-diagnosis cache, since a cached Annotated Plan
+// Graph outlives the SAN configuration it was built on.
 package cache
 
 import (

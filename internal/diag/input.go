@@ -59,8 +59,9 @@ type Input struct {
 	// configuration is unchanged, and nothing in the key says so: the
 	// diagnosis service sets neither, and every diagnosis it runs builds
 	// both from its own inputs. They remain only for the repository
-	// benchmark's warm row (cmd/diadsperf, diag.cached_ms), which
-	// diagnoses one unchanged scenario repeatedly; the caller owns them.
+	// benchmark's warm row (cmd/diadsperf, diag.cached_ms) and
+	// BenchmarkOnline_CachedDiagnosis, which diagnose one unchanged
+	// scenario repeatedly; the caller owns them.
 	APGCache *cache.LRU[string, *apg.APG]
 	SDCache  *cache.LRU[string, []symptoms.CauseInstance]
 

@@ -255,9 +255,8 @@ func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
 			t.Errorf("the scrape after the run does not report %s %d", line, want)
 		}
 	}
-	// Each shard's frozen queue-depth gauge keeps its final value under
-	// its own label.
-	var depth float64
+	// Both shards' queue-depth series survive the run under their own
+	// labels, frozen at the empty queues the finished run left.
 	for _, shard := range []string{"0", "1"} {
 		_, rest, found := bytes.Cut(expo, []byte(`diads_service_queue_depth{shard="`+shard+`"} `))
 		line, _, _ := bytes.Cut(rest, []byte("\n"))
@@ -265,10 +264,9 @@ func TestFinishedFleetLeavesTheRegistry(t *testing.T) {
 		if !found || err != nil {
 			t.Fatalf("shard %s queue depth = %q: %v", shard, line, err)
 		}
-		depth += v
-	}
-	if depth != float64(rep.Stats.QueueDepth) {
-		t.Errorf("the scrape after the run reports queue depth %g, the report %d", depth, rep.Stats.QueueDepth)
+		if v != 0 {
+			t.Errorf("the scrape after the run reports shard %s queue depth %g, want 0", shard, v)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ type Incident struct {
 	// Result is the latest full diagnosis.
 	Result *diag.Result
 	// Trace is the latest diagnosis's per-module execution trace (wall
-	// time, cache hits, short-circuit decisions) — the observability the
-	// console's workflow-timing panel renders per incident.
+	// time and short-circuit decisions) — the observability the console's
+	// workflow-timing panel renders per incident.
 	Trace *pipeline.Trace
 }
 
