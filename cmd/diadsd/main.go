@@ -427,9 +427,9 @@ func run(seed int64, workers int, chunkMin float64, reportEvery, runs int, quiet
 	if top.Result != nil {
 		fmt.Println()
 		fmt.Println(top.Result.Render())
-	}
-	if top.Trace != nil { // wall times differ run to run: off the report
-		fmt.Fprintln(os.Stderr, console.TimingPanel(top.Trace))
+		if top.Result.Trace != nil { // wall times differ run to run: off the report
+			fmt.Fprintln(os.Stderr, console.TimingPanel(top.Result.Trace))
+		}
 	}
 	return nil
 }

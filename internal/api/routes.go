@@ -369,8 +369,8 @@ func (n *Node) incidentView(inc *service.Incident) IncidentView {
 		FirstSeen:  float64(inc.FirstSeen),
 		LastSeen:   float64(inc.LastSeen),
 	}
-	if inc.Trace != nil {
-		v.TraceID = inc.Trace.TraceID
+	if inc.Result != nil && inc.Result.Trace != nil {
+		v.TraceID = inc.Result.Trace.TraceID
 	}
 	return v
 }
@@ -421,9 +421,9 @@ func (n *Node) handleIncident(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		detail["causes"] = causes
-	}
-	if inc.Trace != nil {
-		detail["modules"] = moduleTimings(inc.Trace)
+		if inc.Result.Trace != nil {
+			detail["modules"] = moduleTimings(inc.Result.Trace)
+		}
 	}
 	writeJSON(w, http.StatusOK, detail)
 }

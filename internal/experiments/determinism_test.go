@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -238,6 +239,42 @@ func TestFleetValidationReviewDeterminism(t *testing.T) {
 		if rep.Render() != want.Render() {
 			t.Errorf("%s: validated+reviewed fleet report diverged\n--- batch ---\n%s\n--- %s ---\n%s",
 				c.name, want.Render(), c.name, rep.Render())
+		}
+	}
+}
+
+// TestFleetLearningFeedInvariant pins what the learner is fed: every
+// diagnosis deposits the incident it filed, if confirmed, tagged with
+// its wave's end, and the fold keeps each incident's first snapshot.
+// The learning report — every field, each candidate's validation
+// included — must then be the same at every shard count and chunk size,
+// with the operator gate on and a scripted ack, on several seeds.
+func TestFleetLearningFeedInvariant(t *testing.T) {
+	mined := symptoms.CauseSANMisconfig + symptoms.MinedSuffix
+	for _, seed := range []int64{1, 7, 42} {
+		var want *fleet.LearnStats
+		for _, shards := range []int{1, 2, 4} {
+			for _, chunk := range []simtime.Duration{simtime.Minute, 10 * simtime.Minute, 30 * simtime.Minute} {
+				rep, _, err := RunFleetSpec(FleetSpec{
+					Seed: seed, Instances: 4, Degraded: 3, Runs: 12, Shards: shards, Chunk: chunk,
+					OperatorReview: true, AckKinds: []string{mined},
+				})
+				if err != nil {
+					t.Fatalf("seed %d shards %d chunk %v: %v", seed, shards, chunk, err)
+				}
+				got := rep.Learning
+				if want == nil {
+					if got.Confirmed+got.HeldOut == 0 {
+						t.Fatalf("seed %d: no incident reached the learner:\n%s", seed, rep.Render())
+					}
+					want = &got
+					continue
+				}
+				if !reflect.DeepEqual(got, *want) {
+					t.Errorf("seed %d shards %d chunk %v: learning diverged\n got %+v\nwant %+v",
+						seed, shards, chunk, got, *want)
+				}
+			}
 		}
 	}
 }

@@ -45,11 +45,15 @@ func completeThrough(frontier simtime.Time) int64 {
 	return k - 1
 }
 
-// confirmation is one shard's deposit of a newly-confirmed incident:
-// the incident snapshot at the evidence-time wave where it crossed the
-// confirmation gate. The (waveEnd, identity) key gives the fold a total
-// order over deposits that is a function of the event stream alone —
-// independent of shard count, chunk size, and worker interleaving.
+// confirmation is one confirmed incident a diagnosis filed: the
+// incident snapshot just after that diagnosis, tagged with the end of
+// the wave it belonged to. A wave holds at most one event per incident,
+// so the snapshot is the incident as the wave left it. The (waveEnd,
+// identity) key gives the fold a total order over deposits that is a
+// function of the event stream alone — independent of shard count,
+// chunk size, and worker interleaving — and the learner keeps the first
+// snapshot of each incident it is fed, the one from the wave where the
+// incident crossed the confirmation gate.
 type confirmation struct {
 	waveEnd simtime.Time
 	inc     service.Incident
@@ -66,15 +70,15 @@ type healthyDeposit struct {
 // confirmed incidents tagged with their evidence-time epoch, from their
 // waves and their service workers alike; once every shard has diagnosed
 // epoch e, the fleet's loop calls fold(e), which drains the deposits of
-// e and earlier into the learner — observe, then step. Installs
+// e and earlier into the learner — the same self-locking Learner, fed
+// through the same AddHealthy and Observe, as the HTTP node's. Installs
 // therefore happen between epochs (bumping symptoms.DB.Version), and
 // every diagnosis sees exactly the database the epoch ordering dictates
 // — never a mid-wave install.
 type exchange struct {
-	mu       sync.Mutex
-	learn    *learner
-	disabled bool
+	learn *Learner
 
+	mu       sync.Mutex // guards the deposits
 	healthy  []healthyDeposit
 	confirms []confirmation
 
@@ -82,11 +86,10 @@ type exchange struct {
 	folds    *telemetry.Counter
 }
 
-func newExchange(cfg LearnConfig, l *learner) *exchange {
+func newExchange(l *Learner) *exchange {
 	reg := telemetry.Default()
 	return &exchange{
-		learn:    l,
-		disabled: cfg.Disabled,
+		learn: l,
 		learnSec: reg.Histogram("diads_fleet_learn_step_seconds",
 			"Wall time of one symptom-learning epoch fold.",
 			nil, nil),
@@ -98,20 +101,14 @@ func newExchange(cfg LearnConfig, l *learner) *exchange {
 // depositHealthy records a healthy-period fact base under its epoch.
 // Safe from shards and service workers alike.
 func (ex *exchange) depositHealthy(epoch int64, fb *symptoms.FactBase) {
-	if ex.disabled || fb == nil {
-		return
-	}
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	ex.healthy = append(ex.healthy, healthyDeposit{epoch, fb})
 }
 
-// depositConfirm records a newly-confirmed incident under the epoch of
-// its wave.
+// depositConfirm records a confirmed incident under the epoch of its
+// wave.
 func (ex *exchange) depositConfirm(c confirmation) {
-	if ex.disabled {
-		return
-	}
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	ex.confirms = append(ex.confirms, c)
@@ -123,16 +120,13 @@ func (ex *exchange) depositConfirm(c confirmation) {
 // first (sorted by fingerprint — corpus content is a set, so any
 // canonical order works), then confirmations in (waveEnd, instance,
 // query, kind, subject) order — the order the event stream alone
-// dictates — then one lifecycle step. Installs here bump the shared
-// database version; the caller folds only while no shard diagnoses, so
-// no diagnosis ever observes a half-applied install.
+// dictates — through one Observe, which also steps the lifecycle.
+// Installs here bump the shared database version; the caller folds
+// only while no shard diagnoses, so no diagnosis ever observes a
+// half-applied install.
 func (ex *exchange) fold(epoch int64) {
-	if ex.disabled {
-		return
-	}
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	ex.folds.Inc()
+	ex.mu.Lock()
 	var healthy []*symptoms.FactBase
 	ex.healthy = slices.DeleteFunc(ex.healthy, func(d healthyDeposit) bool {
 		if d.epoch > epoch {
@@ -149,6 +143,7 @@ func (ex *exchange) fold(epoch int64) {
 		confirms = append(confirms, c)
 		return true
 	})
+	ex.mu.Unlock()
 	if len(healthy) == 0 && len(confirms) == 0 {
 		// Nothing to fold: skip the (deterministically idempotent) step.
 		return
@@ -160,7 +155,7 @@ func (ex *exchange) fold(epoch int64) {
 	}
 	sort.Slice(healthy, func(i, j int) bool { return fps[healthy[i]] < fps[healthy[j]] })
 	for _, fb := range healthy {
-		ex.learn.addHealthy(fb)
+		ex.learn.AddHealthy(fb)
 	}
 	sort.Slice(confirms, func(i, j int) bool {
 		a, b := confirms[i], confirms[j]
@@ -178,41 +173,10 @@ func (ex *exchange) fold(epoch int64) {
 		}
 		return a.inc.Subject < b.inc.Subject
 	})
-	if len(confirms) > 0 {
-		incs := make([]service.Incident, len(confirms))
-		for i, c := range confirms {
-			incs[i] = c.inc
-		}
-		ex.learn.observe(incs)
+	incs := make([]service.Incident, len(confirms))
+	for i, c := range confirms {
+		incs[i] = c.inc
 	}
-	ex.learn.step()
+	ex.learn.Observe(incs)
 	ex.learnSec.Observe(span.End().Seconds())
-}
-
-// transferIn forwards a mined-entry hit to the learner under the
-// exchange lock (called from service workers via onDiagnosis). Author
-// sets change only at folds, so the answer is a function of the
-// diagnosis's epoch, not of worker scheduling.
-func (ex *exchange) transferIn(kind, instance string) bool {
-	if ex.disabled {
-		return false
-	}
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.learn.transferIn(kind, instance)
-}
-
-// stats snapshots the learner's lifecycle for the report.
-func (ex *exchange) stats() LearnStats {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.learn.stats()
-}
-
-// read runs fn on the learner under the exchange lock; scrape-time
-// telemetry callbacks use it.
-func (ex *exchange) read(fn func(l *learner) float64) float64 {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return fn(ex.learn)
 }

@@ -58,11 +58,10 @@ func TestEpochMath(t *testing.T) {
 // epoch k's; deposits of a later epoch wait for their own fold.
 func TestExchangeInstallAtSealBoundary(t *testing.T) {
 	symdb := symptoms.NewDB()
-	l := newLearner(LearnConfig{}, symdb)
-	ex := newExchange(LearnConfig{}, l)
+	ex := newExchange(NewLearner(LearnConfig{}, symdb))
 	v0 := symdb.Version()
 	healthy := func() int {
-		return int(ex.read(func(l *learner) float64 {
+		return int(ex.learn.read(func(l *learner) float64 {
 			return float64(l.validator.HealthyCount())
 		}))
 	}
@@ -96,7 +95,7 @@ func TestExchangeInstallAtSealBoundary(t *testing.T) {
 	if got := healthy(); got != 1 {
 		t.Fatalf("fold(1) took the epoch-2 base: healthy=%d", got)
 	}
-	st := ex.stats()
+	st := ex.learn.Stats()
 	if len(st.Installed) != 1 {
 		t.Fatalf("want exactly one installed entry at the fold, got %+v", st)
 	}
@@ -113,13 +112,12 @@ func TestExchangeInstallAtSealBoundary(t *testing.T) {
 // tagged with an already-folded epoch folds with the next epoch instead
 // of vanishing or mutating folded history.
 func TestExchangeLateDepositFoldsNextEpoch(t *testing.T) {
-	l := newLearner(LearnConfig{}, symptoms.NewDB())
-	ex := newExchange(LearnConfig{}, l)
+	ex := newExchange(NewLearner(LearnConfig{}, symptoms.NewDB()))
 
 	ex.fold(0) // epoch 0 folds empty
 	ex.depositHealthy(0, testFacts(map[string]float64{"late:fact": 0.5}))
 	healthy := func() int {
-		return int(ex.read(func(l *learner) float64 {
+		return int(ex.learn.read(func(l *learner) float64 {
 			return float64(l.validator.HealthyCount())
 		}))
 	}
@@ -129,22 +127,5 @@ func TestExchangeLateDepositFoldsNextEpoch(t *testing.T) {
 	ex.fold(1)
 	if got := healthy(); got != 1 {
 		t.Fatalf("late deposit lost: healthy=%d after the next fold", got)
-	}
-}
-
-// TestExchangeDisabled pins that a disabled exchange is inert: deposits
-// vanish, folds do nothing, transfers answer false.
-func TestExchangeDisabled(t *testing.T) {
-	cfg := LearnConfig{Disabled: true}
-	l := newLearner(cfg, symptoms.NewDB())
-	ex := newExchange(cfg, l)
-	ex.depositHealthy(3, testFacts(map[string]float64{"x": 1}))
-	ex.depositConfirm(confirmation{inc: confirmed("i", "Q2", "k", testFacts(map[string]float64{"x": 1}))})
-	ex.fold(99)
-	if ex.transferIn("k"+symptoms.MinedSuffix, "i") {
-		t.Fatal("disabled exchange reported a transfer")
-	}
-	if st := ex.stats(); st.Confirmed != 0 || st.Healthy != 0 {
-		t.Fatalf("disabled exchange accumulated state: %+v", st)
 	}
 }

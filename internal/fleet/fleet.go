@@ -222,7 +222,6 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 			f:         f,
 			instances: g,
 			probed:    make(map[string]bool),
-			deposited: make(map[incidentID]bool),
 		}
 		svcCfg := cfg.Service
 		if sharded {
@@ -233,25 +232,27 @@ func New(cfg Config, instances []Instance) (*Fleet, error) {
 		for _, st := range g {
 			st.Attach(sh.svc, cfg.SymDB)
 		}
-		sh.svc.OnDiagnosis = sh.onDiagnosis
-		sh.svc.OnHealthy = sh.onHealthy
+		if !cfg.Learn.Disabled {
+			sh.svc.OnDiagnosis = sh.onDiagnosis
+			sh.svc.OnHealthy = sh.onHealthy
+		}
 		sh.svc.Self = cfg.SelfObserver
 		sh.initTelemetry(sharded)
 		f.shards = append(f.shards, sh)
 	}
-	f.ex = newExchange(cfg.Learn, newLearner(cfg.Learn, cfg.SymDB))
+	f.ex = newExchange(NewLearner(cfg.Learn, cfg.SymDB))
 	f.registerTelemetryFuncs()
 	return f, nil
 }
 
 // registerTelemetryFuncs installs scrape-time callbacks over the
-// candidate lifecycle. The callbacks take the exchange lock; the
+// candidate lifecycle. The callbacks take the Learner's lock; the
 // registry invokes them outside its own lock, so scrapes never order
 // against the loop.
 func (f *Fleet) registerTelemetryFuncs() {
 	reg := telemetry.Default()
 	learnVal := func(read func(l *learner) float64) func() float64 {
-		return func() float64 { return f.ex.read(read) }
+		return func() float64 { return f.ex.learn.read(read) }
 	}
 	candidates := func(state string, n func(l *learner) int) func() {
 		return reg.GaugeFunc("diads_fleet_candidates", "Mined symptom candidates by lifecycle state.",
@@ -399,7 +400,9 @@ func (f *Fleet) advance(ctx context.Context, frontier simtime.Time) error {
 		if err != nil {
 			return err
 		}
-		f.ex.fold(e)
+		if !f.cfg.Learn.Disabled {
+			f.ex.fold(e)
+		}
 	}
 }
 

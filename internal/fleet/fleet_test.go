@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -113,6 +114,58 @@ func TestFleetDeterministicAcrossShards(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: report diverged from the shards=1 run\n--- want ---\n%s\n--- got ---\n%s",
 				cfg.name, want, got)
+		}
+	}
+}
+
+// TestFleetLearningOff pins that a fleet with learning off learns
+// nothing and folds nothing: its report's learning section is empty, no
+// instance counts a transfer, and diads_fleet_epoch_seals_total does
+// not move. The learning-on twin moves the counter by exactly one per
+// epoch that held released events and learns, so the contrast is not
+// vacuous.
+func TestFleetLearningOff(t *testing.T) {
+	seals := telemetry.Default().Counter("diads_fleet_epoch_seals_total",
+		"Learning epochs folded into the learner.", nil)
+	for _, off := range []bool{false, true} {
+		epochs := map[int64]bool{}
+		before := seals.Value()
+		rep, _, err := experiments.RunFleetSpec(experiments.FleetSpec{
+			Seed: testSeed, Instances: 4, Degraded: 3, Runs: 12, Shards: 2, LearnOff: off,
+			OnBarrier: func(b fleet.Barrier) error {
+				for _, ev := range b.Released {
+					epochs[fleet.EpochOf(ev.ReadWindow.End)] = true
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("learning off=%v: %v", off, err)
+		}
+		folded := seals.Value() - before
+		if len(epochs) == 0 {
+			t.Fatalf("learning off=%v: no event was released", off)
+		}
+		if !off {
+			if rep.Learning.Confirmed == 0 || rep.Learning.Transfers == 0 {
+				t.Fatalf("learning on: nothing learned (confirmed=%d transfers=%d)",
+					rep.Learning.Confirmed, rep.Learning.Transfers)
+			}
+			if folded != int64(len(epochs)) {
+				t.Errorf("learning on: %d epoch seals, want one per epoch with events (%d)", folded, len(epochs))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(rep.Learning, fleet.LearnStats{}) {
+			t.Errorf("learning off: report learned %+v", rep.Learning)
+		}
+		for _, ir := range rep.Instances {
+			if ir.Transfers != 0 {
+				t.Errorf("learning off: %s counts %d transfers", ir.ID, ir.Transfers)
+			}
+		}
+		if folded != 0 {
+			t.Errorf("learning off: %d epoch seals, want 0", folded)
 		}
 	}
 }

@@ -75,7 +75,7 @@ type Report struct {
 // stream alone, so the merged view is byte-identical across shard
 // counts.
 func (f *Fleet) report() *Report {
-	rep := &Report{Learning: f.ex.stats()}
+	rep := &Report{Learning: f.ex.learn.Stats()}
 	var incs []service.Incident
 	for _, sh := range f.shards {
 		st := sh.svc.Stats()

@@ -108,8 +108,8 @@ func (c *candidate) state() string {
 
 // learner runs the candidate lifecycle — proposed → validated →
 // installed/rejected — over a shared symptoms database. It has no
-// locking of its own: the exchange drives it under its mutex at epoch
-// folds, and tests drive it directly.
+// locking of its own: Learner drives it under its mutex, and tests
+// drive it directly.
 type learner struct {
 	cfg       LearnConfig
 	symdb     *symptoms.DB
@@ -188,7 +188,8 @@ func (l *learner) addHealthy(fb *symptoms.FactBase) {
 	}
 }
 
-// observe routes newly-confirmed incidents: most feed the miner (their
+// observe routes the confirmed incidents it has not been fed before
+// (the first snapshot of each wins): most feed the miner (their
 // instances become prospective authors), every holdoutEvery-th of a
 // kind is withheld for the validator's hold-out replay.
 func (l *learner) observe(incs []service.Incident) {

@@ -32,12 +32,13 @@ func SplitScoped(id string) (tenant, instance string) {
 	return "", id
 }
 
-// Learner is the exported, self-locking face of the candidate
-// lifecycle for drivers outside the fleet's epoch exchange — the HTTP
-// serving surface in particular. The unexported learner has no locking
-// of its own (the exchange drives it under its mutex at epoch folds);
-// Learner adds the mutex so API handlers, the diagnosis pool's workers
-// and an operator's ack can interleave safely.
+// Learner is the self-locking face of the candidate lifecycle, and the
+// one every door drives: the fleet's epoch exchange feeds it at folds,
+// the HTTP serving surface after every diagnosis, each with the
+// incidents its diagnoses filed. The unexported learner has no locking
+// of its own; Learner adds the mutex so folds, API handlers, the
+// diagnosis pool's workers, scrapes and an operator's ack can
+// interleave safely.
 type Learner struct {
 	mu sync.Mutex
 	l  *learner
@@ -57,8 +58,8 @@ func (a *Learner) AddHealthy(fb *symptoms.FactBase) {
 	a.l.addHealthy(fb)
 }
 
-// Observe routes newly-confirmed incidents into the mining/hold-out
-// split, then advances the lifecycle one step (propose → validate →
+// Observe routes the confirmed incidents among incs that it has not
+// been fed before into the mining/hold-out split, then advances the lifecycle one step (propose → validate →
 // review gate).
 func (a *Learner) Observe(incs []service.Incident) {
 	a.mu.Lock()
@@ -82,4 +83,22 @@ func (a *Learner) Stats() LearnStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.l.stats()
+}
+
+// transferIn is learner.transferIn under the lock; the fleet's service
+// workers call it for every mined entry a diagnosis scores high. Author
+// sets change only at folds, so the answer is a function of the
+// diagnosis's epoch, not of worker scheduling.
+func (a *Learner) transferIn(kind, instance string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.l.transferIn(kind, instance)
+}
+
+// read runs fn on the learner under the lock; scrape-time telemetry
+// callbacks use it.
+func (a *Learner) read(fn func(l *learner) float64) float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return fn(a.l)
 }

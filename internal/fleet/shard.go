@@ -41,10 +41,6 @@ type shard struct {
 	// has been captured. Instance-scoped keys, so per-shard maps
 	// partition the fleet-global set exactly.
 	probed map[string]bool
-	// deposited marks incidents already handed to the exchange, keyed
-	// by registry identity (instance-scoped, so shard-local dedup is
-	// fleet-exact).
-	deposited map[incidentID]bool
 	// buffered holds released events whose learning epoch is not yet
 	// complete — chiefly the far-future tails of finished instances,
 	// which release wholesale at their final barrier long before the
@@ -139,9 +135,9 @@ func (sh *shard) processEpoch(ctx context.Context, epoch int64) error {
 
 // submitWaves diagnoses released events in evidence-time waves: sorted
 // by the end of their read windows, events sharing an end diagnose
-// concurrently, then the shard settles its worker pool, captures
-// quiet-window probes, and deposits newly-confirmed incidents before
-// the next wave. Ordering by evidence time — never by barrier arrival —
+// concurrently (each diagnosis deposits what it confirmed, see
+// onDiagnosis), then the shard settles its worker pool and captures
+// quiet-window probes before the next wave. Ordering by evidence time — never by barrier arrival —
 // is what makes the run chunk-size invariant: the wave sequence is a
 // function of the event stream alone, so a 1-minute-chunk run and a
 // single-chunk batch run produce byte-identical reports.
@@ -172,7 +168,6 @@ func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEve
 		}
 		sh.svc.Wait()
 		sh.quietProbes(ctx, released[i:j])
-		sh.depositConfirmed(released[i].ReadWindow.End)
 		wall := span.End(
 			telemetry.Attr{Key: "shard", Value: strconv.Itoa(sh.id)},
 			telemetry.Attr{Key: "events", Value: strconv.Itoa(j - i)},
@@ -215,44 +210,28 @@ func (sh *shard) quietProbes(ctx context.Context, wave []monitor.SlowdownEvent) 
 	}
 }
 
-// depositConfirmed scans the shard's registry after a wave and hands
-// every incident that newly crossed the confirmation gate to the
-// exchange, tagged with this wave's evidence end. The crossing wave is
-// determined by the incident's own event stream, so the deposit key —
-// and therefore the fold order — is identical for every shard count and
-// chunk size.
-func (sh *shard) depositConfirmed(waveEnd simtime.Time) {
-	if sh.f.cfg.Learn.Disabled {
-		return
-	}
-	for _, inc := range sh.svc.Registry().Incidents() {
-		if !isConfirmed(inc) {
-			continue
-		}
-		id := incidentID{inc.Instance, inc.Query, inc.Kind, inc.Subject}
-		if sh.deposited[id] {
-			continue
-		}
-		sh.deposited[id] = true
-		sh.f.ex.depositConfirm(confirmation{waveEnd: waveEnd, inc: inc})
-	}
-}
-
 // onDiagnosis observes every completed diagnosis (called from the
-// shard's service workers): a mined entry scoring high in a diagnosis
-// on an instance that did not author it is a successful cross-instance
-// symptom transfer. Author sets change only at epoch folds and the
-// counters are commutative, so worker scheduling cannot change the
-// final report.
+// shard's service workers; a fleet that does not learn sets no hook).
+// The incident the diagnosis filed, if now confirmed, goes to the
+// exchange tagged with the end of the event's read window, which is
+// its wave's: only a diagnosis changes an incident, so this feeds the
+// learner every confirmation the whole registry holds, in the wave it
+// happened. A mined entry scoring high in a diagnosis on an instance
+// that did not author it is a successful cross-instance symptom
+// transfer. Author sets change only at epoch folds and the counters
+// are commutative, so worker scheduling cannot change the final
+// report.
 func (sh *shard) onDiagnosis(ev monitor.SlowdownEvent, res *diag.Result) {
-	if sh.f.cfg.Learn.Disabled {
-		return
+	for _, inc := range sh.svc.Registry().FiledBy(ev, res) {
+		if isConfirmed(inc) {
+			sh.f.ex.depositConfirm(confirmation{waveEnd: ev.ReadWindow.End, inc: inc})
+		}
 	}
 	for _, c := range res.Causes {
 		if !symptoms.IsMined(c.Kind) || c.Confidence < confirmConfidence {
 			continue
 		}
-		if sh.f.ex.transferIn(c.Kind, ev.Instance) {
+		if sh.f.ex.learn.transferIn(c.Kind, ev.Instance) {
 			if st := sh.f.byID[ev.Instance]; st != nil {
 				st.transfers.Add(1)
 			}
@@ -263,8 +242,5 @@ func (sh *shard) onDiagnosis(ev monitor.SlowdownEvent, res *diag.Result) {
 // onHealthy receives healthy-period fact bases from low-confidence
 // diagnoses; they join the epoch of the event that produced them.
 func (sh *shard) onHealthy(ev monitor.SlowdownEvent, fb *symptoms.FactBase) {
-	if sh.f.cfg.Learn.Disabled {
-		return
-	}
 	sh.f.ex.depositHealthy(epochOf(ev.ReadWindow.End), fb)
 }

@@ -9,7 +9,6 @@ import (
 
 	"diads/internal/diag"
 	"diads/internal/monitor"
-	"diads/internal/pipeline"
 	"diads/internal/simtime"
 )
 
@@ -39,12 +38,10 @@ type Incident struct {
 	FirstSeen, LastSeen simtime.Time
 	// Window is the latest diagnosis window.
 	Window simtime.Interval
-	// Result is the latest full diagnosis.
+	// Result is the latest full diagnosis; its Trace is the per-module
+	// execution trace (wall time and short-circuit decisions) the
+	// console's workflow-timing panel renders per incident.
 	Result *diag.Result
-	// Trace is the latest diagnosis's per-module execution trace (wall
-	// time and short-circuit decisions) — the observability the console's
-	// workflow-timing panel renders per incident.
-	Trace *pipeline.Trace
 }
 
 // EstImpact is the incident's ranking key: the cumulative slowdown
@@ -139,7 +136,6 @@ func (r *Registry) Record(ev monitor.SlowdownEvent, res *diag.Result) bool {
 		inc.LastSeen = ev.At
 		inc.Window = ev.Window
 		inc.Result = res
-		inc.Trace = res.Trace
 	}
 	return true
 }

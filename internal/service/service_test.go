@@ -99,8 +99,8 @@ func TestServiceDiagnosesEventsConcurrently(t *testing.T) {
 	// Every diagnosis ran through the DAG engine: the incident carries a
 	// per-module trace, and the service aggregated module stats. Each
 	// diagnosis built its own APG, same plan or not.
-	if top.Trace == nil || top.Trace.Module("da") == nil {
-		t.Fatalf("incident should carry the workflow trace, got %+v", top.Trace)
+	if top.Result.Trace == nil || top.Result.Trace.Module("da") == nil {
+		t.Fatalf("incident should carry the workflow trace, got %+v", top.Result.Trace)
 	}
 	mods := svc.ModuleStats()
 	if len(mods) == 0 {
@@ -359,7 +359,7 @@ func TestResubmissionIsDiagnosedAsRecurrence(t *testing.T) {
 	if after.LastSeen != again.At || after.Window != again.Window {
 		t.Errorf("latest = %v %v, want the recurrence's %v %v", after.LastSeen, after.Window, again.At, again.Window)
 	}
-	if after.Result == before.Result || after.Trace != after.Result.Trace {
+	if after.Result == before.Result {
 		t.Error("the recurrence's diagnosis did not become the incident's latest")
 	}
 	if got, want := after.Result.Render(), rendered[again.ReadWindow]; got != want {
@@ -761,11 +761,11 @@ func TestTraceIDThreadsDetectionToDiagnosis(t *testing.T) {
 	}
 
 	incs := svc.Registry().Incidents()
-	if len(incs) == 0 || incs[0].Trace == nil {
+	if len(incs) == 0 || incs[0].Result.Trace == nil {
 		t.Fatal("no incident trace")
 	}
-	if incs[0].Trace.TraceID != ev.TraceID {
-		t.Errorf("pipeline trace ID = %q, want %q", incs[0].Trace.TraceID, ev.TraceID)
+	if incs[0].Result.Trace.TraceID != ev.TraceID {
+		t.Errorf("pipeline trace ID = %q, want %q", incs[0].Result.Trace.TraceID, ev.TraceID)
 	}
 
 	spans := telemetry.DefaultTracer().Trace(ev.TraceID)
