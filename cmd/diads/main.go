@@ -10,7 +10,11 @@
 // persisted by diadsd's fleet learning loop, closing the loop from
 // online learning back to the offline console.
 //
+// -fault NAME injects one fault catalog entry instead of a scenario and
+// prints its answer as kind(subject), the Q2 run history and the change log.
+//
 //	diads [-scenario N] [-seed S] [-screen query|apg|workflow|timing|telemetry|report|all] [-symdb FILE]
+//	diads -fault NAME [-seed S]
 package main
 
 import (
@@ -34,15 +38,19 @@ func main() {
 	screen := flag.String("screen", "all", "screen to render: query|apg|workflow|timing|telemetry|report|all")
 	component := flag.String("component", string(testbed.VolV1), "component for the APG metric panel")
 	symdb := flag.String("symdb", "", "DSL file with extra symptom entries (e.g. learned by diadsd) added to the built-in database")
+	fault := flag.String("fault", "", "inject this catalog fault (e.g. san-misconfig, v4-burst) instead of a scenario and print its answer, Q2 runs and change log")
 	flag.Parse()
 
-	if err := run(experiments.ScenarioID(*scenario), *seed, *screen, *component, *symdb); err != nil {
+	if err := run(experiments.ScenarioID(*scenario), *seed, *screen, *component, *symdb, *fault); err != nil {
 		fmt.Fprintln(os.Stderr, "diads:", err)
 		os.Exit(1)
 	}
 }
 
-func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath string) error {
+func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath, fault string) error {
+	if fault != "" {
+		return injectFault(fault, seed)
+	}
 	sc, err := experiments.Build(id, seed)
 	if err != nil {
 		return err
@@ -106,6 +114,25 @@ func run(id experiments.ScenarioID, seed int64, screen, component, symdbPath str
 	}
 	if show("report") {
 		fmt.Println(res.Render())
+	}
+	return nil
+}
+
+// injectFault prints the named catalog fault's answer, the Q2 run
+// history and the change log of a simulated timeline it is injected in.
+func injectFault(name string, seed int64) error {
+	tb, f, err := experiments.InjectFaults(seed, name)
+	if err != nil {
+		return err
+	}
+	if err := tb.Simulate(); err != nil {
+		return err
+	}
+	fmt.Printf("injected fault: %s (answer: %v)\n\n", f[0].Name(), f[0].Answer(tb))
+	fmt.Println(console.QueryScreen(tb.RunsFor("Q2"), nil))
+	fmt.Println("configuration/system events:")
+	for _, ev := range tb.Cfg.Log.All() {
+		fmt.Println(" ", ev)
 	}
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"diads/internal/experiments"
 )
 
 // TestReportRepeats: the console's stdout is a function of its flags
@@ -12,14 +15,7 @@ import (
 // timing panel and the telemetry snapshot, whose wall times differ
 // between runs, go to stderr.
 func TestReportRepeats(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "diads")
-	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building diads: %v\n%s", err, out)
-	}
+	bin := buildDiads(t)
 	run := func() (stdout, stderr []byte) {
 		t.Helper()
 		var out, errOut bytes.Buffer
@@ -43,4 +39,38 @@ func TestReportRepeats(t *testing.T) {
 	if !bytes.Contains(first, []byte("san-misconfig-contention(vol-V1)")) {
 		t.Errorf("stdout holds no report:\n%s", first)
 	}
+}
+
+// TestFaultScreen: -fault prints, for every entry of the fault catalog,
+// the fault's answer, the Q2 run history and the change log.
+func TestFaultScreen(t *testing.T) {
+	bin := buildDiads(t)
+	for _, fam := range slices.Concat(experiments.Families, experiments.Variants) {
+		out, err := exec.Command(bin, "-fault", fam.Name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("diads -fault %s: %v\n%s", fam.Name, err, out)
+		}
+		for _, want := range []string{"(answer: [", "run-Q2-016", "configuration/system events:"} {
+			if !bytes.Contains(out, []byte(want)) {
+				t.Errorf("diads -fault %s prints no %q:\n%s", fam.Name, want, out)
+			}
+		}
+	}
+	if err := exec.Command(bin, "-fault", "no-such-fault").Run(); err == nil {
+		t.Error("an unknown fault name exits 0")
+	}
+}
+
+// buildDiads builds the command into a temporary directory.
+func buildDiads(t *testing.T) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "diads")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building diads: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -91,3 +91,58 @@ func TestColdDiagnosisBytes(t *testing.T) {
 		}
 	}
 }
+
+// keptResultBytes is the budget of the live heap a kept Result holds
+// beside its scenario, in bytes, set the same way: the figure measured
+// when it was set plus at most 10 %.
+var keptResultBytes = map[diads.ScenarioID]float64{
+	diads.ScenarioSANMisconfig:     37717,
+	diads.ScenarioTwoPools:         35552,
+	diads.ScenarioDataProperty:     34091,
+	diads.ScenarioConcurrentFaults: 39424,
+	diads.ScenarioLockingNoise:     34788,
+	diads.ScenarioPlanRegression:   1690,
+	diads.ScenarioCPUSaturation:    33229,
+	diads.ScenarioDiskFailure:      33440,
+	diads.ScenarioRAIDRebuild:      32894,
+}
+
+// TestKeptResultBytes measures what a diagnosis's Result keeps alive
+// beside its environment — what a serving node holds for each incident's
+// latest Result. It keeps 50 cold Scenario.Diagnose results per scenario
+// at seed 42, reads the live heap after two collections, drops the
+// results, reads it again and divides the difference by 50. Two
+// collections empty the scratch pools a diagnosis fills. The scenario
+// is kept alive across both reads: heap growth read across the
+// diagnoses instead would net out the scenario itself (about 0.5 MB)
+// once its last use has passed, about 10 kB a result.
+func TestKeptResultBytes(t *testing.T) {
+	const keep = 50
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, id := range allScenarioIDs {
+		sc, err := diads.BuildScenario(id, 42)
+		if err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+		kept := make([]*diads.Result, keep)
+		for i := range kept {
+			if kept[i], _, err = sc.Diagnose(); err != nil {
+				t.Fatalf("scenario %d: %v", id, err)
+			}
+		}
+		with := live()
+		clear(kept)
+		got := float64(with-live()) / keep
+		runtime.KeepAlive(sc)
+		t.Logf("scenario %d: %.0f bytes kept per Result", id, got)
+		if limit := keptResultBytes[id]; got > limit {
+			t.Errorf("scenario %d: a kept Result holds %.0f bytes, budget %.0f", id, got, limit)
+		}
+	}
+}

@@ -8,12 +8,9 @@ import (
 	"diads/internal/apg"
 	"diads/internal/dbsys"
 	"diads/internal/experiments"
-	"diads/internal/faults"
 	"diads/internal/plan"
-	"diads/internal/simtime"
 	"diads/internal/testbed"
 	"diads/internal/topology"
-	"diads/internal/workload"
 )
 
 // refAPG is the graph as Build used to derive it: a map from leaf to
@@ -179,22 +176,12 @@ func TestBuildMatchesLongWayReference(t *testing.T) {
 		t.Run(sc.Title, func(t *testing.T) { checkAgainstRef(t, sc.Testbed) })
 	}
 
-	const runs = 12
-	start := simtime.Time(10 * simtime.Minute)
-	onset := start + simtime.Time(simtime.Duration(runs/2)*30*simtime.Minute)
-	for _, f := range []faults.Fault{
-		&faults.IndexDrop{At: onset, Index: dbsys.IdxPartsuppPart},
-		&faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0},
-	} {
-		t.Run(f.Name(), func(t *testing.T) {
-			tb, err := testbed.NewFigure1(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb.Schedules = []workload.QuerySchedule{{Query: "Q2", Start: start, Period: 30 * simtime.Minute, Count: runs}}
-			if err := faults.Inject(tb, f); err != nil {
-				t.Fatal(err)
-			}
+	for _, name := range []string{"index-drop", "param-change"} {
+		tb, f, err := experiments.InjectFaults(7, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(f[0].Name(), func(t *testing.T) {
 			if err := tb.Simulate(); err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +190,7 @@ func TestBuildMatchesLongWayReference(t *testing.T) {
 				sigs[r.Plan.Signature()] = true
 			}
 			if len(sigs) < 2 {
-				t.Fatalf("%s did not change the plan; the check would cover one plan only", f.Name())
+				t.Fatalf("%s did not change the plan; the check would cover one plan only", name)
 			}
 			checkAgainstRef(t, tb)
 		})

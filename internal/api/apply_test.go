@@ -3,6 +3,8 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,53 +12,22 @@ import (
 	"testing"
 
 	"diads/internal/dbsys"
-	"diads/internal/faults"
+	"diads/internal/experiments"
 	"diads/internal/monitor"
-	"diads/internal/simtime"
 	"diads/internal/testbed"
 	"diads/internal/topology"
-	"diads/internal/workload"
 )
 
-// TestChangeLogReplaysThroughIngest is the one-door property: for each of
-// the nine fault families, a short simulated day's change log, posted as
-// WireEventOf over JSON into a fresh node, leaves the node's instance in
-// the simulator's state — topology, catalog, parameters, statistics and
-// change log alike, compared by content.
+// TestChangeLogReplaysThroughIngest is the one-door property: for each
+// fault family of the catalog, a short simulated day's change log,
+// posted as WireEventOf over JSON into a fresh node, leaves the node's
+// instance in the simulator's state — topology, catalog, parameters,
+// statistics and change log alike, compared by content.
 func TestChangeLogReplaysThroughIngest(t *testing.T) {
-	const runs = 8
-	start := simtime.Time(10 * simtime.Minute)
-	end := start.Add(runs * 30 * simtime.Minute)
-	onset := start.Add(runs/2*30*simtime.Minute - 5*simtime.Minute)
-	during := simtime.NewInterval(onset, end)
-	for _, f := range []faults.Fault{
-		&faults.SANMisconfiguration{At: onset, Until: end, Pool: testbed.PoolP1,
-			NewVolume: "vol-Vp", Host: testbed.ServerApp1, ReadIOPS: 450, WriteIOPS: 120},
-		&faults.ExternalVolumeLoad{LoadName: "wl-v3", Volume: testbed.VolV3, Window: during, ReadIOPS: 400, DutyCycle: 1},
-		&faults.DataPropertyChange{At: onset, Table: dbsys.TPartsupp, Factor: 1.8},
-		&faults.TableLockContention{Table: dbsys.TPartsupp, Holds: []simtime.Interval{during}, Holder: "txn"},
-		&faults.RAIDRebuild{Pool: testbed.PoolP1, Window: during, Intensity: 0.5},
-		&faults.DiskFailure{Disk: "disk-3", Window: during, RebuildIntensity: 0.45},
-		&faults.CPUSaturation{Server: testbed.ServerDB, Window: during, Load: 0.8},
-		&faults.IndexDrop{At: onset, Index: dbsys.IdxPartsuppPart},
-		&faults.ParamChange{At: onset, Param: dbsys.ParamEnableIndexScan, Value: 0},
-	} {
-		t.Run(f.Name(), func(t *testing.T) {
-			sim, err := testbed.NewFigure1(testSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim.Schedules = []workload.QuerySchedule{{Query: "Q2", Start: start, Period: 30 * simtime.Minute, Count: runs}}
-			for i := range sim.Loads {
-				sim.Loads[i].Window = simtime.NewInterval(0, end)
-			}
-			if err := faults.Inject(sim, f); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.Simulate(); err != nil {
-				t.Fatal(err)
-			}
-
+	for _, fam := range experiments.Families {
+		env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed, Runs: 8, Fault: fam.Fault})
+		t.Run(env.Fault.Name(), func(t *testing.T) {
+			sim := env.Testbed
 			node := New(Config{Seed: testSeed})
 			defer node.Shutdown()
 			events := logEvents(sim)
@@ -67,6 +38,65 @@ func TestChangeLogReplaysThroughIngest(t *testing.T) {
 			node.mu.Unlock()
 			sameState(t, sim, got)
 		})
+	}
+}
+
+// TestChangeWaitsForInFlightDiagnoses: an instance's state changes only
+// between its diagnoses. One goroutine posts the SAN-misconfiguration
+// day — events, runs, then samples in 2 000-sample batches, whose
+// watermarks release its detections into the pool — while another posts
+// 2 000 batches of one ZoneCreated each, due at once. A zone added while
+// a diagnosis of the instance builds its APG over the same topology is
+// a data race under -race.
+func TestChangeWaitsForInFlightDiagnoses(t *testing.T) {
+	env := simulateClient(t, experiments.OnlineSpec{Seed: testSeed})
+	node := New(Config{Seed: testSeed})
+	defer node.Shutdown()
+	post := func(route string, batch any) error {
+		body, err := json.Marshal(batch)
+		if err != nil {
+			return err
+		}
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			return fmt.Errorf("POST %s = %d %s", route, rec.Code, rec.Body)
+		}
+		return nil
+	}
+	zones := make(chan error, 1)
+	go func() {
+		for i := range 2000 {
+			zone := WireEvent{Kind: string(topology.EvZoneCreated), Subject: "zone-" + strconv.Itoa(i),
+				Name: "zone-" + strconv.Itoa(i), Ports: []string{"hba-db-1-p0", "ss-1-p0"}}
+			if err := post("/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: []WireEvent{zone}}); err != nil {
+				zones <- err
+				return
+			}
+		}
+		zones <- nil
+	}()
+
+	tb := env.Testbed
+	day := []error{post("/v1/ingest/events", EventBatch{Tenant: "acme", Instance: "db-1", Events: logEvents(tb)})}
+	runs := RunBatch{Tenant: "acme", Instance: "db-1"}
+	for _, rec := range tb.Runs {
+		runs.Runs = append(runs.Runs, WireRunOf(rec))
+	}
+	day = append(day, post("/v1/ingest/runs", runs))
+	samples := storeSamples(tb)
+	for i := 0; i < len(samples); i += 2000 {
+		batch := SampleBatch{Tenant: "acme", Instance: "db-1", Samples: samples[i:min(i+2000, len(samples))]}
+		day = append(day, post("/v1/ingest/samples", batch))
+	}
+	if err := errors.Join(append(day, <-zones)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if st := node.Service().Stats(); st.Completed == 0 || st.Failed != 0 {
+		t.Errorf("%d diagnoses completed, %d failed; want some, and none failed", st.Completed, st.Failed)
 	}
 }
 

@@ -358,10 +358,11 @@ func (n *Node) acquire(tenant, inst string, seq int64) (*instance, error) {
 // IdleBatches admitted batches, not being applied to (their lock is
 // free) and holding no gated detections. It runs after every applied
 // batch, under Node.mu, so no handler fetches an instance meanwhile.
-// The pool is settled first (Wait) so no queued diagnosis loses its
-// environment mid-flight; eviction then detaches the instance from the
-// shared service, marks it gone for a handler already holding it, and
-// drops the serving state for the garbage collector.
+// Each victim's diagnoses are settled first (WaitInstance; its lock,
+// held, keeps new ones out) so none loses its environment mid-flight;
+// eviction then detaches the instance from the shared service, marks it
+// gone for a handler already holding it, and drops the serving state for
+// the garbage collector.
 func (n *Node) sweepIdle() {
 	h := int64(n.cfg.IdleBatches)
 	if h <= 0 {
@@ -384,8 +385,8 @@ func (n *Node) sweepIdle() {
 	if len(victims) == 0 {
 		return
 	}
-	n.svc.Wait()
 	for _, in := range victims {
+		n.svc.WaitInstance(in.ID)
 		n.evict(in)
 		in.mu.Unlock()
 	}
@@ -573,11 +574,19 @@ func (n *Node) applyEvents(in *instance, b *EventBatch) {
 }
 
 // applyChanges applies, through testbed.Apply, every pending change due
-// by now; a change that cannot apply is counted, not logged. A new
-// statistics snapshot re-registers the instance's diagnosis environment,
-// which holds the snapshot it was registered with, so diagnoses and
-// applyRuns plan under the same statistics (jobs in flight keep theirs).
+// by now; a change that cannot apply is counted, not logged. The
+// instance's state changes only between its diagnoses, as in the fleet:
+// a due change first waits until no diagnosis of the instance is
+// waiting, queued or running. The caller holds the instance's lock, so
+// no new one is submitted meanwhile. A new statistics snapshot
+// re-registers the instance's diagnosis environment, which holds the
+// snapshot it was registered with, so diagnoses and applyRuns plan under
+// the same statistics.
 func (n *Node) applyChanges(in *instance, now simtime.Time) {
+	if len(in.pending) == 0 || in.pending[0].T > now {
+		return
+	}
+	n.svc.WaitInstance(in.ID)
 	k, restat := 0, false
 	for ; k < len(in.pending) && in.pending[k].T <= now; k++ {
 		ev := in.pending[k]

@@ -31,7 +31,7 @@ type AblationResult struct {
 
 // Ablations runs the workflow variants on scenario 1 with the V2 burst.
 func Ablations(seed int64) (*AblationResult, error) {
-	sc, err := buildScenario1WithV2Burst(seed)
+	sc, err := s1WithV2Burst.build(S1SANMisconfig, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -62,12 +62,9 @@ func Ablations(seed int64) (*AblationResult, error) {
 
 	// CO threshold sweep.
 	for _, th := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95} {
-		sc2, err := buildScenario1WithV2Burst(seed)
-		if err != nil {
-			return nil, err
-		}
-		sc2.Input.Threshold = th
-		w, err := diag.NewWorkflow(sc2.Input)
+		in := *sc.Input
+		in.Threshold = th
+		w, err := diag.NewWorkflow(&in)
 		if err != nil {
 			return nil, err
 		}

@@ -39,9 +39,9 @@ import (
 // with the plan the node reconstructed for it. Every door's top cause
 // must be in the fault's answer.
 func TestCrossModeEquivalence(t *testing.T) {
-	for _, fam := range faultFamilies {
-		t.Run(fam.name, func(t *testing.T) {
-			spec := OnlineSpec{Seed: testSeed, Fault: fam.fault}
+	for _, fam := range Families {
+		t.Run(fam.Name, func(t *testing.T) {
+			spec := OnlineSpec{Seed: testSeed, Fault: fam.Fault}
 			online, err := RunOnline(spec, 30*simtime.Minute, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +51,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 			}
 			want := incidentTuples(online.Incidents)
 
-			rep, _, err := RunFleetSpec(FleetSpec{Seed: spec.Seed, Instances: 1, Degraded: 1, Fault: fam.fault, LearnOff: true})
+			rep, _, err := RunFleetSpec(FleetSpec{Seed: spec.Seed, Instances: 1, Degraded: 1, Fault: fam.Fault, LearnOff: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,10 +281,10 @@ func viewTuples(incs []api.IncidentView) []string {
 // pool's size moves wall time only.
 func TestConcurrentTenantsMatchAlone(t *testing.T) {
 	const step = 30 * simtime.Minute
-	envs := make([]*OnlineEnv, len(faultFamilies))
-	want := make([][]string, len(faultFamilies))
-	for i, fam := range faultFamilies {
-		spec := OnlineSpec{Seed: testSeed, Fault: fam.fault}
+	envs := make([]*OnlineEnv, len(Families))
+	want := make([][]string, len(Families))
+	for i, fam := range Families {
+		spec := OnlineSpec{Seed: testSeed, Fault: fam.Fault}
 		incs, _ := httpIncidents(t, spec, step)
 		want[i] = viewTuples(incs)
 		envs[i] = simulateClient(t, spec)
@@ -306,7 +306,7 @@ func TestConcurrentTenantsMatchAlone(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					errs[i] = streamHTTP(node, env, faultFamilies[i].name, step)
+					errs[i] = streamHTTP(node, env, Families[i].Name, step)
 				}()
 			}
 			wg.Wait()
@@ -316,9 +316,9 @@ func TestConcurrentTenantsMatchAlone(t *testing.T) {
 			if err := node.Quiesce(); err != nil {
 				t.Fatal(err)
 			}
-			for i, fam := range faultFamilies {
-				if got := viewTuples(tenantIncidents(t, node, fam.name)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
-					t.Errorf("%s posted beside eight other tenants ranks differently\n alone      %v\n concurrent %v", fam.name, want[i], got)
+			for i, fam := range Families {
+				if got := viewTuples(tenantIncidents(t, node, fam.Name)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
+					t.Errorf("%s posted beside eight other tenants ranks differently\n alone      %v\n concurrent %v", fam.Name, want[i], got)
 				}
 			}
 			if st := node.Service().Stats(); st.Failed != 0 || st.Rejected != 0 {
@@ -365,14 +365,14 @@ func TestNodeLearnerFeedMatchesWholeRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, fam := range faultFamilies {
-		stream(fam.name, fam.fault)
+	for _, fam := range Families {
+		stream(fam.Name, fam.Fault)
 	}
 	for _, e := range symdb.Entries() {
 		symdb.Remove(e.Kind)
 	}
-	for _, fam := range faultFamilies[:2] {
-		stream(fam.name+"-unexplained", fam.fault)
+	for _, fam := range Families[:2] {
+		stream(fam.Name+"-unexplained", fam.Fault)
 	}
 	got, want := node.Learner().Stats(), ref.Stats()
 	if !reflect.DeepEqual(got, want) {

@@ -285,7 +285,7 @@ func TestSelfHealLogsRemedyWhenApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healed, post, err := heal(testSeed, dbsys.IdxPartsuppPart, remedy)
+	healed, post, err := heal(testSeed, remedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestScenarioAnswers(t *testing.T) {
 			t.Errorf("scenario %d: answers = %v, want %v", id, sc.Answers, want[id])
 		}
 	}
-	sc, err := buildScenario1WithV2Burst(testSeed)
+	sc, err := s1WithV2Burst.build(S1SANMisconfig, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

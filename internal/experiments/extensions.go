@@ -6,7 +6,6 @@ import (
 
 	"diads/internal/diag"
 	"diads/internal/exec"
-	"diads/internal/faults"
 	"diads/internal/selfheal"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -67,7 +66,7 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 	out.HealthyMean = meanDuration(sat)
 	out.BrokenMean = meanDuration(unsat)
 
-	healed, post, err := heal(seed, subject, remedy)
+	healed, post, err := heal(seed, remedy)
 	if err != nil {
 		return nil, err
 	}
@@ -94,21 +93,17 @@ func SelfHeal(seed int64) (*SelfHealResult, error) {
 	return out, nil
 }
 
-// heal builds the continuation environment: same seed and fault,
-// simulated, then the remedy applied at post, where the healed runs start.
-func heal(seed int64, subject string, remedy *selfheal.Remedy) (*testbed.Testbed, simtime.Time, error) {
-	post := scheduleHorizon().Add(10 * simtime.Minute)
-	healed, err := newScenarioTestbed(seed)
+// heal builds the continuation environment: the plan-regression
+// scenario rebuilt from the same seed, then the remedy applied at post,
+// where the healed runs start, ten minutes after the schedule (and with
+// it the background loads) ends.
+func heal(seed int64, remedy *selfheal.Remedy) (*testbed.Testbed, simtime.Time, error) {
+	sc, err := Build(SPlanRegression, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := faults.Inject(healed, &faults.IndexDrop{At: faultOnset(), Index: subject}); err != nil {
-		return nil, 0, err
-	}
-	if err := healed.Simulate(); err != nil {
-		return nil, 0, err
-	}
-	return healed, post, remedy.Apply(healed, post)
+	post := sc.Testbed.Loads[0].Window.End.Add(10 * simtime.Minute)
+	return sc.Testbed, post, remedy.Apply(sc.Testbed, post)
 }
 
 // Render formats the study.

@@ -69,30 +69,24 @@ func BuildOnline(spec OnlineSpec) (*OnlineEnv, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("experiments: online scenario needs at least 2 runs, got %d", runs)
 	}
-	tb, err := testbed.NewFigure1(spec.Seed)
+	tb, onset, horizon, err := gridTestbed(spec.Seed, runs, spec.Offset)
 	if err != nil {
 		return nil, err
 	}
 	if spec.StoreSegment > 0 {
 		tb.Store.SetSegmentSize(spec.StoreSegment)
 	}
-	start := simtime.Time(10 * simtime.Minute).Add(spec.Offset)
-	horizon := start.Add(simtime.Duration(runs) * 30 * simtime.Minute)
-	onset := start.Add(simtime.Duration(runs/2)*30*simtime.Minute - 5*simtime.Minute)
-	tb.Schedules = []workload.QuerySchedule{
-		{Query: "Q2", Start: start, Period: 30 * simtime.Minute, Count: runs},
-		{Query: "Q6", Start: start.Add(2 * simtime.Minute), Period: 20 * simtime.Minute, Count: 3 * runs / 2},
-		{Query: "Q14", Start: start.Add(4 * simtime.Minute), Period: 25 * simtime.Minute, Count: 6 * runs / 5},
-	}
-	for i := range tb.Loads {
-		tb.Loads[i].Window = simtime.NewInterval(0, horizon)
-	}
+	start := tb.Schedules[0].Start
+	tb.Schedules = append(tb.Schedules,
+		workload.QuerySchedule{Query: "Q6", Start: start.Add(2 * simtime.Minute), Period: 20 * simtime.Minute, Count: 3 * runs / 2},
+		workload.QuerySchedule{Query: "Q14", Start: start.Add(4 * simtime.Minute), Period: 25 * simtime.Minute, Count: 6 * runs / 5},
+	)
 	env := &OnlineEnv{Testbed: tb, Onset: onset, Horizon: horizon}
 	if !spec.NoFault {
-		env.Fault = sanMisconfig(onset, horizon)
-		if spec.Fault != nil {
-			env.Fault = spec.Fault(onset, horizon)
+		if spec.Fault == nil {
+			spec.Fault = Families[0].Fault // san-misconfig
 		}
+		env.Fault = spec.Fault(onset, horizon)
 		if err := faults.Inject(tb, env.Fault); err != nil {
 			return nil, err
 		}

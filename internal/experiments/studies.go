@@ -136,7 +136,7 @@ type BaselinesResult struct {
 
 // Baselines runs all three tools on the scenario-1 variant.
 func Baselines(seed int64) (*BaselinesResult, error) {
-	sc, err := buildScenario1WithV2Burst(seed)
+	sc, err := s1WithV2Burst.build(S1SANMisconfig, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -210,14 +210,11 @@ func IncompleteSymptomsDB(seed int64) (*IncompleteSDResult, error) {
 		out.FullCause = top.Cause.String()
 	}
 
-	sc2, err := Build(S1SANMisconfig, seed)
-	if err != nil {
-		return nil, err
-	}
-	db := symptoms.Builtin()
-	db.Remove(symptoms.CauseSANMisconfig)
-	sc2.Input.SymDB = db
-	res2, err := diag.Diagnose(sc2.Input)
+	// The same input under a database without the entry, then none.
+	in := *sc.Input
+	in.SymDB = symptoms.Builtin()
+	in.SymDB.Remove(symptoms.CauseSANMisconfig)
+	res2, err := diag.Diagnose(&in)
 	if err != nil {
 		return nil, err
 	}
@@ -225,12 +222,8 @@ func IncompleteSymptomsDB(seed int64) (*IncompleteSDResult, error) {
 		out.WithoutEntryTop = top.Cause.String()
 	}
 
-	sc3, err := Build(S1SANMisconfig, seed)
-	if err != nil {
-		return nil, err
-	}
-	sc3.Input.SymDB = nil
-	res3, err := diag.Diagnose(sc3.Input)
+	in.SymDB = nil
+	res3, err := diag.Diagnose(&in)
 	if err != nil {
 		return nil, err
 	}

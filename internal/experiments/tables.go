@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"diads/internal/diag"
-	"diads/internal/faults"
 	"diads/internal/metrics"
-	"diads/internal/simtime"
 	"diads/internal/testbed"
 )
 
@@ -116,7 +114,7 @@ func Table2(seed int64) (*Table2Result, error) {
 	}
 
 	// The variant needs a fresh build: a testbed simulates once.
-	variant, err := buildScenario1WithV2Burst(seed)
+	variant, err := s1WithV2Burst.build(S1SANMisconfig, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -162,25 +160,10 @@ func scoreOrProbe(res *diag.Result, in *diag.Input, component string, m metrics.
 	return s
 }
 
-// buildScenario1WithV2Burst constructs scenario 1 plus the paper's "extra
-// I/O load on Volume V2 in a bursty manner" robustness variant.
-func buildScenario1WithV2Burst(seed int64) (*Scenario, error) {
-	tb, err := newScenarioTestbed(seed)
-	if err != nil {
-		return nil, err
-	}
-	onset, horizon := faultOnset(), scheduleHorizon()
-	sc := &Scenario{ID: S1SANMisconfig, Title: "scenario 1 + bursty V2 load", Testbed: tb}
-	err = sc.simulate([]faults.Fault{sanMisconfig(onset, horizon)}, []faults.Fault{&faults.ExternalVolumeLoad{
-		LoadName: "wl-v2-burst", Volume: testbed.VolV4,
-		Window:   simtime.NewInterval(onset, horizon),
-		ReadIOPS: 260, WriteIOPS: 160, DutyCycle: 0.35, Period: 10 * simtime.Minute,
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
-}
+// s1WithV2Burst is scenario 1 plus the paper's "extra I/O load on Volume
+// V2 in a bursty manner" robustness variant.
+var s1WithV2Burst = scenarioRow{title: "scenario 1 + bursty V2 load",
+	causes: []string{"san-misconfig"}, noise: []string{"v4-burst-160"}}
 
 // Render formats the table like the paper's Table 2.
 func (t *Table2Result) Render() string {

@@ -217,8 +217,8 @@ type Service struct {
 	// mu guards admission: the FIFO job queue (at most Queue long), the
 	// dedup set of waiting, queued and running keys, and the stopped
 	// flag. cond, on mu, is broadcast on a push (for workers), a pop
-	// (for Submits waiting for space), pending emptying (for Wait) and
-	// a stop (for all of them).
+	// (for Submits waiting for space), an instance's last pending job
+	// finishing (for Wait and WaitInstance) and a stop (for all of them).
 	mu      sync.Mutex
 	cond    sync.Cond
 	queue   []job
@@ -393,11 +393,12 @@ func (s *Service) halt() {
 	s.mu.Unlock()
 }
 
-// finish releases a key's reservation.
+// finish releases a key's reservation, waking Wait and WaitInstance
+// when it was the last of its instance.
 func (s *Service) finish(key jobKey) {
 	s.mu.Lock()
 	delete(s.pending, key)
-	if len(s.pending) == 0 {
+	if _, busy := s.floor(key.instance); !busy {
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
@@ -409,6 +410,18 @@ func (s *Service) finish(key jobKey) {
 func (s *Service) Wait() {
 	s.mu.Lock()
 	for len(s.pending) > 0 {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// WaitInstance blocks until no job of the instance is waiting, queued or
+// running: the point between its diagnoses where its state may change.
+// It ends only if the caller keeps new jobs of the instance from being
+// submitted meanwhile.
+func (s *Service) WaitInstance(instance string) {
+	s.mu.Lock()
+	for _, busy := s.floor(instance); busy; _, busy = s.floor(instance) {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -478,15 +491,18 @@ func (s *Service) refuse(ev monitor.SlowdownEvent) error {
 // is recorded, so a floor read after Submit returned covers that event,
 // and a job finishing meanwhile only raises it.
 func (s *Service) Floor(instance string) (simtime.Time, bool) {
-	var floor simtime.Time
-	found := false
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.floor(instance)
+}
+
+// floor is Floor with mu held.
+func (s *Service) floor(instance string) (floor simtime.Time, found bool) {
 	for k := range s.pending {
 		if k.instance == instance && (!found || k.window.Start < floor) {
 			floor, found = k.window.Start, true
 		}
 	}
-	s.mu.Unlock()
 	return floor, found
 }
 

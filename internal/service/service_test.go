@@ -860,6 +860,56 @@ func TestFloorCoversQueuedAndRunningJobs(t *testing.T) {
 	svc.Stop()
 }
 
+// TestWaitInstanceSettlesOneInstance pins the point between one
+// instance's diagnoses: WaitInstance returns once that instance has no
+// waiting, queued or running job, while another instance's job is still
+// running, and waits for a job of its own that is.
+func TestWaitInstanceSettlesOneInstance(t *testing.T) {
+	env, evs, _ := slowdownRig(t, 48)
+	a, b := evs[0], evs[0]
+	a.Instance, b.Instance = "inst-a", "inst-b"
+	svc := New(env, Config{Workers: 2})
+	svc.AddInstance("inst-a", env)
+	svc.AddInstance("inst-b", env)
+	entered, release := make(chan string), make(chan struct{})
+	svc.OnDiagnosis = func(ev monitor.SlowdownEvent, _ *diag.Result) {
+		entered <- ev.Instance
+		if ev.Instance == "inst-b" {
+			<-release
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	defer svc.Stop()
+	for _, ev := range []monitor.SlowdownEvent{b, a} {
+		if err := svc.Submit(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered
+	<-entered // both have run their diagnosis; inst-b's is held
+	svc.WaitInstance("inst-a")
+	if _, ok := svc.Floor("inst-a"); ok {
+		t.Error("WaitInstance(inst-a) returned with a job of inst-a pending")
+	}
+	if _, ok := svc.Floor("inst-b"); !ok {
+		t.Fatal("inst-b's held job is not pending; the check is vacuous")
+	}
+	waited := make(chan struct{})
+	go func() {
+		svc.WaitInstance("inst-b")
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("WaitInstance(inst-b) returned while its job ran")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-waited
+}
+
 // TestAdmissionUnderContention pins the admission contract with several
 // goroutines re-submitting overlapping real events while another reads
 // Floor and Wait: each (instance, query, window) is diagnosed exactly as
