@@ -170,6 +170,42 @@ func TestFleetLearningOff(t *testing.T) {
 	}
 }
 
+// TestReleasedIsSubmitted pins that a detection waits in one place only,
+// its instance's gate: whatever a barrier releases, the shard submits at
+// that barrier. At every barrier each shard's released count so far
+// equals its service's Submit calls, at every chunk size and on one
+// shard or two.
+func TestReleasedIsSubmitted(t *testing.T) {
+	for _, chunk := range []simtime.Duration{simtime.Minute, 10 * simtime.Minute, 30 * simtime.Minute} {
+		for _, shards := range []int{1, 2} {
+			released := map[*service.Service]int64{}
+			barriers, bad := 0, 0
+			_, _, err := experiments.RunFleetSpec(experiments.FleetSpec{
+				Seed: testSeed, Instances: 4, Degraded: 3, Runs: 12, Chunk: chunk, Shards: shards,
+				OnBarrier: func(b fleet.Barrier) error {
+					released[b.Service] += int64(len(b.Released))
+					barriers++
+					if got := b.Service.Stats().Submitted; got != released[b.Service] {
+						bad++
+						if bad == 1 {
+							t.Errorf("chunk %v, shards=%d: at %v a shard has released %d detections and submitted %d",
+								chunk, shards, b.Now, released[b.Service], got)
+						}
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatalf("chunk %v, shards=%d: %v", chunk, shards, err)
+			}
+			if bad > 0 {
+				t.Errorf("chunk %v, shards=%d: %d of %d barriers held released detections unsubmitted",
+					chunk, shards, bad, barriers)
+			}
+		}
+	}
+}
+
 // TestFleetReportSameAtAnyQueue pins that the diagnosis pool's size
 // moves wall time only: a fleet whose degraded instances share a seed,
 // so each wave holds one detection per degraded instance, reports the
