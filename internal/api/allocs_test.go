@@ -10,14 +10,14 @@ import (
 )
 
 // TestIngestBatchAllocs holds one batch of each evidence route, from
-// the request through the handler to the intake worker's apply, to its
-// allocation budget: the count measured when it was set plus at most
+// the request through the handler, which applies it before its 202, to
+// its allocation budget: the count measured when it was set plus at most
 // 10 % headroom. A change that needs more allocations raises the
 // ceiling in the open, with its reason; one that needs fewer lowers it.
 //
 // The batches are the benchmarks' 256-sample and 16-run ones, each
-// posted through Handler on a recorder and applied, with a Quiesce
-// after each. Every post carries later times than the last, so the
+// posted through Handler on a recorder, with a Quiesce (the diagnosis
+// pool settled) after each. Every post carries later times than the last, so the
 // store accepts every sample and the monitor sees a fresh run. The race
 // detector adds allocations, so the test is built only without it; CI
 // runs it in a step of its own.

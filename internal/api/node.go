@@ -535,7 +535,7 @@ func (n *Node) release(in *instance, traceID string) {
 	if err := n.svc.SubmitAll(released); err != nil {
 		n.tel.applyErr.Inc()
 	}
-	in.Retain(n.svc.Floor(in.ID))
+	in.Retain(n.svc)
 }
 
 // applyRuns replays a run batch through the instance's monitor. The

@@ -121,7 +121,7 @@ func TestRetentionBehindPoolKeepsEveryDiagnosis(t *testing.T) {
 				return err
 			}
 			if retain {
-				inst.Retain(svc.Floor(inst.ID))
+				inst.Retain(svc)
 			}
 			return nil
 		}

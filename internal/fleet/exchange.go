@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"diads/internal/monitor"
 	"diads/internal/service"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
@@ -25,24 +26,17 @@ func epochOf(t simtime.Time) int64 {
 	return k
 }
 
-// epochDone is the epoch completeThrough reports once nothing below any
-// finite evidence time can ever arrive again (every instance finished,
-// its tail fully released).
-const epochDone = math.MaxInt64
-
-// completeThrough returns the highest epoch the frontier proves
-// complete: every event with a read-window end in that epoch has been
-// released. The frontier is the minimum watermark over the fleet's live
-// instances (+Inf when all finished).
-func completeThrough(frontier simtime.Time) int64 {
-	if float64(frontier) >= math.MaxFloat64 {
-		return epochDone
+// sealedThrough returns the sealed-epoch boundary: the frontier (the
+// minimum metric watermark over the fleet's instances) floored to the
+// epoch grid, and monitor.EndOfStream once every instance has finished.
+// Every event whose read window ends at or before it lies in an epoch
+// the frontier has completed, so the fleet releases its instances' gates
+// there and diagnoses whatever they release at the same barrier.
+func sealedThrough(frontier simtime.Time) simtime.Time {
+	if frontier == monitor.EndOfStream {
+		return frontier
 	}
-	k := epochOf(frontier)
-	if float64(frontier) >= float64(k+1)*float64(epochLen) {
-		return k
-	}
-	return k - 1
+	return simtime.Time(math.Floor(float64(frontier)/float64(epochLen))) * simtime.Time(epochLen)
 }
 
 // confirmation is one confirmed incident a diagnosis filed: the

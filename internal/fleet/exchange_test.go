@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"diads/internal/monitor"
 	"diads/internal/simtime"
 	"diads/internal/symptoms"
 )
@@ -33,18 +34,18 @@ func TestEpochMath(t *testing.T) {
 
 	frontiers := []struct {
 		f    simtime.Time
-		want int64
+		want simtime.Time
 	}{
-		{0, -1},                                    // nothing released yet
-		{simtime.Time(e) - 1, -1},                  // mid-epoch-0: epoch 0 incomplete
-		{simtime.Time(e), 0},                       // frontier at the boundary: epoch 0 complete
-		{simtime.Time(e) + 1, 0},                   // past the boundary, epoch 1 still open
-		{simtime.Time(3 * e), 2},                   // three boundaries crossed
-		{simtime.Time(math.MaxFloat64), epochDone}, // all instances finished
+		{0, 0},                                               // nothing sealed yet
+		{simtime.Time(e) - 1, 0},                             // mid-epoch-0: epoch 0 incomplete
+		{simtime.Time(e), simtime.Time(e)},                   // frontier at the boundary: epoch 0 sealed
+		{simtime.Time(e) + 1, simtime.Time(e)},               // past the boundary, epoch 1 still open
+		{simtime.Time(3 * e), simtime.Time(3 * e)},           // three boundaries crossed
+		{simtime.Time(math.MaxFloat64), monitor.EndOfStream}, // all instances finished
 	}
 	for _, c := range frontiers {
-		if got := completeThrough(c.f); got != c.want {
-			t.Errorf("completeThrough(%v) = %d, want %d", c.f, got, c.want)
+		if got := sealedThrough(c.f); got != c.want {
+			t.Errorf("sealedThrough(%v) = %v, want %v", c.f, got, c.want)
 		}
 	}
 }

@@ -9,16 +9,18 @@
 // has its own service.Service (worker pool, dedup set, impact
 // registry). Run is one loop over fleet-wide chunk barriers. At each
 // barrier it steps every live instance one chunk
-// (testbed.Stream; at most MaxStreams at once), releases from each
-// instance runtime (instance.go) the slowdown events whose read windows
-// the metric watermark covers, and then takes, in order, every learning
-// epoch the fleet's frontier (the slowest live instance) has completed:
-// every shard diagnoses the epoch's events in evidence-time waves —
-// sorted by read-window end, with the worker pool settled between waves
-// — in parallel with the other shards, and then the epoch's
-// healthy-corpus and confirmed-incident deposits fold into the central
-// learner (see exchange.go). The end-of-run merge concatenates the
-// per-shard registries into one fleet-wide ranking.
+// (testbed.Stream; at most MaxStreams at once) and releases from each
+// instance runtime's gate (instance.go) the slowdown events whose read
+// windows end by the sealed-epoch boundary: the fleet's frontier (the
+// slowest live instance's watermark) floored to the learning-epoch
+// grid. A detection waits in its gate and nowhere else. Then, epoch by
+// epoch in order, every shard diagnoses its released events of the
+// epoch in evidence-time waves — sorted by read-window end, with the
+// worker pool settled between waves — in parallel with the other
+// shards, and the epoch's healthy-corpus and confirmed-incident
+// deposits fold into the central learner (see exchange.go). The
+// end-of-run merge concatenates the per-shard registries into one
+// fleet-wide ranking.
 //
 // Because diagnosis state is instance-scoped throughout, because every
 // cross-instance learning effect happens at an epoch fold ordered by
@@ -39,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -94,9 +97,9 @@ type Config struct {
 	// step — the loop truncates every instance's metric store,
 	// SAN timelines, and run history to the instance's evidence low
 	// watermark: the oldest time any future diagnosis can still read
-	// (monitor history, gated events, buffered epoch events, each padded
-	// through the one evidence-window contract). Reports are
-	// byte-identical with retention on or off; only memory changes.
+	// (monitor history and gated events, each padded through the one
+	// evidence-window contract). Reports are byte-identical with
+	// retention on or off; only memory changes.
 	Retention bool
 	// OnBarrier, when non-nil, observes every chunk barrier once per
 	// shard, in shard order; an error fails the run. Now and Final are
@@ -105,11 +108,11 @@ type Config struct {
 	OnBarrier func(Barrier) error
 	// ResidentCap bounds each shard's resident (non-hibernated)
 	// instances when Retention is on (0 = unlimited). Past the cap,
-	// instances with no gated or buffered events hibernate: their
-	// service environment pages out, and they rehydrate automatically —
-	// before any Submit — when a later barrier releases an event of
-	// theirs. A diagnosis reads only its instance's state, so the
-	// page-out/page-in cycle never changes a result.
+	// instances with no gated events hibernate: their service
+	// environment pages out, and they rehydrate automatically — before
+	// any Submit — when a later barrier releases an event of theirs. A
+	// diagnosis reads only its instance's state, so the page-out/page-in
+	// cycle never changes a result.
 	ResidentCap int
 }
 
@@ -117,10 +120,11 @@ type Config struct {
 // barrier: the barrier time (the highest metric watermark any instance
 // has reached; at the Final barrier every instance has finished), the
 // detections the shard's instances released at it, and the shard's
-// service. The hook runs on Run's goroutine after the barrier's epochs
-// are diagnosed and folded and before retention, while no instance
-// steps: it may read their stores and the settled service, but must
-// not submit.
+// service. Released is in evidence order (read-window end, then
+// instance, then run), and every event in it has been diagnosed: the
+// hook runs on Run's goroutine after the barrier's epochs are diagnosed
+// and folded and before retention, while no instance steps. It may read
+// their stores and the settled service, but must not submit.
 type Barrier struct {
 	Now      simtime.Time
 	Final    bool
@@ -156,7 +160,8 @@ type instanceState struct {
 	// watermark is the instance's metric watermark at the last barrier,
 	// monitor.EndOfStream once it has finished. An instance whose stream
 	// played its last chunk (ended) reports that chunk's watermark at one
-	// barrier and finishes at the next, which releases its tail.
+	// barrier and finishes at the next; its tail releases as the
+	// sealed-epoch boundary passes it.
 	watermark simtime.Time
 	ended     bool
 	transfers atomic.Int64
@@ -312,9 +317,9 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 }
 
 // drive is the fleet's loop, one pass per chunk barrier: step every
-// live instance, release what the watermarks cover, diagnose and fold
-// every learning epoch the frontier has completed, then show each shard
-// to the hook and run retention. Nothing steps while anything diagnoses.
+// live instance, release through the sealed-epoch boundary, diagnose
+// and fold the released epochs, then show each shard to the hook and
+// run retention. Nothing steps while anything diagnoses.
 func (f *Fleet) drive(ctx context.Context) error {
 	live := make([]*instanceState, len(f.instances))
 	for i, st := range f.instances {
@@ -339,25 +344,26 @@ func (f *Fleet) drive(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		frontier := monitor.EndOfStream
 		next := live[:0]
 		for _, st := range live {
 			if st.watermark != monitor.EndOfStream {
 				now = max(now, st.watermark)
+				frontier = min(frontier, st.watermark)
 				next = append(next, st)
 			}
 		}
 		live = next
 
-		frontier := monitor.EndOfStream
+		sealed := sealedThrough(frontier)
 		released := make([][]monitor.SlowdownEvent, len(f.shards))
 		for i, sh := range f.shards {
 			for _, st := range sh.instances {
-				released[i] = append(released[i], st.Release(st.watermark)...)
-				frontier = min(frontier, st.watermark)
+				released[i] = append(released[i], st.Release(sealed)...)
 			}
-			sh.buffered = append(sh.buffered, released[i]...)
+			slices.SortStableFunc(released[i], byEvidence)
 		}
-		if err := f.advance(ctx, frontier); err != nil {
+		if err := f.advance(ctx, released); err != nil {
 			return err
 		}
 		for i, sh := range f.shards {
@@ -375,27 +381,32 @@ func (f *Fleet) drive(ctx context.Context) error {
 	return nil
 }
 
-// advance diagnoses, in order, every learning epoch the frontier has
-// completed that holds released events — each shard its own events of
-// the epoch, all shards at once — and folds each into the learner
-// before the next begins, so every diagnosis of epoch e sees the
-// database as of the fold of e-1. Events of incomplete epochs (a
-// finished instance's tail, released whole while others still stream)
-// stay buffered.
-func (f *Fleet) advance(ctx context.Context, frontier simtime.Time) error {
-	done := completeThrough(frontier)
+// advance diagnoses a barrier's released events, each shard's sorted
+// byEvidence, epoch by epoch — each shard its own events of the epoch,
+// a prefix of what is left, all shards at once — and folds each epoch
+// into the learner before the next begins, so every diagnosis of epoch
+// e sees the database as of the fold of e-1. The released slices
+// themselves stay whole for the hook.
+func (f *Fleet) advance(ctx context.Context, released [][]monitor.SlowdownEvent) error {
+	rest := slices.Clone(released)
 	for {
-		e := int64(epochDone)
-		for _, sh := range f.shards {
-			for _, ev := range sh.buffered {
-				e = min(e, epochOf(ev.ReadWindow.End))
+		e := int64(-1)
+		for _, evs := range rest {
+			if len(evs) > 0 && (e < 0 || epochOf(evs[0].ReadWindow.End) < e) {
+				e = epochOf(evs[0].ReadWindow.End)
 			}
 		}
-		if e > done || e == epochDone {
+		if e < 0 {
 			return nil
 		}
 		err := each(len(f.shards), len(f.shards), func(i int) error {
-			return f.shards[i].processEpoch(ctx, e)
+			n := 0
+			for n < len(rest[i]) && epochOf(rest[i][n].ReadWindow.End) == e {
+				n++
+			}
+			epoch := rest[i][:n]
+			rest[i] = rest[i][n:]
+			return f.shards[i].submitWaves(ctx, epoch)
 		})
 		if err != nil {
 			return err

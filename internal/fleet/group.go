@@ -93,9 +93,11 @@ func (f *Fleet) report() *Report {
 		perInstance[inc.Instance]++
 	}
 	for _, st := range f.instances {
+		// Run released every detection its monitor minted.
+		events := int(st.Monitor.Stats().Events)
 		rep.Instances = append(rep.Instances, InstanceReport{
 			ID: st.ID, Shared: st.Shared,
-			Events: st.events, Detected: st.events > 0, FirstDetection: st.firstDetection,
+			Events: events, Detected: events > 0, FirstDetection: st.firstDetection,
 			Incidents: perInstance[st.ID],
 			Transfers: int(st.transfers.Load()),
 		})

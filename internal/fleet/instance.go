@@ -24,8 +24,7 @@ type Instance struct {
 	// group with other attached instances' into one fleet incident.
 	Shared bool
 
-	events         int          // detections released so far
-	firstDetection simtime.Time // earliest offending run among them
+	firstDetection simtime.Time // earliest offending run released
 	retained       simtime.Time // last horizon Retain applied
 	resident       bool
 }
@@ -42,28 +41,30 @@ func EnvOf(tb *testbed.Testbed, symdb *symptoms.DB) service.Env {
 // Release returns, in arrival order, the detections whose evidence read
 // windows the watermark covers (every sample at or before it is in the
 // store), tagged with the instance ID so dedup keys, incidents and
-// learning stay per-instance in a shared service, and counts them. A
-// stream that has ended releases its tail at monitor.EndOfStream.
+// learning stay per-instance in a shared service, and notes the earliest
+// offending run among them. A stream that has ended releases its tail at
+// monitor.EndOfStream.
 func (in *Instance) Release(watermark simtime.Time) []monitor.SlowdownEvent {
 	released := in.Monitor.Release(watermark)
 	for i := range released {
 		ev := &released[i]
 		ev.Instance = in.ID
-		if in.events == 0 || ev.At < in.firstDetection {
+		// A detection's At is its run's stop, after a baseline of earlier
+		// runs: never 0, which therefore means "none yet".
+		if in.firstDetection == 0 || ev.At < in.firstDetection {
 			in.firstDetection = ev.At
 		}
-		in.events++
 	}
 	return released
 }
 
 // Retain truncates the instance's metric store, SAN timelines and run
 // history to its evidence low watermark, the oldest time any diagnosis
-// can still read: the monitor's own (history ring and held detections)
-// and, when hasFloor, the earliest ReadWindow.Start among detections
-// already out of Release and not yet diagnosed — buffered by the caller,
-// or queued or running in the pool (service.Service.Floor, read after
-// SubmitAll returned).
+// can still read: the monitor's own (history ring and gated detections)
+// and the earliest ReadWindow.Start among the instance's detections
+// queued or running in svc (service.Service.Floor). Every driver calls
+// it after SubmitAll returned, so the floor covers every detection
+// released and not yet diagnosed.
 //
 // Diagnoses of the instance may be in flight: every read a diagnosis
 // makes lies inside its event's ReadWindow, the floor covers every
@@ -73,12 +74,12 @@ func (in *Instance) Release(watermark simtime.Time) []monitor.SlowdownEvent {
 // enter the ring with a Start in the past, so no horizon is safe yet.
 // The low watermark moves once per run the ring evicts, not once per
 // call; a horizon that has not advanced returns here.
-func (in *Instance) Retain(floor simtime.Time, hasFloor bool) {
+func (in *Instance) Retain(svc *service.Service) {
 	lw, ok := in.Monitor.LowWatermark()
 	if !ok {
 		return
 	}
-	if hasFloor && floor < lw {
+	if floor, queued := svc.Floor(in.ID); queued && floor < lw {
 		lw = floor
 	}
 	if lw <= in.retained {

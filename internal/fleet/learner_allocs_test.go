@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diads/internal/service"
+	"diads/internal/simtime"
 	"diads/internal/symptoms"
 )
 
@@ -37,5 +38,47 @@ func TestLearnerObserveAllocs(t *testing.T) {
 	}
 	if after := a.Stats(); !reflect.DeepEqual(before, after) {
 		t.Errorf("an Observe with no new evidence changed stats\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestEpochFoldAllocs pins what one learning epoch costs the fleet's
+// exchange, deposit plus fold, when it brings the learner nothing new:
+// a healthy base the corpus already holds, a confirmation the learner
+// has already been fed, or no deposit at all. Each budget is the
+// measured count plus 10 %, rounded down; -v prints the counts.
+func TestEpochFoldAllocs(t *testing.T) {
+	ex := newExchange(NewLearner(LearnConfig{}, symptoms.NewDB()))
+	base := testFacts(map[string]float64{"ambient-load:pool-P1": 0.9})
+	inc := confirmed("inst-0", "Q2", "san-contention",
+		testFacts(map[string]float64{"ambient-load:pool-P1": 0.9, "real-symptom:vol-V1": 0.95}))
+	var epoch int64
+	ex.depositHealthy(epoch, base)
+	ex.depositConfirm(confirmation{waveEnd: simtime.Time(epochLen), inc: inc})
+	ex.fold(epoch)
+	before := ex.learn.Stats()
+
+	for _, c := range []struct {
+		name    string
+		deposit func()
+		budget  float64
+	}{
+		{"healthy base already held", func() { ex.depositHealthy(epoch, base) }, 11},
+		{"confirmation already fed", func() {
+			ex.depositConfirm(confirmation{waveEnd: simtime.Time(epoch+1) * simtime.Time(epochLen), inc: inc})
+		}, 3},
+		{"empty", func() {}, 0},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			epoch++
+			c.deposit()
+			ex.fold(epoch)
+		})
+		t.Logf("%s: %.0f allocations", c.name, got)
+		if got > c.budget {
+			t.Errorf("an epoch holding %s: deposit and fold allocate %.0f times, budget %.0f", c.name, got, c.budget)
+		}
+	}
+	if after := ex.learn.Stats(); !reflect.DeepEqual(before, after) {
+		t.Errorf("epochs with nothing new changed the learner\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -1,16 +1,15 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
 	"diads/internal/diag"
 	"diads/internal/monitor"
 	"diads/internal/service"
-	"diads/internal/simtime"
 	"diads/internal/symptoms"
 	"diads/internal/telemetry"
 )
@@ -41,11 +40,6 @@ type shard struct {
 	// has been captured. Instance-scoped keys, so per-shard maps
 	// partition the fleet-global set exactly.
 	probed map[string]bool
-	// buffered holds released events whose learning epoch is not yet
-	// complete — chiefly the far-future tails of finished instances,
-	// which release wholesale at their final barrier long before the
-	// fleet's frontier reaches them.
-	buffered []monitor.SlowdownEvent
 	// resident counts the shard's non-hibernated instances. The loop
 	// owns the resident flags; the counter is atomic only so the
 	// fleet-level telemetry gauge can read it at scrape time.
@@ -75,31 +69,21 @@ func (sh *shard) initTelemetry(sharded bool) {
 }
 
 // retain runs the retention pass at a barrier: every instance's
-// evidence is truncated to its low watermark (Instance.Retain), floored
-// by the earliest ReadWindow.Start among the shard's buffered events for
-// the instance — released, but parked until their learning epoch
-// completes — and, past the resident cap, idle instances hibernate out
-// of the shard's service. Every diagnosis reads only inside its event's
-// ReadWindow and run snapshots travel in the events, so neither can
-// change a result: the retention-parity sweep pins reports
-// byte-identical with retention on and off.
+// evidence is truncated to its low watermark (Instance.Retain) and, past
+// the resident cap, idle instances hibernate out of the shard's service.
+// Every diagnosis reads only inside its event's ReadWindow and run
+// snapshots travel in the events, so neither can change a result: the
+// retention-parity sweep pins reports byte-identical with retention on
+// and off.
 func (sh *shard) retain() {
-	// Earliest buffered evidence per instance, one pass over the buffer.
-	buffered := make(map[string]simtime.Time, len(sh.instances))
-	for _, ev := range sh.buffered {
-		if t, ok := buffered[ev.Instance]; !ok || ev.ReadWindow.Start < t {
-			buffered[ev.Instance] = ev.ReadWindow.Start
-		}
-	}
 	for _, st := range sh.instances {
-		floor, parked := buffered[st.ID]
-		st.Retain(floor, parked)
+		st.Retain(sh.svc)
 	}
 	// Hibernate in fleet construction order: a deterministic order over
 	// deterministic eligibility, so the schedule is a function of the
-	// event stream alone. Eligible instances have no held and no buffered
-	// events — nothing of theirs can be submitted before a future barrier,
-	// whose wave rehydrates them first.
+	// event stream alone. Eligible instances hold no gated events —
+	// nothing of theirs can be submitted before a future barrier, whose
+	// wave rehydrates them first.
 	cap := sh.f.cfg.ResidentCap
 	if cap <= 0 {
 		return
@@ -108,7 +92,7 @@ func (sh *shard) retain() {
 		if int(sh.resident.Load()) <= cap {
 			return
 		}
-		if _, parked := buffered[st.ID]; parked || st.Monitor.Pending() > 0 {
+		if st.Monitor.Pending() > 0 {
 			continue
 		}
 		if st.Detach(sh.svc) {
@@ -117,40 +101,26 @@ func (sh *shard) retain() {
 	}
 }
 
-// processEpoch pulls the epoch's events out of the buffer and diagnoses
-// them in evidence-time waves.
-func (sh *shard) processEpoch(ctx context.Context, epoch int64) error {
-	var wave []monitor.SlowdownEvent
-	rest := sh.buffered[:0]
-	for _, ev := range sh.buffered {
-		if epochOf(ev.ReadWindow.End) == epoch {
-			wave = append(wave, ev)
-		} else {
-			rest = append(rest, ev)
-		}
-	}
-	sh.buffered = rest
-	return sh.submitWaves(ctx, wave)
+// byEvidence orders detections by the end of their read windows, then
+// by instance and run: the order waves are cut in.
+func byEvidence(a, b monitor.SlowdownEvent) int {
+	return cmp.Or(
+		cmp.Compare(a.ReadWindow.End, b.ReadWindow.End),
+		cmp.Compare(a.Instance, b.Instance),
+		cmp.Compare(a.RunID, b.RunID),
+	)
 }
 
-// submitWaves diagnoses released events in evidence-time waves: sorted
-// by the end of their read windows, events sharing an end diagnose
+// submitWaves diagnoses released events, sorted byEvidence, in
+// evidence-time waves: events sharing a read-window end diagnose
 // concurrently (each diagnosis deposits what it confirmed, see
 // onDiagnosis), then the shard settles its worker pool and captures
-// quiet-window probes before the next wave. Ordering by evidence time — never by barrier arrival —
-// is what makes the run chunk-size invariant: the wave sequence is a
-// function of the event stream alone, so a 1-minute-chunk run and a
-// single-chunk batch run produce byte-identical reports.
+// quiet-window probes before the next wave. Ordering by evidence time —
+// never by barrier arrival — is what makes the run chunk-size invariant:
+// the wave sequence is a function of the event stream alone, so a
+// 1-minute-chunk run and a single-chunk batch run produce byte-identical
+// reports.
 func (sh *shard) submitWaves(ctx context.Context, released []monitor.SlowdownEvent) error {
-	sort.SliceStable(released, func(i, j int) bool {
-		if released[i].ReadWindow.End != released[j].ReadWindow.End {
-			return released[i].ReadWindow.End < released[j].ReadWindow.End
-		}
-		if released[i].Instance != released[j].Instance {
-			return released[i].Instance < released[j].Instance
-		}
-		return released[i].RunID < released[j].RunID
-	})
 	// Rehydrate hibernated instances before anything is submitted.
 	for _, ev := range released {
 		if st := sh.f.byID[ev.Instance]; st != nil && st.Attach(sh.svc, sh.f.cfg.SymDB) {
